@@ -9,7 +9,10 @@
 // "10× throughput per node" target of Recommendation 4.
 package kernels
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // RadixSortUint64 sorts keys ascending with an 8-bit LSD radix sort —
 // the hardware-friendly sort used as the accelerated shuffle primitive.
@@ -118,4 +121,24 @@ func SortPairsByKey(keys []uint64, vals []int64) {
 		copy(keys, ksrc)
 		copy(vals, vsrc)
 	}
+}
+
+// OrderKeyInt64 maps v to a uint64 whose unsigned order is v's signed
+// order (sign-bit flip) — the key encoding that lets the radix kernels
+// sort signed columns.
+func OrderKeyInt64(v int64) uint64 { return uint64(v) ^ (1 << 63) }
+
+// OrderKeyFloat64 maps f to a uint64 whose unsigned order is f's numeric
+// order: the IEEE total-order flip (negatives complemented, positives
+// get the sign bit), with -0.0 canonicalised to +0.0 so the two zeros
+// tie as they do under ==. NaNs land beyond ±Inf, by sign.
+func OrderKeyFloat64(f float64) uint64 {
+	if f == 0 {
+		f = 0
+	}
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
 }

@@ -1,9 +1,13 @@
 package relational
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/kernels"
 )
 
 // BatchSize is the number of rows per columnar chunk — small enough to
@@ -24,14 +28,7 @@ type Vector struct {
 // NewVector returns an empty vector of type t with the given capacity.
 func NewVector(t Type, capacity int) Vector {
 	v := Vector{T: t}
-	switch t {
-	case Int:
-		v.Ints = make([]int64, 0, capacity)
-	case Float:
-		v.Floats = make([]float64, 0, capacity)
-	default:
-		v.Strs = make([]string, 0, capacity)
-	}
+	v.grow(capacity)
 	return v
 }
 
@@ -74,6 +71,91 @@ func (v *Vector) Value(i int) Value {
 	default:
 		return StringV(v.Strs[i])
 	}
+}
+
+// grow reallocates the payload with room for n more values.
+func (v *Vector) grow(n int) {
+	switch v.T {
+	case Int:
+		v.Ints = append(make([]int64, 0, len(v.Ints)+n), v.Ints...)
+	case Float:
+		v.Floats = append(make([]float64, 0, len(v.Floats)+n), v.Floats...)
+	default:
+		v.Strs = append(make([]string, 0, len(v.Strs)+n), v.Strs...)
+	}
+}
+
+// appendCell appends element i of src, a vector of the same type.
+func (v *Vector) appendCell(src *Vector, i int) {
+	switch v.T {
+	case Int:
+		v.Ints = append(v.Ints, src.Ints[i])
+	case Float:
+		v.Floats = append(v.Floats, src.Floats[i])
+	default:
+		v.Strs = append(v.Strs, src.Strs[i])
+	}
+}
+
+// setCell overwrites element i with element j of src, a vector of the
+// same type.
+func (v *Vector) setCell(i int, src *Vector, j int) {
+	switch v.T {
+	case Int:
+		v.Ints[i] = src.Ints[j]
+	case Float:
+		v.Floats[i] = src.Floats[j]
+	default:
+		v.Strs[i] = src.Strs[j]
+	}
+}
+
+// cmpCell orders a[i] against b[j] as Compare orders the boxed cells
+// (vectors of the same type): -1, 0 or +1, a NaN tying with everything.
+func cmpCell(a *Vector, i int, b *Vector, j int) int {
+	switch a.T {
+	case Int:
+		return cmp.Compare(a.Ints[i], b.Ints[j])
+	case Float:
+		x, y := a.Floats[i], b.Floats[j]
+		switch {
+		case x < y:
+			return -1
+		case x > y:
+			return 1
+		}
+		return 0
+	default:
+		return cmp.Compare(a.Strs[i], b.Strs[j])
+	}
+}
+
+// clone copies the vector's payload.
+func (v *Vector) clone() Vector {
+	return Vector{
+		T:      v.T,
+		Ints:   append([]int64(nil), v.Ints...),
+		Floats: append([]float64(nil), v.Floats...),
+		Strs:   append([]string(nil), v.Strs...),
+	}
+}
+
+// gatherVector materializes the selected elements of src, delegating Int
+// and Float payloads to the gather kernels.
+func gatherVector(src *Vector, sel []int32) Vector {
+	v := Vector{T: src.T}
+	switch src.T {
+	case Int:
+		v.Ints = kernels.Gather(src.Ints, sel)
+	case Float:
+		v.Floats = kernels.GatherFloat64(src.Floats, sel)
+	default:
+		v.Strs = make([]string, len(sel))
+		for i, j := range sel {
+			v.Strs[i] = src.Strs[j]
+		}
+	}
+	return v
 }
 
 // slice returns the [from, to) window sharing the backing arrays.
@@ -136,6 +218,68 @@ func (b *Batch) Row(i int, buf Row) Row {
 	return buf
 }
 
+// appendRows boxes n rows held as columns onto dst. The cells come from
+// one backing array per call — one allocation instead of one per row.
+func appendRows(dst []Row, cols []Vector, n int) []Row {
+	w := len(cols)
+	flat := make([]Value, n*w)
+	for c := range cols {
+		switch col := &cols[c]; col.T {
+		case Int:
+			for r, v := range col.Ints[:n] {
+				flat[r*w+c] = IntV(v)
+			}
+		case Float:
+			for r, v := range col.Floats[:n] {
+				flat[r*w+c] = FloatV(v)
+			}
+		default:
+			for r, v := range col.Strs[:n] {
+				flat[r*w+c] = StringV(v)
+			}
+		}
+	}
+	for r := 0; r < n; r++ {
+		dst = append(dst, flat[r*w:(r+1)*w:(r+1)*w])
+	}
+	return dst
+}
+
+// concatCols concatenates the batches' columns, in order, into one
+// vector per schema column.
+func concatCols(schema Schema, batches []*Batch) (cols []Vector, n int) {
+	for _, b := range batches {
+		n += b.Len()
+	}
+	cols = make([]Vector, len(schema))
+	for c, sc := range schema {
+		v := NewVector(sc.Type, n)
+		for _, b := range batches {
+			// Only the payload of type sc.Type is populated.
+			v.Ints = append(v.Ints, b.Cols[c].Ints...)
+			v.Floats = append(v.Floats, b.Cols[c].Floats...)
+			v.Strs = append(v.Strs, b.Cols[c].Strs...)
+		}
+		cols[c] = v
+	}
+	return cols, n
+}
+
+// windowBatches cuts n rows held as whole columns into BatchSize windows
+// sharing the columns' storage, Seq-tagged in order.
+func windowBatches(schema Schema, cols []Vector, n int) []*Batch {
+	var out []*Batch
+	for lo := 0; lo < n; lo += BatchSize {
+		hi := min(lo+BatchSize, n)
+		b := &Batch{Schema: schema, Cols: make([]Vector, len(cols)), Seq: int64(lo / BatchSize), n: hi - lo}
+		for c := range cols {
+			b.Cols[c] = cols[c].slice(lo, hi)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
 // BatchOp is the batch-at-a-time dual of Op. NextBatch returns (nil, nil)
 // at end of stream; emitted batches are never empty. Like Op, a BatchOp
 // tree is single-use.
@@ -176,37 +320,55 @@ func EffectiveWorkers(n int) int {
 	return runtime.NumCPU()
 }
 
-// drainParallel runs every part to completion on its own goroutine and
-// returns the batches per part, in the order each part emitted them. The
-// parts share a cancelGroup: the first failing partition trips it and its
-// siblings stop at their next batch boundary instead of draining the full
-// table; that first error is returned.
-func drainParallel(parts []BatchOp) ([][]*Batch, error) {
-	outs := make([][]*Batch, len(parts))
+// eachBatch splits op into up to workers static partitions (contiguous
+// ranges: partition i's rows precede partition i+1's) and drains each on
+// its own goroutine, handing every batch to fn with its partition's
+// index; parts reports the partition count first, so the caller can size
+// per-partition state. The partitions share a cancelGroup: the first
+// failure — the child's or fn's — trips it and the siblings stop at their
+// next batch boundary instead of draining the full table; that first
+// error is returned.
+func eachBatch(op BatchOp, workers int, parts func(n int), fn func(part int, b *Batch) error) error {
+	ps := partitionOrSelf(op, workers, true)
+	parts(len(ps))
 	cg := &cancelGroup{}
 	var wg sync.WaitGroup
-	for i, part := range parts {
+	for i, part := range ps {
 		wg.Add(1)
 		go func(i int, part BatchOp) {
 			defer wg.Done()
 			for !cg.stop() {
 				b, err := part.NextBatch()
+				if err == nil && b != nil {
+					err = fn(i, b)
+				}
 				if err != nil {
 					cg.abort(err)
+				}
+				if err != nil || b == nil {
 					return
 				}
-				if b == nil {
-					return
-				}
-				outs[i] = append(outs[i], b)
 			}
 		}(i, part)
 	}
 	wg.Wait()
-	if err := cg.Err(); err != nil {
-		return nil, err
+	return cg.Err()
+}
+
+// drainCols materializes op as whole columns in serial order: static
+// partitions drain in parallel, and since each keeps its batches in Seq
+// order, concatenating partition by partition is the serial order.
+func drainCols(op BatchOp, workers int) (cols []Vector, n int, err error) {
+	var outs [][]*Batch
+	err = eachBatch(op, workers, func(n int) { outs = make([][]*Batch, n) }, func(i int, b *Batch) error {
+		outs[i] = append(outs[i], b)
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	return outs, nil
+	cols, n = concatCols(op.Schema(), slices.Concat(outs...))
+	return cols, n, nil
 }
 
 // partitionOrSelf splits op into up to n streams when it supports it,
@@ -221,14 +383,16 @@ func partitionOrSelf(op BatchOp, n int, static bool) []BatchOp {
 }
 
 // RowsOf adapts a batch operator to the row-at-a-time Op interface so
-// batch plans plug into Collect and the row-based tooling. Stats pass
-// through to the underlying batch operator.
+// batch plans plug into Collect and the row-based tooling. Each batch is
+// boxed into rows once, from its vectors (one backing array per batch);
+// Next then hands those rows out. Stats pass through to the underlying
+// batch operator.
 func RowsOf(op BatchOp) Op { return &rowsAdapter{op: op} }
 
 type rowsAdapter struct {
-	op  BatchOp
-	b   *Batch
-	pos int
+	op   BatchOp
+	rows []Row // the current batch, boxed
+	pos  int
 }
 
 // Schema implements Op.
@@ -236,7 +400,7 @@ func (a *rowsAdapter) Schema() Schema { return a.op.Schema() }
 
 // Next implements Op.
 func (a *rowsAdapter) Next() (Row, bool, error) {
-	for a.b == nil || a.pos >= a.b.Len() {
+	for a.pos >= len(a.rows) {
 		b, err := a.op.NextBatch()
 		if err != nil {
 			return nil, false, err
@@ -244,11 +408,10 @@ func (a *rowsAdapter) Next() (Row, bool, error) {
 		if b == nil {
 			return nil, false, nil
 		}
-		a.b, a.pos = b, 0
+		a.rows, a.pos = appendRows(a.rows[:0], b.Cols, b.Len()), 0
 	}
-	r := a.b.Row(a.pos, nil)
 	a.pos++
-	return r, true, nil
+	return a.rows[a.pos-1], true, nil
 }
 
 // Stats implements Op.

@@ -1,10 +1,6 @@
 package relational
 
-import (
-	"sync"
-
-	"repro/internal/exec"
-)
+import "repro/internal/exec"
 
 // BatchGroupAgg is the morsel-parallel grouped aggregation: it statically
 // partitions its child across workers, aggregates each partition into a
@@ -60,80 +56,28 @@ func (g *BatchGroupAgg) SetBudget(b *MemoryBudget) {
 	g.meter = newSpillMeter(b)
 }
 
-func observeRow(gr *partialGroup, aggs []AggSpec, row Row) error {
-	for i, a := range aggs {
-		var v Value
-		if a.Fn != CountAgg {
-			v = row[a.Col]
-		}
-		if err := gr.states[i].observe(a.Fn, v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// aggregatePart drains one partition into a private partial, aborting at
-// the next batch boundary once a sibling has failed.
-func (g *BatchGroupAgg) aggregatePart(part BatchOp, cg *cancelGroup) *PartialAgg {
-	sa := NewSpillableAgg(g.groupCols, g.aggs, g.budget, g.meter)
-	for !cg.stop() {
-		b, err := part.NextBatch()
-		if err != nil {
-			cg.abort(err)
-			break
-		}
-		if b == nil {
-			break
-		}
-		if err := g.disp.Run(b.Len(), func() error { return sa.ObserveBatch(b, -1) }); err != nil {
-			cg.abort(err)
-			break
-		}
-	}
-	return sa.Finish()
-}
-
 func (g *BatchGroupAgg) materialize() error {
-	parts := partitionOrSelf(g.child, g.workers, true)
-	partials := make([]*PartialAgg, len(parts))
-	cg := &cancelGroup{}
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part BatchOp) {
-			defer wg.Done()
-			partials[i] = g.aggregatePart(part, cg)
-		}(i, part)
-	}
-	wg.Wait()
-	if err := cg.Err(); err != nil {
+	// Every partition folds into a private partial.
+	var sas []*SpillableAgg
+	err := eachBatch(g.child, g.workers, func(n int) {
+		for ; n > 0; n-- {
+			sas = append(sas, NewSpillableAgg(g.groupCols, g.aggs, g.budget, g.meter))
+		}
+	}, func(i int, b *Batch) error {
+		return g.disp.Run(b.Len(), func() error { return sas[i].ObserveBatch(b, -1) })
+	})
+	if err != nil {
 		return err
 	}
 	// Merge in partition order: partition i's rows precede partition
 	// i+1's, so appending unseen groups in that order reproduces the
 	// serial first-seen order.
-	merged := partials[0]
-	for _, p := range partials[1:] {
-		merged.MergeFrom(p)
+	merged := sas[0].Finish()
+	for _, sa := range sas[1:] {
+		merged.MergeFrom(sa.Finish())
 	}
-	var cur *Batch
-	var seq int64
-	for _, row := range merged.EmitRows(g.schema, false) {
-		if cur == nil {
-			cur = NewBatch(g.schema, BatchSize)
-			cur.Seq = seq
-			seq++
-		}
-		cur.AppendRow(row)
-		if cur.Len() >= BatchSize {
-			g.out = append(g.out, cur)
-			cur = nil
-		}
-	}
-	if cur != nil && cur.Len() > 0 {
-		g.out = append(g.out, cur)
-	}
+	cols, n := merged.EmitCols(g.schema, false)
+	g.out = windowBatches(g.schema, cols, n)
 	g.done = true
 	return nil
 }

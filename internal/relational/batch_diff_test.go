@@ -1,0 +1,306 @@
+package relational
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/kernels"
+)
+
+// batchSource replays pre-cut batches, so the differential tests control
+// batch boundaries (one row per batch, ragged last batch) that a
+// BatchScan would hide. It partitions into contiguous ranges, which is
+// what both static partitioning and the Exchange's Seq merge need.
+type batchSource struct {
+	schema  Schema
+	batches []*Batch
+	pos     int
+}
+
+func (s *batchSource) Schema() Schema { return s.schema }
+func (s *batchSource) Stats() OpStats { return OpStats{} }
+
+func (s *batchSource) NextBatch() (*Batch, error) {
+	if s.pos >= len(s.batches) {
+		return nil, nil
+	}
+	s.pos++
+	return s.batches[s.pos-1], nil
+}
+
+func (s *batchSource) Partition(n int, _ bool) []BatchOp {
+	n = max(1, min(n, len(s.batches)))
+	parts := make([]BatchOp, n)
+	for i := range parts {
+		lo, hi := len(s.batches)*i/n, len(s.batches)*(i+1)/n
+		parts[i] = &batchSource{schema: s.schema, batches: s.batches[lo:hi]}
+	}
+	return parts
+}
+
+// cutBatches slices rel into batches of per rows (the last one ragged).
+func cutBatches(rel *Relation, per int) *batchSource {
+	src := &batchSource{schema: rel.Schema}
+	for lo := 0; lo < len(rel.Rows); lo += per {
+		b := NewBatch(rel.Schema, per)
+		b.Seq = int64(len(src.batches))
+		for _, r := range rel.Rows[lo:min(lo+per, len(rel.Rows))] {
+			b.AppendRow(r)
+		}
+		src.batches = append(src.batches, b)
+	}
+	return src
+}
+
+// diffSchema: an Int, a Float and a String key column, then an Int and a
+// Float payload. The Float payload only ever holds multiples of 0.25 in
+// a small range, so float sums are exact under any association and the
+// partition-merged batch sums must equal the serial ones bit for bit.
+var diffSchema = Schema{
+	{Name: "ki", Type: Int}, {Name: "kf", Type: Float}, {Name: "ks", Type: String},
+	{Name: "vi", Type: Int}, {Name: "vf", Type: Float},
+}
+
+var (
+	advInts   = []int64{math.MinInt64, math.MaxInt64, -1, 0, 1, 1 << 53, 1<<53 + 1, -(1 << 53) - 1, 7, 7}
+	advFloats = []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), -1.5, 1.5, 5e-324, -5e-324, math.MaxFloat64, 1.5}
+	advStrs   = []string{"", "a", "b", "a", "ab", "B", "\x00", "a\x00", "zz", "b"}
+)
+
+func diffRow(rng *rand.Rand, ki int64, kf float64, ks string) Row {
+	return Row{IntV(ki), FloatV(kf), StringV(ks), IntV(int64(rng.Intn(2000) - 1000)), FloatV(float64(rng.Intn(4001)-2000) / 4)}
+}
+
+// diffRelations returns the generated inputs: adversarial key values in
+// every combination order, few-distinct random keys (duplicates, ties),
+// all-equal keys, one row, and empty.
+func diffRelations() map[string]*Relation {
+	rng := rand.New(rand.NewSource(11))
+	out := map[string]*Relation{}
+	adv := NewRelation("adversarial", diffSchema)
+	for i := 0; i < 60; i++ {
+		adv.MustAppend(diffRow(rng, advInts[rng.Intn(len(advInts))], advFloats[rng.Intn(len(advFloats))], advStrs[rng.Intn(len(advStrs))]))
+	}
+	out[adv.Name] = adv
+	dup := NewRelation("duplicates", diffSchema)
+	for i := 0; i < 157; i++ {
+		dup.MustAppend(diffRow(rng, int64(rng.Intn(5)-2), float64(rng.Intn(3)), advStrs[rng.Intn(3)]))
+	}
+	out[dup.Name] = dup
+	same := NewRelation("all-equal", diffSchema)
+	for i := 0; i < 23; i++ {
+		same.MustAppend(diffRow(rng, 4, 2.5, "k"))
+	}
+	out[same.Name] = same
+	one := NewRelation("one-row", diffSchema)
+	one.MustAppend(diffRow(rng, -9, math.Inf(-1), ""))
+	out[one.Name] = one
+	out["empty"] = NewRelation("empty", diffSchema)
+	return out
+}
+
+// requireIdenticalRows is requireSameRows with floats compared by bits,
+// so -0.0 vs +0.0 and NaN payloads count.
+func requireIdenticalRows(t *testing.T, want, got []Row) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("row counts differ: want %d, got %d", len(want), len(got))
+	}
+	for i := range want {
+		if len(want[i]) != len(got[i]) {
+			t.Fatalf("row %d arity differs: want %d, got %d", i, len(want[i]), len(got[i]))
+		}
+		for j := range want[i] {
+			w, g := want[i][j], got[i][j]
+			if w.T != g.T || w.I != g.I || math.Float64bits(w.F) != math.Float64bits(g.F) || w.S != g.S {
+				t.Fatalf("row %d col %d differs: want %v (%v), got %v (%v)", i, j, w, w.T, g, g.T)
+			}
+		}
+	}
+}
+
+// forEachShape runs fn over every input relation x batch size x worker
+// count: one row per batch, a small size with a ragged last batch, and
+// one batch holding everything.
+func forEachShape(t *testing.T, fn func(t *testing.T, rel *Relation, src func() BatchOp, workers int)) {
+	for name, rel := range diffRelations() {
+		for _, per := range []int{1, 7, 1024} {
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("%s/per%d/w%d", name, per, workers), func(t *testing.T) {
+					fn(t, rel, func() BatchOp { return cutBatches(rel, per) }, workers)
+				})
+			}
+		}
+	}
+}
+
+func TestDiffGroupAgg(t *testing.T) {
+	aggs := []AggSpec{
+		{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 3, Name: "si"}, {Fn: SumAgg, Col: 4, Name: "sf"},
+		{Fn: AvgAgg, Col: 3, Name: "ai"}, {Fn: MinAgg, Col: 0, Name: "mi"}, {Fn: MaxAgg, Col: 0, Name: "xi"},
+		{Fn: MinAgg, Col: 1, Name: "mf"}, {Fn: MaxAgg, Col: 2, Name: "xs"},
+	}
+	forEachShape(t, func(t *testing.T, rel *Relation, src func() BatchOp, workers int) {
+		for _, groupCols := range [][]int{{0}, {1}, {2}, {0, 2}, {2, 1, 0}, nil} {
+			ref, err := NewGroupAgg(NewScan(rel), groupCols, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := NewBatchGroupAgg(src(), groupCols, aggs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalRows(t, collectRows(t, ref), collectRows(t, RowsOf(op)))
+		}
+	})
+}
+
+// TestDiffGroupAggNaNKeys: Key() renders every NaN alike, so they form
+// one group — beside distinct groups for -0.0 and +0.0.
+func TestDiffGroupAggNaNKeys(t *testing.T) {
+	rel := NewRelation("nan", diffSchema)
+	rng := rand.New(rand.NewSource(5))
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	for _, f := range []float64{math.NaN(), 0, nan2, math.Copysign(0, -1), math.NaN(), 0} {
+		rel.MustAppend(diffRow(rng, 1, f, "x"))
+	}
+	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 3, Name: "si"}}
+	ref, _ := NewGroupAgg(NewScan(rel), []int{1}, aggs)
+	op, _ := NewBatchGroupAgg(cutBatches(rel, 2), []int{1}, aggs, 2)
+	want, got := collectRows(t, ref), collectRows(t, RowsOf(op))
+	if len(want) != 3 {
+		t.Fatalf("row engine found %d groups, want 3", len(want))
+	}
+	requireIdenticalRows(t, want, got)
+}
+
+func TestDiffHashJoin(t *testing.T) {
+	rels := diffRelations()
+	builds := []*Relation{rels["adversarial"], rels["duplicates"], rels["all-equal"], rels["empty"]}
+	forEachShape(t, func(t *testing.T, probe *Relation, src func() BatchOp, workers int) {
+		for _, build := range builds {
+			// Same-typed keys of each type, then an Int build key against
+			// a Float and a String probe column: Key() encodes the type,
+			// so those match nothing on either engine.
+			for _, cols := range [][2]int{{0, 0}, {1, 1}, {2, 2}, {0, 1}, {0, 2}, {1, 3}} {
+				ref, err := NewHashJoin(NewScan(build), NewScan(probe), cols[0], cols[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, err := NewBatchHashJoin(cutBatches(build, 5), src(), cols[0], cols[1], workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := collectRows(t, ref)
+				if cols[0] != cols[1] && len(want) != 0 {
+					t.Fatalf("cols %v: mixed-type join matched %d rows on the row engine", cols, len(want))
+				}
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+			}
+		}
+	})
+}
+
+var diffSortKeys = [][]SortKey{
+	{{Col: 0}}, {{Col: 0, Desc: true}}, {{Col: 1}}, {{Col: 1, Desc: true}}, {{Col: 2}}, {{Col: 2, Desc: true}},
+	{{Col: 2}, {Col: 1, Desc: true}, {Col: 0}},
+	{{Col: 1, Desc: true}, {Col: 0, Desc: true}},
+	{{Col: 0}, {Col: 2, Desc: true}},
+	nil,
+}
+
+func TestDiffSort(t *testing.T) {
+	forEachShape(t, func(t *testing.T, rel *Relation, src func() BatchOp, workers int) {
+		for _, keys := range diffSortKeys {
+			ref, err := NewSort(NewScan(rel), keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := NewBatchSort(src(), keys, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalRows(t, collectRows(t, ref), collectRows(t, RowsOf(op)))
+		}
+	})
+}
+
+func TestDiffTopK(t *testing.T) {
+	forEachShape(t, func(t *testing.T, rel *Relation, src func() BatchOp, workers int) {
+		for _, keys := range diffSortKeys {
+			for _, k := range []int{0, 1, 5, rel.Len(), rel.Len() + 9} {
+				srt, err := NewSort(NewScan(rel), keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op, err := NewBatchTopK(src(), keys, k, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalRows(t, collectRows(t, NewLimit(srt, k)), collectRows(t, RowsOf(op)))
+			}
+		}
+	})
+}
+
+// TestOrderKeysPreserveCompare: each key encoder maps Compare's order
+// onto unsigned order — strictly, except that values Compare ties
+// (-0.0 and +0.0) must encode equal.
+func TestOrderKeysPreserveCompare(t *testing.T) {
+	ints := []int64{math.MinInt64, math.MinInt64 + 1, -(1 << 53) - 1, -(1 << 53), -2, -1, 0, 1, 2, 1 << 53, 1<<53 + 1, math.MaxInt64 - 1, math.MaxInt64}
+	floats := []float64{math.Inf(-1), -math.MaxFloat64, -1.5, -1, -5e-324, math.Copysign(0, -1), 0, 5e-324, 1, 1.5, math.MaxFloat64, math.Inf(1)}
+	check := func(name string, n int, val func(int) Value, key func(int) uint64) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				c, err := Compare(val(i), val(j))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := 0
+				if key(i) < key(j) {
+					got = -1
+				} else if key(i) > key(j) {
+					got = 1
+				}
+				if got != c {
+					t.Errorf("%s: %v vs %v: Compare %d, encoded order %d", name, val(i), val(j), c, got)
+				}
+				if desc := ^key(i) > ^key(j); desc != (c < 0) {
+					t.Errorf("%s descending: %v vs %v: complement order disagrees with Compare %d", name, val(i), val(j), c)
+				}
+			}
+		}
+	}
+	if !sort.SliceIsSorted(ints, func(i, j int) bool { return ints[i] < ints[j] }) || !sort.Float64sAreSorted(floats) {
+		t.Fatal("test values must be listed in order")
+	}
+	check("int", len(ints), func(i int) Value { return IntV(ints[i]) }, func(i int) uint64 { return kernels.OrderKeyInt64(ints[i]) })
+	check("float", len(floats), func(i int) Value { return FloatV(floats[i]) }, func(i int) uint64 { return kernels.OrderKeyFloat64(floats[i]) })
+}
+
+// TestCompareIntExact: two ints compare on their exact bits, not through
+// float64 — the row oracle and a radix sort on the encoded ints agree by
+// construction.
+func TestCompareIntExact(t *testing.T) {
+	a, b := IntV(1<<53), IntV(1<<53+1)
+	if c, err := Compare(a, b); err != nil || c != -1 {
+		t.Fatalf("Compare(2^53, 2^53+1) = %d, %v; want -1", c, err)
+	}
+	if c, _ := Compare(b, a); c != 1 {
+		t.Fatalf("Compare(2^53+1, 2^53) = %d; want 1", c)
+	}
+	if Equal(a, b) {
+		t.Fatal("Equal(2^53, 2^53+1) = true")
+	}
+	if c, _ := Compare(IntV(math.MinInt64), IntV(math.MaxInt64)); c != -1 {
+		t.Fatalf("Compare(MinInt64, MaxInt64) = %d; want -1", c)
+	}
+	// Mixed Int/Float keeps the float path.
+	if c, _ := Compare(IntV(1<<53+1), FloatV(1<<53)); c != 0 {
+		t.Fatalf("Compare(int 2^53+1, float 2^53) = %d; want 0 (float path)", c)
+	}
+}

@@ -7,31 +7,26 @@ import (
 
 // joinCore is the shared state of a batch hash join: the build-side table
 // is constructed once (in parallel, from statically partitioned build
-// streams merged in partition order, so per-key row lists match the
-// serial engine's insertion order) and then probed concurrently by every
-// probe partition.
+// streams concatenated in partition order, so per-key row chains match
+// the serial engine's insertion order) and then probed concurrently by
+// every probe partition.
 type joinCore struct {
-	build              BatchOp
-	buildCol, probeCol int
-	schema             Schema
-	buildWidth         int
-	workers            int
-	// buildKeyInt records whether the build key column is Int (the fast
-	// hash path); kept on the core because prebuilt joins have no build
-	// operator to consult. pre, when non-nil, is an externally
-	// constructed build table adopted instead of draining a build stream
-	// — the pipelined distributed path fills it chunk by chunk.
-	buildKeyInt bool
-	pre         *HashBuild
+	build      BatchOp
+	probeCol   int
+	schema     Schema
+	buildWidth int
+	workers    int
+	// tab is the build table. A prebuilt one (filled and indexed by the
+	// pipelined distributed path, chunk by chunk) is adopted as is;
+	// otherwise runBuild fills it from the build stream.
+	tab      *HashBuild
+	prebuilt bool
 
 	budget *MemoryBudget
 	meter  *spillMeter
 
 	once sync.Once
 	err  error
-	rows []Row              // build rows in serial order
-	intT map[int64][]int32  // Int build key fast path
-	keyT map[string][]int32 // generic Value.Key() path
 
 	// grace is non-nil when the build table overflowed the budget and
 	// was hash-partitioned instead (see grace_join.go).
@@ -39,115 +34,32 @@ type joinCore struct {
 	leaves []*graceLeaf
 }
 
-// buildPartial is one partition's share of the hash build.
-type buildPartial struct {
-	rows []Row
-	err  error
-}
-
 func (c *joinCore) runBuild() {
-	if c.pre != nil {
-		// Prebuilt table: adopt its rows (serial order by construction)
-		// and, when resident, its maps. The budget reservation and grace
-		// fallback mirror the streaming path bit-for-bit, so a budgeted
-		// pipelined join spills exactly where the bulk join would.
-		c.rows = c.pre.rows
-		if c.budget != nil && !c.budget.Reserve(int64(c.pre.bytes)) {
-			c.buildGrace()
+	if !c.prebuilt {
+		cols, n, err := drainCols(c.build, c.workers)
+		if err != nil {
+			c.err = err
 			return
 		}
-		c.intT, c.keyT = c.pre.intT, c.pre.keyT
-		return
-	}
-	parts := partitionOrSelf(c.build, c.workers, true)
-	partials := make([]*buildPartial, len(parts))
-	cg := &cancelGroup{}
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part BatchOp) {
-			defer wg.Done()
-			p := &buildPartial{}
-			partials[i] = p
-			var buf Row
-			// Partitions share the cancelGroup: a failing sibling stops
-			// this one at its next batch boundary.
-			for !cg.stop() {
-				b, err := part.NextBatch()
-				if err != nil {
-					p.err = err
-					cg.abort(err)
-					return
-				}
-				if b == nil {
-					return
-				}
-				n := b.Len()
-				for r := 0; r < n; r++ {
-					buf = b.Row(r, buf)
-					p.rows = append(p.rows, buf.Clone())
-				}
-			}
-		}(i, part)
-	}
-	wg.Wait()
-	if err := cg.Err(); err != nil {
-		c.err = err
-		return
-	}
-	total := 0.0
-	for _, p := range partials {
-		if p.err != nil {
-			c.err = p.err
-			return
-		}
-		for _, row := range p.rows {
-			c.rows = append(c.rows, row)
-			total += row.EncodedBytes()
-		}
+		c.tab.cols, c.tab.bytes = cols, colsBytes(cols, n)
 	}
 	// The whole build table reserves against the query budget; when the
 	// reservation fails the join goes out of core via grace partitioning
-	// instead of assuming the table fits.
-	if c.budget != nil && !c.budget.Reserve(int64(total)) {
+	// instead of assuming the table fits. A prebuilt table reserves the
+	// same bytes, so a budgeted pipelined join spills exactly where the
+	// bulk join would.
+	if c.budget != nil && !c.budget.Reserve(int64(c.tab.bytes)) {
 		c.buildGrace()
 		return
 	}
-	useInt := c.buildKeyInt
-	if useInt {
-		c.intT = map[int64][]int32{}
-	} else {
-		c.keyT = map[string][]int32{}
-	}
-	for idx32, row := range c.rows {
-		idx := int32(idx32)
-		if useInt {
-			k := row[c.buildCol].I
-			c.intT[k] = append(c.intT[k], idx)
-		} else {
-			k := row[c.buildCol].Key()
-			c.keyT[k] = append(c.keyT[k], idx)
-		}
+	if !c.prebuilt {
+		c.tab.ix.add(&c.tab.cols[c.tab.keyCol])
 	}
 }
 
 func (c *joinCore) table() error {
 	c.once.Do(c.runBuild)
 	return c.err
-}
-
-// matches returns the build-row indices joining probe batch b's row r.
-func (c *joinCore) matches(b *Batch, r int) []int32 {
-	pc := &b.Cols[c.probeCol]
-	if c.intT != nil {
-		if pc.T != Int {
-			// Key() encodes the type, so a non-Int probe value can never
-			// equal an Int build key under the serial engine either.
-			return nil
-		}
-		return c.intT[pc.Ints[r]]
-	}
-	return c.keyT[pc.Value(r).Key()]
 }
 
 // BatchHashJoin is an inner equi-join over batches. The probe side drives
@@ -157,6 +69,9 @@ type BatchHashJoin struct {
 	core  *joinCore
 	probe BatchOp
 	stat  *opCount
+
+	// Selection-vector scratch of this probe stream, reused per batch.
+	bsel, psel []int32
 
 	// Grace-mode output of this probe stream (see graceProbe).
 	graceOut  []*Batch
@@ -174,11 +89,14 @@ func NewBatchHashJoin(build, probe BatchOp, buildCol, probeCol, workers int) (*B
 	if probeCol < 0 || probeCol >= len(ps) {
 		return nil, fmt.Errorf("relational: join probe column %d out of range", probeCol)
 	}
+	tab, err := NewHashBuild(bs, buildCol)
+	if err != nil {
+		return nil, err
+	}
 	core := &joinCore{
-		build: build, buildCol: buildCol, probeCol: probeCol,
+		build: build, probeCol: probeCol, tab: tab,
 		schema: bs.Concat(ps), buildWidth: len(bs),
-		workers:     EffectiveWorkers(workers),
-		buildKeyInt: bs[buildCol].Type == Int,
+		workers: EffectiveWorkers(workers),
 	}
 	return &BatchHashJoin{core: core, probe: probe, stat: &opCount{}}, nil
 }
@@ -194,10 +112,9 @@ func NewBatchHashJoinPrebuilt(pre *HashBuild, probe BatchOp, probeCol, workers i
 		return nil, fmt.Errorf("relational: join probe column %d out of range", probeCol)
 	}
 	core := &joinCore{
-		pre: pre, buildCol: pre.keyCol, probeCol: probeCol,
+		tab: pre, prebuilt: true, probeCol: probeCol,
 		schema: pre.schema.Concat(ps), buildWidth: len(pre.schema),
-		workers:     EffectiveWorkers(workers),
-		buildKeyInt: pre.useInt,
+		workers: EffectiveWorkers(workers),
 	}
 	return &BatchHashJoin{core: core, probe: probe, stat: &opCount{}}, nil
 }
@@ -218,8 +135,7 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 	if err := j.core.table(); err != nil {
 		return nil, err
 	}
-	c := j.core
-	if c.grace != nil {
+	if j.core.grace != nil {
 		if !j.graceDone {
 			if err := j.graceProbe(); err != nil {
 				return nil, err
@@ -239,27 +155,40 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		out := NewBatch(c.schema, b.Len())
-		out.Seq = b.Seq
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			for _, bi := range c.matches(b, r) {
-				brow := c.rows[bi]
-				for col := 0; col < c.buildWidth; col++ {
-					out.Cols[col].Append(brow[col])
-				}
-				for col := range b.Cols {
-					out.Cols[c.buildWidth+col].Append(b.Cols[col].Value(r))
-				}
-				out.n++
-			}
+		if out := j.joinBatch(b); out != nil {
+			j.stat.add(out.Len())
+			return out, nil
 		}
-		if out.Len() == 0 {
-			continue
-		}
-		j.stat.add(out.Len())
-		return out, nil
 	}
+}
+
+// joinBatch joins one probe batch against the build table: the index
+// yields (build row, probe row) selection vectors and every output
+// column is one gather. nil when no probe row matches.
+func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
+	c := j.core
+	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], j.bsel[:0], j.psel[:0])
+	if len(j.bsel) == 0 {
+		return nil
+	}
+	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(j.bsel)}
+	for col := 0; col < c.buildWidth; col++ {
+		out.Cols[col] = gatherVector(&c.tab.cols[col], j.bsel)
+	}
+	// Every probe row matching exactly once (the foreign-key join)
+	// makes psel the identity: the probe columns pass through shared.
+	identity := len(j.psel) == b.Len()
+	for i := 0; identity && i < len(j.psel); i++ {
+		identity = int(j.psel[i]) == i
+	}
+	for col := range b.Cols {
+		if identity {
+			out.Cols[c.buildWidth+col] = b.Cols[col]
+		} else {
+			out.Cols[c.buildWidth+col] = gatherVector(&b.Cols[col], j.psel)
+		}
+	}
+	return out
 }
 
 // Stats implements BatchOp.

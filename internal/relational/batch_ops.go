@@ -172,35 +172,27 @@ func heteroStats(stat *opCount, disp *exec.Dispatcher) OpStats {
 	return st
 }
 
-// gatherBatch materializes the selected rows of b, delegating Int and
-// Float columns to the gather kernels.
+// gatherBatch materializes the selected rows of b.
 func gatherBatch(b *Batch, sel []int32) *Batch {
 	out := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: len(sel)}
 	for c := range b.Cols {
-		src := &b.Cols[c]
-		v := Vector{T: src.T}
-		switch src.T {
-		case Int:
-			v.Ints = kernels.Gather(src.Ints, sel)
-		case Float:
-			v.Floats = kernels.GatherFloat64(src.Floats, sel)
-		default:
-			v.Strs = make([]string, len(sel))
-			for i, j := range sel {
-				v.Strs[i] = src.Strs[j]
-			}
-		}
-		out.Cols[c] = v
+		out.Cols[c] = gatherVector(&b.Cols[c], sel)
 	}
 	return out
 }
 
-// ProjExpr is one output column of a batch projection: either a
-// pass-through of child column Col (vector shared, no per-row work) or a
-// compiled row expression.
+// VecProjector computes one output column for a whole batch straight off
+// its typed vectors — no Row, no Value.
+type VecProjector func(b *Batch) Vector
+
+// ProjExpr is one output column of a batch projection: a pass-through of
+// child column Col (vector shared, no per-row work), or a computed
+// expression — evaluated over the vectors by Vec when the planner could
+// prove the operand types, else per boxed row by Fn.
 type ProjExpr struct {
 	Col int // >= 0: pass child column through
 	Fn  Projector
+	Vec VecProjector
 }
 
 // Pick returns the pass-through projection of column idx.
@@ -256,22 +248,28 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 	n := b.Len()
 	out := &Batch{Schema: p.schema, Cols: make([]Vector, len(p.exprs)), Seq: b.Seq, n: n}
 	work := func() error {
-		var buf Row
+		var boxed []int // outputs only a row closure can compute
 		for i, e := range p.exprs {
-			if e.Col >= 0 {
+			switch {
+			case e.Col >= 0:
 				out.Cols[i] = b.Cols[e.Col]
-				continue
+			case e.Vec != nil:
+				out.Cols[i] = e.Vec(b)
+			default:
+				out.Cols[i] = NewVector(p.schema[i].Type, n)
+				boxed = append(boxed, i)
 			}
-			v := NewVector(p.schema[i].Type, n)
-			for r := 0; r < n; r++ {
-				buf = b.Row(r, buf)
-				val, err := e.Fn(buf)
+		}
+		var buf Row
+		for r := 0; r < n && len(boxed) > 0; r++ {
+			buf = b.Row(r, buf)
+			for _, i := range boxed {
+				val, err := p.exprs[i].Fn(buf)
 				if err != nil {
 					return err
 				}
-				v.Append(val)
+				out.Cols[i].Append(val)
 			}
-			out.Cols[i] = v
 		}
 		return nil
 	}

@@ -1,17 +1,22 @@
 package relational
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/exec"
 	"repro/internal/kernels"
 )
 
 // BatchSort materializes its child (in parallel when the child can
-// partition) and sorts. A single ascending or descending key over an Int
-// column is delegated to the radix sort kernel (stable, O(8n)); anything
-// else falls back to the comparison sort the serial engine uses.
+// partition) as whole typed columns and sorts a row-id permutation over
+// them: every Int or Float key is encoded to an order-preserving uint64
+// and radix-sorted (kernels.SortPairsByKey), least significant key first;
+// a String key's pass is a stable comparison sort on the typed vector.
+// Each pass is stable, so rows tied on every key keep arrival order —
+// exactly the serial engine's sort.SliceStable — and one final gather
+// per column produces the output. No Row or Value is built.
 type BatchSort struct {
 	child   BatchOp
 	keys    []SortKey
@@ -19,6 +24,9 @@ type BatchSort struct {
 	disp    *exec.Dispatcher
 	budget  *MemoryBudget
 	meter   *spillMeter
+	// limit >= 0 keeps only the first limit rows of the order (see
+	// NewBatchTopK); -1 is the full sort.
+	limit int
 
 	out  []*Batch
 	pos  int
@@ -35,7 +43,7 @@ func NewBatchSort(child BatchOp, keys []SortKey, workers int) (*BatchSort, error
 			return nil, fmt.Errorf("relational: sort column %d out of range", k.Col)
 		}
 	}
-	return &BatchSort{child: child, keys: keys, workers: EffectiveWorkers(workers), stat: &opCount{}}, nil
+	return &BatchSort{child: child, keys: keys, workers: EffectiveWorkers(workers), limit: -1, stat: &opCount{}}, nil
 }
 
 // Schema implements BatchOp.
@@ -56,60 +64,44 @@ func (s *BatchSort) SetBudget(b *MemoryBudget) {
 }
 
 func (s *BatchSort) materialize() error {
-	// Drain in parallel; static partitions keep each part's batches in
-	// Seq order, and part i precedes part i+1, so concatenation is the
-	// serial order.
-	parts := partitionOrSelf(s.child, s.workers, true)
-	outs, err := drainParallel(parts)
+	if s.limit >= 0 && s.budget == nil {
+		return s.topK()
+	}
+	schema := s.child.Schema()
+	cols, n, err := drainCols(s.child, s.workers)
 	if err != nil {
 		return err
 	}
-	var batches []*Batch
-	total := 0
-	for _, bs := range outs {
-		for _, b := range bs {
-			batches = append(batches, b)
-			total += b.Len()
-		}
-	}
-	rows := make([]Row, 0, total)
-	for _, b := range batches {
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			rows = append(rows, b.Row(r, nil))
-		}
-	}
+	var perm []int32
 	if s.budget != nil {
-		var err error
-		if rows, err = s.externalSort(rows); err != nil {
+		if perm, err = s.externalSort(cols, n); err != nil {
 			return err
 		}
-	} else if err := s.disp.Run(len(rows), func() error {
-		var serr error
-		rows, serr = sortRows(rows, s.child.Schema(), s.keys)
-		return serr
+	} else if err := s.disp.Run(n, func() error {
+		perm = sortPerm(cols, s.keys, 0, n)
+		return nil
 	}); err != nil {
 		return err
 	}
-	for lo := 0; lo < len(rows); lo += BatchSize {
-		hi := lo + BatchSize
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		b := NewBatch(s.child.Schema(), hi-lo)
-		b.Seq = int64(lo / BatchSize)
-		for _, r := range rows[lo:hi] {
-			b.AppendRow(r)
-		}
-		s.out = append(s.out, b)
+	if s.limit >= 0 && s.limit < len(perm) {
+		perm = perm[:s.limit]
 	}
-	s.done = true
+	s.emit(schema, cols, perm)
 	return nil
 }
 
-// sortRun is one sorted run of the external sort.
+// emit gathers the rows perm selects, in order, into the output batches.
+func (s *BatchSort) emit(schema Schema, cols []Vector, perm []int32) {
+	for c := range cols {
+		cols[c] = gatherVector(&cols[c], perm)
+	}
+	s.out = windowBatches(schema, cols, len(perm))
+}
+
+// sortRun is one sorted run of the external sort: a permutation of a
+// contiguous arrival range of the input.
 type sortRun struct {
-	rows    []Row
+	perm    []int32
 	bytes   int64
 	spilled bool
 }
@@ -121,21 +113,20 @@ type sortRun struct {
 // k-way merge folds the runs back, pricing the spilled ones' read-back.
 // With no overflow this is one chunk sorted once: exactly the in-memory
 // sort, so a generous budget is row-for-row (and dispatch-for-dispatch)
-// identical to the unbudgeted engine.
-func (s *BatchSort) externalSort(rows []Row) ([]Row, error) {
-	schema := s.child.Schema()
+// identical to the unbudgeted engine. The budget is an accounting arena:
+// runs are ranges of the one columnar copy, never a second one.
+func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 	var runs []sortRun
-	var chunk []Row
 	var chunkBytes, reserved int64
-	flushRun := func(spill bool) error {
-		if len(chunk) == 0 {
+	lo := 0
+	flushRun := func(hi int, spill bool) error {
+		if hi == lo {
 			return nil
 		}
-		ch := chunk
-		if err := s.disp.Run(len(ch), func() error {
-			var serr error
-			ch, serr = sortRows(ch, schema, s.keys)
-			return serr
+		var perm []int32
+		if err := s.disp.Run(hi-lo, func() error {
+			perm = sortPerm(cols, s.keys, lo, hi)
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -144,16 +135,16 @@ func (s *BatchSort) externalSort(rows []Row) ([]Row, error) {
 			s.meter.chargeWrite(chunkBytes)
 		}
 		s.budget.Release(reserved)
-		runs = append(runs, sortRun{rows: ch, bytes: chunkBytes, spilled: spill})
-		chunk, chunkBytes, reserved = nil, 0, 0
+		runs = append(runs, sortRun{perm: perm, bytes: chunkBytes, spilled: spill})
+		lo, chunkBytes, reserved = hi, 0, 0
 		return nil
 	}
-	for _, row := range rows {
-		rb := int64(row.EncodedBytes())
+	for r := 0; r < n; r++ {
+		rb := int64(rowBytes(cols, r))
 		if s.budget.Reserve(rb) {
 			reserved += rb
-		} else if len(chunk) > 0 {
-			if err := flushRun(true); err != nil {
+		} else if r > lo {
+			if err := flushRun(r, true); err != nil {
 				return nil, err
 			}
 			if s.budget.Reserve(rb) {
@@ -162,124 +153,106 @@ func (s *BatchSort) externalSort(rows []Row) ([]Row, error) {
 			// A row that alone exceeds the budget proceeds resident
 			// anyway: degradation, not a cliff.
 		}
-		chunk = append(chunk, row)
 		chunkBytes += rb
 	}
-	if err := flushRun(false); err != nil {
+	if err := flushRun(n, false); err != nil {
 		return nil, err
 	}
-	if len(runs) <= 1 {
-		if len(runs) == 0 {
-			return nil, nil
-		}
-		return runs[0].rows, nil
+	if len(runs) == 1 {
+		return runs[0].perm, nil
 	}
-	return s.mergeRuns(runs)
+	return s.mergeRuns(cols, runs, n), nil
 }
 
 // mergeRuns k-way merges sorted runs. Runs hold contiguous arrival
 // ranges in order, so breaking key ties by run index reproduces the
 // stable sort of the whole input.
-func (s *BatchSort) mergeRuns(runs []sortRun) ([]Row, error) {
-	total := 0
+func (s *BatchSort) mergeRuns(cols []Vector, runs []sortRun, n int) []int32 {
 	for _, r := range runs {
-		total += len(r.rows)
 		if r.spilled {
 			s.meter.chargeRead(r.bytes)
 		}
 	}
-	out := make([]Row, 0, total)
+	out := make([]int32, 0, n)
 	heads := make([]int, len(runs))
-	for len(out) < total {
+	for len(out) < n {
 		best := -1
 		for i, r := range runs {
-			if heads[i] >= len(r.rows) {
+			if heads[i] >= len(r.perm) {
 				continue
 			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			c, err := compareByKeys(runs[best].rows[heads[best]], r.rows[heads[i]], s.keys)
-			if err != nil {
-				return nil, err
-			}
-			if c > 0 {
+			if best < 0 || cmpKeys(s.keys, cols, int(runs[best].perm[heads[best]]), cols, int(r.perm[heads[i]])) > 0 {
 				best = i
 			}
 		}
-		out = append(out, runs[best].rows[heads[best]])
+		out = append(out, runs[best].perm[heads[best]])
 		heads[best]++
 	}
-	return out, nil
+	return out
 }
 
-// compareByKeys orders two rows by the sort keys (0 on a full tie).
-func compareByKeys(a, b Row, keys []SortKey) (int, error) {
+// cmpKeys orders row i of a against row j of b by the sort keys (0 on a
+// full tie), as the serial engine's Compare loop does.
+func cmpKeys(keys []SortKey, a []Vector, i int, b []Vector, j int) int {
 	for _, k := range keys {
-		c, err := Compare(a[k.Col], b[k.Col])
-		if err != nil {
-			return 0, err
-		}
+		c := cmpCell(&a[k.Col], i, &b[k.Col], j)
 		if c == 0 {
 			continue
 		}
 		if k.Desc {
-			return -c, nil
+			return -c
 		}
-		return c, nil
+		return c
 	}
-	return 0, nil
+	return 0
 }
 
-// sortRows stably sorts rows by keys, using the radix kernel for a
-// single Int key.
-func sortRows(rows []Row, schema Schema, keys []SortKey) ([]Row, error) {
-	if len(keys) == 1 && schema[keys[0].Col].Type == Int {
-		col := keys[0].Col
-		desc := keys[0].Desc
-		sk := make([]uint64, len(rows))
-		idx := make([]int64, len(rows))
-		for i, r := range rows {
-			// Flip the sign bit for an order-preserving uint64 encoding;
-			// invert everything for descending (stability preserved:
-			// equal keys stay equal).
-			k := uint64(r[col].I) ^ (1 << 63)
-			if desc {
-				k = ^k
-			}
-			sk[i] = k
-			idx[i] = int64(i)
-		}
-		kernels.SortPairsByKey(sk, idx)
-		out := make([]Row, len(rows))
-		for i, j := range idx {
-			out[i] = rows[j]
-		}
-		return out, nil
+// sortPerm stably sorts rows [lo, hi) of cols by keys and returns the
+// row ids in sorted order: one stable pass per key from the last to the
+// first. Numeric keys are encoded — Int by sign flip, Float by the IEEE
+// total-order flip with -0.0 canonicalised to +0.0, descending by
+// complement — and radix-sorted beside the ids; String keys
+// comparison-sort the ids on the typed vector.
+func sortPerm(cols []Vector, keys []SortKey, lo, hi int) []int32 {
+	ids := make([]int64, hi-lo)
+	for i := range ids {
+		ids[i] = int64(lo + i)
 	}
-	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			c, err := Compare(rows[i][k.Col], rows[j][k.Col])
-			if err != nil {
-				sortErr = err
-				return false
-			}
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
+	var enc []uint64
+	for ki := len(keys) - 1; ki >= 0; ki-- {
+		col, desc := &cols[keys[ki].Col], keys[ki].Desc
+		if col.T == String {
+			slices.SortStableFunc(ids, func(a, b int64) int {
+				if desc {
+					a, b = b, a
+				}
+				return cmp.Compare(col.Strs[a], col.Strs[b])
+			})
+			continue
 		}
-		return false
-	})
-	if sortErr != nil {
-		return nil, sortErr
+		if enc == nil {
+			enc = make([]uint64, len(ids))
+		}
+		flip := uint64(0)
+		if desc {
+			flip = ^flip
+		}
+		if col.T == Int {
+			for i, id := range ids {
+				enc[i] = kernels.OrderKeyInt64(col.Ints[id]) ^ flip
+			}
+		} else {
+			for i, id := range ids {
+				enc[i] = kernels.OrderKeyFloat64(col.Floats[id]) ^ flip
+			}
+		}
+		kernels.SortPairsByKey(enc, ids)
 	}
-	return rows, nil
+	perm := make([]int32, len(ids))
+	for i, id := range ids {
+		perm[i] = int32(id)
+	}
+	return perm
 }
 
 // NextBatch implements BatchOp.
@@ -288,6 +261,7 @@ func (s *BatchSort) NextBatch() (*Batch, error) {
 		if err := s.materialize(); err != nil {
 			return nil, err
 		}
+		s.done = true
 	}
 	if s.pos >= len(s.out) {
 		return nil, nil

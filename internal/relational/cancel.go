@@ -6,8 +6,8 @@ import (
 )
 
 // cancelGroup is the abort flag shared by the sibling partitions of one
-// parallel operator (drainParallel, the streaming Exchange, BatchGroupAgg
-// partials, joinCore build). The first partition to fail records its error
+// parallel operator (eachBatch, under every pipeline breaker, and the
+// streaming Exchange). The first partition to fail records its error
 // and trips the flag; siblings poll it at batch boundaries and stop early
 // instead of draining their full input.
 type cancelGroup struct {

@@ -84,7 +84,7 @@ func checkCancelled(t *testing.T, probe *cancelProbe, err error) {
 func TestDrainParallelCancels(t *testing.T) {
 	probe := &cancelProbe{limit: 1 << 17}
 	src := &cancelSource{probe: probe}
-	_, err := drainParallel(src.Partition(4, false))
+	_, _, err := drainCols(src, 4)
 	checkCancelled(t, probe, err)
 }
 

@@ -1,10 +1,5 @@
 package relational
 
-import (
-	"sort"
-	"sync"
-)
-
 // Grace partitioning parameters. Fanout 8 shrinks partitions fast (a
 // budget overrun of 8x resolves in one pass); the depth cap bounds the
 // recursion on degenerate key distributions (all rows one key) — a leaf
@@ -59,16 +54,13 @@ func graceBucket(v Value, depth int) int {
 // graceLeaf is one terminal build partition: either resident (its bytes
 // fit the budget, first-fit at build time) or spilled to the tier. All
 // build rows of one key land in one leaf with serial order preserved, so
-// a leaf-local hash table reproduces the global table's per-key lists.
+// the build table's per-key chains are each leaf's own: the host keeps
+// the one joinIndex, and the budget prices every leaf as a pass of its
+// own.
 type graceLeaf struct {
 	id      int
-	idxs    []int32 // indices into joinCore.rows, ascending (serial order)
 	bytes   int64
 	spilled bool
-
-	once sync.Once
-	intT map[int64][]int32
-	keyT map[string][]int32
 }
 
 // graceNode is one level of the recursive partitioning tree: each bucket
@@ -82,11 +74,14 @@ type graceNode struct {
 // buildGrace partitions the build rows after the whole-table reservation
 // failed. Called once from runBuild, before any probe runs.
 func (c *joinCore) buildGrace() {
-	idxs := make([]int32, len(c.rows))
+	idxs := make([]int32, c.tab.Len())
 	for i := range idxs {
 		idxs[i] = int32(i)
 	}
 	c.grace = c.splitGrace(idxs, 0)
+	if !c.prebuilt {
+		c.tab.ix.add(&c.tab.cols[c.tab.keyCol])
+	}
 }
 
 // splitGrace hash-partitions idxs into fanout buckets. Each bucket tries
@@ -96,8 +91,9 @@ func (c *joinCore) buildGrace() {
 func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 	n := &graceNode{depth: depth}
 	var buckets [graceFanout][]int32
+	key := &c.tab.cols[c.tab.keyCol]
 	for _, i := range idxs {
-		b := graceBucket(c.rows[i][c.buildCol], depth)
+		b := graceBucket(key.Value(int(i)), depth)
 		buckets[b] = append(buckets[b], i)
 	}
 	for bi, bucket := range buckets {
@@ -106,10 +102,10 @@ func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 		}
 		var bytes int64
 		for _, i := range bucket {
-			bytes += int64(c.rows[i].EncodedBytes())
+			bytes += int64(rowBytes(c.tab.cols, int(i)))
 		}
 		if c.budget.Reserve(bytes) {
-			n.leaves[bi] = c.newGraceLeaf(bucket, bytes, false)
+			n.leaves[bi] = c.newGraceLeaf(bytes, false)
 			continue
 		}
 		c.meter.notePartition(depth + 1)
@@ -119,13 +115,13 @@ func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 			n.kids[bi] = c.splitGrace(bucket, depth+1)
 			continue
 		}
-		n.leaves[bi] = c.newGraceLeaf(bucket, bytes, true)
+		n.leaves[bi] = c.newGraceLeaf(bytes, true)
 	}
 	return n
 }
 
-func (c *joinCore) newGraceLeaf(idxs []int32, bytes int64, spilled bool) *graceLeaf {
-	l := &graceLeaf{id: len(c.leaves), idxs: idxs, bytes: bytes, spilled: spilled}
+func (c *joinCore) newGraceLeaf(bytes int64, spilled bool) *graceLeaf {
+	l := &graceLeaf{id: len(c.leaves), bytes: bytes, spilled: spilled}
 	c.leaves = append(c.leaves, l)
 	return l
 }
@@ -144,62 +140,19 @@ func (c *joinCore) routeLeaf(v Value) *graceLeaf {
 	}
 }
 
-// tables lazily builds the leaf-local hash table (shared across
-// concurrent probe partitions, hence the once).
-func (l *graceLeaf) tables(c *joinCore) {
-	l.once.Do(func() {
-		if c.buildKeyInt {
-			l.intT = make(map[int64][]int32, len(l.idxs))
-			for _, i := range l.idxs {
-				k := c.rows[i][c.buildCol].I
-				l.intT[k] = append(l.intT[k], i)
-			}
-			return
-		}
-		l.keyT = make(map[string][]int32, len(l.idxs))
-		for _, i := range l.idxs {
-			k := c.rows[i][c.buildCol].Key()
-			l.keyT[k] = append(l.keyT[k], i)
-		}
-	})
-}
-
-// matches mirrors joinCore.matches for one leaf.
-func (l *graceLeaf) matches(v Value) []int32 {
-	if l.intT != nil {
-		if v.T != Int {
-			return nil
-		}
-		return l.intT[v.I]
-	}
-	return l.keyT[v.Key()]
-}
-
-// graceProbeEnt is one buffered probe row awaiting its partition's pass.
-type graceProbeEnt struct {
-	row      Row
-	seq, ord int64
-}
-
-// graceOutEnt is one output row tagged for order reconstruction.
-type graceOutEnt struct {
-	seq, ord int64
-	bi       int32
-	prow     Row
-}
-
-// graceProbe drains this stream's whole probe partition, routes each row
-// through the partition tree, processes leaves one at a time (pricing the
-// read-back of spilled build and probe partitions), and reassembles the
-// output in (seq, ord) arrival order — row-for-row what the in-memory
-// probe loop would have produced. The drain happens strictly below any
+// graceProbe drains this stream's whole probe partition, routing each row
+// through the partition tree to size the probe partitions written out
+// beside spilled build leaves, then prices every visited leaf's pass
+// (write + read-back of its probe rows, read-back of its build rows).
+// Every build row of a key sits in one leaf and the host keeps the one
+// joinIndex over all of them, so the leaf-at-a-time passes produce, once
+// reassembled in arrival order, exactly what probing batch by batch
+// produces — which is what runs. The drain happens strictly below any
 // Exchange above this operator (one synchronous pull per stream), so
 // buffering the stream here cannot deadlock the batch pipeline.
 func (j *BatchHashJoin) graceProbe() error {
 	c := j.core
-	bufs := make([][]graceProbeEnt, len(c.leaves))
 	bufBytes := make([]int64, len(c.leaves))
-	var ord int64
 	for {
 		b, err := j.probe.NextBatch()
 		if err != nil {
@@ -208,69 +161,22 @@ func (j *BatchHashJoin) graceProbe() error {
 		if b == nil {
 			break
 		}
-		n := b.Len()
-		for r := 0; r < n; r++ {
-			v := b.Cols[c.probeCol].Value(r)
-			l := c.routeLeaf(v)
-			if l == nil {
-				ord++
-				continue
+		pc := &b.Cols[c.probeCol]
+		for r, n := 0, b.Len(); r < n; r++ {
+			if l := c.routeLeaf(pc.Value(r)); l != nil {
+				bufBytes[l.id] += int64(rowBytes(b.Cols, r))
 			}
-			row := b.Row(r, nil)
-			bufs[l.id] = append(bufs[l.id], graceProbeEnt{row: row, seq: b.Seq, ord: ord})
-			bufBytes[l.id] += int64(row.EncodedBytes())
-			ord++
+		}
+		if out := j.joinBatch(b); out != nil {
+			j.graceOut = append(j.graceOut, out)
 		}
 	}
-	var outs []graceOutEnt
 	for li, l := range c.leaves {
-		ents := bufs[li]
-		if len(ents) == 0 {
-			continue
-		}
-		if l.spilled {
-			// Probe rows bound for a spilled partition are written out
-			// beside it; the pass then reads both sides back.
+		if l.spilled && bufBytes[li] > 0 {
 			c.meter.chargeWrite(bufBytes[li])
 			c.meter.chargeRead(bufBytes[li])
 			c.meter.chargeRead(l.bytes)
 		}
-		l.tables(c)
-		for _, e := range ents {
-			for _, bi := range l.matches(e.row[c.probeCol]) {
-				outs = append(outs, graceOutEnt{seq: e.seq, ord: e.ord, bi: bi, prow: e.row})
-			}
-		}
-	}
-	// (seq, ord) ascending restores probe arrival order; the stable sort
-	// keeps a probe row's multiple matches in build serial order.
-	sort.SliceStable(outs, func(i, j int) bool {
-		if outs[i].seq != outs[j].seq {
-			return outs[i].seq < outs[j].seq
-		}
-		return outs[i].ord < outs[j].ord
-	})
-	var cur *Batch
-	for _, o := range outs {
-		if cur != nil && cur.Seq != o.seq {
-			j.graceOut = append(j.graceOut, cur)
-			cur = nil
-		}
-		if cur == nil {
-			cur = NewBatch(c.schema, BatchSize)
-			cur.Seq = o.seq
-		}
-		brow := c.rows[o.bi]
-		for col := 0; col < c.buildWidth; col++ {
-			cur.Cols[col].Append(brow[col])
-		}
-		for col, v := range o.prow {
-			cur.Cols[c.buildWidth+col].Append(v)
-		}
-		cur.n++
-	}
-	if cur != nil {
-		j.graceOut = append(j.graceOut, cur)
 	}
 	return nil
 }

@@ -1,14 +1,69 @@
 package relational
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
-// HashBuild is an incrementally constructed hash-join build table: the
-// pipelined distributed path appends each repartition/broadcast chunk's
-// rows as they land, so the probe-ready table exists the moment the last
-// chunk drains instead of being built from scratch afterwards. Appending
-// in landed order reproduces the bulk build's insertion order exactly
-// (per-key row lists match the serial engine's), which is what keeps
-// pipelined join output row-for-row identical to the bulk path.
+// joinIndex finds, for a probe key, the build rows carrying it, in build
+// (serial) order: a typed keyIndex maps each distinct key to the first
+// row holding it, and next chains every row to the following row with
+// the same key (row+1; 0 ends the chain). Matching is Value.Key()
+// equality, which encodes the type — a probe column of another type than
+// the build key matches nothing.
+type joinIndex struct {
+	keyT  Type
+	index keyIndex
+	next  []int32
+	tail  []int32 // tail[first row of a chain] is the chain's last row
+}
+
+// add enters rows [len(ix.next), key.Len()) of the build key column, in
+// order.
+func (ix *joinIndex) add(key *Vector) {
+	ix.keyT = key.T
+	kc := []Vector{*key}
+	if key.T != String {
+		ix.index.ints.reserve(key.Len())
+	}
+	ix.next = slices.Grow(ix.next, key.Len()-len(ix.next))
+	ix.tail = slices.Grow(ix.tail, key.Len()-len(ix.tail))
+	for r := len(ix.next); r < key.Len(); r++ {
+		first, fresh := ix.index.getOrPut(kc, r, int32(r))
+		ix.next = append(ix.next, 0)
+		ix.tail = append(ix.tail, int32(r))
+		if !fresh {
+			ix.next[ix.tail[first]] = int32(r) + 1
+			ix.tail[first] = int32(r)
+		}
+	}
+}
+
+// match appends to bsel/psel the (build row, probe row) pairs joining
+// probe column pc: probe rows in order, each one's matches in build
+// serial order — the selection vectors the join output is gathered by.
+func (ix *joinIndex) match(pc *Vector, bsel, psel []int32) ([]int32, []int32) {
+	if pc.T != ix.keyT || len(ix.next) == 0 {
+		return bsel, psel
+	}
+	for r, n := 0, pc.Len(); r < n; r++ {
+		for m := ix.index.get(pc, r); m >= 0; m = ix.next[m] - 1 {
+			bsel, psel = append(bsel, m), append(psel, int32(r))
+		}
+	}
+	return bsel, psel
+}
+
+// HashBuild is a hash-join build table: the build side as typed column
+// vectors in serial order plus a joinIndex over the key column. The batch
+// hash join fills one from its build stream; the pipelined distributed
+// path constructs one incrementally — Append inserts each
+// repartition/broadcast chunk's rows as they land, so the probe-ready
+// table exists the moment the last chunk drains instead of being built
+// from scratch afterwards. Appending in landed order reproduces the bulk
+// build's insertion order exactly (per-key row lists match the serial
+// engine's), which is what keeps pipelined join output row-for-row
+// identical to the bulk path.
 //
 // Append is not safe for concurrent use; once appending is done the
 // table is read-only and may be shared by any number of concurrently
@@ -16,11 +71,9 @@ import "fmt"
 type HashBuild struct {
 	schema Schema
 	keyCol int
-	useInt bool
-	rows   []Row
-	intT   map[int64][]int32
-	keyT   map[string][]int32
-	bytes  float64
+	cols   []Vector
+	bytes  float64 // serialized size of the rows held
+	ix     joinIndex
 }
 
 // NewHashBuild returns an empty build table keyed on keyCol of schema.
@@ -28,34 +81,27 @@ func NewHashBuild(schema Schema, keyCol int) (*HashBuild, error) {
 	if keyCol < 0 || keyCol >= len(schema) {
 		return nil, fmt.Errorf("relational: hash build key column %d out of range", keyCol)
 	}
-	h := &HashBuild{schema: schema, keyCol: keyCol, useInt: schema[keyCol].Type == Int}
-	if h.useInt {
-		h.intT = map[int64][]int32{}
-	} else {
-		h.keyT = map[string][]int32{}
+	h := &HashBuild{schema: schema, keyCol: keyCol, cols: make([]Vector, len(schema))}
+	for i, c := range schema {
+		h.cols[i].T = c.Type
 	}
 	return h, nil
 }
 
-// Append inserts rows in order. Rows are referenced, not copied — the
-// caller must not mutate them afterwards.
+// Append inserts rows in order, copying their cells into the table's
+// vectors.
 func (h *HashBuild) Append(rows []Row) {
 	for _, row := range rows {
-		idx := int32(len(h.rows))
-		h.rows = append(h.rows, row)
-		h.bytes += row.EncodedBytes()
-		if h.useInt {
-			k := row[h.keyCol].I
-			h.intT[k] = append(h.intT[k], idx)
-		} else {
-			k := row[h.keyCol].Key()
-			h.keyT[k] = append(h.keyT[k], idx)
+		for c := range h.cols {
+			h.cols[c].Append(row[c])
 		}
+		h.bytes += row.EncodedBytes()
 	}
+	h.ix.add(&h.cols[h.keyCol])
 }
 
 // Len returns the number of rows inserted.
-func (h *HashBuild) Len() int { return len(h.rows) }
+func (h *HashBuild) Len() int { return h.cols[h.keyCol].Len() }
 
 // Schema returns the build-side schema.
 func (h *HashBuild) Schema() Schema { return h.schema }

@@ -1,49 +1,84 @@
 package relational
 
 import (
+	"fmt"
 	"sort"
-
-	"repro/internal/kernels"
 )
 
-// PartialAgg is one participant's share of a grouped aggregation: a hash
-// table of per-group aggregate states plus the bookkeeping needed to merge
-// partials deterministically. Both parallelism layers use it — the
+// PartialAgg is one participant's share of a grouped aggregation: groups
+// get dense ids in first-seen order, everything known about them lives in
+// typed vectors indexed by id (struct-of-arrays), and a typed keyIndex
+// finds a row's id — so a batch folds in column-at-a-time without a Value
+// or Row per input row. Both parallelism layers use it — the
 // morsel-parallel BatchGroupAgg merges per-worker partials in partition
 // order, and the distributed engine ships per-shard partials to the
 // coordinator and merges them in global first-seen (seq) order, so the
 // distributed group emission order is row-for-row identical to the
-// single-node engine's.
+// single-node engine's. Group state is value-typed, so MergeFrom copies:
+// a partial may be merged into any number of accumulators.
 type PartialAgg struct {
 	groupCols []int
 	aggs      []AggSpec
 
-	groups map[string]*partialGroup
-	order  []string // first-seen order within this partial
-	ord    int64    // arrival counter (rows observed)
-	bytes  float64  // incrementally tracked state size (see StateBytes)
+	// cols holds one element per group in every vector: the key columns,
+	// then the row count (every aggregate counts the same rows), firstSeq
+	// and firstOrd, then each aggregate's state vectors (see aggSlot).
+	// firstSeq is the smallest seq tag a group was observed at (the
+	// arrival ordinal when no seq column is fed); firstOrd breaks firstSeq
+	// ties by arrival order, which is only needed when several output rows
+	// share a seq tag (join fan-out) — those rows always live in the same
+	// partial, so ordinals stay comparable. The vectors are typed from the
+	// first batch (or the first merged partial); nil until then.
+	cols  []Vector
+	slots []aggSlot
+
+	// index covers groups [0, indexed); partials assembled by appending
+	// groups (splits, clones) index lazily, when first merged into.
+	index   keyIndex
+	indexed int
+
+	ord   int64   // arrival counter (rows observed)
+	bytes float64 // incrementally tracked state size (see StateBytes)
+
+	gids []int32 // per-batch scratch: each row's group id
 }
 
-// partialGroup is one group's state. firstSeq is the smallest seq tag the
-// group was observed at (the arrival ordinal when no seq column is fed);
-// firstOrd breaks firstSeq ties by arrival order, which is only needed
-// when several output rows share a seq tag (join fan-out) — those rows
-// always live in the same partial, so ordinals stay comparable.
-type partialGroup struct {
-	key      Row
-	states   []aggState
-	firstSeq int64
-	firstOrd int64
+// aggSlot locates one aggregate's state in cols. SUM keeps one vector at
+// `at` — Int over an Int column, else Float — and so does AVG (Float);
+// MIN and MAX keep both extremes, typed as the input column, at `at` and
+// `at`+1 (both, because the wire size of a partial counts both); COUNT
+// keeps nothing beyond the shared row count.
+type aggSlot struct {
+	kind aggKind
+	at   int
 }
+
+type aggKind uint8
+
+const (
+	aggCountOnly aggKind = iota
+	aggSum
+	aggMinMax
+)
 
 // NewPartialAgg returns an empty partial for the given group columns and
 // aggregate specs (column indexes refer to the rows fed to ObserveBatch).
 func NewPartialAgg(groupCols []int, aggs []AggSpec) *PartialAgg {
-	return &PartialAgg{groupCols: groupCols, aggs: aggs, groups: map[string]*partialGroup{}}
+	return &PartialAgg{groupCols: groupCols, aggs: aggs}
 }
 
+func (p *PartialAgg) keys() []Vector    { return p.cols[:len(p.groupCols)] }
+func (p *PartialAgg) count() []int64    { return p.cols[len(p.groupCols)].Ints }
+func (p *PartialAgg) firstSeq() []int64 { return p.cols[len(p.groupCols)+1].Ints }
+func (p *PartialAgg) firstOrd() []int64 { return p.cols[len(p.groupCols)+2].Ints }
+
 // Groups returns the number of distinct groups observed.
-func (p *PartialAgg) Groups() int { return len(p.order) }
+func (p *PartialAgg) Groups() int {
+	if p.cols == nil {
+		return 0
+	}
+	return len(p.count())
+}
 
 // Rows returns the number of input rows observed.
 func (p *PartialAgg) Rows() int64 { return p.ord }
@@ -56,26 +91,17 @@ func (p *PartialAgg) Rows() int64 { return p.ord }
 // stream's true first-seen order after a partition-wise merge.
 func (p *PartialAgg) StartOrdAt(n int64) { p.ord = n }
 
-// SortOrderBySeq re-sorts the partial's first-seen order by the groups'
-// (firstSeq, firstOrd) tags — a no-op on a partial built sequentially,
-// and the order-restoring step after merging spilled generations whose
-// groups arrived interleaved.
-func (p *PartialAgg) SortOrderBySeq() {
-	sort.SliceStable(p.order, func(i, j int) bool {
-		a, b := p.groups[p.order[i]], p.groups[p.order[j]]
-		if a.firstSeq != b.firstSeq {
-			return a.firstSeq < b.firstSeq
-		}
-		return a.firstOrd < b.firstOrd
-	})
-}
+// aggStateBytes is the modeled size of one aggregate's per-group state:
+// count, two sums, and min/max slots.
+const aggStateBytes = 40
 
 // groupStateBytes is the modeled in-memory size of one group's aggregate
-// state beyond its key: count, two sums, and min/max slots per aggregate.
-// Sized at group creation (min/max growth for string aggregates is not
-// re-measured — the budget models arena accounting, not malloc).
+// state beyond its key. Sized at group creation (min/max growth for
+// string aggregates is not re-measured — the budget models arena
+// accounting, not malloc). The partial charges the same figure from its
+// typed key columns: rowBytes plus aggStateBytes per aggregate.
 func groupStateBytes(key Row, naggs int) float64 {
-	return key.EncodedBytes() + float64(naggs)*40
+	return key.EncodedBytes() + float64(naggs)*aggStateBytes
 }
 
 // StateBytes returns the modeled resident size of the partial's hash
@@ -83,257 +109,387 @@ func groupStateBytes(key Row, naggs int) float64 {
 // the budget per batch without rescanning the table.
 func (p *PartialAgg) StateBytes() float64 { return p.bytes }
 
+// setTypes lays out and types cols from the input columns.
+func (p *PartialAgg) setTypes(in []Vector) error {
+	for _, c := range p.groupCols {
+		p.cols = append(p.cols, Vector{T: in[c].T})
+	}
+	p.cols = append(p.cols, Vector{T: Int}, Vector{T: Int}, Vector{T: Int})
+	p.slots = make([]aggSlot, len(p.aggs))
+	for i, a := range p.aggs {
+		if a.Fn == CountAgg {
+			continue
+		}
+		t := in[a.Col].T
+		p.slots[i].at = len(p.cols)
+		switch {
+		case a.Fn == MinAgg || a.Fn == MaxAgg:
+			p.slots[i].kind = aggMinMax
+			p.cols = append(p.cols, Vector{T: t}, Vector{T: t})
+		case t == String:
+			p.cols = nil
+			return fmt.Errorf("relational: %s over non-numeric column", a.Fn)
+		default:
+			p.slots[i].kind = aggSum
+			if a.Fn == AvgAgg {
+				t = Float
+			}
+			p.cols = append(p.cols, Vector{T: t})
+		}
+	}
+	return nil
+}
+
+// emptyLike returns an empty partial laid out and typed like p.
+func (p *PartialAgg) emptyLike() *PartialAgg {
+	q := NewPartialAgg(p.groupCols, p.aggs)
+	if p.cols != nil {
+		q.slots = p.slots
+		q.cols = make([]Vector, len(p.cols))
+		for i := range p.cols {
+			q.cols[i].T = p.cols[i].T
+		}
+	}
+	return q
+}
+
+// ensureIndexed brings appended-but-unindexed groups into the lookup.
+func (p *PartialAgg) ensureIndexed() {
+	for ; p.indexed < p.Groups(); p.indexed++ {
+		p.index.getOrPut(p.keys(), p.indexed, int32(p.indexed))
+	}
+}
+
+// reserve makes room for one more group, doubling every vector together
+// when they are full: append's own 1.25x steps on large slices would
+// re-copy the whole state five times over while a partial grows.
+func (p *PartialAgg) reserve() {
+	if n := len(p.count()); n == cap(p.count()) {
+		for c := range p.cols {
+			p.cols[c].grow(max(n, 1024))
+		}
+	}
+}
+
+// appendGroup adds group i of o (keys, tags and whole state) as p's next
+// group. The caller has already entered it in the index, or leaves
+// indexing to ensureIndexed.
+func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
+	p.reserve()
+	for c := range p.cols {
+		p.cols[c].appendCell(&o.cols[c], i)
+	}
+	p.bytes += rowBytes(o.keys(), i) + float64(len(p.aggs))*aggStateBytes
+}
+
 // ObserveBatch folds one batch into the partial. seqCol >= 0 names an Int
 // column carrying each row's global sequence tag (used for first-seen
 // ordering across partials); seqCol < 0 falls back to the arrival ordinal,
 // which reproduces first-seen order within this partial alone.
 func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
-	if len(p.groupCols) == 0 {
-		return p.observeGlobal(b, seqCol)
-	}
-	var kb []byte
-	var buf Row
-	n := b.Len()
-	for r := 0; r < n; r++ {
-		buf = b.Row(r, buf)
-		seq := p.ord
-		if seqCol >= 0 {
-			seq = b.Cols[seqCol].Ints[r]
-		}
-		kb = kb[:0]
-		for _, c := range p.groupCols {
-			kb = append(kb, buf[c].Key()...)
-			kb = append(kb, 0)
-		}
-		gr, ok := p.groups[string(kb)]
-		if !ok {
-			key := make(Row, len(p.groupCols))
-			for i, c := range p.groupCols {
-				key[i] = buf[c]
-			}
-			gr = &partialGroup{key: key, states: make([]aggState, len(p.aggs)), firstSeq: seq, firstOrd: p.ord}
-			k := string(kb)
-			p.groups[k] = gr
-			p.order = append(p.order, k)
-			p.bytes += groupStateBytes(key, len(p.aggs))
-		}
-		p.ord++
-		if err := observeRow(gr, p.aggs, buf); err != nil {
+	if p.cols == nil {
+		if err := p.setTypes(b.Cols); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// observeGlobal handles the no-group-column case: a single group, updated
-// column-at-a-time via the reduction kernels when every aggregate
-// qualifies (Int sums are exact, so kernel order cannot perturb results).
-func (p *PartialAgg) observeGlobal(b *Batch, seqCol int) error {
-	gr := p.groups[""]
-	if gr == nil {
-		seq := p.ord
-		if seqCol >= 0 && b.Len() > 0 {
-			seq = b.Cols[seqCol].Ints[0]
-		}
-		gr = &partialGroup{states: make([]aggState, len(p.aggs)), firstSeq: seq, firstOrd: p.ord}
-		p.groups[""] = gr
-		p.order = append(p.order, "")
-		p.bytes += groupStateBytes(nil, len(p.aggs))
-	}
 	n := b.Len()
-	if p.globalFast(gr.states, b) {
-		p.ord += int64(n)
-		return nil
+	if cap(p.gids) < n {
+		p.gids = make([]int32, n)
 	}
-	var buf Row
-	for r := 0; r < n; r++ {
-		buf = b.Row(r, buf)
-		p.ord++
-		if err := observeRow(gr, p.aggs, buf); err != nil {
-			return err
+	gids := p.gids[:n]
+	kc := make([]Vector, len(p.groupCols))
+	for i, c := range p.groupCols {
+		kc[i] = b.Cols[c]
+	}
+	p.ensureIndexed()
+
+	// Pass 1: every row's dense group id, creating groups in row order —
+	// which is first-seen order.
+	switch {
+	case len(kc) == 0:
+		if p.Groups() == 0 {
+			p.index.getOrPut(kc, 0, 0)
+			p.newGroup(b, kc, 0, seqCol)
+		}
+		clear(gids)
+	default:
+		for r := range gids {
+			g, fresh := p.index.getOrPut(kc, r, int32(len(p.count())))
+			if gids[r] = g; fresh {
+				p.newGroup(b, kc, r, seqCol)
+			}
 		}
 	}
+
+	// Pass 2: one typed loop per aggregate. Within a group rows are
+	// visited in arrival order, so float sums fold exactly as a
+	// row-at-a-time loop would.
+	count := p.count()
+	for _, g := range gids {
+		count[g]++
+	}
+	for i, sl := range p.slots {
+		if sl.kind == aggCountOnly {
+			continue
+		}
+		col, st := &b.Cols[p.aggs[i].Col], &p.cols[sl.at]
+		switch {
+		case sl.kind == aggMinMax:
+			observeExtremes(st, &p.cols[sl.at+1], col, gids)
+		case st.T == Int:
+			for r, g := range gids {
+				st.Ints[g] += col.Ints[r]
+			}
+		case col.T == Int:
+			for r, g := range gids {
+				st.Floats[g] += float64(col.Ints[r])
+			}
+		default:
+			for r, g := range gids {
+				st.Floats[g] += col.Floats[r]
+			}
+		}
+	}
+	p.ord += int64(n)
 	return nil
 }
 
-// globalFast updates the single global state column-at-a-time via the
-// reduction kernels. Only Int columns qualify.
-func (p *PartialAgg) globalFast(st []aggState, b *Batch) bool {
-	for _, a := range p.aggs {
-		if a.Fn == CountAgg {
-			continue
-		}
-		if a.Fn == AvgAgg || b.Cols[a.Col].T != Int {
-			return false
+// newGroup appends the group first seen at row r of b (already entered
+// in the index): zero count and sums, and the row itself as both
+// extremes.
+func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r, seqCol int) {
+	p.reserve()
+	ord := p.ord + int64(r)
+	seq := ord
+	if seqCol >= 0 {
+		seq = b.Cols[seqCol].Ints[r]
+	}
+	nk := len(kc)
+	for c := range kc {
+		p.cols[c].appendCell(&kc[c], r)
+	}
+	p.cols[nk].Ints = append(p.cols[nk].Ints, 0)
+	p.cols[nk+1].Ints = append(p.cols[nk+1].Ints, seq)
+	p.cols[nk+2].Ints = append(p.cols[nk+2].Ints, ord)
+	for i, sl := range p.slots {
+		switch sl.kind {
+		case aggSum:
+			p.cols[sl.at].Append(Value{})
+		case aggMinMax:
+			p.cols[sl.at].appendCell(&b.Cols[p.aggs[i].Col], r)
+			p.cols[sl.at+1].appendCell(&b.Cols[p.aggs[i].Col], r)
 		}
 	}
-	n := int64(b.Len())
-	for i, a := range p.aggs {
-		s := &st[i]
-		s.count += n
-		if a.Fn == CountAgg {
-			continue
-		}
-		col := b.Cols[a.Col].Ints
-		sum := kernels.SumInt64(col)
-		s.sumI += sum
-		s.sumF += float64(sum)
-		lo, hi := kernels.MinMaxInt64(col)
-		if !s.seen {
-			s.minV, s.maxV, s.seen = IntV(lo), IntV(hi), true
-		} else {
-			if lo < s.minV.I {
-				s.minV = IntV(lo)
-			}
-			if hi > s.maxV.I {
-				s.maxV = IntV(hi)
-			}
-		}
-	}
-	return true
+	p.indexed++
+	p.bytes += rowBytes(kc, r) + float64(len(p.aggs))*aggStateBytes
 }
 
-// Clone deep-copies the partial's group states. MergeFrom inserts group
-// POINTERS for unseen groups, so a partial that merges into several
-// accumulators (a streaming pane folded into every sliding window that
-// covers it) must hand each accumulator its own copy — merging the
-// original would let a later MergeFrom mutate state other windows still
-// need. Group keys are shared (Values are immutable); states are copied.
+// observeExtremes folds a column into the per-group MIN and MAX.
+func observeExtremes(lo, hi, col *Vector, gids []int32) {
+	switch col.T {
+	case Int:
+		for r, g := range gids {
+			if v := col.Ints[r]; v < lo.Ints[g] {
+				lo.Ints[g] = v
+			} else if v > hi.Ints[g] {
+				hi.Ints[g] = v
+			}
+		}
+	case Float:
+		for r, g := range gids {
+			if v := col.Floats[r]; v < lo.Floats[g] {
+				lo.Floats[g] = v
+			} else if v > hi.Floats[g] {
+				hi.Floats[g] = v
+			}
+		}
+	default:
+		for r, g := range gids {
+			if v := col.Strs[r]; v < lo.Strs[g] {
+				lo.Strs[g] = v
+			} else if v > hi.Strs[g] {
+				hi.Strs[g] = v
+			}
+		}
+	}
+}
+
+// Clone copies the partial (group keys, tags and states) so the copy can
+// keep observing while the original is read.
 func (p *PartialAgg) Clone() *PartialAgg {
-	q := NewPartialAgg(p.groupCols, p.aggs)
-	q.ord = p.ord
-	q.bytes = p.bytes
-	q.order = append([]string(nil), p.order...)
-	for k, gr := range p.groups {
-		q.groups[k] = &partialGroup{
-			key:      gr.key,
-			states:   append([]aggState(nil), gr.states...),
-			firstSeq: gr.firstSeq,
-			firstOrd: gr.firstOrd,
-		}
+	q := p.emptyLike()
+	q.ord, q.bytes = p.ord, p.bytes
+	for c := range p.cols {
+		q.cols[c] = p.cols[c].clone()
 	}
 	return q
 }
 
 // MergeFrom folds a later partial into p: shared groups merge their
 // states (and keep the lexicographically smallest (firstSeq, firstOrd));
-// unseen groups append in o's first-seen order. Folding partials in
-// partition order therefore reproduces the serial first-seen order when
-// partition i's rows precede partition i+1's.
+// unseen groups append, as copies, in o's first-seen order. Folding
+// partials in partition order therefore reproduces the serial first-seen
+// order when partition i's rows precede partition i+1's. o is only read.
 func (p *PartialAgg) MergeFrom(o *PartialAgg) {
-	for _, k := range o.order {
-		og := o.groups[k]
-		mg, ok := p.groups[k]
-		if !ok {
-			p.groups[k] = og
-			p.order = append(p.order, k)
-			p.bytes += groupStateBytes(og.key, len(p.aggs))
+	p.ord += o.ord
+	if o.cols == nil {
+		return
+	}
+	if p.cols == nil {
+		e := o.emptyLike()
+		p.cols, p.slots = e.cols, e.slots
+	}
+	p.ensureIndexed()
+	okeys, ocount, oseq, oord := o.keys(), o.count(), o.firstSeq(), o.firstOrd()
+	for i := range ocount {
+		g, fresh := p.index.getOrPut(okeys, i, int32(len(p.count())))
+		if fresh {
+			p.appendGroup(o, i)
+			p.indexed++
 			continue
 		}
-		for i := range mg.states {
-			mg.states[i].mergeFrom(&og.states[i])
-		}
-		if og.firstSeq < mg.firstSeq || (og.firstSeq == mg.firstSeq && og.firstOrd < mg.firstOrd) {
-			mg.firstSeq, mg.firstOrd = og.firstSeq, og.firstOrd
-		}
-	}
-	p.ord += o.ord
-}
-
-// MergeCopy folds o into p like MergeFrom but never aliases o's state:
-// unseen groups insert as copies, so o can be merged into any number of
-// accumulators — and mutated afterwards — without corrupting them. The
-// streaming windower folds each pane's memoized snapshot into every
-// sliding window covering it this way, paying one state copy per group
-// instead of cloning the whole pane per window.
-func (p *PartialAgg) MergeCopy(o *PartialAgg) {
-	for _, k := range o.order {
-		og := o.groups[k]
-		mg, ok := p.groups[k]
-		if !ok {
-			p.groups[k] = &partialGroup{
-				key:      og.key,
-				states:   append([]aggState(nil), og.states...),
-				firstSeq: og.firstSeq,
-				firstOrd: og.firstOrd,
+		p.count()[g] += ocount[i]
+		for _, sl := range p.slots {
+			st, os := &p.cols[sl.at], &o.cols[sl.at]
+			switch {
+			case sl.kind == aggSum && st.T == Int:
+				st.Ints[g] += os.Ints[i]
+			case sl.kind == aggSum:
+				st.Floats[g] += os.Floats[i]
+			case sl.kind == aggMinMax:
+				if cmpCell(os, i, st, int(g)) < 0 {
+					st.setCell(int(g), os, i)
+				}
+				if hi, ohi := &p.cols[sl.at+1], &o.cols[sl.at+1]; cmpCell(ohi, i, hi, int(g)) > 0 {
+					hi.setCell(int(g), ohi, i)
+				}
 			}
-			p.order = append(p.order, k)
-			p.bytes += groupStateBytes(og.key, len(p.aggs))
-			continue
 		}
-		for i := range mg.states {
-			mg.states[i].mergeFrom(&og.states[i])
-		}
-		if og.firstSeq < mg.firstSeq || (og.firstSeq == mg.firstSeq && og.firstOrd < mg.firstOrd) {
-			mg.firstSeq, mg.firstOrd = og.firstSeq, og.firstOrd
+		if seq, ord := p.firstSeq(), p.firstOrd(); oseq[i] < seq[g] || (oseq[i] == seq[g] && oord[i] < ord[g]) {
+			seq[g], ord[g] = oseq[i], oord[i]
 		}
 	}
-	p.ord += o.ord
 }
 
-// EmitRows renders the final aggregate rows. schema is the output schema
-// (group columns then aggregates, as groupAggSchema derives). When bySeq
-// is true groups emit in ascending (firstSeq, firstOrd) order — the global
-// first-seen order when seq tags were fed — otherwise in this partial's
-// first-seen order. A global aggregate over empty input still yields one
-// row of zeros, matching both engines.
-func (p *PartialAgg) EmitRows(schema Schema, bySeq bool) []Row {
-	order := p.order
+// seqOrder returns the group ids in ascending (firstSeq, firstOrd) order,
+// or nil when the ids already are — as on any partial built sequentially.
+func (p *PartialAgg) seqOrder() []int32 {
+	seq, ord := p.firstSeq(), p.firstOrd()
+	less := func(a, b int32) bool {
+		if seq[a] != seq[b] {
+			return seq[a] < seq[b]
+		}
+		return ord[a] < ord[b]
+	}
+	sorted := true
+	for g := 1; g < len(seq) && sorted; g++ {
+		sorted = !less(int32(g), int32(g-1))
+	}
+	if sorted {
+		return nil
+	}
+	perm := make([]int32, len(seq))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
+	return perm
+}
+
+// SortOrderBySeq renumbers the groups by their (firstSeq, firstOrd) tags
+// — a no-op on a partial built sequentially, and the order-restoring step
+// after merging spilled generations whose groups arrived interleaved.
+func (p *PartialAgg) SortOrderBySeq() {
+	if p.cols == nil {
+		return
+	}
+	if perm := p.seqOrder(); perm != nil {
+		for c := range p.cols {
+			p.cols[c] = gatherVector(&p.cols[c], perm)
+		}
+		p.index, p.indexed = keyIndex{}, 0
+	}
+}
+
+// EmitCols renders the final aggregate as columns: group keys then one
+// column per aggregate (schema, the output schema groupAggSchema derives,
+// types the columns of an empty result). When bySeq is true groups emit
+// in ascending (firstSeq, firstOrd) order — the global first-seen order
+// when seq tags were fed — otherwise in this partial's first-seen order.
+// A global aggregate over empty input still yields one row of zeros,
+// matching both engines. The vectors may share the partial's storage:
+// treat both as immutable afterwards.
+func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) {
+	cols = make([]Vector, len(schema))
+	if n = p.Groups(); n == 0 {
+		for i, c := range schema {
+			cols[i].T = c.Type
+			if len(p.groupCols) == 0 {
+				cols[i].Append(zeroValue(c.Type))
+				n = 1
+			}
+		}
+		return cols, n
+	}
+	nk := copy(cols, p.keys())
+	for i, a := range p.aggs {
+		st := p.cols[p.slots[i].at]
+		switch a.Fn {
+		case CountAgg:
+			st = p.cols[nk]
+		case AvgAgg:
+			avg := make([]float64, n)
+			for g, c := range p.count() {
+				avg[g] = st.Floats[g] / float64(c)
+			}
+			st = Vector{T: Float, Floats: avg}
+		case MaxAgg:
+			st = p.cols[p.slots[i].at+1]
+		}
+		cols[nk+i] = st
+	}
 	if bySeq {
-		order = append([]string(nil), p.order...)
-		sort.SliceStable(order, func(i, j int) bool {
-			a, b := p.groups[order[i]], p.groups[order[j]]
-			if a.firstSeq != b.firstSeq {
-				return a.firstSeq < b.firstSeq
+		if perm := p.seqOrder(); perm != nil {
+			for i := range cols {
+				cols[i] = gatherVector(&cols[i], perm)
 			}
-			return a.firstOrd < b.firstOrd
-		})
-	}
-	if len(p.groupCols) == 0 && len(order) == 0 {
-		p.groups[""] = &partialGroup{states: make([]aggState, len(p.aggs))}
-		order = append(order, "")
-	}
-	rows := make([]Row, 0, len(order))
-	for _, k := range order {
-		gr := p.groups[k]
-		row := make(Row, 0, len(p.groupCols)+len(p.aggs))
-		row = append(row, gr.key...)
-		for i, a := range p.aggs {
-			row = append(row, gr.states[i].result(a.Fn, schema[len(p.groupCols)+i].Type))
 		}
-		rows = append(rows, row)
 	}
-	return rows
+	return cols, n
+}
+
+// EmitRows is EmitCols as rows, for the row-shaped consumers (the
+// distributed coordinator, streaming windows).
+func (p *PartialAgg) EmitRows(schema Schema, bySeq bool) []Row {
+	cols, n := p.EmitCols(schema, bySeq)
+	return appendRows(nil, cols, n)
 }
 
 // SplitChunks slices the partial into sub-partials of at most maxGroups
-// groups each, in this partial's first-seen order. The subs reference
-// the original group states (no copying): merging them back in order
-// via MergeFrom reconstructs this partial exactly — same group pointers,
-// same order, same ord — which is what lets the pipelined distributed
-// gather ship and fold a shard's partial generation by generation while
-// keeping the coordinator's final merge bit-identical to the bulk one.
-// The first sub carries the whole arrival count (ord is a partial-level
-// counter, not a per-group one), so the counts sum correctly. maxGroups
-// <= 0, or a partial that fits one chunk, returns []{p} itself.
+// groups each, in this partial's first-seen order: index ranges over the
+// dense group ids, sharing the original's storage (read-only). Merging
+// them back in order via MergeFrom reconstructs this partial exactly —
+// same states, same order, same ord — which is what lets the pipelined
+// distributed gather ship and fold a shard's partial generation by
+// generation while keeping the coordinator's final merge bit-identical
+// to the bulk one. The first sub carries the whole arrival count (ord is
+// a partial-level counter, not a per-group one), so the counts sum
+// correctly. maxGroups <= 0, or a partial that fits one chunk, returns
+// []{p} itself.
 func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
-	if maxGroups <= 0 || len(p.order) <= maxGroups {
+	n := p.Groups()
+	if maxGroups <= 0 || n <= maxGroups {
 		return []*PartialAgg{p}
 	}
 	var subs []*PartialAgg
-	for start := 0; start < len(p.order); start += maxGroups {
-		end := start + maxGroups
-		if end > len(p.order) {
-			end = len(p.order)
+	for lo := 0; lo < n; lo += maxGroups {
+		hi := min(lo+maxGroups, n)
+		sub := p.emptyLike()
+		for c := range p.cols {
+			sub.cols[c] = p.cols[c].slice(lo, hi)
 		}
-		sub := NewPartialAgg(p.groupCols, p.aggs)
-		for _, k := range p.order[start:end] {
-			gr := p.groups[k]
-			sub.groups[k] = gr
-			sub.order = append(sub.order, k)
-			sub.bytes += groupStateBytes(gr.key, len(p.aggs))
-		}
-		if start == 0 {
+		sub.bytes = colsBytes(sub.keys(), hi-lo) + float64((hi-lo)*len(p.aggs))*aggStateBytes
+		if lo == 0 {
 			sub.ord = p.ord
 		}
 		subs = append(subs, sub)
@@ -343,15 +499,17 @@ func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
 
 // EncodedBytes returns the serialized size of the partial — what a shard
 // ships to the coordinator in the distributed final-merge phase: each
-// group's key plus the fixed aggregate state (count, two sums, min, max).
+// group's key plus, per aggregate, the fixed state (count, two sums) and
+// the min/max slots (8 bytes each unless they hold strings).
 func (p *PartialAgg) EncodedBytes() float64 {
-	total := 0.0
-	for _, k := range p.order {
-		gr := p.groups[k]
-		total += gr.key.EncodedBytes()
-		for i := range gr.states {
-			total += 24 // count + sumI/sumF
-			total += gr.states[i].minV.EncodedBytes() + gr.states[i].maxV.EncodedBytes()
+	n := p.Groups()
+	if n == 0 {
+		return 0
+	}
+	total := colsBytes(p.keys(), n) + float64(n*len(p.aggs))*aggStateBytes
+	for _, sl := range p.slots {
+		if sl.kind == aggMinMax && p.cols[sl.at].T == String {
+			total += vectorBytes(&p.cols[sl.at]) + vectorBytes(&p.cols[sl.at+1]) - 16*float64(n)
 		}
 	}
 	return total

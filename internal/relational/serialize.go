@@ -27,23 +27,47 @@ func (r Row) EncodedBytes() float64 {
 	return total
 }
 
-// EncodedBytes returns the serialized size of the batch, computed
-// column-wise so numeric columns cost one multiply.
-func (b *Batch) EncodedBytes() float64 {
-	total := float64(rowOverheadBytes * b.Len())
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		switch col.T {
-		case String:
-			for _, s := range col.Strs {
-				total += float64(4 + len(s))
-			}
-		default:
-			total += 8 * float64(col.Len())
+// vectorBytes returns the serialized size of a column's cells: 8 bytes
+// per numeric, length-prefixed strings.
+func vectorBytes(v *Vector) float64 {
+	if v.T != String {
+		return 8 * float64(v.Len())
+	}
+	total := 0.0
+	for _, s := range v.Strs {
+		total += float64(4 + len(s))
+	}
+	return total
+}
+
+// cellBytes returns the serialized size of row r's cells across cols;
+// rowBytes adds the row framing, matching Row.EncodedBytes.
+func cellBytes(cols []Vector, r int) float64 {
+	total := 0.0
+	for c := range cols {
+		if cols[c].T == String {
+			total += float64(4 + len(cols[c].Strs[r]))
+		} else {
+			total += 8
 		}
 	}
 	return total
 }
+
+func rowBytes(cols []Vector, r int) float64 { return rowOverheadBytes + cellBytes(cols, r) }
+
+// colsBytes returns the serialized size of n rows held as columns,
+// computed column-wise so numeric columns cost one multiply.
+func colsBytes(cols []Vector, n int) float64 {
+	total := float64(rowOverheadBytes * n)
+	for c := range cols {
+		total += vectorBytes(&cols[c])
+	}
+	return total
+}
+
+// EncodedBytes returns the serialized size of the batch.
+func (b *Batch) EncodedBytes() float64 { return colsBytes(b.Cols, b.Len()) }
 
 // EncodedBytes returns the serialized size of the whole relation.
 func (r *Relation) EncodedBytes() float64 {

@@ -90,33 +90,37 @@ func (s *SpillableAgg) spill() {
 	s.cur.StartOrdAt(nextOrd)
 }
 
-// splitPartial partitions p's groups by key hash, moving each group (its
+// splitPartial partitions p's groups by key hash, copying each group (its
 // state and tags intact, relative order preserved) into one of fanout
-// sub-partials. Entries for empty partitions are nil.
+// sub-partials. Entries for empty partitions are nil. The hash is over
+// the groups' Value.Key() rendering — boxed here, once per group per
+// spill, so partition sizes stay what they were under string-keyed
+// groups.
 func splitPartial(p *PartialAgg, fanout int) []*PartialAgg {
 	subs := make([]*PartialAgg, fanout)
-	for _, k := range p.order {
-		j := int(fnv64(k) % uint64(fanout))
-		sub := subs[j]
-		if sub == nil {
-			sub = NewPartialAgg(p.groupCols, p.aggs)
-			subs[j] = sub
+	var kb []byte
+	for g := 0; g < p.Groups(); g++ {
+		kb = kb[:0]
+		for _, key := range p.keys() {
+			kb = append(kb, key.Value(g).Key()...)
+			kb = append(kb, 0)
 		}
-		gr := p.groups[k]
-		sub.groups[k] = gr
-		sub.order = append(sub.order, k)
-		sub.bytes += groupStateBytes(gr.key, len(p.aggs))
+		j := int(fnv64(string(kb)) % uint64(fanout))
+		if subs[j] == nil {
+			subs[j] = p.emptyLike()
+		}
+		subs[j].appendGroup(p, g)
 	}
 	return subs
 }
 
-// Snapshot is a repeatable Finish: it merges clones of the spilled
-// partitions and the resident generation, leaving every original intact
-// so more batches may fold in afterwards. Streaming windows use it — a
+// Snapshot is a repeatable Finish: it merges the spilled partitions and
+// the resident generation into a fresh partial, leaving every original
+// intact so more batches may fold in afterwards. Streaming windows use it — a
 // pane's aggregate is read once per window that covers it while the pane
 // keeps accepting late events. Reads of spilled partitions are priced on
 // every call, like the re-reads they model. The returned partial is
-// owned by the caller (safe to MergeFrom into an accumulator).
+// owned by the caller.
 func (s *SpillableAgg) Snapshot() *PartialAgg {
 	if s.spills == 0 {
 		return s.cur.Clone()
@@ -126,10 +130,10 @@ func (s *SpillableAgg) Snapshot() *PartialAgg {
 	for j := range s.spilled {
 		for _, sp := range s.spilled[j] {
 			s.meter.chargeRead(sp.bytes)
-			out.MergeCopy(sp.pa)
+			out.MergeFrom(sp.pa)
 		}
 	}
-	out.MergeCopy(s.cur)
+	out.MergeFrom(s.cur)
 	out.SortOrderBySeq()
 	out.StartOrdAt(total)
 	return out

@@ -1,12 +1,32 @@
 // Package relational is a small in-memory relational engine: typed
-// schemas, row relations, and volcano-style pull operators (scan, filter,
-// project, hash join, group/aggregate, sort, limit). It is the execution
-// substrate the SQL layer (internal/sql) lowers onto, standing in for the
-// "query language" side of Section IV.C.1's query-languages-to-frameworks
-// discussion.
+// schemas, relations, and two interchangeable executions of the same
+// operators (scan, filter, project, hash join, group/aggregate, sort,
+// top-k, limit). It is the execution substrate the SQL layer
+// (internal/sql) lowers onto, standing in for the "query language" side
+// of Section IV.C.1's query-languages-to-frameworks discussion.
+//
+// The batch engine (BatchOp) is the one queries run on: columnar Batches
+// of typed Vectors flow through morsel-parallel operators, and nothing on
+// its path boxes a cell per input row. Group-by (PartialAgg) gives groups
+// dense ids through a typed keyIndex and keeps their states as
+// struct-of-arrays vectors folded column-at-a-time; the hash join
+// (HashBuild, joinIndex) keeps the build side as vectors and gathers its
+// output through selection vectors; the sort encodes numeric keys to
+// order-preserving uint64s and radix-sorts a row-id permutation
+// (sortPerm); ORDER BY + LIMIT is a bounded heap per partition
+// (NewBatchTopK). Under a MemoryBudget the same operators go out of core
+// (grace join, generation-spilling aggregation, external sort) with the
+// spill priced on a modeled storage tier.
+//
+// The row engine (Op, ops.go) is the volcano-style pull interpreter: one
+// Row of boxed Values at a time, serial, simple. It is the oracle — the
+// parity and differential tests and the repository benchmark's
+// correctness gate hold the batch engine to its output row for row — so
+// it stays deliberately naive.
 package relational
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 	"sync"
@@ -74,9 +94,9 @@ func (v Value) String() string {
 	}
 }
 
-// Compare orders two values: -1, 0 or +1. Numerics compare numerically
-// (int and float intermix); strings compare lexicographically. Comparing a
-// string with a numeric is an error.
+// Compare orders two values: -1, 0 or +1. Numerics compare numerically:
+// two ints exactly, an int with a float as floats. Strings compare
+// lexicographically. Comparing a string with a numeric is an error.
 func Compare(a, b Value) (int, error) {
 	if a.T == String || b.T == String {
 		if a.T != String || b.T != String {
@@ -90,6 +110,9 @@ func Compare(a, b Value) (int, error) {
 		default:
 			return 0, nil
 		}
+	}
+	if a.T == Int && b.T == Int {
+		return cmp.Compare(a.I, b.I), nil
 	}
 	af, _ := a.AsFloat()
 	bf, _ := b.AsFloat()

@@ -112,6 +112,100 @@ func (s *scope) resolve(c *ColRef) (scopeEntry, error) {
 type compiled struct {
 	eval relational.Projector
 	typ  valType
+	// cell, when set, is the same expression read unboxed off a batch's
+	// typed vectors. Only shapes whose operand types are proven at plan
+	// time and that cannot fail at run time have one: numeric columns and
+	// literals under negation, +, - and *.
+	cell cellFn
+}
+
+// cellFn evaluates a numeric expression for row r of a batch's columns:
+// i is set for tInt expressions, f for tFloat ones, neither when the
+// expression has no unboxed form.
+type cellFn struct {
+	i func(cols []relational.Vector, r int) int64
+	f func(cols []relational.Vector, r int) float64
+}
+
+func (c cellFn) ok() bool { return c.i != nil || c.f != nil }
+
+// float reads the cell as float64, converting an Int cell the way
+// Value.AsFloat does.
+func (c cellFn) float() func([]relational.Vector, int) float64 {
+	if c.f != nil {
+		return c.f
+	}
+	i := c.i
+	return func(cols []relational.Vector, r int) float64 { return float64(i(cols, r)) }
+}
+
+// columnCell reads column idx of type t unboxed (no form for strings and
+// booleans).
+func columnCell(idx int, t valType) cellFn {
+	switch t {
+	case tInt:
+		return cellFn{i: func(cols []relational.Vector, r int) int64 { return cols[idx].Ints[r] }}
+	case tFloat:
+		return cellFn{f: func(cols []relational.Vector, r int) float64 { return cols[idx].Floats[r] }}
+	}
+	return cellFn{}
+}
+
+// arithCell is the unboxed form of l op r for the operators that cannot
+// fail, with the row closure's typing: Int op Int stays Int, anything
+// else computes in float64.
+func arithCell(op string, l, r cellFn) cellFn {
+	if !l.ok() || !r.ok() {
+		return cellFn{}
+	}
+	if l.i != nil && r.i != nil {
+		li, ri := l.i, r.i
+		switch op {
+		case "+":
+			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) + ri(c, n) }}
+		case "-":
+			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) - ri(c, n) }}
+		case "*":
+			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) * ri(c, n) }}
+		}
+		return cellFn{}
+	}
+	lf, rf := l.float(), r.float()
+	switch op {
+	case "+":
+		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) + rf(c, n) }}
+	case "-":
+		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) - rf(c, n) }}
+	case "*":
+		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) * rf(c, n) }}
+	}
+	return cellFn{}
+}
+
+// vecProjector returns the batch form of the expression — one typed loop
+// over the rows — or nil when it has no unboxed form.
+func (c compiled) vecProjector() relational.VecProjector {
+	switch {
+	case c.cell.i != nil:
+		fn := c.cell.i
+		return func(b *relational.Batch) relational.Vector {
+			out := make([]int64, b.Len())
+			for r := range out {
+				out[r] = fn(b.Cols, r)
+			}
+			return relational.Vector{T: relational.Int, Ints: out}
+		}
+	case c.cell.f != nil:
+		fn := c.cell.f
+		return func(b *relational.Batch) relational.Vector {
+			out := make([]float64, b.Len())
+			for r := range out {
+				out[r] = fn(b.Cols, r)
+			}
+			return relational.Vector{T: relational.Float, Floats: out}
+		}
+	}
+	return nil
 }
 
 // compile type-checks and compiles an expression against the scope.
@@ -126,16 +220,19 @@ func (s *scope) compile(e Expr) (compiled, error) {
 			return compiled{
 				eval: func(r relational.Row) (relational.Value, error) { return r[idx], nil },
 				typ:  b.typ,
+				cell: columnCell(idx, b.typ),
 			}, nil
 		}
 	}
 	switch x := e.(type) {
 	case *IntLit:
 		v := relational.IntV(x.V)
-		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tInt}, nil
+		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tInt,
+			cell: cellFn{i: func([]relational.Vector, int) int64 { return v.I }}}, nil
 	case *FloatLit:
 		v := relational.FloatV(x.V)
-		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tFloat}, nil
+		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tFloat,
+			cell: cellFn{f: func([]relational.Vector, int) float64 { return v.F }}}, nil
 	case *StringLit:
 		v := relational.StringV(x.V)
 		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tString}, nil
@@ -148,6 +245,7 @@ func (s *scope) compile(e Expr) (compiled, error) {
 		return compiled{
 			eval: func(r relational.Row) (relational.Value, error) { return r[idx], nil },
 			typ:  ent.typ,
+			cell: columnCell(idx, ent.typ),
 		}, nil
 	case *UnaryExpr:
 		inner, err := s.compile(x.E)
@@ -160,7 +258,13 @@ func (s *scope) compile(e Expr) (compiled, error) {
 				return compiled{}, fmt.Errorf("sql: cannot negate %s", inner.typ)
 			}
 			t := inner.typ
-			return compiled{typ: t, eval: func(r relational.Row) (relational.Value, error) {
+			var neg cellFn
+			if ci := inner.cell.i; ci != nil {
+				neg.i = func(c []relational.Vector, n int) int64 { return -ci(c, n) }
+			} else if cf := inner.cell.f; cf != nil {
+				neg.f = func(c []relational.Vector, n int) float64 { return -cf(c, n) }
+			}
+			return compiled{typ: t, cell: neg, eval: func(r relational.Row) (relational.Value, error) {
 				v, err := inner.eval(r)
 				if err != nil {
 					return relational.Value{}, err
@@ -283,7 +387,7 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 			outT = tInt
 		}
 		op := x.Op
-		return compiled{typ: outT, eval: func(row relational.Row) (relational.Value, error) {
+		return compiled{typ: outT, cell: arithCell(op, l.cell, r.cell), eval: func(row relational.Row) (relational.Value, error) {
 			lv, err := l.eval(row)
 			if err != nil {
 				return relational.Value{}, err

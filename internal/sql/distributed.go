@@ -212,21 +212,13 @@ func filterDecor(ranges []relational.ColRange, pred relational.Predicate, disps 
 }
 
 // exprProjDecor projects to schema (which already carries the trailing
-// #seq column): exprs/picks produce the visible columns, and the child's
-// seq column (at childSeqIdx) passes through last. disps, when non-nil,
+// #seq column): exprs produce the visible columns, and the child's seq
+// column (at childSeqIdx) passes through last. disps, when non-nil,
 // places each shard's computed-expression morsels on its own devices
 // (pure pass-through projections are never placed).
-func exprProjDecor(schema relational.Schema, exprs []relational.Projector, picks []int, childSeqIdx int, disps []*exec.Dispatcher) decorFn {
+func exprProjDecor(schema relational.Schema, exprs []relational.ProjExpr, childSeqIdx int, disps []*exec.Dispatcher) decorFn {
+	pe := append(append([]relational.ProjExpr{}, exprs...), relational.Pick(childSeqIdx))
 	return func(s int, op relational.BatchOp) (relational.BatchOp, error) {
-		pe := make([]relational.ProjExpr, 0, len(schema))
-		for i := range exprs {
-			if picks != nil && picks[i] >= 0 {
-				pe = append(pe, relational.Pick(picks[i]))
-			} else {
-				pe = append(pe, relational.Expr(exprs[i]))
-			}
-		}
-		pe = append(pe, relational.Pick(childSeqIdx))
 		bp, err := relational.NewBatchProject(op, schema, pe)
 		if err != nil {
 			return nil, err
@@ -326,6 +318,22 @@ type distExec struct {
 	lcm   *lifecycle.Manager
 	guard *lifecycle.Guard
 }
+
+// coordinator returns the lowerer and leaf of the coordinator's
+// post-gather plan over rel — after the gather is charged, so whichever
+// engine runs it moves no modeled byte. An ORDER BY goes to the batch
+// engine, whose sort is the typed radix sort and whose ORDER BY + LIMIT
+// is one top-k; everything else reads the gathered rows in place on the
+// row engine. Under a memory budget the row engine stays throughout: its
+// accounting-only spill model is what coordinator memory is priced with.
+func (e *distExec) coordinator(rel *relational.Relation, ordered bool) (*lowerer, execNode) {
+	if e.batchCoordinator(ordered) {
+		return &lowerer{parallel: true, workers: e.workers}, execNode{bat: relational.NewBatchScan(rel)}
+	}
+	return &lowerer{budget: e.budget}, execNode{row: relational.NewScan(rel)}
+}
+
+func (e *distExec) batchCoordinator(ordered bool) bool { return ordered && e.budget == nil }
 
 // attachGuard wires the execution into the elastic cluster view: the
 // guard installs itself as qr's host resolver and every later phase and
@@ -604,13 +612,10 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 
 // countComputed reports how many projection outputs are computed
 // expressions (not pass-through picks) — the placed kernel's width.
-func countComputed(picks []int, n int) int {
-	if picks == nil {
-		return n
-	}
+func countComputed(pe []relational.ProjExpr) int {
 	c := 0
-	for _, p := range picks {
-		if p < 0 {
+	for _, e := range pe {
+		if e.Col < 0 {
 			c++
 		}
 	}
@@ -836,8 +841,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 	// Dry-run the coordinator plan: surfaces compile errors at plan time
 	// and yields the output schema and the coordinator's step lines.
 	dry := &Planned{TaggedOps: map[string]relational.Op{}}
-	dryRel := relational.NewRelation("agg", aggOutSchema)
-	dry, err = pl.finishAggregate(stmt, dry, &lowerer{}, execNode{row: relational.NewScan(dryRel)}, ap)
+	dryLw, dryLeaf := dx.coordinator(relational.NewRelation("agg", aggOutSchema), len(stmt.OrderBy) > 0)
+	dry, err = pl.finishAggregate(stmt, dry, dryLw, dryLeaf, ap)
 	if err != nil {
 		return nil, err
 	}
@@ -856,8 +861,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		if err != nil {
 			return nil, nil, err
 		}
-		st.decor = append(st.decor, exprProjDecor(withSeq(ap.preSchema), ap.preExprs, ap.prePicks, len(st.schema),
-			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(ap.prePicks, len(ap.preExprs))})))
+		st.decor = append(st.decor, exprProjDecor(withSeq(ap.preSchema), ap.pre, len(st.schema),
+			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(ap.pre)})))
 		frags, err := st.fragments()
 		if err != nil {
 			return nil, nil, err
@@ -917,7 +922,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		fin := &Planned{TaggedOps: map[string]relational.Op{}}
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
-		fin, err = pl.finishAggregate(stmt, fin, &lowerer{budget: dx.budget}, execNode{row: relational.NewScan(aggRel)}, ap)
+		lw, leaf := dx.coordinator(aggRel, len(stmt.OrderBy) > 0)
+		fin, err = pl.finishAggregate(stmt, fin, lw, leaf, ap)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -943,25 +949,30 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 	if stmt.Star {
 		items = starItems(stmt, sc)
 	}
-	itemSchema, itemExprs, itemPicks, err := compileItems(items, sc, combined)
+	itemSchema, itemExprs, err := compileItems(items, sc, combined)
 	if err != nil {
 		return nil, err
 	}
-	keyCols, keyExprs, keyPicks, descs, err := compileOrderKeys(stmt.OrderBy, items, sc, combined)
+	keyCols, keyExprs, descs, err := compileOrderKeys(stmt.OrderBy, items, sc, combined)
 	if err != nil {
 		return nil, err
 	}
 	wideSchema := append(append(relational.Schema{}, itemSchema...), keyCols...)
-	wideExprs := append(append([]relational.Projector{}, itemExprs...), keyExprs...)
-	widePicks := append(append([]int{}, itemPicks...), keyPicks...)
+	wideExprs := append(append([]relational.ProjExpr{}, itemExprs...), keyExprs...)
 
+	// The coordinator's strip projection only drops the key columns, so
+	// ORDER BY + LIMIT there is one top-k wherever the engine allows it.
+	topK := stmt.Limit >= 0 && dx.batchCoordinator(len(keyCols) > 0)
 	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard")
-	if len(keyCols) > 0 {
+	switch {
+	case topK:
+		p.Steps = append(p.Steps, fmt.Sprintf("gather to coordinator (seq-ordered merge); top-k %d", stmt.Limit))
+	case len(keyCols) > 0:
 		p.Steps = append(p.Steps, "gather to coordinator (seq-ordered merge); sort")
-	} else {
+	default:
 		p.Steps = append(p.Steps, "gather to coordinator (seq-ordered merge)")
 	}
-	if stmt.Limit >= 0 {
+	if stmt.Limit >= 0 && !topK {
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
@@ -973,8 +984,8 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 		if err != nil {
 			return nil, nil, err
 		}
-		st.decor = append(st.decor, exprProjDecor(withSeq(wideSchema), wideExprs, widePicks, len(st.schema),
-			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(widePicks, len(wideExprs))})))
+		st.decor = append(st.decor, exprProjDecor(withSeq(wideSchema), wideExprs, len(st.schema),
+			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(wideExprs)})))
 		st.schema = wideSchema
 		if len(keyCols) == 0 && stmt.Limit >= 0 {
 			st.decor = append(st.decor, limitDecor(stmt.Limit))
@@ -1006,34 +1017,29 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 			}
 			merged = dist.MergeBySeq("gathered", st.base, seqCol, true)
 		}
-		var op relational.Op = relational.NewScan(merged)
+		lw, cur := dx.coordinator(merged, len(keyCols) > 0)
+		limit := stmt.Limit
 		if len(keyCols) > 0 {
 			keys := make([]relational.SortKey, len(keyCols))
 			for ki := range keyCols {
 				keys[ki] = relational.SortKey{Col: len(itemSchema) + ki, Desc: descs[ki]}
 			}
-			srt, err := relational.NewSort(op, keys)
-			if err != nil {
+			k := -1
+			if topK {
+				k, limit = limit, -1
+			}
+			if cur, err = lw.sort(cur, keys, k); err != nil {
 				return nil, nil, err
 			}
-			if dx.budget != nil {
-				// The coordinator's sort charges the query-level budget:
-				// coordinator memory is host memory too.
-				srt.SetBudget(dx.budget)
-			}
-			op = srt
-			exprs := make([]relational.Projector, len(itemSchema))
-			for i := range exprs {
-				exprs[i] = pickProjector(i)
-			}
-			op, err = relational.NewProject(op, itemSchema, exprs)
-			if err != nil {
+			// Strip the key columns again.
+			if cur, err = lw.project(cur, itemSchema, pickExprs(identityPicks(len(itemSchema)))); err != nil {
 				return nil, nil, err
 			}
 		}
-		if stmt.Limit >= 0 {
-			op = relational.NewLimit(op, stmt.Limit)
+		if limit >= 0 {
+			cur = lw.limit(cur, limit)
 		}
+		op := lw.finish(cur)
 		res, err := relational.Collect(op, "result")
 		if err != nil {
 			return nil, nil, err

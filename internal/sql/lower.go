@@ -94,19 +94,12 @@ func lowerBatchFilter(sc *scope, e Expr) ([]relational.ColRange, relational.Pred
 	return ranges, pred, nil
 }
 
-// project lowers a projection. exprs always carries the row closures;
-// picks[i] >= 0 marks output i as a pass-through of that child column,
-// which the batch engine serves by sharing the column vector.
-func (lw *lowerer) project(n execNode, schema relational.Schema, exprs []relational.Projector, picks []int) (execNode, error) {
+// project lowers a projection. Every column of pe carries its row
+// closure; Col >= 0 marks a pass-through of that child column, which the
+// batch engine serves by sharing the column vector, and Vec is the typed
+// batch form of a computed expression where one exists.
+func (lw *lowerer) project(n execNode, schema relational.Schema, pe []relational.ProjExpr) (execNode, error) {
 	if n.bat != nil {
-		pe := make([]relational.ProjExpr, len(exprs))
-		for i := range exprs {
-			if picks != nil && picks[i] >= 0 {
-				pe[i] = relational.Pick(picks[i])
-			} else {
-				pe[i] = relational.Expr(exprs[i])
-			}
-		}
 		op, err := relational.NewBatchProject(n.bat, schema, pe)
 		if err != nil {
 			return execNode{}, err
@@ -120,11 +113,20 @@ func (lw *lowerer) project(n execNode, schema relational.Schema, exprs []relatio
 		}
 		return execNode{bat: op}, nil
 	}
-	op, err := relational.NewProject(n.row, schema, exprs)
+	op, err := relational.NewProject(n.row, schema, projFns(pe))
 	if err != nil {
 		return execNode{}, err
 	}
 	return execNode{row: op}, nil
+}
+
+// projFns extracts the row closures of a projection list.
+func projFns(pe []relational.ProjExpr) []relational.Projector {
+	fns := make([]relational.Projector, len(pe))
+	for i := range pe {
+		fns[i] = pe[i].Fn
+	}
+	return fns
 }
 
 func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (execNode, error) {
@@ -172,9 +174,17 @@ func (lw *lowerer) groupAgg(n execNode, groupCols []int, aggs []relational.AggSp
 	return execNode{row: op}, nil
 }
 
-func (lw *lowerer) sort(n execNode, keys []relational.SortKey) (execNode, error) {
+// sort lowers ORDER BY keys; topK >= 0 keeps only the first topK rows of
+// the order (batch engine only, see canTopK).
+func (lw *lowerer) sort(n execNode, keys []relational.SortKey, topK int) (execNode, error) {
 	if n.bat != nil {
-		op, err := relational.NewBatchSort(n.bat, keys, lw.workers)
+		var op *relational.BatchSort
+		var err error
+		if topK >= 0 {
+			op, err = relational.NewBatchTopK(n.bat, keys, topK, lw.workers)
+		} else {
+			op, err = relational.NewBatchSort(n.bat, keys, lw.workers)
+		}
 		if err != nil {
 			return execNode{}, err
 		}

@@ -248,14 +248,8 @@ func (pl *planner) planStmt(stmt *SelectStmt) (*Planned, error) {
 		n := lw.scan(leg.rel)
 		p.TaggedOps["scan:"+leg.alias] = lw.op(n)
 		if leg.prune != nil {
-			exprs := make([]relational.Projector, len(leg.prune))
-			picks := make([]int, len(leg.prune))
-			for pi, idx := range leg.prune {
-				exprs[pi] = pickProjector(idx)
-				picks[pi] = idx
-			}
 			var err error
-			n, err = lw.project(n, leg.schema, exprs, picks)
+			n, err = lw.project(n, leg.schema, pickExprs(leg.prune))
 			if err != nil {
 				return nil, err
 			}
@@ -372,31 +366,61 @@ func (pl *planner) planSimple(stmt *SelectStmt, p *Planned, lw *lowerer, cur exe
 		items = starItems(stmt, sc)
 	}
 
-	// ORDER BY before projection: keys evaluate over the input scope.
-	if len(stmt.OrderBy) > 0 {
-		sorted, err := pl.sortOver(lw, stmt.OrderBy, items, cur, sc)
-		if err != nil {
-			return nil, err
-		}
-		cur = sorted
-		p.TaggedOps["sort"] = lw.op(cur)
-		p.Steps = append(p.Steps, "sort")
-	}
-
-	proj, err := projectItems(lw, items, sc, cur)
+	cur, err := pl.orderProjectLimit(stmt, p, lw, items, cur, sc)
 	if err != nil {
 		return nil, err
 	}
-	cur = proj
-	p.Steps = append(p.Steps, "project "+itemNames(items))
-
-	if stmt.Limit >= 0 {
-		cur = lw.limit(cur, stmt.Limit)
-		p.TaggedOps["limit"] = lw.op(cur)
-		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
-	}
 	p.Root = lw.finish(cur)
 	return p, nil
+}
+
+// orderProjectLimit plans the tail every query shares — ORDER BY (keys
+// evaluate over the input scope, before projection), the select-item
+// projection, LIMIT. On the batch engine, when the projection only
+// passes columns through, ORDER BY + LIMIT n lowers to one top-k operator
+// instead of a full sort whose output the limit then discards.
+func (pl *planner) orderProjectLimit(stmt *SelectStmt, p *Planned, lw *lowerer, items []SelectItem, cur execNode, sc *scope) (execNode, error) {
+	schema, exprs, err := compileItems(items, sc, schemaOf(cur))
+	if err != nil {
+		return execNode{}, err
+	}
+	limit := stmt.Limit
+	if len(stmt.OrderBy) > 0 {
+		topK := -1
+		if limit >= 0 && cur.bat != nil && allPassThrough(exprs) {
+			topK, limit = limit, -1
+		}
+		if cur, err = pl.sortOver(lw, stmt.OrderBy, items, cur, sc, topK); err != nil {
+			return execNode{}, err
+		}
+		p.TaggedOps["sort"] = lw.op(cur)
+		if topK >= 0 {
+			p.Steps = append(p.Steps, fmt.Sprintf("top-k %d", topK))
+		} else {
+			p.Steps = append(p.Steps, "sort")
+		}
+	}
+	if cur, err = lw.project(cur, schema, exprs); err != nil {
+		return execNode{}, err
+	}
+	p.Steps = append(p.Steps, "project "+itemNames(items))
+	if limit >= 0 {
+		cur = lw.limit(cur, limit)
+		p.TaggedOps["limit"] = lw.op(cur)
+		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", limit))
+	}
+	return cur, nil
+}
+
+// allPassThrough reports whether a projection only re-orders child
+// columns — a 1:1 row map a LIMIT commutes with.
+func allPassThrough(pe []relational.ProjExpr) bool {
+	for _, e := range pe {
+		if e.Col < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // aggPlan is the compiled shape of an aggregation: the pre-projection
@@ -408,8 +432,7 @@ func (pl *planner) planSimple(stmt *SelectStmt, p *Planned, lw *lowerer, cur exe
 type aggPlan struct {
 	aggs       []*AggExpr
 	preSchema  relational.Schema
-	preExprs   []relational.Projector
-	prePicks   []int
+	pre        []relational.ProjExpr
 	groupCols  []int
 	groupTypes []valType
 	aggSpecs   []relational.AggSpec
@@ -441,8 +464,7 @@ func buildAggPlan(stmt *SelectStmt, sc *scope, childSchema relational.Schema) (*
 		ap.groupCols[i] = i
 		ap.groupTypes[i] = c.typ
 		ap.preSchema = append(ap.preSchema, relational.Column{Name: fmt.Sprintf("g%d", i), Type: toRelType(c.typ)})
-		ap.preExprs = append(ap.preExprs, c.eval)
-		ap.prePicks = append(ap.prePicks, passthroughIdx(sc, g, childSchema))
+		ap.pre = append(ap.pre, projExpr(sc, g, c, childSchema))
 	}
 	ap.aggTypes = make([]valType, len(ap.aggs))
 	for i, a := range ap.aggs {
@@ -462,8 +484,7 @@ func buildAggPlan(stmt *SelectStmt, sc *scope, childSchema relational.Schema) (*
 			col = len(ap.preSchema)
 			argT = c.typ
 			ap.preSchema = append(ap.preSchema, relational.Column{Name: fmt.Sprintf("a%d", i), Type: toRelType(c.typ)})
-			ap.preExprs = append(ap.preExprs, c.eval)
-			ap.prePicks = append(ap.prePicks, passthroughIdx(sc, a.Arg, childSchema))
+			ap.pre = append(ap.pre, projExpr(sc, a.Arg, c, childSchema))
 		}
 		fn := map[string]relational.AggFn{
 			"count": relational.CountAgg, "sum": relational.SumAgg,
@@ -511,7 +532,7 @@ func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur 
 	if err != nil {
 		return nil, err
 	}
-	pre, err := lw.project(cur, ap.preSchema, ap.preExprs, ap.prePicks)
+	pre, err := lw.project(cur, ap.preSchema, ap.pre)
 	if err != nil {
 		return nil, err
 	}
@@ -539,25 +560,8 @@ func (pl *planner) finishAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cu
 		p.TaggedOps["having"] = lw.op(cur2)
 		p.Steps = append(p.Steps, "having: "+stmt.Having.Render())
 	}
-	if len(stmt.OrderBy) > 0 {
-		sorted, err := pl.sortOver(lw, stmt.OrderBy, stmt.Items, cur2, post)
-		if err != nil {
-			return nil, err
-		}
-		cur2 = sorted
-		p.TaggedOps["sort"] = lw.op(cur2)
-		p.Steps = append(p.Steps, "sort")
-	}
-	proj, err := projectItems(lw, stmt.Items, post, cur2)
-	if err != nil {
+	if cur2, err = pl.orderProjectLimit(stmt, p, lw, stmt.Items, cur2, post); err != nil {
 		return nil, err
-	}
-	cur2 = proj
-	p.Steps = append(p.Steps, "project "+itemNames(stmt.Items))
-	if stmt.Limit >= 0 {
-		cur2 = lw.limit(cur2, stmt.Limit)
-		p.TaggedOps["limit"] = lw.op(cur2)
-		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 	p.Root = lw.finish(cur2)
 	return p, nil
@@ -576,22 +580,38 @@ func pickProjector(idx int) relational.Projector {
 	return func(r relational.Row) (relational.Value, error) { return r[idx], nil }
 }
 
+// pickExprs is the projection list passing the given child columns
+// through, in order.
+func pickExprs(picks []int) []relational.ProjExpr {
+	pe := make([]relational.ProjExpr, len(picks))
+	for i, idx := range picks {
+		pe[i] = relational.ProjExpr{Col: idx, Fn: pickProjector(idx)}
+	}
+	return pe
+}
+
+// projExpr lowers compiled expression c of e into a projection column: a
+// pass-through when e reads one child column unchanged, else the row
+// closure beside its typed batch form (if it has one).
+func projExpr(sc *scope, e Expr, c compiled, child relational.Schema) relational.ProjExpr {
+	return relational.ProjExpr{Col: passthroughIdx(sc, e, child), Fn: c.eval, Vec: c.vecProjector()}
+}
+
 // compileOrderKeys resolves and compiles ORDER BY items against sc, with
 // aliases and 1-based positions resolving through the select items. It
 // returns the key columns to materialize (types named sortkey<i>), their
-// projectors and pass-through picks, and each key's direction — the
-// single-node sort and the distributed pre-shuffle widening share it.
-func compileOrderKeys(order []OrderItem, items []SelectItem, sc *scope, childSchema relational.Schema) ([]relational.Column, []relational.Projector, []int, []bool, error) {
+// projection columns, and each key's direction — the single-node sort and
+// the distributed pre-shuffle widening share it.
+func compileOrderKeys(order []OrderItem, items []SelectItem, sc *scope, childSchema relational.Schema) ([]relational.Column, []relational.ProjExpr, []bool, error) {
 	var cols []relational.Column
-	var exprs []relational.Projector
-	var picks []int
+	var exprs []relational.ProjExpr
 	var descs []bool
 	for ki, o := range order {
 		e := o.E
 		// Position (ORDER BY 2) and alias resolution.
 		if lit, ok := e.(*IntLit); ok {
 			if lit.V < 1 || int(lit.V) > len(items) {
-				return nil, nil, nil, nil, fmt.Errorf("sql: ORDER BY position %d out of range", lit.V)
+				return nil, nil, nil, fmt.Errorf("sql: ORDER BY position %d out of range", lit.V)
 			}
 			e = items[lit.V-1].E
 		} else if cr, ok := e.(*ColRef); ok && cr.Table == "" {
@@ -604,87 +624,59 @@ func compileOrderKeys(order []OrderItem, items []SelectItem, sc *scope, childSch
 		}
 		c, err := sc.compile(e)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, nil, err
 		}
 		cols = append(cols, relational.Column{Name: fmt.Sprintf("sortkey%d", ki), Type: toRelType(c.typ)})
-		exprs = append(exprs, c.eval)
-		picks = append(picks, passthroughIdx(sc, e, childSchema))
+		exprs = append(exprs, projExpr(sc, e, c, childSchema))
 		descs = append(descs, o.Desc)
 	}
-	return cols, exprs, picks, descs, nil
+	return cols, exprs, descs, nil
 }
 
 // sortOver plans a sort whose keys are ORDER BY items resolved against
 // sc, with aliases and 1-based positions resolving through the select
-// items.
-func (pl *planner) sortOver(lw *lowerer, order []OrderItem, items []SelectItem, child execNode, sc *scope) (execNode, error) {
+// items. topK >= 0 keeps only the first topK rows of the order.
+func (pl *planner) sortOver(lw *lowerer, order []OrderItem, items []SelectItem, child execNode, sc *scope, topK int) (execNode, error) {
 	// The sort operator orders by concrete columns, so materialize the
 	// key expressions as extra columns, sort, then strip them.
 	childSchema := schemaOf(child)
 	width := len(childSchema)
-	schema := append(relational.Schema{}, childSchema...)
-	exprs := make([]relational.Projector, width)
-	picks := make([]int, width)
-	for i := 0; i < width; i++ {
-		exprs[i] = pickProjector(i)
-		picks[i] = i
-	}
-	keyCols, keyExprs, keyPicks, descs, err := compileOrderKeys(order, items, sc, childSchema)
+	keyCols, keyExprs, descs, err := compileOrderKeys(order, items, sc, childSchema)
 	if err != nil {
 		return execNode{}, err
 	}
-	var keys []relational.SortKey
+	schema := append(append(relational.Schema{}, childSchema...), keyCols...)
+	exprs := append(pickExprs(identityPicks(width)), keyExprs...)
+	keys := make([]relational.SortKey, len(keyCols))
 	for ki := range keyCols {
-		schema = append(schema, keyCols[ki])
-		exprs = append(exprs, keyExprs[ki])
-		picks = append(picks, keyPicks[ki])
-		keys = append(keys, relational.SortKey{Col: width + ki, Desc: descs[ki]})
+		keys[ki] = relational.SortKey{Col: width + ki, Desc: descs[ki]}
 	}
-	widened, err := lw.project(child, schema, exprs, picks)
+	widened, err := lw.project(child, schema, exprs)
 	if err != nil {
 		return execNode{}, err
 	}
-	sorted, err := lw.sort(widened, keys)
+	sorted, err := lw.sort(widened, keys, topK)
 	if err != nil {
 		return execNode{}, err
 	}
 	// Strip the key columns again.
-	stripSchema := append(relational.Schema{}, childSchema...)
-	stripExprs := make([]relational.Projector, width)
-	stripPicks := make([]int, width)
-	for i := 0; i < width; i++ {
-		stripExprs[i] = pickProjector(i)
-		stripPicks[i] = i
-	}
-	return lw.project(sorted, stripSchema, stripExprs, stripPicks)
+	return lw.project(sorted, childSchema, pickExprs(identityPicks(width)))
 }
 
 // compileItems compiles the select items against sc into the output
-// schema, projectors and pass-through picks.
-func compileItems(items []SelectItem, sc *scope, childSchema relational.Schema) (relational.Schema, []relational.Projector, []int, error) {
+// schema and projection columns.
+func compileItems(items []SelectItem, sc *scope, childSchema relational.Schema) (relational.Schema, []relational.ProjExpr, error) {
 	var schema relational.Schema
-	var exprs []relational.Projector
-	var picks []int
+	var exprs []relational.ProjExpr
 	for _, it := range items {
 		c, err := sc.compile(it.E)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		schema = append(schema, relational.Column{Name: it.OutputName(), Type: toRelType(c.typ)})
-		exprs = append(exprs, c.eval)
-		picks = append(picks, passthroughIdx(sc, it.E, childSchema))
+		exprs = append(exprs, projExpr(sc, it.E, c, childSchema))
 	}
-	return schema, exprs, picks, nil
-}
-
-// projectItems builds the final projection.
-func projectItems(lw *lowerer, items []SelectItem, sc *scope, child execNode) (execNode, error) {
-	childSchema := schemaOf(child)
-	schema, exprs, picks, err := compileItems(items, sc, childSchema)
-	if err != nil {
-		return execNode{}, err
-	}
-	return lw.project(child, schema, exprs, picks)
+	return schema, exprs, nil
 }
 
 func itemNames(items []SelectItem) string {
@@ -792,17 +784,14 @@ func reorderColumns(lw *lowerer, n execNode, rightWidth, leftWidth int) (execNod
 		return execNode{}, fmt.Errorf("sql: reorder width mismatch: %d != %d+%d", len(in), rightWidth, leftWidth)
 	}
 	var schema relational.Schema
-	var exprs []relational.Projector
 	var picks []int
 	for i := 0; i < leftWidth; i++ {
 		schema = append(schema, in[rightWidth+i])
-		exprs = append(exprs, pickProjector(rightWidth+i))
 		picks = append(picks, rightWidth+i)
 	}
 	for i := 0; i < rightWidth; i++ {
 		schema = append(schema, in[i])
-		exprs = append(exprs, pickProjector(i))
 		picks = append(picks, i)
 	}
-	return lw.project(n, schema, exprs, picks)
+	return lw.project(n, schema, pickExprs(picks))
 }

@@ -466,7 +466,7 @@ func TestExplainListsSteps(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := plan.Explain()
-	for _, want := range []string{"scan", "aggregate", "sort", "project", "limit 1"} {
+	for _, want := range []string{"scan", "aggregate", "top-k 1", "project"} {
 		if !strings.Contains(ex, want) {
 			t.Fatalf("explain missing %q:\n%s", want, ex)
 		}

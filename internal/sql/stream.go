@@ -130,17 +130,18 @@ func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*
 	if err != nil {
 		return nil, err
 	}
-	cq.PreExprs, cq.PreSchema = ap.preExprs, ap.preSchema
+	cq.PreExprs, cq.PreSchema = projFns(ap.pre), ap.preSchema
 	cq.GroupCols, cq.AggSpecs = ap.groupCols, ap.aggSpecs
 	cq.AggSchema, err = relational.AggOutputSchema(ap.preSchema, ap.groupCols, ap.aggSpecs)
 	if err != nil {
 		return nil, err
 	}
 	post := ap.postScope(stmt)
-	cq.OutSchema, cq.OutExprs, _, err = compileItems(stmt.Items, post, cq.AggSchema)
+	outSchema, outExprs, err := compileItems(stmt.Items, post, cq.AggSchema)
 	if err != nil {
 		return nil, err
 	}
+	cq.OutSchema, cq.OutExprs = outSchema, projFns(outExprs)
 	cq.Budget, err = pl.spillBudget()
 	if err != nil {
 		return nil, err

@@ -58,7 +58,7 @@ type pane struct {
 
 // snapshot returns the pane's current aggregate state, memoized until
 // the next event invalidates it. The result is only ever read via
-// MergeCopy, which never aliases it.
+// MergeFrom, which copies.
 func (p *pane) snapshot() *relational.PartialAgg {
 	if p.snap == nil {
 		p.snap = p.agg.Snapshot()
@@ -255,7 +255,7 @@ func (w *windower) emitWindow(s int64) (Window, error) {
 			}
 			continue
 		}
-		acc.MergeCopy(p.snapshot())
+		acc.MergeFrom(p.snapshot())
 	}
 	aggRows := acc.EmitRows(w.q.AggSchema, true)
 	rel := relational.NewRelation("window", w.q.OutSchema)
