@@ -92,8 +92,7 @@
 // RetriedFragments / SpeculativeWins while rows stay identical to the
 // failure-free run and fault-free clusters replay the static engine
 // bit-identically. See README.md
-// for the package map, the migration table from the deprecated
-// DB/Options API, the control-plane policy catalog, the
+// for the package map, the control-plane policy catalog, the
 // heterogeneous-execution, out-of-core, pipelined-execution, serving
 // and elastic-cluster sections, and build, test and benchmark
 // instructions.

@@ -3,11 +3,7 @@
 // while a subscribed aggregate emits event-time windows as the
 // watermark passes them. The lateness sweep shows the disorder
 // tradeoff — absorb more out-of-order events by holding windows open
-// longer, or emit eagerly and drop stragglers — and the run closes with
-// a parity check against the deprecated micro-batch simulator
-// (dataflow.TumblingWindowSum): same events, same windows, identical
-// sums on both paths, the engine just also accounts for lateness,
-// freshness and spill.
+// longer, or emit eagerly and drop stragglers.
 package main
 
 import (
@@ -15,9 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"sort"
 
-	"repro/internal/dataflow"
 	"repro/internal/metrics"
 	"repro/internal/relational"
 	"repro/internal/sim"
@@ -91,46 +85,6 @@ func main() {
 	fmt.Println("\nlateness holds windows open past their end, so nothing bounded by the jitter is lost;")
 	fmt.Println("emitting eagerly (lateness 0) trades those stragglers for the freshest possible windows.")
 
-	// Parity with the deprecated micro-batch simulator: sort the same
-	// events into time order (the legacy path enforces it), truncate to
-	// whole windows (it never emits a final partial window), and compare
-	// every (window, key) sum/count.
-	sorted := append([]ev(nil), events...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].t < sorted[j].t })
-	cut := (horizon / *windowTicks) * *windowTicks
-	var legacyIn []dataflow.KeyedEvent
-	var engineIn []ev
-	for _, e := range sorted {
-		if e.t >= cut {
-			continue
-		}
-		legacyIn = append(legacyIn, dataflow.KeyedEvent{Key: e.k, Time: float64(e.t), Value: float64(e.v)})
-		engineIn = append(engineIn, e)
-	}
-	results, mbStats, err := dataflow.TumblingWindowSum(legacyIn, dataflow.MicroBatchConfig{
-		WindowS: float64(*windowTicks), BatchS: 1, PerBatchOverheadS: 0.02,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	legacy := map[string]cellKey{}
-	for _, r := range results {
-		legacy[fmt.Sprintf("%d|%s", int64(r.WindowStart), r.Key)] = cellKey{sum: int64(r.Sum), count: int64(r.Count)}
-	}
-	wins, _ := runContinuous(engineIn, stream.WindowSpec{TimeCol: "t", Size: *windowTicks, Lateness: *jitter})
-	engine := collectCells(wins)
-	if len(engine) != len(legacy) {
-		log.Fatalf("parity: engine %d cells, micro-batch %d", len(engine), len(legacy))
-	}
-	for k, lc := range legacy {
-		if engine[k] != lc {
-			log.Fatalf("parity: cell %s: engine %+v, micro-batch %+v", k, engine[k], lc)
-		}
-	}
-	fmt.Printf("\nparity: %d (window, key) cells identical between the engine's continuous query\n", len(engine))
-	fmt.Printf("and the deprecated micro-batch simulator (%d micro-batches, %.1fs modeled overhead) —\n",
-		mbStats.Batches, mbStats.OverheadS)
-	fmt.Println("dataflow.TumblingWindowSum survives only as this reference; new code subscribes to the engine.")
 }
 
 type ev struct {

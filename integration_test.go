@@ -7,6 +7,7 @@ package repro
 // the roadmap engine consuming every survey projection.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -78,14 +79,17 @@ func TestThreeEnginesAgreeOnLargeDataset(t *testing.T) {
 	sales := workload.Sales(seed, n, 2000)
 
 	// SQL.
-	db := sql.NewDB()
-	db.Register(sql.SalesRelation(seed, n, 2000))
-	res, err := db.Query("SELECT region, SUM(price) AS total FROM sales GROUP BY region ORDER BY region")
+	eng, err := sql.NewEngine(sql.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Register(sql.SalesRelation(seed, n, 2000))
+	res, err := eng.Session().Query(context.Background(), "SELECT region, SUM(price) AS total FROM sales GROUP BY region ORDER BY region")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]float64{}
-	for _, row := range res.Rows {
+	for _, row := range res.Rows.Rows {
 		want[row[0].S] = row[1].F
 	}
 

@@ -2,9 +2,7 @@
 // transformations over partitioned in-memory datasets, with narrow
 // operations (map, filter, flatMap) fused into stages and wide operations
 // (reduceByKey, groupByKey, join, repartition) introducing shuffle
-// boundaries, executed partition-parallel with goroutines. A micro-batch
-// streaming layer (stream.go) covers the batch/stream duality the roadmap
-// attributes to the Spark and Flink projects (Section IV.C.3). Stage and
+// boundaries, executed partition-parallel with goroutines. Stage and
 // shuffle accounting feeds the E8 abstraction comparison.
 package dataflow
 

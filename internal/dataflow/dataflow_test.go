@@ -3,7 +3,6 @@ package dataflow
 import (
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -210,98 +209,5 @@ func TestDeterministicCollectOrder(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("order differs at %d: %v vs %v", i, a[i], b[i])
 		}
-	}
-}
-
-// ---------- Streaming ----------
-
-func synthEvents(n int, keys []string, dt float64) []KeyedEvent {
-	out := make([]KeyedEvent, n)
-	for i := range out {
-		out[i] = KeyedEvent{
-			Key:   keys[i%len(keys)],
-			Time:  float64(i) * dt,
-			Value: 1,
-		}
-	}
-	return out
-}
-
-func TestTumblingWindowSumsEverything(t *testing.T) {
-	ev := synthEvents(100, []string{"a", "b"}, 0.1) // 10s of events
-	res, stats, err := TumblingWindowSum(ev, MicroBatchConfig{WindowS: 1, BatchS: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0.0
-	for _, r := range res {
-		total += r.Sum
-	}
-	if total != 100 {
-		t.Fatalf("window sums total %v, want 100 (no event lost)", total)
-	}
-	if stats.Batches == 0 {
-		t.Fatal("no batches recorded")
-	}
-	// Windows emitted in order.
-	for i := 1; i < len(res); i++ {
-		if res[i].WindowStart < res[i-1].WindowStart {
-			t.Fatal("windows out of order")
-		}
-	}
-}
-
-func TestSmallerBatchesCutLatency(t *testing.T) {
-	// Batch boundaries deliberately misaligned with the 1 s window edge:
-	// a window closing mid-batch waits for the batch to end, so coarse
-	// batches add up to ~BatchS of emission delay.
-	ev := synthEvents(1000, []string{"a", "b", "c"}, 0.01)
-	_, coarse, err := TumblingWindowSum(ev, MicroBatchConfig{WindowS: 1, BatchS: 0.75, PerBatchOverheadS: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, fine, err := TumblingWindowSum(ev, MicroBatchConfig{WindowS: 1, BatchS: 0.05, PerBatchOverheadS: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fine.MeanLatencyS >= coarse.MeanLatencyS {
-		t.Fatalf("fine batches latency (%v) should beat coarse (%v)", fine.MeanLatencyS, coarse.MeanLatencyS)
-	}
-	if fine.OverheadS <= coarse.OverheadS {
-		t.Fatalf("fine batches must pay more overhead: %v vs %v", fine.OverheadS, coarse.OverheadS)
-	}
-}
-
-func TestAlignedBatchesEmitAtWindowEdge(t *testing.T) {
-	// When BatchS divides WindowS the boundary batch ends exactly at the
-	// window edge: latency is just the per-batch overhead.
-	ev := synthEvents(400, []string{"a"}, 0.01)
-	_, stats, err := TumblingWindowSum(ev, MicroBatchConfig{WindowS: 1, BatchS: 0.1, PerBatchOverheadS: 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MeanLatencyS > 0.011 {
-		t.Fatalf("aligned batches latency = %v, want ~= overhead 0.01", stats.MeanLatencyS)
-	}
-}
-
-func TestStreamValidation(t *testing.T) {
-	if _, _, err := TumblingWindowSum(nil, MicroBatchConfig{WindowS: 0, BatchS: 1}); err == nil {
-		t.Fatal("expected window validation error")
-	}
-	bad := []KeyedEvent{{Time: 5}, {Time: 1}}
-	if _, _, err := TumblingWindowSum(bad, MicroBatchConfig{WindowS: 1, BatchS: 1}); err == nil ||
-		!strings.Contains(err.Error(), "out of order") {
-		t.Fatalf("expected ordering error, got %v", err)
-	}
-}
-
-func TestStreamEmptyInput(t *testing.T) {
-	res, stats, err := TumblingWindowSum(nil, MicroBatchConfig{WindowS: 1, BatchS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 0 || stats.MeanLatencyS != 0 {
-		t.Fatalf("empty stream gave %v %v", res, stats)
 	}
 }

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"context"
 	"math"
+	"strings"
 	"time"
 
 	"repro/internal/accel"
@@ -32,9 +34,14 @@ func E8() *Report {
 	}
 
 	// ---- SQL.
-	db := sql.DemoDB(seed, salesRows, customers)
+	eng, err := sql.NewEngine(sql.DefaultConfig())
+	if err != nil {
+		panic(err)
+	}
+	sql.RegisterDemo(eng, seed, salesRows, customers)
+	sess := eng.Session()
 	t0 := time.Now()
-	res, err := db.Query(`SELECT c.segment, SUM(s.price * (1 - s.discount) * s.quantity) AS revenue
+	res, err := sess.Query(context.Background(), `SELECT c.segment, SUM(s.price * (1 - s.discount) * s.quantity) AS revenue
 		FROM sales s JOIN customers c ON s.customer_id = c.customer_id
 		GROUP BY c.segment ORDER BY c.segment`)
 	if err != nil {
@@ -42,14 +49,14 @@ func E8() *Report {
 	}
 	sqlWall := time.Since(t0)
 	var sqlOut []segRev
-	for _, row := range res.Rows {
+	for _, row := range res.Rows.Rows {
 		sqlOut = append(sqlOut, segRev{seg: row[0].S, rev: row[1].F})
 	}
-	plan, err := db.Plan(`SELECT c.segment, SUM(s.price) FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment`)
+	plan, err := sess.Explain(`SELECT c.segment, SUM(s.price) FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment`)
 	if err != nil {
 		panic(err)
 	}
-	sqlSteps := len(plan.Steps)
+	sqlSteps := strings.Count(plan, "\n") + 1
 
 	// ---- MapReduce: two chained jobs (join via tagged union, then
 	// aggregate) — the classic relational-on-MapReduce contortion.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"repro/internal/sql"
@@ -45,25 +46,67 @@ var classGoldens = map[int]map[string]string{
 	},
 }
 
+// distGoldens pins the same fingerprints on the distributed engine
+// (4 shards) under bulk movement and under chunked movement with a
+// memory budget and devices, recorded when single-node and distributed
+// statements still had a planner each. Each shard folds its partial
+// aggregate in one stream, so the worker count does not move the sums.
+var distGoldens = map[string]map[string]string{
+	"bulk": {
+		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
+		"join":    "15240ee103a00a8bd6b943ee63a13c6dfb3d1679685f7b0b5a440f07211bea31",
+		"groupby": "92e20dca10ac0873ea752e2ff2a92cf9cc8c25558775da753e8c12db811b1c74",
+		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
+	},
+	"chunked": {
+		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
+		"join":    "15240ee103a00a8bd6b943ee63a13c6dfb3d1679685f7b0b5a440f07211bea31",
+		"groupby": "0904f10b73e9cf413ee9edb5c5a2cc43a3c559582595dc5309c25dd2988ce94e",
+		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
+	},
+}
+
+func checkClassGoldens(t *testing.T, label string, cfg sql.Config, goldens map[string]string) {
+	t.Helper()
+	eng, err := sql.NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql.RegisterDemo(eng, 7, 20000, 2000)
+	sess := eng.Session()
+	for _, c := range classStatements {
+		res, err := sess.Query(context.Background(), c.sql)
+		if err != nil {
+			t.Fatalf("%s %s: %v", label, c.name, err)
+		}
+		sum := sha256.Sum256([]byte(Fingerprint(FromResult(res))))
+		if got := hex.EncodeToString(sum[:]); got != goldens[c.name] {
+			t.Errorf("%s %s: fingerprint %s, golden %s (%d rows)", label, c.name, got, goldens[c.name], res.Rows.Len())
+		}
+	}
+}
+
 func TestClassFingerprintGoldens(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		cfg := sql.DefaultConfig()
 		cfg.Workers = workers
-		eng, err := sql.NewEngine(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sql.RegisterDemo(eng, 7, 20000, 2000)
-		sess := eng.Session()
-		for _, c := range classStatements {
-			res, err := sess.Query(context.Background(), c.sql)
-			if err != nil {
-				t.Fatalf("workers=%d %s: %v", workers, c.name, err)
+		checkClassGoldens(t, fmt.Sprintf("workers=%d", workers), cfg, classGoldens[workers])
+	}
+}
+
+func TestDistClassFingerprintGoldens(t *testing.T) {
+	for _, movement := range []string{"bulk", "chunked"} {
+		for _, workers := range []int{1, 2} {
+			cfg := sql.DefaultConfig()
+			cfg.Workers = workers
+			cfg.Distributed = true
+			cfg.Shards = 4
+			if movement == "chunked" {
+				cfg.PipelineChunkRows = 1024
+				cfg.MemoryBudget = 64 << 10
+				cfg.Devices = []string{"cpu", "gpu", "fpga"}
 			}
-			sum := sha256.Sum256([]byte(Fingerprint(FromResult(res))))
-			if got := hex.EncodeToString(sum[:]); got != classGoldens[workers][c.name] {
-				t.Errorf("workers=%d %s: fingerprint %s, golden %s (%d rows)", workers, c.name, got, classGoldens[workers][c.name], res.Rows.Len())
-			}
+			checkClassGoldens(t, fmt.Sprintf("dist-%s workers=%d", movement, workers), cfg, distGoldens[movement])
 		}
 	}
 }

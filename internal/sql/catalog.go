@@ -60,14 +60,3 @@ func RegisterDemo(e *Engine, seed uint64, salesRows, customers int) {
 	e.Register(SalesRelation(seed, salesRows, customers))
 	e.Register(CustomersRelation(seed+1, customers))
 }
-
-// DemoDB returns a catalog with sales and customers loaded.
-//
-// Deprecated: use NewEngine + RegisterDemo; DemoDB serves the legacy DB
-// call sites.
-func DemoDB(seed uint64, salesRows, customers int) *DB {
-	db := NewDB()
-	db.Register(SalesRelation(seed, salesRows, customers))
-	db.Register(CustomersRelation(seed+1, customers))
-	return db
-}

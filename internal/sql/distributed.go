@@ -1,14 +1,18 @@
 package sql
 
-// The distributed lowering path: queries plan as per-shard batch
-// fragments over the sharded catalog, with filters and projections pushed
-// below every shuffle; joins choose broadcast or hash-repartition
-// movement by a cost rule priced against the fabric's path capacity;
-// aggregates split into per-shard partials merged at the coordinator in
-// global first-seen order. Every inter-host movement — build-side
-// broadcasts, repartition shuffles, the final gather — is charged as
-// flows in the network simulator, so a distributed plan reports rows AND
-// simulated network time, bytes shuffled and per-link utilization.
+// The distributed execution of the logical plan (one logical plan, one
+// lowerer, two executions — see lower.go). Join order, build side,
+// pruning and pushdown arrive decided in the logicalPlan the single-node
+// execution lowers too; this file adds where the data lives and how it
+// moves. Every shard fragment is built by that shard's lowerer, with
+// filters and projections pushed below every shuffle; joins choose
+// broadcast or hash-repartition movement by a cost rule priced against
+// the fabric's path capacity; aggregates split into per-shard partials
+// merged at the coordinator in global first-seen order. Every inter-host
+// movement — build-side broadcasts, repartition shuffles, the final
+// gather — is charged as flows in the network simulator, so a distributed
+// plan reports rows AND simulated network time, bytes shuffled and
+// per-link utilization.
 //
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
@@ -64,53 +68,52 @@ func (d *distRoot) Next() (relational.Row, bool, error) {
 // Stats implements relational.Op.
 func (d *distRoot) Stats() relational.OpStats { return d.stat }
 
-// seqColumn is the schema entry of the hidden sequence column.
-func seqColumn() relational.Column {
-	return relational.Column{Name: dist.SeqColName, Type: relational.Int}
-}
-
 // withSeq appends the hidden sequence column to a visible schema.
 func withSeq(schema relational.Schema) relational.Schema {
-	return append(append(relational.Schema{}, schema...), seqColumn())
+	return append(append(relational.Schema{}, schema...), relational.Column{Name: dist.SeqColName, Type: relational.Int})
 }
 
 // decorFn is one pending shard-local operator: it wraps the shard's
 // current stream (whose schema is the visible columns plus trailing
-// #seq). The shard index lets join decorators bind shard-specific build
-// sides.
-type decorFn func(shard int, op relational.BatchOp) (relational.BatchOp, error)
+// #seq) using the shard's lowerer. The shard index lets join decorators
+// bind shard-specific build sides.
+type decorFn func(lw *lowerer, shard int, n execNode) (execNode, error)
 
 // distStream is the runtime state of the partitioned intermediate: the
 // materialized per-shard relations plus pending decorators applied when
 // the next stage builds its fragments. Every base relation and every
 // decorated stream is #seq-ascending.
 type distStream struct {
+	// dx is the execution context: the per-shard lowerers fragments are
+	// built with, and the lifecycle guard fragment rounds route through
+	// (straggler speculation, replica-aware dispatch) when one is active.
+	dx     *distExec
 	base   []*relational.Relation
 	decor  []decorFn
 	schema relational.Schema // visible columns (excludes #seq)
-	// cancel, when set, guards every built fragment so external
-	// cancellation reaches each shard worker at its next batch boundary.
-	cancel *relational.CancelToken
+	// hint is the planner's per-shard cardinality estimate of the stream,
+	// the setup amortization hint of every kernel the decorators place.
+	hint int
 	// joined marks a stream that passed through a join: fan-out
 	// duplicates its seq tags, so the stream must be re-sequenced before
 	// it moves between shards again.
 	joined bool
-	// dx links back to the execution context so materialize can route
-	// fragment rounds through the lifecycle guard (straggler speculation,
-	// replica-aware dispatch) when one is active.
-	dx *distExec
 }
 
+// fragment lowers shard s's pending operators over its base relation. It
+// may run more than once per shard, concurrently (a speculative
+// duplicate rebuilds its own tree), so it works on a private copy of the
+// shard's lowerer.
 func (st *distStream) fragment(s int) (relational.BatchOp, error) {
-	var op relational.BatchOp = relational.NewBatchScan(st.base[s])
+	lw := st.dx.lowerer(s, st.hint)
+	n := lw.scan(st.base[s])
 	for _, d := range st.decor {
 		var err error
-		op, err = d(s, op)
-		if err != nil {
+		if n, err = d(lw, s, n); err != nil {
 			return nil, err
 		}
 	}
-	return relational.GuardBatch(op, st.cancel), nil
+	return n.bat, nil
 }
 
 func (st *distStream) fragments() ([]relational.BatchOp, error) {
@@ -129,20 +132,20 @@ func (st *distStream) fragments() ([]relational.BatchOp, error) {
 // active lifecycle guard the round runs through it: a straggling shard
 // gets a speculative duplicate (the guard rebuilds the fragment via
 // st.fragment), and fragments follow live replicas.
-func (st *distStream) materialize(workers int) error {
+func (st *distStream) materialize() error {
 	if len(st.decor) == 0 {
 		return nil
 	}
 	var rels []*relational.Relation
 	var err error
-	if st.dx != nil && st.dx.guard != nil {
-		rels, err = st.dx.guard.RunFragments("frag", len(st.base), workers, st.fragment)
+	if st.dx.guard != nil {
+		rels, err = st.dx.guard.RunFragments("frag", len(st.base), st.dx.workers, st.fragment)
 	} else {
 		var frags []relational.BatchOp
 		if frags, err = st.fragments(); err != nil {
 			return err
 		}
-		rels, err = dist.RunFragments("frag", frags, workers)
+		rels, err = dist.RunFragments("frag", frags, st.dx.workers)
 	}
 	if err != nil {
 		return err
@@ -157,8 +160,8 @@ func (st *distStream) materialize(workers int) error {
 // serial order). It relabels tags in place without moving row data —
 // the real-system analogue is a counts-only prefix exchange — so no
 // flow is charged.
-func (st *distStream) reseq(workers int) error {
-	if err := st.materialize(workers); err != nil {
+func (st *distStream) reseq() error {
+	if err := st.materialize(); err != nil {
 		return err
 	}
 	seqCol := len(st.schema)
@@ -183,106 +186,37 @@ func (st *distStream) bytes() []float64 {
 	return out
 }
 
-// pickDecor projects every shard stream to the given child columns.
-func pickDecor(schema relational.Schema, picks []int) decorFn {
-	return func(_ int, op relational.BatchOp) (relational.BatchOp, error) {
-		return pickProject(op, schema, picks)
+// filter appends a compiled filter (nil: nothing to do).
+func (st *distStream) filter(f *planFilter) {
+	if f != nil {
+		st.decor = append(st.decor, func(lw *lowerer, _ int, n execNode) (execNode, error) {
+			return lw.filter(n, f), nil
+		})
 	}
 }
 
-func pickProject(op relational.BatchOp, schema relational.Schema, picks []int) (relational.BatchOp, error) {
-	pe := make([]relational.ProjExpr, len(picks))
-	for i, idx := range picks {
-		pe[i] = relational.Pick(idx)
-	}
-	return relational.NewBatchProject(op, schema, pe)
-}
-
-// filterDecor applies kernel ranges plus a residual predicate. disps,
-// when non-nil, routes shard s's filter morsels through disps[s] — the
-// per-worker-host device dispatcher.
-func filterDecor(ranges []relational.ColRange, pred relational.Predicate, disps []*exec.Dispatcher) decorFn {
-	return func(s int, op relational.BatchOp) (relational.BatchOp, error) {
-		bf := relational.NewBatchFilter(op, ranges, pred)
-		if s < len(disps) && disps[s] != nil {
-			bf.Place(disps[s])
-		}
-		return bf, nil
-	}
-}
-
-// exprProjDecor projects to schema (which already carries the trailing
-// #seq column): exprs produce the visible columns, and the child's seq
-// column (at childSeqIdx) passes through last. disps, when non-nil,
-// places each shard's computed-expression morsels on its own devices
-// (pure pass-through projections are never placed).
-func exprProjDecor(schema relational.Schema, exprs []relational.ProjExpr, childSeqIdx int, disps []*exec.Dispatcher) decorFn {
-	pe := append(append([]relational.ProjExpr{}, exprs...), relational.Pick(childSeqIdx))
-	return func(s int, op relational.BatchOp) (relational.BatchOp, error) {
-		bp, err := relational.NewBatchProject(op, schema, pe)
-		if err != nil {
-			return nil, err
-		}
-		if s < len(disps) && disps[s] != nil && bp.ExprCount() > 0 {
-			bp.Place(disps[s])
-		}
-		return bp, nil
-	}
-}
-
-// limitDecor caps each shard's stream at n rows. Correct below a gather:
-// the merged global prefix of length n draws at most the first n rows of
-// any one shard stream.
-func limitDecor(n int) decorFn {
-	return func(_ int, op relational.BatchOp) (relational.BatchOp, error) {
-		return relational.NewBatchLimit(op, n), nil
-	}
-}
-
-// distLegPlan is one table leg's compiled shard-local fragment: prune
-// picks, then the pushed-down filter.
-type distLegPlan struct {
-	table  *dist.ShardedTable
-	prune  []int // original column indexes kept
-	schema relational.Schema
-	ranges []relational.ColRange
-	pred   relational.Predicate
-	// shardRows is the expected per-shard input cardinality, the setup
-	// amortization hint for this leg's placed kernels.
-	shardRows int
-}
-
-// stream builds the leg's distStream over its table shards.
-func (lp *distLegPlan) stream(dx *distExec) *distStream {
-	st := &distStream{base: lp.table.Shards, schema: lp.schema, cancel: dx.cancel, dx: dx}
-	picks := append(append([]int{}, lp.prune...), lp.table.SeqCol())
-	st.decor = append(st.decor, pickDecor(withSeq(lp.schema), picks))
-	if lp.ranges != nil || lp.pred != nil {
-		st.decor = append(st.decor, filterDecor(lp.ranges, lp.pred,
-			dx.dispatchers(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: lp.shardRows})))
-	}
-	return st
-}
-
-// distJoinPlan is one compiled join stage. swapped mirrors the
-// single-node build-side choice exactly, so the probe side — and with it
-// the output row order — matches the single-node engine.
-type distJoinPlan struct {
-	rightIdx          int
-	leftCol, rightCol int
-	swapped           bool
-	rightSchema       relational.Schema
-	residualRanges    []relational.ColRange
-	residualPred      relational.Predicate
+// project appends a projection to schema (visible columns only): exprs
+// produce the visible columns and the stream's seq column passes through
+// last.
+func (st *distStream) project(schema relational.Schema, exprs []relational.ProjExpr) {
+	pe := append(append([]relational.ProjExpr{}, exprs...), relational.Pick(len(st.schema)))
+	wide := withSeq(schema)
+	st.decor = append(st.decor, func(lw *lowerer, _ int, n execNode) (execNode, error) {
+		return lw.project(n, wide, pe)
+	})
+	st.schema = schema
 }
 
 // distExec carries the runtime context of one distributed execution:
-// the placement, the engine's shared fabric the run registers with, the
-// cancellation token guarding fragments and phase waits, and the
-// session's QoS identity stamped onto every flow the run charges.
+// the logical plan and each leg's shard placement, the engine whose
+// cluster and shared fabric the run registers with, the cancellation
+// token guarding fragments and phase waits, and the session's QoS
+// identity stamped onto every flow the run charges.
 type distExec struct {
-	cluster  *dist.Cluster
-	fabric   *dist.Fabric
+	lp     *logicalPlan
+	tables []*dist.ShardedTable // parallel to lp.legs
+
+	eng      *Engine
 	cancel   *relational.CancelToken
 	workers  int
 	distJoin string // "", "auto", "broadcast", "repartition"
@@ -294,29 +228,61 @@ type distExec struct {
 	// generation-wise partial-agg folds, streaming seq merge). 0 is the
 	// bulk engine, bit-identical with pre-pipeline code paths.
 	chunkRows int
-	// place holds one device placer per shard (nil on the homogeneous
-	// engine): forks of the query placer, so every simulated worker
-	// host decides morsel placement independently on its own device
-	// state while charging one query-level aggregate. shardRowHint is
-	// the planner's post-join per-shard cardinality estimate, the setup
-	// amortization hint for kernels placed above the joins (mirroring
-	// the single-node lowerer's hintRows).
-	place        []*exec.Placer
-	shardRowHint int
-	// budget is the query-level memory budget (nil on the unbudgeted
-	// engine); shardBudget holds its per-shard forks, so every simulated
-	// worker host accounts its fragment state against its own host
-	// memory while spill totals fold into the one query aggregate —
-	// exactly the placer/fork relationship, for memory.
-	budget      *relational.MemoryBudget
-	shardBudget []*relational.MemoryBudget
-	// lcm is the engine's elastic-membership manager (nil on static,
-	// failure-free clusters — the common case, which keeps every phase on
-	// the pre-lifecycle code paths bit-identically). guard is the
-	// per-execution lifecycle guard attachGuard wires to the query run:
-	// it resolves shards to live replicas and lands injected faults.
-	lcm   *lifecycle.Manager
+	// lw holds one lowerer per shard. Each carries a fork of the query's
+	// device placer and of its memory budget (nil on the homogeneous and
+	// unbudgeted engines), so every simulated worker host places morsels
+	// on its own device state and spills against its own host memory
+	// while charging the one query-level aggregate. budget is the query
+	// budget itself, which coordinator memory is charged to.
+	lw     []*lowerer
+	budget *relational.MemoryBudget
+	// guard is the per-execution lifecycle guard root wires to the query
+	// run: it resolves shards to live replicas and lands injected faults.
+	// It stays nil on static, failure-free clusters — the common case,
+	// which keeps every phase on the pre-lifecycle code paths
+	// bit-identically.
 	guard *lifecycle.Guard
+}
+
+// lowerer returns a private copy of shard s's lowerer whose placed
+// kernels amortize device setup over hint expected rows.
+func (e *distExec) lowerer(s, hint int) *lowerer {
+	lw := *e.lw[s]
+	lw.hintRows = hint
+	return &lw
+}
+
+// shardHint spreads a cardinality estimate over the shards.
+func (e *distExec) shardHint(rows int) int {
+	return (rows + len(e.lw) - 1) / len(e.lw)
+}
+
+// legStream builds leg i's stream over its table shards: prune picks,
+// then the pushed-down filter.
+func (e *distExec) legStream(i int) *distStream {
+	leg := e.lp.legs[i]
+	st := &distStream{dx: e, base: e.tables[i].Shards, schema: leg.rel.Schema, hint: e.shardHint(leg.rel.Len())}
+	prune := leg.prune
+	if prune == nil {
+		prune = identityPicks(len(leg.rel.Schema))
+	}
+	st.project(leg.schema, pickExprs(prune))
+	st.filter(leg.pushed)
+	return st
+}
+
+// front executes what every query shares: leg fragments, join
+// movements, residual filter.
+func (e *distExec) front(qr *dist.QueryRun) (*distStream, error) {
+	st := e.legStream(0)
+	for ji := range e.lp.joins {
+		var err error
+		if st, err = e.joinStage(qr, st, e.legStream(ji+1), ji); err != nil {
+			return nil, err
+		}
+	}
+	st.filter(e.lp.residual)
+	return st, nil
 }
 
 // coordinator returns the lowerer and leaf of the coordinator's
@@ -327,23 +293,14 @@ type distExec struct {
 // row engine. Under a memory budget the row engine stays throughout: its
 // accounting-only spill model is what coordinator memory is priced with.
 func (e *distExec) coordinator(rel *relational.Relation, ordered bool) (*lowerer, execNode) {
+	lw := &lowerer{budget: e.budget}
 	if e.batchCoordinator(ordered) {
-		return &lowerer{parallel: true, workers: e.workers}, execNode{bat: relational.NewBatchScan(rel)}
+		lw = &lowerer{parallel: true, workers: e.workers}
 	}
-	return &lowerer{budget: e.budget}, execNode{row: relational.NewScan(rel)}
+	return lw, lw.scan(rel)
 }
 
 func (e *distExec) batchCoordinator(ordered bool) bool { return ordered && e.budget == nil }
-
-// attachGuard wires the execution into the elastic cluster view: the
-// guard installs itself as qr's host resolver and every later phase and
-// fragment round routes through it. A nil manager leaves the run on the
-// static placement.
-func (e *distExec) attachGuard(qr *dist.QueryRun) {
-	if e.lcm != nil {
-		e.guard = e.lcm.NewGuard(qr)
-	}
-}
 
 // runPhase routes one bulk movement phase through the lifecycle guard
 // when one is active (fault injection, replica-aware endpoints) and
@@ -364,39 +321,47 @@ func (e *distExec) runPipelined(qr *dist.QueryRun, name string, chunks []dist.Ch
 	return qr.RunPipelined(name, chunks, class, weightScale, consume)
 }
 
-// dispatchers builds one per-shard dispatcher for a kernel, or nil on
-// the homogeneous engine. Each distStream decorator that lowers a
-// placeable operator calls it once, so a shard's partitions share one
-// dispatcher exactly as on the single-node engine.
-func (e *distExec) dispatchers(cfg exec.Dispatch) []*exec.Dispatcher {
-	if e.place == nil {
-		return nil
-	}
-	out := make([]*exec.Dispatcher, len(e.place))
-	for i, p := range e.place {
-		out[i] = p.Dispatcher(cfg)
-	}
-	return out
-}
-
-// finishStats finalizes a run's network stats and folds in the modeled
-// out-of-core I/O time the shard budgets accumulated (zero-valued on the
-// unbudgeted engine).
-func (e *distExec) finishStats(qr *dist.QueryRun) *dist.QueryStats {
-	qs := qr.Finish()
-	if e.budget != nil {
-		sp := e.budget.Stats()
-		qs.SpillSeconds = sp.WriteSeconds + sp.ReadSeconds
-	}
-	return qs
-}
-
-// newQuery registers one execution with the shared fabric under the
-// session's QoS identity. Callers must Close (or Finish) the returned
-// run on every path: an abandoned registration would park concurrent
-// queries at the admission barrier.
-func (e *distExec) newQuery() *dist.QueryRun {
-	return e.fabric.NewQueryQoS(e.cancel, e.class, e.weight)
+// root installs the lazy root of the distributed plan. Pulling it runs
+// the whole execution: the shared front, then tail — which lowers the
+// last shard-local stage, charges the gather and returns the
+// coordinator's operator tree — then the drain of that tree.
+func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*dist.QueryRun, *distStream) (relational.Op, error)) *Planned {
+	root := &distRoot{schema: schema, run: func() (*relational.Relation, *dist.QueryStats, error) {
+		// Register with the shared fabric under the session's QoS
+		// identity, and Close on every path: an abandoned registration —
+		// a run that errors out mid-phase, say — would park concurrent
+		// queries at the admission barrier forever.
+		qr := e.eng.fabric.NewQueryQoS(e.cancel, e.class, e.weight)
+		defer qr.Close()
+		// With an elastic cluster view, the guard installs itself as qr's
+		// host resolver and every later phase and fragment round routes
+		// through it; a nil manager leaves the run on the static placement.
+		if e.eng.lcm != nil {
+			e.guard = e.eng.lcm.NewGuard(qr)
+		}
+		st, err := e.front(qr)
+		if err != nil {
+			return nil, nil, err
+		}
+		op, err := tail(qr, st)
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := relational.Collect(op, "result")
+		if err != nil {
+			return nil, nil, err
+		}
+		// Fold in the modeled out-of-core I/O time the shard budgets
+		// accumulated beside the network time.
+		qs := qr.Finish()
+		if e.budget != nil {
+			sp := e.budget.Stats()
+			qs.SpillSeconds = sp.WriteSeconds + sp.ReadSeconds
+		}
+		return res, qs, nil
+	}}
+	p.dist, p.Root = root, root
+	return p
 }
 
 // chooseMovement picks broadcast vs repartition for one join by pricing
@@ -405,14 +370,15 @@ func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
 	if e.distJoin == "broadcast" || e.distJoin == "repartition" {
 		return e.distJoin
 	}
-	s := float64(e.cluster.Shards())
+	cluster := e.eng.cluster
+	s := float64(cluster.Shards())
 	bcast := make([]float64, len(buildBytes))
 	repart := make([]float64, len(buildBytes))
 	for i := range buildBytes {
 		bcast[i] = buildBytes[i] * (s - 1)
 		repart[i] = (buildBytes[i] + probeBytes[i]) * (s - 1) / s
 	}
-	if e.cluster.EstimateFanoutSeconds(bcast) <= e.cluster.EstimateFanoutSeconds(repart) {
+	if cluster.EstimateFanoutSeconds(bcast) <= cluster.EstimateFanoutSeconds(repart) {
 		return "broadcast"
 	}
 	return "repartition"
@@ -421,28 +387,28 @@ func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
 // joinStage runs one join's data movement and appends the join decorator:
 // the probe side's stream (and seq lineage) becomes the new current
 // stream, exactly as the single-node probe side drives its output order.
-func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStream, jp *distJoinPlan, ji int) (*distStream, error) {
-	if err := st.materialize(e.workers); err != nil {
+func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStream, ji int) (*distStream, error) {
+	jp := &e.lp.joins[ji]
+	if err := st.materialize(); err != nil {
 		return nil, err
 	}
 	if st.joined {
 		// The current stream is about to move (or serve as a merged
 		// build side); restore unique seq tags first.
-		if err := st.reseq(e.workers); err != nil {
+		if err := st.reseq(); err != nil {
 			return nil, err
 		}
 	}
-	if err := right.materialize(e.workers); err != nil {
+	if err := right.materialize(); err != nil {
 		return nil, err
 	}
-	l, r := len(st.schema), len(jp.rightSchema)
-	combined := append(append(relational.Schema{}, st.schema...), jp.rightSchema...)
-	cancel := st.cancel
+	l, r := len(st.schema), len(right.schema)
+	combined := append(append(relational.Schema{}, st.schema...), right.schema...)
 
-	// Normalize to build/probe roles, mirroring the single-node planner:
-	// default build = current stream, probe = right leg; swapped flips
-	// both. The probe side stays partitioned and its seq lineage defines
-	// the output order.
+	// Normalize to build/probe roles exactly as the single-node lowering
+	// does: default build = current stream, probe = right leg; swapped
+	// flips both. The probe side stays partitioned and its seq lineage
+	// defines the output order.
 	build, probe := st, right
 	buildCol, probeCol := jp.leftCol, jp.rightCol
 	if jp.swapped {
@@ -452,12 +418,13 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 	buildWidth := len(build.schema)
 	movement := e.chooseMovement(build.bytes(), probe.bytes())
 
-	// buildFor lowers shard s's build stream (the bulk path); preFor,
-	// when set instead, yields the incrementally appended hash table the
-	// pipelined movement already filled (see RunPipelined below).
-	var buildFor func(s int) (relational.BatchOp, error)
+	// buildFor lowers shard s's landed build stream (the bulk path);
+	// preFor, when set instead, yields the incrementally appended hash
+	// table the pipelined movement already filled (see RunPipelined
+	// below).
+	var buildFor func(lw *lowerer, s int) (execNode, error)
 	var preFor func(s int) *relational.HashBuild
-	out := &distStream{schema: combined, cancel: cancel, joined: true, dx: e}
+	out := &distStream{dx: e, schema: combined, hint: e.shardHint(jp.size), joined: true}
 	switch {
 	case movement == "broadcast" && e.chunkRows > 0:
 		// Pipelined replication: the merged build side streams out in
@@ -489,9 +456,7 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 			return nil, err
 		}
 		out.base = probe.base
-		buildFor = func(int) (relational.BatchOp, error) {
-			return relational.NewBatchScan(buildRel), nil
-		}
+		buildFor = func(lw *lowerer, _ int) (execNode, error) { return lw.scan(buildRel), nil }
 	case e.chunkRows > 0:
 		// Pipelined shuffle: both sides' buckets move in seq-rank chunks
 		// (build transfers ahead of probe transfers within each chunk,
@@ -560,66 +525,29 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 			return nil, err
 		}
 		out.base = probeB
-		buildVisible := build.schema
-		buildFor = func(s int) (relational.BatchOp, error) {
-			return pickProject(relational.NewBatchScan(buildB[s]), buildVisible, identityPicks(buildWidth))
+		// Landed buckets still carry their seq column; strip it.
+		buildVisible, picks := build.schema, pickExprs(identityPicks(buildWidth))
+		buildFor = func(lw *lowerer, s int) (execNode, error) {
+			return lw.project(lw.scan(buildB[s]), buildVisible, picks)
 		}
 	}
-	workers, swapped := e.workers, jp.swapped
-	out.decor = append(out.decor, func(s int, op relational.BatchOp) (relational.BatchOp, error) {
-		var jn *relational.BatchHashJoin
+	out.decor = append(out.decor, func(lw *lowerer, s int, n execNode) (execNode, error) {
+		var jn execNode
+		var err error
 		if preFor != nil {
-			var err error
-			jn, err = relational.NewBatchHashJoinPrebuilt(preFor(s), op, probeCol, workers)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			bop, err := buildFor(s)
-			if err != nil {
-				return nil, err
-			}
-			jn, err = relational.NewBatchHashJoin(bop, op, buildCol, probeCol, workers)
-			if err != nil {
-				return nil, err
-			}
+			jn, err = lw.hashJoinPrebuilt(preFor(s), n, probeCol)
+		} else if jn, err = buildFor(lw, s); err == nil {
+			jn, err = lw.hashJoin(jn, n, buildCol, probeCol)
 		}
-		if s < len(e.shardBudget) && e.shardBudget[s] != nil {
-			jn.SetBudget(e.shardBudget[s])
+		if err != nil || !jp.swapped {
+			// Unswapped output is left ++ (right ++ seq): already canonical.
+			return jn, err
 		}
-		if !swapped {
-			// Output is left ++ (right ++ seq): already canonical.
-			return jn, nil
-		}
-		// Restore canonical column order: right ++ left ++ seq becomes
-		// left ++ right ++ seq.
-		picks := make([]int, 0, l+r+1)
-		for i := 0; i < l; i++ {
-			picks = append(picks, r+i)
-		}
-		for i := 0; i < r; i++ {
-			picks = append(picks, i)
-		}
-		picks = append(picks, r+l)
-		return pickProject(jn, withSeq(combined), picks)
+		// right ++ left ++ seq becomes left ++ right ++ seq.
+		return reorderColumns(lw, jn, r, l)
 	})
-	if jp.residualRanges != nil || jp.residualPred != nil {
-		out.decor = append(out.decor, filterDecor(jp.residualRanges, jp.residualPred,
-			e.dispatchers(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: e.shardRowHint})))
-	}
+	out.filter(jp.rest)
 	return out, nil
-}
-
-// countComputed reports how many projection outputs are computed
-// expressions (not pass-through picks) — the placed kernel's width.
-func countComputed(pe []relational.ProjExpr) int {
-	c := 0
-	for _, e := range pe {
-		if e.Col < 0 {
-			c++
-		}
-	}
-	return c
 }
 
 func identityPicks(n int) []int {
@@ -630,204 +558,77 @@ func identityPicks(n int) []int {
 	return out
 }
 
-// planDistStmt is the distributed counterpart of planStmt. All analysis
-// and compilation happens at plan time (so Plan surfaces errors and
-// Explain describes the shape); data movement and fragment execution run
-// lazily when the plan's root is first pulled.
-func (pl *planner) planDistStmt(stmt *SelectStmt) (*Planned, error) {
-	switch pl.cfg.DistJoin {
-	case "", "auto", "broadcast", "repartition":
-	default:
-		return nil, fmt.Errorf("sql: unknown DistJoin strategy %q", pl.cfg.DistJoin)
-	}
-	cluster, fabric, err := pl.eng.clusterFor(pl.cfg)
+// planDist lowers the logical plan for shard-parallel execution. All
+// compilation happens here, at plan time; data movement and fragment
+// execution run lazily when the plan's root is first pulled.
+func (pl *planner) planDist(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Planned, error) {
+	dx, err := pl.newDistExec(lp, p)
 	if err != nil {
 		return nil, err
 	}
-	shards := cluster.Shards()
-	workers := pl.cfg.Workers
-	p := &Planned{TaggedOps: map[string]relational.Op{}}
-	shardHow := "range"
+	if stmt.HasAggregates() {
+		return pl.planDistAggregate(stmt, p, dx)
+	}
+	return pl.planDistSimple(stmt, p, dx)
+}
+
+// newDistExec builds the execution context of lp: shard placements, the
+// per-shard lowerers, and the Explain lines up to the aggregate or
+// projection.
+func (pl *planner) newDistExec(lp *logicalPlan, p *Planned) (*distExec, error) {
+	// The engine's own DistJoin was checked at NewEngine; a session
+	// override (tenants.json dist_join) is checked nowhere else.
+	if err := checkDistJoin(pl.cfg.DistJoin); err != nil {
+		return nil, err
+	}
+	eng := pl.eng
+	shards := eng.cluster.Shards()
+	shardHow, movement := "range", pl.cfg.DistJoin
 	if pl.cfg.ShardHash {
 		shardHow = "hash"
 	}
+	if movement == "" {
+		movement = "auto"
+	}
 	p.Steps = append(p.Steps, fmt.Sprintf("engine: distributed (%d shards, %s-sharded, %s fabric; batch fragments, %d workers/host)",
-		shards, shardHow, cluster.Topology, relational.EffectiveWorkers(workers)))
-
-	legs, err := pl.resolveLegs(stmt)
-	if err != nil {
-		return nil, err
-	}
-	if !stmt.Star {
-		refs := collectQueryCols(stmt)
-		for _, leg := range legs {
-			pruneLeg(leg, refs)
-		}
-	}
-
-	// Pushdown split and size estimates come from the same helpers the
-	// single-node planner uses: the distributed plan must mirror its
-	// build-side choice to keep probe-side output order identical.
-	residual := pl.splitWhere(stmt, legs)
-
-	legPlans := make([]*distLegPlan, len(legs))
-	legSizes := make([]int, len(legs))
-	for i, leg := range legs {
-		lp := &distLegPlan{table: pl.eng.shardedTable(leg.rel, shards, pl.cfg.ShardHash), schema: leg.schema}
-		if leg.prune != nil {
-			lp.prune = leg.prune
-			p.Steps = append(p.Steps, fmt.Sprintf("prune %s to %d/%d columns", leg.alias, len(leg.prune), len(leg.rel.Schema)))
-		} else {
-			lp.prune = identityPicks(len(leg.rel.Schema))
-		}
-		if len(leg.filter) > 0 {
-			sc := &scope{}
-			sc.addTable(leg.alias, leg.schema, 0)
-			lp.ranges, lp.pred, err = lowerBatchFilter(sc, joinConjuncts(leg.filter))
-			if err != nil {
-				return nil, err
-			}
-			p.Steps = append(p.Steps, fmt.Sprintf("pushdown filter on %s below shuffle: %s", leg.alias, joinConjuncts(leg.filter).Render()))
-		}
-		lp.shardRows = (leg.rel.Len() + shards - 1) / shards
-		legPlans[i] = lp
-		legSizes[i] = legSizeEstimate(leg)
-		p.Steps = append(p.Steps, fmt.Sprintf("scan %s as %s (%d rows over %d shards)", leg.rel.Name, leg.alias, leg.rel.Len(), shards))
-	}
-
-	// Left-deep joins, with the single-node build-side rule.
-	curScope := &scope{}
-	curScope.addTable(legs[0].alias, legs[0].schema, 0)
-	curWidth := len(legs[0].schema)
-	curSize := legSizes[0]
-	joinPlans := make([]*distJoinPlan, 0, len(stmt.Joins))
-	for ji, j := range stmt.Joins {
-		leg := legs[ji+1]
-		rightScope := &scope{}
-		rightScope.addTable(leg.alias, leg.schema, 0)
-		leftCol, rightCol, rest, err := pl.splitJoinOn(j.On, curScope, rightScope)
-		if err != nil {
-			return nil, err
-		}
-		jp := &distJoinPlan{
-			rightIdx: ji + 1, leftCol: leftCol, rightCol: rightCol,
-			swapped:     pl.buildOnRight(legSizes[ji+1], curSize),
-			rightSchema: leg.schema,
-		}
-		curScope.addTable(leg.alias, leg.schema, curWidth)
-		curWidth += len(leg.schema)
-		if rest != nil {
-			jp.residualRanges, jp.residualPred, err = lowerBatchFilter(curScope, rest)
-			if err != nil {
-				return nil, err
-			}
-			p.Steps = append(p.Steps, "post-join filter: "+rest.Render())
-		}
-		curSize = advanceJoinSize(curSize, legSizes[ji+1], leg.rel.Len())
-		joinPlans = append(joinPlans, jp)
-		movement := pl.cfg.DistJoin
-		if movement == "" {
-			movement = "auto"
-		}
-		p.Steps = append(p.Steps, fmt.Sprintf("hash join #%d on %s (build=%s, movement=%s)",
-			ji, j.On.Render(), map[bool]string{true: leg.alias, false: "left"}[jp.swapped], movement))
-	}
-
-	var resRanges []relational.ColRange
-	var resPred relational.Predicate
-	if len(residual) > 0 {
-		resRanges, resPred, err = lowerBatchFilter(curScope, joinConjuncts(residual))
-		if err != nil {
-			return nil, err
-		}
-		p.Steps = append(p.Steps, "filter: "+joinConjuncts(residual).Render())
-	}
-
-	var combined relational.Schema
-	for _, leg := range legs {
-		combined = append(combined, leg.schema...)
-	}
+		shards, shardHow, eng.cluster.Topology, relational.EffectiveWorkers(pl.cfg.Workers)))
+	p.Steps = append(p.Steps, lp.frontSteps(shards, movement)...)
 
 	dx := &distExec{
-		cluster: cluster, fabric: fabric, cancel: pl.cancel,
-		workers: workers, distJoin: pl.cfg.DistJoin,
+		lp: lp, eng: eng, cancel: pl.cancel,
+		workers: pl.cfg.Workers, distJoin: pl.cfg.DistJoin,
 		class: pl.class, weight: pl.weight,
 		chunkRows: pl.cfg.PipelineChunkRows,
-		lcm:       pl.eng.Lifecycle(),
+	}
+	for _, leg := range lp.legs {
+		dx.tables = append(dx.tables, eng.shardedTable(leg.rel))
 	}
 	if dx.chunkRows > 0 {
 		p.Steps = append(p.Steps, fmt.Sprintf("pipeline: chunked movement (%d rows/chunk, eager sub-rounds; gather weight x%d)",
 			dx.chunkRows, dist.GatherWeightBoost))
 	}
-	// Heterogeneous placement: the query placer forks once per shard, so
-	// each simulated worker host places its fragment morsels
-	// independently (own FPGA configuration state) while charging the
-	// one query-level Result.Devices aggregate.
-	placer, err := pl.heteroPlacer()
-	if err != nil {
+	if err := pl.resources(p, true, " (independent per-shard placement)", " (independent per-shard budgets)"); err != nil {
 		return nil, err
 	}
-	if placer != nil {
-		p.placer = placer
-		dx.place = make([]*exec.Placer, shards)
-		for i := range dx.place {
-			dx.place[i] = placer.Fork()
+	dx.budget = p.budget
+	dx.lw = make([]*lowerer, shards)
+	for s := range dx.lw {
+		lw := &lowerer{parallel: true, workers: dx.workers, cancel: pl.cancel}
+		if p.placer != nil {
+			lw.placer = p.placer.Fork()
 		}
-		p.Steps = append(p.Steps, fmt.Sprintf("hetero: %s (independent per-shard placement)", placer))
+		lw.budget = p.budget.Fork()
+		dx.lw[s] = lw
 	}
-	// Out-of-core budgeting: the query budget forks once per shard, so
-	// each simulated worker host spills against its own host memory
-	// while the query reports one spill total (Result.Spill) and one
-	// SpillSeconds line in its network stats.
-	budget, err := pl.spillBudget()
-	if err != nil {
-		return nil, err
-	}
-	if budget != nil {
-		p.budget, dx.budget = budget, budget
-		dx.shardBudget = make([]*relational.MemoryBudget, shards)
-		for i := range dx.shardBudget {
-			dx.shardBudget[i] = budget.Fork()
-		}
-		p.Steps = append(p.Steps, fmt.Sprintf("spill: %s (independent per-shard budgets)", budget))
-	}
-	// runJoins executes the shared front of the query: leg fragments,
-	// join movements, residual filter.
-	runJoins := func(qr *dist.QueryRun) (*distStream, error) {
-		st := legPlans[0].stream(dx)
-		for ji, jp := range joinPlans {
-			var err error
-			st, err = dx.joinStage(qr, st, legPlans[jp.rightIdx].stream(dx), jp, ji)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if resRanges != nil || resPred != nil {
-			st.decor = append(st.decor, filterDecor(resRanges, resPred,
-				dx.dispatchers(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: dx.shardRowHint})))
-		}
-		return st, nil
-	}
-
-	if stmt.HasAggregates() {
-		return pl.planDistAggregate(stmt, p, curScope, combined, dx, runJoins)
-	}
-	if stmt.Having != nil {
-		return nil, fmt.Errorf("sql: HAVING requires aggregation")
-	}
-	return pl.planDistSimple(stmt, p, curScope, combined, dx, runJoins)
+	return dx, nil
 }
 
 // planDistAggregate splits the aggregate: per-shard partials over the
 // pre-projection (pushed below the gather), a partial-state gather, and
 // the coordinator's first-seen merge feeding the single-node post-plan
 // (HAVING / ORDER BY / projection / LIMIT).
-func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, combined relational.Schema,
-	dx *distExec, runJoins func(*dist.QueryRun) (*distStream, error)) (*Planned, error) {
-	if stmt.Star {
-		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
-	}
-	ap, err := buildAggPlan(stmt, sc, combined)
+func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
+	ap, err := buildAggPlan(stmt, dx.lp.scope, dx.lp.schema)
 	if err != nil {
 		return nil, err
 	}
@@ -840,9 +641,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 
 	// Dry-run the coordinator plan: surfaces compile errors at plan time
 	// and yields the output schema and the coordinator's step lines.
-	dry := &Planned{TaggedOps: map[string]relational.Op{}}
 	dryLw, dryLeaf := dx.coordinator(relational.NewRelation("agg", aggOutSchema), len(stmt.OrderBy) > 0)
-	dry, err = pl.finishAggregate(stmt, dry, dryLw, dryLeaf, ap)
+	dry, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, dryLw, dryLeaf, ap)
 	if err != nil {
 		return nil, err
 	}
@@ -850,27 +650,23 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		p.Steps = append(p.Steps, "coordinator "+s)
 	}
 
-	run := func() (*relational.Relation, *dist.QueryStats, error) {
-		qr := dx.newQuery()
-		// Close on every path: a run that errors out mid-phase must still
-		// deregister from the shared fabric, or concurrent queries would
-		// wait for it at the admission barrier forever.
-		defer qr.Close()
-		dx.attachGuard(qr)
-		st, err := runJoins(qr)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.decor = append(st.decor, exprProjDecor(withSeq(ap.preSchema), ap.pre, len(st.schema),
-			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(ap.pre)})))
+	return dx.root(p, dry.Root.Schema(), func(qr *dist.QueryRun, st *distStream) (relational.Op, error) {
+		st.project(ap.preSchema, ap.pre)
 		frags, err := st.fragments()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		partials, err := dist.RunPartialAggs(frags, ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers,
-			dx.dispatchers(exec.Dispatch{Kind: exec.AggWork, ExpectedRows: dx.shardRowHint}), dx.shardBudget)
+		// Each shard's aggregation dispatcher and budget (nil entries on
+		// the homogeneous and unbudgeted engines).
+		disps := make([]*exec.Dispatcher, len(dx.lw))
+		budgets := make([]*relational.MemoryBudget, len(dx.lw))
+		for s := range dx.lw {
+			lw := dx.lowerer(s, st.hint)
+			disps[s], budgets[s] = lw.dispatcher(exec.AggWork, 0), lw.budget
+		}
+		partials, err := dist.RunPartialAggs(frags, ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		var merged *relational.PartialAgg
 		if dx.chunkRows > 0 {
@@ -898,7 +694,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 			}
 			chunks := dist.PartialGatherChunks(subs)
 			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			merged = acc[0]
 			for _, pa := range acc[1:] {
@@ -910,7 +706,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 				bytes[i] = pa.EncodedBytes()
 			}
 			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(bytes), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			merged = partials[0]
 			for _, pa := range partials[1:] {
@@ -919,23 +715,15 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 		}
 		aggRel := relational.NewRelation("agg", aggOutSchema)
 		aggRel.Rows = merged.EmitRows(aggOutSchema, true)
-		fin := &Planned{TaggedOps: map[string]relational.Op{}}
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
 		lw, leaf := dx.coordinator(aggRel, len(stmt.OrderBy) > 0)
-		fin, err = pl.finishAggregate(stmt, fin, lw, leaf, ap)
+		fin, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, lw, leaf, ap)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		res, err := relational.Collect(fin.Root, "result")
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, dx.finishStats(qr), nil
-	}
-	root := &distRoot{schema: dry.Root.Schema(), run: run}
-	p.dist, p.Root = root, root
-	return p, nil
+		return fin.Root, nil
+	}), nil
 }
 
 // planDistSimple handles non-aggregate queries: the final projection (and
@@ -943,12 +731,9 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, sc *scope, co
 // coordinator merges by seq — exactly the serial row order — then sorts,
 // strips keys and applies LIMIT. Without ORDER BY each shard also caps
 // its stream at LIMIT locally.
-func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combined relational.Schema,
-	dx *distExec, runJoins func(*dist.QueryRun) (*distStream, error)) (*Planned, error) {
-	items := stmt.Items
-	if stmt.Star {
-		items = starItems(stmt, sc)
-	}
+func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
+	sc, combined := dx.lp.scope, dx.lp.schema
+	items := selectItems(stmt, sc)
 	itemSchema, itemExprs, err := compileItems(items, sc, combined)
 	if err != nil {
 		return nil, err
@@ -963,35 +748,28 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 	// The coordinator's strip projection only drops the key columns, so
 	// ORDER BY + LIMIT there is one top-k wherever the engine allows it.
 	topK := stmt.Limit >= 0 && dx.batchCoordinator(len(keyCols) > 0)
-	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard")
-	switch {
-	case topK:
-		p.Steps = append(p.Steps, fmt.Sprintf("gather to coordinator (seq-ordered merge); top-k %d", stmt.Limit))
-	case len(keyCols) > 0:
-		p.Steps = append(p.Steps, "gather to coordinator (seq-ordered merge); sort")
-	default:
-		p.Steps = append(p.Steps, "gather to coordinator (seq-ordered merge)")
+	gather := "gather to coordinator (seq-ordered merge)"
+	if topK {
+		gather += fmt.Sprintf("; top-k %d", stmt.Limit)
+	} else if len(keyCols) > 0 {
+		gather += "; sort"
 	}
+	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard", gather)
 	if stmt.Limit >= 0 && !topK {
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
-	run := func() (*relational.Relation, *dist.QueryStats, error) {
-		qr := dx.newQuery()
-		defer qr.Close() // deregister from the shared fabric on error paths
-		dx.attachGuard(qr)
-		st, err := runJoins(qr)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.decor = append(st.decor, exprProjDecor(withSeq(wideSchema), wideExprs, len(st.schema),
-			dx.dispatchers(exec.Dispatch{Kind: exec.ProjectWork, ExpectedRows: dx.shardRowHint, Width: countComputed(wideExprs)})))
-		st.schema = wideSchema
+	return dx.root(p, itemSchema, func(qr *dist.QueryRun, st *distStream) (relational.Op, error) {
+		st.project(wideSchema, wideExprs)
 		if len(keyCols) == 0 && stmt.Limit >= 0 {
-			st.decor = append(st.decor, limitDecor(stmt.Limit))
+			// Correct below a gather: the merged global prefix of length n
+			// draws at most the first n rows of any one shard stream.
+			st.decor = append(st.decor, func(lw *lowerer, _ int, n execNode) (execNode, error) {
+				return lw.limit(n, stmt.Limit), nil
+			})
 		}
-		if err := st.materialize(dx.workers); err != nil {
-			return nil, nil, err
+		if err := st.materialize(); err != nil {
+			return nil, err
 		}
 		seqCol := len(wideSchema)
 		var merged *relational.Relation
@@ -1009,44 +787,29 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, sc *scope, combi
 				return nil
 			}
 			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		} else {
 			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			merged = dist.MergeBySeq("gathered", st.base, seqCol, true)
 		}
 		lw, cur := dx.coordinator(merged, len(keyCols) > 0)
 		limit := stmt.Limit
 		if len(keyCols) > 0 {
-			keys := make([]relational.SortKey, len(keyCols))
-			for ki := range keyCols {
-				keys[ki] = relational.SortKey{Col: len(itemSchema) + ki, Desc: descs[ki]}
-			}
 			k := -1
 			if topK {
 				k, limit = limit, -1
 			}
-			if cur, err = lw.sort(cur, keys, k); err != nil {
-				return nil, nil, err
-			}
-			// Strip the key columns again.
-			if cur, err = lw.project(cur, itemSchema, pickExprs(identityPicks(len(itemSchema)))); err != nil {
-				return nil, nil, err
+			var err error
+			if cur, err = sortByTrailingKeys(lw, cur, descs, k); err != nil {
+				return nil, err
 			}
 		}
 		if limit >= 0 {
 			cur = lw.limit(cur, limit)
 		}
-		op := lw.finish(cur)
-		res, err := relational.Collect(op, "result")
-		if err != nil {
-			return nil, nil, err
-		}
-		return res, dx.finishStats(qr), nil
-	}
-	root := &distRoot{schema: itemSchema, run: run}
-	p.dist, p.Root = root, root
-	return p, nil
+		return lw.finish(cur), nil
+	}), nil
 }

@@ -7,9 +7,9 @@ import (
 	"repro/internal/relational"
 )
 
-// distDB returns a DemoDB configured for distributed execution.
-func distDB(seed uint64, rows, customers, shards int, hash bool) *DB {
-	db := DemoDB(seed, rows, customers)
+// distDB returns a demoDB configured for distributed execution.
+func distDB(seed uint64, rows, customers, shards int, hash bool) *testDB {
+	db := demoDB(seed, rows, customers)
 	db.Opt.Distributed = true
 	db.Opt.Shards = shards
 	db.Opt.ShardHash = hash
@@ -21,7 +21,7 @@ func distDB(seed uint64, rows, customers, shards int, hash bool) *DB {
 // identical output to the serial row engine across shard counts 1/2/8
 // under both range and hash table sharding.
 func TestDistributedMatchesSingleNode(t *testing.T) {
-	serialDB := DemoDB(7, 5000, 120)
+	serialDB := demoDB(7, 5000, 120)
 	for _, hash := range []bool{false, true} {
 		for _, shards := range []int{1, 2, 8} {
 			db := distDB(7, 5000, 120, shards, hash)
@@ -35,7 +35,7 @@ func TestDistributedMatchesSingleNode(t *testing.T) {
 // TestDistributedJoinStrategies pins parity under both forced join
 // movements — broadcast and hash repartition — for every join query.
 func TestDistributedJoinStrategies(t *testing.T) {
-	serialDB := DemoDB(7, 4000, 100)
+	serialDB := demoDB(7, 4000, 100)
 	joinQueries := []string{
 		"SELECT COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id",
 		"SELECT c.segment, SUM(s.price * (1 - s.discount)) AS net FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment ORDER BY net DESC",
@@ -55,7 +55,7 @@ func TestDistributedJoinStrategies(t *testing.T) {
 
 // skewDB builds a catalog whose fact table concentrates ~half its rows
 // on one join/group key, so hash repartitioning piles them on one shard.
-func skewDB() *DB {
+func skewDB() *testDB {
 	facts := relational.NewRelation("facts", relational.Schema{
 		{Name: "id", Type: relational.Int},
 		{Name: "key", Type: relational.Int},
@@ -77,7 +77,7 @@ func skewDB() *DB {
 	for k := 0; k < 37; k++ {
 		dims.MustAppend(relational.Row{relational.IntV(int64(k)), relational.StringV(strings.Repeat("x", k%5+1))})
 	}
-	db := NewDB()
+	db := newTestDB()
 	db.Register(facts)
 	db.Register(dims)
 	return db
@@ -110,7 +110,7 @@ func TestDistributedSkewedKeys(t *testing.T) {
 // TestDistributedEmptyShards: tables smaller than the shard count leave
 // shards empty; results must not change.
 func TestDistributedEmptyShards(t *testing.T) {
-	serialDB := DemoDB(11, 5, 3)
+	serialDB := demoDB(11, 5, 3)
 	for _, hash := range []bool{false, true} {
 		db := distDB(11, 5, 3, 8, hash)
 		for _, q := range parityQueries {
@@ -134,7 +134,7 @@ func TestDistributedEmptyTables(t *testing.T) {
 // second join moves a stream whose seq tags were duplicated by the
 // first join's fan-out.
 func TestDistributedThreeTableJoin(t *testing.T) {
-	build := func() *DB {
+	build := func() *testDB {
 		a := relational.NewRelation("a", relational.Schema{
 			{Name: "ak", Type: relational.Int}, {Name: "av", Type: relational.Int},
 		})
@@ -153,7 +153,7 @@ func TestDistributedThreeTableJoin(t *testing.T) {
 		for i := 0; i < 7; i++ {
 			c.MustAppend(relational.Row{relational.IntV(int64(i)), relational.IntV(int64(i * 100))})
 		}
-		db := NewDB()
+		db := newTestDB()
 		db.Register(a)
 		db.Register(b)
 		db.Register(c)
@@ -181,7 +181,7 @@ func TestDistributedThreeTableJoin(t *testing.T) {
 // TestDistributedTopologies: every fabric builder must route the query's
 // flows and preserve parity.
 func TestDistributedTopologies(t *testing.T) {
-	serialDB := DemoDB(13, 2000, 60)
+	serialDB := demoDB(13, 2000, 60)
 	q := "SELECT region, COUNT(*) AS n, SUM(price) AS total FROM sales GROUP BY region ORDER BY total DESC"
 	for _, topoName := range []string{"leafspine", "single", "fattree", "torus"} {
 		db := distDB(13, 2000, 60, 4, false)
@@ -359,7 +359,7 @@ func TestDistributedSeesAppends(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		rel.MustAppend(relational.Row{relational.IntV(int64(i))})
 	}
-	db := NewDB()
+	db := newTestDB()
 	db.Register(rel)
 	db.Opt.Distributed = true
 	db.Opt.Shards = 4

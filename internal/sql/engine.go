@@ -141,21 +141,10 @@ type Config struct {
 	Faults *lifecycle.FaultPlan
 }
 
-// Options is the former name of Config.
-//
-// Deprecated: use Config with NewEngine; Options survives for the
-// deprecated DB wrapper.
-type Options = Config
-
 // DefaultConfig enables every optimizer rule and the batch engine.
 func DefaultConfig() Config {
 	return Config{Pushdown: true, BuildSideSwap: true, ConstantFolding: true, Parallel: true}
 }
-
-// DefaultOptions is the former name of DefaultConfig.
-//
-// Deprecated: use DefaultConfig.
-func DefaultOptions() Options { return DefaultConfig() }
 
 // Engine owns everything queries share: the catalog of registered
 // relations, the planner configuration, and — in distributed mode — one
@@ -169,19 +158,19 @@ func DefaultOptions() Options { return DefaultConfig() }
 // An Engine is safe for concurrent use; create Sessions to run queries.
 type Engine struct {
 	cfg Config
-
-	mu      sync.RWMutex
-	tables  map[string]*relational.Relation
-	sharded map[string]*dist.ShardedTable
+	// cluster and fabric exist in distributed mode only. lcm is the
+	// elastic-membership manager, non-nil only when Replication > 1 or a
+	// fault plan is installed — the nil case keeps every query on the
+	// pre-lifecycle code paths. All three are set once in NewEngine and
+	// read without locking.
 	cluster *dist.Cluster
 	fabric  *dist.Fabric
-	// lcm is the elastic-membership manager, non-nil only when
-	// Replication > 1 or a fault plan is installed — the nil case keeps
-	// every query on the pre-lifecycle code paths.
-	lcm *lifecycle.Manager
-	// clusterKey caches which (topology, shards, replication) triple
-	// cluster serves.
-	clusterKey string
+	lcm     *lifecycle.Manager
+
+	mu     sync.RWMutex
+	tables map[string]*relational.Relation
+	// sharded caches each table's shard placement by lowercased name.
+	sharded map[string]*dist.ShardedTable
 	// epoch counts catalog mutations (see CatalogEpoch).
 	epoch uint64
 	// dataEpochs counts per-table data mutations — appends bump them
@@ -198,10 +187,8 @@ type Engine struct {
 // mode the cluster and its shared fabric are built eagerly, so topology
 // errors surface here rather than at the first query.
 func NewEngine(cfg Config) (*Engine, error) {
-	switch cfg.DistJoin {
-	case "", "auto", "broadcast", "repartition":
-	default:
-		return nil, fmt.Errorf("sql: unknown DistJoin strategy %q", cfg.DistJoin)
+	if err := checkDistJoin(cfg.DistJoin); err != nil {
+		return nil, err
 	}
 	if err := exec.ValidateConfig(cfg.Devices, cfg.Placement); err != nil {
 		return nil, err
@@ -218,25 +205,40 @@ func NewEngine(cfg Config) (*Engine, error) {
 	if (cfg.Replication > 1 || cfg.Faults != nil) && !cfg.Distributed {
 		return nil, fmt.Errorf("sql: Replication/Faults require Distributed mode")
 	}
-	e := newEngine(cfg)
-	if cfg.Distributed {
-		if _, _, err := e.clusterFor(cfg); err != nil {
-			return nil, err
-		}
-	}
-	return e, nil
-}
-
-// newEngine builds the engine without validation (the deprecated DB
-// wrapper surfaces config errors at plan time, as it always did).
-func newEngine(cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:        cfg,
 		tables:     map[string]*relational.Relation{},
 		sharded:    map[string]*dist.ShardedTable{},
 		dataEpochs: map[string]uint64{},
 		hub:        stream.NewHub(),
 	}
+	if !cfg.Distributed {
+		return e, nil
+	}
+	shards := cfg.Shards
+	if shards <= 0 {
+		shards = distDefaultShards
+	}
+	var err error
+	if e.cluster, err = dist.NewCluster(cfg.Topology, shards); err != nil {
+		return nil, err
+	}
+	e.fabric = dist.NewFabricController(e.cluster, cfg.Controller)
+	if cfg.Replication > 1 || cfg.Faults != nil {
+		if e.lcm, err = lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+// checkDistJoin validates a join movement strategy name.
+func checkDistJoin(name string) error {
+	switch name {
+	case "", "auto", "broadcast", "repartition":
+		return nil
+	}
+	return fmt.Errorf("sql: unknown DistJoin strategy %q", name)
 }
 
 // Config returns the engine's construction-time configuration.
@@ -256,11 +258,7 @@ func (e *Engine) Register(rel *relational.Relation) {
 	e.tables[name] = rel
 	e.epoch++
 	e.dataEpochs[name]++
-	for k := range e.sharded {
-		if strings.HasPrefix(k, name+"|") {
-			delete(e.sharded, k)
-		}
-	}
+	delete(e.sharded, name)
 	// Replacing the relation starts a fresh stream: a name whose previous
 	// incarnation was closed accepts appends again.
 	e.hub.Reopen(name)
@@ -307,11 +305,7 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 	}
 	e.tables[name] = nrel
 	e.dataEpochs[name]++
-	for k := range e.sharded {
-		if strings.HasPrefix(k, name+"|") {
-			delete(e.sharded, k)
-		}
-	}
+	delete(e.sharded, name)
 	// Publish under the catalog lock: subscription arrival order must
 	// equal append order (the hub only enqueues — no blocking, no
 	// reentry into the engine). The published slice is the catalog's own
@@ -335,24 +329,11 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 // queries are in flight without ever holding the round barrier open.
 // Returns the modeled fabric seconds (0 on single-node engines).
 func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, start int) float64 {
-	fab := e.Fabric()
-	if fab == nil {
+	if e.fabric == nil {
 		return 0
 	}
-	shards := e.cfg.Shards
-	if shards <= 0 {
-		shards = distDefaultShards
-	}
-	strategy, keyCol := dist.RangeShard, -1
-	if e.cfg.ShardHash {
-		strategy, keyCol = dist.HashShard, 0
-		for i, c := range rel.Schema {
-			if c.Type == relational.Int {
-				keyCol = i
-				break
-			}
-		}
-	}
+	shards := e.cluster.Shards()
+	strategy, keyCol := e.sharding(rel)
 	total := rel.Len()
 	bytes := make([]float64, shards)
 	for i, row := range rows {
@@ -365,7 +346,7 @@ func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, sta
 			transfers = append(transfers, dist.Transfer{Src: dist.Coordinator, Dst: sh, Bytes: b})
 		}
 	}
-	qr := fab.NewQueryQoS(nil, IngestClass, 0)
+	qr := e.fabric.NewQueryQoS(nil, IngestClass, 0)
 	if err := qr.RunPhase("ingest", transfers); err != nil {
 		qr.Close()
 		return 0
@@ -404,82 +385,33 @@ func (e *Engine) Table(name string) (*relational.Relation, bool) {
 }
 
 // Fabric exposes the shared network fabric for contention inspection
-// (aggregate stats, Expect barriers). It is nil until a distributed
-// cluster exists — NewEngine builds it eagerly for distributed configs.
-func (e *Engine) Fabric() *dist.Fabric {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.fabric
-}
+// (aggregate stats, Expect barriers); nil on single-node engines.
+func (e *Engine) Fabric() *dist.Fabric { return e.fabric }
 
 // distDefaultShards is the worker count when Config.Shards is unset.
 const distDefaultShards = 4
 
-// clusterFor returns the engine's cluster and shared fabric, rebuilding
-// both when the topology or shard count in cfg changed (only the
-// deprecated mutable-Options DB wrapper ever changes them mid-life).
-func (e *Engine) clusterFor(cfg Config) (*dist.Cluster, *dist.Fabric, error) {
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = distDefaultShards
-	}
-	key := fmt.Sprintf("%s|%d|r%d", cfg.Topology, shards, cfg.Replication)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.cluster != nil && e.clusterKey == key {
-		return e.cluster, e.fabric, nil
-	}
-	c, err := dist.NewCluster(cfg.Topology, shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	// cfg.Controller equals the engine's own (sessions never override
-	// it); taking it from cfg additionally lets the deprecated DB
-	// wrapper's Opt.Controller apply when its first query builds the
-	// cluster. A controller change alone does not rebuild an existing
-	// cluster — fabric control is construction-time state.
-	e.cluster, e.fabric, e.clusterKey = c, dist.NewFabricController(c, cfg.Controller), key
-	e.lcm = nil
-	if cfg.Replication > 1 || cfg.Faults != nil {
-		lcm, err := lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes(shards))
-		if err != nil {
-			e.cluster, e.fabric, e.clusterKey = nil, nil, ""
-			return nil, nil, err
-		}
-		e.lcm = lcm
-	}
-	return e.cluster, e.fabric, nil
-}
-
-// shardBytes builds the lifecycle manager's per-shard resident-bytes
+// shardBytes is the lifecycle manager's per-shard resident-bytes
 // provider: the sum, over every cached shard placement, of the encoded
 // bytes living on each shard — what a rebalance or repair must actually
-// move. Tables not yet sharded (never queried distributed) weigh
-// nothing until they are.
-func (e *Engine) shardBytes(shards int) func() []float64 {
-	return func() []float64 {
-		e.mu.RLock()
-		defer e.mu.RUnlock()
-		out := make([]float64, shards)
-		for _, t := range e.sharded {
-			for i, sh := range t.Shards {
-				if i < shards {
-					out[i] += sh.EncodedBytes()
-				}
-			}
+// move. Tables not yet sharded (never queried) weigh nothing until they
+// are.
+func (e *Engine) shardBytes() []float64 {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	out := make([]float64, e.cluster.Shards())
+	for _, t := range e.sharded {
+		for i, sh := range t.Shards {
+			out[i] += sh.EncodedBytes()
 		}
-		return out
 	}
+	return out
 }
 
 // Lifecycle exposes the elastic-membership manager, or nil on engines
 // without replication or a fault plan (the static, failure-free
 // cluster).
-func (e *Engine) Lifecycle() *lifecycle.Manager {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.lcm
-}
+func (e *Engine) Lifecycle() *lifecycle.Manager { return e.lcm }
 
 // errNoLifecycle reports membership operations on a static cluster.
 var errNoLifecycle = fmt.Errorf("sql: cluster lifecycle inactive (set Config.Replication > 1 or Config.Faults)")
@@ -488,46 +420,46 @@ var errNoLifecycle = fmt.Errorf("sql: cluster lifecycle inactive (set Config.Rep
 // hosts (movement charged to the shared fabric) and no fragments land
 // on it until RestoreHost.
 func (e *Engine) DrainHost(worker int) error {
-	lcm := e.Lifecycle()
-	if lcm == nil {
+	if e.lcm == nil {
 		return errNoLifecycle
 	}
-	return lcm.DrainWorker(worker)
+	return e.lcm.DrainWorker(worker)
 }
 
 // RestoreHost returns a drained worker host to service.
 func (e *Engine) RestoreHost(worker int) error {
-	lcm := e.Lifecycle()
-	if lcm == nil {
+	if e.lcm == nil {
 		return errNoLifecycle
 	}
-	return lcm.RestoreWorker(worker)
+	return e.lcm.RestoreWorker(worker)
 }
 
 // JoinHost annexes a spare topology host as a new worker, returning its
 // worker index.
 func (e *Engine) JoinHost() (int, error) {
-	lcm := e.Lifecycle()
-	if lcm == nil {
+	if e.lcm == nil {
 		return -1, errNoLifecycle
 	}
-	return lcm.JoinHost()
+	return e.lcm.JoinHost()
 }
 
-// shardedTable returns the cached shard placement of rel: contiguous row
-// ranges by default, or hash of the first Int column under hashShard.
-func (e *Engine) shardedTable(rel *relational.Relation, shards int, hashShard bool) *dist.ShardedTable {
-	strategy, keyCol := dist.RangeShard, -1
-	if hashShard {
-		strategy, keyCol = dist.HashShard, 0
-		for i, c := range rel.Schema {
-			if c.Type == relational.Int {
-				keyCol = i
-				break
-			}
+// sharding is how the engine partitions rel: contiguous row ranges by
+// default, or hash of the first Int column under Config.ShardHash.
+func (e *Engine) sharding(rel *relational.Relation) (dist.Strategy, int) {
+	if !e.cfg.ShardHash {
+		return dist.RangeShard, -1
+	}
+	for i, c := range rel.Schema {
+		if c.Type == relational.Int {
+			return dist.HashShard, i
 		}
 	}
-	key := fmt.Sprintf("%s|%d|%s|%d", strings.ToLower(rel.Name), shards, strategy, keyCol)
+	return dist.HashShard, 0
+}
+
+// shardedTable returns the cached shard placement of rel.
+func (e *Engine) shardedTable(rel *relational.Relation) *dist.ShardedTable {
+	key := strings.ToLower(rel.Name)
 	fresh := func(t *dist.ShardedTable) bool {
 		return t != nil && t.Rel == rel && t.SourceRows() == rel.Len()
 	}
@@ -544,7 +476,8 @@ func (e *Engine) shardedTable(rel *relational.Relation, shards int, hashShard bo
 	if t := e.sharded[key]; fresh(t) {
 		return t
 	}
-	t = dist.ShardRelation(rel, shards, strategy, keyCol)
+	strategy, keyCol := e.sharding(rel)
+	t = dist.ShardRelation(rel, e.cluster.Shards(), strategy, keyCol)
 	e.sharded[key] = t
 	return t
 }
@@ -562,16 +495,6 @@ type planner struct {
 	// compiled plan charges on the shared fabric carries them.
 	class  string
 	weight float64
-}
-
-// plan parses, plans and wraps the root so a spent plan re-executes as
-// an explicit error instead of silently re-draining exhausted operators.
-func (pl *planner) plan(q string) (*Planned, error) {
-	stmt, err := Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	return pl.planParsed(stmt)
 }
 
 // defaultSpillTier is where budget overflow goes when SpillTier is
@@ -614,20 +537,9 @@ func (pl *planner) spillBudget() (*relational.MemoryBudget, error) {
 	return relational.NewMemoryBudget(pl.cfg.MemoryBudget, dev), nil
 }
 
-// heteroPlacer builds one execution's device placer, or nil on the
-// homogeneous engine (no Devices configured). Placers are
-// per-execution, like cancellation tokens: the Result.Devices report
-// and the FPGA configuration state they carry belong to exactly one
-// run.
-func (pl *planner) heteroPlacer() (*exec.Placer, error) {
-	if len(pl.cfg.Devices) == 0 {
-		return nil, nil
-	}
-	return exec.NewPlacer(pl.cfg.Devices, pl.cfg.Placement)
-}
-
-// planParsed is plan over an already-parsed statement (prepared
-// statements re-plan their AST per execution).
+// planParsed plans a parsed statement (prepared statements re-plan their
+// AST per execution) and wraps the root so a spent plan re-executes as an
+// explicit error instead of silently re-draining exhausted operators.
 func (pl *planner) planParsed(stmt *SelectStmt) (*Planned, error) {
 	p, err := pl.planStmt(stmt)
 	if err != nil {

@@ -131,7 +131,7 @@ func TestPrepareValidatesEagerly(t *testing.T) {
 // operators (and, distributed, keeping stale NetStats).
 func TestPlannedSpent(t *testing.T) {
 	for _, distributed := range []bool{false, true} {
-		db := DemoDB(11, 1000, 40)
+		db := demoDB(11, 1000, 40)
 		db.Opt.Distributed = distributed
 		plan, err := db.Plan("SELECT region, COUNT(*) FROM sales GROUP BY region")
 		if err != nil {
@@ -151,7 +151,7 @@ func TestPlannedSpent(t *testing.T) {
 // must stay failed — re-pulling it reports the original error instead of
 // silently resuming the half-drained tree.
 func TestPlannedSpentAfterError(t *testing.T) {
-	db := DemoDB(11, 1000, 40)
+	db := demoDB(11, 1000, 40)
 	db.Opt.Parallel = false
 	plan, err := db.Plan("SELECT price / (quantity - quantity) FROM sales")
 	if err != nil {
@@ -194,28 +194,5 @@ func TestSessionOverrides(t *testing.T) {
 	}
 	if got := eng.Config().DistJoin; got != "" {
 		t.Fatalf("engine config mutated by session override: %q", got)
-	}
-}
-
-// TestDBWrapperDelegates: the deprecated DB surface is a live view over
-// an Engine — same catalog, same results — so the two APIs interoperate
-// during migration.
-func TestDBWrapperDelegates(t *testing.T) {
-	db := DemoDB(11, 2000, 60)
-	q := "SELECT region, COUNT(*) AS n FROM sales GROUP BY region ORDER BY n DESC"
-	viaDB, err := db.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSession, err := db.Engine().Session().Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectRowsEqual(t, "DB vs Session", viaDB, viaSession.Rows)
-
-	// Registration through either surface is visible to the other.
-	db.Engine().Register(productsRelation())
-	if _, ok := db.Table("products"); !ok {
-		t.Fatal("engine-registered table invisible through DB")
 	}
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/exec"
@@ -307,5 +308,80 @@ func TestHeteroConfigValidation(t *testing.T) {
 	cfg.Placement = "fpga"
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("forced placement outside the device set must fail NewEngine")
+	}
+}
+
+// TestDistributedPostJoinPlacementHint: kernels a distributed plan places
+// above a join amortize device setup over the planner's post-join
+// estimate spread across the shards, as the single-node lowering does
+// over the whole estimate. (The field the distributed planner used to
+// read for this was never assigned, so every such kernel priced setup
+// over 0 rows.) Placement never changes rows: they match the CPU-only
+// run exactly.
+func TestDistributedPostJoinPlacementHint(t *testing.T) {
+	q := heteroQueries[3] // join, then a computed projection and an aggregate
+	cfg := DefaultConfig()
+	cfg.Distributed = true
+	cfg.Shards = 4
+	cfg.Workers = 1
+	cfg.Devices = []string{"cpu", "gpu", "fpga"}
+	cfg.Placement = "auto"
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RegisterDemo(eng, 23, 8000, 200)
+
+	stmt, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := &planner{eng: eng, cfg: cfg}
+	lp, err := pl.buildLogical(stmt, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dx, err := pl.newDistExec(lp, &Planned{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Close before the next query: an open registration parks every
+	// other query of the engine at the admission barrier.
+	qr := eng.Fabric().NewQueryQoS(nil, "", 0)
+	st, err := dx.front(qr)
+	qr.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (lp.size + cfg.Shards - 1) / cfg.Shards; lp.size <= 0 || st.hint != want {
+		t.Fatalf("post-join stream hint = %d, want ceil(%d / %d shards) = %d", st.hint, lp.size, cfg.Shards, want)
+	}
+	for s := range dx.lw {
+		for _, kind := range []exec.KernelKind{exec.ProjectWork, exec.AggWork} {
+			if d := dx.lowerer(s, st.hint).dispatch(kind, 1); d.ExpectedRows <= 0 {
+				t.Fatalf("shard %d: post-join %v kernel dispatched with ExpectedRows = %d", s, kind, d.ExpectedRows)
+			}
+		}
+	}
+
+	placed, err := eng.Session().Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(placed.Devices) == 0 {
+		t.Fatal("placed run reported no devices")
+	}
+	cfg.Devices, cfg.Placement = []string{"cpu"}, "cpu"
+	cpuEng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	RegisterDemo(cpuEng, 23, 8000, 200)
+	cpuOnly, err := cpuEng.Session().Query(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(placed.Rows.Rows, cpuOnly.Rows.Rows) {
+		t.Fatalf("rows differ between auto placement and the CPU-only run")
 	}
 }

@@ -1,5 +1,18 @@
 package sql
 
+// One logical plan, one lowerer, two executions. The planner decides a
+// statement once (plan.go: legs, pruning, pushdown, join order and build
+// side, size estimates) and this file is the only place that turns those
+// decisions into relational operators and wires them to a device placer
+// and a memory budget. The single-node execution lowers the plan with
+// one lowerer into one tree; the distributed execution (distributed.go)
+// holds one lowerer per shard — that shard's placer fork, budget fork and
+// the query's cancel token — builds every shard fragment with it and
+// inserts the data movements between fragments. The row engine behind
+// Parallel=false is the same lowerer with the batch side switched off,
+// kept as the oracle the batch and distributed executions are checked
+// against.
+
 import (
 	"math"
 
@@ -40,6 +53,21 @@ type execNode struct {
 	bat relational.BatchOp
 }
 
+// dispatch is the placement request for one kernel of the operator being
+// lowered: device setup amortizes over the running estimate.
+func (lw *lowerer) dispatch(kind exec.KernelKind, width int) exec.Dispatch {
+	return exec.Dispatch{Kind: kind, ExpectedRows: lw.hintRows, Width: width}
+}
+
+// dispatcher places one kernel, or returns nil on the homogeneous engine
+// (operators treat a nil dispatcher as "not placed").
+func (lw *lowerer) dispatcher(kind exec.KernelKind, width int) *exec.Dispatcher {
+	if lw.placer == nil {
+		return nil
+	}
+	return lw.placer.Dispatcher(lw.dispatch(kind, width))
+}
+
 func (lw *lowerer) scan(rel *relational.Relation) execNode {
 	if lw.parallel {
 		return execNode{bat: relational.GuardBatch(relational.NewBatchScan(rel), lw.cancel)}
@@ -47,51 +75,55 @@ func (lw *lowerer) scan(rel *relational.Relation) execNode {
 	return execNode{row: relational.Guard(relational.NewScan(rel), lw.cancel)}
 }
 
-// filter lowers a boolean expression over sc. In batch mode, conjuncts of
-// the form <Int column> <cmp> <int literal> peel off into ColRanges
-// served by the filter kernels; the rest compiles to a row predicate.
-func (lw *lowerer) filter(n execNode, sc *scope, e Expr) (execNode, error) {
-	if n.bat == nil {
-		pred, err := compilePredicate(sc, e)
-		if err != nil {
-			return execNode{}, err
-		}
-		return execNode{row: relational.NewFilter(n.row, pred)}, nil
-	}
-	ranges, pred, err := lowerBatchFilter(sc, e)
-	if err != nil {
-		return execNode{}, err
-	}
-	bf := relational.NewBatchFilter(n.bat, ranges, pred)
-	if lw.placer != nil {
-		bf.Place(lw.placer.Dispatcher(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: lw.hintRows}))
-	}
-	return execNode{bat: bf}, nil
+// planFilter is a boolean expression compiled at plan time for the
+// engine that will run it. On the batch engine, conjuncts of the form
+// <Int column> <cmp> <int literal> peel off into ranges served by the
+// filter kernels and pred holds the rest (nil if nothing is left); on the
+// row engine pred is the whole expression.
+type planFilter struct {
+	expr   Expr
+	ranges []relational.ColRange
+	pred   relational.Predicate
 }
 
-// lowerBatchFilter splits a boolean expression into kernel-served column
-// ranges and a residual compiled predicate. The single-node batch lowerer
-// and the distributed fragment builder share it, so filters lower onto
-// the scan kernels identically on both paths.
-func lowerBatchFilter(sc *scope, e Expr) ([]relational.ColRange, relational.Predicate, error) {
-	var ranges []relational.ColRange
-	var rest []Expr
-	for _, c := range splitConjuncts(e) {
-		if r, ok := rangeFromConjunct(sc, c); ok {
-			ranges = append(ranges, r)
-		} else {
-			rest = append(rest, c)
+// compileFilter compiles e over sc (no expression, no filter).
+func compileFilter(sc *scope, e Expr, batch bool) (*planFilter, error) {
+	if e == nil {
+		return nil, nil
+	}
+	f := &planFilter{expr: e}
+	rest := []Expr{e}
+	if batch {
+		rest = nil
+		for _, c := range splitConjuncts(e) {
+			if r, ok := rangeFromConjunct(sc, c); ok {
+				f.ranges = append(f.ranges, r)
+			} else {
+				rest = append(rest, c)
+			}
 		}
 	}
-	var pred relational.Predicate
 	if len(rest) > 0 {
 		var err error
-		pred, err = compilePredicate(sc, joinConjuncts(rest))
-		if err != nil {
-			return nil, nil, err
+		if f.pred, err = compilePredicate(sc, joinConjuncts(rest)); err != nil {
+			return nil, err
 		}
 	}
-	return ranges, pred, nil
+	return f, nil
+}
+
+// filter applies a compiled filter (nil: nothing to apply). The
+// distributed execution applies the same compiled filter on every shard.
+func (lw *lowerer) filter(n execNode, f *planFilter) execNode {
+	switch {
+	case f == nil:
+		return n
+	case n.bat == nil:
+		return execNode{row: relational.NewFilter(n.row, f.pred)}
+	}
+	bf := relational.NewBatchFilter(n.bat, f.ranges, f.pred)
+	bf.Place(lw.dispatcher(exec.FilterWork, 0))
+	return execNode{bat: bf}
 }
 
 // project lowers a projection. Every column of pe carries its row
@@ -106,10 +138,8 @@ func (lw *lowerer) project(n execNode, schema relational.Schema, pe []relational
 		}
 		// Pure pass-through projections share vectors for free; only
 		// computed expressions are a placeable kernel.
-		if lw.placer != nil && op.ExprCount() > 0 {
-			op.Place(lw.placer.Dispatcher(exec.Dispatch{
-				Kind: exec.ProjectWork, ExpectedRows: lw.hintRows, Width: op.ExprCount(),
-			}))
+		if w := op.ExprCount(); w > 0 {
+			op.Place(lw.dispatcher(exec.ProjectWork, w))
 		}
 		return execNode{bat: op}, nil
 	}
@@ -132,22 +162,30 @@ func projFns(pe []relational.ProjExpr) []relational.Projector {
 func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (execNode, error) {
 	if build.bat != nil {
 		op, err := relational.NewBatchHashJoin(build.bat, probe.bat, buildCol, probeCol, lw.workers)
-		if err != nil {
-			return execNode{}, err
-		}
-		if lw.budget != nil {
-			op.SetBudget(lw.budget)
-		}
-		return execNode{bat: op}, nil
+		return lw.budgetedJoin(op, err)
 	}
 	op, err := relational.NewHashJoin(build.row, probe.row, buildCol, probeCol)
 	if err != nil {
 		return execNode{}, err
 	}
-	if lw.budget != nil {
-		op.SetBudget(lw.budget)
-	}
+	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
+}
+
+// hashJoinPrebuilt probes a hash table that is already built: the
+// pipelined distributed movement fills it chunk by chunk while the next
+// chunk's flows are in flight.
+func (lw *lowerer) hashJoinPrebuilt(pre *relational.HashBuild, probe execNode, probeCol int) (execNode, error) {
+	op, err := relational.NewBatchHashJoinPrebuilt(pre, probe.bat, probeCol, lw.workers)
+	return lw.budgetedJoin(op, err)
+}
+
+func (lw *lowerer) budgetedJoin(op *relational.BatchHashJoin, err error) (execNode, error) {
+	if err != nil {
+		return execNode{}, err
+	}
+	op.SetBudget(lw.budget)
+	return execNode{bat: op}, nil
 }
 
 func (lw *lowerer) groupAgg(n execNode, groupCols []int, aggs []relational.AggSpec) (execNode, error) {
@@ -156,21 +194,15 @@ func (lw *lowerer) groupAgg(n execNode, groupCols []int, aggs []relational.AggSp
 		if err != nil {
 			return execNode{}, err
 		}
-		if lw.placer != nil {
-			op.Place(lw.placer.Dispatcher(exec.Dispatch{Kind: exec.AggWork, ExpectedRows: lw.hintRows}))
-		}
-		if lw.budget != nil {
-			op.SetBudget(lw.budget)
-		}
+		op.Place(lw.dispatcher(exec.AggWork, 0))
+		op.SetBudget(lw.budget)
 		return execNode{bat: op}, nil
 	}
 	op, err := relational.NewGroupAgg(n.row, groupCols, aggs)
 	if err != nil {
 		return execNode{}, err
 	}
-	if lw.budget != nil {
-		op.SetBudget(lw.budget)
-	}
+	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
 }
 
@@ -188,23 +220,15 @@ func (lw *lowerer) sort(n execNode, keys []relational.SortKey, topK int) (execNo
 		if err != nil {
 			return execNode{}, err
 		}
-		if lw.placer != nil {
-			op.Place(lw.placer.Dispatcher(exec.Dispatch{
-				Kind: exec.SortWork, ExpectedRows: lw.hintRows, Width: len(keys),
-			}))
-		}
-		if lw.budget != nil {
-			op.SetBudget(lw.budget)
-		}
+		op.Place(lw.dispatcher(exec.SortWork, len(keys)))
+		op.SetBudget(lw.budget)
 		return execNode{bat: op}, nil
 	}
 	op, err := relational.NewSort(n.row, keys)
 	if err != nil {
 		return execNode{}, err
 	}
-	if lw.budget != nil {
-		op.SetBudget(lw.budget)
-	}
+	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
 }
 

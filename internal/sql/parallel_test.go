@@ -63,7 +63,7 @@ func sameRelation(t *testing.T, q string, want, got *relational.Relation) {
 	}
 }
 
-func runBoth(t *testing.T, serialDB, parDB *DB, q string) {
+func runBoth(t *testing.T, serialDB, parDB *testDB, q string) {
 	t.Helper()
 	serialDB.Opt.Parallel = false
 	want, err := serialDB.Query(q)
@@ -82,9 +82,9 @@ func runBoth(t *testing.T, serialDB, parDB *DB, q string) {
 // the batch engine (several worker counts) and the serial row engine,
 // over a multi-morsel table.
 func TestParallelMatchesSerial(t *testing.T) {
-	serialDB := DemoDB(7, 5000, 120)
+	serialDB := demoDB(7, 5000, 120)
 	for _, workers := range []int{1, 2, 4, 7} {
-		parDB := DemoDB(7, 5000, 120)
+		parDB := demoDB(7, 5000, 120)
 		parDB.Opt.Parallel = true
 		parDB.Opt.Workers = workers
 		for _, q := range parityQueries {
@@ -96,21 +96,19 @@ func TestParallelMatchesSerial(t *testing.T) {
 // TestParallelMatchesSerialSingleMorsel pins the sub-batch edge case: the
 // whole table fits one morsel.
 func TestParallelMatchesSerialSingleMorsel(t *testing.T) {
-	serialDB := DemoDB(11, 37, 9)
-	parDB := DemoDB(11, 37, 9)
+	serialDB := demoDB(11, 37, 9)
+	parDB := demoDB(11, 37, 9)
 	parDB.Opt.Workers = 4
 	for _, q := range parityQueries {
 		runBoth(t, serialDB, parDB, q)
 	}
 }
 
-// emptyDemoDB has the DemoDB schemas with zero rows (the generator
-// cannot produce empty tables).
-func emptyDemoDB() *DB {
-	full := DemoDB(13, 1, 1)
-	db := NewDB()
-	for _, name := range []string{"sales", "customers"} {
-		rel, _ := full.Table(name)
+// emptyDemoDB has the demo schemas with zero rows (the generator cannot
+// produce empty tables).
+func emptyDemoDB() *testDB {
+	db := newTestDB()
+	for _, rel := range demoDB(13, 1, 1).rels {
 		db.Register(relational.NewRelation(rel.Name, rel.Schema))
 	}
 	return db
@@ -129,7 +127,7 @@ func TestParallelMatchesSerialEmptyTables(t *testing.T) {
 // TestParallelRepeatable: two parallel runs of the same query must agree
 // exactly (bit-for-bit), regardless of dynamic morsel scheduling.
 func TestParallelRepeatable(t *testing.T) {
-	db := DemoDB(17, 4000, 80)
+	db := demoDB(17, 4000, 80)
 	db.Opt.Workers = 4
 	for _, q := range parityQueries {
 		a, err := db.Query(q)
@@ -157,7 +155,7 @@ func TestParallelRepeatable(t *testing.T) {
 // TestParallelRuntimeErrorsSurface: evaluation errors must propagate out
 // of worker goroutines.
 func TestParallelRuntimeErrorsSurface(t *testing.T) {
-	db := DemoDB(19, 3000, 50)
+	db := demoDB(19, 3000, 50)
 	db.Opt.Workers = 4
 	if _, err := db.Query("SELECT price / (quantity - quantity) FROM sales"); err == nil ||
 		!strings.Contains(err.Error(), "division by zero") {
@@ -167,7 +165,7 @@ func TestParallelRuntimeErrorsSurface(t *testing.T) {
 
 // TestExplainNamesEngine: plans advertise the batch engine when enabled.
 func TestExplainNamesEngine(t *testing.T) {
-	db := DemoDB(23, 100, 10)
+	db := demoDB(23, 100, 10)
 	plan, err := db.Plan("SELECT COUNT(*) FROM sales")
 	if err != nil {
 		t.Fatal(err)
@@ -187,8 +185,8 @@ func TestExplainNamesEngine(t *testing.T) {
 
 // TestRangeExtraction covers the ColRange lowering of comparison shapes.
 func TestRangeExtraction(t *testing.T) {
-	db := DemoDB(29, 3000, 60)
-	serialDB := DemoDB(29, 3000, 60)
+	db := demoDB(29, 3000, 60)
+	serialDB := demoDB(29, 3000, 60)
 	db.Opt.Workers = 3
 	for _, q := range []string{
 		"SELECT order_id FROM sales WHERE year = 2014",

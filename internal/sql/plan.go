@@ -49,6 +49,15 @@ type tableLeg struct {
 	schema relational.Schema // visible columns (pruned in batch mode)
 	prune  []int             // kept original column indices; nil = all
 	filter []Expr            // pushed-down conjuncts
+	pushed *planFilter       // their compiled conjunction; nil if none
+}
+
+// scope binds the leg's visible columns alone (what its pushed filter
+// compiles against).
+func (leg *tableLeg) scope() *scope {
+	sc := &scope{}
+	sc.addTable(leg.alias, leg.schema, 0)
+	return sc
 }
 
 // collectQueryCols gathers every column reference in the statement, for
@@ -108,8 +117,7 @@ func pruneLeg(leg *tableLeg, refs []*ColRef) {
 	leg.schema = pruned
 }
 
-// resolveLegs binds the FROM and JOIN table references, shared by the
-// single-node and distributed planners.
+// resolveLegs binds the FROM and JOIN table references.
 func (pl *planner) resolveLegs(stmt *SelectStmt) ([]*tableLeg, error) {
 	legs := []*tableLeg{}
 	seen := map[string]bool{}
@@ -138,9 +146,7 @@ func (pl *planner) resolveLegs(stmt *SelectStmt) ([]*tableLeg, error) {
 }
 
 // splitWhere folds constants (per options) and attaches single-leg WHERE
-// conjuncts to their legs, returning the residual conjuncts. Both
-// planners share it so pushdown decisions — and the sizing estimates
-// they feed — stay identical.
+// conjuncts to their legs, returning the residual conjuncts.
 func (pl *planner) splitWhere(stmt *SelectStmt, legs []*tableLeg) []Expr {
 	where := stmt.Where
 	if where == nil {
@@ -162,9 +168,7 @@ func (pl *planner) splitWhere(stmt *SelectStmt, legs []*tableLeg) []Expr {
 }
 
 // legSizeEstimate is the optimizer's crude post-pushdown cardinality
-// guess for a leg. The distributed planner must use the same estimate as
-// the single-node one: the build-side choice it feeds determines the
-// probe side, and with it the output row order both engines must share.
+// guess for a leg.
 func legSizeEstimate(leg *tableLeg) int {
 	size := leg.rel.Len()
 	if len(leg.filter) > 0 {
@@ -174,7 +178,7 @@ func legSizeEstimate(leg *tableLeg) int {
 }
 
 // buildOnRight reports whether a hash join builds on the (smaller) right
-// leg — the swap decision both planners must agree on.
+// leg.
 func (pl *planner) buildOnRight(rightSize, curSize int) bool {
 	return pl.cfg.BuildSideSwap && rightSize < curSize
 }
@@ -189,189 +193,267 @@ func advanceJoinSize(curSize, rightSize, rightLen int) int {
 	return curSize
 }
 
-func (pl *planner) planStmt(stmt *SelectStmt) (*Planned, error) {
-	if pl.cfg.Distributed {
-		return pl.planDistStmt(stmt)
-	}
-	p := &Planned{TaggedOps: map[string]relational.Op{}}
-	lw := &lowerer{parallel: pl.cfg.Parallel, workers: pl.cfg.Workers, cancel: pl.cancel}
-	if lw.parallel {
-		p.Steps = append(p.Steps, fmt.Sprintf("engine: morsel-parallel batch (%d workers, %d-row batches)",
-			relational.EffectiveWorkers(lw.workers), relational.BatchSize))
-		// Heterogeneous placement rides the batch operators; the serial
-		// row engine has no morsels to place.
-		placer, err := pl.heteroPlacer()
-		if err != nil {
-			return nil, err
-		}
-		if placer != nil {
-			lw.placer, p.placer = placer, placer
-			p.Steps = append(p.Steps, "hetero: "+placer.String())
-		}
-	}
-	// Out-of-core budgeting applies on both engines: the serial row
-	// operators account their materialized state against the same budget
-	// the batch operators grace-partition under.
-	budget, err := pl.spillBudget()
-	if err != nil {
-		return nil, err
-	}
-	if budget != nil {
-		lw.budget, p.budget = budget, budget
-		p.Steps = append(p.Steps, "spill: "+budget.String())
-	}
+// joinStep is one left-deep hash join of the logical plan: the running
+// stream (every earlier leg, columns in declaration order) joined with
+// leg.
+type joinStep struct {
+	leg *tableLeg
+	on  Expr
+	// leftCol and rightCol are the equi-key columns in the running stream
+	// and in leg. swapped builds the hash table on leg (the smaller
+	// estimated side) and probes with the running stream; the probe side
+	// drives output order, so both executions must agree on it.
+	leftCol, rightCol int
+	swapped           bool
+	// rest is the non-equi residue of ON (nil if none), over the columns
+	// visible once leg has joined.
+	rest *planFilter
+	// size is the running cardinality estimate after the join.
+	size int
+}
 
+// logicalPlan is everything the planner decides about a statement below
+// its aggregate or projection: which legs it reads and which columns and
+// conjuncts each keeps, how they join, and what is left of WHERE. It is
+// built once per statement; the single-node execution lowers it to one
+// operator tree (planLocal) and the distributed execution lowers it per
+// shard and inserts the movements (planDist), so join order, build side,
+// pruning and pushdown can never differ between the two.
+type logicalPlan struct {
+	legs  []*tableLeg
+	joins []joinStep
+	// residual is the WHERE conjuncts no single leg owns (nil if none),
+	// over scope, which binds schema: every leg's visible columns in
+	// declaration order.
+	residual *planFilter
+	scope    *scope
+	schema   relational.Schema
+	// size is the cardinality estimate of the stream the aggregate or
+	// projection reads.
+	size int
+}
+
+// buildLogical plans stmt's scans, joins and filters and compiles the
+// filters for the engine that runs them. batch also prunes each leg to
+// the referenced columns: a pick-projection over a batch scan shares
+// column vectors for free, and every later gather then touches only
+// referenced columns, while the row engine reads rows in place, where
+// pruning would cost a copy per row instead of saving one.
+func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, error) {
 	legs, err := pl.resolveLegs(stmt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Column pruning (batch mode only): a pick-projection over the scan
-	// shares column vectors for free, and every later gather then touches
-	// only referenced columns. The row engine reads rows in place, where
-	// pruning would cost a copy per row instead of saving one.
-	if lw.parallel && !stmt.Star {
+	if batch && !stmt.Star {
 		refs := collectQueryCols(stmt)
 		for _, leg := range legs {
 			pruneLeg(leg, refs)
 		}
 	}
-
-	// Predicate pushdown: single-table conjuncts attach to their leg.
 	residual := pl.splitWhere(stmt, legs)
+	for _, leg := range legs {
+		if len(leg.filter) == 0 {
+			continue
+		}
+		if leg.pushed, err = compileFilter(leg.scope(), joinConjuncts(leg.filter), batch); err != nil {
+			return nil, err
+		}
+	}
+	lp := &logicalPlan{legs: legs, schema: append(relational.Schema{}, legs[0].schema...)}
 
-	// Build scans (with pushed filters) per leg.
-	legOps := make([]execNode, len(legs))
-	legSizes := make([]int, len(legs))
-	for i, leg := range legs {
+	// Left-deep joins. The combined scope always reads
+	// legs[0] ++ legs[1] ++ ... in declaration order.
+	cur := legs[0].scope()
+	lp.size = legSizeEstimate(legs[0])
+	for ji, j := range stmt.Joins {
+		leg := legs[ji+1]
+		step := joinStep{leg: leg, on: j.On}
+		var rest Expr
+		if step.leftCol, step.rightCol, rest, err = pl.splitJoinOn(j.On, cur, leg.scope()); err != nil {
+			return nil, err
+		}
+		rightSize := legSizeEstimate(leg)
+		step.swapped = pl.buildOnRight(rightSize, lp.size)
+		cur.addTable(leg.alias, leg.schema, len(lp.schema))
+		lp.schema = append(lp.schema, leg.schema...)
+		if step.rest, err = compileFilter(cur, rest, batch); err != nil {
+			return nil, err
+		}
+		lp.size = advanceJoinSize(lp.size, rightSize, leg.rel.Len())
+		step.size = lp.size
+		lp.joins = append(lp.joins, step)
+	}
+	lp.scope = cur
+	lp.residual, err = compileFilter(cur, joinConjuncts(residual), batch)
+	return lp, err
+}
+
+// frontSteps renders the Explain lines of the scans, joins and residual
+// filter. shards > 0 selects the distributed wording, where movement
+// names the join movement strategy.
+func (lp *logicalPlan) frontSteps(shards int, movement string) []string {
+	below, over := "", ""
+	if shards > 0 {
+		below, over = " below shuffle", fmt.Sprintf(" over %d shards", shards)
+		movement = ", movement=" + movement
+	}
+	var steps []string
+	for _, leg := range lp.legs {
+		if leg.prune != nil {
+			steps = append(steps, fmt.Sprintf("prune %s to %d/%d columns", leg.alias, len(leg.prune), len(leg.rel.Schema)))
+		}
+		if leg.pushed != nil {
+			steps = append(steps, fmt.Sprintf("pushdown filter on %s%s: %s", leg.alias, below, leg.pushed.expr.Render()))
+		}
+		steps = append(steps, fmt.Sprintf("scan %s as %s (%d rows%s)", leg.rel.Name, leg.alias, leg.rel.Len(), over))
+	}
+	for ji, j := range lp.joins {
+		build := "left"
+		if j.swapped {
+			build = j.leg.alias
+		}
+		join := fmt.Sprintf("hash join #%d on %s (build=%s%s)", ji, j.on.Render(), build, movement)
+		switch {
+		case j.rest == nil:
+			steps = append(steps, join)
+		case shards > 0:
+			steps = append(steps, "post-join filter: "+j.rest.expr.Render(), join)
+		default:
+			steps = append(steps, join, "post-join filter: "+j.rest.expr.Render())
+		}
+	}
+	if lp.residual != nil {
+		steps = append(steps, "filter: "+lp.residual.expr.Render())
+	}
+	return steps
+}
+
+// resources builds the execution's device placer (batch executions only:
+// the serial row engine has no morsels to place; nil on the homogeneous
+// engine) and memory budget, with their Explain lines; the notes say how
+// a distributed run forks them. Both are per-execution, like cancellation
+// tokens: the Result.Devices report and FPGA configuration state a placer
+// carries, and a budget's spill aggregate, belong to exactly one run.
+func (pl *planner) resources(p *Planned, placed bool, placerNote, budgetNote string) error {
+	if placed && len(pl.cfg.Devices) > 0 {
+		var err error
+		if p.placer, err = exec.NewPlacer(pl.cfg.Devices, pl.cfg.Placement); err != nil {
+			return err
+		}
+		p.Steps = append(p.Steps, "hetero: "+p.placer.String()+placerNote)
+	}
+	var err error
+	if p.budget, err = pl.spillBudget(); err == nil && p.budget != nil {
+		p.Steps = append(p.Steps, "spill: "+p.budget.String()+budgetNote)
+	}
+	return err
+}
+
+// planStmt builds the statement's logical plan and hands it to the
+// configured execution. All analysis and compilation happens here (so
+// Prepare surfaces errors and Explain describes the shape).
+func (pl *planner) planStmt(stmt *SelectStmt) (*Planned, error) {
+	switch {
+	case stmt.HasAggregates() && stmt.Star:
+		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
+	case !stmt.HasAggregates() && stmt.Having != nil:
+		return nil, fmt.Errorf("sql: HAVING requires aggregation")
+	}
+	lp, err := pl.buildLogical(stmt, pl.cfg.Parallel || pl.cfg.Distributed)
+	if err != nil {
+		return nil, err
+	}
+	p := &Planned{TaggedOps: map[string]relational.Op{}}
+	if pl.cfg.Distributed {
+		return pl.planDist(stmt, lp, p)
+	}
+	return pl.planLocal(stmt, lp, p)
+}
+
+// planLocal lowers the logical plan to one operator tree.
+func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Planned, error) {
+	lw := &lowerer{parallel: pl.cfg.Parallel, workers: pl.cfg.Workers, cancel: pl.cancel}
+	if lw.parallel {
+		p.Steps = append(p.Steps, fmt.Sprintf("engine: morsel-parallel batch (%d workers, %d-row batches)",
+			relational.EffectiveWorkers(lw.workers), relational.BatchSize))
+	}
+	// Out-of-core budgeting applies on both engines: the serial row
+	// operators account their materialized state against the same budget
+	// the batch operators grace-partition under.
+	if err := pl.resources(p, lw.parallel, "", ""); err != nil {
+		return nil, err
+	}
+	lw.placer, lw.budget = p.placer, p.budget
+	p.Steps = append(p.Steps, lp.frontSteps(0, "")...)
+
+	// Scans, with pruning and pushed filters, per leg.
+	legOps := make([]execNode, len(lp.legs))
+	for i, leg := range lp.legs {
 		lw.hintRows = leg.rel.Len()
 		n := lw.scan(leg.rel)
 		p.TaggedOps["scan:"+leg.alias] = lw.op(n)
 		if leg.prune != nil {
 			var err error
-			n, err = lw.project(n, leg.schema, pickExprs(leg.prune))
-			if err != nil {
+			if n, err = lw.project(n, leg.schema, pickExprs(leg.prune)); err != nil {
 				return nil, err
 			}
-			p.Steps = append(p.Steps, fmt.Sprintf("prune %s to %d/%d columns", leg.alias, len(leg.prune), len(leg.rel.Schema)))
 		}
-		if len(leg.filter) > 0 {
-			sc := &scope{}
-			sc.addTable(leg.alias, leg.schema, 0)
-			filtered, err := lw.filter(n, sc, joinConjuncts(leg.filter))
-			if err != nil {
-				return nil, err
-			}
-			n = filtered
+		if leg.pushed != nil {
+			n = lw.filter(n, leg.pushed)
 			p.TaggedOps["pushdown:"+leg.alias] = lw.op(n)
-			p.Steps = append(p.Steps, fmt.Sprintf("pushdown filter on %s: %s", leg.alias, joinConjuncts(leg.filter).Render()))
 		}
 		legOps[i] = n
-		legSizes[i] = legSizeEstimate(leg)
-		p.Steps = append(p.Steps, fmt.Sprintf("scan %s as %s (%d rows)", leg.rel.Name, leg.alias, leg.rel.Len()))
 	}
 
-	// Left-deep joins. The combined scope always reads
-	// legs[0] ++ legs[1] ++ ... in declaration order.
 	cur := legOps[0]
-	curSize := legSizes[0]
-	curScope := &scope{}
-	curScope.addTable(legs[0].alias, legs[0].schema, 0)
-	curWidth := len(legs[0].schema)
-
-	for ji, j := range stmt.Joins {
-		leg := legs[ji+1]
-		rightScope := &scope{}
-		rightScope.addTable(leg.alias, leg.schema, 0)
-
-		leftCol, rightCol, rest, err := pl.splitJoinOn(j.On, curScope, rightScope)
-		if err != nil {
-			return nil, err
-		}
+	width := len(lp.legs[0].schema)
+	for ji, j := range lp.joins {
 		build, probe := cur, legOps[ji+1]
-		buildCol, probeCol := leftCol, rightCol
-		swapped := pl.buildOnRight(legSizes[ji+1], curSize)
-		if swapped {
-			build, probe = legOps[ji+1], cur
-			buildCol, probeCol = rightCol, leftCol
+		buildCol, probeCol := j.leftCol, j.rightCol
+		if j.swapped {
+			build, probe = probe, build
+			buildCol, probeCol = probeCol, buildCol
 		}
 		joined, err := lw.hashJoin(build, probe, buildCol, probeCol)
 		if err != nil {
 			return nil, err
 		}
-		rightWidth := len(leg.schema)
-		if swapped {
-			// Restore canonical column order: left columns then right.
-			joined, err = reorderColumns(lw, joined, rightWidth, curWidth)
-			if err != nil {
+		if j.swapped {
+			if joined, err = reorderColumns(lw, joined, len(j.leg.schema), width); err != nil {
 				return nil, err
 			}
 		}
 		p.TaggedOps[fmt.Sprintf("join:%d", ji)] = lw.op(joined)
-		p.Steps = append(p.Steps, fmt.Sprintf("hash join #%d on %s (build=%s)",
-			ji, j.On.Render(), map[bool]string{true: leg.alias, false: "left"}[swapped]))
-
-		// Extend the scope.
-		curScope.addTable(leg.alias, leg.schema, curWidth)
-		curWidth += rightWidth
-		cur = joined
-		curSize = advanceJoinSize(curSize, legSizes[ji+1], leg.rel.Len())
-		lw.hintRows = curSize
-
-		// Non-equi residue of the ON clause.
-		if rest != nil {
-			cur, err = lw.filter(cur, curScope, rest)
-			if err != nil {
-				return nil, err
-			}
-			p.Steps = append(p.Steps, "post-join filter: "+rest.Render())
-		}
+		width += len(j.leg.schema)
+		lw.hintRows = j.size
+		cur = lw.filter(joined, j.rest)
 	}
-
-	// Residual WHERE.
-	if len(residual) > 0 {
-		var err error
-		cur, err = lw.filter(cur, curScope, joinConjuncts(residual))
-		if err != nil {
-			return nil, err
-		}
+	if lp.residual != nil {
+		cur = lw.filter(cur, lp.residual)
 		p.TaggedOps["where"] = lw.op(cur)
-		p.Steps = append(p.Steps, "filter: "+joinConjuncts(residual).Render())
 	}
 
 	if stmt.HasAggregates() {
-		return pl.planAggregate(stmt, p, lw, cur, curScope)
+		return pl.planAggregate(stmt, p, lw, cur, lp.scope)
 	}
-	if stmt.Having != nil {
-		return nil, fmt.Errorf("sql: HAVING requires aggregation")
-	}
-	return pl.planSimple(stmt, p, lw, cur, curScope)
-}
-
-// starItems expands SELECT * into one item per visible column (appended
-// to any explicit items).
-func starItems(stmt *SelectStmt, sc *scope) []SelectItem {
-	items := stmt.Items
-	for _, e := range sc.entries {
-		items = append(items, SelectItem{E: &ColRef{Table: e.qualifier, Name: e.name}})
-	}
-	return items
-}
-
-// planSimple handles queries without aggregation: sort (over input
-// expressions), project, limit.
-func (pl *planner) planSimple(stmt *SelectStmt, p *Planned, lw *lowerer, cur execNode, sc *scope) (*Planned, error) {
-	items := stmt.Items
-	if stmt.Star {
-		items = starItems(stmt, sc)
-	}
-
-	cur, err := pl.orderProjectLimit(stmt, p, lw, items, cur, sc)
+	cur, err := pl.orderProjectLimit(stmt, p, lw, selectItems(stmt, lp.scope), cur, lp.scope)
 	if err != nil {
 		return nil, err
 	}
 	p.Root = lw.finish(cur)
 	return p, nil
+}
+
+// selectItems is the statement's select list, with SELECT * expanded into
+// one item per visible column (appended to any explicit items).
+func selectItems(stmt *SelectStmt, sc *scope) []SelectItem {
+	items := stmt.Items
+	if stmt.Star {
+		for _, e := range sc.entries {
+			items = append(items, SelectItem{E: &ColRef{Table: e.qualifier, Name: e.name}})
+		}
+	}
+	return items
 }
 
 // orderProjectLimit plans the tail every query shares — ORDER BY (keys
@@ -525,9 +607,6 @@ func (ap *aggPlan) postScope(stmt *SelectStmt) *scope {
 // keys and aggregate arguments, aggregate, then sort/project/limit over
 // the aggregated scope.
 func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur execNode, sc *scope) (*Planned, error) {
-	if stmt.Star {
-		return nil, fmt.Errorf("sql: SELECT * cannot be combined with aggregation")
-	}
 	ap, err := buildAggPlan(stmt, sc, schemaOf(cur))
 	if err != nil {
 		return nil, err
@@ -553,10 +632,11 @@ func (pl *planner) finishAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cu
 	lw.hintRows = 0 // post-aggregation cardinality (group count) is unknown
 	var err error
 	if stmt.Having != nil {
-		cur2, err = lw.filter(cur2, post, stmt.Having)
+		having, err := compileFilter(post, stmt.Having, cur2.bat != nil)
 		if err != nil {
 			return nil, err
 		}
+		cur2 = lw.filter(cur2, having)
 		p.TaggedOps["having"] = lw.op(cur2)
 		p.Steps = append(p.Steps, "having: "+stmt.Having.Render())
 	}
@@ -647,20 +727,28 @@ func (pl *planner) sortOver(lw *lowerer, order []OrderItem, items []SelectItem, 
 	}
 	schema := append(append(relational.Schema{}, childSchema...), keyCols...)
 	exprs := append(pickExprs(identityPicks(width)), keyExprs...)
-	keys := make([]relational.SortKey, len(keyCols))
-	for ki := range keyCols {
-		keys[ki] = relational.SortKey{Col: width + ki, Desc: descs[ki]}
-	}
 	widened, err := lw.project(child, schema, exprs)
 	if err != nil {
 		return execNode{}, err
 	}
-	sorted, err := lw.sort(widened, keys, topK)
+	return sortByTrailingKeys(lw, widened, descs, topK)
+}
+
+// sortByTrailingKeys sorts n by its last len(descs) columns — materialized
+// ORDER BY keys, each with its direction — and strips them again. topK >=
+// 0 keeps only the first topK rows of the order.
+func sortByTrailingKeys(lw *lowerer, n execNode, descs []bool, topK int) (execNode, error) {
+	schema := schemaOf(n)
+	width := len(schema) - len(descs)
+	keys := make([]relational.SortKey, len(descs))
+	for ki, desc := range descs {
+		keys[ki] = relational.SortKey{Col: width + ki, Desc: desc}
+	}
+	sorted, err := lw.sort(n, keys, topK)
 	if err != nil {
 		return execNode{}, err
 	}
-	// Strip the key columns again.
-	return lw.project(sorted, childSchema, pickExprs(identityPicks(width)))
+	return lw.project(sorted, schema[:width], pickExprs(identityPicks(width)))
 }
 
 // compileItems compiles the select items against sc into the output
@@ -776,22 +864,27 @@ func (pl *planner) splitJoinOn(on Expr, left, right *scope) (leftCol, rightCol i
 	return leftCol, rightCol, joinConjuncts(rest), nil
 }
 
-// reorderColumns re-projects a swapped join output (right ++ left) back to
-// canonical (left ++ right).
+// reorderColumns re-projects a swapped join output (right ++ left ++
+// rest) back to canonical (left ++ right ++ rest); rest is the hidden
+// seq column on distributed fragments and empty otherwise.
 func reorderColumns(lw *lowerer, n execNode, rightWidth, leftWidth int) (execNode, error) {
 	in := schemaOf(n)
-	if len(in) != rightWidth+leftWidth {
-		return execNode{}, fmt.Errorf("sql: reorder width mismatch: %d != %d+%d", len(in), rightWidth, leftWidth)
+	if len(in) < rightWidth+leftWidth {
+		return execNode{}, fmt.Errorf("sql: reorder width mismatch: %d < %d+%d", len(in), rightWidth, leftWidth)
 	}
-	var schema relational.Schema
-	var picks []int
+	picks := make([]int, 0, len(in))
 	for i := 0; i < leftWidth; i++ {
-		schema = append(schema, in[rightWidth+i])
 		picks = append(picks, rightWidth+i)
 	}
 	for i := 0; i < rightWidth; i++ {
-		schema = append(schema, in[i])
 		picks = append(picks, i)
+	}
+	for i := rightWidth + leftWidth; i < len(in); i++ {
+		picks = append(picks, i)
+	}
+	schema := make(relational.Schema, len(picks))
+	for i, idx := range picks {
+		schema[i] = in[idx]
 	}
 	return lw.project(n, schema, pickExprs(picks))
 }

@@ -100,12 +100,11 @@ func (s *Session) Query(ctx context.Context, q string) (*Result, error) {
 
 // Explain plans q and returns the human-readable plan without executing.
 func (s *Session) Explain(q string) (string, error) {
-	pl := &planner{eng: s.eng, cfg: s.cfg()}
-	p, err := pl.plan(q)
+	stmt, err := Parse(q)
 	if err != nil {
 		return "", err
 	}
-	return p.Explain(), nil
+	return (&Stmt{sess: s, ast: stmt}).Explain()
 }
 
 // Prepare parses and validates q, returning a re-executable statement.

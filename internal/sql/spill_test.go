@@ -215,3 +215,31 @@ func TestSpillConfigValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSpillCostMonotone: the engine degrades gracefully instead of
+// falling off a cliff — modeled spill seconds never decrease as the
+// budget shrinks from unbudgeted through 50%, 10% and 2% of the working
+// set, and the tightest budget does spill. One worker, so nothing races
+// for the budget and the modeled floats repeat.
+func TestSpillCostMonotone(t *testing.T) {
+	oneWorker := func(cfg *Config) { cfg.Workers = 1 }
+	sales, _ := spillEngine(t, 0, oneWorker).Table("sales")
+	workingSet := sales.EncodedBytes()
+	for _, q := range spillQueries {
+		var secs []float64
+		for _, frac := range []float64{0, 0.5, 0.1, 0.02} {
+			res := querySpill(t, spillEngine(t, int64(workingSet*frac), oneWorker), q)
+			sec := 0.0
+			if res.Spill != nil {
+				sec = res.Spill.WriteSeconds + res.Spill.ReadSeconds
+			}
+			if len(secs) > 0 && sec < secs[len(secs)-1] {
+				t.Fatalf("%s\nspill seconds not monotone as the budget shrinks: %v then %v", q, secs, sec)
+			}
+			secs = append(secs, sec)
+		}
+		if secs[len(secs)-1] <= 0 {
+			t.Fatalf("%s\ntightest budget never spilled: %v", q, secs)
+		}
+	}
+}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/relational"
 )
 
-func mustQuery(t *testing.T, db *DB, q string) *relational.Relation {
+func mustQuery(t *testing.T, db *testDB, q string) *relational.Relation {
 	t.Helper()
 	res, err := db.Query(q)
 	if err != nil {
@@ -16,8 +16,8 @@ func mustQuery(t *testing.T, db *DB, q string) *relational.Relation {
 	return res
 }
 
-func tinyDB() *DB {
-	db := NewDB()
+func tinyDB() *testDB {
+	db := newTestDB()
 	sales := relational.NewRelation("sales", relational.Schema{
 		{Name: "id", Type: relational.Int},
 		{Name: "region", Type: relational.String},
@@ -383,7 +383,7 @@ func TestAmbiguousColumnDetected(t *testing.T) {
 
 func TestPushdownReducesJoinInput(t *testing.T) {
 	run := func(pushdown bool) int {
-		db := DemoDB(42, 5000, 200)
+		db := demoDB(42, 5000, 200)
 		db.Opt.Pushdown = pushdown
 		plan, err := db.Plan(
 			"SELECT c.segment, SUM(s.price) AS total FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.year = 2015 GROUP BY c.segment")
@@ -411,8 +411,8 @@ func TestPushdownReducesJoinInput(t *testing.T) {
 
 func TestPushdownSameResults(t *testing.T) {
 	q := "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.price > 50 GROUP BY c.segment ORDER BY n DESC, 1"
-	a := DemoDB(7, 3000, 100)
-	b := DemoDB(7, 3000, 100)
+	a := demoDB(7, 3000, 100)
+	b := demoDB(7, 3000, 100)
 	a.Opt.Pushdown = true
 	b.Opt.Pushdown = false
 	ra := mustQuery(t, a, q)
@@ -474,7 +474,7 @@ func TestExplainListsSteps(t *testing.T) {
 }
 
 func TestDemoDBEndToEnd(t *testing.T) {
-	db := DemoDB(99, 2000, 150)
+	db := demoDB(99, 2000, 150)
 	res := mustQuery(t, db, `
 		SELECT c.country, COUNT(*) AS orders, SUM(s.price * (1 - s.discount)) AS revenue
 		FROM sales s JOIN customers c ON s.customer_id = c.customer_id

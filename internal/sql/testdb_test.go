@@ -1,0 +1,69 @@
+package sql
+
+import (
+	"reflect"
+
+	"repro/internal/relational"
+)
+
+// testDB is a catalog beside a mutable Config, for tests that sweep
+// engine and optimizer settings over the same tables and inspect the
+// Planned (operator tags, NetStats) a Session does not hand out. Query
+// and Plan run on an engine built from the current Opt, rebuilt only
+// when Opt changed since the last call.
+type testDB struct {
+	Opt  Config
+	rels []*relational.Relation
+	eng  *Engine
+}
+
+func newTestDB() *testDB { return &testDB{Opt: DefaultConfig()} }
+
+// demoDB is a testDB with the RegisterDemo tables loaded.
+func demoDB(seed uint64, salesRows, customers int) *testDB {
+	db := newTestDB()
+	db.Register(SalesRelation(seed, salesRows, customers))
+	db.Register(CustomersRelation(seed+1, customers))
+	return db
+}
+
+func (db *testDB) Register(rel *relational.Relation) {
+	db.rels = append(db.rels, rel)
+	db.eng = nil
+}
+
+func (db *testDB) engine() (*Engine, error) {
+	if db.eng == nil || !reflect.DeepEqual(db.eng.Config(), db.Opt) {
+		eng, err := NewEngine(db.Opt)
+		if err != nil {
+			return nil, err
+		}
+		for _, rel := range db.rels {
+			eng.Register(rel)
+		}
+		db.eng = eng
+	}
+	return db.eng, nil
+}
+
+// Plan parses and plans without executing; the plan is single-use.
+func (db *testDB) Plan(q string) (*Planned, error) {
+	eng, err := db.engine()
+	if err != nil {
+		return nil, err
+	}
+	stmt, err := Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	return (&planner{eng: eng, cfg: db.Opt}).planParsed(stmt)
+}
+
+// Query plans and executes, returning the materialized rows.
+func (db *testDB) Query(q string) (*relational.Relation, error) {
+	plan, err := db.Plan(q)
+	if err != nil {
+		return nil, err
+	}
+	return relational.Collect(plan.Root, "result")
+}
