@@ -14,6 +14,23 @@
 // netsim virtual clock. A query's network cost is exact under the
 // max-min fairness model; its compute cost is whatever the hardware
 // does.
+//
+// What crosses a fragment boundary is column vectors, never rows. A
+// ShardedTable's shards, a fragment round's outputs (RunFragmentsCols)
+// and the result of every movement primitive — MergeBySeq, Repartition,
+// Broadcast and their chunked forms — are column-built relations
+// (relational.NewColumnRelation): range shards are zero-copy windows of
+// the registered table's columnar image, seq-ordered merges copy runs of
+// one stream at a time (SeqMerger), a repartition gathers through
+// per-(source, destination) selection vectors, and a broadcast build side
+// is one set of vectors every shard probes. The primitives read their
+// inputs through Relation.Columnar, so row-built relations work too
+// (through their cached image); they never write to a vector they were
+// handed. The modeled side — Transfer lists, chunk compute bytes, landed
+// bounds — is computed from vector lengths and is, byte for byte, what
+// the row-at-a-time primitives produced (rowref_test.go keeps those as
+// the oracle). RunFragments and BroadcastChunks are the two entry points
+// that also fill Rows, for callers that index their results as rows.
 package dist
 
 import (

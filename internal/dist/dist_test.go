@@ -27,7 +27,7 @@ func TestShardRelationRange(t *testing.T) {
 	}
 	total, next := 0, int64(0)
 	for _, sh := range st.Shards {
-		for _, row := range sh.Rows {
+		for _, row := range sh.RowView() {
 			if row[2].I != next {
 				t.Fatalf("range sharding must keep global order: got seq %d want %d", row[2].I, next)
 			}
@@ -48,7 +48,7 @@ func TestShardRelationHash(t *testing.T) {
 	total := 0
 	for si, sh := range st.Shards {
 		last := int64(-1)
-		for _, row := range sh.Rows {
+		for _, row := range sh.RowView() {
 			if prev, ok := keyShard[row[0].I]; ok && prev != si {
 				t.Fatalf("key %d split across shards %d and %d", row[0].I, prev, si)
 			}
@@ -71,10 +71,10 @@ func TestMergeBySeq(t *testing.T) {
 	for _, strat := range []Strategy{RangeShard, HashShard} {
 		st := ShardRelation(rel, 5, strat, 0)
 		merged := MergeBySeq("m", st.Shards, st.SeqCol(), true)
-		if len(merged.Rows) != 57 || len(merged.Schema) != 2 {
-			t.Fatalf("%v: merged %d rows, %d cols", strat, len(merged.Rows), len(merged.Schema))
+		if merged.Len() != 57 || len(merged.Schema) != 2 {
+			t.Fatalf("%v: merged %d rows, %d cols", strat, merged.Len(), len(merged.Schema))
 		}
-		for i, row := range merged.Rows {
+		for i, row := range merged.RowView() {
 			if row[0].I != rel.Rows[i][0].I {
 				t.Fatalf("%v: row %d differs", strat, i)
 			}
@@ -91,7 +91,7 @@ func TestRepartition(t *testing.T) {
 	total := 0
 	for d, rel2 := range dests {
 		last := int64(-1)
-		for _, row := range rel2.Rows {
+		for _, row := range rel2.RowView() {
 			if got := int(hashValue(row[0]) % 4); got != d {
 				t.Fatalf("row with key %d landed on shard %d, want %d", row[0].I, d, got)
 			}
@@ -118,17 +118,17 @@ func TestBroadcast(t *testing.T) {
 	rel := testRel(40)
 	st := ShardRelation(rel, 4, HashShard, 0)
 	merged, transfers := Broadcast(st.Shards, st.SeqCol(), true)
-	if len(merged.Rows) != 40 {
-		t.Fatalf("merged %d rows", len(merged.Rows))
+	if merged.Len() != 40 {
+		t.Fatalf("merged %d rows", merged.Len())
 	}
-	for i, row := range merged.Rows {
+	for i, row := range merged.RowView() {
 		if row[0].I != rel.Rows[i][0].I {
 			t.Fatalf("broadcast build side out of order at %d", i)
 		}
 	}
 	nonEmpty := 0
 	for _, sh := range st.Shards {
-		if len(sh.Rows) > 0 {
+		if sh.Len() > 0 {
 			nonEmpty++
 		}
 	}

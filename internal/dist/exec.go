@@ -1,7 +1,7 @@
 package dist
 
 import (
-	"sort"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -74,13 +74,14 @@ func (a *abortable) Partition(n int, static bool) []relational.BatchOp {
 	return out
 }
 
-// RunFragments executes one shard-local operator tree per worker
-// concurrently — each shard is its own simulated host — and materializes
-// each stream into a relation. workers caps intra-shard morsel
+// RunFragmentsCols executes one shard-local operator tree per worker
+// concurrently — each shard is its own simulated host — and drains each
+// stream into a column-built relation (relational.Drain: vectors in,
+// vectors out, nothing boxed). workers caps intra-shard morsel
 // parallelism (the per-host core count; 0 = NumCPU). The shards share an
 // abort flag: one failing shard stops its siblings at their next batch
 // boundary.
-func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
+func RunFragmentsCols(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
 	outs := make([]*relational.Relation, len(frags))
 	errs := make([]error, len(frags))
 	flag := &fragAbort{}
@@ -89,8 +90,7 @@ func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*rela
 		wg.Add(1)
 		go func(i int, f relational.BatchOp) {
 			defer wg.Done()
-			op := relational.RowsOf(relational.NewExchange(&abortable{child: f, flag: flag}, workers))
-			outs[i], errs[i] = relational.Collect(op, name)
+			outs[i], errs[i] = relational.Drain(&abortable{child: f, flag: flag}, workers, name)
 			flag.abort(errs[i])
 		}(i, f)
 	}
@@ -104,6 +104,17 @@ func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*rela
 		}
 	}
 	return outs, nil
+}
+
+// RunFragments is RunFragmentsCols with every output's Rows filled
+// (RowView), for callers that index the fragment outputs as rows. The
+// engine calls RunFragmentsCols.
+func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
+	outs, err := RunFragmentsCols(name, frags, workers)
+	for _, rel := range outs {
+		rel.RowView()
+	}
+	return outs, err
 }
 
 // RunPartialAggs drains one shard-local fragment per worker concurrently
@@ -180,98 +191,186 @@ func RunPartialAggs(frags []relational.BatchOp, groupCols []int, aggs []relation
 	return out, nil
 }
 
-// ForEachBySeq visits every row of the per-shard relations in ascending
-// seqCol order, calling fn(shard, rowIndex) per row. Every input must be
-// seq-ascending (shard streams are by construction); equal tags — join
-// fan-out duplicates — can only occur within one shard (the strict '<'
-// then keeps that shard's run together), so the visit order is a total
-// deterministic order equal to the single-node row order. MergeBySeq and
-// the planner's re-sequencing both iterate through it, keeping the
-// tie-break rule in one place.
-func ForEachBySeq(shards []*relational.Relation, seqCol int, fn func(shard, row int)) {
-	pos := make([]int, len(shards))
-	for {
+// SeqMerger walks per-shard #seq-ascending streams in global seq order,
+// a run at a time: a run is a maximal stretch of one stream's rows that
+// the k-way merge emits back to back. Every input must be seq-ascending
+// (shard streams are by construction); equal tags — join fan-out
+// duplicates — can only occur within one shard, and a tie between
+// streams goes to the lower index, so the visit order is a total
+// deterministic order equal to the single-node row order. Range-sharded
+// streams are disjoint ascending ranges — one run per shard — so a merge
+// is a handful of range copies per column; hash-sharded streams degrade
+// to short runs. Every seq-ordered primitive (MergeBySeq, GatherChunks,
+// Repartition's per-destination merge, the planner's re-sequencing)
+// iterates through it, keeping the tie-break rule in one place.
+//
+// Merging to bounds[0], bounds[1], … as gather chunks land yields, row
+// for row, the relation MergeBySeq builds in one shot.
+type SeqMerger struct {
+	seqs  [][]int64
+	cols  [][]relational.Vector // per-shard columns; nil for a bare seq merge
+	pos   []int
+	taken int
+}
+
+// NewSeqMerger returns a merger over the per-shard relations (each must
+// be seqCol-ascending).
+func NewSeqMerger(shards []*relational.Relation, seqCol int) *SeqMerger {
+	m := &SeqMerger{seqs: make([][]int64, len(shards)), cols: make([][]relational.Vector, len(shards)), pos: make([]int, len(shards))}
+	for i, sh := range shards {
+		m.cols[i] = sh.Columnar()
+		m.seqs[i] = m.cols[i][seqCol].Ints
+	}
+	return m
+}
+
+// TakeRuns visits rows ranked [taken, upto) in global seq order as runs,
+// calling fn(shard, lo, hi) for rows [lo, hi) of that shard, and
+// advances the merger.
+func (m *SeqMerger) TakeRuns(upto int, fn func(shard, lo, hi int)) {
+	for m.taken < upto {
 		best := -1
-		var bestSeq int64
-		for i, s := range shards {
-			if pos[i] >= len(s.Rows) {
-				continue
-			}
-			if seq := s.Rows[pos[i]][seqCol].I; best < 0 || seq < bestSeq {
-				best, bestSeq = i, seq
+		for i, s := range m.seqs {
+			if m.pos[i] < len(s) && (best < 0 || s[m.pos[i]] < m.seqs[best][m.pos[best]]) {
+				best = i
 			}
 		}
 		if best < 0 {
 			return
 		}
-		fn(best, pos[best])
-		pos[best]++
+		// The run lasts while best stays the first stream holding the
+		// smallest head: strictly below every earlier stream's head (which
+		// is above best's own, so the decrement cannot wrap), at or below
+		// every later one's.
+		limit := int64(math.MaxInt64)
+		for i, s := range m.seqs {
+			if i == best || m.pos[i] >= len(s) {
+				continue
+			}
+			h := s[m.pos[i]]
+			if i < best {
+				h--
+			}
+			limit = min(limit, h)
+		}
+		s, lo := m.seqs[best], m.pos[best]
+		end := min(len(s), lo+upto-m.taken)
+		hi := lo + 1
+		for hi < end && s[hi] <= limit {
+			hi++
+		}
+		fn(best, lo, hi)
+		m.pos[best] = hi
+		m.taken += hi - lo
 	}
 }
 
+// Take is TakeRuns a row at a time: fn(shard, rowIndex) per row.
+func (m *SeqMerger) Take(upto int, fn func(shard, row int)) {
+	m.TakeRuns(upto, func(shard, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			fn(shard, r)
+		}
+	})
+}
+
+// MergeInto appends the rows ranked [taken, upto) onto dst, column by
+// column; dst may be narrower than the shards (the trailing columns — the
+// seq column, when stripping — are dropped).
+func (m *SeqMerger) MergeInto(dst []relational.Vector, upto int) {
+	m.TakeRuns(upto, func(shard, lo, hi int) {
+		for c := range dst {
+			dst[c].AppendRange(&m.cols[shard][c], lo, hi)
+		}
+	})
+}
+
+func totalRows(shards []*relational.Relation) int {
+	n := 0
+	for _, s := range shards {
+		n += s.Len()
+	}
+	return n
+}
+
 // MergeBySeq k-way merges per-shard relations on the seqCol column into
-// one relation. strip drops the seq column (which must be the last) from
-// the output rows.
+// one column-built relation. strip drops the seq column (which must be
+// the last) from the output.
 func MergeBySeq(name string, shards []*relational.Relation, seqCol int, strip bool) *relational.Relation {
 	schema := shards[0].Schema
 	if strip {
 		schema = schema[:seqCol]
 	}
-	out := relational.NewRelation(name, schema)
-	total := 0
-	for _, s := range shards {
-		total += len(s.Rows)
-	}
-	out.Rows = make([]relational.Row, 0, total)
-	ForEachBySeq(shards, seqCol, func(shard, row int) {
-		r := shards[shard].Rows[row]
-		if strip {
-			r = r[:seqCol]
-		}
-		out.Rows = append(out.Rows, r)
-	})
-	return out
+	total := totalRows(shards)
+	cols := relational.NewBatch(schema, total).Cols
+	NewSeqMerger(shards, seqCol).MergeInto(cols, total)
+	return relational.NewColumnRelation(name, schema, cols, total)
 }
 
 // Repartition hashes each shard relation's rows on keyCol into one
 // bucket per destination shard and reassembles every destination's
-// bucket sorted by seqCol (stable, so fan-out duplicates keep their
-// order). It returns the per-destination relations plus the transfers
-// crossing the fabric (rows whose bucket is their current shard move no
-// bytes).
+// bucket in seqCol order (ties between sources in source order, so
+// fan-out duplicates keep their order). It returns the per-destination
+// relations plus the transfers crossing the fabric (rows whose bucket is
+// their current shard move no bytes).
 func Repartition(shards []*relational.Relation, keyCol, seqCol int) ([]*relational.Relation, []Transfer) {
+	dests, transfers, _ := repartition(shards, keyCol, seqCol)
+	return dests, transfers
+}
+
+// repartition is Repartition, also returning every source row's
+// destination (place[src][row]) for the chunked form's byte accounting.
+// Each (source, destination) pair gets the ascending selection vector of
+// the source rows bound there; a destination's bucket is the seq merge of
+// its selections, gathered run by run.
+func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*relational.Relation, transfers []Transfer, place [][]int32) {
 	s := len(shards)
-	dests := make([]*relational.Relation, s)
-	for i := range dests {
-		dests[i] = relational.NewRelation(shards[0].Name, shards[0].Schema)
-	}
-	var transfers []Transfer
+	place = make([][]int32, s)
+	sels := make([][][]int32, s)
+	srcCols := make([][]relational.Vector, s)
 	for src, rel := range shards {
-		bytesTo := make([]float64, s)
-		for _, row := range rel.Rows {
-			d := int(hashValue(row[keyCol]) % uint64(s))
-			dests[d].Rows = append(dests[d].Rows, row)
-			if d != src {
-				bytesTo[d] += row.EncodedBytes()
+		cols := rel.Columnar()
+		srcCols[src] = cols
+		place[src] = destinations(&cols[keyCol], rel.Len(), s)
+		sizer := relational.NewRowSizer(cols)
+		sels[src] = make([][]int32, s)
+		bytesTo := make([]int, s)
+		for r, d := range place[src] {
+			sels[src][d] = append(sels[src][d], int32(r))
+			if int(d) != src {
+				bytesTo[d] += sizer.Bytes(r)
 			}
 		}
 		for d, b := range bytesTo {
 			if b > 0 {
-				transfers = append(transfers, Transfer{Src: src, Dst: d, Bytes: b})
+				transfers = append(transfers, Transfer{Src: src, Dst: d, Bytes: float64(b)})
 			}
 		}
 	}
-	for _, d := range dests {
-		rows := d.Rows
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i][seqCol].I < rows[j][seqCol].I })
+	dests = make([]*relational.Relation, s)
+	for d := range dests {
+		m := &SeqMerger{seqs: make([][]int64, s), pos: make([]int, s)}
+		total := 0
+		for src := range shards {
+			m.seqs[src] = relational.GatherVector(&srcCols[src][seqCol], sels[src][d]).Ints
+			total += len(sels[src][d])
+		}
+		cols := relational.NewBatch(shards[0].Schema, total).Cols
+		m.TakeRuns(total, func(src, lo, hi int) {
+			for c := range cols {
+				cols[c].AppendGather(&srcCols[src][c], sels[src][d][lo:hi])
+			}
+		})
+		dests[d] = relational.NewColumnRelation(shards[0].Name, shards[0].Schema, cols, total)
 	}
-	return dests, transfers
+	return dests, transfers, place
 }
 
 // Broadcast replicates the union of the shard relations to every worker:
 // it returns the seq-merged relation (the build side every shard will
-// probe against, in exact serial order, seq column stripped when strip)
-// plus the all-to-all transfer list.
+// probe against, in exact serial order, seq column stripped when strip —
+// one set of immutable vectors all shards share) plus the all-to-all
+// transfer list.
 func Broadcast(shards []*relational.Relation, seqCol int, strip bool) (*relational.Relation, []Transfer) {
 	merged := MergeBySeq(shards[0].Name, shards, seqCol, strip)
 	var transfers []Transfer

@@ -135,17 +135,10 @@ func chunkCount(total, chunkRows int) int {
 }
 
 // chunkWindow clips source-local chunk g's row window [g·chunkRows,
-// (g+1)·chunkRows) to the relation, returning an empty window for
+// (g+1)·chunkRows) to a source of n rows, returning an empty window for
 // exhausted sources.
-func chunkWindow(rel *relational.Relation, g, chunkRows int) (lo, hi int) {
-	lo, hi = g*chunkRows, (g+1)*chunkRows
-	if lo > len(rel.Rows) {
-		lo = len(rel.Rows)
-	}
-	if hi > len(rel.Rows) {
-		hi = len(rel.Rows)
-	}
-	return lo, hi
+func chunkWindow(n, g, chunkRows int) (lo, hi int) {
+	return min(g*chunkRows, n), min((g+1)*chunkRows, n)
 }
 
 // chunkWatermark returns the seq value below which every row has
@@ -153,15 +146,35 @@ func chunkWindow(rel *relational.Relation, g, chunkRows int) (lo, hi int) {
 // 0..g: the minimum, across sources, of the first still-unshipped row's
 // seq (shard streams are seq-ascending). ok is false when every source
 // is exhausted — everything has landed.
-func chunkWatermark(shards []*relational.Relation, seqCol, g, chunkRows int) (w int64, ok bool) {
-	for _, rel := range shards {
-		if hi := (g + 1) * chunkRows; hi < len(rel.Rows) {
-			if seq := rel.Rows[hi][seqCol].I; !ok || seq < w {
-				w, ok = seq, true
+func chunkWatermark(seqs [][]int64, g, chunkRows int) (w int64, ok bool) {
+	for _, seq := range seqs {
+		if hi := (g + 1) * chunkRows; hi < len(seq) {
+			if !ok || seq[hi] < w {
+				w, ok = seq[hi], true
 			}
 		}
 	}
 	return w, ok
+}
+
+// rowSizers returns each shard's row sizer.
+func rowSizers(shards []*relational.Relation) []relational.RowSizer {
+	out := make([]relational.RowSizer, len(shards))
+	for i, sh := range shards {
+		out[i] = relational.NewRowSizer(sh.Columnar())
+	}
+	return out
+}
+
+// seqVectors returns each shard's seqCol payload and the longest shard's
+// row count.
+func seqVectors(shards []*relational.Relation, seqCol int) (seqs [][]int64, maxRows int) {
+	seqs = make([][]int64, len(shards))
+	for i, sh := range shards {
+		seqs[i] = sh.Columnar()[seqCol].Ints
+		maxRows = max(maxRows, len(seqs[i]))
+	}
+	return seqs, maxRows
 }
 
 // RepartitionChunks is Repartition split into pipelined chunks. The
@@ -170,64 +183,60 @@ func chunkWatermark(shards []*relational.Relation, seqCol, g, chunkRows int) (w 
 // carries every source's local rows [g·chunkRows, (g+1)·chunkRows), so
 // all source uplinks transmit in parallel within each sub-round,
 // exactly as they do in the one bulk round. cum[g][d] is the prefix of
-// the seq-sorted bucket dests[d].Rows a consumer may digest after chunk
-// g: the rows below the landed-seq watermark, which is what lets an
+// the seq-sorted bucket dests[d] a consumer may digest after chunk g:
+// the rows below the landed-seq watermark, which is what lets an
 // incremental hash build insert in the bulk build's exact order while
 // later chunks are still in flight. The per-(src,dst) chunk bytes sum
 // to the bulk transfer bytes exactly (byte counts are integers, so
-// float summation order cannot perturb them), and a single covering
-// chunk emits the bulk transfer list bit-for-bit.
+// summation order cannot perturb them), and a single covering chunk
+// emits the bulk transfer list bit-for-bit.
 func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk, cum [][]int) {
-	dests, _ = Repartition(shards, keyCol, seqCol)
+	dests, _, place := repartition(shards, keyCol, seqCol)
 	s := len(shards)
-	maxRows := 0
-	for _, sh := range shards {
-		if len(sh.Rows) > maxRows {
-			maxRows = len(sh.Rows)
-		}
-	}
+	seqs, maxRows := seqVectors(shards, seqCol)
 	if maxRows == 0 {
 		return dests, nil, nil
 	}
 	n := chunkCount(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
+	sizers := rowSizers(shards)
 	for g := 0; g < n; g++ {
 		var ts []Transfer
-		for src, rel := range shards {
-			lo, hi := chunkWindow(rel, g, chunkRows)
+		compute := 0
+		for src := range shards {
+			lo, hi := chunkWindow(len(seqs[src]), g, chunkRows)
 			if lo == hi {
 				continue
 			}
-			bytesTo := make([]float64, s)
-			for _, row := range rel.Rows[lo:hi] {
-				d := int(hashValue(row[keyCol]) % uint64(s))
-				b := row.EncodedBytes()
-				chunks[g].ComputeBytes += b
-				if d != src {
+			bytesTo := make([]int, s)
+			for r := lo; r < hi; r++ {
+				b := sizers[src].Bytes(r)
+				compute += b
+				if d := int(place[src][r]); d != src {
 					bytesTo[d] += b
 				}
 			}
 			for d, b := range bytesTo {
 				if b > 0 {
-					ts = append(ts, Transfer{Src: src, Dst: d, Bytes: b})
+					ts = append(ts, Transfer{Src: src, Dst: d, Bytes: float64(b)})
 				}
 			}
 		}
-		chunks[g].Transfers = ts
+		chunks[g] = Chunk{Transfers: ts, ComputeBytes: float64(compute)}
 	}
 	cum = make([][]int, n)
+	destSeqs, _ := seqVectors(dests, seqCol)
 	pos := make([]int, s)
 	for g := 0; g < n; g++ {
-		if w, ok := chunkWatermark(shards, seqCol, g, chunkRows); ok {
-			for d := range pos {
-				rows := dests[d].Rows
-				for pos[d] < len(rows) && rows[pos[d]][seqCol].I < w {
+		if w, ok := chunkWatermark(seqs, g, chunkRows); ok {
+			for d, seq := range destSeqs {
+				for pos[d] < len(seq) && seq[pos[d]] < w {
 					pos[d]++
 				}
 			}
 		} else {
-			for d := range pos {
-				pos[d] = len(dests[d].Rows)
+			for d, seq := range destSeqs {
+				pos[d] = len(seq)
 			}
 		}
 		cum[g] = append([]int(nil), pos...)
@@ -235,8 +244,8 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 	return dests, chunks, cum
 }
 
-// BroadcastChunks is Broadcast split into pipelined chunks. merged is
-// identical to the bulk path's seq-merged build side; chunk g carries
+// BroadcastChunksCols is Broadcast split into pipelined chunks. merged
+// is identical to the bulk path's seq-merged build side; chunk g carries
 // every source's local rows [g·chunkRows, (g+1)·chunkRows) to every
 // other shard — striped across sources like RepartitionChunks, so all
 // uplinks transmit in parallel within each sub-round. bounds[g] is the
@@ -246,33 +255,26 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 // bytes across chunks sum to the bulk per-source relation bytes
 // exactly, and byte accounting is done pre-strip (the wire carries the
 // seq column, as in the bulk path).
-func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
+func BroadcastChunksCols(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
 	merged = MergeBySeq(shards[0].Name, shards, seqCol, strip)
-	total := len(merged.Rows)
+	total := merged.Len()
 	if total == 0 {
 		return merged, nil, nil
 	}
-	maxRows := 0
-	for _, sh := range shards {
-		if len(sh.Rows) > maxRows {
-			maxRows = len(sh.Rows)
-		}
-	}
+	seqs, maxRows := seqVectors(shards, seqCol)
 	n := chunkCount(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
 	pos := make([]int, len(shards))
+	sizers := rowSizers(shards)
 	for g := 0; g < n; g++ {
 		var ts []Transfer
-		for src, rel := range shards {
-			lo, hi := chunkWindow(rel, g, chunkRows)
+		for src := range shards {
+			lo, hi := chunkWindow(len(seqs[src]), g, chunkRows)
 			if lo == hi {
 				continue
 			}
-			b := 0.0
-			for _, row := range rel.Rows[lo:hi] {
-				b += row.EncodedBytes()
-			}
+			b := float64(sizers[src].RangeBytes(lo, hi))
 			chunks[g].ComputeBytes += b
 			if b > 0 {
 				for dst := range shards {
@@ -283,15 +285,13 @@ func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chun
 			}
 		}
 		chunks[g].Transfers = ts
-		if w, ok := chunkWatermark(shards, seqCol, g, chunkRows); ok {
-			for i, rel := range shards {
-				for pos[i] < len(rel.Rows) && rel.Rows[pos[i]][seqCol].I < w {
+		if w, ok := chunkWatermark(seqs, g, chunkRows); ok {
+			b := 0
+			for i, seq := range seqs {
+				for pos[i] < len(seq) && seq[pos[i]] < w {
 					pos[i]++
 				}
-			}
-			b := 0
-			for _, p := range pos {
-				b += p
+				b += pos[i]
 			}
 			bounds[g] = b
 		} else {
@@ -301,48 +301,45 @@ func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chun
 	return merged, chunks, bounds
 }
 
+// BroadcastChunks is BroadcastChunksCols with merged's Rows filled
+// (RowView), for callers that slice the merged build side as rows. The
+// engine calls BroadcastChunksCols.
+func BroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
+	merged, chunks, bounds = BroadcastChunksCols(shards, seqCol, strip, chunkRows)
+	merged.RowView()
+	return merged, chunks, bounds
+}
+
 // GatherChunks splits the final gather of per-shard relations into seq-
 // rank chunks: chunk g ships each shard's share of rows ranked
 // [g·chunkRows, (g+1)·chunkRows) to the coordinator, and bounds[g] is
 // the cumulative global row count landed through chunk g (feed it to a
 // SeqMerger to reassemble the exact MergeBySeq order incrementally).
 func GatherChunks(shards []*relational.Relation, seqCol, chunkRows int) (chunks []Chunk, bounds []int) {
-	total := 0
-	for _, sh := range shards {
-		total += len(sh.Rows)
-	}
+	total := totalRows(shards)
 	if total == 0 {
 		return nil, nil
 	}
 	n := chunkCount(total, chunkRows)
-	srcBytes := make([][]float64, n)
-	compute := make([]float64, n)
-	for g := range srcBytes {
-		srcBytes[g] = make([]float64, len(shards))
-	}
-	r := 0
-	ForEachBySeq(shards, seqCol, func(shard, row int) {
-		g := r / chunkRows
-		r++
-		b := shards[shard].Rows[row].EncodedBytes()
-		srcBytes[g][shard] += b
-		compute[g] += b
-	})
+	sizers := rowSizers(shards)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
+	m := NewSeqMerger(shards, seqCol)
 	for g := 0; g < n; g++ {
+		bounds[g] = min((g+1)*chunkRows, total)
+		srcBytes := make([]int, len(shards))
+		m.TakeRuns(bounds[g], func(shard, lo, hi int) {
+			srcBytes[shard] += sizers[shard].RangeBytes(lo, hi)
+		})
+		compute := 0
 		var ts []Transfer
-		for src, b := range srcBytes[g] {
+		for src, b := range srcBytes {
+			compute += b
 			if b > 0 {
-				ts = append(ts, Transfer{Src: src, Dst: Coordinator, Bytes: b})
+				ts = append(ts, Transfer{Src: src, Dst: Coordinator, Bytes: float64(b)})
 			}
 		}
-		chunks[g] = Chunk{Transfers: ts, ComputeBytes: compute[g]}
-		end := (g + 1) * chunkRows
-		if end > total {
-			end = total
-		}
-		bounds[g] = end
+		chunks[g] = Chunk{Transfers: ts, ComputeBytes: float64(compute)}
 	}
 	return chunks, bounds
 }
@@ -376,44 +373,4 @@ func PartialGatherChunks(subs [][]*relational.PartialAgg) []Chunk {
 		chunks[g] = Chunk{Transfers: ts, ComputeBytes: compute}
 	}
 	return chunks
-}
-
-// SeqMerger incrementally reproduces MergeBySeq: Take(upto) appends the
-// globally seq-ordered rows ranked below upto that have not been taken
-// yet. Taking bounds[0], bounds[1], … as gather chunks land yields, row
-// for row, the relation the bulk MergeBySeq builds in one shot.
-type SeqMerger struct {
-	shards []*relational.Relation
-	seqCol int
-	pos    []int
-	taken  int
-}
-
-// NewSeqMerger returns a merger over the per-shard relations (each must
-// be seq-ascending, as shard streams are by construction).
-func NewSeqMerger(shards []*relational.Relation, seqCol int) *SeqMerger {
-	return &SeqMerger{shards: shards, seqCol: seqCol, pos: make([]int, len(shards))}
-}
-
-// Take visits rows ranked [taken, upto) in global seq order, calling
-// fn(shard, rowIndex) for each, and advances the merger.
-func (m *SeqMerger) Take(upto int, fn func(shard, row int)) {
-	for m.taken < upto {
-		best := -1
-		var bestSeq int64
-		for i, s := range m.shards {
-			if m.pos[i] >= len(s.Rows) {
-				continue
-			}
-			if seq := s.Rows[m.pos[i]][m.seqCol].I; best < 0 || seq < bestSeq {
-				best, bestSeq = i, seq
-			}
-		}
-		if best < 0 {
-			return
-		}
-		fn(best, m.pos[best])
-		m.pos[best]++
-		m.taken++
-	}
 }

@@ -24,11 +24,11 @@ func TestRepartitionChunksParity(t *testing.T) {
 	for _, cr := range chunkSizes {
 		dests, chunks, cum := RepartitionChunks(st.Shards, 0, st.SeqCol(), cr)
 		for d := range dests {
-			if len(dests[d].Rows) != len(bulkDests[d].Rows) {
-				t.Fatalf("cr=%d dest %d: %d rows want %d", cr, d, len(dests[d].Rows), len(bulkDests[d].Rows))
+			if dests[d].Len() != bulkDests[d].Len() {
+				t.Fatalf("cr=%d dest %d: %d rows want %d", cr, d, dests[d].Len(), bulkDests[d].Len())
 			}
-			for i := range dests[d].Rows {
-				if dests[d].Rows[i][st.SeqCol()].I != bulkDests[d].Rows[i][st.SeqCol()].I {
+			for i := range dests[d].RowView() {
+				if dests[d].RowView()[i][st.SeqCol()].I != bulkDests[d].RowView()[i][st.SeqCol()].I {
 					t.Fatalf("cr=%d dest %d row %d differs", cr, d, i)
 				}
 			}
@@ -58,8 +58,8 @@ func TestRepartitionChunksParity(t *testing.T) {
 		}
 		last := cum[len(cum)-1]
 		for d := range dests {
-			if last[d] != len(dests[d].Rows) {
-				t.Fatalf("cr=%d dest %d final cum %d want %d", cr, d, last[d], len(dests[d].Rows))
+			if last[d] != dests[d].Len() {
+				t.Fatalf("cr=%d dest %d final cum %d want %d", cr, d, last[d], dests[d].Len())
 			}
 		}
 		for g := 1; g < len(cum); g++ {
@@ -85,11 +85,11 @@ func TestBroadcastChunksParity(t *testing.T) {
 	}
 	for _, cr := range chunkSizes {
 		merged, chunks, bounds := BroadcastChunks(st.Shards, st.SeqCol(), true, cr)
-		if len(merged.Rows) != len(bulkMerged.Rows) {
-			t.Fatalf("cr=%d merged %d rows want %d", cr, len(merged.Rows), len(bulkMerged.Rows))
+		if merged.Len() != bulkMerged.Len() {
+			t.Fatalf("cr=%d merged %d rows want %d", cr, merged.Len(), bulkMerged.Len())
 		}
-		for i := range merged.Rows {
-			if merged.Rows[i][0].I != bulkMerged.Rows[i][0].I {
+		for i := range merged.RowView() {
+			if merged.RowView()[i][0].I != bulkMerged.RowView()[i][0].I {
 				t.Fatalf("cr=%d merged row %d differs", cr, i)
 			}
 		}
@@ -107,8 +107,8 @@ func TestBroadcastChunksParity(t *testing.T) {
 				t.Fatalf("cr=%d src %d: %v bytes want %v", cr, src, perSrc[src], b)
 			}
 		}
-		if bounds[len(bounds)-1] != len(merged.Rows) {
-			t.Fatalf("cr=%d final bound %d want %d", cr, bounds[len(bounds)-1], len(merged.Rows))
+		if bounds[len(bounds)-1] != merged.Len() {
+			t.Fatalf("cr=%d final bound %d want %d", cr, bounds[len(bounds)-1], merged.Len())
 		}
 	}
 }
@@ -140,14 +140,14 @@ func TestGatherChunksSeqMerger(t *testing.T) {
 		m := NewSeqMerger(st.Shards, st.SeqCol())
 		for _, b := range bounds {
 			m.Take(b, func(shard, row int) {
-				out.Rows = append(out.Rows, st.Shards[shard].Rows[row][:st.SeqCol()])
+				out.Rows = append(out.Rows, st.Shards[shard].RowView()[row][:st.SeqCol()])
 			})
 		}
-		if len(out.Rows) != len(bulk.Rows) {
-			t.Fatalf("cr=%d merged %d rows want %d", cr, len(out.Rows), len(bulk.Rows))
+		if len(out.Rows) != bulk.Len() {
+			t.Fatalf("cr=%d merged %d rows want %d", cr, len(out.Rows), bulk.Len())
 		}
 		for i := range out.Rows {
-			if out.Rows[i][0].I != bulk.Rows[i][0].I {
+			if out.Rows[i][0].I != bulk.RowView()[i][0].I {
 				t.Fatalf("cr=%d row %d differs", cr, i)
 			}
 		}

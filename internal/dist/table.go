@@ -1,6 +1,10 @@
 package dist
 
-import "repro/internal/relational"
+import (
+	"strconv"
+
+	"repro/internal/relational"
+)
 
 // Strategy selects how a relation's rows map to shards.
 type Strategy int
@@ -43,29 +47,49 @@ type ShardedTable struct {
 }
 
 // ShardRelation splits rel across shards workers using the given
-// strategy (keyCol names the hash column; ignored for RangeShard).
+// strategy (keyCol names the hash column; ignored for RangeShard). The
+// shards are column-built and copy as little as the strategy allows:
+// under RangeShard every shard is a zero-copy window of rel's columnar
+// image plus its window of one iota #seq vector; under HashShard each
+// shard gathers its ascending selection of rows. Either way the shard
+// vectors alias or derive from the registered table's image, so nothing
+// downstream may write to them.
 func ShardRelation(rel *relational.Relation, shards int, strategy Strategy, keyCol int) *ShardedTable {
 	schema := append(append(relational.Schema{}, rel.Schema...),
 		relational.Column{Name: SeqColName, Type: relational.Int})
 	t := &ShardedTable{Rel: rel, Strategy: strategy, KeyCol: keyCol, Shards: make([]*relational.Relation, shards)}
+	cols, n := rel.Columnar(), rel.Len()
 	if strategy != HashShard {
 		t.KeyCol = -1
-	}
-	for i := range t.Shards {
-		t.Shards[i] = relational.NewRelation(rel.Name, schema)
-	}
-	n := len(rel.Rows)
-	for i, row := range rel.Rows {
-		s := 0
-		if strategy == HashShard {
-			s = int(hashValue(row[keyCol]) % uint64(shards))
-		} else if n > 0 {
-			s = i * shards / n
+		seq := relational.Vector{T: relational.Int, Ints: make([]int64, n)}
+		for i := range seq.Ints {
+			seq.Ints[i] = int64(i)
 		}
-		tagged := make(relational.Row, 0, len(row)+1)
-		tagged = append(tagged, row...)
-		tagged = append(tagged, relational.IntV(int64(i)))
-		t.Shards[s].Rows = append(t.Shards[s].Rows, tagged)
+		for s := range t.Shards {
+			// Row i lives on shard i·S/n, so shard s starts at ⌈s·n/S⌉.
+			lo, hi := (s*n+shards-1)/shards, ((s+1)*n+shards-1)/shards
+			sc := make([]relational.Vector, 0, len(cols)+1)
+			for c := range cols {
+				sc = append(sc, cols[c].Slice(lo, hi))
+			}
+			t.Shards[s] = relational.NewColumnRelation(rel.Name, schema, append(sc, seq.Slice(lo, hi)), hi-lo)
+		}
+		return t
+	}
+	sels := make([][]int32, shards)
+	for i, d := range destinations(&cols[keyCol], n, shards) {
+		sels[d] = append(sels[d], int32(i))
+	}
+	for s, sel := range sels {
+		sc := make([]relational.Vector, 0, len(cols)+1)
+		for c := range cols {
+			sc = append(sc, relational.GatherVector(&cols[c], sel))
+		}
+		seq := relational.Vector{T: relational.Int, Ints: make([]int64, len(sel))}
+		for i, r := range sel {
+			seq.Ints[i] = int64(r)
+		}
+		t.Shards[s] = relational.NewColumnRelation(rel.Name, schema, append(sc, seq), len(sel))
 	}
 	return t
 }
@@ -98,19 +122,75 @@ func ShardFor(strategy Strategy, keyCol, shards int, row relational.Row, idx, to
 func (t *ShardedTable) SourceRows() int {
 	n := 0
 	for _, s := range t.Shards {
-		n += len(s.Rows)
+		n += s.Len()
 	}
 	return n
 }
 
-// hashValue is the FNV-1a hash of a value's type-tagged key form, shared
-// by table sharding and shuffle repartitioning so both place equal keys
-// identically.
-func hashValue(v relational.Value) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range []byte(v.Key()) {
-		h ^= uint64(b)
-		h *= 1099511628211
+// FNV-1a over a value's type-tagged key form — the byte sequence of
+// Value.Key(): 'i' + decimal, 'f' + the 'b' float format, 's' + the
+// string — shared by table sharding and shuffle repartitioning so both
+// place equal keys identically. The bytes are formatted into a stack
+// buffer and strings are hashed in place: no allocation per row.
+const (
+	fnvOffset uint64 = 14695981039346656037
+	fnvPrime  uint64 = 1099511628211
+)
+
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
 	}
 	return h
+}
+
+func hashInt(v int64) uint64 {
+	var buf [24]byte
+	return fnvBytes(fnvOffset, strconv.AppendInt(append(buf[:0], 'i'), v, 10))
+}
+
+func hashFloat(v float64) uint64 {
+	var buf [32]byte
+	return fnvBytes(fnvOffset, strconv.AppendFloat(append(buf[:0], 'f'), v, 'b', -1, 64))
+}
+
+func hashString(v string) uint64 {
+	h := fnvBytes(fnvOffset, []byte{'s'})
+	for i := 0; i < len(v); i++ {
+		h = (h ^ uint64(v[i])) * fnvPrime
+	}
+	return h
+}
+
+// hashValue hashes one boxed cell.
+func hashValue(v relational.Value) uint64 {
+	switch v.T {
+	case relational.Int:
+		return hashInt(v.I)
+	case relational.Float:
+		return hashFloat(v.F)
+	default:
+		return hashString(v.S)
+	}
+}
+
+// destinations returns, for each of the first n cells of key, the shard
+// (of s) its hash places it on: one typed loop per vector.
+func destinations(key *relational.Vector, n, s int) []int32 {
+	out := make([]int32, n)
+	switch key.T {
+	case relational.Int:
+		for i, v := range key.Ints[:n] {
+			out[i] = int32(hashInt(v) % uint64(s))
+		}
+	case relational.Float:
+		for i, v := range key.Floats[:n] {
+			out[i] = int32(hashFloat(v) % uint64(s))
+		}
+	default:
+		for i, v := range key.Strs[:n] {
+			out[i] = int32(hashString(v) % uint64(s))
+		}
+	}
+	return out
 }

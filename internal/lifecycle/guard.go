@@ -195,7 +195,7 @@ func (g *Guard) applyKills(name string, evs []Event, selectLost func(Event, int)
 // RunFragments executes one shard-local fragment per shard, building
 // each operator tree via build (callable more than once per shard — a
 // speculative duplicate rebuilds its own tree). Without a slow event at
-// this round's ordinal it delegates to dist.RunFragments unchanged.
+// this round's ordinal it delegates to dist.RunFragmentsCols unchanged.
 // With one, the straggling shards run as speculative pairs: the primary
 // attempt is delayed Factor×StragglerDelay (the injected straggle), a
 // watchdog launches a duplicate after SpecThreshold, the first result
@@ -225,7 +225,7 @@ func (g *Guard) RunFragments(name string, n, workers int, build func(int) (relat
 			}
 			frags[i] = op
 		}
-		return dist.RunFragments(name, frags, workers)
+		return dist.RunFragmentsCols(name, frags, workers)
 	}
 	outs := make([]*relational.Relation, n)
 	errs := make([]error, n)
@@ -264,7 +264,8 @@ func (g *Guard) RunFragments(name string, n, workers int, build func(int) (relat
 	return outs, nil
 }
 
-// runAttempt builds and drains one fragment attempt. delay gates the
+// runAttempt builds and drains one fragment attempt into a column-built
+// relation (relational.Drain, as dist.RunFragmentsCols). delay gates the
 // drain (the injected straggle) and tok cancels both the gate and the
 // stream at the next batch boundary.
 func runAttempt(name string, s, workers int, build func(int) (relational.BatchOp, error), delay time.Duration, tok *relational.CancelToken) (*relational.Relation, error) {
@@ -289,7 +290,7 @@ func runAttempt(name string, s, workers int, build func(int) (relational.BatchOp
 	if tok != nil {
 		op = relational.GuardBatch(op, tok)
 	}
-	return relational.Collect(relational.RowsOf(relational.NewExchange(op, workers)), name)
+	return relational.Drain(op, workers, name)
 }
 
 // speculate races a straggling primary attempt against a duplicate

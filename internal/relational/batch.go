@@ -140,9 +140,9 @@ func (v *Vector) clone() Vector {
 	}
 }
 
-// gatherVector materializes the selected elements of src, delegating Int
+// GatherVector materializes the selected elements of src, delegating Int
 // and Float payloads to the gather kernels.
-func gatherVector(src *Vector, sel []int32) Vector {
+func GatherVector(src *Vector, sel []int32) Vector {
 	v := Vector{T: src.T}
 	switch src.T {
 	case Int:
@@ -158,8 +158,39 @@ func gatherVector(src *Vector, sel []int32) Vector {
 	return v
 }
 
-// slice returns the [from, to) window sharing the backing arrays.
-func (v *Vector) slice(from, to int) Vector {
+// AppendRange appends elements [lo, hi) of src, a vector of the same type.
+func (v *Vector) AppendRange(src *Vector, lo, hi int) {
+	switch v.T {
+	case Int:
+		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
+	case Float:
+		v.Floats = append(v.Floats, src.Floats[lo:hi]...)
+	default:
+		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
+	}
+}
+
+// AppendGather appends the selected elements of src, a vector of the same
+// type, in selection order.
+func (v *Vector) AppendGather(src *Vector, sel []int32) {
+	switch v.T {
+	case Int:
+		for _, j := range sel {
+			v.Ints = append(v.Ints, src.Ints[j])
+		}
+	case Float:
+		for _, j := range sel {
+			v.Floats = append(v.Floats, src.Floats[j])
+		}
+	default:
+		for _, j := range sel {
+			v.Strs = append(v.Strs, src.Strs[j])
+		}
+	}
+}
+
+// Slice returns the [from, to) window sharing the backing arrays.
+func (v *Vector) Slice(from, to int) Vector {
 	out := Vector{T: v.T}
 	switch v.T {
 	case Int:
@@ -273,7 +304,7 @@ func windowBatches(schema Schema, cols []Vector, n int) []*Batch {
 		hi := min(lo+BatchSize, n)
 		b := &Batch{Schema: schema, Cols: make([]Vector, len(cols)), Seq: int64(lo / BatchSize), n: hi - lo}
 		for c := range cols {
-			b.Cols[c] = cols[c].slice(lo, hi)
+			b.Cols[c] = cols[c].Slice(lo, hi)
 		}
 		out = append(out, b)
 	}
@@ -369,6 +400,26 @@ func drainCols(op BatchOp, workers int) (cols []Vector, n int, err error) {
 	}
 	cols, n = concatCols(op.Schema(), slices.Concat(outs...))
 	return cols, n, nil
+}
+
+// Drain runs op to end of stream through the morsel dispatcher (workers
+// as in NewExchange) and returns its output as a column-built relation:
+// the batches' vectors concatenated in serial order, nothing boxed. It is
+// how a distributed fragment's output becomes the next fragment's input.
+func Drain(op BatchOp, workers int, name string) (*Relation, error) {
+	ex := NewExchange(op, workers)
+	var batches []*Batch
+	for {
+		b, err := ex.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			cols, n := concatCols(op.Schema(), batches)
+			return NewColumnRelation(name, op.Schema(), cols, n), nil
+		}
+		batches = append(batches, b)
+	}
 }
 
 // partitionOrSelf splits op into up to n streams when it supports it,

@@ -173,7 +173,7 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 	}
 	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(j.bsel)}
 	for col := 0; col < c.buildWidth; col++ {
-		out.Cols[col] = gatherVector(&c.tab.cols[col], j.bsel)
+		out.Cols[col] = GatherVector(&c.tab.cols[col], j.bsel)
 	}
 	// Every probe row matching exactly once (the foreign-key join)
 	// makes psel the identity: the probe columns pass through shared.
@@ -185,7 +185,7 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 		if identity {
 			out.Cols[c.buildWidth+col] = b.Cols[col]
 		} else {
-			out.Cols[c.buildWidth+col] = gatherVector(&b.Cols[col], j.psel)
+			out.Cols[c.buildWidth+col] = GatherVector(&b.Cols[col], j.psel)
 		}
 	}
 	return out

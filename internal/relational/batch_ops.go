@@ -176,7 +176,7 @@ func heteroStats(stat *opCount, disp *exec.Dispatcher) OpStats {
 func gatherBatch(b *Batch, sel []int32) *Batch {
 	out := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: len(sel)}
 	for c := range b.Cols {
-		out.Cols[c] = gatherVector(&b.Cols[c], sel)
+		out.Cols[c] = GatherVector(&b.Cols[c], sel)
 	}
 	return out
 }
@@ -328,7 +328,7 @@ func (l *BatchLimit) NextBatch() (*Batch, error) {
 		if b.Len() > remaining {
 			trimmed := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: remaining}
 			for c := range b.Cols {
-				trimmed.Cols[c] = b.Cols[c].slice(0, remaining)
+				trimmed.Cols[c] = b.Cols[c].Slice(0, remaining)
 			}
 			b = trimmed
 		}

@@ -93,7 +93,7 @@ func (s *BatchSort) materialize() error {
 // emit gathers the rows perm selects, in order, into the output batches.
 func (s *BatchSort) emit(schema Schema, cols []Vector, perm []int32) {
 	for c := range cols {
-		cols[c] = gatherVector(&cols[c], perm)
+		cols[c] = GatherVector(&cols[c], perm)
 	}
 	s.out = windowBatches(schema, cols, len(perm))
 }

@@ -108,7 +108,7 @@ func (h *topKHeap) kept(schema Schema) *Batch {
 	slices.SortFunc(h.heap, func(a, b int32) int { return cmp.Compare(h.ord[a], h.ord[b]) })
 	out := &Batch{Schema: schema, Cols: make([]Vector, len(h.cand)), n: len(h.heap)}
 	for c := range h.cand {
-		out.Cols[c] = gatherVector(&h.cand[c], h.heap)
+		out.Cols[c] = GatherVector(&h.cand[c], h.heap)
 	}
 	return out
 }

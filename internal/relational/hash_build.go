@@ -100,6 +100,17 @@ func (h *HashBuild) Append(rows []Row) {
 	h.ix.add(&h.cols[h.keyCol])
 }
 
+// AppendCols inserts rows [lo, hi) held as columns, in order: cols carry
+// the build schema's columns first (trailing extras — a stream's #seq —
+// are ignored).
+func (h *HashBuild) AppendCols(cols []Vector, lo, hi int) {
+	for c := range h.cols {
+		h.cols[c].AppendRange(&cols[c], lo, hi)
+	}
+	h.bytes += float64(NewRowSizer(cols[:len(h.cols)]).RangeBytes(lo, hi))
+	h.ix.add(&h.cols[h.keyCol])
+}
+
 // Len returns the number of rows inserted.
 func (h *HashBuild) Len() int { return h.cols[h.keyCol].Len() }
 

@@ -8,18 +8,18 @@ import "sync/atomic"
 func morselBatch(rel *Relation, cols []Vector, m int64) *Batch {
 	lo := int(m) * BatchSize
 	hi := lo + BatchSize
-	if hi > len(rel.Rows) {
-		hi = len(rel.Rows)
+	if n := rel.Len(); hi > n {
+		hi = n
 	}
 	b := &Batch{Schema: rel.Schema, Cols: make([]Vector, len(cols)), Seq: m, n: hi - lo}
 	for c := range cols {
-		b.Cols[c] = cols[c].slice(lo, hi)
+		b.Cols[c] = cols[c].Slice(lo, hi)
 	}
 	return b
 }
 
 func morselCount(rel *Relation) int64 {
-	return int64((len(rel.Rows) + BatchSize - 1) / BatchSize)
+	return int64((rel.Len() + BatchSize - 1) / BatchSize)
 }
 
 // BatchScan streams a materialized relation as columnar batches, one per

@@ -405,7 +405,7 @@ func (p *PartialAgg) SortOrderBySeq() {
 	}
 	if perm := p.seqOrder(); perm != nil {
 		for c := range p.cols {
-			p.cols[c] = gatherVector(&p.cols[c], perm)
+			p.cols[c] = GatherVector(&p.cols[c], perm)
 		}
 		p.index, p.indexed = keyIndex{}, 0
 	}
@@ -451,7 +451,7 @@ func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) 
 	if bySeq {
 		if perm := p.seqOrder(); perm != nil {
 			for i := range cols {
-				cols[i] = gatherVector(&cols[i], perm)
+				cols[i] = GatherVector(&cols[i], perm)
 			}
 		}
 	}
@@ -486,7 +486,7 @@ func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
 		hi := min(lo+maxGroups, n)
 		sub := p.emptyLike()
 		for c := range p.cols {
-			sub.cols[c] = p.cols[c].slice(lo, hi)
+			sub.cols[c] = p.cols[c].Slice(lo, hi)
 		}
 		sub.bytes = colsBytes(sub.keys(), hi-lo) + float64((hi-lo)*len(p.aggs))*aggStateBytes
 		if lo == 0 {

@@ -69,8 +69,14 @@ func colsBytes(cols []Vector, n int) float64 {
 // EncodedBytes returns the serialized size of the batch.
 func (b *Batch) EncodedBytes() float64 { return colsBytes(b.Cols, b.Len()) }
 
-// EncodedBytes returns the serialized size of the whole relation.
+// EncodedBytes returns the serialized size of the whole relation — from
+// the vector lengths of a column-built relation, from the rows of a
+// row-built one. Byte counts are integers, so both forms (and any
+// summation order) give the same float.
 func (r *Relation) EncodedBytes() float64 {
+	if r.colBuilt {
+		return colsBytes(r.cols, r.colRows)
+	}
 	total := float64(rowOverheadBytes * len(r.Rows))
 	for c, col := range r.Schema {
 		if col.Type == String {
@@ -82,4 +88,47 @@ func (r *Relation) EncodedBytes() float64 {
 		}
 	}
 	return total
+}
+
+// RowSizer prices rows held as columns without boxing them: Bytes(r) is
+// Row.EncodedBytes of row r, as an integer. The numeric cells, string
+// length prefixes and row framing fold into one constant; only string
+// payloads are read per row.
+type RowSizer struct {
+	fixed int
+	strs  [][]string
+}
+
+// NewRowSizer returns the sizer of rows spread across cols.
+func NewRowSizer(cols []Vector) RowSizer {
+	z := RowSizer{fixed: rowOverheadBytes}
+	for c := range cols {
+		if cols[c].T == String {
+			z.fixed += 4
+			z.strs = append(z.strs, cols[c].Strs)
+		} else {
+			z.fixed += 8
+		}
+	}
+	return z
+}
+
+// Bytes returns the serialized size of row r.
+func (z RowSizer) Bytes(r int) int {
+	b := z.fixed
+	for _, s := range z.strs {
+		b += len(s[r])
+	}
+	return b
+}
+
+// RangeBytes returns the serialized size of rows [lo, hi).
+func (z RowSizer) RangeBytes(lo, hi int) int {
+	b := z.fixed * (hi - lo)
+	for _, s := range z.strs {
+		for _, v := range s[lo:hi] {
+			b += len(v)
+		}
+	}
+	return b
 }

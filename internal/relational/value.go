@@ -177,29 +177,55 @@ type Row []Value
 // Clone copies the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
-// Relation is a materialized table. The row store is authoritative; the
-// batch engine lazily builds (and caches) a columnar image of it, so
-// scans hand out zero-copy column windows. Appending rows invalidates
-// the cache automatically; mutating existing rows in place does not —
-// call InvalidateColumnar after in-place edits, or treat Rows as
-// immutable once queries have run.
+// Relation is a materialized table in one of two construction forms.
+//
+// Row-built (NewRelation + Append, or a literal with Rows set): the row
+// store is authoritative and the batch engine lazily builds — and caches —
+// a columnar image of it, so scans hand out zero-copy column windows.
+// Appending rows is detected and rebuilds the image; mutating existing
+// rows in place is not — call InvalidateColumnar after in-place edits, or
+// treat Rows as immutable once queries have run.
+//
+// Column-built (NewColumnRelation): the column vectors are authoritative
+// and nothing is boxed. This is the form that crosses fragment boundaries
+// in the distributed engine — shard placements, fragment outputs and every
+// movement primitive's result. Rows of a column-built relation is nil
+// until RowView boxes it on demand (the row-engine oracle, the row
+// coordinator, result rendering), and Append is an error.
+//
+// One invariant covers both: the vectors Columnar hands out are immutable.
+// They are shared — by concurrent scans, by zero-copy shard windows of a
+// registered table, by every shard probing one broadcast build side — so
+// whoever needs different cells builds fresh vectors.
 type Relation struct {
 	Name   string
 	Schema Schema
 	Rows   []Row
 
-	colMu   sync.Mutex
-	colRows int
-	cols    []Vector
+	colMu    sync.Mutex
+	colBuilt bool // column-built: cols authoritative, colRows the row count
+	colRows  int
+	cols     []Vector
 }
 
-// NewRelation returns an empty relation.
+// NewRelation returns an empty row-built relation.
 func NewRelation(name string, schema Schema) *Relation {
 	return &Relation{Name: name, Schema: schema}
 }
 
+// NewColumnRelation returns a column-built relation of n rows over cols
+// (one vector per schema column, each holding n values; n is explicit so
+// a zero-column relation still carries its row count). The relation takes
+// the vectors as immutable: the caller must not write to them afterwards.
+func NewColumnRelation(name string, schema Schema, cols []Vector, n int) *Relation {
+	return &Relation{Name: name, Schema: schema, colBuilt: true, colRows: n, cols: cols}
+}
+
 // Append adds a row after arity/type checking.
 func (r *Relation) Append(row Row) error {
+	if r.colBuilt {
+		return fmt.Errorf("relational: %s: append to a column-built relation", r.Name)
+	}
 	if len(row) != len(r.Schema) {
 		return fmt.Errorf("relational: %s: row arity %d != schema arity %d", r.Name, len(row), len(r.Schema))
 	}
@@ -221,22 +247,50 @@ func (r *Relation) MustAppend(row Row) {
 }
 
 // Len returns the row count.
-func (r *Relation) Len() int { return len(r.Rows) }
+func (r *Relation) Len() int {
+	if r.colBuilt {
+		return r.colRows
+	}
+	return len(r.Rows)
+}
 
-// InvalidateColumnar drops the cached columnar image so the next batch
-// scan rebuilds it — required after mutating existing rows in place
-// (appends are detected automatically).
+// RowView returns the relation as rows. A row-built relation hands out
+// its row store; a column-built one boxes its vectors on first use (one
+// backing array) and keeps the result in Rows. The rows are a view: like
+// the vectors, they must not be written to.
+func (r *Relation) RowView() []Row {
+	if !r.colBuilt {
+		return r.Rows
+	}
+	r.colMu.Lock()
+	defer r.colMu.Unlock()
+	if r.Rows == nil && r.colRows > 0 {
+		r.Rows = appendRows(make([]Row, 0, r.colRows), r.cols, r.colRows)
+	}
+	return r.Rows
+}
+
+// InvalidateColumnar drops a row-built relation's cached columnar image
+// so the next batch scan rebuilds it — required after mutating existing
+// rows in place (appends are detected automatically).
 func (r *Relation) InvalidateColumnar() {
+	if r.colBuilt {
+		return
+	}
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
 	r.cols = nil
 	r.colRows = 0
 }
 
-// Columnar returns the cached columnar image of the relation, building
-// it on first use (and rebuilding if rows were appended since). The
-// returned vectors are shared and must be treated as immutable.
+// Columnar returns the relation's column vectors: a column-built
+// relation's own, or the cached columnar image of a row-built one, built
+// on first use (and rebuilt if rows were appended since). The returned
+// vectors are shared and must be treated as immutable.
 func (r *Relation) Columnar() []Vector {
+	if r.colBuilt {
+		return r.cols
+	}
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
 	if r.cols != nil && r.colRows == len(r.Rows) {

@@ -49,7 +49,7 @@ var classGoldens = map[int]map[string]string{
 // distGoldens pins the same fingerprints on the distributed engine
 // (4 shards) under bulk movement and under chunked movement with a
 // memory budget and devices, recorded when single-node and distributed
-// statements still had a planner each. Each shard folds its partial
+// statements still had a planner each (the last three one PR later). Each shard folds its partial
 // aggregate in one stream, so the worker count does not move the sums.
 var distGoldens = map[string]map[string]string{
 	"bulk": {
@@ -62,6 +62,27 @@ var distGoldens = map[string]map[string]string{
 		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
 		"join":    "15240ee103a00a8bd6b943ee63a13c6dfb3d1679685f7b0b5a440f07211bea31",
 		"groupby": "0904f10b73e9cf413ee9edb5c5a2cc43a3c559582595dc5309c25dd2988ce94e",
+		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
+	},
+	// Hash-sharded tables (short #seq runs in every merge) and forced
+	// repartition joins (the selection-vector shuffle), recorded while
+	// rows still crossed every fragment boundary.
+	"hash": {
+		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
+		"join":    "a8756a44e71aa09ce6d9b78e2f45712899479ef0d7649a45827fd2259e3810e2",
+		"groupby": "a862f8ceab6dbf91bd908e5ddd3262f514e12844980418aed568c5d8fe28b7f1",
+		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
+	},
+	"repartition": {
+		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
+		"join":    "0558838e6136f1b950e4061166cdb1e18ba1b5325f6f1caff12fed7266385b84",
+		"groupby": "92e20dca10ac0873ea752e2ff2a92cf9cc8c25558775da753e8c12db811b1c74",
+		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
+	},
+	"hash-repartition-chunked": {
+		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
+		"join":    "0558838e6136f1b950e4061166cdb1e18ba1b5325f6f1caff12fed7266385b84",
+		"groupby": "a862f8ceab6dbf91bd908e5ddd3262f514e12844980418aed568c5d8fe28b7f1",
 		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
 	},
 }
@@ -95,16 +116,25 @@ func TestClassFingerprintGoldens(t *testing.T) {
 }
 
 func TestDistClassFingerprintGoldens(t *testing.T) {
-	for _, movement := range []string{"bulk", "chunked"} {
+	for _, movement := range []string{"bulk", "chunked", "hash", "repartition", "hash-repartition-chunked"} {
 		for _, workers := range []int{1, 2} {
 			cfg := sql.DefaultConfig()
 			cfg.Workers = workers
 			cfg.Distributed = true
 			cfg.Shards = 4
-			if movement == "chunked" {
+			switch movement {
+			case "chunked":
 				cfg.PipelineChunkRows = 1024
 				cfg.MemoryBudget = 64 << 10
 				cfg.Devices = []string{"cpu", "gpu", "fpga"}
+			case "hash":
+				cfg.ShardHash = true
+			case "repartition":
+				cfg.DistJoin = "repartition"
+			case "hash-repartition-chunked":
+				cfg.ShardHash = true
+				cfg.DistJoin = "repartition"
+				cfg.PipelineChunkRows = 256
 			}
 			checkClassGoldens(t, fmt.Sprintf("dist-%s workers=%d", movement, workers), cfg, distGoldens[movement])
 		}

@@ -120,18 +120,28 @@ func TestChaosSpeculation(t *testing.T) {
 // must be invisible — replication 1 keeps the pre-lifecycle code paths,
 // and replication 2 with every host live places shards exactly where
 // the static cluster does. Rows and every network float must match the
-// default engine bit for bit.
+// default engine bit for bit. A slow: event adds the speculative path:
+// the duplicate fragment moves no byte, so the same floats hold, and the
+// duplicated compute it prices — the straggling shard's encoded fragment
+// output — is the figure recorded when that output was still rows.
 func TestChaosBitIdenticalReplay(t *testing.T) {
 	ref := chaosRun(t, chaosEngine(t, 0, ""))
-	for _, replication := range []int{1, 2} {
-		res := chaosRun(t, chaosEngine(t, replication, ""))
+	for _, c := range []struct {
+		replication int
+		chaos       string
+		recovery    float64
+	}{{1, "", 0}, {2, "", 0}, {2, "slow:2@0:4", 1.210719347000122e-05}} {
+		res := chaosRun(t, chaosEngine(t, c.replication, c.chaos))
 		if !reflect.DeepEqual(res.Rows.Rows, ref.Rows.Rows) {
-			t.Fatalf("replication %d changed the rows", replication)
+			t.Fatalf("replication %d %q changed the rows", c.replication, c.chaos)
 		}
 		a, b := res.Net, ref.Net
 		if a.NetSeconds != b.NetSeconds || a.BytesShuffled != b.BytesShuffled || a.Flows != b.Flows {
-			t.Fatalf("replication %d diverged from the default engine: {%v %v %d} vs {%v %v %d}",
-				replication, a.NetSeconds, a.BytesShuffled, a.Flows, b.NetSeconds, b.BytesShuffled, b.Flows)
+			t.Fatalf("replication %d %q diverged from the default engine: {%v %v %d} vs {%v %v %d}",
+				c.replication, c.chaos, a.NetSeconds, a.BytesShuffled, a.Flows, b.NetSeconds, b.BytesShuffled, b.Flows)
+		}
+		if a.RecoverySeconds != c.recovery {
+			t.Fatalf("replication %d %q priced recovery at %v, want %v", c.replication, c.chaos, a.RecoverySeconds, c.recovery)
 		}
 	}
 }

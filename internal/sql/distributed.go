@@ -14,6 +14,15 @@ package sql
 // plan reports rows AND simulated network time, bytes shuffled and
 // per-link utilization.
 //
+// Interchange: what crosses a fragment boundary is column vectors. Shard
+// placements, fragment outputs and every movement primitive's result are
+// column-built relations (relational.NewColumnRelation), so the next
+// fragment's scan windows them as they stand; the vectors are immutable
+// and freely shared — a range shard is a zero-copy window of the
+// registered table, a broadcast build side is one set of vectors every
+// shard probes. Rows appear only where rows are the point: the row-engine
+// coordinator (no ORDER BY, or a memory budget) and the final Result.
+//
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
 // after joins) and stays seq-ascending through every operator, so the
@@ -145,7 +154,7 @@ func (st *distStream) materialize() error {
 		if frags, err = st.fragments(); err != nil {
 			return err
 		}
-		rels, err = dist.RunFragments("frag", frags, st.dx.workers)
+		rels, err = dist.RunFragmentsCols("frag", frags, st.dx.workers)
 	}
 	if err != nil {
 		return err
@@ -157,23 +166,36 @@ func (st *distStream) materialize() error {
 // reseq replaces the stream's seq tags with their global merge rank,
 // restoring uniqueness after join fan-out duplicated them (duplicates
 // are confined to one shard, so the k-way merge is still the exact
-// serial order). It relabels tags in place without moving row data —
-// the real-system analogue is a counts-only prefix exchange — so no
+// serial order). Each shard gets a fresh seq vector beside its shared,
+// untouched data vectors — the base may be zero-copy windows of a
+// registered table, so nothing is relabeled in place — and no row data
+// moves: the real-system analogue is a counts-only prefix exchange, so no
 // flow is charged.
 func (st *distStream) reseq() error {
 	if err := st.materialize(); err != nil {
 		return err
 	}
 	seqCol := len(st.schema)
-	var rank int64
-	dist.ForEachBySeq(st.base, seqCol, func(shard, row int) {
-		st.base[shard].Rows[row][seqCol] = relational.IntV(rank)
-		rank++
-	})
-	for _, rel := range st.base {
-		rel.InvalidateColumnar()
+	ranks := make([][]int64, len(st.base))
+	total := 0
+	for i, rel := range st.base {
+		ranks[i] = make([]int64, rel.Len())
+		total += rel.Len()
 	}
-	st.joined = false
+	var rank int64
+	dist.NewSeqMerger(st.base, seqCol).TakeRuns(total, func(shard, lo, hi int) {
+		for r := lo; r < hi; r++ {
+			ranks[shard][r] = rank
+			rank++
+		}
+	})
+	base := make([]*relational.Relation, len(st.base))
+	for i, rel := range st.base {
+		cols := append([]relational.Vector(nil), rel.Columnar()...)
+		cols[seqCol] = relational.Vector{T: relational.Int, Ints: ranks[i]}
+		base[i] = relational.NewColumnRelation(rel.Name, rel.Schema, cols, rel.Len())
+	}
+	st.base, st.joined = base, false
 	return nil
 }
 
@@ -289,14 +311,17 @@ func (e *distExec) front(qr *dist.QueryRun) (*distStream, error) {
 // post-gather plan over rel — after the gather is charged, so whichever
 // engine runs it moves no modeled byte. An ORDER BY goes to the batch
 // engine, whose sort is the typed radix sort and whose ORDER BY + LIMIT
-// is one top-k; everything else reads the gathered rows in place on the
-// row engine. Under a memory budget the row engine stays throughout: its
-// accounting-only spill model is what coordinator memory is priced with.
+// is one top-k, and which scans the gathered vectors as they stand;
+// everything else takes a row view of them on the row engine. Under a
+// memory budget the row engine stays throughout: its accounting-only
+// spill model is what coordinator memory is priced with.
 func (e *distExec) coordinator(rel *relational.Relation, ordered bool) (*lowerer, execNode) {
-	lw := &lowerer{budget: e.budget}
 	if e.batchCoordinator(ordered) {
-		lw = &lowerer{parallel: true, workers: e.workers}
+		lw := &lowerer{parallel: true, workers: e.workers}
+		return lw, lw.scan(rel)
 	}
+	rel.RowView()
+	lw := &lowerer{budget: e.budget}
 	return lw, lw.scan(rel)
 }
 
@@ -432,14 +457,14 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 		// chunk's flows are in flight. Appending chunk prefixes of the
 		// seq-merged relation reproduces the bulk build's insertion order
 		// exactly.
-		merged, chunks, bounds := dist.BroadcastChunks(build.base, buildWidth, true, e.chunkRows)
+		merged, chunks, bounds := dist.BroadcastChunksCols(build.base, buildWidth, true, e.chunkRows)
 		pre, err := relational.NewHashBuild(merged.Schema, buildCol)
 		if err != nil {
 			return nil, err
 		}
 		prev := 0
 		consume := func(k int) error {
-			pre.Append(merged.Rows[prev:bounds[k]])
+			pre.AppendCols(merged.Columnar(), prev, bounds[k])
 			prev = bounds[k]
 			return nil
 		}
@@ -498,16 +523,12 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 				return nil
 			}
 			for d := range buildB {
-				rows := buildB[d].Rows[prev[d]:bCum[k][d]]
-				if len(rows) == 0 {
-					continue
+				// The landed bucket still carries its seq column; the build
+				// table takes the visible columns before it.
+				if bCum[k][d] > prev[d] {
+					pres[d].AppendCols(buildB[d].Columnar(), prev[d], bCum[k][d])
+					prev[d] = bCum[k][d]
 				}
-				stripped := make([]relational.Row, len(rows))
-				for i, r := range rows {
-					stripped[i] = r[:buildWidth]
-				}
-				pres[d].Append(stripped)
-				prev[d] = bCum[k][d]
 			}
 			return nil
 		}
@@ -713,8 +734,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 				merged.MergeFrom(pa)
 			}
 		}
-		aggRel := relational.NewRelation("agg", aggOutSchema)
-		aggRel.Rows = merged.EmitRows(aggOutSchema, true)
+		aggCols, n := merged.EmitCols(aggOutSchema, true)
+		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
 		lw, leaf := dx.coordinator(aggRel, len(stmt.OrderBy) > 0)
@@ -778,17 +799,21 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 			// each chunk's global row bound while the next chunk's flows
 			// drain, reproducing MergeBySeq's row order incrementally.
 			chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
-			merged = relational.NewRelation("gathered", st.base[0].Schema[:seqCol])
+			total := 0
+			if len(bounds) > 0 {
+				total = bounds[len(bounds)-1]
+			}
+			schema := st.base[0].Schema[:seqCol]
+			cols := relational.NewBatch(schema, total).Cols
 			merger := dist.NewSeqMerger(st.base, seqCol)
 			consume := func(k int) error {
-				merger.Take(bounds[k], func(shard, row int) {
-					merged.Rows = append(merged.Rows, st.base[shard].Rows[row][:seqCol])
-				})
+				merger.MergeInto(cols, bounds[k])
 				return nil
 			}
 			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
 				return nil, err
 			}
+			merged = relational.NewColumnRelation("gathered", schema, cols, total)
 		} else {
 			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
 				return nil, err
