@@ -122,7 +122,7 @@ func main() {
 	memBudget := flag.Int64("mem-budget", 0, "operator-state memory budget in bytes; overflow spills to -spill-tier (0 = unbudgeted)")
 	spillTier := flag.String("spill-tier", "", "spill tier for budget overflow: "+strings.Join(memtier.SpillTiers, ", ")+" (default ssd when budgeted)")
 	jsonOut := flag.Bool("json", false, "emit each result as one canonical wire-format JSON document (the same encoding rethinkd serves) instead of tables")
-	replication := flag.Int("replication", 0, "shard replica count (R>1 enables the elastic lifecycle layer; requires -dist)")
+	replication := flag.Int("replication", 0, "shard replica count (0 and 1: one copy; R>1 adds read-side failover; requires -dist)")
 	chaos := flag.String("chaos", "", "fault schedule: kill:W@P[:FRAC],slow:W@R[:FACTOR],degrade:W@P[:FACTOR],partition:W@P,seed:N (requires -dist)")
 	streamN := flag.Int("stream", 0, "streaming demo: feed this many synthetic events into a growing relation under a continuous query, printing each window as the watermark emits it (0 = off; the query argument, or a default per-key aggregate, is the continuous query)")
 	streamWindow := flag.Int64("stream-window", 100, "window size in event-time ticks for -stream")

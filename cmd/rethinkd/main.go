@@ -71,7 +71,7 @@ func main() {
 	sdnPolicy := flag.String("sdn", "", "fabric controller policy: "+strings.Join(sdn.Policies, ", ")+" (empty = fixed data plane)")
 	memBudget := flag.Int64("mem-budget", 0, "engine-default operator-state memory budget in bytes (tenants may tighten)")
 	spillTier := flag.String("spill-tier", "", "spill tier for budget overflow (default ssd when budgeted)")
-	replication := flag.Int("replication", 0, "shard replica count (R>1 enables the elastic lifecycle layer: /v1/hosts, read-side failover)")
+	replication := flag.Int("replication", 0, "shard replica count (0 and 1: one copy; R>1 adds read-side failover — /v1/hosts works at every value)")
 	chaos := flag.String("chaos", "", "fault schedule: kill:W@P[:FRAC],slow:W@R[:FACTOR],degrade:W@P[:FACTOR],partition:W@P,seed:N")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	flag.Parse()
@@ -138,9 +138,9 @@ func main() {
 	if *rows > 0 {
 		fmt.Printf("rethinkd: demo catalog loaded: sales(%d rows), customers(%d rows)\n", *rows, *customers)
 	}
-	if lcm := eng.Lifecycle(); lcm != nil {
-		h := lcm.Health()
-		fmt.Printf("rethinkd: elastic lifecycle on: replication %d, %d workers (%d spare hosts), %d scheduled faults\n",
+	if *distMode {
+		h := eng.Lifecycle().Health()
+		fmt.Printf("rethinkd: cluster: replication %d, %d workers (%d spare hosts), %d scheduled faults\n",
 			h.Replication, h.Workers, h.Spares, h.EventsTotal)
 	}
 

@@ -90,8 +90,9 @@
 // speculative duplicates with first-result-wins, link degradation and
 // partitions), pricing survival into QueryStats.RecoverySeconds /
 // RetriedFragments / SpeculativeWins while rows stay identical to the
-// failure-free run and fault-free clusters replay the static engine
-// bit-identically. See README.md
+// failure-free run. Every distributed query reaches the fabric through
+// that layer's per-query guard; with every host live it places shards
+// exactly where the static cluster does. See README.md
 // for the package map, the control-plane policy catalog, the
 // heterogeneous-execution, out-of-core, pipelined-execution, serving
 // and elastic-cluster sections, and build, test and benchmark

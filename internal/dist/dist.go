@@ -116,11 +116,9 @@ func (c *Cluster) host(i int) int {
 	return c.Workers[i]
 }
 
-// PathSeconds prices a contention-free transfer between two endpoints:
-// serialization at the path's bottleneck link plus propagation. The
-// distributed planner uses it to cost broadcast against repartition
-// before any byte moves.
-func (c *Cluster) PathSeconds(src, dst int, bytes float64) float64 {
+// pathSeconds prices a contention-free transfer between two endpoints:
+// serialization at the path's bottleneck link plus propagation.
+func (c *Cluster) pathSeconds(src, dst int, bytes float64) float64 {
 	a, b := c.host(src), c.host(dst)
 	if a == b {
 		return 0
@@ -134,6 +132,8 @@ func (c *Cluster) PathSeconds(src, dst int, bytes float64) float64 {
 
 // EstimateFanoutSeconds prices a phase in which shard i pushes sendBytes[i]
 // into the fabric: the slowest sender's serialization bounds the phase.
+// The distributed planner uses it to cost broadcast against repartition
+// before any byte moves.
 // It is a contention-free lower bound — the simulator charges the real
 // shared-link cost — but it ranks plans correctly when senders are the
 // bottleneck, which access-limited fabrics make the common case.
@@ -147,7 +147,7 @@ func (c *Cluster) EstimateFanoutSeconds(sendBytes []float64) float64 {
 		if dst == i {
 			dst = Coordinator
 		}
-		if t := c.PathSeconds(i, dst, b); t > worst {
+		if t := c.pathSeconds(i, dst, b); t > worst {
 			worst = t
 		}
 	}
@@ -287,7 +287,7 @@ type QueryRun struct {
 	link   map[dirKey]float64
 	closed bool
 	// class/weight are the query's QoS defaults, kept so per-phase
-	// overrides (RunPhaseQoS boosting the final gather) can scale the
+	// overrides (RunPhaseMeasured boosting the final gather) can scale the
 	// query's own weight rather than replace it with an absolute one.
 	class  string
 	weight float64
@@ -353,13 +353,16 @@ func (q *QueryRun) flowReqs(transfers []Transfer, class string, weightScale floa
 	var reqs []netsim.FlowReq
 	bytes := 0.0
 	for _, t := range transfers {
-		if t.Bytes <= 0 || q.host(t.Src) == q.host(t.Dst) {
+		if t.Bytes <= 0 {
 			continue
 		}
-		reqs = append(reqs, netsim.FlowReq{
-			Src: q.host(t.Src), Dst: q.host(t.Dst), Bytes: t.Bytes,
-			Class: class, Weight: weight,
-		})
+		// Resolve each endpoint once: the resolver is the lifecycle
+		// manager's (a lock and a ring walk) on every engine query.
+		src, dst := q.host(t.Src), q.host(t.Dst)
+		if src == dst {
+			continue
+		}
+		reqs = append(reqs, netsim.FlowReq{Src: src, Dst: dst, Bytes: t.Bytes, Class: class, Weight: weight})
 		bytes += t.Bytes
 	}
 	return reqs, bytes
@@ -380,23 +383,19 @@ func (q *QueryRun) attribute(flows []*netsim.Flow) {
 // RunPhase submits one flow per transfer for admission, blocks until the
 // round containing them completes, and records the phase makespan.
 func (q *QueryRun) RunPhase(name string, transfers []Transfer) error {
-	return q.RunPhaseQoS(name, transfers, "", 0)
-}
-
-// RunPhaseQoS is RunPhase with a per-phase QoS override: the phase's
-// flows carry class (empty inherits the query's class) and compete at the
-// query's weight scaled by weightScale (≤0 inherits the query's weight
-// unscaled). The lowerer uses it to mark the latency-critical final
-// gather hotter than the bulk shuffles it now coexists with.
-func (q *QueryRun) RunPhaseQoS(name string, transfers []Transfer, class string, weightScale float64) error {
-	_, err := q.RunPhaseMeasured(name, transfers, class, weightScale)
+	_, err := q.RunPhaseMeasured(name, transfers, "", 0)
 	return err
 }
 
-// RunPhaseMeasured is RunPhaseQoS returning the phase's simulated
-// makespan. The lifecycle fault injector uses the measurement to place a
-// host death *within* the phase (die at Frac×makespan) and to price the
-// recovery phases it then runs.
+// RunPhaseMeasured is RunPhase with a per-phase QoS override, returning
+// the phase's simulated makespan: the phase's flows carry class (empty
+// inherits the query's class) and compete at the query's weight scaled by
+// weightScale (≤0 inherits the query's weight unscaled) — the engine
+// marks the latency-critical final gather hotter than the bulk shuffles
+// it coexists with. The lifecycle guard, through which the engine runs
+// every phase, uses the measurement to place a host death *within* the
+// phase (die at Frac×makespan) and to price the recovery phases it then
+// runs.
 func (q *QueryRun) RunPhaseMeasured(name string, transfers []Transfer, class string, weightScale float64) (float64, error) {
 	if err := q.cancel.Err(); err != nil {
 		return 0, fmt.Errorf("dist: phase %s: %w", name, err)

@@ -148,7 +148,7 @@ func TestClusterPhases(t *testing.T) {
 		if c.Shards() != 4 {
 			t.Fatalf("%s: %d shards", name, c.Shards())
 		}
-		if sec := c.PathSeconds(0, Coordinator, 1e6); sec <= 0 {
+		if sec := c.pathSeconds(0, Coordinator, 1e6); sec <= 0 {
 			t.Fatalf("%s: path pricing returned %v", name, sec)
 		}
 		qr := c.NewQuery()

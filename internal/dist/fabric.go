@@ -102,21 +102,16 @@ func (f *Fabric) MutateNet(fn func(*topo.Network)) { f.adm.MutateNet(fn) }
 // accounting. The query MUST end with Finish (for stats) or Close (on
 // error paths): an abandoned registration would hold every other
 // in-flight query at the admission barrier.
-func (f *Fabric) NewQuery() *QueryRun { return f.NewQueryCancel(nil) }
+func (f *Fabric) NewQuery() *QueryRun { return f.NewQueryQoS(nil, "", 0) }
 
-// NewQueryCancel is NewQuery wired to a cancellation token: tripping the
-// token aborts phases parked at the admission barrier, and Close/Finish
-// still deregisters as usual.
-func (f *Fabric) NewQueryCancel(t *relational.CancelToken) *QueryRun {
-	return f.NewQueryQoS(t, "", 0)
-}
-
-// NewQueryQoS is NewQueryCancel with a QoS identity: every flow the
-// query charges carries the class tag (per-class fabric attribution,
-// controller policy input) and competes with the given weight under the
-// weighted max-min allocator (0 = uniform weight 1). Two concurrent
-// queries at weights 3:1 see ~3:1 rates on shared bottlenecks, so the
-// weighted query's phases complete sooner.
+// NewQueryQoS is NewQuery wired to a cancellation token — tripping it
+// aborts phases parked at the admission barrier, and Close/Finish still
+// deregisters as usual; nil never cancels — and a QoS identity: every
+// flow the query charges carries the class tag (per-class fabric
+// attribution, controller policy input) and competes with the given
+// weight under the weighted max-min allocator (0 = uniform weight 1). Two
+// concurrent queries at weights 3:1 see ~3:1 rates on shared
+// bottlenecks, so the weighted query's phases complete sooner.
 func (f *Fabric) NewQueryQoS(t *relational.CancelToken, class string, weight float64) *QueryRun {
 	q := &QueryRun{
 		c:      f.c,

@@ -15,7 +15,7 @@ import (
 const ChunkComputeBytesPerSec = 4 * float64(1<<30)
 
 // GatherWeightBoost scales the final gather's flow weights over the
-// query's own weight (RunPhaseQoS/RunPipelined weightScale): the
+// query's own weight (RunPhaseMeasured/RunPipelined weightScale): the
 // latency-critical tail phase competes hotter than the bulk shuffle
 // chunks it coexists with under pipelining. A power of two, and applied
 // uniformly to every flow of the phase, so a gather-only round's
@@ -59,7 +59,7 @@ func (c Chunk) ComputeSeconds() float64 {
 // ComputeBytes, and the phase's OverlapSeconds is the compute the
 // pipeline hid under in-flight flows (zero for a single chunk, bounded
 // by min(net, compute)). class/weightScale are per-phase QoS as in
-// RunPhaseQoS.
+// RunPhaseMeasured.
 //
 // On any error — cancellation, a failed submission, a failed consumer —
 // the in-flight consumer goroutine is joined before returning, so

@@ -310,7 +310,7 @@ func TestRunPipelinedConsumeError(t *testing.T) {
 func TestRunPipelinedCancelMidChunk(t *testing.T) {
 	c, _ := NewCluster("single", 4)
 	tok := relational.NewCancelToken()
-	q := NewFabric(c).NewQueryCancel(tok)
+	q := NewFabric(c).NewQueryQoS(tok, "", 0)
 	defer q.Close()
 	cancelErr := fmt.Errorf("query cancelled")
 	n := 0

@@ -27,18 +27,13 @@ type Guard struct {
 	fragRound int
 }
 
-// NewGuard wires a query run into the elastic view: the Guard installs
-// itself as the run's host resolver (flows follow live primaries) and
-// intercepts its movement phases and fragment rounds.
+// NewGuard wires a query run into the elastic view: the run's flows
+// resolve their endpoints through the Manager (they follow live
+// primaries) and the Guard runs its movement phases and fragment rounds.
 func (m *Manager) NewGuard(qr *dist.QueryRun) *Guard {
-	g := &Guard{m: m, qr: qr}
-	qr.SetHostResolver(g.HostFor)
-	return g
+	qr.SetHostResolver(m.HostFor)
+	return &Guard{m: m, qr: qr}
 }
-
-// HostFor resolves a Transfer endpoint to the host node of the shard's
-// current primary replica (the coordinator resolves to itself).
-func (g *Guard) HostFor(i int) int { return g.m.hostFor(i) }
 
 // RunPhase runs one bulk movement phase under fault injection: degrade
 // and partition events scheduled at this phase's ordinal land before the
@@ -104,7 +99,7 @@ func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, wei
 func (g *Guard) preResolve(ts []dist.Transfer) [][2]int {
 	pre := make([][2]int, len(ts))
 	for i, t := range ts {
-		pre[i] = [2]int{g.HostFor(t.Src), g.HostFor(t.Dst)}
+		pre[i] = [2]int{g.m.HostFor(t.Src), g.m.HostFor(t.Dst)}
 	}
 	return pre
 }

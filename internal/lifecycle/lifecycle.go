@@ -3,15 +3,19 @@
 // view in which worker hosts join, drain, and die at runtime, shards
 // carry a replication factor R (each shard's data lives on R distinct
 // live hosts), and a deterministic fault injector drives recovery paths
-// that the failure-free engine never exercises.
+// that a failure-free run never exercises. Every distributed engine has
+// one Manager, and its Guard is the only way a query reaches the fabric:
+// with one replica per shard and no fault plan that is a manager with
+// nothing to inject, whose hosts can still be drained, restored and
+// joined.
 //
 // The Manager owns membership. Placement is deterministic: shard s's
 // replicas are the first R live workers walking the worker ring from
 // index s, and its primary — the host that executes the shard's
 // fragments and anchors its flows — is the first of them. With every
-// host live this degenerates to the static placement (replica 0 of
-// shard s is worker s), so a fault-free cluster at any replication
-// factor replays the static engine bit-identically. Membership changes
+// host live this is the static placement (replica 0 of shard s is
+// worker s), so a fault-free cluster charges the same flows at every
+// replication factor. Membership changes
 // recompute placement, and every byte the new placement obliges to move
 // — drain evacuations, join rebalances, post-death re-replication — is
 // charged to the shared netsim fabric as ordinary flows under its own
@@ -20,7 +24,7 @@
 // movement.
 //
 // Queries see the elastic view through a Guard (one per query run),
-// which installs itself as the QueryRun's host resolver and intercepts
+// which points the QueryRun's host resolver at the Manager and runs
 // every movement phase and fragment round. The Guard is where injected
 // faults land: a host death mid-phase re-dispatches the dead host's
 // fragments to a surviving replica and re-ships the lost bytes from
@@ -172,11 +176,13 @@ func (m *Manager) PrimaryWorker(s int) (int, error) {
 	return reps[0], nil
 }
 
-// hostFor resolves a Transfer endpoint (shard index or dist.Coordinator)
-// to a host node ID under current membership. A shard with no live
-// replica falls back to its static host — the query is already failing
-// through Kill's error by then, the resolver just must not panic.
-func (m *Manager) hostFor(i int) int {
+// HostFor resolves a Transfer endpoint (shard index or dist.Coordinator)
+// to a host node ID under current membership: the shard's primary
+// replica. It is the host resolver of every run that ships to or from
+// shards (dist.QueryRun.SetHostResolver). A shard with no live replica
+// falls back to its static host — the query is already failing through
+// Kill's error by then, the resolver just must not panic.
+func (m *Manager) HostFor(i int) int {
 	if i == dist.Coordinator {
 		return m.c.Coord
 	}

@@ -24,8 +24,9 @@ func newTestManager(t *testing.T, replication int, plan *FaultPlan) *Manager {
 
 // TestPlacementStaticIdentity: with every host live, the elastic
 // placement must equal the static one — shard s's primary is worker s —
-// at every replication factor. This is what keeps fault-free runs
-// bit-identical to the pre-lifecycle engine.
+// at every replication factor. This is what lets every distributed
+// query run through the Guard: fault-free, it charges the flows the
+// static placement would.
 func TestPlacementStaticIdentity(t *testing.T) {
 	for _, r := range []int{1, 2, 3, 4} {
 		m := newTestManager(t, r, nil)
@@ -38,11 +39,11 @@ func TestPlacementStaticIdentity(t *testing.T) {
 			if w != s {
 				t.Fatalf("replication %d: shard %d primary = worker %d, want %d", r, s, w, s)
 			}
-			if got := m.hostFor(s); got != c.Workers[s] {
+			if got := m.HostFor(s); got != c.Workers[s] {
 				t.Fatalf("replication %d: shard %d resolves to host %d, want %d", r, s, got, c.Workers[s])
 			}
 		}
-		if got := m.hostFor(dist.Coordinator); got != c.Coord {
+		if got := m.HostFor(dist.Coordinator); got != c.Coord {
 			t.Fatalf("coordinator resolves to %d, want %d", got, c.Coord)
 		}
 	}

@@ -86,13 +86,13 @@ func TestServeThrottleMaxInflight(t *testing.T) {
 	}
 }
 
-// elasticServer fronts a replication-2 engine (lifecycle active).
-func elasticServer(t *testing.T) *Server {
+// elasticServer fronts a 4-shard engine at the given replication factor.
+func elasticServer(t *testing.T, replication int) *Server {
 	t.Helper()
 	cfg := sql.DefaultConfig()
 	cfg.Distributed = true
 	cfg.Shards = 4
-	cfg.Replication = 2
+	cfg.Replication = replication
 	eng, err := sql.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,58 +101,70 @@ func elasticServer(t *testing.T) *Server {
 	return New(eng, DefaultTenants(), Options{})
 }
 
-// TestServeHostsEndpoint: drain, restore and join through the wire,
-// with cluster health in every response and in /metrics; a
-// lifecycle-less engine answers 409.
+// TestServeHostsEndpoint: failure modes first — a single-node daemon has
+// no hosts (422, no cluster block in /metrics), bad actions, unknown
+// workers, missing keys — then drain, restore and join through the wire
+// on every distributed daemon, replicated or not, with cluster health in
+// every response and in /metrics.
 func TestServeHostsEndpoint(t *testing.T) {
-	srv := elasticServer(t)
-	h := srv.Handler()
-	// Shard the tables so the drain has resident bytes to move.
-	if code := do(t, h, "POST", "/v1/sql", "gold-key", QueryRequest{SQL: testQuery}, nil); code != http.StatusOK {
-		t.Fatalf("warm-up query: %d", code)
+	single, err := sql.NewEngine(sql.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := New(single, DefaultTenants(), Options{})
+	for _, action := range []string{"drain", "restore", "join"} {
+		if code := do(t, plain.Handler(), "POST", "/v1/hosts", "gold-key", HostRequest{Action: action}, nil); code != http.StatusUnprocessableEntity {
+			t.Fatalf("single-node %s: got %d, want 422", action, code)
+		}
+	}
+	if m := plain.MetricsSnapshot(); m.Cluster != nil || m.Fabric != nil {
+		t.Fatalf("single-node metrics grew a cluster: %+v %+v", m.Cluster, m.Fabric)
 	}
 
-	var resp HostResponse
-	if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "drain", Worker: 1}, &resp); code != http.StatusOK {
-		t.Fatalf("drain: %d", code)
-	}
-	if resp.Cluster == nil || resp.Cluster.Drained != 1 || resp.Cluster.RebalancedBytes <= 0 {
-		t.Fatalf("drain response: %+v", resp.Cluster)
-	}
-	if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "restore", Worker: 1}, &resp); code != http.StatusOK {
-		t.Fatalf("restore: %d", code)
-	}
-	if resp.Cluster.Drained != 0 {
-		t.Fatalf("restore response: %+v", resp.Cluster)
-	}
-	if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "join"}, &resp); code != http.StatusOK {
-		t.Fatalf("join: %d", code)
-	}
-	if resp.Worker != 4 || resp.Cluster.Workers != 5 {
-		t.Fatalf("join response: worker %d, %+v", resp.Worker, resp.Cluster)
-	}
-	if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "explode"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("bad action: got %d, want 400", code)
-	}
-	if code := do(t, h, "POST", "/v1/hosts", "", HostRequest{Action: "join"}, nil); code != http.StatusUnauthorized {
-		t.Fatalf("unauthenticated: got %d, want 401", code)
-	}
-	// Queries still work on the reshaped cluster, and /metrics reports it.
-	if code := do(t, h, "POST", "/v1/sql", "gold-key", QueryRequest{SQL: testQuery}, nil); code != http.StatusOK {
-		t.Fatalf("post-reshape query: %d", code)
-	}
-	m := srv.MetricsSnapshot()
-	if m.Cluster == nil || m.Cluster.Replication != 2 || m.Cluster.Workers != 5 {
-		t.Fatalf("metrics cluster: %+v", m.Cluster)
-	}
+	for _, replication := range []int{0, 2} {
+		srv := elasticServer(t, replication)
+		h := srv.Handler()
+		if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "explode"}, nil); code != http.StatusBadRequest {
+			t.Fatalf("bad action: got %d, want 400", code)
+		}
+		if code := do(t, h, "POST", "/v1/hosts", "", HostRequest{Action: "join"}, nil); code != http.StatusUnauthorized {
+			t.Fatalf("unauthenticated: got %d, want 401", code)
+		}
+		if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "drain", Worker: 9}, nil); code != http.StatusUnprocessableEntity {
+			t.Fatalf("unknown worker: got %d, want 422", code)
+		}
+		// Shard the tables so the drain has resident bytes to move.
+		if code := do(t, h, "POST", "/v1/sql", "gold-key", QueryRequest{SQL: testQuery}, nil); code != http.StatusOK {
+			t.Fatalf("warm-up query: %d", code)
+		}
 
-	// No lifecycle, no membership surface.
-	plain := testServer(t, 100)
-	if code := do(t, plain.Handler(), "POST", "/v1/hosts", "gold-key", HostRequest{Action: "drain", Worker: 0}, nil); code != http.StatusConflict {
-		t.Fatalf("lifecycle-less drain: got %d, want 409", code)
-	}
-	if m := plain.MetricsSnapshot(); m.Cluster != nil {
-		t.Fatalf("lifecycle-less metrics grew a cluster: %+v", m.Cluster)
+		var resp HostResponse
+		if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "drain", Worker: 1}, &resp); code != http.StatusOK {
+			t.Fatalf("replication %d drain: %d", replication, code)
+		}
+		if resp.Cluster == nil || resp.Cluster.Drained != 1 || resp.Cluster.RebalancedBytes <= 0 {
+			t.Fatalf("replication %d drain response: %+v", replication, resp.Cluster)
+		}
+		if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "restore", Worker: 1}, &resp); code != http.StatusOK {
+			t.Fatalf("restore: %d", code)
+		}
+		if resp.Cluster.Drained != 0 {
+			t.Fatalf("restore response: %+v", resp.Cluster)
+		}
+		if code := do(t, h, "POST", "/v1/hosts", "gold-key", HostRequest{Action: "join"}, &resp); code != http.StatusOK {
+			t.Fatalf("join: %d", code)
+		}
+		if resp.Worker != 4 || resp.Cluster.Workers != 5 {
+			t.Fatalf("join response: worker %d, %+v", resp.Worker, resp.Cluster)
+		}
+		// Queries still work on the reshaped cluster, and /metrics reports it.
+		if code := do(t, h, "POST", "/v1/sql", "gold-key", QueryRequest{SQL: testQuery}, nil); code != http.StatusOK {
+			t.Fatalf("post-reshape query: %d", code)
+		}
+		m := srv.MetricsSnapshot()
+		if m.Cluster == nil || m.Cluster.Replication != max(replication, 1) || m.Cluster.Workers != 5 {
+			t.Fatalf("metrics cluster: %+v", m.Cluster)
+		}
 	}
 }
 

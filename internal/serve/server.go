@@ -516,9 +516,9 @@ type Metrics struct {
 	// link utilization plus the raw admission counters, whose ClassBytes
 	// map is the per-tenant-class bandwidth attribution.
 	Fabric *wire.FabricMetrics `json:"fabric,omitempty"`
-	// Cluster is the elastic-cluster health snapshot (nil unless the
-	// engine runs with replication > 1 or a fault plan): membership
-	// counts, rebalance/repair totals, and fault-schedule progress.
+	// Cluster is the cluster health snapshot (nil on single-node
+	// engines): membership counts, rebalance/repair totals, and
+	// fault-schedule progress.
 	Cluster *wire.ClusterHealth `json:"cluster,omitempty"`
 }
 
@@ -540,11 +540,11 @@ func (s *Server) MetricsSnapshot() *Metrics {
 		m.Tenants[name] = &c
 	}
 	s.mu.Unlock()
+	// A distributed engine has a fabric and a membership manager; a
+	// single-node engine has neither.
 	if fab := s.eng.Fabric(); fab != nil {
 		m.Fabric = wire.FromFabric(fab.Stats(), fab.Admission())
-	}
-	if lcm := s.eng.Lifecycle(); lcm != nil {
-		m.Cluster = wire.FromHealth(lcm.Health())
+		m.Cluster = wire.FromHealth(s.eng.Lifecycle().Health())
 	}
 	return m
 }
@@ -584,12 +584,6 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "serve: body must be JSON {\"action\": ..., \"worker\": n}")
 		return
 	}
-	lcm := s.eng.Lifecycle()
-	if lcm == nil {
-		writeErr(w, http.StatusConflict,
-			"serve: cluster lifecycle inactive — boot the engine with replication > 1 or a fault plan")
-		return
-	}
 	worker := req.Worker
 	var err error
 	switch req.Action {
@@ -607,7 +601,9 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, HostResponse{Action: req.Action, Worker: worker, Cluster: wire.FromHealth(lcm.Health())})
+	// The action succeeded, so the engine has a cluster (a single-node
+	// engine refuses all three above).
+	writeJSON(w, http.StatusOK, HostResponse{Action: req.Action, Worker: worker, Cluster: wire.FromHealth(s.eng.Lifecycle().Health())})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

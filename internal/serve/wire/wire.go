@@ -202,8 +202,8 @@ type FabricMetrics struct {
 	Admission    *AdmissionStats `json:"admission"`
 }
 
-// ClusterHealth mirrors lifecycle.Health — the elastic-cluster view a
-// daemon's /metrics endpoint reports when the lifecycle layer is active.
+// ClusterHealth mirrors lifecycle.Health — the elastic-cluster view the
+// /metrics endpoint of every distributed daemon reports.
 type ClusterHealth struct {
 	Generation  int `json:"generation"`
 	Replication int `json:"replication"`

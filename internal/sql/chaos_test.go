@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -116,11 +117,10 @@ func TestChaosSpeculation(t *testing.T) {
 	settleGoroutines(t, "chaos-speculation", baseline)
 }
 
-// TestChaosBitIdenticalReplay: with faults off, the lifecycle layer
-// must be invisible — replication 1 keeps the pre-lifecycle code paths,
-// and replication 2 with every host live places shards exactly where
-// the static cluster does. Rows and every network float must match the
-// default engine bit for bit. A slow: event adds the speculative path:
+// TestChaosBitIdenticalReplay: with faults off, replication must be
+// invisible — replication 2 with every host live places shards exactly
+// where one copy per shard does. Rows and every network float must match
+// the default engine bit for bit. A slow: event adds the speculative path:
 // the duplicate fragment moves no byte, so the same floats hold, and the
 // duplicated compute it prices — the straggling shard's encoded fragment
 // output — is the figure recorded when that output was still rows.
@@ -166,39 +166,60 @@ func TestChaosDegradeAndPartition(t *testing.T) {
 	}
 }
 
-// TestChaosDrainJoinRebalance: draining a worker through the engine
+// TestChaosDrainJoinRebalance is membership on every engine shape,
+// failure modes first: a single-node engine has no hosts to drain,
+// restore or join; a cluster refuses unknown workers and restoring a
+// worker that is not drained. Then, replicated or not, draining a worker
 // moves its resident shard bytes over the fabric and leaves queries
-// correct; joining annexes a spare host; restore brings the worker
-// back. A lifecycle-less engine refuses all three.
+// correct, joining annexes a spare host, and restore brings the worker
+// back.
 func TestChaosDrainJoinRebalance(t *testing.T) {
-	eng := chaosEngine(t, 2, "")
-	clean := chaosRun(t, eng) // also shards the tables so a drain has bytes to move
-	if err := eng.DrainHost(1); err != nil {
+	single, err := NewEngine(DefaultConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
-	h := eng.Lifecycle().Health()
-	if h.Drained != 1 || h.RebalancedBytes <= 0 {
-		t.Fatalf("drain health: %+v", h)
+	if single.Lifecycle() != nil {
+		t.Fatal("single-node engine has a cluster manager")
 	}
-	if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
-		t.Fatal("drained cluster changed the rows")
-	}
-	if _, err := eng.JoinHost(); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RestoreHost(1); err != nil {
-		t.Fatal(err)
-	}
-	if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
-		t.Fatal("grown-and-restored cluster changed the rows")
+	_, joinErr := single.JoinHost()
+	for name, err := range map[string]error{"drain": single.DrainHost(0), "restore": single.RestoreHost(0), "join": joinErr} {
+		if err == nil {
+			t.Fatalf("single-node engine must refuse %s", name)
+		}
 	}
 
-	plain := chaosEngine(t, 0, "")
-	if err := plain.DrainHost(1); err == nil {
-		t.Fatal("lifecycle-less engine must refuse DrainHost")
-	}
-	if _, err := plain.JoinHost(); err == nil {
-		t.Fatal("lifecycle-less engine must refuse JoinHost")
+	for _, replication := range []int{0, 1, 2} {
+		t.Run(fmt.Sprintf("replication=%d", replication), func(t *testing.T) {
+			eng := chaosEngine(t, replication, "")
+			for _, w := range []int{-1, 4} {
+				if eng.DrainHost(w) == nil || eng.RestoreHost(w) == nil {
+					t.Fatalf("unknown worker %d accepted", w)
+				}
+			}
+			if eng.RestoreHost(1) == nil {
+				t.Fatal("restored a worker that was never drained")
+			}
+			clean := chaosRun(t, eng) // also shards the tables so a drain has bytes to move
+			if err := eng.DrainHost(1); err != nil {
+				t.Fatal(err)
+			}
+			h := eng.Lifecycle().Health()
+			if h.Drained != 1 || h.RebalancedBytes <= 0 {
+				t.Fatalf("drain health: %+v", h)
+			}
+			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
+				t.Fatal("drained cluster changed the rows")
+			}
+			if w, err := eng.JoinHost(); err != nil || w != 4 {
+				t.Fatalf("join: worker %d, %v", w, err)
+			}
+			if err := eng.RestoreHost(1); err != nil {
+				t.Fatal(err)
+			}
+			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
+				t.Fatal("grown-and-restored cluster changed the rows")
+			}
+		})
 	}
 }
 

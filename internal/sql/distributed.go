@@ -20,8 +20,14 @@ package sql
 // fragment's scan windows them as they stand; the vectors are immutable
 // and freely shared — a range shard is a zero-copy window of the
 // registered table, a broadcast build side is one set of vectors every
-// shard probes. Rows appear only where rows are the point: the row-engine
-// coordinator (no ORDER BY, or a memory budget) and the final Result.
+// shard probes. Rows appear only in the final Result.
+//
+// One path: every fragment round and every movement phase goes through
+// the execution's lifecycle.Guard — the only way a distributed query
+// reaches the fabric — and the coordinator's post-gather plan runs on the
+// batch engine, like the fragments. On a cluster with one replica per
+// shard and no fault plan the guard resolves every shard to its static
+// host and has nothing to inject.
 //
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
@@ -95,7 +101,7 @@ type decorFn func(lw *lowerer, shard int, n execNode) (execNode, error)
 type distStream struct {
 	// dx is the execution context: the per-shard lowerers fragments are
 	// built with, and the lifecycle guard fragment rounds route through
-	// (straggler speculation, replica-aware dispatch) when one is active.
+	// (straggler speculation, replica-aware dispatch).
 	dx     *distExec
 	base   []*relational.Relation
 	decor  []decorFn
@@ -137,25 +143,15 @@ func (st *distStream) fragments() ([]relational.BatchOp, error) {
 }
 
 // materialize runs the pending decorators on every shard (in parallel,
-// one simulated host each) and replaces the base relations. With an
-// active lifecycle guard the round runs through it: a straggling shard
-// gets a speculative duplicate (the guard rebuilds the fragment via
-// st.fragment), and fragments follow live replicas.
+// one simulated host each) and replaces the base relations. The round
+// runs through the lifecycle guard: a straggling shard gets a speculative
+// duplicate (the guard rebuilds the fragment via st.fragment), and
+// fragments follow live replicas.
 func (st *distStream) materialize() error {
 	if len(st.decor) == 0 {
 		return nil
 	}
-	var rels []*relational.Relation
-	var err error
-	if st.dx.guard != nil {
-		rels, err = st.dx.guard.RunFragments("frag", len(st.base), st.dx.workers, st.fragment)
-	} else {
-		var frags []relational.BatchOp
-		if frags, err = st.fragments(); err != nil {
-			return err
-		}
-		rels, err = dist.RunFragmentsCols("frag", frags, st.dx.workers)
-	}
+	rels, err := st.dx.guard.RunFragments("frag", len(st.base), st.dx.workers, st.fragment)
 	if err != nil {
 		return err
 	}
@@ -259,10 +255,9 @@ type distExec struct {
 	lw     []*lowerer
 	budget *relational.MemoryBudget
 	// guard is the per-execution lifecycle guard root wires to the query
-	// run: it resolves shards to live replicas and lands injected faults.
-	// It stays nil on static, failure-free clusters — the common case,
-	// which keeps every phase on the pre-lifecycle code paths
-	// bit-identically.
+	// run, and the only handle the execution has on the fabric: it
+	// resolves shards to live replicas, runs every movement phase and
+	// fragment round, and lands injected faults.
 	guard *lifecycle.Guard
 }
 
@@ -295,11 +290,11 @@ func (e *distExec) legStream(i int) *distStream {
 
 // front executes what every query shares: leg fragments, join
 // movements, residual filter.
-func (e *distExec) front(qr *dist.QueryRun) (*distStream, error) {
+func (e *distExec) front() (*distStream, error) {
 	st := e.legStream(0)
 	for ji := range e.lp.joins {
 		var err error
-		if st, err = e.joinStage(qr, st, e.legStream(ji+1), ji); err != nil {
+		if st, err = e.joinStage(st, e.legStream(ji+1), ji); err != nil {
 			return nil, err
 		}
 	}
@@ -308,49 +303,22 @@ func (e *distExec) front(qr *dist.QueryRun) (*distStream, error) {
 }
 
 // coordinator returns the lowerer and leaf of the coordinator's
-// post-gather plan over rel — after the gather is charged, so whichever
-// engine runs it moves no modeled byte. An ORDER BY goes to the batch
-// engine, whose sort is the typed radix sort and whose ORDER BY + LIMIT
-// is one top-k, and which scans the gathered vectors as they stand;
-// everything else takes a row view of them on the row engine. Under a
-// memory budget the row engine stays throughout: its accounting-only
-// spill model is what coordinator memory is priced with.
-func (e *distExec) coordinator(rel *relational.Relation, ordered bool) (*lowerer, execNode) {
-	if e.batchCoordinator(ordered) {
-		lw := &lowerer{parallel: true, workers: e.workers}
-		return lw, lw.scan(rel)
-	}
-	rel.RowView()
-	lw := &lowerer{budget: e.budget}
+// post-gather plan over rel — after the gather is charged, so it moves no
+// modeled byte. It is the batch engine, scanning the gathered vectors as
+// they stand: its sort is the typed radix sort, its ORDER BY + LIMIT one
+// top-k, and its pipeline breakers charge the query budget (nil when
+// unbudgeted) — coordinator memory is host memory too. No placer: the
+// coordinator is not one of the simulated worker hosts.
+func (e *distExec) coordinator(rel *relational.Relation) (*lowerer, execNode) {
+	lw := &lowerer{parallel: true, workers: e.workers, budget: e.budget}
 	return lw, lw.scan(rel)
-}
-
-func (e *distExec) batchCoordinator(ordered bool) bool { return ordered && e.budget == nil }
-
-// runPhase routes one bulk movement phase through the lifecycle guard
-// when one is active (fault injection, replica-aware endpoints) and
-// straight to the query run otherwise — the pre-lifecycle path,
-// bit-identical.
-func (e *distExec) runPhase(qr *dist.QueryRun, name string, transfers []dist.Transfer, class string, weightScale float64) error {
-	if e.guard != nil {
-		return e.guard.RunPhase(name, transfers, class, weightScale)
-	}
-	return qr.RunPhaseQoS(name, transfers, class, weightScale)
-}
-
-// runPipelined is runPhase for chunked movement phases.
-func (e *distExec) runPipelined(qr *dist.QueryRun, name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
-	if e.guard != nil {
-		return e.guard.RunPipelined(name, chunks, class, weightScale, consume)
-	}
-	return qr.RunPipelined(name, chunks, class, weightScale, consume)
 }
 
 // root installs the lazy root of the distributed plan. Pulling it runs
 // the whole execution: the shared front, then tail — which lowers the
 // last shard-local stage, charges the gather and returns the
 // coordinator's operator tree — then the drain of that tree.
-func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*dist.QueryRun, *distStream) (relational.Op, error)) *Planned {
+func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStream) (relational.Op, error)) *Planned {
 	root := &distRoot{schema: schema, run: func() (*relational.Relation, *dist.QueryStats, error) {
 		// Register with the shared fabric under the session's QoS
 		// identity, and Close on every path: an abandoned registration —
@@ -358,17 +326,14 @@ func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*dist.Qu
 		// queries at the admission barrier forever.
 		qr := e.eng.fabric.NewQueryQoS(e.cancel, e.class, e.weight)
 		defer qr.Close()
-		// With an elastic cluster view, the guard installs itself as qr's
-		// host resolver and every later phase and fragment round routes
-		// through it; a nil manager leaves the run on the static placement.
-		if e.eng.lcm != nil {
-			e.guard = e.eng.lcm.NewGuard(qr)
-		}
-		st, err := e.front(qr)
+		// The guard installs itself as qr's host resolver; every later
+		// phase and fragment round routes through it.
+		e.guard = e.eng.lcm.NewGuard(qr)
+		st, err := e.front()
 		if err != nil {
 			return nil, nil, err
 		}
-		op, err := tail(qr, st)
+		op, err := tail(st)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -412,7 +377,7 @@ func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
 // joinStage runs one join's data movement and appends the join decorator:
 // the probe side's stream (and seq lineage) becomes the new current
 // stream, exactly as the single-node probe side drives its output order.
-func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStream, ji int) (*distStream, error) {
+func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distStream, error) {
 	jp := &e.lp.joins[ji]
 	if err := st.materialize(); err != nil {
 		return nil, err
@@ -468,7 +433,7 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 			prev = bounds[k]
 			return nil
 		}
-		if err := e.runPipelined(qr, fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
+		if err := e.guard.RunPipelined(fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
 			return nil, err
 		}
 		out.base = probe.base
@@ -477,7 +442,7 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 		// Replicate the whole build side to every worker; the probe side
 		// does not move.
 		buildRel, transfers := dist.Broadcast(build.base, buildWidth, true)
-		if err := e.runPhase(qr, fmt.Sprintf("broadcast#%d", ji), transfers, "", 0); err != nil {
+		if err := e.guard.RunPhase(fmt.Sprintf("broadcast#%d", ji), transfers, "", 0); err != nil {
 			return nil, err
 		}
 		out.base = probe.base
@@ -532,7 +497,7 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 			}
 			return nil
 		}
-		if err := e.runPipelined(qr, fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
+		if err := e.guard.RunPipelined(fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
 			return nil, err
 		}
 		out.base = probeB
@@ -542,7 +507,7 @@ func (e *distExec) joinStage(qr *dist.QueryRun, st *distStream, right *distStrea
 		// rows arrive seq-sorted, preserving the serial insertion order.
 		buildB, tA := dist.Repartition(build.base, buildCol, buildWidth)
 		probeB, tB := dist.Repartition(probe.base, probeCol, len(probe.schema))
-		if err := e.runPhase(qr, fmt.Sprintf("shuffle#%d", ji), append(tA, tB...), "", 0); err != nil {
+		if err := e.guard.RunPhase(fmt.Sprintf("shuffle#%d", ji), append(tA, tB...), "", 0); err != nil {
 			return nil, err
 		}
 		out.base = probeB
@@ -662,7 +627,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 
 	// Dry-run the coordinator plan: surfaces compile errors at plan time
 	// and yields the output schema and the coordinator's step lines.
-	dryLw, dryLeaf := dx.coordinator(relational.NewRelation("agg", aggOutSchema), len(stmt.OrderBy) > 0)
+	dryLw, dryLeaf := dx.coordinator(relational.NewRelation("agg", aggOutSchema))
 	dry, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, dryLw, dryLeaf, ap)
 	if err != nil {
 		return nil, err
@@ -671,7 +636,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		p.Steps = append(p.Steps, "coordinator "+s)
 	}
 
-	return dx.root(p, dry.Root.Schema(), func(qr *dist.QueryRun, st *distStream) (relational.Op, error) {
+	return dx.root(p, dry.Root.Schema(), func(st *distStream) (relational.Op, error) {
 		st.project(ap.preSchema, ap.pre)
 		frags, err := st.fragments()
 		if err != nil {
@@ -714,7 +679,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 				return nil
 			}
 			chunks := dist.PartialGatherChunks(subs)
-			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+			if err := dx.guard.RunPipelined("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
 				return nil, err
 			}
 			merged = acc[0]
@@ -726,7 +691,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 			for i, pa := range partials {
 				bytes[i] = pa.EncodedBytes()
 			}
-			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(bytes), dist.GatherClass, dist.GatherWeightBoost); err != nil {
+			if err := dx.guard.RunPhase("gather", dist.GatherTransfers(bytes), dist.GatherClass, dist.GatherWeightBoost); err != nil {
 				return nil, err
 			}
 			merged = partials[0]
@@ -738,7 +703,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
-		lw, leaf := dx.coordinator(aggRel, len(stmt.OrderBy) > 0)
+		lw, leaf := dx.coordinator(aggRel)
 		fin, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, lw, leaf, ap)
 		if err != nil {
 			return nil, err
@@ -767,20 +732,20 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 	wideExprs := append(append([]relational.ProjExpr{}, itemExprs...), keyExprs...)
 
 	// The coordinator's strip projection only drops the key columns, so
-	// ORDER BY + LIMIT there is one top-k wherever the engine allows it.
-	topK := stmt.Limit >= 0 && dx.batchCoordinator(len(keyCols) > 0)
+	// ORDER BY + LIMIT there is one top-k.
 	gather := "gather to coordinator (seq-ordered merge)"
-	if topK {
+	switch {
+	case len(keyCols) > 0 && stmt.Limit >= 0:
 		gather += fmt.Sprintf("; top-k %d", stmt.Limit)
-	} else if len(keyCols) > 0 {
+	case len(keyCols) > 0:
 		gather += "; sort"
 	}
 	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard", gather)
-	if stmt.Limit >= 0 && !topK {
+	if len(keyCols) == 0 && stmt.Limit >= 0 {
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
-	return dx.root(p, itemSchema, func(qr *dist.QueryRun, st *distStream) (relational.Op, error) {
+	return dx.root(p, itemSchema, func(st *distStream) (relational.Op, error) {
 		st.project(wideSchema, wideExprs)
 		if len(keyCols) == 0 && stmt.Limit >= 0 {
 			// Correct below a gather: the merged global prefix of length n
@@ -810,30 +775,25 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 				merger.MergeInto(cols, bounds[k])
 				return nil
 			}
-			if err := dx.runPipelined(qr, "gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+			if err := dx.guard.RunPipelined("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
 				return nil, err
 			}
 			merged = relational.NewColumnRelation("gathered", schema, cols, total)
 		} else {
-			if err := dx.runPhase(qr, "gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
+			if err := dx.guard.RunPhase("gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
 				return nil, err
 			}
 			merged = dist.MergeBySeq("gathered", st.base, seqCol, true)
 		}
-		lw, cur := dx.coordinator(merged, len(keyCols) > 0)
-		limit := stmt.Limit
+		lw, cur := dx.coordinator(merged)
 		if len(keyCols) > 0 {
-			k := -1
-			if topK {
-				k, limit = limit, -1
-			}
+			// stmt.Limit is the top-k bound; absent (-1) is a full sort.
 			var err error
-			if cur, err = sortByTrailingKeys(lw, cur, descs, k); err != nil {
+			if cur, err = sortByTrailingKeys(lw, cur, descs, stmt.Limit); err != nil {
 				return nil, err
 			}
-		}
-		if limit >= 0 {
-			cur = lw.limit(cur, limit)
+		} else if stmt.Limit >= 0 {
+			cur = lw.limit(cur, stmt.Limit)
 		}
 		return lw.finish(cur), nil
 	}), nil

@@ -14,17 +14,12 @@ import (
 	"repro/internal/stream"
 )
 
-// Config selects the execution engine and the optimizer rules (the
-// ablation experiments switch the latter). It is the construction-time
+// Config selects the execution engine. It is the construction-time
 // configuration of an Engine; sessions may override the per-session
-// knobs (see Session).
+// knobs (see Session). The optimizer rules — predicate pushdown below
+// joins, hash-join build on the smaller estimated side, constant folding
+// — are not configurable: every plan gets them.
 type Config struct {
-	// Pushdown moves single-table WHERE conjuncts below joins.
-	Pushdown bool
-	// BuildSideSwap builds the hash join on the smaller estimated input.
-	BuildSideSwap bool
-	// ConstantFolding evaluates literal subtrees at plan time.
-	ConstantFolding bool
 	// Parallel lowers plans onto the morsel-parallel batch engine
 	// (columnar chunks, kernel inner loops, multi-core leaf scans). When
 	// false, plans run on the volcano row-at-a-time engine.
@@ -37,7 +32,10 @@ type Config struct {
 	// every broadcast, shuffle and gather as flows in the network
 	// simulator. All of an engine's queries share one simulator, so
 	// concurrent sessions contend for the fabric. Shard-local fragments
-	// always run on the batch engine.
+	// and the coordinator's post-gather plan always run on the batch
+	// engine, and every fragment round and movement phase goes through
+	// the cluster's lifecycle manager (see Replication, Faults), so hosts
+	// can be drained, restored and joined on any distributed engine.
 	Distributed bool
 	// Shards is the worker-host count in distributed mode (default 4).
 	Shards int
@@ -94,7 +92,10 @@ type Config struct {
 	// OpStats.Spill and Result.Spill. Like Devices, the budget models
 	// cost without changing semantics: results are row-for-row identical
 	// at every budget, and 0 (the default) is the unbudgeted engine,
-	// bit-identical with pre-budget code paths. Sessions may override it
+	// bit-identical with pre-budget code paths. A distributed query forks
+	// the budget per shard host and charges the coordinator's post-gather
+	// operators to the query budget itself — one spill model, the batch
+	// operators' own, on every host. Sessions may override it
 	// (Session.MemoryBudget). Negative values are rejected at NewEngine.
 	MemoryBudget int64
 	// SpillTier names the memtier catalog tier budget overflow spills
@@ -120,13 +121,14 @@ type Config struct {
 	PipelineChunkRows int
 	// Replication places each shard's data on this many distinct live
 	// hosts (distributed mode only). Reads follow the primary replica —
-	// with every host live that is the static placement, so any
-	// replication factor replays the unreplicated engine bit-identically
-	// until membership changes — and failover re-dispatches a dead
-	// primary's fragments to a surviving replica. 0 and 1 both mean one
-	// copy; values above Shards are rejected at NewEngine. Replication is
-	// construction-time only (the cluster's placement is shared state, not
-	// a per-session knob).
+	// with every host live that is the static placement, so every
+	// replication factor charges the same flows until membership changes
+	// — and failover re-dispatches a dead primary's fragments to a
+	// surviving replica. 0 and 1 both mean one copy: hosts can still be
+	// drained and joined, but a host death loses its shards. Values above
+	// Shards are rejected at NewEngine. Replication is construction-time
+	// only (the cluster's placement is shared state, not a per-session
+	// knob).
 	Replication int
 	// Faults installs a deterministic fault-injection schedule on the
 	// engine's cluster (distributed mode only): host deaths mid-phase,
@@ -134,16 +136,14 @@ type Config struct {
 	// partitions, each firing once when the first query reaches the
 	// event's ordinal. Recovery work is measured into Result.Net
 	// (RecoverySeconds, RetriedFragments, SpeculativeWins). Nil (the
-	// default) injects nothing and — together with Replication ≤ 1 —
-	// keeps the engine on the pre-lifecycle code paths, bit-identically.
-	// Construction-time only. Build plans with lifecycle.ParsePlan or
-	// lifecycle.Seeded.
+	// default) injects nothing. Construction-time only. Build plans with
+	// lifecycle.ParsePlan or lifecycle.Seeded.
 	Faults *lifecycle.FaultPlan
 }
 
-// DefaultConfig enables every optimizer rule and the batch engine.
+// DefaultConfig is the single-node batch engine.
 func DefaultConfig() Config {
-	return Config{Pushdown: true, BuildSideSwap: true, ConstantFolding: true, Parallel: true}
+	return Config{Parallel: true}
 }
 
 // Engine owns everything queries share: the catalog of registered
@@ -158,11 +158,10 @@ func DefaultConfig() Config {
 // An Engine is safe for concurrent use; create Sessions to run queries.
 type Engine struct {
 	cfg Config
-	// cluster and fabric exist in distributed mode only. lcm is the
-	// elastic-membership manager, non-nil only when Replication > 1 or a
-	// fault plan is installed — the nil case keeps every query on the
-	// pre-lifecycle code paths. All three are set once in NewEngine and
-	// read without locking.
+	// cluster, fabric and lcm — the elastic-membership manager every
+	// distributed query reaches the fabric through — exist in distributed
+	// mode only. All three are set once in NewEngine and read without
+	// locking.
 	cluster *dist.Cluster
 	fabric  *dist.Fabric
 	lcm     *lifecycle.Manager
@@ -224,10 +223,8 @@ func NewEngine(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e.fabric = dist.NewFabricController(e.cluster, cfg.Controller)
-	if cfg.Replication > 1 || cfg.Faults != nil {
-		if e.lcm, err = lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes); err != nil {
-			return nil, err
-		}
+	if e.lcm, err = lifecycle.NewManager(e.fabric, cfg.Replication, cfg.Faults, e.shardBytes); err != nil {
+		return nil, err
 	}
 	return e, nil
 }
@@ -324,10 +321,14 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 
 // billIngest charges one appended batch's movement to the shared fabric
 // as ingest-class flows (coordinator → destination shard, per the
-// table's sharding strategy). The party is short-lived — join, one
-// phase, leave — so it contends in admission rounds with whatever
-// queries are in flight without ever holding the round barrier open.
-// Returns the modeled fabric seconds (0 on single-node engines).
+// table's sharding strategy). Endpoints resolve through the lifecycle
+// manager, so a drained or dead host's share lands on the shard's live
+// primary; the run takes the resolver only, not a Guard — an append is
+// not a query phase and must not claim a fault-plan ordinal. The party
+// is short-lived — join, one phase, leave — so it contends in admission
+// rounds with whatever queries are in flight without ever holding the
+// round barrier open. Returns the modeled fabric seconds (0 on
+// single-node engines).
 func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, start int) float64 {
 	if e.fabric == nil {
 		return 0
@@ -347,6 +348,7 @@ func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, sta
 		}
 	}
 	qr := e.fabric.NewQueryQoS(nil, IngestClass, 0)
+	qr.SetHostResolver(e.lcm.HostFor)
 	if err := qr.RunPhase("ingest", transfers); err != nil {
 		qr.Close()
 		return 0
@@ -408,20 +410,20 @@ func (e *Engine) shardBytes() []float64 {
 	return out
 }
 
-// Lifecycle exposes the elastic-membership manager, or nil on engines
-// without replication or a fault plan (the static, failure-free
-// cluster).
+// Lifecycle exposes the cluster's elastic-membership manager; nil on
+// single-node engines, like Fabric.
 func (e *Engine) Lifecycle() *lifecycle.Manager { return e.lcm }
 
-// errNoLifecycle reports membership operations on a static cluster.
-var errNoLifecycle = fmt.Errorf("sql: cluster lifecycle inactive (set Config.Replication > 1 or Config.Faults)")
+// errSingleNode reports a membership operation on an engine without a
+// cluster.
+var errSingleNode = fmt.Errorf("sql: host membership needs a Distributed engine")
 
 // DrainHost evacuates a worker host: its replicas copy to other live
 // hosts (movement charged to the shared fabric) and no fragments land
 // on it until RestoreHost.
 func (e *Engine) DrainHost(worker int) error {
 	if e.lcm == nil {
-		return errNoLifecycle
+		return errSingleNode
 	}
 	return e.lcm.DrainWorker(worker)
 }
@@ -429,7 +431,7 @@ func (e *Engine) DrainHost(worker int) error {
 // RestoreHost returns a drained worker host to service.
 func (e *Engine) RestoreHost(worker int) error {
 	if e.lcm == nil {
-		return errNoLifecycle
+		return errSingleNode
 	}
 	return e.lcm.RestoreWorker(worker)
 }
@@ -438,7 +440,7 @@ func (e *Engine) RestoreHost(worker int) error {
 // worker index.
 func (e *Engine) JoinHost() (int, error) {
 	if e.lcm == nil {
-		return -1, errNoLifecycle
+		return -1, errSingleNode
 	}
 	return e.lcm.JoinHost()
 }

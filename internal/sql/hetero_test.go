@@ -348,7 +348,8 @@ func TestDistributedPostJoinPlacementHint(t *testing.T) {
 	// Close before the next query: an open registration parks every
 	// other query of the engine at the admission barrier.
 	qr := eng.Fabric().NewQueryQoS(nil, "", 0)
-	st, err := dx.front(qr)
+	dx.guard = eng.Lifecycle().NewGuard(qr)
+	st, err := dx.front()
 	qr.Close()
 	if err != nil {
 		t.Fatal(err)

@@ -7,11 +7,13 @@ package sql
 // and a memory budget. The single-node execution lowers the plan with
 // one lowerer into one tree; the distributed execution (distributed.go)
 // holds one lowerer per shard — that shard's placer fork, budget fork and
-// the query's cancel token — builds every shard fragment with it and
-// inserts the data movements between fragments. The row engine behind
-// Parallel=false is the same lowerer with the batch side switched off,
-// kept as the oracle the batch and distributed executions are checked
-// against.
+// the query's cancel token — builds every shard fragment with it,
+// inserts the data movements between fragments, and lowers the
+// coordinator's post-gather plan with one more batch lowerer carrying the
+// query budget. The row engine is the same lowerer with the batch side
+// switched off, reachable from exactly one place — planLocal under
+// Parallel=false — and kept as the oracle the batch and distributed
+// executions are checked against.
 
 import (
 	"math"
@@ -41,9 +43,9 @@ type lowerer struct {
 	// budget, when set, charges every pipeline breaker's materialized
 	// state (join build tables, aggregate hash maps, sort runs) against
 	// the query memory budget; overflow goes out-of-core against the
-	// budget's spill tier. Applies on both engines — the row operators
-	// account their state against the same budget the batch operators
-	// grace-partition under.
+	// budget's spill tier. Applies on both engines — the oracle's row
+	// operators account their state against the same budget the batch
+	// operators grace-partition under.
 	budget *relational.MemoryBudget
 }
 

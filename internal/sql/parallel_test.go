@@ -29,6 +29,8 @@ var parityQueries = []string{
 	"SELECT product, SUM(quantity) AS units FROM sales WHERE year >= 2012 AND year <= 2015 GROUP BY product ORDER BY units DESC LIMIT 3",
 	"SELECT order_id FROM sales ORDER BY quantity DESC, order_id LIMIT 7",
 	"SELECT region, COUNT(*) FROM sales WHERE quantity > 100 GROUP BY region", // empty result
+	// A generic (non-range) conjunct pushed below a build-swapped join.
+	"SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.price > 50 GROUP BY c.segment ORDER BY n DESC, 1",
 }
 
 // sameRelation compares results row-for-row. Int and String cells must be

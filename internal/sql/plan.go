@@ -145,20 +145,15 @@ func (pl *planner) resolveLegs(stmt *SelectStmt) ([]*tableLeg, error) {
 	return legs, nil
 }
 
-// splitWhere folds constants (per options) and attaches single-leg WHERE
-// conjuncts to their legs, returning the residual conjuncts.
+// splitWhere folds constants and attaches single-leg WHERE conjuncts to
+// their legs, returning the residual conjuncts.
 func (pl *planner) splitWhere(stmt *SelectStmt, legs []*tableLeg) []Expr {
-	where := stmt.Where
-	if where == nil {
+	if stmt.Where == nil {
 		return nil
 	}
-	if pl.cfg.ConstantFolding {
-		where = foldConstants(where)
-	}
 	var residual []Expr
-	for _, c := range splitConjuncts(where) {
-		leg := pl.soleLeg(c, legs)
-		if pl.cfg.Pushdown && leg != nil {
+	for _, c := range splitConjuncts(foldConstants(stmt.Where)) {
+		if leg := pl.soleLeg(c, legs); leg != nil {
 			leg.filter = append(leg.filter, c)
 		} else {
 			residual = append(residual, c)
@@ -175,12 +170,6 @@ func legSizeEstimate(leg *tableLeg) int {
 		size = size / (2 * len(leg.filter))
 	}
 	return size
-}
-
-// buildOnRight reports whether a hash join builds on the (smaller) right
-// leg.
-func (pl *planner) buildOnRight(rightSize, curSize int) bool {
-	return pl.cfg.BuildSideSwap && rightSize < curSize
 }
 
 // advanceJoinSize updates the running cardinality estimate after joining
@@ -273,7 +262,8 @@ func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, err
 			return nil, err
 		}
 		rightSize := legSizeEstimate(leg)
-		step.swapped = pl.buildOnRight(rightSize, lp.size)
+		// Build the hash table on the smaller estimated side.
+		step.swapped = rightSize < lp.size
 		cur.addTable(leg.alias, leg.schema, len(lp.schema))
 		lp.schema = append(lp.schema, leg.schema...)
 		if step.rest, err = compileFilter(cur, rest, batch); err != nil {

@@ -2,8 +2,11 @@ package sql
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // Out-of-core acceptance suite: a memory budget models cost, never
@@ -156,6 +159,68 @@ func TestSpillDistributedStats(t *testing.T) {
 	}
 	if !strings.Contains(res.Net.Summary(), "spill") {
 		t.Fatalf("summary omits spill line:\n%s", res.Net.Summary())
+	}
+}
+
+// coordinatorQueries are the coordinator's three post-gather plans: a
+// bare seq-ordered gather, ORDER BY + LIMIT over gathered rows, and
+// HAVING + ORDER BY + LIMIT over merged partials (exact Int aggregates,
+// as spillQueries).
+var coordinatorQueries = []struct {
+	name, sql string
+	ordered   bool
+}{
+	{"unordered", "SELECT order_id, quantity FROM sales WHERE year >= 2014", false},
+	{"order-limit", spillQueries[2], true},
+	{"groupby-having-order", "SELECT customer_id, COUNT(*) AS n, SUM(quantity) AS qty FROM sales " +
+		"GROUP BY customer_id HAVING COUNT(*) > 1 ORDER BY qty DESC, customer_id LIMIT 10", true},
+}
+
+// TestDistributedCoordinator: the coordinator is the batch engine at
+// every budget. Each post-gather plan returns the serial row oracle's
+// rows unbudgeted, at a tenth of the working set and at one batch; ORDER
+// BY + LIMIT explains as one top-k whatever the budget; the one-batch
+// group-by spills; and the modeled phases repeat exactly run over run and
+// across replication factors (every host live: replicas move no query
+// byte).
+func TestDistributedCoordinator(t *testing.T) {
+	oracle := spillEngine(t, 0, func(cfg *Config) { cfg.Parallel = false })
+	sales, _ := oracle.Table("sales")
+	for _, budget := range []struct {
+		name  string
+		bytes int64
+	}{{"unbudgeted", 0}, {"tenth", int64(sales.EncodedBytes()) / 10}, {"one-batch", 32 << 10}} {
+		for _, q := range coordinatorQueries {
+			label := budget.name + "/" + q.name
+			want := querySpill(t, oracle, q.sql)
+			var phases []dist.PhaseStat
+			for _, replication := range []int{0, 2} {
+				eng := spillEngine(t, budget.bytes, func(cfg *Config) {
+					cfg.Distributed = true
+					cfg.Shards = 4
+					cfg.Replication = replication
+				})
+				plan, err := eng.Session().Explain(q.sql)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if strings.Contains(plan, "top-k") != q.ordered || strings.Contains(plan, "sort") {
+					t.Fatalf("%s: ORDER BY + LIMIT must plan as one top-k:\n%s", label, plan)
+				}
+				for run := 0; run < 2; run++ {
+					res := querySpill(t, eng, q.sql)
+					expectRowsEqual(t, label, want.Rows, res.Rows)
+					if budget.name == "one-batch" && q.name == "groupby-having-order" && !res.Spill.Active() {
+						t.Fatalf("%s: never spilled: %+v", label, res.Spill)
+					}
+					if phases == nil {
+						phases = res.Net.Phases
+					} else if !reflect.DeepEqual(phases, res.Net.Phases) {
+						t.Fatalf("%s: replication %d run %d phases diverged:\n%+v\nvs\n%+v", label, replication, run, res.Net.Phases, phases)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -381,69 +381,26 @@ func TestAmbiguousColumnDetected(t *testing.T) {
 
 // ---------- Optimizer ----------
 
+// TestPushdownReducesJoinInput: the single-table conjunct runs below the
+// join, so fewer fact rows reach it than the scan produced. (Row parity of
+// pushed-down and build-swapped plans with the oracle is parityQueries'
+// job; their plan text is pinned by TestExplainGolden.)
 func TestPushdownReducesJoinInput(t *testing.T) {
-	run := func(pushdown bool) int {
-		db := demoDB(42, 5000, 200)
-		db.Opt.Pushdown = pushdown
-		plan, err := db.Plan(
-			"SELECT c.segment, SUM(s.price) AS total FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.year = 2015 GROUP BY c.segment")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := relational.Collect(plan.Root, "x"); err != nil {
-			t.Fatal(err)
-		}
-		// Rows flowing out of the fact-table scan path into the join.
-		for _, tag := range []string{"pushdown:s", "scan:s"} {
-			if op, ok := plan.TaggedOps[tag]; ok {
-				return op.Stats().RowsOut
-			}
-		}
-		t.Fatal("no scan op tagged")
-		return 0
+	db := demoDB(42, 5000, 200)
+	plan, err := db.Plan(
+		"SELECT c.segment, SUM(s.price) AS total FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.year = 2015 GROUP BY c.segment")
+	if err != nil {
+		t.Fatal(err)
 	}
-	with := run(true)
-	without := run(false)
-	if with >= without {
+	if _, err := relational.Collect(plan.Root, "x"); err != nil {
+		t.Fatal(err)
+	}
+	scan, pushed := plan.TaggedOps["scan:s"], plan.TaggedOps["pushdown:s"]
+	if scan == nil || pushed == nil {
+		t.Fatalf("scan/pushdown ops not tagged: %v", plan.TaggedOps)
+	}
+	if with, without := pushed.Stats().RowsOut, scan.Stats().RowsOut; with >= without {
 		t.Fatalf("pushdown should cut join input: %d vs %d", with, without)
-	}
-}
-
-func TestPushdownSameResults(t *testing.T) {
-	q := "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.price > 50 GROUP BY c.segment ORDER BY n DESC, 1"
-	a := demoDB(7, 3000, 100)
-	b := demoDB(7, 3000, 100)
-	a.Opt.Pushdown = true
-	b.Opt.Pushdown = false
-	ra := mustQuery(t, a, q)
-	rb := mustQuery(t, b, q)
-	if ra.Len() != rb.Len() {
-		t.Fatalf("row counts differ: %d vs %d", ra.Len(), rb.Len())
-	}
-	for i := range ra.Rows {
-		for j := range ra.Rows[i] {
-			if !relational.Equal(ra.Rows[i][j], rb.Rows[i][j]) {
-				t.Fatalf("row %d col %d differs: %v vs %v", i, j, ra.Rows[i][j], rb.Rows[i][j])
-			}
-		}
-	}
-}
-
-func TestBuildSideSwapSameResults(t *testing.T) {
-	q := "SELECT s.id, r.continent FROM sales s JOIN regions r ON s.region = r.region ORDER BY s.id"
-	a := tinyDB()
-	b := tinyDB()
-	a.Opt.BuildSideSwap = true
-	b.Opt.BuildSideSwap = false
-	ra := mustQuery(t, a, q)
-	rb := mustQuery(t, b, q)
-	if ra.Len() != rb.Len() {
-		t.Fatalf("lens differ %d vs %d", ra.Len(), rb.Len())
-	}
-	for i := range ra.Rows {
-		if ra.Rows[i][0].I != rb.Rows[i][0].I || ra.Rows[i][1].S != rb.Rows[i][1].S {
-			t.Fatalf("row %d differs: %v vs %v", i, ra.Rows[i], rb.Rows[i])
-		}
 	}
 }
 

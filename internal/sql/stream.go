@@ -117,11 +117,7 @@ func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*
 	sc := &scope{}
 	sc.addTable(leg.alias, leg.rel.Schema, 0)
 	if stmt.Where != nil {
-		where := stmt.Where
-		if pl.cfg.ConstantFolding {
-			where = foldConstants(where)
-		}
-		cq.Filter, err = compilePredicate(sc, where)
+		cq.Filter, err = compilePredicate(sc, foldConstants(stmt.Where))
 		if err != nil {
 			return nil, err
 		}

@@ -10,7 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/dist"
 	"repro/internal/lifecycle"
+	"repro/internal/netsim"
 	"repro/internal/relational"
 	"repro/internal/stream"
 )
@@ -316,6 +318,70 @@ func TestChaosKillMidIngest(t *testing.T) {
 		if !reflect.DeepEqual(w.Rows.Rows, res.Rows.Rows) {
 			t.Fatalf("window [%d,%d) diverges under chaos", w.Start, w.End)
 		}
+	}
+}
+
+// ingestProbe is a passive fabric controller: it overrides nothing and
+// records the ingest-class bytes each link was asked to carry.
+type ingestProbe struct{ linkBytes map[int]float64 }
+
+func (p *ingestProbe) Admit(st *netsim.RoundState) []netsim.Decision {
+	for _, f := range st.Pending {
+		if f.Class == IngestClass {
+			for _, l := range f.Path.LinkIDs {
+				p.linkBytes[l] += f.Bytes
+			}
+		}
+	}
+	return nil
+}
+
+// TestIngestBilledToLivePrimary: once worker 1 is drained (or dead), a
+// batch that shards to 1 is billed to the shard's live primary — no
+// ingest byte crosses the evacuated host's access link.
+func TestIngestBilledToLivePrimary(t *testing.T) {
+	for name, evacuate := range map[string]func(*Engine) error{
+		"drain": func(e *Engine) error { return e.DrainHost(1) },
+		"kill":  func(e *Engine) error { _, _, err := e.Lifecycle().Kill(1); return err },
+	} {
+		t.Run(name, func(t *testing.T) {
+			probe := &ingestProbe{linkBytes: map[int]float64{}}
+			eng := streamEngine(t, func(c *Config) {
+				c.Distributed = true
+				c.Shards = 4
+				c.Replication = 2
+				c.ShardHash = true // events hash on t, its first Int column
+				c.Controller = probe
+			})
+			var batch []relational.Row
+			for tm := int64(0); len(batch) < 8; tm++ {
+				if row := sev("a", tm, 1); dist.ShardFor(dist.HashShard, 1, 4, row, 0, 0) == 1 {
+					batch = append(batch, row)
+				}
+			}
+			if err := evacuate(eng); err != nil {
+				t.Fatal(err)
+			}
+			ing, err := eng.AppendRows("events", batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ing.NetSeconds <= 0 {
+				t.Fatalf("append billed no fabric time: %+v", ing)
+			}
+			onAccess := func(worker int) float64 {
+				sum := 0.0
+				for _, l := range eng.cluster.Net.Incident(eng.cluster.Workers[worker]) {
+					sum += probe.linkBytes[l]
+				}
+				return sum
+			}
+			// With worker 1 out, shard 1's primary is the next live worker
+			// on the ring.
+			if old, live := onAccess(1), onAccess(2); old != 0 || live != ing.Bytes {
+				t.Fatalf("ingest bytes on access links: evacuated host %v (want 0), live primary %v (want %v)", old, live, ing.Bytes)
+			}
+		})
 	}
 }
 
