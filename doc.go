@@ -44,7 +44,8 @@
 // overrides) cap resident operator state per query — hash-join build
 // tables grace-partition, aggregates spill generations of group state,
 // sorts go external-run-merge when the relational.MemoryBudget arena
-// runs out — with every byte crossing the tier boundary priced by a
+// runs out, and ORDER BY + LIMIT reserves only the rows it keeps (per
+// shard below the gather, then at the coordinator) — with every byte crossing the tier boundary priced by a
 // memtier spill device (Recommendation 5's memory wall as a cost
 // model: access latency, bandwidth and energy of NVM/SSD/disk) into
 // per-operator OpStats.Spill, the query's Result.Spill, and — in

@@ -2,14 +2,16 @@
 // memory wall — the RETHINK big roadmap's Recommendation 5 thesis that
 // once datasets outgrow the memory budget, the storage hierarchy's
 // latency, bandwidth and energy shape the engine, made executable. One
-// analytics workload (a join, a group-by and a full sort) runs under a
-// shrinking operator-state budget, from "everything fits" down to 5% of
-// the working set. At every step the rows are identical — the budget
-// models cost, not semantics — while the spill report shows the engine
-// degrading gracefully: hash joins grace-partition their build tables,
-// aggregates spill generations of group state, sorts switch to external
-// run merging, and every byte crossing the tier boundary is priced by
-// the memtier spill device (access latency + bandwidth + energy).
+// analytics workload (a join, a group-by, a full sort and a top-k) runs
+// under a shrinking operator-state budget, from "everything fits" down to
+// 5% of the working set. At every step the rows are identical — the
+// budget models cost, not semantics — while the spill report shows the
+// engine degrading gracefully: hash joins grace-partition their build
+// tables, aggregates spill generations of group state, sorts switch to
+// external run merging, and every byte crossing the tier boundary is
+// priced by the memtier spill device (access latency + bandwidth +
+// energy). The top-k is the counter-example: ORDER BY + LIMIT keeps only
+// the rows it will return, so it spills nothing at any of these budgets.
 //
 // A second act prices the same overflow against each spill tier — NVM,
 // SSD, spinning disk — reproducing the roadmap's storage-hierarchy
@@ -37,13 +39,19 @@ const (
 	customers = 60000
 )
 
-var queries = []struct{ name, q string }{
+// spills says whether the query must spill at the tightest budget of the
+// sweep (and, when false, that it must not spill at any).
+var queries = []struct {
+	name, q string
+	spills  bool
+}{
 	{"join", "SELECT c.segment, COUNT(*) AS n, SUM(s.quantity) AS qty " +
 		"FROM sales s JOIN customers c ON s.customer_id = c.customer_id " +
-		"WHERE s.year >= 2012 GROUP BY c.segment ORDER BY qty DESC"},
+		"WHERE s.year >= 2012 GROUP BY c.segment ORDER BY qty DESC", true},
 	{"group-by", "SELECT customer_id, COUNT(*) AS n, SUM(quantity) AS qty " +
-		"FROM sales GROUP BY customer_id ORDER BY qty DESC, customer_id LIMIT 10"},
-	{"sort", "SELECT product, price, quantity FROM sales ORDER BY price DESC, quantity LIMIT 10"},
+		"FROM sales GROUP BY customer_id ORDER BY qty DESC, customer_id LIMIT 10", true},
+	{"sort", "SELECT product, price, quantity FROM sales ORDER BY price DESC, quantity", true},
+	{"top-k", "SELECT product, price, quantity FROM sales ORDER BY price DESC, quantity LIMIT 10", false},
 }
 
 func engine(budget int64, tier string, distributed bool) *sql.Engine {
@@ -103,6 +111,12 @@ func main() {
 				log.Fatalf("%s: budget %.0f%% changed the result:\n%s\nvs\n%s", qq.name, frac*100, sig, refSig[qq.name])
 			}
 			sp := res.Spill
+			if !qq.spills && sp.Active() {
+				log.Fatalf("%s: spilled at a %.0f%% budget: %s", qq.name, frac*100, sp)
+			}
+			if qq.spills && frac == 0.05 && !sp.Active() {
+				log.Fatalf("%s: never spilled, even at a 5%% budget", qq.name)
+			}
 			table.AddRow(fmt.Sprintf("%3.0f%% (%s)", frac*100, metrics.FormatBytes(float64(budget))),
 				fmt.Sprintf("%d", sp.Partitions),
 				metrics.FormatBytes(float64(sp.SpilledBytes)),
@@ -112,7 +126,8 @@ func main() {
 		}
 		fmt.Println(table.Render())
 	}
-	fmt.Println("rows identical at every budget; spill I/O grows as the budget shrinks — degradation, not a cliff")
+	fmt.Println("rows identical at every budget; spill I/O grows as the budget shrinks — degradation, not a cliff —")
+	fmt.Println("and the top-k, which holds 10 rows whatever its input, never spills")
 	fmt.Println()
 
 	fmt.Println("== Act 2: the same overflow, priced per tier ==")

@@ -92,15 +92,11 @@ func SortPairsByKey(keys []uint64, vals []int64) {
 		for i := range count {
 			count[i] = 0
 		}
-		skip := true
 		for _, k := range ksrc {
-			b := byte(k >> shift)
-			if b != 0 {
-				skip = false
-			}
-			count[b]++
+			count[byte(k>>shift)]++
 		}
-		if skip {
+		// A digit every key shares orders nothing: skip the scatter.
+		if count[byte(ksrc[0]>>shift)] == n {
 			continue
 		}
 		sum := 0

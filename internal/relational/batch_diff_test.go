@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -137,6 +138,20 @@ func forEachShape(t *testing.T, fn func(t *testing.T, rel *Relation, src func() 
 	}
 }
 
+// diffBudgets are the memory budgets the pipeline breakers are diffed
+// under: none, one that holds a row or a group at most (every generation
+// and run spills, a top-k degrades on its second row), and one that holds
+// a dozen (a top-k degrades mid-stream, its heap part full).
+var diffBudgets = []int64{0, 48, 600}
+
+// diffBudget returns the budget of the given size (nil for 0).
+func diffBudget(limit int64) *MemoryBudget {
+	if limit == 0 {
+		return nil
+	}
+	return tinyBudget(limit)
+}
+
 func TestDiffGroupAgg(t *testing.T) {
 	aggs := []AggSpec{
 		{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 3, Name: "si"}, {Fn: SumAgg, Col: 4, Name: "sf"},
@@ -149,11 +164,17 @@ func TestDiffGroupAgg(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := NewBatchGroupAgg(src(), groupCols, aggs, workers)
-			if err != nil {
-				t.Fatal(err)
+			want := collectRows(t, ref)
+			// Under a budget the generations hash-split on every key type
+			// and width, and merge back partition by partition.
+			for _, limit := range diffBudgets {
+				op, err := NewBatchGroupAgg(src(), groupCols, aggs, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op.SetBudget(diffBudget(limit))
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
 			}
-			requireIdenticalRows(t, collectRows(t, ref), collectRows(t, RowsOf(op)))
 		}
 	})
 }
@@ -219,11 +240,15 @@ func TestDiffSort(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			op, err := NewBatchSort(src(), keys, workers)
-			if err != nil {
-				t.Fatal(err)
+			want := collectRows(t, ref)
+			for _, limit := range diffBudgets {
+				op, err := NewBatchSort(src(), keys, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op.SetBudget(diffBudget(limit))
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
 			}
-			requireIdenticalRows(t, collectRows(t, ref), collectRows(t, RowsOf(op)))
 		}
 	})
 }
@@ -236,14 +261,95 @@ func TestDiffTopK(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op, err := NewBatchTopK(src(), keys, k, workers)
-				if err != nil {
-					t.Fatal(err)
+				want := collectRows(t, NewLimit(srt, k))
+				for _, limit := range diffBudgets {
+					op, err := NewBatchTopK(src(), keys, k, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					op.SetBudget(diffBudget(limit))
+					requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
 				}
-				requireIdenticalRows(t, collectRows(t, NewLimit(srt, k)), collectRows(t, RowsOf(op)))
 			}
 		}
 	})
+}
+
+// TestDiffTopKUnsorted: the below-the-gather form keeps exactly the rows
+// the top-k keeps and emits them in arrival order. Every row carries its
+// arrival position in a trailing column, so the oracle is the row
+// engine's sort-and-limit re-sorted by that column.
+func TestDiffTopKUnsorted(t *testing.T) {
+	forEachShape(t, func(t *testing.T, rel *Relation, _ func() BatchOp, workers int) {
+		tagged := NewRelation(rel.Name, append(append(Schema{}, rel.Schema...), Column{Name: "pos", Type: Int}))
+		for i, r := range rel.Rows {
+			tagged.MustAppend(append(append(Row{}, r...), IntV(int64(i))))
+		}
+		pos := []SortKey{{Col: len(rel.Schema)}}
+		for _, keys := range diffSortKeys {
+			for _, k := range []int{0, 1, 5, rel.Len(), rel.Len() + 9} {
+				srt, err := NewSort(NewScan(tagged), keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				kept, err := Collect(NewLimit(srt, k), "kept")
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := NewSort(NewScan(kept), pos)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := collectRows(t, ref)
+				for _, limit := range diffBudgets {
+					op, err := NewBatchTopKUnsorted(cutBatches(tagged, 7), keys, k, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					op.SetBudget(diffBudget(limit))
+					requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
+				}
+			}
+		}
+	})
+}
+
+// TestSplitGroupsMatchesKeyReference: the typed partition hash of a
+// spilling generation is FNV-1a over the bytes of each key cell's
+// Value.Key() followed by a NUL — what the boxed split hashed — so every
+// group lands in the partition it always did, and partitions keep their
+// groups in first-seen order.
+func TestSplitGroupsMatchesKeyReference(t *testing.T) {
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	rel := NewRelation("keys", diffSchema)
+	rng := rand.New(rand.NewSource(3))
+	floats := append([]float64{math.NaN(), nan2}, advFloats...)
+	for i := 0; i < 400; i++ {
+		rel.MustAppend(diffRow(rng, advInts[rng.Intn(len(advInts))]+int64(rng.Intn(3)), floats[rng.Intn(len(floats))], advStrs[rng.Intn(len(advStrs))]))
+	}
+	for _, groupCols := range [][]int{{0}, {1}, {2}, {0, 2}, {2, 1}, {2, 1, 0}} {
+		p := NewPartialAgg(groupCols, []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}})
+		for _, b := range cutBatches(rel, 64).batches {
+			if err := p.ObserveBatch(b, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := make([][]int32, graceFanout)
+		for g := 0; g < p.Groups(); g++ {
+			var kb []byte
+			for _, key := range p.keys() {
+				kb = append(append(kb, key.Value(g).Key()...), 0)
+			}
+			j := fnv64(string(kb)) % graceFanout
+			want[j] = append(want[j], int32(g))
+		}
+		order, bounds := splitGroups(p, graceFanout)
+		for j := range want {
+			if got := order[bounds[j]:bounds[j+1]]; !slices.Equal(got, want[j]) {
+				t.Fatalf("group cols %v partition %d: groups %v, the Key() hash puts %v there", groupCols, j, got, want[j])
+			}
+		}
+	}
 }
 
 // TestOrderKeysPreserveCompare: each key encoder maps Compare's order

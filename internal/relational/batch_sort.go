@@ -25,8 +25,10 @@ type BatchSort struct {
 	budget  *MemoryBudget
 	meter   *spillMeter
 	// limit >= 0 keeps only the first limit rows of the order (see
-	// NewBatchTopK); -1 is the full sort.
-	limit int
+	// NewBatchTopK); -1 is the full sort. arrival emits those rows in
+	// arrival order instead (see NewBatchTopKUnsorted).
+	limit   int
+	arrival bool
 
 	out  []*Batch
 	pos  int
@@ -64,7 +66,7 @@ func (s *BatchSort) SetBudget(b *MemoryBudget) {
 }
 
 func (s *BatchSort) materialize() error {
-	if s.limit >= 0 && s.budget == nil {
+	if s.limit >= 0 {
 		return s.topK()
 	}
 	schema := s.child.Schema()
@@ -74,17 +76,15 @@ func (s *BatchSort) materialize() error {
 	}
 	var perm []int32
 	if s.budget != nil {
-		if perm, err = s.externalSort(cols, n); err != nil {
-			return err
-		}
-	} else if err := s.disp.Run(n, func() error {
-		perm = sortPerm(cols, s.keys, 0, n)
-		return nil
-	}); err != nil {
-		return err
+		perm, err = s.externalSort(cols, n)
+	} else {
+		err = s.disp.Run(n, func() error {
+			perm, _ = sortPerm(cols, s.keys, 0, n)
+			return nil
+		})
 	}
-	if s.limit >= 0 && s.limit < len(perm) {
-		perm = perm[:s.limit]
+	if err != nil {
+		return err
 	}
 	s.emit(schema, cols, perm)
 	return nil
@@ -99,9 +99,11 @@ func (s *BatchSort) emit(schema Schema, cols []Vector, perm []int32) {
 }
 
 // sortRun is one sorted run of the external sort: a permutation of a
-// contiguous arrival range of the input.
+// contiguous arrival range of the input, beside the order-encoded first
+// key of each of its rows, in run order (nil under a String first key).
 type sortRun struct {
 	perm    []int32
+	k0      []uint64
 	bytes   int64
 	spilled bool
 }
@@ -115,6 +117,11 @@ type sortRun struct {
 // sort, so a generous budget is row-for-row (and dispatch-for-dispatch)
 // identical to the unbudgeted engine. The budget is an accounting arena:
 // runs are ranges of the one columnar copy, never a second one.
+//
+// A run ends at the first row whose reservation fails. Rows reserve a
+// BatchSize step at a time — one range sum, one Reserve — which succeeds
+// exactly when every row of the step would have reserved alone; the step
+// that fails is walked row by row to find that first row.
 func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 	var runs []sortRun
 	var chunkBytes, reserved int64
@@ -123,9 +130,9 @@ func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 		if hi == lo {
 			return nil
 		}
-		var perm []int32
+		var run sortRun
 		if err := s.disp.Run(hi-lo, func() error {
-			perm = sortPerm(cols, s.keys, lo, hi)
+			run.perm, run.k0 = sortPerm(cols, s.keys, lo, hi)
 			return nil
 		}); err != nil {
 			return err
@@ -135,67 +142,135 @@ func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 			s.meter.chargeWrite(chunkBytes)
 		}
 		s.budget.Release(reserved)
-		runs = append(runs, sortRun{perm: perm, bytes: chunkBytes, spilled: spill})
+		run.bytes, run.spilled = chunkBytes, spill
+		runs = append(runs, run)
 		lo, chunkBytes, reserved = hi, 0, 0
 		return nil
 	}
-	for r := 0; r < n; r++ {
-		rb := int64(rowBytes(cols, r))
-		if s.budget.Reserve(rb) {
-			reserved += rb
-		} else if r > lo {
-			if err := flushRun(r, true); err != nil {
-				return nil, err
-			}
+	sizer := NewRowSizer(cols)
+	for r := 0; r < n; {
+		step := min(r+BatchSize, n)
+		if sb := int64(sizer.RangeBytes(r, step)); s.budget.Reserve(sb) {
+			reserved += sb
+			chunkBytes += sb
+			r = step
+			continue
+		}
+		for ; r < step; r++ {
+			rb := int64(sizer.Bytes(r))
 			if s.budget.Reserve(rb) {
 				reserved += rb
+			} else if r > lo {
+				if err := flushRun(r, true); err != nil {
+					return nil, err
+				}
+				if s.budget.Reserve(rb) {
+					reserved += rb
+				}
+				// A row that alone exceeds the budget proceeds resident
+				// anyway: degradation, not a cliff.
 			}
-			// A row that alone exceeds the budget proceeds resident
-			// anyway: degradation, not a cliff.
+			chunkBytes += rb
 		}
-		chunkBytes += rb
 	}
 	if err := flushRun(n, false); err != nil {
 		return nil, err
 	}
-	if len(runs) == 1 {
+	switch len(runs) {
+	case 0:
+		return nil, nil
+	case 1:
 		return runs[0].perm, nil
 	}
 	return s.mergeRuns(cols, runs, n), nil
 }
 
-// mergeRuns k-way merges sorted runs. Runs hold contiguous arrival
-// ranges in order, so breaking key ties by run index reproduces the
-// stable sort of the whole input.
+// mergeRuns k-way merges sorted runs through a binary heap of run heads,
+// smallest at the root. A head carries its row's order-encoded first key,
+// so most comparisons are one integer compare; a tie there falls to the
+// remaining keys and then to the run index — runs hold contiguous arrival
+// ranges in order, so the lower run's row arrived first and the merge
+// reproduces the stable sort of the whole input.
 func (s *BatchSort) mergeRuns(cols []Vector, runs []sortRun, n int) []int32 {
 	for _, r := range runs {
 		if r.spilled {
 			s.meter.chargeRead(r.bytes)
 		}
 	}
-	out := make([]int32, 0, n)
-	heads := make([]int, len(runs))
-	for len(out) < n {
-		best := -1
-		for i, r := range runs {
-			if heads[i] >= len(r.perm) {
-				continue
-			}
-			if best < 0 || cmpKeys(s.keys, cols, int(runs[best].perm[heads[best]]), cols, int(r.perm[heads[i]])) > 0 {
-				best = i
-			}
+	type head struct {
+		k0  uint64
+		run int32
+	}
+	rest := s.keys
+	if runs[0].k0 != nil {
+		rest = s.keys[1:]
+	}
+	pos := make([]int, len(runs))
+	load := func(run int32) head {
+		h := head{run: run}
+		if k0 := runs[run].k0; k0 != nil {
+			h.k0 = k0[pos[run]]
 		}
-		out = append(out, runs[best].perm[heads[best]])
-		heads[best]++
+		return h
+	}
+	// tieBefore orders two heads whose first keys tie.
+	tieBefore := func(a, b int32) bool {
+		if c := cmpKeys(rest, cols, int(runs[a].perm[pos[a]]), cols, int(runs[b].perm[pos[b]])); c != 0 {
+			return c < 0
+		}
+		return a < b
+	}
+	heap := make([]head, 0, len(runs))
+	// siftDown settles x into the subtree rooted at the hole i.
+	siftDown := func(i int, x head) {
+		for {
+			c := 2*i + 1
+			if c >= len(heap) {
+				break
+			}
+			if r := c + 1; r < len(heap) && (heap[r].k0 < heap[c].k0 || (heap[r].k0 == heap[c].k0 && tieBefore(heap[r].run, heap[c].run))) {
+				c = r
+			}
+			if x.k0 < heap[c].k0 || (x.k0 == heap[c].k0 && tieBefore(x.run, heap[c].run)) {
+				break
+			}
+			heap[i] = heap[c]
+			i = c
+		}
+		heap[i] = x
+	}
+	for i := range runs {
+		heap = append(heap, load(int32(i)))
+	}
+	for i := len(heap)/2 - 1; i >= 0; i-- {
+		siftDown(i, heap[i])
+	}
+	out := make([]int32, n)
+	for o := range out {
+		run := heap[0].run
+		out[o] = runs[run].perm[pos[run]]
+		if pos[run]++; pos[run] < len(runs[run].perm) {
+			siftDown(0, load(run))
+		} else if last := len(heap) - 1; last > 0 {
+			x := heap[last]
+			heap = heap[:last]
+			siftDown(0, x)
+		}
 	}
 	return out
 }
 
 // cmpKeys orders row i of a against row j of b by the sort keys (0 on a
-// full tie), as the serial engine's Compare loop does.
+// full tie) — the order sortPerm sorts in: Float keys compare by their
+// order encoding, so the two zeros tie and NaNs sort beyond ±Inf.
 func cmpKeys(keys []SortKey, a []Vector, i int, b []Vector, j int) int {
 	for _, k := range keys {
-		c := cmpCell(&a[k.Col], i, &b[k.Col], j)
+		var c int
+		if a[k.Col].T == Float {
+			c = cmp.Compare(kernels.OrderKeyFloat64(a[k.Col].Floats[i]), kernels.OrderKeyFloat64(b[k.Col].Floats[j]))
+		} else {
+			c = cmpCell(&a[k.Col], i, &b[k.Col], j)
+		}
 		if c == 0 {
 			continue
 		}
@@ -212,8 +287,10 @@ func cmpKeys(keys []SortKey, a []Vector, i int, b []Vector, j int) int {
 // first. Numeric keys are encoded — Int by sign flip, Float by the IEEE
 // total-order flip with -0.0 canonicalised to +0.0, descending by
 // complement — and radix-sorted beside the ids; String keys
-// comparison-sort the ids on the typed vector.
-func sortPerm(cols []Vector, keys []SortKey, lo, hi int) []int32 {
+// comparison-sort the ids on the typed vector. k0 is the encoding of the
+// first key of every row, in sorted order (nil when that key is a String
+// or there are no keys).
+func sortPerm(cols []Vector, keys []SortKey, lo, hi int) (perm []int32, k0 []uint64) {
 	ids := make([]int64, hi-lo)
 	for i := range ids {
 		ids[i] = int64(lo + i)
@@ -222,6 +299,7 @@ func sortPerm(cols []Vector, keys []SortKey, lo, hi int) []int32 {
 	for ki := len(keys) - 1; ki >= 0; ki-- {
 		col, desc := &cols[keys[ki].Col], keys[ki].Desc
 		if col.T == String {
+			enc = nil
 			slices.SortStableFunc(ids, func(a, b int64) int {
 				if desc {
 					a, b = b, a
@@ -248,11 +326,11 @@ func sortPerm(cols []Vector, keys []SortKey, lo, hi int) []int32 {
 		}
 		kernels.SortPairsByKey(enc, ids)
 	}
-	perm := make([]int32, len(ids))
+	perm = make([]int32, len(ids))
 	for i, id := range ids {
 		perm[i] = int32(id)
 	}
-	return perm
+	return perm, enc
 }
 
 // NextBatch implements BatchOp.

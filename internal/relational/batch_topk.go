@@ -13,8 +13,11 @@ import (
 // order — are stably sorted once and cut at k. Rows tied on every
 // key resolve by arrival order, so the result is row-for-row the first k
 // rows of the full sort, at O(n log k) compares and O(k) memory per
-// partition. Under a memory budget the operator runs the full external
-// sort and cuts its output instead, so spill accounting is the sort's.
+// partition. Under a memory budget the heaps reserve the rows they keep:
+// a top-k whose k rows fit spills nothing, whatever the input's size. A
+// partition whose reservation fails stops keeping a heap and hands what
+// it holds, plus every row still to come, to the external sort — the
+// same k rows, priced as the sort prices them.
 func NewBatchTopK(child BatchOp, keys []SortKey, k, workers int) (*BatchSort, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("relational: top-k of %d rows", k)
@@ -27,10 +30,24 @@ func NewBatchTopK(child BatchOp, keys []SortKey, k, workers int) (*BatchSort, er
 	return s, nil
 }
 
+// NewBatchTopKUnsorted is NewBatchTopK emitting its k rows in arrival
+// order instead of key order: the filter a shard runs below a gather
+// whose coordinator takes the top k of the merged streams. Any row of the
+// global top k has fewer than k better rows in its own shard, so it
+// survives; and the shard's stream keeps the order the gather merges by.
+func NewBatchTopKUnsorted(child BatchOp, keys []SortKey, k, workers int) (*BatchSort, error) {
+	s, err := NewBatchTopK(child, keys, k, workers)
+	if err != nil {
+		return nil, err
+	}
+	s.arrival = true
+	return s, nil
+}
+
 // topKHeap holds the k best rows one partition has seen: the rows live in
 // typed columns addressed by slot, and heap is a binary heap of slots
 // with the worst kept row at the root — worst by keys, then latest
-// arrival.
+// arrival. Under a budget every slot's row is reserved.
 type topKHeap struct {
 	keys []SortKey
 	k    int
@@ -38,6 +55,10 @@ type topKHeap struct {
 	ord  []int64 // arrival ordinal of each slot's row
 	heap []int32
 	seen int64
+
+	budget   *MemoryBudget
+	size     []int64 // reserved bytes of each slot's row (budgeted only)
+	reserved int64
 }
 
 // worse reports whether slot a's row sorts after slot b's.
@@ -64,16 +85,33 @@ func (h *topKHeap) siftDown(i int) {
 	}
 }
 
-// offer folds one batch into the heap.
-func (h *topKHeap) offer(b *Batch) {
+// offer folds one batch into the heap and returns how many of its rows it
+// took: all of them, unless a row the heap must keep could not be
+// reserved — the heap is then full for good, and that row and everything
+// after it are the caller's.
+func (h *topKHeap) offer(b *Batch) int {
 	if h.cand == nil {
 		h.cand = make([]Vector, len(b.Cols))
 		for c := range b.Cols {
 			h.cand[c].T = b.Cols[c].T
 		}
 	}
-	for r, n := 0, b.Len(); r < n; r++ {
+	var sizer RowSizer
+	if h.budget != nil {
+		sizer = NewRowSizer(b.Cols)
+	}
+	n := b.Len()
+	for r := 0; r < n; r++ {
 		if len(h.heap) < h.k {
+			if h.budget != nil {
+				rb := int64(sizer.Bytes(r))
+				if !h.budget.Reserve(rb) {
+					h.seen += int64(r)
+					return r
+				}
+				h.size = append(h.size, rb)
+				h.reserved += rb
+			}
 			slot := int32(len(h.heap))
 			for c := range h.cand {
 				h.cand[c].appendCell(&b.Cols[c], r)
@@ -91,13 +129,27 @@ func (h *topKHeap) offer(b *Batch) {
 		if cmpKeys(h.keys, b.Cols, r, h.cand, int(root)) >= 0 {
 			continue
 		}
+		if h.budget != nil {
+			// The displaced row's bytes pay for the new one; only the
+			// difference moves.
+			rb := int64(sizer.Bytes(r))
+			if d := rb - h.size[root]; d > 0 && !h.budget.Reserve(d) {
+				h.seen += int64(r)
+				return r
+			} else if d != 0 {
+				h.budget.Release(-d)
+				h.reserved += d
+				h.size[root] = rb
+			}
+		}
 		for c := range h.cand {
 			h.cand[c].setCell(int(root), &b.Cols[c], r)
 		}
 		h.ord[root] = h.seen + int64(r)
 		h.siftDown(0)
 	}
-	h.seen += int64(b.Len())
+	h.seen += int64(n)
+	return n
 }
 
 // kept returns the kept rows in arrival order as one batch (nil if none).
@@ -113,21 +165,38 @@ func (h *topKHeap) kept(schema Schema) *Batch {
 	return out
 }
 
+// topKPart is one partition's state: its heap, and — non-nil once a
+// reservation failed — the rows the heap did not take, in arrival order.
+type topKPart struct {
+	heap topKHeap
+	rest []*Batch
+}
+
 // topK materializes the first s.limit rows of the order through
 // per-partition heaps. Like the full sort, it dispatches once, as a
-// single whole-input morsel.
+// single whole-input morsel — unless a partition degraded, when the
+// external sort dispatches run by run.
 func (s *BatchSort) topK() error {
 	if s.limit == 0 {
 		return nil
 	}
 	schema := s.child.Schema()
-	var heaps []*topKHeap
+	var parts []*topKPart
 	err := eachBatch(s.child, s.workers, func(n int) {
 		for ; n > 0; n-- {
-			heaps = append(heaps, &topKHeap{keys: s.keys, k: s.limit})
+			parts = append(parts, &topKPart{heap: topKHeap{keys: s.keys, k: s.limit, budget: s.budget}})
 		}
 	}, func(i int, b *Batch) error {
-		heaps[i].offer(b)
+		p := parts[i]
+		if p.rest != nil {
+			p.rest = append(p.rest, b)
+		} else if took := p.heap.offer(b); took < b.Len() {
+			tail := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), n: b.Len() - took}
+			for c := range b.Cols {
+				tail.Cols[c] = b.Cols[c].Slice(took, b.Len())
+			}
+			p.rest = append(p.rest, tail)
+		}
 		return nil
 	})
 	if err != nil {
@@ -135,16 +204,35 @@ func (s *BatchSort) topK() error {
 	}
 	var lists []*Batch
 	var seen int64
-	for _, h := range heaps {
-		seen += h.seen
-		if l := h.kept(schema); l != nil {
+	degraded := false
+	for _, p := range parts {
+		seen += p.heap.seen
+		if l := p.heap.kept(schema); l != nil {
 			lists = append(lists, l)
 		}
+		lists = append(lists, p.rest...)
+		degraded = degraded || p.rest != nil
+		// The kept rows hand over to the final sort, which reserves what
+		// it holds itself.
+		s.budget.Release(p.heap.reserved)
 	}
-	return s.disp.Run(int(seen), func() error {
-		cols, n := concatCols(schema, lists)
-		perm := sortPerm(cols, s.keys, 0, n)
-		s.emit(schema, cols, perm[:min(s.limit, n)])
-		return nil
-	})
+	cols, n := concatCols(schema, lists)
+	var perm []int32
+	if degraded {
+		perm, err = s.externalSort(cols, n)
+	} else {
+		err = s.disp.Run(int(seen), func() error {
+			perm, _ = sortPerm(cols, s.keys, 0, n)
+			return nil
+		})
+	}
+	if err != nil {
+		return err
+	}
+	perm = perm[:min(s.limit, n)]
+	if s.arrival {
+		slices.Sort(perm)
+	}
+	s.emit(schema, cols, perm)
+	return nil
 }

@@ -113,3 +113,71 @@ func BenchmarkBatchTopK100(b *testing.B) {
 		}
 	}
 }
+
+// The out-of-core rungs run the same breakers under 2% of the fact
+// table's bytes — the repository benchmark's budget — so a regression of
+// relational.spill_agg_ms or relational.external_sort_ms shows here.
+
+func benchBudget(fact *Relation) *MemoryBudget {
+	return NewMemoryBudget(int64(0.02*fact.EncodedBytes()), flatDev{})
+}
+
+func BenchmarkSpillAggSplitFinish(b *testing.B) {
+	fact, _ := benchTables()
+	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 2, Name: "revenue"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, err := NewBatchGroupAgg(NewBatchScan(fact), []int{1}, aggs, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op.SetBudget(benchBudget(fact))
+		if drainBench(b, op) == 0 {
+			b.Fatal("no groups")
+		}
+		if st := op.Stats().Spill; st == nil || st.Partitions == 0 {
+			b.Fatal("aggregate never spilled")
+		}
+	}
+}
+
+func BenchmarkExternalSortMerge(b *testing.B) {
+	fact, _ := benchTables()
+	keys := []SortKey{{Col: 2, Desc: true}, {Col: 0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, err := NewBatchSort(NewBatchScan(fact), keys, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op.SetBudget(benchBudget(fact))
+		if drainBench(b, op) != benchRows {
+			b.Fatal("sort lost rows")
+		}
+		if st := op.Stats().Spill; st == nil || st.Partitions == 0 {
+			b.Fatal("sort never went external")
+		}
+	}
+}
+
+func BenchmarkBudgetedTopK(b *testing.B) {
+	fact, _ := benchTables()
+	keys := []SortKey{{Col: 2, Desc: true}, {Col: 0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op, err := NewBatchTopK(NewBatchScan(fact), keys, 100, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op.SetBudget(benchBudget(fact))
+		if drainBench(b, op) != 100 {
+			b.Fatal("top-k row count")
+		}
+		if st := op.Stats().Spill; st != nil {
+			b.Fatalf("a top-k of 100 rows spilled: %+v", st)
+		}
+	}
+}

@@ -46,7 +46,13 @@ func (t *intTable) get(k int64) int32 {
 // ref first and reports fresh.
 func (t *intTable) getOrPut(k int64, ref int32) (got int32, fresh bool) {
 	if 2*(t.n+1) > len(t.refs) {
-		t.resize(max(64, 2*len(t.refs)))
+		// Small tables quadruple: a third of the rehashing of doubling,
+		// while the memory at stake is still small.
+		grow := 2
+		if len(t.refs) < 1<<16 {
+			grow = 4
+		}
+		t.resize(max(64, grow*len(t.refs)))
 	}
 	mask := uint64(len(t.refs) - 1)
 	for s := mix64(uint64(k)) & mask; ; s = (s + 1) & mask {
@@ -151,6 +157,22 @@ func (x *keyIndex) getOrPut(kc []Vector, r int, ref int32) (got int32, fresh boo
 	}
 	x.strs[k] = ref
 	return ref, true
+}
+
+// reserve sizes the lookup of key columns kc for n keys up front.
+func (x *keyIndex) reserve(kc []Vector, n int) {
+	if len(kc) == 1 && kc[0].T != String {
+		x.ints.reserve(n)
+	} else if x.strs == nil {
+		x.strs = make(map[string]int32, n)
+	}
+}
+
+// reset empties the lookup, keeping its room.
+func (x *keyIndex) reset() {
+	clear(x.ints.refs)
+	x.ints.n = 0
+	clear(x.strs)
 }
 
 // get returns the ref stored under row r of the single key column c, or

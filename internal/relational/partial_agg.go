@@ -1,9 +1,6 @@
 package relational
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PartialAgg is one participant's share of a grouped aggregation: groups
 // get dense ids in first-seen order, everything known about them lives in
@@ -153,20 +150,43 @@ func (p *PartialAgg) emptyLike() *PartialAgg {
 	return q
 }
 
+// layoutLike gives a partial that has seen nothing yet o's layout and
+// column types.
+func (p *PartialAgg) layoutLike(o *PartialAgg) {
+	if p.cols == nil {
+		e := o.emptyLike()
+		p.cols, p.slots = e.cols, e.slots
+	}
+}
+
+// Receiver returns an empty partial laid out like p with room for all of
+// p's groups: what the far end of a chunked transfer of p (SplitChunks)
+// appends the chunks to.
+func (p *PartialAgg) Receiver() *PartialAgg {
+	q := p.emptyLike()
+	if p.cols != nil {
+		q.reserve(p.Groups())
+	}
+	return q
+}
+
 // ensureIndexed brings appended-but-unindexed groups into the lookup.
 func (p *PartialAgg) ensureIndexed() {
+	if p.indexed < p.Groups() {
+		p.index.reserve(p.keys(), p.Groups())
+	}
 	for ; p.indexed < p.Groups(); p.indexed++ {
 		p.index.getOrPut(p.keys(), p.indexed, int32(p.indexed))
 	}
 }
 
-// reserve makes room for one more group, doubling every vector together
-// when they are full: append's own 1.25x steps on large slices would
-// re-copy the whole state five times over while a partial grows.
-func (p *PartialAgg) reserve() {
-	if n := len(p.count()); n == cap(p.count()) {
+// reserve makes room for n more groups, at least doubling every vector
+// together when they are short: append's own 1.25x steps on large slices
+// would re-copy the whole state five times over while a partial grows.
+func (p *PartialAgg) reserve(n int) {
+	if have := len(p.count()); have+n > cap(p.count()) {
 		for c := range p.cols {
-			p.cols[c].grow(max(n, 1024))
+			p.cols[c].grow(max(have, n, 1024))
 		}
 	}
 }
@@ -175,11 +195,61 @@ func (p *PartialAgg) reserve() {
 // group. The caller has already entered it in the index, or leaves
 // indexing to ensureIndexed.
 func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
-	p.reserve()
+	p.reserve(1)
 	for c := range p.cols {
 		p.cols[c].appendCell(&o.cols[c], i)
 	}
 	p.bytes += rowBytes(o.keys(), i) + float64(len(p.aggs))*aggStateBytes
+}
+
+// AppendDisjoint adds every group of o, in o's order, as p's next groups —
+// a column-range append with nothing hashed. o's groups must be absent
+// from p: the sub-partials of one SplitChunks, the partitions of one
+// hash split. Indexing is left to ensureIndexed.
+func (p *PartialAgg) AppendDisjoint(o *PartialAgg) {
+	p.ord += o.ord
+	n := o.Groups()
+	if n == 0 {
+		return
+	}
+	p.layoutLike(o)
+	p.reserve(n)
+	for c := range p.cols {
+		p.cols[c].AppendRange(&o.cols[c], 0, n)
+	}
+	p.bytes += o.bytes
+}
+
+// gatherGroups returns a copy of the selected groups of p (state and tags
+// intact), in selection order, to be cut into windows: it carries neither
+// an arrival count nor a size.
+func (p *PartialAgg) gatherGroups(sel []int32) *PartialAgg {
+	q := p.emptyLike()
+	for c := range p.cols {
+		q.cols[c] = GatherVector(&p.cols[c], sel)
+	}
+	return q
+}
+
+// window returns groups [lo, hi) of p as a partial sharing p's storage
+// (read-only), sized from its groups; it carries no arrival count.
+func (p *PartialAgg) window(lo, hi int) *PartialAgg {
+	q := p.emptyLike()
+	for c := range p.cols {
+		q.cols[c] = p.cols[c].Slice(lo, hi)
+	}
+	q.bytes = colsBytes(q.keys(), hi-lo) + float64((hi-lo)*len(p.aggs))*aggStateBytes
+	return q
+}
+
+// reset empties p, keeping its layout and the room its vectors and
+// lookup have grown to.
+func (p *PartialAgg) reset() {
+	for c := range p.cols {
+		p.cols[c] = p.cols[c].Slice(0, 0)
+	}
+	p.index.reset()
+	p.indexed, p.ord, p.bytes = 0, 0, 0
 }
 
 // ObserveBatch folds one batch into the partial. seqCol >= 0 names an Int
@@ -258,7 +328,7 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 // in the index): zero count and sums, and the row itself as both
 // extremes.
 func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r, seqCol int) {
-	p.reserve()
+	p.reserve(1)
 	ord := p.ord + int64(r)
 	seq := ord
 	if seqCol >= 0 {
@@ -332,16 +402,37 @@ func (p *PartialAgg) Clone() *PartialAgg {
 // order when partition i's rows precede partition i+1's. o is only read.
 func (p *PartialAgg) MergeFrom(o *PartialAgg) {
 	p.ord += o.ord
-	if o.cols == nil {
-		return
+	if o.cols != nil {
+		p.mergeGroups(o, o.Groups(), nil)
 	}
-	if p.cols == nil {
-		e := o.emptyLike()
-		p.cols, p.slots = e.cols, e.slots
+}
+
+// MergeAll folds the partials into p, in order, as MergeFrom would one by
+// one, with the lookup sized once for every group they could add.
+func (p *PartialAgg) MergeAll(others []*PartialAgg) {
+	total := p.Groups()
+	for _, o := range others {
+		total += o.Groups()
 	}
+	if p.cols != nil {
+		p.index.reserve(p.keys(), total)
+	}
+	for _, o := range others {
+		p.MergeFrom(o)
+	}
+}
+
+// mergeGroups folds n groups of o into p as MergeFrom does: groups
+// sel[0..n) in that order, or groups 0..n when sel is nil.
+func (p *PartialAgg) mergeGroups(o *PartialAgg, n int, sel []int32) {
+	p.layoutLike(o)
 	p.ensureIndexed()
 	okeys, ocount, oseq, oord := o.keys(), o.count(), o.firstSeq(), o.firstOrd()
-	for i := range ocount {
+	for x := 0; x < n; x++ {
+		i := x
+		if sel != nil {
+			i = int(sel[x])
+		}
 		g, fresh := p.index.getOrPut(okeys, i, int32(len(p.count())))
 		if fresh {
 			p.appendGroup(o, i)
@@ -373,26 +464,26 @@ func (p *PartialAgg) MergeFrom(o *PartialAgg) {
 
 // seqOrder returns the group ids in ascending (firstSeq, firstOrd) order,
 // or nil when the ids already are — as on any partial built sequentially.
+// The order comes from stable radix passes over the tags (sortPerm), not
+// a comparison sort: one pass over firstSeq, and only when two groups
+// share a seq tag (join fan-out) the two-key sort that firstOrd decides.
 func (p *PartialAgg) seqOrder() []int32 {
 	seq, ord := p.firstSeq(), p.firstOrd()
-	less := func(a, b int32) bool {
-		if seq[a] != seq[b] {
-			return seq[a] < seq[b]
-		}
-		return ord[a] < ord[b]
-	}
 	sorted := true
 	for g := 1; g < len(seq) && sorted; g++ {
-		sorted = !less(int32(g), int32(g-1))
+		sorted = seq[g-1] < seq[g] || (seq[g-1] == seq[g] && ord[g-1] <= ord[g])
 	}
 	if sorted {
 		return nil
 	}
-	perm := make([]int32, len(seq))
-	for i := range perm {
-		perm[i] = int32(i)
+	tags := p.cols[len(p.groupCols)+1 : len(p.groupCols)+3]
+	perm, enc := sortPerm(tags, []SortKey{{Col: 0}}, 0, len(seq))
+	for g := 1; g < len(enc); g++ {
+		if enc[g-1] == enc[g] {
+			perm, _ = sortPerm(tags, []SortKey{{Col: 0}, {Col: 1}}, 0, len(seq))
+			break
+		}
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
 	return perm
 }
 
@@ -484,11 +575,7 @@ func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
 	var subs []*PartialAgg
 	for lo := 0; lo < n; lo += maxGroups {
 		hi := min(lo+maxGroups, n)
-		sub := p.emptyLike()
-		for c := range p.cols {
-			sub.cols[c] = p.cols[c].Slice(lo, hi)
-		}
-		sub.bytes = colsBytes(sub.keys(), hi-lo) + float64((hi-lo)*len(p.aggs))*aggStateBytes
+		sub := p.window(lo, hi)
 		if lo == 0 {
 			sub.ord = p.ord
 		}

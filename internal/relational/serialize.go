@@ -70,12 +70,18 @@ func colsBytes(cols []Vector, n int) float64 {
 func (b *Batch) EncodedBytes() float64 { return colsBytes(b.Cols, b.Len()) }
 
 // EncodedBytes returns the serialized size of the whole relation — from
-// the vector lengths of a column-built relation, from the rows of a
-// row-built one. Byte counts are integers, so both forms (and any
-// summation order) give the same float.
+// the vectors of a column-built relation or of a row-built one whose
+// columnar image is current, else from the rows. Byte counts are
+// integers, so both forms (and any summation order) give the same float.
 func (r *Relation) EncodedBytes() float64 {
 	if r.colBuilt {
 		return colsBytes(r.cols, r.colRows)
+	}
+	r.colMu.Lock()
+	cols, current := r.cols, r.cols != nil && r.colRows == len(r.Rows)
+	r.colMu.Unlock()
+	if current {
+		return colsBytes(cols, len(r.Rows))
 	}
 	total := float64(rowOverheadBytes * len(r.Rows))
 	for c, col := range r.Schema {

@@ -1,5 +1,7 @@
 package relational
 
+import "strconv"
+
 // SpillableAgg wraps PartialAgg with generation-based external
 // aggregation: rows fold into the current in-memory generation; when the
 // generation's state no longer fits the budget, it is hash-split by
@@ -71,13 +73,20 @@ func (s *SpillableAgg) ObserveBatch(b *Batch, seqCol int) error {
 
 // spill hash-splits the current generation into fanout partitions by
 // group key, prices writing each out, releases the generation's budget,
-// and starts a fresh generation whose ordinals continue the sequence.
+// and starts a fresh generation whose ordinals continue the sequence. The
+// generation is copied out reordered partition by partition, with one
+// gather per column — the spilled partitions are windows of that copy —
+// so the fresh generation reuses the emptied vectors and lookup at the
+// size they grew to.
 func (s *SpillableAgg) spill() {
 	nextOrd := s.cur.Rows()
-	for j, sub := range splitPartial(s.cur, graceFanout) {
-		if sub == nil {
+	order, bounds := splitGroups(s.cur, graceFanout)
+	scattered := s.cur.gatherGroups(order)
+	for j := range s.spilled {
+		if bounds[j] == bounds[j+1] {
 			continue
 		}
+		sub := scattered.window(bounds[j], bounds[j+1])
 		bytes := int64(sub.StateBytes())
 		s.meter.notePartition(1)
 		s.meter.chargeWrite(bytes)
@@ -86,57 +95,119 @@ func (s *SpillableAgg) spill() {
 	s.spills++
 	s.budget.Release(s.reserved)
 	s.reserved = 0
-	s.cur = NewPartialAgg(s.groupCols, s.aggs)
+	s.cur.reset()
 	s.cur.StartOrdAt(nextOrd)
 }
 
-// splitPartial partitions p's groups by key hash, copying each group (its
-// state and tags intact, relative order preserved) into one of fanout
-// sub-partials. Entries for empty partitions are nil. The hash is over
-// the groups' Value.Key() rendering — boxed here, once per group per
-// spill, so partition sizes stay what they were under string-keyed
+// splitGroups assigns p's groups to fanout partitions by key hash and
+// returns the group ids ordered by partition (ascending within one):
+// partition j's are order[bounds[j]:bounds[j+1]]. The hash is FNV-1a over
+// the bytes of every key cell's Value.Key() rendering followed by a NUL,
+// formatted into a stack buffer from the typed key columns — nothing is
+// boxed, and partition sizes stay what they were under string-keyed
 // groups.
-func splitPartial(p *PartialAgg, fanout int) []*PartialAgg {
-	subs := make([]*PartialAgg, fanout)
-	var kb []byte
-	for g := 0; g < p.Groups(); g++ {
-		kb = kb[:0]
-		for _, key := range p.keys() {
-			kb = append(kb, key.Value(g).Key()...)
-			kb = append(kb, 0)
-		}
-		j := int(fnv64(string(kb)) % uint64(fanout))
-		if subs[j] == nil {
-			subs[j] = p.emptyLike()
-		}
-		subs[j].appendGroup(p, g)
+func splitGroups(p *PartialAgg, fanout int) (order []int32, bounds []int) {
+	n := p.Groups()
+	h := make([]uint64, n)
+	for g := range h {
+		h[g] = fnvOffset64
 	}
-	return subs
+	var buf [32]byte
+	for _, key := range p.keys() {
+		switch key.T {
+		case Int:
+			for g, v := range key.Ints[:n] {
+				h[g] = fnvKeyCell(h[g], strconv.AppendInt(append(buf[:0], 'i'), v, 10))
+			}
+		case Float:
+			for g, v := range key.Floats[:n] {
+				h[g] = fnvKeyCell(h[g], strconv.AppendFloat(append(buf[:0], 'f'), v, 'b', -1, 64))
+			}
+		default:
+			for g, v := range key.Strs[:n] {
+				h[g] = fnvKeyCell((h[g]^'s')*fnvPrime64, v)
+			}
+		}
+	}
+	// A counting sort of the group ids by partition.
+	bounds = make([]int, fanout+1)
+	for g, hv := range h {
+		h[g] = hv % uint64(fanout)
+		bounds[h[g]+1]++
+	}
+	for j := 0; j < fanout; j++ {
+		bounds[j+1] += bounds[j]
+	}
+	order = make([]int32, n)
+	next := append([]int(nil), bounds[:fanout]...)
+	for g, j := range h {
+		order[next[j]] = int32(g)
+		next[j]++
+	}
+	return order, bounds
 }
 
-// Snapshot is a repeatable Finish: it merges the spilled partitions and
-// the resident generation into a fresh partial, leaving every original
-// intact so more batches may fold in afterwards. Streaming windows use it — a
-// pane's aggregate is read once per window that covers it while the pane
-// keeps accepting late events. Reads of spilled partitions are priced on
-// every call, like the re-reads they model. The returned partial is
-// owned by the caller.
+// fnvKeyCell folds (the rest of) one key cell's rendering and its NUL
+// terminator into h.
+func fnvKeyCell[T string | []byte](h uint64, cell T) uint64 {
+	for i := 0; i < len(cell); i++ {
+		h = (h ^ uint64(cell[i])) * fnvPrime64
+	}
+	return h * fnvPrime64 // the NUL: x ^ 0 == x
+}
+
+// mergePartitions folds the spilled generations and the resident one into
+// a fresh partial, leaving all of them intact and pricing the read of
+// every spilled partition. It works partition by partition: a group lives
+// in one partition, so each partition's generations — oldest first, the
+// resident generation's share last, which is the order one table over all
+// partitions would have merged that group in — fold in a table small
+// enough to stay in cache (one table, emptied between partitions); the
+// disjoint results concatenate, and the (firstSeq, firstOrd) tags restore
+// the stream's first-seen order.
+func (s *SpillableAgg) mergePartitions() *PartialAgg {
+	order, bounds := splitGroups(s.cur, graceFanout)
+	out := s.cur.emptyLike()
+	part := s.cur.emptyLike()
+	for j, gens := range s.spilled {
+		part.reset()
+		resident := order[bounds[j]:bounds[j+1]]
+		groups := len(resident)
+		for _, sp := range gens {
+			groups += sp.pa.Groups()
+		}
+		part.index.reserve(part.keys(), groups)
+		for g, sp := range gens {
+			s.meter.chargeRead(sp.bytes)
+			if g == 0 {
+				part.AppendDisjoint(sp.pa)
+			} else {
+				part.MergeFrom(sp.pa)
+			}
+		}
+		part.mergeGroups(s.cur, len(resident), resident)
+		if j == 0 {
+			// Hash partitions are near even: size the result from the first.
+			out.reserve(part.Groups() * (graceFanout + 1))
+		}
+		out.AppendDisjoint(part)
+	}
+	out.SortOrderBySeq()
+	out.StartOrdAt(s.cur.Rows())
+	return out
+}
+
+// Snapshot is a repeatable Finish: it leaves every generation intact so
+// more batches may fold in afterwards. Streaming windows use it — a pane's
+// aggregate is read once per window that covers it while the pane keeps
+// accepting late events. Reads of spilled partitions are priced on every
+// call, like the re-reads they model. The returned partial is owned by
+// the caller.
 func (s *SpillableAgg) Snapshot() *PartialAgg {
 	if s.spills == 0 {
 		return s.cur.Clone()
 	}
-	total := s.cur.Rows()
-	out := NewPartialAgg(s.groupCols, s.aggs)
-	for j := range s.spilled {
-		for _, sp := range s.spilled[j] {
-			s.meter.chargeRead(sp.bytes)
-			out.MergeFrom(sp.pa)
-		}
-	}
-	out.MergeFrom(s.cur)
-	out.SortOrderBySeq()
-	out.StartOrdAt(total)
-	return out
+	return s.mergePartitions()
 }
 
 // Discard releases the resident generation's budget reservation — the
@@ -157,16 +228,5 @@ func (s *SpillableAgg) Finish() *PartialAgg {
 	if s.spills == 0 {
 		return s.cur
 	}
-	total := s.cur.Rows()
-	out := NewPartialAgg(s.groupCols, s.aggs)
-	for j := range s.spilled {
-		for _, sp := range s.spilled[j] {
-			s.meter.chargeRead(sp.bytes)
-			out.MergeFrom(sp.pa)
-		}
-	}
-	out.MergeFrom(s.cur)
-	out.SortOrderBySeq()
-	out.StartOrdAt(total)
-	return out
+	return s.mergePartitions()
 }

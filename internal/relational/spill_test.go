@@ -169,3 +169,47 @@ func TestSpillBudgetAccounting(t *testing.T) {
 		t.Fatal("nil budget must be a universal no-op")
 	}
 }
+
+// TestExternalSortStepsKeepRowBoundaries: the external sort reserves a
+// batch-sized step of rows at a time, and its runs must still end where
+// reserving row by row would end them — at the first row that does not
+// fit. The oracle replays that row-at-a-time accounting over rows of
+// varying size; run count and spilled bytes must match it at budgets from
+// below one row to most of the input.
+func TestExternalSortStepsKeepRowBoundaries(t *testing.T) {
+	rel := NewRelation("r", Schema{{Name: "k", Type: Int}, {Name: "pad", Type: String}})
+	for i := 0; i < 5*BatchSize+321; i++ {
+		rel.MustAppend(Row{IntV(int64((i * 7919) % 1000)), StringV(string(make([]byte, (i*31)%97)))})
+	}
+	for _, limit := range []int64{10, 100, 7000, 60000, 200000} {
+		var runs int
+		var spilled, used, chunk int64
+		lo := 0
+		for r, row := range rel.Rows {
+			rb := int64(row.EncodedBytes())
+			if used+rb <= limit {
+				used += rb
+			} else if r > lo {
+				runs++
+				spilled += chunk
+				lo, chunk, used = r, 0, 0
+				if rb <= limit {
+					used = rb
+				}
+			}
+			chunk += rb
+		}
+		op, err := NewBatchSort(NewBatchScan(rel), []SortKey{{Col: 0}}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op.SetBudget(tinyBudget(limit))
+		if n := len(collectRows(t, RowsOf(op))); n != rel.Len() {
+			t.Fatalf("limit %d: sort returned %d of %d rows", limit, n, rel.Len())
+		}
+		st := op.Stats().Spill
+		if st == nil || st.Partitions != runs || st.SpilledBytes != spilled {
+			t.Fatalf("limit %d: spilled %+v, row-by-row accounting spills %d runs, %d bytes", limit, st, runs, spilled)
+		}
+	}
+}

@@ -658,22 +658,22 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		if dx.chunkRows > 0 {
 			// Pipelined gather: each shard's partial splits into
 			// generations of at most chunkRows groups, shipped as chunks;
-			// per-shard accumulators fold generation k while generation
-			// k+1 is in flight, reconstructing each shard's partial
-			// exactly (same group states, same first-seen order), so the
-			// final shard-order fold is bit-identical to the bulk merge.
+			// per-shard accumulators take generation k while generation
+			// k+1 is in flight — column ranges appended as they stand, one
+			// shard's generations being disjoint — reconstructing each
+			// shard's partial exactly (same group states, same first-seen
+			// order), so the final shard-order fold is bit-identical to
+			// the bulk merge.
 			subs := make([][]*relational.PartialAgg, len(partials))
+			acc := make([]*relational.PartialAgg, len(partials))
 			for i, pa := range partials {
 				subs[i] = pa.SplitChunks(dx.chunkRows)
-			}
-			acc := make([]*relational.PartialAgg, len(partials))
-			for i := range acc {
-				acc[i] = relational.NewPartialAgg(ap.groupCols, ap.aggSpecs)
+				acc[i] = pa.Receiver()
 			}
 			consume := func(k int) error {
 				for i := range subs {
 					if k < len(subs[i]) {
-						acc[i].MergeFrom(subs[i][k])
+						acc[i].AppendDisjoint(subs[i][k])
 					}
 				}
 				return nil
@@ -683,9 +683,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 				return nil, err
 			}
 			merged = acc[0]
-			for _, pa := range acc[1:] {
-				merged.MergeFrom(pa)
-			}
+			merged.MergeAll(acc[1:])
 		} else {
 			bytes := make([]float64, len(partials))
 			for i, pa := range partials {
@@ -695,9 +693,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 				return nil, err
 			}
 			merged = partials[0]
-			for _, pa := range partials[1:] {
-				merged.MergeFrom(pa)
-			}
+			merged.MergeAll(partials[1:])
 		}
 		aggCols, n := merged.EmitCols(aggOutSchema, true)
 		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
@@ -715,8 +711,9 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 // planDistSimple handles non-aggregate queries: the final projection (and
 // any ORDER BY key columns) computes per shard below the gather; the
 // coordinator merges by seq — exactly the serial row order — then sorts,
-// strips keys and applies LIMIT. Without ORDER BY each shard also caps
-// its stream at LIMIT locally.
+// strips keys and applies LIMIT. A LIMIT also cuts every shard's stream
+// below the gather, so at most shards × LIMIT rows move: to its first
+// rows without ORDER BY, to its best rows by the keys with one.
 func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
 	sc, combined := dx.lp.scope, dx.lp.schema
 	items := selectItems(stmt, sc)
@@ -733,25 +730,36 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 
 	// The coordinator's strip projection only drops the key columns, so
 	// ORDER BY + LIMIT there is one top-k.
+	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard")
 	gather := "gather to coordinator (seq-ordered merge)"
 	switch {
 	case len(keyCols) > 0 && stmt.Limit >= 0:
+		p.Steps = append(p.Steps, fmt.Sprintf("top-k %d per shard", stmt.Limit))
 		gather += fmt.Sprintf("; top-k %d", stmt.Limit)
 	case len(keyCols) > 0:
 		gather += "; sort"
 	}
-	p.Steps = append(p.Steps, "project "+itemNames(items)+" per shard", gather)
+	p.Steps = append(p.Steps, gather)
 	if len(keyCols) == 0 && stmt.Limit >= 0 {
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
 	return dx.root(p, itemSchema, func(st *distStream) (relational.Op, error) {
 		st.project(wideSchema, wideExprs)
-		if len(keyCols) == 0 && stmt.Limit >= 0 {
+		if stmt.Limit >= 0 && len(keyCols) == 0 {
 			// Correct below a gather: the merged global prefix of length n
 			// draws at most the first n rows of any one shard stream.
 			st.decor = append(st.decor, func(lw *lowerer, _ int, n execNode) (execNode, error) {
 				return lw.limit(n, stmt.Limit), nil
+			})
+		} else if stmt.Limit >= 0 {
+			// Correct below a gather too: a row of the global top n has
+			// fewer than n better rows in its own shard, ties resolving by
+			// #seq on both sides (join fan-out duplicates of one tag stay
+			// on one shard). The survivors keep #seq order for the merge.
+			keys := sortKeysAt(len(itemSchema), descs)
+			st.decor = append(st.decor, func(lw *lowerer, _ int, n execNode) (execNode, error) {
+				return lw.shardTopK(n, keys, stmt.Limit)
 			})
 		}
 		if err := st.materialize(); err != nil {

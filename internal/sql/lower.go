@@ -234,6 +234,20 @@ func (lw *lowerer) sort(n execNode, keys []relational.SortKey, topK int) (execNo
 	return execNode{row: op}, nil
 }
 
+// shardTopK keeps the k best rows of a shard stream by keys, still in
+// arrival (#seq) order — the cut a shard applies below a gather whose
+// coordinator takes the top k of the merged streams. Batch engine only:
+// shard fragments always are.
+func (lw *lowerer) shardTopK(n execNode, keys []relational.SortKey, k int) (execNode, error) {
+	op, err := relational.NewBatchTopKUnsorted(n.bat, keys, k, lw.workers)
+	if err != nil {
+		return execNode{}, err
+	}
+	op.Place(lw.dispatcher(exec.SortWork, len(keys)))
+	op.SetBudget(lw.budget)
+	return execNode{bat: op}, nil
+}
+
 func (lw *lowerer) limit(n execNode, k int) execNode {
 	if n.bat != nil {
 		// No Exchange here: a serial drain of the batch stream is already

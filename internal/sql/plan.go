@@ -730,15 +730,21 @@ func (pl *planner) sortOver(lw *lowerer, order []OrderItem, items []SelectItem, 
 func sortByTrailingKeys(lw *lowerer, n execNode, descs []bool, topK int) (execNode, error) {
 	schema := schemaOf(n)
 	width := len(schema) - len(descs)
-	keys := make([]relational.SortKey, len(descs))
-	for ki, desc := range descs {
-		keys[ki] = relational.SortKey{Col: width + ki, Desc: desc}
-	}
-	sorted, err := lw.sort(n, keys, topK)
+	sorted, err := lw.sort(n, sortKeysAt(width, descs), topK)
 	if err != nil {
 		return execNode{}, err
 	}
 	return lw.project(sorted, schema[:width], pickExprs(identityPicks(width)))
+}
+
+// sortKeysAt returns the sort keys over columns width, width+1, … with
+// the given directions.
+func sortKeysAt(width int, descs []bool) []relational.SortKey {
+	keys := make([]relational.SortKey, len(descs))
+	for ki, desc := range descs {
+		keys[ki] = relational.SortKey{Col: width + ki, Desc: desc}
+	}
+	return keys
 }
 
 // compileItems compiles the select items against sc into the output

@@ -31,6 +31,10 @@ var spillQueries = []string{
 	"SELECT order_id, product, quantity FROM sales ORDER BY quantity DESC, order_id LIMIT 25",
 }
 
+// fullSortQuery is spillQueries[2] without its LIMIT: every row is
+// output, so the sort cannot stop at a bounded heap.
+const fullSortQuery = "SELECT order_id, product, quantity FROM sales ORDER BY quantity DESC, order_id"
+
 const (
 	spillSeed      = 31
 	spillRows      = 20000
@@ -290,7 +294,9 @@ func TestSpillCostMonotone(t *testing.T) {
 	oneWorker := func(cfg *Config) { cfg.Workers = 1 }
 	sales, _ := spillEngine(t, 0, oneWorker).Table("sales")
 	workingSet := sales.EncodedBytes()
-	for _, q := range spillQueries {
+	// The sort case is the un-LIMITed sort: a LIMIT 25 keeps 25 rows,
+	// which fit every budget here (TestBudgetedTopKReservesOnlyKRows).
+	for _, q := range []string{spillQueries[0], spillQueries[1], fullSortQuery} {
 		var secs []float64
 		for _, frac := range []float64{0, 0.5, 0.1, 0.02} {
 			res := querySpill(t, spillEngine(t, int64(workingSet*frac), oneWorker), q)
@@ -305,6 +311,71 @@ func TestSpillCostMonotone(t *testing.T) {
 		}
 		if secs[len(secs)-1] <= 0 {
 			t.Fatalf("%s\ntightest budget never spilled: %v", q, secs)
+		}
+	}
+}
+
+// TestSpillAccountingPinned: the typed out-of-core operators changed how
+// spilled state is split, merged and sized, not what is spilled. At one
+// worker (nothing races for the budget) and 2% of the working set, the
+// spill report of a grace join, a grouped aggregate and a full sort equal
+// the literals recorded on the boxed operators they replaced.
+func TestSpillAccountingPinned(t *testing.T) {
+	oneWorker := func(cfg *Config) { cfg.Workers = 1 }
+	sales, _ := spillEngine(t, 0, oneWorker).Table("sales")
+	budget := int64(sales.EncodedBytes() * 0.02)
+	for _, c := range []struct {
+		name, sql   string
+		partitions  int
+		bytes       int64
+		write, read float64
+	}{
+		{"grace-join", spillQueries[0], 116, 915444, 0.01422514799999999, 0.014225147999999983},
+		// No ORDER BY: the aggregate alone (under spillQueries[1] its
+		// LIMIT 10 is a top-k that used to add seven sort runs).
+		{"group-agg", "SELECT customer_id, COUNT(*) AS n, SUM(quantity) AS qty FROM sales GROUP BY customer_id",
+			160, 1118880, 0.013172960000000004, 0.013172960000000001},
+		{"full-sort", fullSortQuery, 31, 891771, 0.0027772570000000004, 0.0027772570000000004},
+	} {
+		res := querySpill(t, spillEngine(t, budget, oneWorker), c.sql)
+		got := res.Spill
+		if got == nil || got.Partitions != c.partitions || got.SpilledBytes != c.bytes ||
+			got.WriteSeconds != c.write || got.ReadSeconds != c.read {
+			t.Errorf("%s: spill report moved: %+v, want %d partitions, %d bytes, write %v, read %v",
+				c.name, got, c.partitions, c.bytes, c.write, c.read)
+		}
+	}
+}
+
+// TestBudgetedTopKReservesOnlyKRows: ORDER BY + LIMIT k under a budget
+// reserves the k rows it keeps, not its input. When they fit, the sort
+// spills nothing — on the single-node engine and, with a shard-local
+// top-k below the gather, on the distributed one — and when they do not
+// (a budget smaller than k rows) the operator degrades to the external
+// sort. The rows are the serial oracle's either way.
+func TestBudgetedTopKReservesOnlyKRows(t *testing.T) {
+	const q = "SELECT order_id, product, quantity FROM sales ORDER BY quantity DESC, order_id LIMIT 25"
+	want := querySpill(t, spillEngine(t, 0, func(cfg *Config) { cfg.Parallel = false }), q)
+	sales, _ := spillEngine(t, 0, nil).Table("sales")
+	fits := int64(sales.EncodedBytes() * 0.02)
+	for _, path := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"one-worker", func(cfg *Config) { cfg.Workers = 1 }},
+		{"parallel", nil},
+		{"distributed", func(cfg *Config) { cfg.Distributed, cfg.Shards = true, 4 }},
+	} {
+		res := querySpill(t, spillEngine(t, fits, path.mutate), q)
+		expectRowsEqual(t, path.name+"/fits", want.Rows, res.Rows)
+		if res.Spill == nil || res.Spill.Active() {
+			t.Fatalf("%s: a top-k of 25 rows spilled under a %d-byte budget: %+v", path.name, fits, res.Spill)
+		}
+		// 25 rows are some 900 bytes: 256 bytes hold a few of them.
+		res = querySpill(t, spillEngine(t, 256, path.mutate), q)
+		expectRowsEqual(t, path.name+"/degraded", want.Rows, res.Rows)
+		if !res.Spill.Active() {
+			t.Fatalf("%s: a budget below k rows never went external: %+v", path.name, res.Spill)
 		}
 	}
 }
