@@ -434,7 +434,7 @@ func renderRelation(rel *relational.Relation) string {
 		headers[i] = c.Name
 	}
 	t := metrics.NewTable(fmt.Sprintf("%d rows", rel.Len()), headers...)
-	for _, row := range rel.Rows {
+	for _, row := range rel.RowView() {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = v.String()

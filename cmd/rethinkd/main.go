@@ -60,7 +60,6 @@ func main() {
 	rows := flag.Int("rows", 20000, "demo sales fact rows (0 = start with an empty catalog)")
 	customers := flag.Int("customers", 500, "demo customer dimension rows")
 	seed := flag.Uint64("seed", 42, "demo data generation seed")
-	serial := flag.Bool("serial", false, "run on the row-at-a-time engine instead of the batch engine")
 	workers := flag.Int("workers", 0, "batch engine workers per host (0 = NumCPU)")
 	distMode := flag.Bool("dist", true, "execute shard-parallel over a simulated datacenter fabric (the serving default: tenant QoS needs a fabric to matter)")
 	shards := flag.Int("shards", 4, "worker hosts in distributed mode")
@@ -77,7 +76,6 @@ func main() {
 	flag.Parse()
 
 	cfg := sql.DefaultConfig()
-	cfg.Parallel = !*serial
 	cfg.Workers = *workers
 	cfg.Distributed = *distMode
 	cfg.Shards = *shards

@@ -92,8 +92,14 @@
 // partitions), pricing survival into QueryStats.RecoverySeconds /
 // RetriedFragments / SpeculativeWins while rows stay identical to the
 // failure-free run. Every distributed query reaches the fabric through
-// that layer's per-query guard; with every host live it places shards
-// exactly where the static cluster does. See README.md
+// that layer's per-query guard — every movement phase and every fragment
+// round, the partial-aggregate round included; with every host live it
+// places shards exactly where the static cluster does. Results leave the
+// engine as they cross every fragment boundary inside it, as column
+// vectors: a batch or distributed Result.Rows is a column-built relation
+// the wire encoder reads vector by vector, and rows are boxed only when a
+// caller asks RowView() (the printers) or runs the row-engine oracle. See
+// README.md
 // for the package map, the control-plane policy catalog, the
 // heterogeneous-execution, out-of-core, pipelined-execution, serving
 // and elastic-cluster sections, and build, test and benchmark

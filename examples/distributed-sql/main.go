@@ -99,9 +99,10 @@ func main() {
 	if want.Len() != got.Rows.Len() {
 		log.Fatalf("distributed result diverged: %d vs %d rows", want.Len(), got.Rows.Len())
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			a, b := want.Rows[i][j], got.Rows.Rows[i][j]
+	wantRows, gotRows := want.RowView(), got.Rows.RowView()
+	for i := range wantRows {
+		for j := range wantRows[i] {
+			a, b := wantRows[i][j], gotRows[i][j]
 			diff := a.F - b.F
 			if diff < 0 {
 				diff = -diff

@@ -76,7 +76,7 @@ func main() {
 	var cpuSeconds, autoSeconds float64
 	for _, placement := range []string{"cpu", "gpu", "fpga", "auto"} {
 		res := run(engine(devices, placement, false))
-		sig := fmt.Sprintf("%d rows / %v", res.Rows.Len(), res.Rows.Rows[0])
+		sig := fmt.Sprintf("%d rows / %v", res.Rows.Len(), res.Rows.RowView()[0])
 		if firstRows == "" {
 			firstRows = sig
 		} else if sig != firstRows {

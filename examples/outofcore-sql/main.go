@@ -81,7 +81,7 @@ func run(eng *sql.Engine, q string) *sql.Result {
 
 // signature fingerprints a result's rows for the parity assertion.
 func signature(res *sql.Result) string {
-	return fmt.Sprintf("%d rows / %v", res.Rows.Len(), res.Rows.Rows)
+	return fmt.Sprintf("%d rows / %v", res.Rows.Len(), res.Rows.RowView())
 }
 
 func main() {

@@ -47,7 +47,7 @@ func main() {
 	fmt.Println(res.Explain())
 	fmt.Println("\nSQL result:")
 	sqlRev := map[string]float64{}
-	for _, row := range res.Rows.Rows {
+	for _, row := range res.Rows.RowView() {
 		fmt.Printf("  %-12s %12.2f\n", row[0].S, row[1].F)
 		sqlRev[row[0].S] = row[1].F
 	}
@@ -69,9 +69,10 @@ func main() {
 	if serialRes.Rows.Len() != res.Rows.Len() {
 		log.Fatalf("engine mismatch: %d parallel rows vs %d serial rows", res.Rows.Len(), serialRes.Rows.Len())
 	}
-	for i, row := range serialRes.Rows.Rows {
-		if row[0].S != res.Rows.Rows[i][0].S || math.Abs(row[1].F-res.Rows.Rows[i][1].F) > 1e-6*math.Abs(row[1].F) {
-			log.Fatalf("engine mismatch at row %d: %v vs %v", i, res.Rows.Rows[i], row)
+	batchRows := res.Rows.RowView()
+	for i, row := range serialRes.Rows.RowView() {
+		if row[0].S != batchRows[i][0].S || math.Abs(row[1].F-batchRows[i][1].F) > 1e-6*math.Abs(row[1].F) {
+			log.Fatalf("engine mismatch at row %d: %v vs %v", i, batchRows[i], row)
 		}
 	}
 	fmt.Println("batch engine matches row-at-a-time engine ✓")

@@ -89,7 +89,7 @@ func TestThreeEnginesAgreeOnLargeDataset(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := map[string]float64{}
-	for _, row := range res.Rows.Rows {
+	for _, row := range res.Rows.RowView() {
 		want[row[0].S] = row[1].F
 	}
 

@@ -16,8 +16,8 @@
 // does.
 //
 // What crosses a fragment boundary is column vectors, never rows. A
-// ShardedTable's shards, a fragment round's outputs (RunFragmentsCols)
-// and the result of every movement primitive — MergeBySeq, Repartition,
+// ShardedTable's shards, a fragment round's outputs (RunShards with a
+// DrainSink, or a PartialAggSink's typed group state) and the result of every movement primitive — MergeBySeq, Repartition,
 // Broadcast and their chunked forms — are column-built relations
 // (relational.NewColumnRelation): range shards are zero-copy windows of
 // the registered table's columnar image, seq-ordered merges copy runs of

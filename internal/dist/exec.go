@@ -74,41 +74,123 @@ func (a *abortable) Partition(n int, static bool) []relational.BatchOp {
 	return out
 }
 
-// RunFragmentsCols executes one shard-local operator tree per worker
-// concurrently — each shard is its own simulated host — and drains each
-// stream into a column-built relation (relational.Drain: vectors in,
-// vectors out, nothing boxed). workers caps intra-shard morsel
-// parallelism (the per-host core count; 0 = NumCPU). The shards share an
-// abort flag: one failing shard stops its siblings at their next batch
-// boundary.
-func RunFragmentsCols(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
-	outs := make([]*relational.Relation, len(frags))
-	errs := make([]error, len(frags))
+// Output is what a shard hands the next stage. Its encoded size is what
+// the shard's fragment would ship, and what a speculative duplicate of
+// the fragment is priced by.
+type Output interface{ EncodedBytes() float64 }
+
+// Sink is what one shard does with its fragment's stream: consume op to
+// end of stream and return the shard's output. A sink may run more than
+// once for a shard, concurrently (a speculative pair), so it keeps its
+// state per call.
+type Sink[T Output] func(shard int, op relational.BatchOp) (T, error)
+
+// DrainSink drains a shard's stream into a column-built relation
+// (relational.Drain: vectors in, vectors out, nothing boxed). workers caps
+// intra-shard morsel parallelism (the per-host core count; 0 = NumCPU).
+func DrainSink(name string, workers int) Sink[*relational.Relation] {
+	return func(_ int, op relational.BatchOp) (*relational.Relation, error) {
+		return relational.Drain(op, workers, name)
+	}
+}
+
+// PartialAggSink folds a shard's stream into a private PartialAgg,
+// tagging each group's first appearance with the stream's seqCol so the
+// coordinator can merge partials into the exact single-node first-seen
+// order. disp, when non-nil, routes shard i's per-batch partial updates
+// through disp[i] — each simulated worker host placing its aggregation
+// morsels on its own device set (nil slice or entries keep the
+// homogeneous engine). budgets, when non-nil, charges shard i's group
+// state against budgets[i] — each simulated host accounting its own
+// memory — and spills overflowing generations to the budget's tier (nil
+// slice or entries keep the unbudgeted engine, bit-identically).
+func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers int, disp []*exec.Dispatcher, budgets []*relational.MemoryBudget) Sink[*relational.PartialAgg] {
+	return func(s int, op relational.BatchOp) (*relational.PartialAgg, error) {
+		var di *exec.Dispatcher
+		if s < len(disp) {
+			di = disp[s]
+		}
+		var bg *relational.MemoryBudget
+		if s < len(budgets) {
+			bg = budgets[s]
+		}
+		sa := relational.NewSpillableAgg(groupCols, aggs, bg, nil)
+		stop := &fragAbort{}
+		ex := relational.NewExchange(&abortable{child: op, flag: stop}, workers)
+		for {
+			b, err := ex.NextBatch()
+			if err == nil && b != nil {
+				err = di.Run(b.Len(), func() error { return sa.ObserveBatch(b, seqCol) })
+				if err != nil {
+					// The Exchange must be drained to end of stream even after
+					// an observation error, or its workers stay blocked on their
+					// bounded channels; stop ends the stream at the next batch
+					// boundary.
+					stop.abort(err)
+					for b != nil {
+						b, _ = ex.NextBatch()
+					}
+				}
+			}
+			switch {
+			case err != nil:
+				// A failed or cancelled attempt returns what it reserved.
+				sa.Discard()
+				return nil, err
+			case b == nil:
+				return sa.Finish(), nil
+			}
+		}
+	}
+}
+
+// RunShards is the one shard fan-out every fragment round goes through.
+// Each shard is its own simulated host: each(s, run) executes on shard
+// s's goroutine, and run(op) feeds op to the sink under the round's
+// shared abort flag — the first failing shard records its error and every
+// sibling's stream ends at its next batch boundary instead of draining its
+// full input. each decides what a shard attempts: the unguarded entry
+// points below run the shard's one fragment, lifecycle.Guard builds the
+// fragment on the spot and races two attempts on a straggler.
+func RunShards[T Output](n int, sink Sink[T], each func(s int, run func(relational.BatchOp) (T, error)) (T, error)) ([]T, error) {
+	outs := make([]T, n)
 	flag := &fragAbort{}
 	var wg sync.WaitGroup
-	for i, f := range frags {
+	for s := range outs {
 		wg.Add(1)
-		go func(i int, f relational.BatchOp) {
+		go func(s int) {
 			defer wg.Done()
-			outs[i], errs[i] = relational.Drain(&abortable{child: f, flag: flag}, workers, name)
-			flag.abort(errs[i])
-		}(i, f)
+			var err error
+			outs[s], err = each(s, func(op relational.BatchOp) (T, error) {
+				return sink(s, &abortable{child: op, flag: flag})
+			})
+			flag.abort(err)
+		}(s)
 	}
 	wg.Wait()
 	if err := flag.Err(); err != nil {
 		return nil, err
 	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
 	return outs, nil
 }
 
+// runUnguarded runs one prebuilt fragment per shard through sink: no
+// fault plan, no speculation. The engine runs its rounds through
+// lifecycle.Guard; these entry points serve callers that hold no cluster.
+func runUnguarded[T Output](frags []relational.BatchOp, sink Sink[T]) ([]T, error) {
+	return RunShards(len(frags), sink, func(s int, run func(relational.BatchOp) (T, error)) (T, error) {
+		return run(frags[s])
+	})
+}
+
+// RunFragmentsCols executes one shard-local operator tree per worker
+// concurrently and drains each into a column-built relation (DrainSink).
+func RunFragmentsCols(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
+	return runUnguarded(frags, DrainSink(name, workers))
+}
+
 // RunFragments is RunFragmentsCols with every output's Rows filled
-// (RowView), for callers that index the fragment outputs as rows. The
-// engine calls RunFragmentsCols.
+// (RowView), for callers that index the fragment outputs as rows.
 func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
 	outs, err := RunFragmentsCols(name, frags, workers)
 	for _, rel := range outs {
@@ -117,78 +199,10 @@ func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*rela
 	return outs, err
 }
 
-// RunPartialAggs drains one shard-local fragment per worker concurrently
-// into a private PartialAgg, tagging each group's first appearance with
-// the stream's seqCol so the coordinator can merge partials into the
-// exact single-node first-seen order. As in RunFragments, the shards
-// share an abort flag so one failure stops the others early. disp, when
-// non-nil, routes shard i's per-batch partial updates through disp[i] —
-// each simulated worker host placing its aggregation morsels on its own
-// device set (nil slice or entries keep the homogeneous engine).
-// budgets, when non-nil, charges shard i's group state against
-// budgets[i] — each simulated host accounting its own memory — and
-// spills overflowing generations to the budget's tier (nil slice or
-// entries keep the unbudgeted engine, bit-identically).
+// RunPartialAggs folds one shard-local fragment per worker concurrently
+// into a private PartialAgg (PartialAggSink).
 func RunPartialAggs(frags []relational.BatchOp, groupCols []int, aggs []relational.AggSpec, seqCol, workers int, disp []*exec.Dispatcher, budgets []*relational.MemoryBudget) ([]*relational.PartialAgg, error) {
-	out := make([]*relational.PartialAgg, len(frags))
-	errs := make([]error, len(frags))
-	flag := &fragAbort{}
-	var wg sync.WaitGroup
-	for i, f := range frags {
-		wg.Add(1)
-		go func(i int, f relational.BatchOp) {
-			defer wg.Done()
-			var di *exec.Dispatcher
-			if i < len(disp) {
-				di = disp[i]
-			}
-			var bg *relational.MemoryBudget
-			if i < len(budgets) {
-				bg = budgets[i]
-			}
-			sa := relational.NewSpillableAgg(groupCols, aggs, bg, nil)
-			op := relational.NewExchange(&abortable{child: f, flag: flag}, workers)
-			// The Exchange must be drained to end-of-stream even after an
-			// observation error, or its workers stay blocked on their
-			// bounded channels; tripping the flag first makes the drain
-			// terminate at the next batch boundary.
-			drain := func() {
-				for {
-					if b, err := op.NextBatch(); b == nil || err != nil {
-						return
-					}
-				}
-			}
-			for {
-				b, err := op.NextBatch()
-				if err != nil {
-					errs[i] = err
-					flag.abort(err)
-					return
-				}
-				if b == nil {
-					out[i] = sa.Finish()
-					return
-				}
-				if err := di.Run(b.Len(), func() error { return sa.ObserveBatch(b, seqCol) }); err != nil {
-					errs[i] = err
-					flag.abort(err)
-					drain()
-					return
-				}
-			}
-		}(i, f)
-	}
-	wg.Wait()
-	if err := flag.Err(); err != nil {
-		return nil, err
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return runUnguarded(frags, PartialAggSink(groupCols, aggs, seqCol, workers, disp, budgets))
 }
 
 // SeqMerger walks per-shard #seq-ascending streams in global seq order,

@@ -49,7 +49,7 @@ func E8() *Report {
 	}
 	sqlWall := time.Since(t0)
 	var sqlOut []segRev
-	for _, row := range res.Rows.Rows {
+	for _, row := range res.Rows.RowView() {
 		sqlOut = append(sqlOut, segRev{seg: row[0].S, rev: row[1].F})
 	}
 	plan, err := sess.Explain(`SELECT c.segment, SUM(s.price) FROM sales s JOIN customers c ON s.customer_id = c.customer_id GROUP BY c.segment`)

@@ -187,134 +187,114 @@ func (g *Guard) applyKills(name string, evs []Event, selectLost func(Event, int)
 	return nil
 }
 
-// RunFragments executes one shard-local fragment per shard, building
-// each operator tree via build (callable more than once per shard — a
-// speculative duplicate rebuilds its own tree). Without a slow event at
-// this round's ordinal it delegates to dist.RunFragmentsCols unchanged.
-// With one, the straggling shards run as speculative pairs: the primary
-// attempt is delayed Factor×StragglerDelay (the injected straggle), a
-// watchdog launches a duplicate after SpecThreshold, the first result
-// wins, and the loser is cancelled and joined before returning — no
-// goroutine outlives the call. Wins and the duplicated compute are
-// measured into the query's stats.
+// RunFragments runs one fragment round: shard s's operator tree, from
+// build, drained into a column-built relation (dist.DrainSink).
 func (g *Guard) RunFragments(name string, n, workers int, build func(int) (relational.BatchOp, error)) ([]*relational.Relation, error) {
+	return runRound(g, n, build, dist.DrainSink(name, workers))
+}
+
+// RunPartialAggs runs one fragment round whose shards fold their streams
+// into partial aggregates (sink is a dist.PartialAggSink).
+func (g *Guard) RunPartialAggs(n int, build func(int) (relational.BatchOp, error), sink dist.Sink[*relational.PartialAgg]) ([]*relational.PartialAgg, error) {
+	return runRound(g, n, build, sink)
+}
+
+// runRound is the guarded fragment round: dist.RunShards — the one shard
+// fan-out — plus fault claiming. Every shard builds its operator tree via
+// build (callable more than once per shard: a speculative duplicate
+// rebuilds its own) and hands it to sink. A shard whose primary worker
+// has a slow event at this round's ordinal runs as a speculative pair:
+// the primary attempt is delayed Factor×StragglerDelay (the injected
+// straggle), a watchdog launches a duplicate after SpecThreshold, the
+// first result wins and is the only one kept, and the loser is cancelled
+// and joined before returning — no goroutine outlives the call. Wins and
+// the duplicated compute (priced by the winner's encoded bytes) are
+// measured into the query's stats. With no slow event the round is the
+// same fan-out with no pairs, and charges nothing.
+func runRound[T dist.Output](g *Guard, n int, build func(int) (relational.BatchOp, error), sink dist.Sink[T]) ([]T, error) {
 	round := g.fragRound
 	g.fragRound++
 	slow := g.m.claimSlowEvents(round)
-	slowShards := map[int]float64{}
-	for s := 0; s < n; s++ {
+	factor := make([]float64, n) // per shard; 0 = not straggling
+	for s := range factor {
 		w, err := g.m.PrimaryWorker(s)
 		if err != nil {
 			return nil, err
 		}
-		if f, ok := slow[w]; ok {
-			slowShards[s] = f
-		}
+		factor[s] = slow[w]
 	}
-	if len(slowShards) == 0 {
-		frags := make([]relational.BatchOp, n)
-		for i := range frags {
-			op, err := build(i)
-			if err != nil {
-				return nil, err
-			}
-			frags[i] = op
-		}
-		return dist.RunFragmentsCols(name, frags, workers)
-	}
-	outs := make([]*relational.Relation, n)
-	errs := make([]error, n)
 	var mu sync.Mutex
 	wins := 0
 	dupBytes := 0.0
-	var wg sync.WaitGroup
-	for s := 0; s < n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			factor, isSlow := slowShards[s]
-			if !isSlow {
-				outs[s], errs[s] = runAttempt(name, s, workers, build, 0, nil)
-				return
+	outs, err := dist.RunShards(n, sink, func(s int, run func(relational.BatchOp) (T, error)) (T, error) {
+		// attempt builds shard s's fragment and runs it through the sink.
+		// delay gates the run (the injected straggle) and tok cancels both
+		// the gate and the stream at the next batch boundary.
+		attempt := func(delay time.Duration, tok *relational.CancelToken) (out T, err error) {
+			op, err := build(s)
+			if err != nil {
+				return out, err
 			}
-			rel, won, err := g.speculate(name, s, workers, build, factor)
-			outs[s], errs[s] = rel, err
-			if err == nil {
-				mu.Lock()
-				if won {
-					wins++
+			if delay > 0 {
+				gate := make(chan struct{})
+				tok.OnCancel(func() { close(gate) })
+				t := time.NewTimer(delay)
+				select {
+				case <-t.C:
+				case <-gate:
+					t.Stop()
+					return out, tok.Err()
 				}
-				dupBytes += rel.EncodedBytes()
-				mu.Unlock()
 			}
-		}(s)
-	}
-	wg.Wait()
-	g.qr.AddRecovery(dupBytes/dist.ChunkComputeBytesPerSec, 0, wins)
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+			return run(relational.GuardBatch(op, tok))
 		}
-	}
-	return outs, nil
-}
-
-// runAttempt builds and drains one fragment attempt into a column-built
-// relation (relational.Drain, as dist.RunFragmentsCols). delay gates the
-// drain (the injected straggle) and tok cancels both the gate and the
-// stream at the next batch boundary.
-func runAttempt(name string, s, workers int, build func(int) (relational.BatchOp, error), delay time.Duration, tok *relational.CancelToken) (*relational.Relation, error) {
-	op, err := build(s)
-	if err != nil {
-		return nil, err
-	}
-	if delay > 0 {
-		gate := make(chan struct{})
-		var once sync.Once
-		if tok != nil {
-			tok.OnCancel(func() { once.Do(func() { close(gate) }) })
+		if factor[s] == 0 {
+			return attempt(0, nil)
 		}
-		t := time.NewTimer(delay)
-		select {
-		case <-t.C:
-		case <-gate:
-			t.Stop()
-			return nil, tok.Err()
+		out, won, err := speculate(g.m.plan, factor[s], attempt)
+		if err == nil {
+			mu.Lock()
+			if won {
+				wins++
+			}
+			dupBytes += out.EncodedBytes()
+			mu.Unlock()
 		}
+		return out, err
+	})
+	if len(slow) > 0 {
+		g.qr.AddRecovery(dupBytes/dist.ChunkComputeBytesPerSec, 0, wins)
 	}
-	if tok != nil {
-		op = relational.GuardBatch(op, tok)
-	}
-	return relational.Drain(op, workers, name)
+	return outs, err
 }
 
 // speculate races a straggling primary attempt against a duplicate
 // launched after the speculation threshold: first result wins, the
 // loser is cancelled and joined. won reports whether the duplicate won.
-func (g *Guard) speculate(name string, s, workers int, build func(int) (relational.BatchOp, error), factor float64) (rel *relational.Relation, won bool, err error) {
-	type attempt struct {
-		rel    *relational.Relation
+func speculate[T any](plan *FaultPlan, factor float64, attempt func(time.Duration, *relational.CancelToken) (T, error)) (out T, won bool, err error) {
+	type result struct {
+		out    T
 		err    error
 		backup bool
 	}
 	primTok, backTok := relational.NewCancelToken(), relational.NewCancelToken()
-	delay := time.Duration(float64(g.m.plan.stragglerDelay()) * factor)
-	ch := make(chan attempt, 2)
+	delay := time.Duration(float64(plan.stragglerDelay()) * factor)
+	ch := make(chan result, 2)
 	go func() {
-		r, e := runAttempt(name, s, workers, build, delay, primTok)
-		ch <- attempt{r, e, false}
+		o, e := attempt(delay, primTok)
+		ch <- result{o, e, false}
 	}()
-	watchdog := time.NewTimer(g.m.plan.specThreshold())
-	var first attempt
+	watchdog := time.NewTimer(plan.specThreshold())
+	var first result
 	select {
 	case first = <-ch:
 		// The "straggler" beat the threshold after all — no duplicate.
 		watchdog.Stop()
-		return first.rel, false, first.err
+		return first.out, false, first.err
 	case <-watchdog.C:
 		go func() {
-			r, e := runAttempt(name, s, workers, build, 0, backTok)
-			ch <- attempt{r, e, true}
+			o, e := attempt(0, backTok)
+			ch <- result{o, e, true}
 		}()
 		first = <-ch
 	}
@@ -328,8 +308,5 @@ func (g *Guard) speculate(name string, s, workers int, build func(int) (relation
 	if first.err != nil && second.err == nil {
 		winner = second
 	}
-	if winner.err != nil {
-		return nil, false, winner.err
-	}
-	return winner.rel, winner.backup, nil
+	return winner.out, winner.backup, winner.err
 }

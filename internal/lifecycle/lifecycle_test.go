@@ -1,11 +1,15 @@
 package lifecycle
 
 import (
+	"errors"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/dist"
+	"repro/internal/relational"
 )
 
 func newTestManager(t *testing.T, replication int, plan *FaultPlan) *Manager {
@@ -223,5 +227,77 @@ func TestSeededDeterministic(t *testing.T) {
 		if ev.Worker < 0 || ev.Worker >= 4 {
 			t.Fatalf("seeded worker out of range: %+v", ev)
 		}
+	}
+}
+
+// TestSpeculativePairKeepsWinner drives the guarded fragment round with a
+// counting sink: a straggling shard's round runs as a pair whose winner is
+// the only output kept and the only bytes priced, a round with no event is
+// the same fan-out charging nothing, and one shard's failure comes back as
+// the round's error.
+func TestSpeculativePairKeepsWinner(t *testing.T) {
+	plan := &FaultPlan{
+		Events:         []Event{{Kind: EventSlow, Worker: 1, Phase: 0, Factor: 4}},
+		StragglerDelay: time.Second, // ×4: only a cancelled gate returns in time
+		SpecThreshold:  time.Millisecond,
+	}
+	m := newTestManager(t, 2, plan)
+	qr := m.fab.NewQuery()
+	defer qr.Close()
+	g := m.NewGuard(qr)
+
+	schema := relational.Schema{{Name: "k", Type: relational.Int}}
+	shard := func(s int) *relational.Relation {
+		ks := make([]int64, 100*(s+1))
+		for i := range ks {
+			ks[i] = int64(s)
+		}
+		return relational.NewColumnRelation("t", schema, []relational.Vector{{T: relational.Int, Ints: ks}}, len(ks))
+	}
+	build := func(s int) (relational.BatchOp, error) { return relational.NewBatchScan(shard(s)), nil }
+	var sinkRuns [4]atomic.Int32
+	sink := func(s int, op relational.BatchOp) (*relational.Relation, error) {
+		sinkRuns[s].Add(1)
+		return dist.DrainSink("frag", 1)(s, op)
+	}
+
+	start := time.Now()
+	outs, err := runRound(g, 4, build, sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > plan.StragglerDelay {
+		t.Fatalf("round waited %v for the straggler instead of its duplicate", took)
+	}
+	for s, rel := range outs {
+		if rel.Len() != 100*(s+1) || rel.Columnar()[0].Ints[0] != int64(s) {
+			t.Fatalf("shard %d: %d rows of %v", s, rel.Len(), rel.Columnar()[0].Ints[:1])
+		}
+		// The straggler's primary was cancelled at its gate: only the
+		// duplicate reached the sink.
+		if n := sinkRuns[s].Load(); n != 1 {
+			t.Fatalf("shard %d ran its sink %d times", s, n)
+		}
+	}
+	// A second round finds the event fired: no pair, nothing charged.
+	if _, err := runRound(g, 4, build, sink); err != nil {
+		t.Fatal(err)
+	}
+	// One failing shard fails the round.
+	boom := errors.New("shard 2 failed")
+	if outs, err := runRound(g, 4, build, func(s int, op relational.BatchOp) (*relational.Relation, error) {
+		if s == 2 {
+			return nil, boom
+		}
+		return sink(s, op)
+	}); outs != nil || !errors.Is(err, boom) {
+		t.Fatalf("failing shard: outs=%v err=%v", outs, err)
+	}
+	qs := qr.Finish()
+	if want := outs[1].EncodedBytes() / dist.ChunkComputeBytesPerSec; qs.SpeculativeWins != 1 || qs.RecoverySeconds != want {
+		t.Fatalf("%d wins, %v recovery seconds; want 1 win priced at the winner's bytes, %v", qs.SpeculativeWins, qs.RecoverySeconds, want)
+	}
+	if h := m.Health(); h.EventsFired != 1 {
+		t.Fatalf("%d events fired", h.EventsFired)
 	}
 }

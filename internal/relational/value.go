@@ -187,11 +187,12 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 // treat Rows as immutable once queries have run.
 //
 // Column-built (NewColumnRelation): the column vectors are authoritative
-// and nothing is boxed. This is the form that crosses fragment boundaries
-// in the distributed engine — shard placements, fragment outputs and every
-// movement primitive's result. Rows of a column-built relation is nil
-// until RowView boxes it on demand (the row-engine oracle, the row
-// coordinator, result rendering), and Append is an error.
+// and nothing is boxed. This is the form every batch tree drains into
+// (Drain): shard placements, fragment outputs, every movement primitive's
+// result, and the result a batch or distributed query returns. Rows of a
+// column-built relation is nil until RowView boxes it on demand — for the
+// printers, examples and tests that read rows; the engine and the wire
+// encoder read Columnar — and Append is an error.
 //
 // One invariant covers both: the vectors Columnar hands out are immutable.
 // They are shared — by concurrent scans, by zero-copy shard windows of a
@@ -254,10 +255,12 @@ func (r *Relation) Len() int {
 	return len(r.Rows)
 }
 
-// RowView returns the relation as rows. A row-built relation hands out
-// its row store; a column-built one boxes its vectors on first use (one
-// backing array) and keeps the result in Rows. The rows are a view: like
-// the vectors, they must not be written to.
+// RowView returns the relation as rows, and is how to read rows from a
+// relation whose construction form the caller does not control (a query
+// result is column-built unless the row engine produced it). A row-built
+// relation hands out its row store; a column-built one boxes its vectors
+// on first use (one backing array) and keeps the result in Rows. The rows
+// are a view: like the vectors, they must not be written to.
 func (r *Relation) RowView() []Row {
 	if !r.colBuilt {
 		return r.Rows

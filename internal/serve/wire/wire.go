@@ -255,15 +255,32 @@ func Cell(v relational.Value) any {
 	}
 }
 
-// Rows converts a relation's rows to wire cells in schema order.
+// Rows converts a relation to wire cells in schema order, straight from
+// its column vectors: one typed loop per column, every row a window of one
+// backing array. A column-built relation (every batch and distributed
+// result) is never boxed into relational rows on the way out.
 func Rows(rel *relational.Relation) [][]any {
-	out := make([][]any, rel.Len())
-	for i, row := range rel.Rows {
-		cells := make([]any, len(row))
-		for j, v := range row {
-			cells[j] = Cell(v)
+	n, w := rel.Len(), len(rel.Schema)
+	flat := make([]any, n*w)
+	for c, col := range rel.Columnar() {
+		switch col.T {
+		case relational.Int:
+			for r, v := range col.Ints[:n] {
+				flat[r*w+c] = v
+			}
+		case relational.Float:
+			for r, v := range col.Floats[:n] {
+				flat[r*w+c] = v
+			}
+		default:
+			for r, v := range col.Strs[:n] {
+				flat[r*w+c] = v
+			}
 		}
-		out[i] = cells
+	}
+	out := make([][]any, n)
+	for r := range out {
+		out[r] = flat[r*w : (r+1)*w : (r+1)*w]
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -109,5 +110,119 @@ func TestIntCellsStayExact(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "1099511627776") {
 		t.Fatalf("int cell lost exactness: %s", data)
+	}
+}
+
+// TestRowsColumnarMatchesRowBuilt: Rows encodes from the column vectors,
+// so a relation built from columns — whose row view nobody took — must
+// fingerprint exactly like the same cells built as rows, on every cell
+// the float and string encodings could disagree on. The query cases go
+// through FromResult: the oracle returns row-built results, the batch and
+// distributed engines column-built ones.
+func TestRowsColumnarMatchesRowBuilt(t *testing.T) {
+	schema := relational.Schema{
+		{Name: "n", Type: relational.Int},
+		{Name: "f", Type: relational.Float},
+		{Name: "s", Type: relational.String},
+	}
+	negZero := math.Copysign(0, -1)
+	cases := map[string][]relational.Row{
+		"zero rows": nil,
+		"floats": {
+			{relational.IntV(math.MinInt64), relational.FloatV(math.NaN()), relational.StringV("nan")},
+			{relational.IntV(math.MaxInt64), relational.FloatV(negZero), relational.StringV("-0")},
+			{relational.IntV(0), relational.FloatV(0), relational.StringV("+0")},
+			{relational.IntV(-1), relational.FloatV(math.Inf(1)), relational.StringV("+inf")},
+			{relational.IntV(1), relational.FloatV(math.Inf(-1)), relational.StringV("-inf")},
+		},
+		"strings": {
+			{relational.IntV(1), relational.FloatV(1.5), relational.StringV("")},
+			{relational.IntV(2), relational.FloatV(2.5), relational.StringV("a\x00b")},
+			{relational.IntV(3), relational.FloatV(3.5), relational.StringV("\x00")},
+		},
+	}
+	for name, rows := range cases {
+		rowBuilt := relational.NewRelation("t", schema)
+		cols := relational.NewBatch(schema, len(rows)).Cols
+		for _, row := range rows {
+			rowBuilt.MustAppend(row)
+			cols[0].Ints = append(cols[0].Ints, row[0].I)
+			cols[1].Floats = append(cols[1].Floats, row[1].F)
+			cols[2].Strs = append(cols[2].Strs, row[2].S)
+		}
+		colBuilt := relational.NewColumnRelation("t", schema, cols, len(rows))
+		want := &Result{Columns: Columns(schema), Rows: Rows(rowBuilt)}
+		got := &Result{Columns: Columns(schema), Rows: Rows(colBuilt)}
+		if colBuilt.Rows != nil {
+			t.Fatalf("%s: encoding took the relation's row view", name)
+		}
+		if len(got.Rows) != len(rows) || Fingerprint(got) != Fingerprint(want) {
+			t.Fatalf("%s: column-built encodes as\n%s\nrow-built as\n%s", name, Fingerprint(got), Fingerprint(want))
+		}
+		for i, row := range rows {
+			for j, v := range row {
+				// NaN != NaN; the fingerprint above covers it.
+				if w := Cell(v); got.Rows[i][j] != w && !(v.T == relational.Float && math.IsNaN(v.F)) {
+					t.Fatalf("%s: cell [%d][%d] = %#v, want %#v", name, i, j, got.Rows[i][j], w)
+				}
+			}
+		}
+	}
+
+	// A bare COUNT(*) aggregates a zero-column pre-projection; the empty
+	// group-by returns zero rows.
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM sales",
+		"SELECT region, COUNT(*) AS n FROM sales WHERE quantity > 100 GROUP BY region",
+	} {
+		var want string
+		for _, engine := range []string{"oracle", "batch", "distributed"} {
+			cfg := sql.DefaultConfig()
+			cfg.Parallel = engine != "oracle"
+			cfg.Distributed = engine == "distributed"
+			eng, err := sql.NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sql.RegisterDemo(eng, 42, 2000, 50)
+			res, err := eng.Session().Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", engine, q, err)
+			}
+			w := FromResult(res)
+			if engine != "oracle" && res.Rows.Rows != nil {
+				t.Fatalf("%s: %s: FromResult took the result's row view", engine, q)
+			}
+			if len(w.Rows) != w.RowCount {
+				t.Fatalf("%s: %s: %d rows on the wire, row_count %d", engine, q, len(w.Rows), w.RowCount)
+			}
+			if fp := Fingerprint(w); engine == "oracle" {
+				want = fp
+			} else if fp != want {
+				t.Fatalf("%s: %s encodes as\n%s\noracle as\n%s", engine, q, fp, want)
+			}
+		}
+	}
+}
+
+// BenchmarkWireFromResult is the attribution rung under the benchmark's
+// serve.wire_from_result_ms: the scan class's result (the widest the
+// benchmark serves) through FromResult, from a column-built relation as
+// the batch engine hands it over.
+func BenchmarkWireFromResult(b *testing.B) {
+	eng, err := sql.NewEngine(sql.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	sql.RegisterDemo(eng, 7, 1<<18, 2000)
+	res, err := eng.Session().Query(context.Background(), classStatements[0].sql)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		if w := FromResult(res); w.RowCount != res.Rows.Len() {
+			b.Fatalf("%d rows on the wire, %d in the result", w.RowCount, res.Rows.Len())
+		}
 	}
 }

@@ -58,8 +58,8 @@ func TestChaosKillMidShuffleParity(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	clean := chaosRun(t, chaosEngine(t, 2, ""))
 	killed := chaosRun(t, chaosEngine(t, 2, "kill:1@0:0.5"))
-	if !reflect.DeepEqual(killed.Rows.Rows, clean.Rows.Rows) {
-		t.Fatalf("kill changed the rows:\n%v\nvs\n%v", killed.Rows.Rows, clean.Rows.Rows)
+	if !reflect.DeepEqual(killed.Rows.RowView(), clean.Rows.RowView()) {
+		t.Fatalf("kill changed the rows:\n%v\nvs\n%v", killed.Rows.RowView(), clean.Rows.RowView())
 	}
 	if killed.Net.RetriedFragments == 0 {
 		t.Fatal("kill run retried no fragments")
@@ -105,8 +105,8 @@ func TestChaosSpeculation(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	clean := chaosRun(t, chaosEngine(t, 2, ""))
 	slow := chaosRun(t, chaosEngine(t, 2, "slow:2@0:4"))
-	if !reflect.DeepEqual(slow.Rows.Rows, clean.Rows.Rows) {
-		t.Fatalf("speculation changed the rows:\n%v\nvs\n%v", slow.Rows.Rows, clean.Rows.Rows)
+	if !reflect.DeepEqual(slow.Rows.RowView(), clean.Rows.RowView()) {
+		t.Fatalf("speculation changed the rows:\n%v\nvs\n%v", slow.Rows.RowView(), clean.Rows.RowView())
 	}
 	if slow.Net.SpeculativeWins == 0 {
 		t.Fatal("straggler produced no speculative wins")
@@ -115,6 +115,47 @@ func TestChaosSpeculation(t *testing.T) {
 		t.Fatal("speculative duplicate's compute was not priced")
 	}
 	settleGoroutines(t, "chaos-speculation", baseline)
+}
+
+// TestSlowFaultReachesAggregateRound: the partial-aggregate round is a
+// fragment round like any other — it claims the next round ordinal after
+// every earlier one — so a slow: event scheduled on it lands, the
+// straggling shard's fold is speculated, and the win and the duplicated
+// compute are measured. A single-table GROUP BY has no earlier round (its
+// scan fuses into the fold), the join runs one round per leg first.
+func TestSlowFaultReachesAggregateRound(t *testing.T) {
+	for _, c := range []struct{ name, query, chaos string }{
+		{"group-by", "SELECT region, COUNT(*) AS n, SUM(price) AS v FROM sales GROUP BY region", "slow:1@0:4"},
+		{"join", chaosQuery, "slow:1@2:4"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			run := func(chaos string) (*Engine, *Result) {
+				eng := chaosEngine(t, 2, chaos)
+				res, err := eng.Session().Query(context.Background(), c.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return eng, res
+			}
+			_, clean := run("")
+			eng, slow := run(c.chaos)
+			if h := eng.Lifecycle().Health(); h.EventsFired != 1 || h.EventsTotal != 1 {
+				t.Fatalf("%s fired %d of %d events", c.chaos, h.EventsFired, h.EventsTotal)
+			}
+			if slow.Net.SpeculativeWins < 1 || slow.Net.RecoverySeconds <= 0 {
+				t.Fatalf("straggling aggregate round was not speculated: %d wins, %v recovery seconds",
+					slow.Net.SpeculativeWins, slow.Net.RecoverySeconds)
+			}
+			if clean.Rows.Len() == 0 || !reflect.DeepEqual(slow.Rows.RowView(), clean.Rows.RowView()) {
+				t.Fatalf("speculation changed the rows:\n%v\nvs\n%v", slow.Rows.RowView(), clean.Rows.RowView())
+			}
+			if clean.Net.SpeculativeWins != 0 || clean.Net.RecoverySeconds != 0 {
+				t.Fatalf("clean run reported recovery: %+v", clean.Net)
+			}
+			settleGoroutines(t, "slow-aggregate-"+c.name, baseline)
+		})
+	}
 }
 
 // TestChaosBitIdenticalReplay: with faults off, replication must be
@@ -132,7 +173,7 @@ func TestChaosBitIdenticalReplay(t *testing.T) {
 		recovery    float64
 	}{{1, "", 0}, {2, "", 0}, {2, "slow:2@0:4", 1.210719347000122e-05}} {
 		res := chaosRun(t, chaosEngine(t, c.replication, c.chaos))
-		if !reflect.DeepEqual(res.Rows.Rows, ref.Rows.Rows) {
+		if !reflect.DeepEqual(res.Rows.RowView(), ref.Rows.RowView()) {
 			t.Fatalf("replication %d %q changed the rows", c.replication, c.chaos)
 		}
 		a, b := res.Net, ref.Net
@@ -153,7 +194,7 @@ func TestChaosDegradeAndPartition(t *testing.T) {
 	degraded := chaosRun(t, chaosEngine(t, 2, "degrade:3@0:10"))
 	parted := chaosRun(t, chaosEngine(t, 2, "partition:3@0"))
 	for name, res := range map[string]*Result{"degrade": degraded, "partition": parted} {
-		if !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
+		if !reflect.DeepEqual(res.Rows.RowView(), clean.Rows.RowView()) {
 			t.Fatalf("%s changed the rows", name)
 		}
 		if res.Net.NetSeconds <= clean.Net.NetSeconds {
@@ -207,7 +248,7 @@ func TestChaosDrainJoinRebalance(t *testing.T) {
 			if h.Drained != 1 || h.RebalancedBytes <= 0 {
 				t.Fatalf("drain health: %+v", h)
 			}
-			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
+			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.RowView(), clean.Rows.RowView()) {
 				t.Fatal("drained cluster changed the rows")
 			}
 			if w, err := eng.JoinHost(); err != nil || w != 4 {
@@ -216,7 +257,7 @@ func TestChaosDrainJoinRebalance(t *testing.T) {
 			if err := eng.RestoreHost(1); err != nil {
 				t.Fatal(err)
 			}
-			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.Rows, clean.Rows.Rows) {
+			if res := chaosRun(t, eng); !reflect.DeepEqual(res.Rows.RowView(), clean.Rows.RowView()) {
 				t.Fatal("grown-and-restored cluster changed the rows")
 			}
 		})

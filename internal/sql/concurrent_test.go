@@ -94,9 +94,10 @@ func expectRowsEqual(t *testing.T, label string, want, got *relational.Relation)
 	if want.Len() != got.Len() {
 		t.Fatalf("%s: %d rows vs %d", label, want.Len(), got.Len())
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			a, b := want.Rows[i][j], got.Rows[i][j]
+	wantRows, gotRows := want.RowView(), got.RowView()
+	for i := range wantRows {
+		for j := range wantRows[i] {
+			a, b := wantRows[i][j], gotRows[i][j]
 			diff := a.F - b.F
 			if diff < 0 {
 				diff = -diff

@@ -14,20 +14,23 @@ package sql
 // plan reports rows AND simulated network time, bytes shuffled and
 // per-link utilization.
 //
-// Interchange: what crosses a fragment boundary is column vectors. Shard
-// placements, fragment outputs and every movement primitive's result are
-// column-built relations (relational.NewColumnRelation), so the next
+// Interchange: what crosses a boundary is column vectors — every fragment
+// boundary and the last one, out of the engine. Shard placements, fragment
+// outputs, every movement primitive's result and the query's Result.Rows
+// are column-built relations (relational.NewColumnRelation), so the next
 // fragment's scan windows them as they stand; the vectors are immutable
 // and freely shared — a range shard is a zero-copy window of the
 // registered table, a broadcast build side is one set of vectors every
-// shard probes. Rows appear only in the final Result.
+// shard probes. Nothing in a distributed run boxes a row; whoever wants
+// rows asks the result for RowView().
 //
-// One path: every fragment round and every movement phase goes through
-// the execution's lifecycle.Guard — the only way a distributed query
-// reaches the fabric — and the coordinator's post-gather plan runs on the
-// batch engine, like the fragments. On a cluster with one replica per
-// shard and no fault plan the guard resolves every shard to its static
-// host and has nothing to inject.
+// One path: every fragment round — the partial-aggregate round included —
+// and every movement phase goes through the execution's lifecycle.Guard,
+// the only way a distributed query reaches the fabric or fans out over
+// its shards, and the coordinator's post-gather plan runs on the batch
+// engine, like the fragments, drained by relational.Drain like them. On a
+// cluster with one replica per shard and no fault plan the guard resolves
+// every shard to its static host and has nothing to inject.
 //
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
@@ -43,45 +46,6 @@ import (
 	"repro/internal/lifecycle"
 	"repro/internal/relational"
 )
-
-// distRoot is the lazy root of a distributed plan: the whole distributed
-// execution (fragments, shuffles, gather, coordinator finalization) runs
-// on first Next, then the result streams row-at-a-time.
-type distRoot struct {
-	schema relational.Schema
-	run    func() (*relational.Relation, *dist.QueryStats, error)
-
-	started bool
-	rel     *relational.Relation
-	stats   *dist.QueryStats
-	err     error
-	pos     int
-	stat    relational.OpStats
-}
-
-// Schema implements relational.Op.
-func (d *distRoot) Schema() relational.Schema { return d.schema }
-
-// Next implements relational.Op.
-func (d *distRoot) Next() (relational.Row, bool, error) {
-	if !d.started {
-		d.started = true
-		d.rel, d.stats, d.err = d.run()
-	}
-	if d.err != nil {
-		return nil, false, d.err
-	}
-	if d.pos >= len(d.rel.Rows) {
-		return nil, false, nil
-	}
-	r := d.rel.Rows[d.pos]
-	d.pos++
-	d.stat.RowsOut++
-	return r, true, nil
-}
-
-// Stats implements relational.Op.
-func (d *distRoot) Stats() relational.OpStats { return d.stat }
 
 // withSeq appends the hidden sequence column to a visible schema.
 func withSeq(schema relational.Schema) relational.Schema {
@@ -129,17 +93,6 @@ func (st *distStream) fragment(s int) (relational.BatchOp, error) {
 		}
 	}
 	return n.bat, nil
-}
-
-func (st *distStream) fragments() ([]relational.BatchOp, error) {
-	out := make([]relational.BatchOp, len(st.base))
-	for s := range st.base {
-		var err error
-		if out[s], err = st.fragment(s); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // materialize runs the pending decorators on every shard (in parallel,
@@ -307,19 +260,21 @@ func (e *distExec) front() (*distStream, error) {
 // modeled byte. It is the batch engine, scanning the gathered vectors as
 // they stand: its sort is the typed radix sort, its ORDER BY + LIMIT one
 // top-k, and its pipeline breakers charge the query budget (nil when
-// unbudgeted) — coordinator memory is host memory too. No placer: the
-// coordinator is not one of the simulated worker hosts.
+// unbudgeted) — coordinator memory is host memory too. Its leaf checks the
+// query's cancel token like every shard's. No placer: the coordinator is
+// not one of the simulated worker hosts.
 func (e *distExec) coordinator(rel *relational.Relation) (*lowerer, execNode) {
-	lw := &lowerer{parallel: true, workers: e.workers, budget: e.budget}
+	lw := &lowerer{parallel: true, workers: e.workers, budget: e.budget, cancel: e.cancel}
 	return lw, lw.scan(rel)
 }
 
-// root installs the lazy root of the distributed plan. Pulling it runs
-// the whole execution: the shared front, then tail — which lowers the
-// last shard-local stage, charges the gather and returns the
-// coordinator's operator tree — then the drain of that tree.
-func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStream) (relational.Op, error)) *Planned {
-	root := &distRoot{schema: schema, run: func() (*relational.Relation, *dist.QueryStats, error) {
+// root installs the distributed plan's Run, the whole execution: the
+// shared front, then tail — which lowers the last shard-local stage,
+// charges the gather, and drains the coordinator's operator tree into the
+// result.
+func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStream) (*relational.Relation, error)) *Planned {
+	p.Schema = schema
+	p.run = func() (*relational.Relation, error) {
 		// Register with the shared fabric under the session's QoS
 		// identity, and Close on every path: an abandoned registration —
 		// a run that errors out mid-phase, say — would park concurrent
@@ -331,26 +286,21 @@ func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStr
 		e.guard = e.eng.lcm.NewGuard(qr)
 		st, err := e.front()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		op, err := tail(st)
+		res, err := tail(st)
 		if err != nil {
-			return nil, nil, err
-		}
-		res, err := relational.Collect(op, "result")
-		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// Fold in the modeled out-of-core I/O time the shard budgets
 		// accumulated beside the network time.
-		qs := qr.Finish()
+		p.net = qr.Finish()
 		if e.budget != nil {
 			sp := e.budget.Stats()
-			qs.SpillSeconds = sp.WriteSeconds + sp.ReadSeconds
+			p.net.SpillSeconds = sp.WriteSeconds + sp.ReadSeconds
 		}
-		return res, qs, nil
-	}}
-	p.dist, p.Root = root, root
+		return res, nil
+	}
 	return p
 }
 
@@ -628,7 +578,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 	// Dry-run the coordinator plan: surfaces compile errors at plan time
 	// and yields the output schema and the coordinator's step lines.
 	dryLw, dryLeaf := dx.coordinator(relational.NewRelation("agg", aggOutSchema))
-	dry, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, dryLw, dryLeaf, ap)
+	dry, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]OpStatser{}}, dryLw, dryLeaf, ap)
 	if err != nil {
 		return nil, err
 	}
@@ -636,12 +586,8 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		p.Steps = append(p.Steps, "coordinator "+s)
 	}
 
-	return dx.root(p, dry.Root.Schema(), func(st *distStream) (relational.Op, error) {
+	return dx.root(p, dry.Schema, func(st *distStream) (*relational.Relation, error) {
 		st.project(ap.preSchema, ap.pre)
-		frags, err := st.fragments()
-		if err != nil {
-			return nil, err
-		}
 		// Each shard's aggregation dispatcher and budget (nil entries on
 		// the homogeneous and unbudgeted engines).
 		disps := make([]*exec.Dispatcher, len(dx.lw))
@@ -650,7 +596,10 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 			lw := dx.lowerer(s, st.hint)
 			disps[s], budgets[s] = lw.dispatcher(exec.AggWork, 0), lw.budget
 		}
-		partials, err := dist.RunPartialAggs(frags, ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets)
+		// The last fragment round, guarded like every other: a straggling
+		// shard's fold gets a speculative duplicate.
+		partials, err := dx.guard.RunPartialAggs(len(st.base), st.fragment,
+			dist.PartialAggSink(ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets))
 		if err != nil {
 			return nil, err
 		}
@@ -700,11 +649,11 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
 		lw, leaf := dx.coordinator(aggRel)
-		fin, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]relational.Op{}}, lw, leaf, ap)
+		fin, err := pl.finishAggregate(stmt, &Planned{TaggedOps: map[string]OpStatser{}}, lw, leaf, ap)
 		if err != nil {
 			return nil, err
 		}
-		return fin.Root, nil
+		return fin.Run()
 	}), nil
 }
 
@@ -744,7 +693,7 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
-	return dx.root(p, itemSchema, func(st *distStream) (relational.Op, error) {
+	return dx.root(p, itemSchema, func(st *distStream) (*relational.Relation, error) {
 		st.project(wideSchema, wideExprs)
 		if stmt.Limit >= 0 && len(keyCols) == 0 {
 			// Correct below a gather: the merged global prefix of length n
@@ -803,6 +752,6 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 		} else if stmt.Limit >= 0 {
 			cur = lw.limit(cur, stmt.Limit)
 		}
-		return lw.finish(cur), nil
+		return lw.drain(cur)
 	}), nil
 }

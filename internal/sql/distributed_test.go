@@ -191,7 +191,7 @@ func TestDistributedTopologies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "result"); err != nil {
+		if _, err := plan.Run(); err != nil {
 			t.Fatal(err)
 		}
 		stats := plan.NetStats()
@@ -217,7 +217,7 @@ func TestDistributedNetStats(t *testing.T) {
 	if plan.NetStats() != nil {
 		t.Fatal("net stats must be nil before execution")
 	}
-	if _, err := relational.Collect(plan.Root, "result"); err != nil {
+	if _, err := plan.Run(); err != nil {
 		t.Fatal(err)
 	}
 	stats := plan.NetStats()
@@ -260,7 +260,7 @@ func TestDistributedNetStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relational.Collect(plan2.Root, "result"); err != nil {
+	if _, err := plan2.Run(); err != nil {
 		t.Fatal(err)
 	}
 	var sawBroadcast bool
@@ -306,7 +306,7 @@ func TestDistributedRepeatable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := relational.Collect(plan.Root, "result"); err != nil {
+		if _, err := plan.Run(); err != nil {
 			t.Fatal(err)
 		}
 		s := plan.NetStats()

@@ -538,18 +538,3 @@ func (pl *planner) spillBudget() (*relational.MemoryBudget, error) {
 	}
 	return relational.NewMemoryBudget(pl.cfg.MemoryBudget, dev), nil
 }
-
-// planParsed plans a parsed statement (prepared statements re-plan their
-// AST per execution) and wraps the root so a spent plan re-executes as an
-// explicit error instead of silently re-draining exhausted operators.
-func (pl *planner) planParsed(stmt *SelectStmt) (*Planned, error) {
-	p, err := pl.planStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	p.Root = &spentOp{child: p.Root}
-	if pl.cancel != nil {
-		p.Root = relational.Guard(p.Root, pl.cancel)
-	}
-	return p, nil
-}

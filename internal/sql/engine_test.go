@@ -3,10 +3,9 @@ package sql
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/relational"
 )
 
 func demoEngine(t *testing.T, cfg Config) *Engine {
@@ -126,9 +125,9 @@ func TestPrepareValidatesEagerly(t *testing.T) {
 	}
 }
 
-// TestPlannedSpent: the satellite fix — pulling a Planned root after it
-// ended must report ErrPlanSpent instead of silently re-draining spent
-// operators (and, distributed, keeping stale NetStats).
+// TestPlannedSpent: running a Planned a second time must report
+// ErrPlanSpent instead of silently re-draining spent operators (and,
+// distributed, keeping stale NetStats).
 func TestPlannedSpent(t *testing.T) {
 	for _, distributed := range []bool{false, true} {
 		db := demoDB(11, 1000, 40)
@@ -137,33 +136,45 @@ func TestPlannedSpent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := relational.Collect(plan.Root, "first")
+		first, err := plan.Run()
 		if err != nil || first.Len() == 0 {
 			t.Fatalf("dist=%v: first execution failed: %v", distributed, err)
 		}
-		if _, err := relational.Collect(plan.Root, "second"); !errors.Is(err, ErrPlanSpent) {
-			t.Fatalf("dist=%v: expected ErrPlanSpent on re-execution, got %v", distributed, err)
+		if !reflect.DeepEqual(first.Schema, plan.Schema) {
+			t.Fatalf("dist=%v: plan schema %v, result schema %v", distributed, plan.Schema, first.Schema)
+		}
+		if rel, err := plan.Run(); rel != nil || !errors.Is(err, ErrPlanSpent) {
+			t.Fatalf("dist=%v: expected ErrPlanSpent on re-execution, got rows=%v err=%v", distributed, rel, err)
 		}
 	}
 }
 
 // TestPlannedSpentAfterError: a plan whose execution failed mid-stream
-// must stay failed — re-pulling it reports the original error instead of
-// silently resuming the half-drained tree.
+// must stay failed — running it again reports the original error instead
+// of silently resuming the half-drained tree — on the row engine, the
+// batch engine and a distributed run.
 func TestPlannedSpentAfterError(t *testing.T) {
-	db := demoDB(11, 1000, 40)
-	db.Opt.Parallel = false
-	plan, err := db.Plan("SELECT price / (quantity - quantity) FROM sales")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := relational.Collect(plan.Root, "first"); err == nil ||
-		!strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("expected division by zero, got %v", err)
-	}
-	rel, err := relational.Collect(plan.Root, "second")
-	if err == nil || !strings.Contains(err.Error(), "division by zero") {
-		t.Fatalf("retry must report the original failure, got rows=%v err=%v", rel, err)
+	for name, set := range map[string]func(*Config){
+		"serial":      func(c *Config) { c.Parallel = false },
+		"batch":       func(*Config) {},
+		"distributed": func(c *Config) { c.Distributed = true },
+	} {
+		db := demoDB(11, 1000, 40)
+		set(&db.Opt)
+		plan, err := db.Plan("SELECT price / (quantity - quantity) FROM sales")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, first := plan.Run()
+		if first == nil || !strings.Contains(first.Error(), "division by zero") {
+			t.Fatalf("%s: expected division by zero, got %v", name, first)
+		}
+		if rel, err := plan.Run(); rel != nil || err != first {
+			t.Fatalf("%s: retry must report the original failure, got rows=%v err=%v", name, rel, err)
+		}
+		if plan.NetStats() != nil {
+			t.Fatalf("%s: failed run reported network stats", name)
+		}
 	}
 }
 

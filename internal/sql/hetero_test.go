@@ -382,7 +382,7 @@ func TestDistributedPostJoinPlacementHint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(placed.Rows.Rows, cpuOnly.Rows.Rows) {
+	if !reflect.DeepEqual(placed.Rows.RowView(), cpuOnly.Rows.RowView()) {
 		t.Fatalf("rows differ between auto placement and the CPU-only run")
 	}
 }

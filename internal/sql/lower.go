@@ -1,19 +1,25 @@
 package sql
 
-// One logical plan, one lowerer, two executions. The planner decides a
-// statement once (plan.go: legs, pruning, pushdown, join order and build
-// side, size estimates) and this file is the only place that turns those
-// decisions into relational operators and wires them to a device placer
-// and a memory budget. The single-node execution lowers the plan with
-// one lowerer into one tree; the distributed execution (distributed.go)
-// holds one lowerer per shard — that shard's placer fork, budget fork and
-// the query's cancel token — builds every shard fragment with it,
-// inserts the data movements between fragments, and lowers the
-// coordinator's post-gather plan with one more batch lowerer carrying the
-// query budget. The row engine is the same lowerer with the batch side
-// switched off, reachable from exactly one place — planLocal under
-// Parallel=false — and kept as the oracle the batch and distributed
-// executions are checked against.
+// One logical plan, one lowerer, two executions, one way to run a tree.
+// The planner decides a statement once (plan.go: legs, pruning, pushdown,
+// join order and build side, size estimates) and this file is the only
+// place that turns those decisions into relational operators and wires
+// them to a device placer and a memory budget. The single-node execution
+// lowers the plan with one lowerer into one tree; the distributed
+// execution (distributed.go) holds one lowerer per shard — that shard's
+// placer fork, budget fork and the query's cancel token — builds every
+// shard fragment with it, inserts the data movements between fragments,
+// and lowers the coordinator's post-gather plan with one more batch
+// lowerer carrying the query budget. Every batch tree — a shard fragment,
+// the coordinator's plan, a single-node plan — runs the same way: drained
+// through the morsel dispatcher into a column-built relation
+// (relational.Drain; lowerer.drain for the tree that yields the result).
+// Cancellation rides on the leaves: every scan is guarded by the query's
+// token, so no root-level check is needed. The row engine is the same
+// lowerer with the batch side switched off, reachable from exactly one
+// place — planLocal under Parallel=false — where drain collects rows
+// instead; it is kept as the oracle the batch and distributed executions
+// are checked against.
 
 import (
 	"math"
@@ -53,6 +59,14 @@ type lowerer struct {
 type execNode struct {
 	row relational.Op
 	bat relational.BatchOp
+}
+
+// op is the node's operator, for stats tagging.
+func (n execNode) op() OpStatser {
+	if n.bat != nil {
+		return n.bat
+	}
+	return n.row
 }
 
 // dispatch is the placement request for one kernel of the operator being
@@ -259,21 +273,15 @@ func (lw *lowerer) limit(n execNode, k int) execNode {
 	return execNode{row: relational.NewLimit(n.row, k)}
 }
 
-// op exposes a node as a row Op for stats tagging without consuming it.
-func (lw *lowerer) op(n execNode) relational.Op {
+// drain runs a lowered tree to its end and returns the result. A batch
+// tree fans out through the morsel dispatcher into a column-built relation
+// (relational.Drain, as every fragment does); the row engine — the oracle
+// — collects rows.
+func (lw *lowerer) drain(n execNode) (*relational.Relation, error) {
 	if n.bat != nil {
-		return relational.RowsOf(n.bat)
+		return relational.Drain(n.bat, lw.workers, "result")
 	}
-	return n.row
-}
-
-// finish produces the plan root, fanning a partitionable batch tree out
-// through the morsel dispatcher.
-func (lw *lowerer) finish(n execNode) relational.Op {
-	if n.bat != nil {
-		return relational.RowsOf(relational.NewExchange(n.bat, lw.workers))
-	}
-	return n.row
+	return relational.Collect(n.row, "result")
 }
 
 // rangeFromConjunct recognizes <Int column> <cmp> <int literal> (either

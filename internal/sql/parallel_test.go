@@ -45,9 +45,10 @@ func sameRelation(t *testing.T, q string, want, got *relational.Relation) {
 	if len(want.Schema) != len(got.Schema) {
 		t.Fatalf("%s\nschema widths differ: %d vs %d", q, len(want.Schema), len(got.Schema))
 	}
-	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			w, g := want.Rows[i][j], got.Rows[i][j]
+	wantRows, gotRows := want.RowView(), got.RowView()
+	for i := range wantRows {
+		for j := range wantRows[i] {
+			w, g := wantRows[i][j], gotRows[i][j]
 			if w.T != g.T {
 				t.Fatalf("%s\nrow %d col %d type differs: %v vs %v", q, i, j, w.T, g.T)
 			}

@@ -115,7 +115,7 @@ func TestPipelineSingleChunkBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(resBulk.Rows.Rows, resOne.Rows.Rows) {
+		if !reflect.DeepEqual(resBulk.Rows.RowView(), resOne.Rows.RowView()) {
 			t.Fatalf("%s: single-chunk rows diverged from bulk", distJoin)
 		}
 		nb, no := resBulk.Net, resOne.Net

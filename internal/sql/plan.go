@@ -9,18 +9,25 @@ import (
 	"repro/internal/relational"
 )
 
-// Planned is an executable query plan. Its operator tree is single-use:
-// pulling the root after it has ended reports ErrPlanSpent (prepared
-// statements re-plan per execution instead).
+// Planned is an executable query plan: the output schema, the plan text,
+// and one single-use Run that drains the lowered operator tree into a
+// relation.
 type Planned struct {
-	Root relational.Op
+	// Schema is the output schema.
+	Schema relational.Schema
 	// Steps is the human-readable plan, one line per operator bottom-up.
 	Steps []string
 	// TaggedOps exposes operators by tag for stats inspection
 	// ("scan:<alias>", "join:<n>", "where", "agg", "sort", "limit").
-	TaggedOps map[string]relational.Op
+	TaggedOps map[string]OpStatser
 
-	dist *distRoot
+	// run executes the plan; the lowering installs it (see runAs).
+	run   func() (*relational.Relation, error)
+	spent bool
+	err   error
+	// net is the network-side report of a distributed run, set when it
+	// finishes.
+	net *dist.QueryStats
 	// placer is the execution's heterogeneous device placer (nil on the
 	// homogeneous engine); its aggregate becomes Result.Devices.
 	placer *exec.Placer
@@ -29,18 +36,42 @@ type Planned struct {
 	budget *relational.MemoryBudget
 }
 
+// OpStatser is a lowered operator as TaggedOps holds it: row and batch
+// operators both report their stats this way.
+type OpStatser interface{ Stats() relational.OpStats }
+
+// Run executes the plan and returns its output relation. Operator trees
+// are single-use, so a plan runs once: a second Run reports ErrPlanSpent,
+// and a failed run stays failed — every later Run reports the original
+// error instead of resuming the half-drained tree. Prepared statements
+// re-plan per execution instead.
+func (p *Planned) Run() (*relational.Relation, error) {
+	if p.spent {
+		if p.err != nil {
+			return nil, p.err
+		}
+		return nil, ErrPlanSpent
+	}
+	p.spent = true
+	rel, err := p.run()
+	p.err = err
+	return rel, err
+}
+
+// runAs finishes a lowering: the plan's output is n, which lw drains.
+func (p *Planned) runAs(lw *lowerer, n execNode) *Planned {
+	p.Schema = schemaOf(n)
+	p.run = func() (*relational.Relation, error) { return lw.drain(n) }
+	return p
+}
+
 // Explain renders the plan.
 func (p *Planned) Explain() string { return strings.Join(p.Steps, "\n") }
 
 // NetStats reports the simulated-network execution stats of a
 // distributed plan: nil for single-node plans, and nil until the plan has
 // executed (stats are sourced from the flows the execution charges).
-func (p *Planned) NetStats() *dist.QueryStats {
-	if p.dist == nil {
-		return nil
-	}
-	return p.dist.stats
-}
+func (p *Planned) NetStats() *dist.QueryStats { return p.net }
 
 // tableLeg is one FROM/JOIN input during planning.
 type tableLeg struct {
@@ -353,7 +384,7 @@ func (pl *planner) planStmt(stmt *SelectStmt) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Planned{TaggedOps: map[string]relational.Op{}}
+	p := &Planned{TaggedOps: map[string]OpStatser{}}
 	if pl.cfg.Distributed {
 		return pl.planDist(stmt, lp, p)
 	}
@@ -381,7 +412,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 	for i, leg := range lp.legs {
 		lw.hintRows = leg.rel.Len()
 		n := lw.scan(leg.rel)
-		p.TaggedOps["scan:"+leg.alias] = lw.op(n)
+		p.TaggedOps["scan:"+leg.alias] = n.op()
 		if leg.prune != nil {
 			var err error
 			if n, err = lw.project(n, leg.schema, pickExprs(leg.prune)); err != nil {
@@ -390,7 +421,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 		}
 		if leg.pushed != nil {
 			n = lw.filter(n, leg.pushed)
-			p.TaggedOps["pushdown:"+leg.alias] = lw.op(n)
+			p.TaggedOps["pushdown:"+leg.alias] = n.op()
 		}
 		legOps[i] = n
 	}
@@ -413,14 +444,14 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 				return nil, err
 			}
 		}
-		p.TaggedOps[fmt.Sprintf("join:%d", ji)] = lw.op(joined)
+		p.TaggedOps[fmt.Sprintf("join:%d", ji)] = joined.op()
 		width += len(j.leg.schema)
 		lw.hintRows = j.size
 		cur = lw.filter(joined, j.rest)
 	}
 	if lp.residual != nil {
 		cur = lw.filter(cur, lp.residual)
-		p.TaggedOps["where"] = lw.op(cur)
+		p.TaggedOps["where"] = cur.op()
 	}
 
 	if stmt.HasAggregates() {
@@ -430,8 +461,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 	if err != nil {
 		return nil, err
 	}
-	p.Root = lw.finish(cur)
-	return p, nil
+	return p.runAs(lw, cur), nil
 }
 
 // selectItems is the statement's select list, with SELECT * expanded into
@@ -465,7 +495,7 @@ func (pl *planner) orderProjectLimit(stmt *SelectStmt, p *Planned, lw *lowerer, 
 		if cur, err = pl.sortOver(lw, stmt.OrderBy, items, cur, sc, topK); err != nil {
 			return execNode{}, err
 		}
-		p.TaggedOps["sort"] = lw.op(cur)
+		p.TaggedOps["sort"] = cur.op()
 		if topK >= 0 {
 			p.Steps = append(p.Steps, fmt.Sprintf("top-k %d", topK))
 		} else {
@@ -478,7 +508,7 @@ func (pl *planner) orderProjectLimit(stmt *SelectStmt, p *Planned, lw *lowerer, 
 	p.Steps = append(p.Steps, "project "+itemNames(items))
 	if limit >= 0 {
 		cur = lw.limit(cur, limit)
-		p.TaggedOps["limit"] = lw.op(cur)
+		p.TaggedOps["limit"] = cur.op()
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", limit))
 	}
 	return cur, nil
@@ -609,7 +639,7 @@ func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur 
 	if err != nil {
 		return nil, err
 	}
-	p.TaggedOps["agg"] = lw.op(agg)
+	p.TaggedOps["agg"] = agg.op()
 	p.Steps = append(p.Steps, fmt.Sprintf("aggregate (%d group cols, %d aggregates)", len(ap.groupCols), len(ap.aggSpecs)))
 	return pl.finishAggregate(stmt, p, lw, agg, ap)
 }
@@ -627,14 +657,13 @@ func (pl *planner) finishAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cu
 			return nil, err
 		}
 		cur2 = lw.filter(cur2, having)
-		p.TaggedOps["having"] = lw.op(cur2)
+		p.TaggedOps["having"] = cur2.op()
 		p.Steps = append(p.Steps, "having: "+stmt.Having.Render())
 	}
 	if cur2, err = pl.orderProjectLimit(stmt, p, lw, stmt.Items, cur2, post); err != nil {
 		return nil, err
 	}
-	p.Root = lw.finish(cur2)
-	return p, nil
+	return p.runAs(lw, cur2), nil
 }
 
 // schemaOf reads a node's schema without consuming it.

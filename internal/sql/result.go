@@ -10,12 +10,17 @@ import (
 	"repro/internal/stream"
 )
 
-// Result is one executed query: the materialized rows plus everything a
-// caller needs to understand how they were produced — the plan text, the
+// Result is one executed query: the output relation plus everything a
+// caller needs to understand how it was produced — the plan text, the
 // per-operator row counts, and (for distributed runs) the simulated
 // network cost of the query's data movements on the shared fabric.
 type Result struct {
-	// Rows is the materialized output relation.
+	// Rows is the output relation. Batch and distributed runs hand it
+	// over column-built, as the engine drained it: read Len, Schema and
+	// Columnar() (what the wire encoder does), or ask RowView() for rows —
+	// the Rows field of a column-built relation is nil until then. Only
+	// the row engine (Config.Parallel=false, the oracle) returns it
+	// row-built.
 	Rows *relational.Relation
 	// Steps is the executed plan, one line per operator bottom-up.
 	Steps []string
@@ -54,44 +59,10 @@ type Result struct {
 	Stream *stream.Stats
 }
 
-// ErrPlanSpent reports an attempt to pull a Planned root a second time.
+// ErrPlanSpent reports an attempt to Run a Planned a second time.
 // Operator trees are single-use: re-running one would silently re-drain
 // exhausted operators (yielding an empty "result") while NetStats kept
-// the previous run's flows. The spent guard turns that silent corruption
-// into this explicit error; use Session.Prepare / Stmt.Exec for repeated
+// the previous run's flows. Planned.Run turns that silent corruption into
+// this explicit error; use Session.Prepare / Stmt.Exec for repeated
 // execution — each Exec lowers a fresh tree.
 var ErrPlanSpent = errors.New("sql: plan already executed (operator trees are single-use; Prepare a statement to re-execute)")
-
-// spentOp guards a plan root against re-execution: after the stream
-// terminates once — clean end OR error — every further pull reports the
-// terminal outcome instead of resuming the partially drained tree. A
-// failed execution stays failed (the original error is sticky); a
-// completed one reports ErrPlanSpent.
-type spentOp struct {
-	child relational.Op
-	spent bool
-	err   error
-}
-
-// Schema implements relational.Op.
-func (s *spentOp) Schema() relational.Schema { return s.child.Schema() }
-
-// Next implements relational.Op.
-func (s *spentOp) Next() (relational.Row, bool, error) {
-	if s.spent {
-		if s.err != nil {
-			return nil, false, s.err
-		}
-		return nil, false, ErrPlanSpent
-	}
-	row, ok, err := s.child.Next()
-	if err != nil {
-		s.spent, s.err = true, err
-	} else if !ok {
-		s.spent = true
-	}
-	return row, ok, err
-}
-
-// Stats implements relational.Op.
-func (s *spentOp) Stats() relational.OpStats { return s.child.Stats() }

@@ -157,7 +157,7 @@ func (st *Stmt) Exec(ctx context.Context) (*Result, error) {
 // and returns the plan text.
 func (st *Stmt) Explain() (string, error) {
 	pl := &planner{eng: st.sess.eng, cfg: st.sess.cfg()}
-	p, err := pl.planParsed(st.ast)
+	p, err := pl.planStmt(st.ast)
 	if err != nil {
 		return "", err
 	}
@@ -169,7 +169,7 @@ func (st *Stmt) Explain() (string, error) {
 func (s *Session) execStmt(ctx context.Context, stmt *SelectStmt) (*Result, error) {
 	token := relational.NewCancelToken()
 	pl := &planner{eng: s.eng, cfg: s.cfg(), cancel: token, class: s.Priority, weight: s.Weight}
-	p, err := pl.planParsed(stmt)
+	p, err := pl.planStmt(stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +178,7 @@ func (s *Session) execStmt(ctx context.Context, stmt *SelectStmt) (*Result, erro
 	}
 	stop := context.AfterFunc(ctx, func() { token.Cancel(ctx.Err()) })
 	defer stop()
-	rel, err := relational.Collect(p.Root, "result")
+	rel, err := p.Run()
 	if err != nil {
 		// The token's cause (the context error) may come back wrapped by
 		// operator layers; report the context's own error for errors.Is.

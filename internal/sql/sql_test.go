@@ -392,7 +392,7 @@ func TestPushdownReducesJoinInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relational.Collect(plan.Root, "x"); err != nil {
+	if _, err := plan.Run(); err != nil {
 		t.Fatal(err)
 	}
 	scan, pushed := plan.TaggedOps["scan:s"], plan.TaggedOps["pushdown:s"]

@@ -148,9 +148,9 @@ func TestStreamBatchParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(w.Rows.Rows, res.Rows.Rows) {
+					if !reflect.DeepEqual(w.Rows.Rows, res.Rows.RowView()) {
 						t.Fatalf("window [%d,%d) diverges from batch rerun:\n stream %v\n batch  %v",
-							w.Start, w.End, w.Rows.Rows, res.Rows.Rows)
+							w.Start, w.End, w.Rows.Rows, res.Rows.RowView())
 					}
 				}
 			})
@@ -191,8 +191,8 @@ func TestPlanCacheSurvivesAppends(t *testing.T) {
 		{relational.StringV("a"), relational.IntV(15)},
 		{relational.StringV("b"), relational.IntV(7)},
 	}
-	if !reflect.DeepEqual(res.Rows.Rows, want) {
-		t.Fatalf("prepared statement missed appended rows: %v", res.Rows.Rows)
+	if !reflect.DeepEqual(res.Rows.RowView(), want) {
+		t.Fatalf("prepared statement missed appended rows: %v", res.Rows.RowView())
 	}
 	eng.Register(relational.NewRelation("events", streamSchema))
 	if got := eng.CatalogEpoch(); got != cat+1 {
@@ -218,7 +218,7 @@ func TestAppendVisibleToDistributedQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Rows.Rows[0][0].I
+		return res.Rows.RowView()[0][0].I
 	}
 	for _, b := range streamBatches(600, 200) {
 		if _, err := eng.AppendRows("events", b); err != nil {
@@ -306,7 +306,7 @@ func TestChaosKillMidIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Rows.Rows[0][0].I; n != 1000 {
+	if n := res.Rows.RowView()[0][0].I; n != 1000 {
 		t.Fatalf("acknowledged events lost: count %d of 1000", n)
 	}
 	for _, w := range wins {
@@ -315,7 +315,7 @@ func TestChaosKillMidIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(w.Rows.Rows, res.Rows.Rows) {
+		if !reflect.DeepEqual(w.Rows.Rows, res.Rows.RowView()) {
 			t.Fatalf("window [%d,%d) diverges under chaos", w.Start, w.End)
 		}
 	}
@@ -509,7 +509,7 @@ func TestStreamSnapshotIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := res.Rows.Rows[0][0].I; n%3 != 0 {
+		if n := res.Rows.RowView()[0][0].I; n%3 != 0 {
 			t.Fatalf("torn read: count %d is not a batch boundary", n)
 		}
 	}

@@ -56,14 +56,21 @@ func (db *testDB) Plan(q string) (*Planned, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&planner{eng: eng, cfg: db.Opt}).planParsed(stmt)
+	return (&planner{eng: eng, cfg: db.Opt}).planStmt(stmt)
 }
 
-// Query plans and executes, returning the materialized rows.
+// Query plans and executes, returning the result with its row view taken
+// (batch and distributed results arrive column-built, Rows nil), so tests
+// may index rel.Rows on every engine.
 func (db *testDB) Query(q string) (*relational.Relation, error) {
 	plan, err := db.Plan(q)
 	if err != nil {
 		return nil, err
 	}
-	return relational.Collect(plan.Root, "result")
+	rel, err := plan.Run()
+	if err != nil {
+		return nil, err
+	}
+	rel.RowView()
+	return rel, nil
 }
