@@ -51,18 +51,20 @@
 // per-operator OpStats.Spill, the query's Result.Spill, and — in
 // distributed mode, where each worker host forks its own budget —
 // QueryStats.SpillSeconds beside the fabric time; rows stay identical
-// to the unbudgeted engine at every budget on every path. Movement is
-// pipelined the same way memory is budgeted: sql.Config.PipelineChunkRows
-// (and its Session override) splits every distributed movement phase —
-// broadcast, repartition shuffle, final gather — into deterministic
-// per-source chunks whose fabric flows are admitted as eager netsim
-// sub-rounds while consumers digest the previous chunk (hash builds
-// fill, partial aggregates fold, the coordinator's sequence merger
-// advances), the final gather competing at a boosted QoS weight; the
-// overlap is measured, not assumed (QueryStats.ComputeSeconds /
-// OverlapSeconds / WallSeconds beside NetSeconds), rows stay identical
-// to the bulk engine at every chunk size, and a chunk covering the
-// whole payload replays bulk bit-identically. The whole engine is
+// to the unbudgeted engine at every budget on every path. Movement has
+// one path: every distributed movement phase — broadcast, repartition
+// shuffle, final gather — is the deterministic per-source chunks its
+// chunker cut plus a consumer that lands each one (hash builds fill,
+// partial aggregates fold, the coordinator's sequence merger advances),
+// and sql.Config.PipelineChunkRows (and its Session override) picks how
+// it is charged: positive, the chunks' fabric flows are admitted as eager
+// netsim sub-rounds while consumers digest the previous chunk, the final
+// gather competing at a boosted QoS weight, and the overlap is measured,
+// not assumed (QueryStats.ComputeSeconds / OverlapSeconds / WallSeconds
+// beside NetSeconds); zero, the bulk engine, the one chunk covering the
+// payload is one barrier round. Rows stay identical at every chunk size,
+// and a chunk covering the whole payload charges bulk's flows
+// bit-identically. The whole engine is
 // servable the same way it is embeddable: internal/serve fronts one
 // shared Engine as the multi-tenant rethinkd daemon (cmd/rethinkd) —
 // API-key tenants whose configured QoS class, fabric weight, worker and

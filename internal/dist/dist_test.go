@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/relational"
@@ -160,7 +162,11 @@ func TestClusterPhases(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if err := qr.RunPhase("gather", GatherTransfers([]float64{1e5, 0, 1e5, 1e5})); err != nil {
+		if err := qr.RunPhase("gather", []Transfer{
+			{Src: 0, Dst: Coordinator, Bytes: 1e5},
+			{Src: 2, Dst: Coordinator, Bytes: 1e5},
+			{Src: 3, Dst: Coordinator, Bytes: 1e5},
+		}); err != nil {
 			t.Fatal(err)
 		}
 		s := qr.Finish()
@@ -209,5 +215,64 @@ func TestRunPartialAggs(t *testing.T) {
 		if row[0].I != int64(i) || row[1].I != 9 {
 			t.Fatalf("group %d: got key %d count %d", i, row[0].I, row[1].I)
 		}
+	}
+}
+
+// endlessOp yields the same one-row batch forever; it ends only when
+// something upstream of it — the round's cancel guard — ends the stream.
+// The first batch it hands out is announced on started.
+type endlessOp struct {
+	schema  relational.Schema
+	started chan<- struct{}
+	once    sync.Once
+}
+
+func (o *endlessOp) Schema() relational.Schema { return o.schema }
+func (o *endlessOp) Stats() relational.OpStats { return relational.OpStats{} }
+func (o *endlessOp) NextBatch() (*relational.Batch, error) {
+	o.once.Do(func() { o.started <- struct{}{} })
+	b := relational.NewBatch(o.schema, 1)
+	b.AppendRow(relational.Row{relational.IntV(1), relational.IntV(1)})
+	return b, nil
+}
+
+// failingOp fails its first pull, once every sibling is streaming.
+type failingOp struct {
+	endlessOp
+	siblings <-chan struct{}
+	n        int
+	err      error
+}
+
+func (o *failingOp) NextBatch() (*relational.Batch, error) {
+	for i := 0; i < o.n; i++ {
+		<-o.siblings
+	}
+	return nil, o.err
+}
+
+// TestRunShardsFirstErrorStopsSiblings: one shard failing fails the round
+// with that shard's error, and its siblings — endless streams that only
+// the round's cancel guard can end — stop at their next batch boundary
+// instead of draining their input, through both sinks (the partial-
+// aggregate one reads through an Exchange of its own).
+func TestRunShardsFirstErrorStopsSiblings(t *testing.T) {
+	schema := relational.Schema{{Name: "k", Type: relational.Int}, {Name: SeqColName, Type: relational.Int}}
+	boom := errors.New("shard 2 failed")
+	frags := func() []relational.BatchOp {
+		started := make(chan struct{}, 3)
+		out := make([]relational.BatchOp, 4)
+		for s := range out {
+			out[s] = &endlessOp{schema: schema, started: started}
+		}
+		out[2] = &failingOp{endlessOp: endlessOp{schema: schema}, siblings: started, n: 3, err: boom}
+		return out
+	}
+	if _, err := RunFragments("frag", frags(), 1); !errors.Is(err, boom) {
+		t.Fatalf("drain round: %v, want the failing shard's error", err)
+	}
+	aggs := []relational.AggSpec{{Fn: relational.CountAgg, Col: 0}}
+	if _, err := RunPartialAggs(frags(), []int{0}, aggs, 1, 2, nil, nil); !errors.Is(err, boom) {
+		t.Fatalf("partial-aggregate round: %v, want the failing shard's error", err)
 	}
 }

@@ -3,76 +3,10 @@ package dist
 import (
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/exec"
 	"repro/internal/relational"
 )
-
-// fragAbort is the cross-shard abort flag of one fragment run: the first
-// failing shard records its error, and every other shard observes the
-// flag at its next batch boundary through the abortable wrapper instead
-// of draining its full input.
-type fragAbort struct {
-	tripped atomic.Bool
-	mu      sync.Mutex
-	err     error
-}
-
-func (a *fragAbort) abort(err error) {
-	if err == nil {
-		return
-	}
-	a.mu.Lock()
-	if a.err == nil {
-		a.err = err
-	}
-	a.mu.Unlock()
-	a.tripped.Store(true)
-}
-
-// Err returns the first recorded error.
-func (a *fragAbort) Err() error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.err
-}
-
-// abortable surfaces a sibling shard's failure into this shard's stream
-// at the next batch boundary. It partitions like its child, so the
-// check also reaches every intra-shard Exchange worker.
-type abortable struct {
-	child relational.BatchOp
-	flag  *fragAbort
-}
-
-// Schema implements relational.BatchOp.
-func (a *abortable) Schema() relational.Schema { return a.child.Schema() }
-
-// NextBatch implements relational.BatchOp.
-func (a *abortable) NextBatch() (*relational.Batch, error) {
-	if a.flag.tripped.Load() {
-		return nil, a.flag.Err()
-	}
-	return a.child.NextBatch()
-}
-
-// Stats implements relational.BatchOp.
-func (a *abortable) Stats() relational.OpStats { return a.child.Stats() }
-
-// Partition implements relational.Partitioner.
-func (a *abortable) Partition(n int, static bool) []relational.BatchOp {
-	p, ok := a.child.(relational.Partitioner)
-	if !ok {
-		return nil
-	}
-	parts := p.Partition(n, static)
-	out := make([]relational.BatchOp, len(parts))
-	for i, cp := range parts {
-		out[i] = &abortable{child: cp, flag: a.flag}
-	}
-	return out
-}
 
 // Output is what a shard hands the next stage. Its encoded size is what
 // the shard's fragment would ship, and what a speculative duplicate of
@@ -115,8 +49,8 @@ func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers 
 			bg = budgets[s]
 		}
 		sa := relational.NewSpillableAgg(groupCols, aggs, bg, nil)
-		stop := &fragAbort{}
-		ex := relational.NewExchange(&abortable{child: op, flag: stop}, workers)
+		stop := relational.NewCancelToken()
+		ex := relational.NewExchange(relational.GuardBatch(op, stop), workers)
 		for {
 			b, err := ex.NextBatch()
 			if err == nil && b != nil {
@@ -126,7 +60,7 @@ func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers 
 					// an observation error, or its workers stay blocked on their
 					// bounded channels; stop ends the stream at the next batch
 					// boundary.
-					stop.abort(err)
+					stop.Cancel(err)
 					for b != nil {
 						b, _ = ex.NextBatch()
 					}
@@ -147,14 +81,16 @@ func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers 
 // RunShards is the one shard fan-out every fragment round goes through.
 // Each shard is its own simulated host: each(s, run) executes on shard
 // s's goroutine, and run(op) feeds op to the sink under the round's
-// shared abort flag — the first failing shard records its error and every
-// sibling's stream ends at its next batch boundary instead of draining its
-// full input. each decides what a shard attempts: the unguarded entry
-// points below run the shard's one fragment, lifecycle.Guard builds the
-// fragment on the spot and races two attempts on a straggler.
+// cancel token (relational.GuardBatch, which partitions through to every
+// Exchange worker) — the first failing shard cancels it with its error and
+// every sibling's stream ends at its next batch boundary instead of
+// draining its full input. each decides what a shard attempts: the
+// unguarded entry points below run the shard's one fragment,
+// lifecycle.Guard builds the fragment on the spot and races two attempts on
+// a straggler.
 func RunShards[T Output](n int, sink Sink[T], each func(s int, run func(relational.BatchOp) (T, error)) (T, error)) ([]T, error) {
 	outs := make([]T, n)
-	flag := &fragAbort{}
+	stop := relational.NewCancelToken()
 	var wg sync.WaitGroup
 	for s := range outs {
 		wg.Add(1)
@@ -162,13 +98,15 @@ func RunShards[T Output](n int, sink Sink[T], each func(s int, run func(relation
 			defer wg.Done()
 			var err error
 			outs[s], err = each(s, func(op relational.BatchOp) (T, error) {
-				return sink(s, &abortable{child: op, flag: flag})
+				return sink(s, relational.GuardBatch(op, stop))
 			})
-			flag.abort(err)
+			if err != nil {
+				stop.Cancel(err)
+			}
 		}(s)
 	}
 	wg.Wait()
-	if err := flag.Err(); err != nil {
+	if err := stop.Err(); err != nil {
 		return nil, err
 	}
 	return outs, nil
@@ -183,16 +121,12 @@ func runUnguarded[T Output](frags []relational.BatchOp, sink Sink[T]) ([]T, erro
 	})
 }
 
-// RunFragmentsCols executes one shard-local operator tree per worker
-// concurrently and drains each into a column-built relation (DrainSink).
-func RunFragmentsCols(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
-	return runUnguarded(frags, DrainSink(name, workers))
-}
-
-// RunFragments is RunFragmentsCols with every output's Rows filled
-// (RowView), for callers that index the fragment outputs as rows.
+// RunFragments executes one shard-local operator tree per worker
+// concurrently, drains each into a column-built relation (DrainSink) and
+// fills every output's Rows (RowView), for callers that index the fragment
+// outputs as rows.
 func RunFragments(name string, frags []relational.BatchOp, workers int) ([]*relational.Relation, error) {
-	outs, err := RunFragmentsCols(name, frags, workers)
+	outs, err := runUnguarded(frags, DrainSink(name, workers))
 	for _, rel := range outs {
 		rel.RowView()
 	}
@@ -400,16 +334,4 @@ func Broadcast(shards []*relational.Relation, seqCol int, strip bool) (*relation
 		}
 	}
 	return merged, transfers
-}
-
-// GatherTransfers returns the flows shipping each shard's bytes to the
-// coordinator.
-func GatherTransfers(bytes []float64) []Transfer {
-	var out []Transfer
-	for i, b := range bytes {
-		if b > 0 {
-			out = append(out, Transfer{Src: i, Dst: Coordinator, Bytes: b})
-		}
-	}
-	return out
 }

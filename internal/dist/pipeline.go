@@ -129,9 +129,16 @@ func (q *QueryRun) RunPipelined(name string, chunks []Chunk, class string, weigh
 	return nil
 }
 
-// chunkCount returns how many chunkRows-sized chunks cover total rows.
-func chunkCount(total, chunkRows int) int {
-	return (total + chunkRows - 1) / chunkRows
+// chunking sizes the chunks of a payload of rows > 0 rows: a chunk size of
+// 0 or less (the bulk engine's setting), or at or above the payload, is one
+// chunk covering it; anything else is n chunks of chunkRows rows, the last one
+// short. Every chunker clamps through here before any other arithmetic, so
+// a size near math.MaxInt cannot overflow a chunk count or a window bound.
+func chunking(rows, chunkRows int) (size, n int) {
+	if chunkRows <= 0 || chunkRows >= rows {
+		return rows, 1
+	}
+	return chunkRows, (rows + chunkRows - 1) / chunkRows
 }
 
 // chunkWindow clips source-local chunk g's row window [g·chunkRows,
@@ -197,7 +204,7 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 	if maxRows == 0 {
 		return dests, nil, nil
 	}
-	n := chunkCount(maxRows, chunkRows)
+	chunkRows, n := chunking(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
 	sizers := rowSizers(shards)
 	for g := 0; g < n; g++ {
@@ -262,7 +269,7 @@ func BroadcastChunksCols(shards []*relational.Relation, seqCol int, strip bool, 
 		return merged, nil, nil
 	}
 	seqs, maxRows := seqVectors(shards, seqCol)
-	n := chunkCount(maxRows, chunkRows)
+	chunkRows, n := chunking(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
 	pos := make([]int, len(shards))
@@ -320,7 +327,7 @@ func GatherChunks(shards []*relational.Relation, seqCol, chunkRows int) (chunks 
 	if total == 0 {
 		return nil, nil
 	}
-	n := chunkCount(total, chunkRows)
+	chunkRows, n := chunking(total, chunkRows)
 	sizers := rowSizers(shards)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)

@@ -133,6 +133,10 @@ func refBroadcast(shards []*relational.Relation, seqCol int, strip bool) (*relat
 	return merged, transfers
 }
 
+// refChunkCount is the oracle's chunk count, for the positive chunk sizes
+// the differential tests draw (the clamping rule is chunk_table_test.go's).
+func refChunkCount(rows, chunkRows int) int { return (rows + chunkRows - 1) / chunkRows }
+
 func refChunkWindow(rel *relational.Relation, g, chunkRows int) (lo, hi int) {
 	lo, hi = g*chunkRows, (g+1)*chunkRows
 	if lo > len(rel.Rows) {
@@ -167,7 +171,7 @@ func refRepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRo
 	if maxRows == 0 {
 		return dests, nil, nil
 	}
-	n := chunkCount(maxRows, chunkRows)
+	n := refChunkCount(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
 	for g := 0; g < n; g++ {
 		var ts []Transfer
@@ -225,7 +229,7 @@ func refBroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, c
 			maxRows = len(sh.Rows)
 		}
 	}
-	n := chunkCount(maxRows, chunkRows)
+	n := refChunkCount(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
 	pos := make([]int, len(shards))
@@ -276,7 +280,7 @@ func refGatherChunks(shards []*relational.Relation, seqCol, chunkRows int) (chun
 	if total == 0 {
 		return nil, nil
 	}
-	n := chunkCount(total, chunkRows)
+	n := refChunkCount(total, chunkRows)
 	srcBytes := make([][]float64, n)
 	compute := make([]float64, n)
 	for g := range srcBytes {

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"net/http"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/relational"
@@ -86,8 +88,8 @@ func TestPlanCacheEpochRegression(t *testing.T) {
 // different session configs never shares an entry.
 func TestPlanCacheKeying(t *testing.T) {
 	c := NewPlanCache(8)
-	gold := &Tenant{Name: "gold", APIKey: "g", Priority: "interactive", Weight: 3}
-	bronze := &Tenant{Name: "bronze", APIKey: "b", Weight: 1}
+	gold := &Tenant{Name: "gold", APIKey: "g", Overrides: sql.Overrides{Priority: "interactive", Weight: 3}}
+	bronze := &Tenant{Name: "bronze", APIKey: "b", Overrides: sql.Overrides{Weight: 1}}
 	const q = "SELECT 1"
 	if c.Key(gold, q) == c.Key(bronze, q) {
 		t.Fatal("distinct tenants share a cache key")
@@ -99,6 +101,55 @@ func TestPlanCacheKeying(t *testing.T) {
 	}
 	if c.Key(gold, q) == c.Key(gold, "SELECT 2") {
 		t.Fatal("distinct statements share a cache key")
+	}
+}
+
+// TestPlanCacheKeyCoversEveryOverride: two tenants differing in any single
+// session override never share a plan-cache key, the tenant's session
+// carries that override, and tenants.json spells it by the field's JSON
+// tag. The fields are walked by reflection, so a ninth override is covered
+// the day it is added to sql.Overrides.
+func TestPlanCacheKeyCoversEveryOverride(t *testing.T) {
+	c := NewPlanCache(8)
+	const q = "SELECT 1"
+	base := Tenant{Name: "t", APIKey: "k"}
+	eng := testEngine(t, 10)
+	typ := reflect.TypeOf(base.Overrides)
+	if typ.NumField() < 8 {
+		t.Fatalf("sql.Overrides lost fields: %d", typ.NumField())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		tuned := base
+		v := reflect.ValueOf(&tuned.Overrides).Elem().Field(i)
+		var lit string
+		switch v.Kind() {
+		case reflect.String:
+			v.SetString("x")
+			lit = `"x"`
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+			lit = "7"
+		case reflect.Float64:
+			v.SetFloat(2.5)
+			lit = "2.5"
+		default:
+			t.Fatalf("override %s has kind %s: teach this test to set it", f.Name, v.Kind())
+		}
+		if c.Key(&base, q) == c.Key(&tuned, q) {
+			t.Errorf("tenants differing only in %s share a plan-cache key", f.Name)
+		}
+		if got := tuned.Session(eng).Overrides; got != tuned.Overrides {
+			t.Errorf("%s: session carries %+v, tenant configured %+v", f.Name, got, tuned.Overrides)
+		}
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		ts, err := ParseTenants([]byte(`[{"name":"t","api_key":"k","` + key + `":` + lit + `}]`))
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if parsed, _ := ts.ByName("t"); parsed.Overrides != tuned.Overrides {
+			t.Errorf("tenants.json key %q parsed to %+v, want %+v", key, parsed.Overrides, tuned.Overrides)
+		}
 	}
 }
 

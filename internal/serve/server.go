@@ -403,19 +403,12 @@ func decodeRelation(req *TableRequest) (*relational.Relation, error) {
 		}
 		schema[i] = relational.Column{Name: c.Name, Type: t}
 	}
+	rows, err := decodeBatch(req.Rows, schema)
+	if err != nil {
+		return nil, err
+	}
 	rel := relational.NewRelation(req.Name, schema)
-	for rn, cells := range req.Rows {
-		if len(cells) != len(schema) {
-			return nil, fmt.Errorf("serve: row %d: arity %d != schema arity %d", rn, len(cells), len(schema))
-		}
-		row := make(relational.Row, len(cells))
-		for i, cell := range cells {
-			v, err := decodeCell(cell, schema[i].Type)
-			if err != nil {
-				return nil, fmt.Errorf("serve: row %d, column %s: %w", rn, schema[i].Name, err)
-			}
-			row[i] = v
-		}
+	for _, row := range rows {
 		if err := rel.Append(row); err != nil {
 			return nil, err
 		}

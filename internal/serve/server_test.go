@@ -250,20 +250,26 @@ func TestTenantsValidation(t *testing.T) {
 		{"no key", []Tenant{{Name: "a"}}},
 		{"dup name", []Tenant{{Name: "a", APIKey: "k1"}, {Name: "a", APIKey: "k2"}}},
 		{"dup key", []Tenant{{Name: "a", APIKey: "k"}, {Name: "b", APIKey: "k"}}},
-		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Weight: -1}}},
+		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Overrides: sql.Overrides{Weight: -1}}}},
 	}
 	for _, c := range cases {
 		if _, err := NewTenants(c.list); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	ts, err := ParseTenants([]byte(`[{"name":"x","api_key":"xk","weight":2,"priority":"batch"}]`))
+	// Every tenants.json key as deployed files spell it.
+	ts, err := ParseTenants([]byte(`[{"name":"x","api_key":"xk","weight":2,"priority":"batch","workers":3,` +
+		`"memory_budget":4096,"spill_tier":"nvm","placement":"auto","dist_join":"broadcast","pipeline_chunk_rows":512,` +
+		`"max_inflight":5,"rate_per_sec":1.5,"burst":2}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tenant, ok := ts.ByKey("xk")
-	if !ok || tenant.Weight != 2 || tenant.Priority != "batch" {
-		t.Fatalf("parsed tenant = %+v", tenant)
+	want := Tenant{Name: "x", APIKey: "xk", MaxInflight: 5, RatePerSec: 1.5, Burst: 2, Overrides: sql.Overrides{
+		Weight: 2, Priority: "batch", Workers: 3, MemoryBudget: 4096, SpillTier: "nvm",
+		Placement: "auto", DistJoin: "broadcast", PipelineChunkRows: 512,
+	}}
+	if tenant, ok := ts.ByKey("xk"); !ok || *tenant != want {
+		t.Fatalf("parsed tenant = %+v, want %+v", tenant, want)
 	}
 }
 

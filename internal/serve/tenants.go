@@ -9,8 +9,9 @@ import (
 
 // Tenant is one project on a shared engine: an API key to authenticate
 // its requests and the per-session defaults every query it submits runs
-// under. The QoS fields map straight onto sql.Session — a tenant at
-// Weight 3 competes for the shared fabric with three times the
+// under. Those defaults are sql.Overrides itself, embedded — in
+// tenants.json its JSON-tagged fields sit beside name and api_key — so a
+// tenant at Weight 3 competes for the shared fabric with three times the
 // bandwidth share of a Weight-1 tenant, which is the whole point of
 // fronting one engine with a multi-tenant daemon.
 type Tenant struct {
@@ -19,29 +20,8 @@ type Tenant struct {
 	// APIKey authenticates requests (Authorization: Bearer <key> or
 	// X-API-Key). Keys must be unique across the tenant set.
 	APIKey string `json:"api_key"`
-	// Priority is the QoS class the tenant's fabric flows carry
-	// (sql.Session.Priority); "" is best-effort.
-	Priority string `json:"priority,omitempty"`
-	// Weight is the tenant's weighted max-min scheduling weight
-	// (sql.Session.Weight); 0 inherits uniform weight 1.
-	Weight float64 `json:"weight,omitempty"`
-	// Workers overrides per-host batch parallelism (sql.Session.Workers).
-	Workers int `json:"workers,omitempty"`
-	// MemoryBudget caps the tenant's resident operator state in bytes
-	// (sql.Session.MemoryBudget); 0 inherits the engine's.
-	MemoryBudget int64 `json:"memory_budget,omitempty"`
-	// SpillTier names where the tenant's budget overflow spills
-	// ("nvm", "ssd", "disk"); "" inherits the engine's.
-	SpillTier string `json:"spill_tier,omitempty"`
-	// Placement overrides the morsel placement policy over the engine's
-	// device set; "" inherits the engine's.
-	Placement string `json:"placement,omitempty"`
-	// DistJoin overrides the distributed join movement strategy; ""
-	// inherits the engine's.
-	DistJoin string `json:"dist_join,omitempty"`
-	// PipelineChunkRows overrides the pipelined-movement chunk size; 0
-	// inherits the engine's.
-	PipelineChunkRows int `json:"pipeline_chunk_rows,omitempty"`
+	// Overrides are the session settings the tenant's queries run under.
+	sql.Overrides
 	// MaxInflight caps the tenant's concurrently executing queries: a
 	// submission past the cap is refused with 429 and a Retry-After hint
 	// instead of queueing, so one tenant's burst cannot monopolize the
@@ -77,27 +57,18 @@ func (t *Tenant) burst() float64 {
 // Sessions are cheap; the server opens one per request.
 func (t *Tenant) Session(eng *sql.Engine) *sql.Session {
 	s := eng.Session()
-	s.Priority = t.Priority
-	s.Weight = t.Weight
-	s.Workers = t.Workers
-	s.MemoryBudget = t.MemoryBudget
-	s.SpillTier = t.SpillTier
-	s.Placement = t.Placement
-	s.DistJoin = t.DistJoin
-	s.PipelineChunkRows = t.PipelineChunkRows
+	s.Overrides = t.Overrides
 	return s
 }
 
-// configKey renders the tenant's effective session configuration as a
-// deterministic string — the "session-config" leg of the plan-cache
-// key, so two tenants (or one reconfigured tenant) never share a cached
-// statement unless every knob that affects planning agrees. MaxInflight,
-// RatePerSec and Burst are deliberately absent: they gate admission, not
-// planning.
+// configKey renders the tenant's session overrides — all of them, by
+// field name — as a deterministic string: the "session-config" leg of the
+// plan-cache key, so two tenants (or one reconfigured tenant) never share
+// a cached statement unless every knob that affects planning agrees.
+// MaxInflight, RatePerSec and Burst are deliberately absent: they gate
+// admission, not planning.
 func (t *Tenant) configKey() string {
-	return fmt.Sprintf("%s|%g|%d|%d|%s|%s|%s|%d",
-		t.Priority, t.Weight, t.Workers, t.MemoryBudget, t.SpillTier,
-		t.Placement, t.DistJoin, t.PipelineChunkRows)
+	return fmt.Sprintf("%#v", t.Overrides)
 }
 
 // Tenants is an immutable tenant set with API-key lookup.
@@ -160,8 +131,8 @@ func ParseTenants(data []byte) (*Tenants, error) {
 // 3:1 walkthrough of the QoS examples, as a serving config.
 func DefaultTenants() *Tenants {
 	ts, err := NewTenants([]Tenant{
-		{Name: "gold", APIKey: "gold-key", Priority: "interactive", Weight: 3},
-		{Name: "bronze", APIKey: "bronze-key", Weight: 1},
+		{Name: "gold", APIKey: "gold-key", Overrides: sql.Overrides{Priority: "interactive", Weight: 3}},
+		{Name: "bronze", APIKey: "bronze-key", Overrides: sql.Overrides{Weight: 1}},
 	})
 	if err != nil {
 		panic(err)

@@ -158,6 +158,55 @@ func TestSlowFaultReachesAggregateRound(t *testing.T) {
 	}
 }
 
+// TestChaosKillOnEmptyBulkPhase: a movement phase with nothing to move
+// still claims its phase ordinal on the bulk engine — there is no chunk to
+// admit, and the phase is admitted (and recorded, with no flow) all the
+// same — so a kill scheduled on it lands: the event fires, the worker dies,
+// its fragments are re-dispatched, and the (empty) rows are the clean
+// run's. The empty shuffle, the empty partial-aggregate gather behind it
+// and the empty seq-merge gather are the three shapes of "no chunk".
+func TestChaosKillOnEmptyBulkPhase(t *testing.T) {
+	const emptyJoin = "SELECT c.segment, COUNT(*) AS n FROM sales s JOIN customers c ON s.customer_id = c.customer_id " +
+		"WHERE s.price < 0 AND c.customer_id < 0 GROUP BY c.segment"
+	for _, c := range []struct{ name, query, chaos, phase string }{
+		{"shuffle", emptyJoin, "kill:1@0", "shuffle#0"},
+		{"partial-gather", emptyJoin, "kill:1@1", "gather"},
+		{"seq-gather", "SELECT order_id FROM sales WHERE price < 0", "kill:1@0", "gather"},
+	} {
+		eng := chaosEngine(t, 2, c.chaos)
+		if eng.Config().PipelineChunkRows != 0 {
+			t.Fatal("chaosEngine is no longer the bulk engine")
+		}
+		res, err := eng.Session().Query(context.Background(), c.query)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Rows.Len() != 0 {
+			t.Fatalf("%s: %d rows from an empty input", c.name, res.Rows.Len())
+		}
+		h := eng.Lifecycle().Health()
+		if h.EventsFired != 1 || h.EventsTotal != 1 || h.Dead != 1 {
+			t.Fatalf("%s: %s fired %d of %d events, %d dead — the empty phase did not claim its ordinal",
+				c.name, c.chaos, h.EventsFired, h.EventsTotal, h.Dead)
+		}
+		if res.Net.RetriedFragments == 0 {
+			t.Fatalf("%s: the kill re-dispatched no fragment", c.name)
+		}
+		found := false
+		for _, p := range res.Net.Phases {
+			if p.Name == c.phase {
+				found = true
+				if p.Flows != 0 || p.Bytes != 0 || p.Chunks != 0 {
+					t.Fatalf("%s: phase %s was meant to be empty: %+v", c.name, c.phase, p)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: no %s phase recorded in %+v", c.name, c.phase, res.Net.Phases)
+		}
+	}
+}
+
 // TestChaosBitIdenticalReplay: with faults off, replication must be
 // invisible — replication 2 with every host live places shards exactly
 // where one copy per shard does. Rows and every network float must match

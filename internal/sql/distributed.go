@@ -32,6 +32,16 @@ package sql
 // cluster with one replica per shard and no fault plan the guard resolves
 // every shard to its static host and has nothing to inject.
 //
+// One movement path: every broadcast, shuffle and gather is built once, as
+// the chunks its dist chunker cut the payload into plus a consume(k) that
+// lands chunk k at the receiver (a shared or per-destination HashBuild,
+// per-shard partial-aggregate accumulators, the coordinator's SeqMerger),
+// and runs through distExec.move. There is one receive path and two
+// charging rules, and move is where the rule is picked:
+// Config.PipelineChunkRows > 0 charges pipelined sub-rounds with measured
+// consumer compute and overlap; 0 — the bulk engine — cuts one covering
+// chunk and charges it as one barrier round.
+//
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
 // after joins) and stays seq-ascending through every operator, so the
@@ -193,11 +203,10 @@ type distExec struct {
 	distJoin string // "", "auto", "broadcast", "repartition"
 	class    string
 	weight   float64
-	// chunkRows > 0 pipelines every movement phase: payloads split into
-	// seq-rank chunks admitted as eager fabric sub-rounds while the
-	// receiving side digests the previous chunk (incremental hash builds,
-	// generation-wise partial-agg folds, streaming seq merge). 0 is the
-	// bulk engine, bit-identical with pre-pipeline code paths.
+	// chunkRows is the movement chunk size (Config.PipelineChunkRows).
+	// Every payload is cut by it — 0 cuts one covering chunk — and landed
+	// by the same receivers; move is the one place that reads it to decide
+	// how the phase is charged.
 	chunkRows int
 	// lw holds one lowerer per shard. Each carries a fork of the query's
 	// device placer and of its memory budget (nil on the homogeneous and
@@ -304,6 +313,31 @@ func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStr
 	return p
 }
 
+// move runs one movement phase — a broadcast, a shuffle or a gather — and
+// is the only way one reaches the fabric: the payload arrives cut into
+// chunks by its dist chunker, consume(k) lands chunk k at the receiver, and
+// class and weightScale are the phase's QoS (see dist.GatherWeightBoost).
+// What differs between the two engines is the charge, and this is where it
+// is decided. Pipelined (chunkRows > 0): every chunk is an eager fabric
+// sub-round and consume(k) overlaps the flows of chunk k+1, its modeled
+// consumer compute measured into the phase. Bulk (0): the chunker cut one
+// covering chunk, whose transfer list is the bulk one; it is admitted as
+// one barrier round with no consumer compute charged, then consumed. An
+// empty payload has no chunk and still claims its phase ordinal — a fault
+// scheduled there lands — and its (empty) phase record.
+func (e *distExec) move(name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
+	if e.chunkRows > 0 {
+		return e.guard.RunPipelined(name, chunks, class, weightScale, consume)
+	}
+	if len(chunks) == 0 {
+		return e.guard.RunPhase(name, nil, class, weightScale)
+	}
+	if err := e.guard.RunPhase(name, chunks[0].Transfers, class, weightScale); err != nil {
+		return err
+	}
+	return consume(0)
+}
+
 // chooseMovement picks broadcast vs repartition for one join by pricing
 // both movements' slowest sender against the fabric's path capacity.
 func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
@@ -358,77 +392,56 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 	buildWidth := len(build.schema)
 	movement := e.chooseMovement(build.bytes(), probe.bytes())
 
-	// buildFor lowers shard s's landed build stream (the bulk path);
-	// preFor, when set instead, yields the incrementally appended hash
-	// table the pipelined movement already filled (see RunPipelined
-	// below).
-	var buildFor func(lw *lowerer, s int) (execNode, error)
-	var preFor func(s int) *relational.HashBuild
+	// Either movement lands the build side in hash tables filled as its
+	// chunks land — tabs[s] is the one shard s probes — so the table is
+	// probe-ready the moment the last chunk drains.
+	tabs := make([]*relational.HashBuild, len(probe.base))
 	out := &distStream{dx: e, schema: combined, hint: e.shardHint(jp.size), joined: true}
-	switch {
-	case movement == "broadcast" && e.chunkRows > 0:
-		// Pipelined replication: the merged build side streams out in
-		// seq-rank chunks, and the shared hash table fills while the next
-		// chunk's flows are in flight. Appending chunk prefixes of the
-		// seq-merged relation reproduces the bulk build's insertion order
-		// exactly.
+	if movement == "broadcast" {
+		// Replicate the build side to every worker; the probe side does not
+		// move. The merged build side streams out in seq-rank chunks into
+		// one table every shard probes: appending chunk prefixes of the
+		// seq-merged relation is the serial build's insertion order.
 		merged, chunks, bounds := dist.BroadcastChunksCols(build.base, buildWidth, true, e.chunkRows)
-		pre, err := relational.NewHashBuild(merged.Schema, buildCol)
+		tab, err := relational.NewHashBuild(merged.Schema, buildCol)
 		if err != nil {
 			return nil, err
 		}
 		prev := 0
 		consume := func(k int) error {
-			pre.AppendCols(merged.Columnar(), prev, bounds[k])
+			tab.AppendCols(merged.Columnar(), prev, bounds[k])
 			prev = bounds[k]
 			return nil
 		}
-		if err := e.guard.RunPipelined(fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
+		if err := e.move(fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
 			return nil, err
 		}
 		out.base = probe.base
-		preFor = func(int) *relational.HashBuild { return pre }
-	case movement == "broadcast":
-		// Replicate the whole build side to every worker; the probe side
-		// does not move.
-		buildRel, transfers := dist.Broadcast(build.base, buildWidth, true)
-		if err := e.guard.RunPhase(fmt.Sprintf("broadcast#%d", ji), transfers, "", 0); err != nil {
-			return nil, err
+		for s := range tabs {
+			tabs[s] = tab
 		}
-		out.base = probe.base
-		buildFor = func(lw *lowerer, _ int) (execNode, error) { return lw.scan(buildRel), nil }
-	case e.chunkRows > 0:
-		// Pipelined shuffle: both sides' buckets move in seq-rank chunks
-		// (build transfers ahead of probe transfers within each chunk,
-		// exactly the bulk phase's flow order), and every destination's
-		// hash table inserts its landed build prefix while the next chunk
-		// drains. Probe rows charge consumer compute too — they must be
-		// received and staged into their buckets before the probe scan —
-		// though only the build side feeds the incremental hash table.
+	} else {
+		// Hash-repartition both sides on the join key: their buckets move
+		// in seq-rank chunks (build transfers ahead of probe transfers
+		// within each chunk), and every destination's table inserts its
+		// landed build prefix — seq-sorted, the serial insertion order.
+		// Probe rows charge consumer compute too — they must be received
+		// and staged into their buckets before the probe scan — though only
+		// the build side feeds the tables.
 		buildB, bChunks, bCum := dist.RepartitionChunks(build.base, buildCol, buildWidth, e.chunkRows)
 		probeB, pChunks, _ := dist.RepartitionChunks(probe.base, probeCol, len(probe.schema), e.chunkRows)
-		n := len(bChunks)
-		if len(pChunks) > n {
-			n = len(pChunks)
-		}
-		chunks := make([]dist.Chunk, n)
+		chunks := make([]dist.Chunk, max(len(bChunks), len(pChunks)))
 		for k := range chunks {
-			var ts []dist.Transfer
-			if k < len(bChunks) {
-				ts = append(ts, bChunks[k].Transfers...)
-				chunks[k].ComputeBytes += bChunks[k].ComputeBytes
+			for _, side := range [][]dist.Chunk{bChunks, pChunks} {
+				if k < len(side) {
+					chunks[k].Transfers = append(chunks[k].Transfers, side[k].Transfers...)
+					chunks[k].ComputeBytes += side[k].ComputeBytes
+				}
 			}
-			if k < len(pChunks) {
-				ts = append(ts, pChunks[k].Transfers...)
-				chunks[k].ComputeBytes += pChunks[k].ComputeBytes
-			}
-			chunks[k].Transfers = ts
 		}
-		buildVisible := build.schema
-		pres := make([]*relational.HashBuild, len(buildB))
-		for i := range pres {
+		for d := range tabs {
 			var err error
-			if pres[i], err = relational.NewHashBuild(buildVisible, buildCol); err != nil {
+			if tabs[d], err = relational.NewHashBuild(build.schema, buildCol); err != nil {
 				return nil, err
 			}
 		}
@@ -441,40 +454,19 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 				// The landed bucket still carries its seq column; the build
 				// table takes the visible columns before it.
 				if bCum[k][d] > prev[d] {
-					pres[d].AppendCols(buildB[d].Columnar(), prev[d], bCum[k][d])
+					tabs[d].AppendCols(buildB[d].Columnar(), prev[d], bCum[k][d])
 					prev[d] = bCum[k][d]
 				}
 			}
 			return nil
 		}
-		if err := e.guard.RunPipelined(fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
+		if err := e.move(fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
 			return nil, err
 		}
 		out.base = probeB
-		preFor = func(s int) *relational.HashBuild { return pres[s] }
-	default:
-		// Hash-repartition both sides on the join key; bucket p's build
-		// rows arrive seq-sorted, preserving the serial insertion order.
-		buildB, tA := dist.Repartition(build.base, buildCol, buildWidth)
-		probeB, tB := dist.Repartition(probe.base, probeCol, len(probe.schema))
-		if err := e.guard.RunPhase(fmt.Sprintf("shuffle#%d", ji), append(tA, tB...), "", 0); err != nil {
-			return nil, err
-		}
-		out.base = probeB
-		// Landed buckets still carry their seq column; strip it.
-		buildVisible, picks := build.schema, pickExprs(identityPicks(buildWidth))
-		buildFor = func(lw *lowerer, s int) (execNode, error) {
-			return lw.project(lw.scan(buildB[s]), buildVisible, picks)
-		}
 	}
 	out.decor = append(out.decor, func(lw *lowerer, s int, n execNode) (execNode, error) {
-		var jn execNode
-		var err error
-		if preFor != nil {
-			jn, err = lw.hashJoinPrebuilt(preFor(s), n, probeCol)
-		} else if jn, err = buildFor(lw, s); err == nil {
-			jn, err = lw.hashJoin(jn, n, buildCol, probeCol)
-		}
+		jn, err := lw.hashJoinPrebuilt(tabs[s], n, probeCol)
 		if err != nil || !jp.swapped {
 			// Unswapped output is left ++ (right ++ seq): already canonical.
 			return jn, err
@@ -603,47 +595,32 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		if err != nil {
 			return nil, err
 		}
-		var merged *relational.PartialAgg
-		if dx.chunkRows > 0 {
-			// Pipelined gather: each shard's partial splits into
-			// generations of at most chunkRows groups, shipped as chunks;
-			// per-shard accumulators take generation k while generation
-			// k+1 is in flight — column ranges appended as they stand, one
-			// shard's generations being disjoint — reconstructing each
-			// shard's partial exactly (same group states, same first-seen
-			// order), so the final shard-order fold is bit-identical to
-			// the bulk merge.
-			subs := make([][]*relational.PartialAgg, len(partials))
-			acc := make([]*relational.PartialAgg, len(partials))
-			for i, pa := range partials {
-				subs[i] = pa.SplitChunks(dx.chunkRows)
-				acc[i] = pa.Receiver()
-			}
-			consume := func(k int) error {
-				for i := range subs {
-					if k < len(subs[i]) {
-						acc[i].AppendDisjoint(subs[i][k])
-					}
-				}
-				return nil
-			}
-			chunks := dist.PartialGatherChunks(subs)
-			if err := dx.guard.RunPipelined("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, err
-			}
-			merged = acc[0]
-			merged.MergeAll(acc[1:])
-		} else {
-			bytes := make([]float64, len(partials))
-			for i, pa := range partials {
-				bytes[i] = pa.EncodedBytes()
-			}
-			if err := dx.guard.RunPhase("gather", dist.GatherTransfers(bytes), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, err
-			}
-			merged = partials[0]
-			merged.MergeAll(partials[1:])
+		// The gather: each shard's partial splits into generations of at
+		// most chunkRows groups (one, on the bulk engine), shipped as chunks;
+		// per-shard accumulators take generation k while generation k+1 is
+		// in flight — column ranges appended as they stand, one shard's
+		// generations being disjoint — reconstructing each shard's partial
+		// exactly (same group states, same first-seen order), so the final
+		// shard-order fold does not depend on the chunking.
+		subs := make([][]*relational.PartialAgg, len(partials))
+		acc := make([]*relational.PartialAgg, len(partials))
+		for i, pa := range partials {
+			subs[i] = pa.SplitChunks(dx.chunkRows)
+			acc[i] = pa.Receiver()
 		}
+		consume := func(k int) error {
+			for i := range subs {
+				if k < len(subs[i]) {
+					acc[i].AppendDisjoint(subs[i][k])
+				}
+			}
+			return nil
+		}
+		if err := dx.move("gather", dist.PartialGatherChunks(subs), dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+			return nil, err
+		}
+		merged := acc[0]
+		merged.MergeAll(acc[1:])
 		aggCols, n := merged.EmitCols(aggOutSchema, true)
 		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
@@ -714,34 +691,26 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 		if err := st.materialize(); err != nil {
 			return nil, err
 		}
+		// The gather: the coordinator's seq merge advances to each chunk's
+		// global row bound while the next chunk's flows drain — the serial
+		// row order, built incrementally.
 		seqCol := len(wideSchema)
-		var merged *relational.Relation
-		if dx.chunkRows > 0 {
-			// Pipelined gather: the coordinator's seq merge advances to
-			// each chunk's global row bound while the next chunk's flows
-			// drain, reproducing MergeBySeq's row order incrementally.
-			chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
-			total := 0
-			if len(bounds) > 0 {
-				total = bounds[len(bounds)-1]
-			}
-			schema := st.base[0].Schema[:seqCol]
-			cols := relational.NewBatch(schema, total).Cols
-			merger := dist.NewSeqMerger(st.base, seqCol)
-			consume := func(k int) error {
-				merger.MergeInto(cols, bounds[k])
-				return nil
-			}
-			if err := dx.guard.RunPipelined("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
-				return nil, err
-			}
-			merged = relational.NewColumnRelation("gathered", schema, cols, total)
-		} else {
-			if err := dx.guard.RunPhase("gather", dist.GatherTransfers(st.bytes()), dist.GatherClass, dist.GatherWeightBoost); err != nil {
-				return nil, err
-			}
-			merged = dist.MergeBySeq("gathered", st.base, seqCol, true)
+		chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
+		total := 0
+		if len(bounds) > 0 {
+			total = bounds[len(bounds)-1]
 		}
+		schema := st.base[0].Schema[:seqCol]
+		cols := relational.NewBatch(schema, total).Cols
+		merger := dist.NewSeqMerger(st.base, seqCol)
+		consume := func(k int) error {
+			merger.MergeInto(cols, bounds[k])
+			return nil
+		}
+		if err := dx.move("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+			return nil, err
+		}
+		merged := relational.NewColumnRelation("gathered", schema, cols, total)
 		lw, cur := dx.coordinator(merged)
 		if len(keyCols) > 0 {
 			// stmt.Limit is the top-k bound; absent (-1) is a full sort.

@@ -175,10 +175,17 @@ func projFns(pe []relational.ProjExpr) []relational.Projector {
 	return fns
 }
 
+// hashJoin is the single-node join: the operator drains its own build
+// side. A distributed join probes a table its movement already filled
+// (hashJoinPrebuilt).
 func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (execNode, error) {
 	if build.bat != nil {
 		op, err := relational.NewBatchHashJoin(build.bat, probe.bat, buildCol, probeCol, lw.workers)
-		return lw.budgetedJoin(op, err)
+		if err != nil {
+			return execNode{}, err
+		}
+		op.SetBudget(lw.budget)
+		return execNode{bat: op}, nil
 	}
 	op, err := relational.NewHashJoin(build.row, probe.row, buildCol, probeCol)
 	if err != nil {
@@ -188,15 +195,12 @@ func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (exec
 	return execNode{row: op}, nil
 }
 
-// hashJoinPrebuilt probes a hash table that is already built: the
-// pipelined distributed movement fills it chunk by chunk while the next
-// chunk's flows are in flight.
+// hashJoinPrebuilt is the distributed join: it probes a hash table the
+// join's movement filled as its chunks landed (distExec.joinStage), and
+// reserves the table's bytes against the shard's budget as a join that
+// built it would.
 func (lw *lowerer) hashJoinPrebuilt(pre *relational.HashBuild, probe execNode, probeCol int) (execNode, error) {
 	op, err := relational.NewBatchHashJoinPrebuilt(pre, probe.bat, probeCol, lw.workers)
-	return lw.budgetedJoin(op, err)
-}
-
-func (lw *lowerer) budgetedJoin(op *relational.BatchHashJoin, err error) (execNode, error) {
 	if err != nil {
 		return execNode{}, err
 	}

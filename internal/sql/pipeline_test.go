@@ -99,35 +99,55 @@ func TestPipelineParity(t *testing.T) {
 }
 
 // TestPipelineSingleChunkBitIdentical: a chunk size larger than every
-// payload degenerates to one chunk per phase, whose flows replay the
-// bulk phase's bit-for-bit — same rows, same network floats, no
-// overlap (there is nothing to overlap with).
+// payload degenerates to one chunk per phase — the very chunk the bulk
+// engine cuts — whose flows replay the bulk phase's bit-for-bit on every
+// movement shape (shuffle, broadcast, partial-aggregate gather, seq-merge
+// gather below a top-k): same rows, same network floats, no overlap (there
+// is nothing to overlap with). What differs is the charging rule: the
+// pipelined engine prices the chunk's consumer compute, bulk does not.
 func TestPipelineSingleChunkBitIdentical(t *testing.T) {
-	const q = "SELECT s.order_id, s.price, c.segment FROM sales s JOIN customers c ON s.customer_id = c.customer_id"
-	for _, distJoin := range []string{"repartition", "broadcast"} {
-		bulk := pipelineEngine(t, pipelineConfig(4, 0, distJoin))
-		one := pipelineEngine(t, pipelineConfig(4, 1<<30, distJoin))
-		resBulk, err := bulk.Session().Query(context.Background(), q)
+	const join = "SELECT s.order_id, s.price, c.segment FROM sales s JOIN customers c ON s.customer_id = c.customer_id"
+	for _, tc := range []struct{ name, distJoin, q string }{
+		{"repartition", "repartition", join},
+		{"broadcast", "broadcast", join},
+		{"aggregate-gather", "auto", "SELECT customer_id, COUNT(*) AS n, SUM(price) AS v FROM sales GROUP BY customer_id"},
+		{"orderby-limit", "auto", "SELECT order_id, price FROM sales ORDER BY price DESC, order_id LIMIT 400"},
+	} {
+		bulk := pipelineEngine(t, pipelineConfig(4, 0, tc.distJoin))
+		one := pipelineEngine(t, pipelineConfig(4, 1<<30, tc.distJoin))
+		resBulk, err := bulk.Session().Query(context.Background(), tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resOne, err := one.Session().Query(context.Background(), q)
+		resOne, err := one.Session().Query(context.Background(), tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(resBulk.Rows.RowView(), resOne.Rows.RowView()) {
-			t.Fatalf("%s: single-chunk rows diverged from bulk", distJoin)
+			t.Fatalf("%s: single-chunk rows diverged from bulk", tc.name)
 		}
 		nb, no := resBulk.Net, resOne.Net
 		if nb.NetSeconds != no.NetSeconds || nb.BytesShuffled != no.BytesShuffled || nb.Flows != no.Flows {
 			t.Fatalf("%s: single-chunk net accounting diverged: bulk {%v %v %d} vs one-chunk {%v %v %d}",
-				distJoin, nb.NetSeconds, nb.BytesShuffled, nb.Flows, no.NetSeconds, no.BytesShuffled, no.Flows)
+				tc.name, nb.NetSeconds, nb.BytesShuffled, nb.Flows, no.NetSeconds, no.BytesShuffled, no.Flows)
+		}
+		if len(nb.Phases) != len(no.Phases) {
+			t.Fatalf("%s: %d bulk phases vs %d single-chunk phases", tc.name, len(nb.Phases), len(no.Phases))
+		}
+		for i, pb := range nb.Phases {
+			po := no.Phases[i]
+			if pb.Name != po.Name || pb.Flows != po.Flows || pb.Bytes != po.Bytes || pb.Seconds != po.Seconds {
+				t.Fatalf("%s: phase %d diverged: bulk %+v vs one-chunk %+v", tc.name, i, pb, po)
+			}
+			if pb.Chunks != 0 || po.Chunks != 1 {
+				t.Fatalf("%s: phase %s ran as %d bulk / %d pipelined chunks, want 0 / 1", tc.name, pb.Name, pb.Chunks, po.Chunks)
+			}
 		}
 		if no.OverlapSeconds != 0 {
-			t.Fatalf("%s: one chunk cannot overlap, got %v", distJoin, no.OverlapSeconds)
+			t.Fatalf("%s: one chunk cannot overlap, got %v", tc.name, no.OverlapSeconds)
 		}
-		if no.ComputeSeconds <= 0 {
-			t.Fatalf("%s: single-chunk run must still price consumer compute", distJoin)
+		if no.ComputeSeconds <= 0 || nb.ComputeSeconds != 0 {
+			t.Fatalf("%s: consumer compute charged %v pipelined / %v bulk, want > 0 / 0", tc.name, no.ComputeSeconds, nb.ComputeSeconds)
 		}
 	}
 }

@@ -7,56 +7,65 @@ import (
 	"repro/internal/relational"
 )
 
+// Overrides is the one list of engine settings a session may override,
+// zero values inheriting the engine's. Session embeds it (so the fields
+// read as the session's own), a serving tenant embeds it as its JSON
+// configuration — the tags are tenants.json's keys — and hands it whole to
+// the sessions it opens, and the plan cache keys on it whole: a setting
+// added here reaches all of them, and Session.cfg is the one place it is
+// merged onto the engine's Config.
+type Overrides struct {
+	// DistJoin overrides the engine's distributed join movement strategy
+	// ("auto", "broadcast" or "repartition").
+	DistJoin string `json:"dist_join,omitempty"`
+	// Workers overrides the engine's per-host worker cap when positive.
+	Workers int `json:"workers,omitempty"`
+	// Priority tags the session's fabric flows with a QoS class ("" =
+	// best-effort). Classes drive per-class byte attribution in the
+	// fabric aggregate and feed controller policies (e.g. the
+	// strict-priority policy's class tiers: "interactive", "batch").
+	Priority string `json:"priority,omitempty"`
+	// Weight, when positive, is the scheduling weight of the session's
+	// flows under the fabric's weighted max-min allocator: on a shared
+	// bottleneck a weight-3 session receives three times the bandwidth
+	// of a weight-1 peer, so its phases — and queries — finish sooner
+	// under contention. Zero inherits the uniform weight 1.
+	Weight float64 `json:"weight,omitempty"`
+	// Placement overrides the engine's morsel placement policy over
+	// Config.Devices: "auto" (cost-based) or a device name forcing every
+	// morsel there. It has no effect when the engine has no device set.
+	Placement string `json:"placement,omitempty"`
+	// MemoryBudget overrides the engine's operator-state byte cap when
+	// positive (see Config.MemoryBudget). A session on an unbudgeted
+	// engine can turn out-of-core execution on, and vice versa cannot
+	// turn it off — budgets model capacity, and a session asking for less
+	// memory than the engine grants is the meaningful direction.
+	MemoryBudget int64 `json:"memory_budget,omitempty"`
+	// SpillTier overrides the engine's spill tier ("nvm", "ssd",
+	// "disk"). An unknown tier surfaces as a planning error at
+	// Query/Prepare.
+	SpillTier string `json:"spill_tier,omitempty"`
+	// PipelineChunkRows overrides the engine's movement chunk size when
+	// positive (see Config.PipelineChunkRows): the session's movement is
+	// cut into chunks of that many rows and charged as pipelined
+	// sub-rounds. There is no per-session way back to the bulk charge on
+	// a pipelined engine — like MemoryBudget, asking for finer chunks
+	// than the engine default is the meaningful direction, and the rows
+	// are identical either way.
+	PipelineChunkRows int `json:"pipeline_chunk_rows,omitempty"`
+}
+
 // Session is one query stream on an Engine: the unit of concurrency.
 // Sessions share the engine's catalog, worker pool, and — in
 // distributed mode — the one network simulator, so queries issued from
 // different sessions at the same time contend for the same fabric.
 //
 // A Session is not safe for concurrent use; open one per goroutine
-// (they are cheap). The exported fields are per-session overrides of the
-// engine configuration; zero values inherit the engine's.
+// (they are cheap). The embedded Overrides are its per-session overrides
+// of the engine configuration.
 type Session struct {
 	eng *Engine
-
-	// DistJoin overrides the engine's distributed join movement strategy
-	// for this session's queries ("auto", "broadcast" or "repartition").
-	DistJoin string
-	// Workers overrides the engine's per-host worker cap when positive.
-	Workers int
-	// Priority tags this session's fabric flows with a QoS class ("" =
-	// best-effort). Classes drive per-class byte attribution in the
-	// fabric aggregate and feed controller policies (e.g. the
-	// strict-priority policy's class tiers: "interactive", "batch").
-	Priority string
-	// Weight, when positive, is the scheduling weight of this session's
-	// flows under the fabric's weighted max-min allocator: on a shared
-	// bottleneck a weight-3 session receives three times the bandwidth
-	// of a weight-1 peer, so its phases — and queries — finish sooner
-	// under contention. Zero inherits the uniform weight 1.
-	Weight float64
-	// Placement overrides the engine's morsel placement policy over
-	// Config.Devices for this session's queries: "auto" (cost-based) or
-	// a device name forcing every morsel there. "" inherits the
-	// engine's. It has no effect when the engine has no device set.
-	Placement string
-	// MemoryBudget overrides the engine's operator-state byte cap for
-	// this session's queries when positive (see Config.MemoryBudget);
-	// zero inherits the engine's. A session on an unbudgeted engine can
-	// turn out-of-core execution on, and vice versa cannot turn it off —
-	// budgets model capacity, and a session asking for less memory than
-	// the engine grants is the meaningful direction.
-	MemoryBudget int64
-	// SpillTier overrides the engine's spill tier ("nvm", "ssd",
-	// "disk") for this session's queries; "" inherits the engine's. An
-	// unknown tier surfaces as a planning error at Query/Prepare.
-	SpillTier string
-	// PipelineChunkRows overrides the engine's pipelined-movement chunk
-	// size for this session's queries when positive (see
-	// Config.PipelineChunkRows); zero inherits the engine's. There is no
-	// per-session way to force the bulk path on a pipelined engine —
-	// like MemoryBudget, asking for finer chunks than the engine default
-	// is the meaningful direction, and results are identical either way.
-	PipelineChunkRows int
+	Overrides
 }
 
 // Engine returns the session's engine.
