@@ -100,8 +100,11 @@
 // engine as they cross every fragment boundary inside it, as column
 // vectors: a batch or distributed Result.Rows is a column-built relation
 // the wire encoder reads vector by vector, and rows are boxed only when a
-// caller asks RowView() (the printers) or runs the row-engine oracle. See
-// README.md
+// caller asks RowView() (the printers) or runs the row-engine oracle.
+// Tables grow the same way: an append is relational.Relation.Extend, a
+// new column-built snapshot whose vectors extend the ones queries read,
+// and the stream hub publishes and windows those columns through the
+// batch planner's own filter and projections. See README.md
 // for the package map, the control-plane policy catalog, the
 // heterogeneous-execution, out-of-core, pipelined-execution, serving
 // and elastic-cluster sections, and build, test and benchmark

@@ -149,7 +149,7 @@ func runContinuous(events []ev, spec stream.WindowSpec) ([]stream.Window, stream
 func collectCells(wins []stream.Window) map[string]cellKey {
 	out := map[string]cellKey{}
 	for _, w := range wins {
-		for _, row := range w.Rows.Rows {
+		for _, row := range w.Rows.RowView() {
 			out[fmt.Sprintf("%d|%s", w.Start, row[0].S)] = cellKey{sum: row[1].I, count: row[2].I}
 		}
 	}

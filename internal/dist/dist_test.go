@@ -94,7 +94,7 @@ func TestRepartition(t *testing.T) {
 	for d, rel2 := range dests {
 		last := int64(-1)
 		for _, row := range rel2.RowView() {
-			if got := int(hashValue(row[0]) % 4); got != d {
+			if got := int(refHashValue(row[0]) % 4); got != d {
 				t.Fatalf("row with key %d landed on shard %d, want %d", row[0].I, d, got)
 			}
 			if row[2].I <= last {
@@ -207,7 +207,8 @@ func TestRunPartialAggs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := merged.EmitRows(schema, true)
+	cols, n := merged.EmitCols(schema, true)
+	rows := relational.NewColumnRelation("groups", schema, cols, n).RowView()
 	if len(rows) != 7 {
 		t.Fatalf("got %d groups", len(rows))
 	}
@@ -231,9 +232,8 @@ func (o *endlessOp) Schema() relational.Schema { return o.schema }
 func (o *endlessOp) Stats() relational.OpStats { return relational.OpStats{} }
 func (o *endlessOp) NextBatch() (*relational.Batch, error) {
 	o.once.Do(func() { o.started <- struct{}{} })
-	b := relational.NewBatch(o.schema, 1)
-	b.AppendRow(relational.Row{relational.IntV(1), relational.IntV(1)})
-	return b, nil
+	one := relational.Vector{T: relational.Int, Ints: []int64{1}}
+	return relational.BatchOf(o.schema, []relational.Vector{one, one}, 1), nil
 }
 
 // failingOp fails its first pull, once every sibling is streaming.

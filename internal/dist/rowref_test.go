@@ -3,7 +3,7 @@ package dist
 // The row-at-a-time movement primitives this package shipped before
 // column vectors became the interchange, kept verbatim as the oracle the
 // columnar primitives are diffed against (TestMovementMatchesRowReference,
-// TestHashValueMatchesKeyReference). They read and write Relation.Rows
+// TestDestinationsMatchKeyReference). They read and write Relation.Rows
 // only, so they run on row-built inputs.
 
 import (
@@ -345,10 +345,10 @@ func (m *refSeqMerger) Take(upto int, fn func(shard, row int)) {
 	}
 }
 
-// TestHashValueMatchesKeyReference pins the allocation-free hash — boxed
-// and per-vector forms — to the Key()-string hash it replaced, so no row
-// changes shard and no modeled byte moves.
-func TestHashValueMatchesKeyReference(t *testing.T) {
+// TestDestinationsMatchKeyReference pins the allocation-free per-vector
+// hash to the Key()-string hash it replaced, so no row changes shard and
+// no modeled byte moves.
+func TestDestinationsMatchKeyReference(t *testing.T) {
 	ints := []int64{0, 1, -1, math.MinInt64, math.MaxInt64, 9, 10, 99, 100, -100, 1 << 53, -(1 << 53)}
 	floats := []float64{0, math.Copysign(0, -1), 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072009e-308, // denormals
@@ -359,25 +359,11 @@ func TestHashValueMatchesKeyReference(t *testing.T) {
 		ints = append(ints, int64(rng.Uint64()))
 		floats = append(floats, math.Float64frombits(rng.Uint64()))
 	}
-	var vals []relational.Value
-	for _, v := range ints {
-		vals = append(vals, relational.IntV(v))
-	}
-	for _, v := range floats {
-		vals = append(vals, relational.FloatV(v))
-	}
-	for _, v := range strs {
-		vals = append(vals, relational.StringV(v))
-	}
-	for _, v := range vals {
-		if got, want := hashValue(v), refHashValue(v); got != want {
-			t.Errorf("hashValue(%v %q) = %#x, Key()-based reference %#x", v.T, v.Key(), got, want)
-		}
+	keys := []relational.Vector{
+		{T: relational.Int, Ints: ints}, {T: relational.Float, Floats: floats}, {T: relational.String, Strs: strs},
 	}
 	for _, shards := range []int{1, 3, 4, 8} {
-		for _, key := range []relational.Vector{
-			{T: relational.Int, Ints: ints}, {T: relational.Float, Floats: floats}, {T: relational.String, Strs: strs},
-		} {
+		for _, key := range keys {
 			for i, d := range destinations(&key, key.Len(), shards) {
 				if want := int32(refHashValue(key.Value(i)) % uint64(shards)); d != want {
 					t.Errorf("destinations(%v)[%d] over %d shards = %d, reference %d", key.T, i, shards, d, want)
@@ -385,11 +371,10 @@ func TestHashValueMatchesKeyReference(t *testing.T) {
 			}
 		}
 	}
-	sink := uint64(0)
-	if n := testing.AllocsPerRun(100, func() {
-		sink += hashValue(relational.IntV(math.MinInt64)) + hashValue(relational.FloatV(-math.MaxFloat64)) + hashValue(relational.StringV("héllo wörld"))
-	}); n != 0 {
-		t.Errorf("hashValue allocates %v times per three cells, want 0 (sink %d)", n, sink)
+	for _, key := range keys {
+		if n := testing.AllocsPerRun(20, func() { destinations(&key, key.Len(), 4) }); n != 1 {
+			t.Errorf("destinations(%v) allocates %v times, want 1 (its result)", key.T, n)
+		}
 	}
 }
 
@@ -628,8 +613,25 @@ func TestShardRelationMatchesRowReference(t *testing.T) {
 				if err := sameRelations(st.Shards, want); err != nil {
 					t.Fatalf("iter %d, %d shards, %v: %v", iter, shards, strategy, err)
 				}
-				if st.SourceRows() != table.Len() {
-					t.Fatalf("iter %d: SourceRows %d, table has %d", iter, st.SourceRows(), table.Len())
+				// An append of the rows from start on is billed to the
+				// shards the reference placed them on, bit for bit.
+				start := rng.Intn(table.Len() + 1)
+				bytes := make([]float64, shards)
+				for s, sh := range want {
+					for _, row := range sh.Rows {
+						if row[len(row)-1].I >= int64(start) {
+							bytes[s] += row[:len(row)-1].EncodedBytes()
+						}
+					}
+				}
+				var wantTransfers []Transfer
+				for s, b := range bytes {
+					if b > 0 {
+						wantTransfers = append(wantTransfers, Transfer{Src: Coordinator, Dst: s, Bytes: b})
+					}
+				}
+				if err := sameTransfers(AppendTransfers(in, start, shards, strategy, 0), wantTransfers); err != nil {
+					t.Fatalf("iter %d, %d shards, %v: AppendTransfers from row %d: %v", iter, shards, strategy, start, err)
 				}
 			}
 		}

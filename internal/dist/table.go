@@ -68,11 +68,8 @@ func ShardRelation(rel *relational.Relation, shards int, strategy Strategy, keyC
 		for s := range t.Shards {
 			// Row i lives on shard i·S/n, so shard s starts at ⌈s·n/S⌉.
 			lo, hi := (s*n+shards-1)/shards, ((s+1)*n+shards-1)/shards
-			sc := make([]relational.Vector, 0, len(cols)+1)
-			for c := range cols {
-				sc = append(sc, cols[c].Slice(lo, hi))
-			}
-			t.Shards[s] = relational.NewColumnRelation(rel.Name, schema, append(sc, seq.Slice(lo, hi)), hi-lo)
+			sc := append(rel.Slice(lo, hi).Columnar(), seq.Slice(lo, hi))
+			t.Shards[s] = relational.NewColumnRelation(rel.Name, schema, sc, hi-lo)
 		}
 		return t
 	}
@@ -97,34 +94,30 @@ func ShardRelation(rel *relational.Relation, shards int, strategy Strategy, keyC
 // SeqCol returns the index of the #seq column in the shard schema.
 func (t *ShardedTable) SeqCol() int { return len(t.Rel.Schema) }
 
-// ShardFor returns the destination shard of row idx (of total rows)
-// under the given placement strategy — the same mapping ShardRelation
-// applies, exposed so the streaming ingest path can bill an appended
-// row's movement to the shard it will land on when the table is next
-// (re)sharded. keyCol is ignored for RangeShard.
-func ShardFor(strategy Strategy, keyCol, shards int, row relational.Row, idx, total int) int {
-	if shards <= 0 {
-		return 0
-	}
+// AppendTransfers prices an append: the coordinator → shard transfers
+// that move rel's rows from start on to the shards ShardRelation(rel,
+// shards, strategy, keyCol) would place them on, sized column-wise.
+func AppendTransfers(rel *relational.Relation, start, shards int, strategy Strategy, keyCol int) []Transfer {
+	cols, n := rel.Columnar(), rel.Len()
+	size := relational.NewRowSizer(cols)
+	bytes := make([]float64, shards)
 	if strategy == HashShard {
-		return int(hashValue(row[keyCol]) % uint64(shards))
+		key := cols[keyCol].Slice(start, n)
+		for i, d := range destinations(&key, n-start, shards) {
+			bytes[d] += float64(size.Bytes(start + i))
+		}
+	} else {
+		for i := start; i < n; i++ {
+			bytes[i*shards/n] += float64(size.Bytes(i))
+		}
 	}
-	if total <= 0 {
-		return 0
+	var transfers []Transfer
+	for s, b := range bytes {
+		if b > 0 {
+			transfers = append(transfers, Transfer{Src: Coordinator, Dst: s, Bytes: b})
+		}
 	}
-	return idx * shards / total
-}
-
-// SourceRows returns how many source rows the placement covers. Callers
-// caching placements compare it against the live relation's length to
-// detect appends since sharding (mirroring Relation.Columnar's own
-// append detection).
-func (t *ShardedTable) SourceRows() int {
-	n := 0
-	for _, s := range t.Shards {
-		n += s.Len()
-	}
-	return n
+	return transfers
 }
 
 // FNV-1a over a value's type-tagged key form — the byte sequence of
@@ -160,18 +153,6 @@ func hashString(v string) uint64 {
 		h = (h ^ uint64(v[i])) * fnvPrime
 	}
 	return h
-}
-
-// hashValue hashes one boxed cell.
-func hashValue(v relational.Value) uint64 {
-	switch v.T {
-	case relational.Int:
-		return hashInt(v.I)
-	case relational.Float:
-		return hashFloat(v.F)
-	default:
-		return hashString(v.S)
-	}
 }
 
 // destinations returns, for each of the first n cells of key, the shard

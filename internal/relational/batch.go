@@ -189,16 +189,18 @@ func (v *Vector) AppendGather(src *Vector, sel []int32) {
 	}
 }
 
-// Slice returns the [from, to) window sharing the backing arrays.
+// Slice returns the [from, to) window sharing the backing arrays, clipped
+// to its length: an append to the window reallocates instead of writing
+// over the parent's later cells.
 func (v *Vector) Slice(from, to int) Vector {
 	out := Vector{T: v.T}
 	switch v.T {
 	case Int:
-		out.Ints = v.Ints[from:to]
+		out.Ints = v.Ints[from:to:to]
 	case Float:
-		out.Floats = v.Floats[from:to]
+		out.Floats = v.Floats[from:to:to]
 	default:
-		out.Strs = v.Strs[from:to]
+		out.Strs = v.Strs[from:to:to]
 	}
 	return out
 }
@@ -226,16 +228,14 @@ func NewBatch(schema Schema, capacity int) *Batch {
 	return b
 }
 
+// BatchOf wraps n rows held as columns — one vector of n values per
+// schema column — as a batch.
+func BatchOf(schema Schema, cols []Vector, n int) *Batch {
+	return &Batch{Schema: schema, Cols: cols, n: n}
+}
+
 // Len returns the row count.
 func (b *Batch) Len() int { return b.n }
-
-// AppendRow adds one row across all columns.
-func (b *Batch) AppendRow(r Row) {
-	for i := range b.Cols {
-		b.Cols[i].Append(r[i])
-	}
-	b.n++
-}
 
 // Row materializes row i into buf (grown as needed) and returns it.
 func (b *Batch) Row(i int, buf Row) Row {

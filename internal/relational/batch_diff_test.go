@@ -45,12 +45,10 @@ func (s *batchSource) Partition(n int, _ bool) []BatchOp {
 // cutBatches slices rel into batches of per rows (the last one ragged).
 func cutBatches(rel *Relation, per int) *batchSource {
 	src := &batchSource{schema: rel.Schema}
-	for lo := 0; lo < len(rel.Rows); lo += per {
-		b := NewBatch(rel.Schema, per)
+	for lo := 0; lo < rel.Len(); lo += per {
+		hi := min(lo+per, rel.Len())
+		b := BatchOf(rel.Schema, rel.Slice(lo, hi).Columnar(), hi-lo)
 		b.Seq = int64(len(src.batches))
-		for _, r := range rel.Rows[lo:min(lo+per, len(rel.Rows))] {
-			b.AppendRow(r)
-		}
 		src.batches = append(src.batches, b)
 	}
 	return src

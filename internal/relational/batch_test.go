@@ -292,17 +292,3 @@ func TestBatchStatsCountRows(t *testing.T) {
 		t.Fatalf("filter stats = %d, want %d", got, len(out))
 	}
 }
-
-func TestInvalidateColumnarRebuilds(t *testing.T) {
-	rel := randRel(15, BatchSize+10)
-	before := collectRows(t, RowsOf(NewBatchScan(rel)))
-	rel.Rows[0][0] = IntV(-999) // in-place mutation: cache is stale
-	rel.InvalidateColumnar()
-	after := collectRows(t, RowsOf(NewBatchScan(rel)))
-	if after[0][0].I != -999 {
-		t.Fatalf("columnar cache not rebuilt: got %v", after[0][0])
-	}
-	if before[0][0].I == -999 {
-		t.Fatal("test setup broken: mutation happened before first scan")
-	}
-}

@@ -60,8 +60,7 @@ func (c *cancelPart) NextBatch() (*Batch, error) {
 	}
 	c.sent++
 	c.probe.emitted.Add(1)
-	b := NewBatch(c.probe.schema(), 1)
-	b.AppendRow(Row{IntV(int64(c.sent))})
+	b := BatchOf(c.probe.schema(), []Vector{{T: Int, Ints: []int64{int64(c.sent)}}}, 1)
 	b.Seq = int64(c.idx)*int64(c.probe.limit) + int64(c.sent)
 	return b, nil
 }

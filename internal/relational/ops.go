@@ -59,25 +59,26 @@ type Predicate func(Row) (bool, error)
 // Projector computes one output cell from an input row.
 type Projector func(Row) (Value, error)
 
-// Scan streams a materialized relation.
+// Scan streams a materialized relation, in either construction form.
 type Scan struct {
 	rel  *Relation
+	rows []Row
 	pos  int
 	stat OpStats
 }
 
 // NewScan returns a scan over rel.
-func NewScan(rel *Relation) *Scan { return &Scan{rel: rel} }
+func NewScan(rel *Relation) *Scan { return &Scan{rel: rel, rows: rel.RowView()} }
 
 // Schema implements Op.
 func (s *Scan) Schema() Schema { return s.rel.Schema }
 
 // Next implements Op.
 func (s *Scan) Next() (Row, bool, error) {
-	if s.pos >= len(s.rel.Rows) {
+	if s.pos >= len(s.rows) {
 		return nil, false, nil
 	}
-	r := s.rel.Rows[s.pos]
+	r := s.rows[s.pos]
 	s.pos++
 	s.stat.RowsOut++
 	return r, true, nil

@@ -246,7 +246,8 @@ func (p *PartialAgg) window(lo, hi int) *PartialAgg {
 // lookup have grown to.
 func (p *PartialAgg) reset() {
 	for c := range p.cols {
-		p.cols[c] = p.cols[c].Slice(0, 0)
+		v := &p.cols[c]
+		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
 	}
 	p.index.reset()
 	p.indexed, p.ord, p.bytes = 0, 0, 0
@@ -547,13 +548,6 @@ func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) 
 		}
 	}
 	return cols, n
-}
-
-// EmitRows is EmitCols as rows, for the row-shaped consumers (the
-// distributed coordinator, streaming windows).
-func (p *PartialAgg) EmitRows(schema Schema, bySeq bool) []Row {
-	cols, n := p.EmitCols(schema, bySeq)
-	return appendRows(nil, cols, n)
 }
 
 // SplitChunks slices the partial into sub-partials of at most maxGroups

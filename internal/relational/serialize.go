@@ -69,32 +69,9 @@ func colsBytes(cols []Vector, n int) float64 {
 // EncodedBytes returns the serialized size of the batch.
 func (b *Batch) EncodedBytes() float64 { return colsBytes(b.Cols, b.Len()) }
 
-// EncodedBytes returns the serialized size of the whole relation — from
-// the vectors of a column-built relation or of a row-built one whose
-// columnar image is current, else from the rows. Byte counts are
-// integers, so both forms (and any summation order) give the same float.
-func (r *Relation) EncodedBytes() float64 {
-	if r.colBuilt {
-		return colsBytes(r.cols, r.colRows)
-	}
-	r.colMu.Lock()
-	cols, current := r.cols, r.cols != nil && r.colRows == len(r.Rows)
-	r.colMu.Unlock()
-	if current {
-		return colsBytes(cols, len(r.Rows))
-	}
-	total := float64(rowOverheadBytes * len(r.Rows))
-	for c, col := range r.Schema {
-		if col.Type == String {
-			for _, row := range r.Rows {
-				total += float64(4 + len(row[c].S))
-			}
-		} else {
-			total += 8 * float64(len(r.Rows))
-		}
-	}
-	return total
-}
+// EncodedBytes returns the serialized size of the whole relation, from
+// its vectors (so it reads, and freezes, a row-built relation's image).
+func (r *Relation) EncodedBytes() float64 { return colsBytes(r.Columnar(), r.Len()) }
 
 // RowSizer prices rows held as columns without boxing them: Bytes(r) is
 // Row.EncodedBytes of row r, as an integer. The numeric cells, string

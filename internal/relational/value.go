@@ -18,11 +18,15 @@
 // (grace join, generation-spilling aggregation, external sort) with the
 // spill priced on a modeled storage tier.
 //
+// A Relation is built from rows or from columns, grows only by Extend —
+// a new column-built snapshot that leaves the old one intact — and a
+// row-built one freezes once read as columns (see Relation).
+//
 // The row engine (Op, ops.go) is the volcano-style pull interpreter: one
-// Row of boxed Values at a time, serial, simple. It is the oracle — the
-// parity and differential tests and the repository benchmark's
-// correctness gate hold the batch engine to its output row for row — so
-// it stays deliberately naive.
+// Row of boxed Values at a time, serial, simple, over either form (it
+// scans RowView). It is the oracle — the parity and differential tests
+// and the repository benchmark's correctness gate hold the batch engine
+// to its output row for row — so it stays deliberately naive.
 package relational
 
 import (
@@ -30,6 +34,7 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Type is a column type.
@@ -177,27 +182,32 @@ type Row []Value
 // Clone copies the row.
 func (r Row) Clone() Row { return append(Row(nil), r...) }
 
-// Relation is a materialized table in one of two construction forms.
+// Relation is a materialized table in one of two construction forms, with
+// one way to grow.
 //
 // Row-built (NewRelation + Append, or a literal with Rows set): the row
-// store is authoritative and the batch engine lazily builds — and caches —
-// a columnar image of it, so scans hand out zero-copy column windows.
-// Appending rows is detected and rebuilds the image; mutating existing
-// rows in place is not — call InvalidateColumnar after in-place edits, or
-// treat Rows as immutable once queries have run.
+// store is authoritative until the relation is first read as columns —
+// a batch scan, a shard placement, EncodedBytes, an Extend — which builds
+// and caches its columnar image and freezes it: Append errors from then
+// on, so the image never goes stale.
 //
-// Column-built (NewColumnRelation): the column vectors are authoritative
-// and nothing is boxed. This is the form every batch tree drains into
-// (Drain): shard placements, fragment outputs, every movement primitive's
-// result, and the result a batch or distributed query returns. Rows of a
-// column-built relation is nil until RowView boxes it on demand — for the
-// printers, examples and tests that read rows; the engine and the wire
-// encoder read Columnar — and Append is an error.
+// Column-built (NewColumnRelation, Extend): the column vectors are
+// authoritative and nothing is boxed. This is the form every batch tree
+// drains into (Drain) and every registered table grows into: shard
+// placements, fragment outputs, every movement primitive's result, the
+// result a batch or distributed query returns, and a table after its
+// first append. Rows of a column-built relation is nil until RowView
+// boxes it on demand — for the row engine, the printers, examples and
+// tests; the batch engine and the wire encoder read Columnar — and Append
+// is an error.
 //
-// One invariant covers both: the vectors Columnar hands out are immutable.
-// They are shared — by concurrent scans, by zero-copy shard windows of a
-// registered table, by every shard probing one broadcast build side — so
-// whoever needs different cells builds fresh vectors.
+// Growth is Extend: a new column-built relation holding the rows followed
+// by the new ones, leaving the receiver as it was. Every relation is a
+// snapshot, and the vectors Columnar hands out are immutable. They are
+// shared — by concurrent scans, by zero-copy shard windows of a
+// registered table, by every shard probing one broadcast build side, by
+// the snapshots an Extend chain leaves behind — so whoever needs
+// different cells builds fresh vectors.
 type Relation struct {
 	Name   string
 	Schema Schema
@@ -206,7 +216,12 @@ type Relation struct {
 	colMu    sync.Mutex
 	colBuilt bool // column-built: cols authoritative, colRows the row count
 	colRows  int
-	cols     []Vector
+	// cols are the vectors readers get, an Extend result's clipped to
+	// colRows; spare holds them with their capacity, which only the first
+	// Extend may claim (grown) and append into, past what readers see.
+	cols  []Vector
+	spare []Vector
+	grown atomic.Bool
 }
 
 // NewRelation returns an empty row-built relation.
@@ -222,11 +237,24 @@ func NewColumnRelation(name string, schema Schema, cols []Vector, n int) *Relati
 	return &Relation{Name: name, Schema: schema, colBuilt: true, colRows: n, cols: cols}
 }
 
-// Append adds a row after arity/type checking.
+// Append adds a row to a row-built relation after arity/type checking. It
+// errors on a column-built relation and on a row-built one already read as
+// columns: grow those with Extend.
 func (r *Relation) Append(row Row) error {
-	if r.colBuilt {
-		return fmt.Errorf("relational: %s: append to a column-built relation", r.Name)
+	if err := r.check(row); err != nil {
+		return err
 	}
+	r.colMu.Lock()
+	defer r.colMu.Unlock()
+	if r.colBuilt || r.cols != nil {
+		return fmt.Errorf("relational: %s: append to a relation read as columns (grow it with Extend)", r.Name)
+	}
+	r.Rows = append(r.Rows, row)
+	return nil
+}
+
+// check validates a row's arity and cell types against the schema.
+func (r *Relation) check(row Row) error {
 	if len(row) != len(r.Schema) {
 		return fmt.Errorf("relational: %s: row arity %d != schema arity %d", r.Name, len(row), len(r.Schema))
 	}
@@ -235,8 +263,66 @@ func (r *Relation) Append(row Row) error {
 			return fmt.Errorf("relational: %s: column %s expects %v, got %v", r.Name, r.Schema[i].Name, r.Schema[i].Type, v.T)
 		}
 	}
-	r.Rows = append(r.Rows, row)
 	return nil
+}
+
+// Extend returns a new column-built relation holding r's rows followed by
+// rows, after checking every row's arity and types — an invalid row fails
+// the call with nothing written. r and every relation extended before it
+// keep their rows: only r's first Extend appends into the spare capacity
+// of r's vectors, past anything a reader of r can see; a later Extend of
+// r, and any Extend of a row-built r (which reads, and so freezes, its
+// image), copies.
+func (r *Relation) Extend(rows []Row) (*Relation, error) {
+	for _, row := range rows {
+		if err := r.check(row); err != nil {
+			return nil, err
+		}
+	}
+	cols, n, m := r.Columnar(), r.Len(), r.Len()+len(rows)
+	inPlace := r.spare != nil && r.grown.CompareAndSwap(false, true)
+	out := &Relation{Name: r.Name, Schema: r.Schema, colBuilt: true, colRows: m,
+		cols: make([]Vector, len(cols)), spare: make([]Vector, len(cols))}
+	for c, v := range cols {
+		if inPlace {
+			v = r.spare[c]
+		} else {
+			v = NewVector(v.T, m)
+			v.AppendRange(&cols[c], 0, n)
+		}
+		appendColumn(&v, rows, c)
+		out.spare[c], out.cols[c] = v, v.Slice(0, m)
+	}
+	return out, nil
+}
+
+// appendColumn appends column c of rows to v, whose type the cells have.
+func appendColumn(v *Vector, rows []Row, c int) {
+	switch v.T {
+	case Int:
+		for _, row := range rows {
+			v.Ints = append(v.Ints, row[c].I)
+		}
+	case Float:
+		for _, row := range rows {
+			v.Floats = append(v.Floats, row[c].F)
+		}
+	default:
+		for _, row := range rows {
+			v.Strs = append(v.Strs, row[c].S)
+		}
+	}
+}
+
+// Slice returns rows [lo, hi) of r as a column-built relation over
+// clipped windows of r's vectors.
+func (r *Relation) Slice(lo, hi int) *Relation {
+	cols := r.Columnar()
+	out := make([]Vector, len(cols))
+	for c := range cols {
+		out[c] = cols[c].Slice(lo, hi)
+	}
+	return NewColumnRelation(r.Name, r.Schema, out, hi-lo)
 }
 
 // MustAppend is Append, panicking on error (for table literals in tests
@@ -273,52 +359,22 @@ func (r *Relation) RowView() []Row {
 	return r.Rows
 }
 
-// InvalidateColumnar drops a row-built relation's cached columnar image
-// so the next batch scan rebuilds it — required after mutating existing
-// rows in place (appends are detected automatically).
-func (r *Relation) InvalidateColumnar() {
-	if r.colBuilt {
-		return
-	}
-	r.colMu.Lock()
-	defer r.colMu.Unlock()
-	r.cols = nil
-	r.colRows = 0
-}
-
 // Columnar returns the relation's column vectors: a column-built
-// relation's own, or the cached columnar image of a row-built one, built
-// on first use (and rebuilt if rows were appended since). The returned
-// vectors are shared and must be treated as immutable.
+// relation's own, or the columnar image of a row-built one, built on first
+// use — which freezes the row store (see Append). The returned vectors are
+// shared and must be treated as immutable.
 func (r *Relation) Columnar() []Vector {
 	if r.colBuilt {
 		return r.cols
 	}
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
-	if r.cols != nil && r.colRows == len(r.Rows) {
-		return r.cols
-	}
-	cols := make([]Vector, len(r.Schema))
-	for c, col := range r.Schema {
-		v := NewVector(col.Type, len(r.Rows))
-		switch col.Type {
-		case Int:
-			for _, row := range r.Rows {
-				v.Ints = append(v.Ints, row[c].I)
-			}
-		case Float:
-			for _, row := range r.Rows {
-				v.Floats = append(v.Floats, row[c].F)
-			}
-		default:
-			for _, row := range r.Rows {
-				v.Strs = append(v.Strs, row[c].S)
-			}
+	if r.cols == nil {
+		r.cols = make([]Vector, len(r.Schema))
+		for c, col := range r.Schema {
+			r.cols[c] = NewVector(col.Type, len(r.Rows))
+			appendColumn(&r.cols[c], r.Rows, c)
 		}
-		cols[c] = v
 	}
-	r.cols = cols
-	r.colRows = len(r.Rows)
-	return cols
+	return r.cols
 }

@@ -407,13 +407,7 @@ func decodeRelation(req *TableRequest) (*relational.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	rel := relational.NewRelation(req.Name, schema)
-	for _, row := range rows {
-		if err := rel.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	return rel, nil
+	return relational.NewRelation(req.Name, schema).Extend(rows)
 }
 
 // decodeCell converts one JSON scalar to a typed value.

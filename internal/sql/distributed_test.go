@@ -351,9 +351,11 @@ func TestDistributedExplain(t *testing.T) {
 	}
 }
 
-// TestDistributedSeesAppends: appending rows to a registered table must
-// invalidate the cached shard placement, exactly as the single-node
-// engine's columnar cache detects appends.
+// TestDistributedSeesAppends: an append swaps the catalog entry for the
+// relation Extend returns, so the cached shard placement — keyed by the
+// relation it was cut from — is stale and the next query re-shards. The
+// queried relation itself is frozen: growing it in place, under a cached
+// placement and concurrent scans, now fails.
 func TestDistributedSeesAppends(t *testing.T) {
 	rel := relational.NewRelation("t", relational.Schema{{Name: "x", Type: relational.Int}})
 	for i := 0; i < 10; i++ {
@@ -373,7 +375,16 @@ func TestDistributedSeesAppends(t *testing.T) {
 	if got := count(); got != 10 {
 		t.Fatalf("initial count = %d", got)
 	}
-	rel.MustAppend(relational.Row{relational.IntV(99)})
+	if err := rel.Append(relational.Row{relational.IntV(99)}); err == nil {
+		t.Fatal("in-place append to a queried relation must fail")
+	}
+	eng, err := db.engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.AppendRows("t", []relational.Row{{relational.IntV(99)}}); err != nil {
+		t.Fatal(err)
+	}
 	if got := count(); got != 11 {
 		t.Fatalf("count after append = %d (stale shard cache)", got)
 	}

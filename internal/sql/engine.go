@@ -272,16 +272,16 @@ func (e *Engine) Register(rel *relational.Relation) {
 // the same admission rounds.
 const IngestClass = "ingest"
 
-// AppendRows appends rows to a registered table as one morsel: the
-// catalog swaps to a fresh relation header sharing the old backing
-// array, so running queries keep scanning their snapshot while new
-// queries (and the sharded-placement freshness check) see the growth.
-// The table's data epoch bumps; the catalog epoch does NOT — the schema
-// is unchanged, so cached plans stay valid. Streaming subscriptions on
-// the table observe the batch in append order. On a distributed engine
-// the appended bytes are billed to the shared fabric as ingest-class
-// flows from the coordinator to each row's destination shard. The
-// returned acknowledgement covers rows durable in the catalog.
+// AppendRows appends rows to a registered table: the catalog swaps to
+// the relation Extend returns, column-built, so running queries keep
+// scanning their snapshot while new queries (and the sharded-placement
+// freshness check) see the growth. The table's data epoch bumps; the
+// catalog epoch does NOT — the schema is unchanged, so cached plans stay
+// valid. Streaming subscriptions on the table observe the batch in append
+// order. On a distributed engine the appended bytes are billed to the
+// shared fabric as ingest-class flows from the coordinator to each row's
+// destination shard. The returned acknowledgement covers rows durable in
+// the catalog.
 func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest, error) {
 	if len(rows) == 0 {
 		return stream.Ingest{}, nil
@@ -297,64 +297,47 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 		e.mu.Unlock()
 		return stream.Ingest{}, fmt.Errorf("sql: stream for table %q is closed", table)
 	}
-	nrel := &relational.Relation{Name: old.Name, Schema: old.Schema, Rows: old.Rows}
-	start := int64(old.Len())
-	for _, row := range rows {
-		if err := nrel.Append(row); err != nil {
-			e.mu.Unlock()
-			return stream.Ingest{}, err
-		}
+	nrel, err := old.Extend(rows)
+	if err != nil {
+		e.mu.Unlock()
+		return stream.Ingest{}, err
 	}
+	start := old.Len()
 	e.tables[name] = nrel
 	e.dataEpochs[name]++
 	delete(e.sharded, name)
 	// Publish under the catalog lock: subscription arrival order must
 	// equal append order (the hub only enqueues — no blocking, no
-	// reentry into the engine). The published slice is the catalog's own
-	// copy, not the caller's — callers may reuse their batch buffer the
-	// moment Append returns, while subscriptions drain asynchronously.
-	e.hub.Publish(name, nrel.Rows[start:])
+	// reentry into the engine). The published window is the catalog's own
+	// immutable vectors, not the caller's rows — callers may reuse their
+	// batch buffer the moment Append returns, while subscriptions drain
+	// asynchronously.
+	tail := nrel.Slice(start, nrel.Len())
+	e.hub.Publish(name, tail)
 	e.mu.Unlock()
 
-	ing := stream.Ingest{Start: start, Rows: len(rows)}
-	for _, row := range rows {
-		ing.Bytes += row.EncodedBytes()
-	}
-	ing.NetSeconds = e.billIngest(nrel, rows, int(start))
-	return ing, nil
+	return stream.Ingest{Start: int64(start), Rows: len(rows), Bytes: tail.EncodedBytes(),
+		NetSeconds: e.billIngest(nrel, start)}, nil
 }
 
-// billIngest charges one appended batch's movement to the shared fabric
-// as ingest-class flows (coordinator → destination shard, per the
-// table's sharding strategy). Endpoints resolve through the lifecycle
-// manager, so a drained or dead host's share lands on the shard's live
-// primary; the run takes the resolver only, not a Guard — an append is
-// not a query phase and must not claim a fault-plan ordinal. The party
-// is short-lived — join, one phase, leave — so it contends in admission
-// rounds with whatever queries are in flight without ever holding the
-// round barrier open. Returns the modeled fabric seconds (0 on
-// single-node engines).
-func (e *Engine) billIngest(rel *relational.Relation, rows []relational.Row, start int) float64 {
+// billIngest charges the movement of rel's rows from start on — one
+// appended batch — to the shared fabric as ingest-class flows
+// (coordinator → destination shard, per the table's sharding strategy).
+// Endpoints resolve through the lifecycle manager, so a drained or dead
+// host's share lands on the shard's live primary; the run takes the
+// resolver only, not a Guard — an append is not a query phase and must
+// not claim a fault-plan ordinal. The party is short-lived — join, one
+// phase, leave — so it contends in admission rounds with whatever
+// queries are in flight without ever holding the round barrier open.
+// Returns the modeled fabric seconds (0 on single-node engines).
+func (e *Engine) billIngest(rel *relational.Relation, start int) float64 {
 	if e.fabric == nil {
 		return 0
 	}
-	shards := e.cluster.Shards()
 	strategy, keyCol := e.sharding(rel)
-	total := rel.Len()
-	bytes := make([]float64, shards)
-	for i, row := range rows {
-		sh := dist.ShardFor(strategy, keyCol, shards, row, start+i, total)
-		bytes[sh] += row.EncodedBytes()
-	}
-	transfers := make([]dist.Transfer, 0, shards)
-	for sh, b := range bytes {
-		if b > 0 {
-			transfers = append(transfers, dist.Transfer{Src: dist.Coordinator, Dst: sh, Bytes: b})
-		}
-	}
 	qr := e.fabric.NewQueryQoS(nil, IngestClass, 0)
 	qr.SetHostResolver(e.lcm.HostFor)
-	if err := qr.RunPhase("ingest", transfers); err != nil {
+	if err := qr.RunPhase("ingest", dist.AppendTransfers(rel, start, e.cluster.Shards(), strategy, keyCol)); err != nil {
 		qr.Close()
 		return 0
 	}
@@ -467,9 +450,7 @@ func (e *Engine) sharding(rel *relational.Relation) (dist.Strategy, int) {
 // shardedTable returns the cached shard placement of rel.
 func (e *Engine) shardedTable(rel *relational.Relation) *dist.ShardedTable {
 	key := strings.ToLower(rel.Name)
-	fresh := func(t *dist.ShardedTable) bool {
-		return t != nil && t.Rel == rel && t.SourceRows() == rel.Len()
-	}
+	fresh := func(t *dist.ShardedTable) bool { return t != nil && t.Rel == rel }
 	// Read-locked fast path: concurrent sessions planning over an
 	// already-sharded table must not serialize on the engine mutex.
 	e.mu.RLock()

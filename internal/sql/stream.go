@@ -74,9 +74,10 @@ func (s *Session) Subscribe(ctx context.Context, q string, spec stream.WindowSpe
 
 // compileContinuous lowers the aggregate subset of a SELECT into a
 // stream.Query, reusing the batch planner's compile pieces (scope
-// binding, aggregate plan, post-aggregation projection) so a window's
-// result is computed by exactly the machinery the batch engine would
-// use for the same query restricted to the window's time range.
+// binding, the batch filter's ranges and residual, aggregate plan,
+// post-aggregation projection) so a window's result is computed by
+// exactly the machinery the batch engine would use for the same query
+// restricted to the window's time range.
 func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*stream.Query, error) {
 	switch {
 	case len(stmt.Joins) > 0:
@@ -117,16 +118,17 @@ func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*
 	sc := &scope{}
 	sc.addTable(leg.alias, leg.rel.Schema, 0)
 	if stmt.Where != nil {
-		cq.Filter, err = compilePredicate(sc, foldConstants(stmt.Where))
+		f, err := compileFilter(sc, foldConstants(stmt.Where), true)
 		if err != nil {
 			return nil, err
 		}
+		cq.Ranges, cq.Residual = f.ranges, f.pred
 	}
 	ap, err := buildAggPlan(stmt, sc, leg.rel.Schema)
 	if err != nil {
 		return nil, err
 	}
-	cq.PreExprs, cq.PreSchema = projFns(ap.pre), ap.preSchema
+	cq.Pre, cq.PreSchema = ap.pre, ap.preSchema
 	cq.GroupCols, cq.AggSpecs = ap.groupCols, ap.aggSpecs
 	cq.AggSchema, err = relational.AggOutputSchema(ap.preSchema, ap.groupCols, ap.aggSpecs)
 	if err != nil {
@@ -137,7 +139,7 @@ func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*
 	if err != nil {
 		return nil, err
 	}
-	cq.OutSchema, cq.OutExprs = outSchema, projFns(outExprs)
+	cq.OutSchema, cq.Out = outSchema, outExprs
 	cq.Budget, err = pl.spillBudget()
 	if err != nil {
 		return nil, err
@@ -156,5 +158,5 @@ func (e *Engine) subscribe(ctx context.Context, cq *stream.Query, spec stream.Wi
 	if !ok {
 		return nil, fmt.Errorf("sql: unknown table %q", cq.Table)
 	}
-	return e.hub.Subscribe(ctx, cq, spec, rel.Rows)
+	return e.hub.Subscribe(ctx, cq, spec, rel)
 }

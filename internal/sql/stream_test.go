@@ -148,9 +148,9 @@ func TestStreamBatchParity(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !reflect.DeepEqual(w.Rows.Rows, res.Rows.RowView()) {
+					if !reflect.DeepEqual(w.Rows.RowView(), res.Rows.RowView()) {
 						t.Fatalf("window [%d,%d) diverges from batch rerun:\n stream %v\n batch  %v",
-							w.Start, w.End, w.Rows.Rows, res.Rows.RowView())
+							w.Start, w.End, w.Rows.RowView(), res.Rows.RowView())
 					}
 				}
 			})
@@ -315,7 +315,7 @@ func TestChaosKillMidIngest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(w.Rows.Rows, res.Rows.RowView()) {
+		if !reflect.DeepEqual(w.Rows.RowView(), res.Rows.RowView()) {
 			t.Fatalf("window [%d,%d) diverges under chaos", w.Start, w.End)
 		}
 	}
@@ -355,7 +355,12 @@ func TestIngestBilledToLivePrimary(t *testing.T) {
 			})
 			var batch []relational.Row
 			for tm := int64(0); len(batch) < 8; tm++ {
-				if row := sev("a", tm, 1); dist.ShardFor(dist.HashShard, 1, 4, row, 0, 0) == 1 {
+				row := sev("a", tm, 1)
+				one, err := relational.NewRelation("events", streamSchema).Extend([]relational.Row{row})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dist.AppendTransfers(one, 0, 4, dist.HashShard, 1)[0].Dst == 1 {
 					batch = append(batch, row)
 				}
 			}
@@ -460,6 +465,63 @@ func TestSubscribeRejectsNonStreamable(t *testing.T) {
 	}
 }
 
+// registeredResult is a 5-event query result: column-built, as every
+// batch result is, and named "result".
+func registeredResult(t *testing.T) *relational.Relation {
+	t.Helper()
+	src := streamEngine(t, nil)
+	if _, err := src.AppendRows("events", []relational.Row{
+		sev("a", 1, 1), sev("b", 2, 2), sev("a", 3, 3), sev("c", 4, 4), sev("b", 5, 5),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := src.Session().Query(context.Background(), "SELECT k, t, v FROM events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Rows
+}
+
+// TestOracleScansColumnBuiltTable: the row engine — the oracle — counts
+// the rows of a registered column-built table.
+func TestOracleScansColumnBuiltTable(t *testing.T) {
+	oracle, err := NewEngine(Config{Parallel: false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.Register(registeredResult(t))
+	got, err := oracle.Session().Query(context.Background(), "SELECT COUNT(*) AS n FROM result")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Rows.RowView()[0][0].I; n != 5 {
+		t.Fatalf("row engine counts a registered 5-row result as %d", n)
+	}
+}
+
+// TestSubscribePrimesColumnBuiltTable: a subscription on a registered
+// column-built table is primed with its rows.
+func TestSubscribePrimesColumnBuiltTable(t *testing.T) {
+	eng := streamEngine(t, nil)
+	eng.Register(registeredResult(t))
+	sub, err := eng.Session().Subscribe(context.Background(),
+		"SELECT k, COUNT(*) AS n FROM result GROUP BY k", stream.WindowSpec{TimeCol: "t", Size: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CloseStream("result"); err != nil {
+		t.Fatal(err)
+	}
+	for range sub.Out() {
+	}
+	if err := sub.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if st := sub.Stats(); st.Events != 5 || st.Windows != 1 {
+		t.Fatalf("subscription on a registered result saw %d events in %d windows, want 5 in 1", st.Events, st.Windows)
+	}
+}
+
 // TestAppendValidation: appends type-check against the schema and fail
 // atomically (the catalog keeps the pre-append relation).
 func TestAppendValidation(t *testing.T) {
@@ -547,7 +609,7 @@ func TestAppendBufferReuse(t *testing.T) {
 	}
 	var total int64
 	for w := range sub.Out() {
-		for _, row := range w.Rows.Rows {
+		for _, row := range w.Rows.RowView() {
 			total += row[2].I // COUNT(*) per group
 		}
 	}

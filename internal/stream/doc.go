@@ -6,25 +6,26 @@
 //
 //   - Source is the append handle of one growing relation. Batches of
 //     timestamped rows feed through the sql engine's append path into
-//     the catalog (snapshot-swapped, so running queries keep their
-//     consistent view) and, on a distributed engine, every appended byte
-//     is billed to the shared fabric as an "ingest"-class QoS flow that
-//     contends with queries in the same admission rounds.
+//     the catalog (Relation.Extend: a new snapshot, so running queries
+//     keep their consistent view) and, on a distributed engine, every
+//     appended byte is billed to the shared fabric as an "ingest"-class
+//     QoS flow that contends with queries in the same admission rounds.
 //
-//   - Hub fans appended batches out to Subscriptions. The sql layer owns
-//     exactly one Hub per Engine and publishes under the engine's
-//     catalog lock, so subscription arrival order equals append order —
+//   - Hub fans appended batches — column windows of the table — out to
+//     Subscriptions. The sql layer owns exactly one Hub per Engine and
+//     publishes under its catalog lock, so arrival order is append order —
 //     the property that makes windowed group emission order reproduce
 //     the batch engine's first-seen order.
 //
 //   - Subscription evaluates one compiled continuous query (see
 //     sql.Session.Subscribe) over tumbling or sliding event-time
-//     windows. Windows are maintained incrementally: events fold into
-//     per-pane partial aggregates (pane width = gcd(size, slide)), and a
-//     closing window merges deep-copied pane snapshots — reusing the
-//     PartialAgg/SpillableAgg machinery the batch and distributed
-//     engines already share, so budgeted subscriptions spill window
-//     state to the tiered store exactly like budgeted queries do.
+//     windows. Each batch runs through the query's compiled batch filter
+//     and projection; events fold into per-pane partial aggregates (pane
+//     width = gcd(size, slide)), and a closing window merges deep-copied
+//     pane snapshots — reusing the PartialAgg/SpillableAgg machinery the
+//     batch and distributed engines already share, so budgeted
+//     subscriptions spill window state to the tiered store exactly like
+//     budgeted queries do.
 //     Emission is watermark-driven (watermark = max event time seen
 //     minus the allowed lateness); events behind the watermark but
 //     inside a still-open window are accepted and counted late, events

@@ -10,11 +10,13 @@ import (
 	"repro/internal/relational"
 )
 
-// Hub fans appended batches out to the subscriptions of each table. The
-// sql engine owns one Hub and publishes under its catalog lock, so every
-// subscription sees batches in append order. All methods are safe for
-// concurrent use; Publish and CloseTable never block on consumers
-// (subscriptions queue internally and deliver from their own goroutine).
+// Hub fans appended batches out to the subscriptions of each table. A
+// batch is a column-built relation — the appended window of the table's
+// own vectors — and the sql engine owns one Hub and publishes under its
+// catalog lock, so every subscription sees batches in append order. All
+// methods are safe for concurrent use; Publish and CloseTable never block
+// on consumers (subscriptions queue internally and deliver from their own
+// goroutine).
 type Hub struct {
 	mu     sync.Mutex
 	subs   map[string][]*Subscription
@@ -28,20 +30,21 @@ func NewHub() *Hub {
 
 // msg is one queued delivery: an ingest batch or the end-of-stream mark.
 type msg struct {
-	rows  []relational.Row
+	rel   *relational.Relation
 	at    time.Time
 	close bool
 }
 
 // Publish enqueues one appended batch to every subscription of table.
 // The caller serializes Publish calls in append order (the engine holds
-// its catalog lock across swap-and-publish).
-func (h *Hub) Publish(table string, rows []relational.Row) {
+// its catalog lock across swap-and-publish) and must not write to the
+// batch's vectors afterwards.
+func (h *Hub) Publish(table string, batch *relational.Relation) {
 	now := time.Now()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, s := range h.subs[strings.ToLower(table)] {
-		s.enqueue(msg{rows: rows, at: now})
+		s.enqueue(msg{rel: batch, at: now})
 	}
 }
 
@@ -81,13 +84,13 @@ func (h *Hub) TableClosed(table string) bool {
 }
 
 // Subscribe registers a continuous query. prime is the table's current
-// row snapshot, delivered as the first batch (so results cover rows
-// appended before the subscription too); the caller must hold whatever
-// lock serializes appends while calling Subscribe, or primed rows could
-// also arrive as published batches. ctx cancellation aborts delivery:
-// the output channel closes without a final flush and Err reports the
-// cause.
-func (h *Hub) Subscribe(ctx context.Context, q *Query, spec WindowSpec, prime []relational.Row) (*Subscription, error) {
+// relation, delivered as the first batch (so results cover rows appended
+// before the subscription too), in either construction form; the caller
+// must hold whatever lock serializes appends while calling Subscribe, or
+// primed rows could also arrive as published batches. ctx cancellation
+// aborts delivery: the output channel closes without a final flush and
+// Err reports the cause.
+func (h *Hub) Subscribe(ctx context.Context, q *Query, spec WindowSpec, prime *relational.Relation) (*Subscription, error) {
 	spec, err := spec.normalize()
 	if err != nil {
 		return nil, err
@@ -102,8 +105,8 @@ func (h *Hub) Subscribe(ctx context.Context, q *Query, spec WindowSpec, prime []
 	}
 	s.cond = sync.NewCond(&s.mu)
 	now := time.Now()
-	if len(prime) > 0 {
-		s.queue = append(s.queue, msg{rows: prime, at: now})
+	if prime != nil && prime.Len() > 0 {
+		s.queue = append(s.queue, msg{rel: prime, at: now})
 	}
 	h.mu.Lock()
 	if h.closed[name] {
@@ -215,7 +218,7 @@ func (s *Subscription) run(ctx context.Context, stop func() bool) {
 		if m.close {
 			wins, err = s.win.flush()
 		} else {
-			wins, err = s.win.observe(m.rows)
+			wins, err = s.win.observe(m.rel)
 		}
 		if err != nil {
 			s.mu.Lock()

@@ -23,8 +23,14 @@ func ev(k string, t, v int64) relational.Row {
 	return relational.Row{relational.StringV(k), relational.IntV(t), relational.IntV(v)}
 }
 
-func pick(i int) relational.Projector {
-	return func(r relational.Row) (relational.Value, error) { return r[i], nil }
+// batch is rows as the hub publishes them: a column-built relation.
+func batch(t testing.TB, rows []relational.Row) *relational.Relation {
+	t.Helper()
+	rel, err := relational.NewRelation("events", srcSchema).Extend(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rel
 }
 
 // testQuery is "SELECT k, SUM(v), COUNT(*) FROM events GROUP BY k"
@@ -47,12 +53,12 @@ func testQuery(t testing.TB, budget *relational.MemoryBudget) *Query {
 	return &Query{
 		Table:     "events",
 		TimeCol:   1,
-		PreExprs:  []relational.Projector{pick(0), pick(2)},
+		Pre:       []relational.ProjExpr{relational.Pick(0), relational.Pick(2)},
 		PreSchema: pre,
 		GroupCols: groups,
 		AggSpecs:  aggs,
 		AggSchema: aggSchema,
-		OutExprs:  []relational.Projector{pick(0), pick(1), pick(2)},
+		Out:       []relational.ProjExpr{relational.Pick(0), relational.Pick(1), relational.Pick(2)},
 		OutSchema: aggSchema,
 		Budget:    budget,
 	}
@@ -87,8 +93,8 @@ func checkWindows(t *testing.T, events []relational.Row, wins []Window) {
 	t.Helper()
 	for _, w := range wins {
 		want := oracle(events, w.Start, w.End)
-		if !reflect.DeepEqual(w.Rows.Rows, want) {
-			t.Fatalf("window [%d,%d):\n got %v\nwant %v", w.Start, w.End, w.Rows.Rows, want)
+		if !reflect.DeepEqual(w.Rows.RowView(), want) {
+			t.Fatalf("window [%d,%d):\n got %v\nwant %v", w.Start, w.End, w.Rows.RowView(), want)
 		}
 		if len(want) == 0 {
 			t.Fatalf("empty window [%d,%d) emitted", w.Start, w.End)
@@ -105,7 +111,7 @@ func runWindower(t *testing.T, spec WindowSpec, budget *relational.MemoryBudget,
 	w := newWindower(testQuery(t, budget), spec)
 	var wins []Window
 	for _, b := range batches {
-		out, err := w.observe(b)
+		out, err := w.observe(batch(t, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +150,7 @@ func TestTumblingWindows(t *testing.T) {
 		t.Fatalf("counters: events=%d late=%d dropped=%d", w.events, w.late, w.dropped)
 	}
 	// The first two windows emitted before close (watermark 25 > 20).
-	out, err := newWindower(testQuery(t, nil), mustNorm(t, spec)).observe(events)
+	out, err := newWindower(testQuery(t, nil), mustNorm(t, spec)).observe(batch(t, events))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +203,7 @@ func TestLateAndDropped(t *testing.T) {
 	spec := WindowSpec{TimeCol: "t", Size: 10}
 	q := testQuery(t, nil)
 	w := newWindower(q, mustNorm(t, spec))
-	wins, err := w.observe([]relational.Row{ev("a", 5, 1), ev("a", 12, 1)})
+	wins, err := w.observe(batch(t, []relational.Row{ev("a", 5, 1), ev("a", 12, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +211,7 @@ func TestLateAndDropped(t *testing.T) {
 		t.Fatalf("watermark 12 should seal [0,10): %+v", wins)
 	}
 	// t=3: its only window [0,10) has emitted — dropped.
-	wins, err = w.observe([]relational.Row{ev("a", 3, 100)})
+	wins, err = w.observe(batch(t, []relational.Row{ev("a", 3, 100)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +219,7 @@ func TestLateAndDropped(t *testing.T) {
 		t.Fatalf("expected a silent drop, wins=%v dropped=%d", wins, w.dropped)
 	}
 	// t=11: late (behind max 12) but [10,20) is open — included.
-	if _, err = w.observe([]relational.Row{ev("a", 11, 5)}); err != nil {
+	if _, err = w.observe(batch(t, []relational.Row{ev("a", 11, 5)})); err != nil {
 		t.Fatal(err)
 	}
 	if w.late != 1 {
@@ -228,8 +234,8 @@ func TestLateAndDropped(t *testing.T) {
 	}
 	// [10,20) holds t=12 (v=1) and the late t=11 (v=5).
 	want := []relational.Row{{relational.StringV("a"), relational.IntV(6), relational.IntV(2)}}
-	if !reflect.DeepEqual(out[0].Rows.Rows, want) {
-		t.Fatalf("late event lost: %v want %v", out[0].Rows.Rows, want)
+	if !reflect.DeepEqual(out[0].Rows.RowView(), want) {
+		t.Fatalf("late event lost: %v want %v", out[0].Rows.RowView(), want)
 	}
 	if out[0].Late != 1 || out[0].Events != 2 {
 		t.Fatalf("window accounting: %+v", out[0])
@@ -241,14 +247,14 @@ func TestLateAndDropped(t *testing.T) {
 func TestLatenessDelaysEmission(t *testing.T) {
 	spec := WindowSpec{TimeCol: "t", Size: 10, Lateness: 5}
 	w := newWindower(testQuery(t, nil), mustNorm(t, spec))
-	wins, err := w.observe([]relational.Row{ev("a", 5, 1), ev("a", 14, 1)})
+	wins, err := w.observe(batch(t, []relational.Row{ev("a", 5, 1), ev("a", 14, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(wins) != 0 {
 		t.Fatalf("watermark 9 must not seal [0,10): %+v", wins)
 	}
-	wins, err = w.observe([]relational.Row{ev("a", 15, 1)})
+	wins, err = w.observe(batch(t, []relational.Row{ev("a", 15, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,9 +309,9 @@ func TestRecomputeAndBudgetParity(t *testing.T) {
 			t.Fatalf("%s emitted %d windows, incremental %d", name, len(got), len(inc))
 		}
 		for i := range got {
-			if got[i].Start != inc[i].Start || !reflect.DeepEqual(got[i].Rows.Rows, inc[i].Rows.Rows) {
+			if got[i].Start != inc[i].Start || !reflect.DeepEqual(got[i].Rows.RowView(), inc[i].Rows.RowView()) {
 				t.Fatalf("%s window %d diverges:\n got [%d) %v\nwant [%d) %v",
-					name, i, got[i].Start, got[i].Rows.Rows, inc[i].Start, inc[i].Rows.Rows)
+					name, i, got[i].Start, got[i].Rows.RowView(), inc[i].Start, inc[i].Rows.RowView())
 			}
 		}
 	}
@@ -323,12 +329,12 @@ func TestRecomputeAndBudgetParity(t *testing.T) {
 func TestHubDelivery(t *testing.T) {
 	h := NewHub()
 	spec := WindowSpec{TimeCol: "t", Size: 10}
-	sub, err := h.Subscribe(context.Background(), testQuery(t, nil), spec, []relational.Row{ev("a", 0, 1)})
+	sub, err := h.Subscribe(context.Background(), testQuery(t, nil), spec, batch(t, []relational.Row{ev("a", 0, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Publish("events", []relational.Row{ev("a", 5, 2)})
-	h.Publish("events", []relational.Row{ev("b", 15, 3)})
+	h.Publish("events", batch(t, []relational.Row{ev("a", 5, 2)}))
+	h.Publish("events", batch(t, []relational.Row{ev("b", 15, 3)}))
 	h.CloseTable("events")
 	var wins []Window
 	for w := range sub.Out() {
@@ -375,7 +381,7 @@ func TestSubscriptionCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 40; i += 2 {
-		h.Publish("events", []relational.Row{ev("a", i, 1)})
+		h.Publish("events", batch(t, []relational.Row{ev("a", i, 1)}))
 	}
 	cancel()
 	select {
@@ -387,7 +393,7 @@ func TestSubscriptionCancel(t *testing.T) {
 		t.Fatalf("Err() = %v, want context.Canceled", err)
 	}
 	// Publishing to a removed subscription is a no-op.
-	h.Publish("events", []relational.Row{ev("a", 100, 1)})
+	h.Publish("events", batch(t, []relational.Row{ev("a", 100, 1)}))
 	for range 100 {
 		if runtime.NumGoroutine() <= baseline {
 			return
@@ -446,19 +452,20 @@ func TestSourceLifecycle(t *testing.T) {
 // just drifts.
 func BenchmarkSlidingWindowMaintenance(b *testing.B) {
 	const n = 1_000_000
-	events := make([]relational.Row, 0, n)
+	rows := make([]relational.Row, 0, n)
 	seed := int64(99991)
 	for i := 0; i < n; i++ {
 		seed = (seed*1103515245 + 12347) % (1 << 31)
-		events = append(events, ev(fmt.Sprintf("k%02d", seed%100), int64(i), seed%7))
+		rows = append(rows, ev(fmt.Sprintf("k%02d", seed%100), int64(i), seed%7))
 	}
+	events := batch(b, rows)
 	run := func(recompute bool) (time.Duration, int) {
 		spec := mustNorm2(b, WindowSpec{TimeCol: "t", Size: 20_000, Slide: 1_000, Recompute: recompute})
 		w := newWindower(testQuery(b, nil), spec)
 		start := time.Now()
 		emitted := 0
-		for i := 0; i < len(events); i += 10_000 {
-			wins, err := w.observe(events[i : i+10_000])
+		for i := 0; i < n; i += 10_000 {
+			wins, err := w.observe(events.Slice(i, i+10_000))
 			if err != nil {
 				b.Fatal(err)
 			}

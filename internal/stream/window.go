@@ -24,8 +24,8 @@ type WindowSpec struct {
 	// maxSeen - Lateness reaches s+Size. Larger lateness tolerates more
 	// disorder at the cost of result freshness.
 	Lateness int64
-	// Recompute disables incremental maintenance: panes retain raw
-	// pre-projected rows and every closing window re-aggregates them from
+	// Recompute disables incremental maintenance: panes retain the raw
+	// pre-projected events and every closing window re-aggregates them from
 	// scratch. It exists as the measured baseline the incremental path is
 	// benchmarked against (and doubles as a test oracle); results are
 	// identical either way.
@@ -65,8 +65,9 @@ func (w WindowSpec) Tumbling() bool { return w.Slide == w.Size }
 type Window struct {
 	Start, End int64
 	// Rows is the window's result relation (the subscription's output
-	// schema). Group emission order matches the batch engine's answer to
-	// the same query restricted to [Start, End).
+	// schema), column-built: read it as rows through RowView. Group
+	// emission order matches the batch engine's answer to the same query
+	// restricted to [Start, End).
 	Rows *relational.Relation
 	// Events is how many accepted events the window aggregated; Late is
 	// how many of them arrived behind the then-maximum event time.
@@ -77,28 +78,30 @@ type Window struct {
 }
 
 // Query is a compiled continuous query, produced by the sql layer
-// (Session.Subscribe) and consumed by the windower. All projectors and
-// the filter evaluate over rows of the source relation's schema; the
-// aggregate machinery mirrors the batch planner's aggPlan shape.
+// (Session.Subscribe) and consumed by the windower, which runs its pieces
+// — the batch planner's own — as batch operators over each appended
+// window of the source relation and each emitted window's aggregate.
 type Query struct {
 	// Table is the lowercased source relation name.
 	Table string
 	// TimeCol is the event-time column's index in the source schema.
 	TimeCol int
-	// Filter is the compiled WHERE predicate (nil keeps every row).
-	Filter relational.Predicate
-	// PreExprs/PreSchema are the pre-aggregation projection: group
-	// expressions then aggregate arguments.
-	PreExprs  []relational.Projector
+	// Ranges and Residual are the compiled WHERE as a BatchFilter takes
+	// it (both empty keep every row).
+	Ranges   []relational.ColRange
+	Residual relational.Predicate
+	// Pre/PreSchema are the pre-aggregation projection over the source
+	// schema: group expressions then aggregate arguments.
+	Pre       []relational.ProjExpr
 	PreSchema relational.Schema
 	// GroupCols/AggSpecs address columns of the pre-projection.
 	GroupCols []int
 	AggSpecs  []relational.AggSpec
 	// AggSchema is the aggregate output schema (groups then aggregates).
 	AggSchema relational.Schema
-	// OutExprs/OutSchema are the final select-item projection over
-	// aggregate output rows.
-	OutExprs  []relational.Projector
+	// Out/OutSchema are the final select-item projection over the
+	// aggregate output.
+	Out       []relational.ProjExpr
 	OutSchema relational.Schema
 	// Budget, when non-nil, caps resident window state: panes spill
 	// generations to the tiered store exactly like budgeted batch

@@ -22,10 +22,13 @@ type windower struct {
 	q     *Query
 	spec  WindowSpec
 	paneW int64
-	// preSeq is the pane batch schema: the pre-projection plus a trailing
-	// Int #seq column carrying the global accepted-event ordinal. Feeding
-	// it as the seq column makes EmitRows(bySeq) reproduce first-seen
-	// order in append order — the batch engine's group order.
+	// in/inPre project an input batch to the pre-projection plus the
+	// event time, at seqCol. preSeq, the pane batch schema, holds the
+	// global accepted-event ordinal there instead: fed as the seq column,
+	// it makes EmitCols(bySeq) reproduce first-seen order in append order
+	// — the batch engine's group order.
+	in     relational.Schema
+	inPre  []relational.ProjExpr
 	preSeq relational.Schema
 	seqCol int
 
@@ -42,16 +45,19 @@ type windower struct {
 	events, filtered, late, dropped int64
 }
 
-// pane is one pane's accumulated state: an aggregate in incremental
-// mode, retained raw rows in recompute mode. snap memoizes the
-// aggregate's snapshot between observations — a sliding window's pane is
-// read by Size/Slide windows, and the snapshot only changes when a (late)
-// event lands in the pane, so the common case pays one snapshot per pane
-// instead of one per covering window.
+// pane is one pane's accumulated state. agg is the incremental aggregate;
+// snap memoizes its snapshot between observations — a sliding window's
+// pane is read by Size/Slide windows, and the snapshot only changes when
+// a (late) event lands in the pane. cols/n stage pre-projected events in
+// preSeq layout: one observation's (folded into agg as one batch), or
+// every event in recompute mode; sel is the current input batch's rows
+// landing here.
 type pane struct {
 	agg    *relational.SpillableAgg
 	snap   *relational.PartialAgg
-	rows   []relational.Row
+	cols   []relational.Vector
+	n      int
+	sel    []int32
 	events int64
 	late   int64
 }
@@ -68,91 +74,96 @@ func (p *pane) snapshot() *relational.PartialAgg {
 
 func newWindower(q *Query, spec WindowSpec) *windower {
 	w := &windower{
-		q:     q,
-		spec:  spec,
-		paneW: gcd(spec.Size, spec.Slide),
-		panes: map[int64]*pane{},
+		q:      q,
+		spec:   spec,
+		paneW:  gcd(spec.Size, spec.Slide),
+		panes:  map[int64]*pane{},
+		seqCol: len(q.PreSchema),
 	}
+	w.in = append(append(relational.Schema{}, q.PreSchema...),
+		relational.Column{Name: "#time", Type: relational.Int})
+	w.inPre = append(append([]relational.ProjExpr{}, q.Pre...), relational.Pick(q.TimeCol))
 	w.preSeq = append(append(relational.Schema{}, q.PreSchema...),
 		relational.Column{Name: "#seq", Type: relational.Int})
-	w.seqCol = len(q.PreSchema)
 	return w
 }
 
-// observe folds one published batch in, advances the watermark, and
-// returns any windows that became emittable (ascending start order).
-func (w *windower) observe(rows []relational.Row) ([]Window, error) {
-	var batches map[int64]*relational.Batch
-	var touched []int64
-	for _, row := range rows {
-		if w.q.Filter != nil {
-			keep, err := w.q.Filter(row)
-			if err != nil {
-				return nil, err
-			}
-			if !keep {
-				w.filtered++
+// observe folds one published batch in — filtered and pre-projected
+// batch-at-a-time, then bucketed into panes by a typed pass over the
+// event times — advances the watermark, and returns any windows that
+// became emittable (ascending start order).
+func (w *windower) observe(rel *relational.Relation) ([]Window, error) {
+	op, err := relational.NewBatchProject(
+		relational.NewBatchFilter(relational.NewBatchScan(rel), w.q.Ranges, w.q.Residual), w.in, w.inPre)
+	if err != nil {
+		return nil, err
+	}
+	var touched []*pane // in first-event order
+	accepted := 0
+	for {
+		b, err := op.NextBatch()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		accepted += b.Len()
+		var hit []*pane
+		for r, t := range b.Cols[w.seqCol].Ints {
+			// The latest window containing t starts at alignDown(t, Slide); if
+			// even that one has emitted, the event has nowhere to land.
+			if w.sealed && alignDown(t, w.spec.Slide) < w.emittedUpTo {
+				w.dropped++
 				continue
 			}
+			late := w.seen && t < w.maxTime
+			if late {
+				w.late++
+			}
+			if !w.seen || t > w.maxTime {
+				w.maxTime, w.seen = t, true
+			}
+			w.events++
+			pS := alignDown(t, w.paneW)
+			p := w.panes[pS]
+			if p == nil {
+				p = &pane{cols: relational.NewBatch(w.preSeq, 0).Cols}
+				if !w.spec.Recompute {
+					p.agg = relational.NewSpillableAgg(w.q.GroupCols, w.q.AggSpecs, w.q.Budget, nil)
+				}
+				w.panes[pS] = p
+			}
+			p.events++
+			p.snap = nil
+			if late {
+				p.late++
+			}
+			if len(p.sel) == 0 {
+				if p.n == 0 {
+					touched = append(touched, p)
+				}
+				hit = append(hit, p)
+			}
+			p.sel = append(p.sel, int32(r))
+			p.cols[w.seqCol].Ints = append(p.cols[w.seqCol].Ints, w.seq)
+			w.seq++
 		}
-		t := row[w.q.TimeCol].I
-		// The latest window containing t starts at alignDown(t, Slide); if
-		// even that one has emitted, the event has nowhere to land.
-		if w.sealed && alignDown(t, w.spec.Slide) < w.emittedUpTo {
-			w.dropped++
-			continue
+		for _, p := range hit {
+			for c := range w.seqCol {
+				p.cols[c].AppendGather(&b.Cols[c], p.sel)
+			}
+			p.n += len(p.sel)
+			p.sel = p.sel[:0]
 		}
-		late := w.seen && t < w.maxTime
-		if late {
-			w.late++
-		}
-		if !w.seen || t > w.maxTime {
-			w.maxTime, w.seen = t, true
-		}
-		pre := make(relational.Row, 0, len(w.q.PreExprs)+1)
-		for _, ex := range w.q.PreExprs {
-			v, err := ex(row)
-			if err != nil {
+	}
+	w.filtered += int64(rel.Len() - accepted)
+	if !w.spec.Recompute {
+		for _, p := range touched {
+			if err := p.agg.ObserveBatch(relational.BatchOf(w.preSeq, p.cols, p.n), w.seqCol); err != nil {
 				return nil, err
 			}
-			pre = append(pre, v)
-		}
-		pre = append(pre, relational.IntV(w.seq))
-		w.seq++
-		w.events++
-
-		pS := alignDown(t, w.paneW)
-		p := w.panes[pS]
-		if p == nil {
-			p = &pane{}
-			if !w.spec.Recompute {
-				p.agg = relational.NewSpillableAgg(w.q.GroupCols, w.q.AggSpecs, w.q.Budget, nil)
-			}
-			w.panes[pS] = p
-		}
-		p.events++
-		p.snap = nil
-		if late {
-			p.late++
-		}
-		if w.spec.Recompute {
-			p.rows = append(p.rows, pre)
-			continue
-		}
-		if batches == nil {
-			batches = map[int64]*relational.Batch{}
-		}
-		b := batches[pS]
-		if b == nil {
-			b = relational.NewBatch(w.preSeq, len(rows))
-			batches[pS] = b
-			touched = append(touched, pS)
-		}
-		b.AppendRow(pre)
-	}
-	for _, pS := range touched {
-		if err := w.panes[pS].agg.ObserveBatch(batches[pS], w.seqCol); err != nil {
-			return nil, err
+			p.cols, p.n = relational.NewBatch(w.preSeq, 0).Cols, 0
 		}
 	}
 	if !w.seen {
@@ -233,8 +244,8 @@ func (w *windower) seal(s int64) {
 }
 
 // emitWindow materializes window [s, s+Size): merge pane snapshots
-// (incremental) or re-aggregate retained rows (recompute baseline), emit
-// groups in global first-seen order, apply the final projection.
+// (incremental) or re-aggregate the staged events (recompute baseline),
+// emit groups in global first-seen order, apply the final projection.
 func (w *windower) emitWindow(s int64) (Window, error) {
 	acc := relational.NewPartialAgg(w.q.GroupCols, w.q.AggSpecs)
 	var events, late int64
@@ -246,31 +257,22 @@ func (w *windower) emitWindow(s int64) (Window, error) {
 		events += p.events
 		late += p.late
 		if w.spec.Recompute {
-			b := relational.NewBatch(w.preSeq, len(p.rows))
-			for _, r := range p.rows {
-				b.AppendRow(r)
-			}
-			if err := acc.ObserveBatch(b, w.seqCol); err != nil {
+			if err := acc.ObserveBatch(relational.BatchOf(w.preSeq, p.cols, p.n), w.seqCol); err != nil {
 				return Window{}, err
 			}
 			continue
 		}
 		acc.MergeFrom(p.snapshot())
 	}
-	aggRows := acc.EmitRows(w.q.AggSchema, true)
-	rel := relational.NewRelation("window", w.q.OutSchema)
-	for _, r := range aggRows {
-		out := make(relational.Row, len(w.q.OutExprs))
-		for i, ex := range w.q.OutExprs {
-			v, err := ex(r)
-			if err != nil {
-				return Window{}, err
-			}
-			out[i] = v
-		}
-		if err := rel.Append(out); err != nil {
-			return Window{}, fmt.Errorf("stream: window [%d,%d): %w", s, s+w.spec.Size, err)
-		}
+	cols, n := acc.EmitCols(w.q.AggSchema, true)
+	out, err := relational.NewBatchProject(relational.NewBatchScan(
+		relational.NewColumnRelation("window", w.q.AggSchema, cols, n)), w.q.OutSchema, w.q.Out)
+	var rel *relational.Relation
+	if err == nil {
+		rel, err = relational.Drain(out, 1, "window")
+	}
+	if err != nil {
+		return Window{}, fmt.Errorf("stream: window [%d,%d): %w", s, s+w.spec.Size, err)
 	}
 	return Window{Start: s, End: s + w.spec.Size, Rows: rel, Events: events, Late: late}, nil
 }
