@@ -100,7 +100,10 @@
 // engine as they cross every fragment boundary inside it, as column
 // vectors: a batch or distributed Result.Rows is a column-built relation
 // the wire encoder reads vector by vector, and rows are boxed only when a
-// caller asks RowView() (the printers) or runs the row-engine oracle.
+// caller asks RowView() (the printers) or runs the row-engine oracle,
+// whose scan boxes one row at a time and caches nothing. The demo tables
+// (sql.RegisterDemo) are born as columns too: no registered table holds
+// a boxed copy.
 // Tables grow the same way: an append is relational.Relation.Extend, a
 // new column-built snapshot whose vectors extend the ones queries read,
 // and the stream hub publishes and windows those columns through the

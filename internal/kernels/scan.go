@@ -29,13 +29,18 @@ func FilterRange(col []int64, lo, hi int64) []int32 {
 // a bound comes from a ">=" / "<=" predicate and the half-open encoding
 // cannot represent the extreme (hi = MaxInt64).
 func FilterRangeIncl(col []int64, lo, hi int64) []int32 {
-	out := make([]int32, 0, len(col)/4)
+	return AppendRangeIncl(make([]int32, 0, len(col)/4), col, lo, hi)
+}
+
+// AppendRangeIncl is FilterRangeIncl appending to sel, so a caller that
+// filters batch after batch can reuse one selection buffer.
+func AppendRangeIncl(sel []int32, col []int64, lo, hi int64) []int32 {
 	for i, v := range col {
 		if v >= lo && v <= hi {
-			out = append(out, int32(i))
+			sel = append(sel, int32(i))
 		}
 	}
-	return out
+	return sel
 }
 
 // RefineRangeIncl intersects an existing selection with lo <= col[i] <= hi,

@@ -72,11 +72,11 @@ func (g *BatchGroupAgg) materialize() error {
 	// Merge in partition order: partition i's rows precede partition
 	// i+1's, so appending unseen groups in that order reproduces the
 	// serial first-seen order.
-	merged := sas[0].Finish()
-	for _, sa := range sas[1:] {
-		merged.MergeFrom(sa.Finish())
+	parts := make([]*PartialAgg, len(sas))
+	for i, sa := range sas {
+		parts[i] = sa.Finish()
 	}
-	cols, n := merged.EmitCols(g.schema, false)
+	cols, n := MergeAll(parts).EmitCols(g.schema, false)
 	g.out = windowBatches(g.schema, cols, n)
 	g.done = true
 	return nil

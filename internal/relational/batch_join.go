@@ -172,9 +172,6 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 		return nil
 	}
 	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(j.bsel)}
-	for col := 0; col < c.buildWidth; col++ {
-		out.Cols[col] = GatherVector(&c.tab.cols[col], j.bsel)
-	}
 	// Every probe row matching exactly once (the foreign-key join)
 	// makes psel the identity: the probe columns pass through shared.
 	identity := len(j.psel) == b.Len()
@@ -186,6 +183,16 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 			out.Cols[c.buildWidth+col] = b.Cols[col]
 		} else {
 			out.Cols[c.buildWidth+col] = GatherVector(&b.Cols[col], j.psel)
+		}
+	}
+	for col := 0; col < c.buildWidth; col++ {
+		// Matched keys are equal cells of one type, so an Int or String
+		// build key is the probe key; a Float one is gathered, as every
+		// NaN matches every NaN but keeps its own bits.
+		if col == c.tab.keyCol && c.tab.cols[col].T != Float {
+			out.Cols[col] = out.Cols[c.buildWidth+c.probeCol]
+		} else {
+			out.Cols[col] = GatherVector(&c.tab.cols[col], j.bsel)
 		}
 	}
 	return out

@@ -37,6 +37,9 @@ type BatchFilter struct {
 	pred   Predicate
 	stat   *opCount
 	disp   *exec.Dispatcher
+	// sel is this stream's selection buffer, reused batch after batch:
+	// the gather copies the passing rows out before the next refill.
+	sel []int32
 }
 
 // NewBatchFilter returns a filter over child. ranges are applied first
@@ -100,7 +103,8 @@ func (f *BatchFilter) selection(b *Batch) (sel []int32, all bool, err error) {
 		lo, hi := cr.bounds()
 		col := b.Cols[cr.Col].Ints
 		if i == 0 {
-			sel = kernels.FilterRangeIncl(col, lo, hi)
+			sel = kernels.AppendRangeIncl(f.sel[:0], col, lo, hi)
+			f.sel = sel
 		} else {
 			sel = kernels.RefineRangeIncl(col, sel, lo, hi)
 		}
@@ -115,7 +119,7 @@ func (f *BatchFilter) selection(b *Batch) (sel []int32, all bool, err error) {
 	var buf Row
 	if sel == nil {
 		n := b.Len()
-		sel = make([]int32, 0, n)
+		sel = f.sel[:0]
 		for r := 0; r < n; r++ {
 			buf = b.Row(r, buf)
 			ok, err := f.pred(buf)
@@ -126,6 +130,7 @@ func (f *BatchFilter) selection(b *Batch) (sel []int32, all bool, err error) {
 				sel = append(sel, int32(r))
 			}
 		}
+		f.sel = sel
 		return sel, len(sel) == b.Len(), nil
 	}
 	kept := sel[:0]

@@ -175,6 +175,18 @@ func (x *keyIndex) reset() {
 	clear(x.strs)
 }
 
+// find returns the ref stored under row r of the key columns kc, or -1.
+func (x *keyIndex) find(kc []Vector, r int) int32 {
+	if len(kc) == 1 {
+		return x.get(&kc[0], r)
+	}
+	x.kb = packKey(x.kb[:0], kc, r)
+	if g, ok := x.strs[string(x.kb)]; ok {
+		return g
+	}
+	return -1
+}
+
 // get returns the ref stored under row r of the single key column c, or
 // -1. The column's type must be the type the index was built over.
 func (x *keyIndex) get(c *Vector, r int) int32 {

@@ -59,26 +59,45 @@ type Predicate func(Row) (bool, error)
 // Projector computes one output cell from an input row.
 type Projector func(Row) (Value, error)
 
-// Scan streams a materialized relation, in either construction form.
+// Scan streams a materialized relation, in either construction form. A
+// row-built relation's rows are handed out as stored; a column-built
+// one's vectors are read directly, boxing one fresh Row per Next, so the
+// scan leaves nothing cached on the relation (RowView would pin a boxed
+// copy of the whole table on it).
 type Scan struct {
 	rel  *Relation
-	rows []Row
+	rows []Row    // row-built: the row store
+	cols []Vector // column-built: the vectors
+	n    int
 	pos  int
 	stat OpStats
 }
 
 // NewScan returns a scan over rel.
-func NewScan(rel *Relation) *Scan { return &Scan{rel: rel, rows: rel.RowView()} }
+func NewScan(rel *Relation) *Scan {
+	if rel.colBuilt {
+		return &Scan{rel: rel, cols: rel.cols, n: rel.colRows}
+	}
+	return &Scan{rel: rel, rows: rel.Rows, n: len(rel.Rows)}
+}
 
 // Schema implements Op.
 func (s *Scan) Schema() Schema { return s.rel.Schema }
 
 // Next implements Op.
 func (s *Scan) Next() (Row, bool, error) {
-	if s.pos >= len(s.rows) {
+	if s.pos >= s.n {
 		return nil, false, nil
 	}
-	r := s.rows[s.pos]
+	var r Row
+	if s.rel.colBuilt {
+		r = make(Row, len(s.cols))
+		for c := range s.cols {
+			r[c] = s.cols[c].Value(s.pos)
+		}
+	} else {
+		r = s.rows[s.pos]
+	}
 	s.pos++
 	s.stat.RowsOut++
 	return r, true, nil

@@ -408,19 +408,77 @@ func (p *PartialAgg) MergeFrom(o *PartialAgg) {
 	}
 }
 
-// MergeAll folds the partials into p, in order, as MergeFrom would one by
-// one, with the lookup sized once for every group they could add.
-func (p *PartialAgg) MergeAll(others []*PartialAgg) {
-	total := p.Groups()
-	for _, o := range others {
-		total += o.Groups()
+// MergeAll returns the merge of parts in order: the partial MergeFrom-ing
+// parts[1:] into parts[0] one by one would leave — the same groups in the
+// same order, with bit-identical states — built without growing any of
+// them. Each group's state folds into the partial that saw it first,
+// found through parts[0]'s lookup or, for a group parts[0] lacks, one
+// lookup over the later partials' first-seen groups; the result is then
+// assembled once, at its final size, from every partial's first-seen
+// groups. The parts are consumed: their states are folded into, and the
+// result may be one of them.
+func MergeAll(parts []*PartialAgg) *PartialAgg {
+	var live []*PartialAgg
+	var ord int64
+	for _, p := range parts {
+		ord += p.ord
+		if p.Groups() > 0 {
+			live = append(live, p)
+		}
 	}
-	if p.cols != nil {
-		p.index.reserve(p.keys(), total)
+	if len(live) <= 1 {
+		out := parts[0]
+		if len(live) == 1 {
+			out = live[0]
+		}
+		out.ord = ord
+		return out
 	}
-	for _, o := range others {
-		p.MergeFrom(o)
+	first := live[0]
+	first.ensureIndexed()
+	// later indexes the groups first seen after first, as refs into
+	// owners/ownerGroup; the last partial's need no entry, so it holds at
+	// most the middle partials' groups.
+	var later keyIndex
+	if mid := live[1 : len(live)-1]; len(mid) > 0 {
+		bound := 0
+		for _, o := range mid {
+			bound += o.Groups()
+		}
+		later.reserve(first.keys(), bound)
 	}
+	var owners []*PartialAgg
+	var ownerGroup []int
+	owned := make([][]int32, len(live))
+	n := first.Groups()
+	for k, o := range live[1:] {
+		keys, last := o.keys(), k+2 == len(live)
+		for i := range o.Groups() {
+			if g := first.index.find(keys, i); g >= 0 {
+				first.foldGroup(int(g), o, i)
+			} else if x := later.find(keys, i); x >= 0 {
+				owners[x].foldGroup(ownerGroup[x], o, i)
+			} else {
+				owned[k+1] = append(owned[k+1], int32(i))
+				if !last {
+					later.getOrPut(keys, i, int32(len(owners)))
+					owners, ownerGroup = append(owners, o), append(ownerGroup, i)
+				}
+			}
+		}
+		n += len(owned[k+1])
+	}
+	out := first.emptyLike()
+	out.ord = ord
+	for c := range out.cols {
+		out.cols[c] = NewVector(out.cols[c].T, n)
+		out.cols[c].AppendRange(&first.cols[c], 0, first.Groups())
+		for k, sel := range owned[1:] {
+			out.cols[c].AppendGather(&live[k+1].cols[c], sel)
+		}
+	}
+	out.bytes = colsBytes(out.keys(), n) + float64(n*len(out.aggs))*aggStateBytes
+	return out
 }
 
 // mergeGroups folds n groups of o into p as MergeFrom does: groups
@@ -428,7 +486,7 @@ func (p *PartialAgg) MergeAll(others []*PartialAgg) {
 func (p *PartialAgg) mergeGroups(o *PartialAgg, n int, sel []int32) {
 	p.layoutLike(o)
 	p.ensureIndexed()
-	okeys, ocount, oseq, oord := o.keys(), o.count(), o.firstSeq(), o.firstOrd()
+	okeys := o.keys()
 	for x := 0; x < n; x++ {
 		i := x
 		if sel != nil {
@@ -440,26 +498,33 @@ func (p *PartialAgg) mergeGroups(o *PartialAgg, n int, sel []int32) {
 			p.indexed++
 			continue
 		}
-		p.count()[g] += ocount[i]
-		for _, sl := range p.slots {
-			st, os := &p.cols[sl.at], &o.cols[sl.at]
-			switch {
-			case sl.kind == aggSum && st.T == Int:
-				st.Ints[g] += os.Ints[i]
-			case sl.kind == aggSum:
-				st.Floats[g] += os.Floats[i]
-			case sl.kind == aggMinMax:
-				if cmpCell(os, i, st, int(g)) < 0 {
-					st.setCell(int(g), os, i)
-				}
-				if hi, ohi := &p.cols[sl.at+1], &o.cols[sl.at+1]; cmpCell(ohi, i, hi, int(g)) > 0 {
-					hi.setCell(int(g), ohi, i)
-				}
+		p.foldGroup(int(g), o, i)
+	}
+}
+
+// foldGroup folds group i of o into p's group g: the counts and states
+// combine, and g keeps the smaller (firstSeq, firstOrd) tag.
+func (p *PartialAgg) foldGroup(g int, o *PartialAgg, i int) {
+	p.count()[g] += o.count()[i]
+	for _, sl := range p.slots {
+		st, os := &p.cols[sl.at], &o.cols[sl.at]
+		switch {
+		case sl.kind == aggSum && st.T == Int:
+			st.Ints[g] += os.Ints[i]
+		case sl.kind == aggSum:
+			st.Floats[g] += os.Floats[i]
+		case sl.kind == aggMinMax:
+			if cmpCell(os, i, st, g) < 0 {
+				st.setCell(g, os, i)
+			}
+			if hi, ohi := &p.cols[sl.at+1], &o.cols[sl.at+1]; cmpCell(ohi, i, hi, g) > 0 {
+				hi.setCell(g, ohi, i)
 			}
 		}
-		if seq, ord := p.firstSeq(), p.firstOrd(); oseq[i] < seq[g] || (oseq[i] == seq[g] && oord[i] < ord[g]) {
-			seq[g], ord[g] = oseq[i], oord[i]
-		}
+	}
+	seq, ord, oseq, oord := p.firstSeq(), p.firstOrd(), o.firstSeq(), o.firstOrd()
+	if oseq[i] < seq[g] || (oseq[i] == seq[g] && oord[i] < ord[g]) {
+		seq[g], ord[g] = oseq[i], oord[i]
 	}
 }
 

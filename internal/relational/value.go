@@ -23,10 +23,12 @@
 // row-built one freezes once read as columns (see Relation).
 //
 // The row engine (Op, ops.go) is the volcano-style pull interpreter: one
-// Row of boxed Values at a time, serial, simple, over either form (it
-// scans RowView). It is the oracle — the parity and differential tests
-// and the repository benchmark's correctness gate hold the batch engine
-// to its output row for row — so it stays deliberately naive.
+// Row of boxed Values at a time, serial, simple, over either form: its
+// Scan reads a column-built relation's vectors and boxes one Row per
+// Next, caching nothing on the relation. It is the oracle — the parity
+// and differential tests and the repository benchmark's correctness gate
+// hold the batch engine to its output row for row — so it stays
+// deliberately naive.
 package relational
 
 import (
@@ -193,13 +195,14 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 //
 // Column-built (NewColumnRelation, Extend): the column vectors are
 // authoritative and nothing is boxed. This is the form every batch tree
-// drains into (Drain) and every registered table grows into: shard
-// placements, fragment outputs, every movement primitive's result, the
-// result a batch or distributed query returns, and a table after its
-// first append. Rows of a column-built relation is nil until RowView
-// boxes it on demand — for the row engine, the printers, examples and
-// tests; the batch engine and the wire encoder read Columnar — and Append
-// is an error.
+// drains into (Drain) and every registered table grows into: the demo
+// tables (sql.SalesRelation, sql.CustomersRelation), shard placements,
+// fragment outputs, every movement primitive's result, the result a batch
+// or distributed query returns, and a table after its first append. Rows
+// of a column-built relation is nil until RowView boxes it on demand — for
+// the printers, examples and tests; the batch engine and the wire encoder
+// read Columnar, and the row engine's Scan boxes one row at a time — and
+// Append is an error.
 //
 // Growth is Extend: a new column-built relation holding the rows followed
 // by the new ones, leaving the receiver as it was. Every relation is a
@@ -345,8 +348,10 @@ func (r *Relation) Len() int {
 // relation whose construction form the caller does not control (a query
 // result is column-built unless the row engine produced it). A row-built
 // relation hands out its row store; a column-built one boxes its vectors
-// on first use (one backing array) and keeps the result in Rows. The rows
-// are a view: like the vectors, they must not be written to.
+// on first use (one backing array) and keeps the result in Rows — for the
+// life of the relation, which is why the row engine's Scan reads the
+// vectors instead. The rows are a view: like the vectors, they must not
+// be written to.
 func (r *Relation) RowView() []Row {
 	if !r.colBuilt {
 		return r.Rows

@@ -5,10 +5,22 @@ import (
 	"repro/internal/workload"
 )
 
+// The demo tables are born as columns: each constructor copies the
+// generator's fields straight into typed vectors and returns a
+// column-built relation, the form the batch engine reads. No Row is built
+// and the first query pays no transpose; RowView boxes rows on demand.
+
 // SalesRelation converts the synthetic star-schema fact table into a
-// relation named "sales".
+// column-built relation named "sales".
 func SalesRelation(seed uint64, n, customers int) *relational.Relation {
-	rel := relational.NewRelation("sales", relational.Schema{
+	oid, cid, qty, year := make([]int64, n), make([]int64, n), make([]int64, n), make([]int64, n)
+	region, product := make([]string, n), make([]string, n)
+	price, discount := make([]float64, n), make([]float64, n)
+	for i, r := range workload.Sales(seed, n, customers) {
+		oid[i], cid[i], region[i], product[i] = r.OrderID, r.CustomerID, r.Region, r.Product
+		qty[i], price[i], discount[i], year[i] = r.Quantity, r.Price, r.Discount, r.Year
+	}
+	return relational.NewColumnRelation("sales", relational.Schema{
 		{Name: "order_id", Type: relational.Int},
 		{Name: "customer_id", Type: relational.Int},
 		{Name: "region", Type: relational.String},
@@ -17,40 +29,37 @@ func SalesRelation(seed uint64, n, customers int) *relational.Relation {
 		{Name: "price", Type: relational.Float},
 		{Name: "discount", Type: relational.Float},
 		{Name: "year", Type: relational.Int},
-	})
-	for _, r := range workload.Sales(seed, n, customers) {
-		rel.MustAppend(relational.Row{
-			relational.IntV(r.OrderID),
-			relational.IntV(r.CustomerID),
-			relational.StringV(r.Region),
-			relational.StringV(r.Product),
-			relational.IntV(r.Quantity),
-			relational.FloatV(r.Price),
-			relational.FloatV(r.Discount),
-			relational.IntV(r.Year),
-		})
-	}
-	return rel
+	}, []relational.Vector{
+		{T: relational.Int, Ints: oid},
+		{T: relational.Int, Ints: cid},
+		{T: relational.String, Strs: region},
+		{T: relational.String, Strs: product},
+		{T: relational.Int, Ints: qty},
+		{T: relational.Float, Floats: price},
+		{T: relational.Float, Floats: discount},
+		{T: relational.Int, Ints: year},
+	}, n)
 }
 
-// CustomersRelation converts the customer dimension into a relation named
-// "customers".
+// CustomersRelation converts the customer dimension into a column-built
+// relation named "customers".
 func CustomersRelation(seed uint64, n int) *relational.Relation {
-	rel := relational.NewRelation("customers", relational.Schema{
+	cid := make([]int64, n)
+	name, segment, country := make([]string, n), make([]string, n), make([]string, n)
+	for i, r := range workload.Customers(seed, n) {
+		cid[i], name[i], segment[i], country[i] = r.CustomerID, r.Name, r.Segment, r.Country
+	}
+	return relational.NewColumnRelation("customers", relational.Schema{
 		{Name: "customer_id", Type: relational.Int},
 		{Name: "name", Type: relational.String},
 		{Name: "segment", Type: relational.String},
 		{Name: "country", Type: relational.String},
-	})
-	for _, r := range workload.Customers(seed, n) {
-		rel.MustAppend(relational.Row{
-			relational.IntV(r.CustomerID),
-			relational.StringV(r.Name),
-			relational.StringV(r.Segment),
-			relational.StringV(r.Country),
-		})
-	}
-	return rel
+	}, []relational.Vector{
+		{T: relational.Int, Ints: cid},
+		{T: relational.String, Strs: name},
+		{T: relational.String, Strs: segment},
+		{T: relational.String, Strs: country},
+	}, n)
 }
 
 // RegisterDemo loads the sales fact table and customers dimension into

@@ -619,9 +619,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		if err := dx.move("gather", dist.PartialGatherChunks(subs), dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
 			return nil, err
 		}
-		merged := acc[0]
-		merged.MergeAll(acc[1:])
-		aggCols, n := merged.EmitCols(aggOutSchema, true)
+		aggCols, n := relational.MergeAll(acc).EmitCols(aggOutSchema, true)
 		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.

@@ -101,12 +101,7 @@ func TestReseqLeavesRegisteredTablesIntact(t *testing.T) {
 // no fragment, movement or row view writes to shared vectors; every
 // result must match the Parallel=false oracle of its round.
 func TestConcurrentSessionsShareShards(t *testing.T) {
-	classes := []string{
-		"SELECT order_id, price FROM sales WHERE year >= 2015 AND quantity <= 4",
-		"SELECT c.segment, COUNT(*) AS n, SUM(s.price * (1 - s.discount)) AS net FROM sales s JOIN customers c ON s.customer_id = c.customer_id WHERE s.year >= 2012 GROUP BY c.segment ORDER BY net DESC",
-		"SELECT customer_id, COUNT(*) AS n, SUM(price) AS revenue FROM sales GROUP BY customer_id ORDER BY revenue DESC, customer_id LIMIT 10",
-		"SELECT order_id, price, quantity FROM sales WHERE year >= 2016 ORDER BY price DESC, order_id LIMIT 100",
-	}
+	classes := benchmarkClasses
 	oracleCfg := DefaultConfig()
 	oracleCfg.Parallel = false
 	distCfg := DefaultConfig()
@@ -124,10 +119,13 @@ func TestConcurrentSessionsShareShards(t *testing.T) {
 	const sessions = 8
 	for round := 0; round < 2; round++ {
 		if round == 1 {
-			extra := SalesRelation(99, 300, 150).Rows
+			extra := SalesRelation(99, 300, 150).RowView()
 			for _, e := range engines {
 				if _, err := e.AppendRows("sales", extra); err != nil {
 					t.Fatal(err)
+				}
+				if sales, _ := e.Table("sales"); sales.Len() != 6000+300 {
+					t.Fatalf("sales has %d rows after appending 300 to 6000", sales.Len())
 				}
 			}
 		}
