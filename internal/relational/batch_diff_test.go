@@ -408,3 +408,129 @@ func TestCompareIntExact(t *testing.T) {
 		t.Fatalf("Compare(int 2^53+1, float 2^53) = %d; want 0 (float path)", c)
 	}
 }
+
+// The direct-key cases cross the key table's layout boundary inside the
+// operators. directKeyGroupRel's Int key runs dense and ascending (each
+// key twice) until, three quarters in, a far outlier and negative keys
+// arrive: the partial holding that stretch flips from direct to hashed
+// mid-stream, and at two workers MergeAll folds the hashed partial's
+// groups into the direct one's.
+func directKeyGroupRel() *Relation {
+	rng := rand.New(rand.NewSource(17))
+	rel := NewRelation("direct-keys", diffSchema)
+	const n = 4000
+	for i := 0; i < n; i++ {
+		k := int64(i / 2)
+		switch {
+		case i == 3*n/4:
+			k = 1 << 40
+		case i > 3*n/4 && i%5 == 0:
+			k = -int64(i % 97)
+		}
+		rel.MustAppend(diffRow(rng, k, float64(k), "s"))
+	}
+	return rel
+}
+
+func TestDiffDirectKeyGroupAgg(t *testing.T) {
+	rel := directKeyGroupRel()
+	// The case must cross the boundary: direct before the outlier's
+	// batch, hashed after it.
+	p := NewPartialAgg([]int{0}, []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}})
+	var direct, hashed bool
+	for _, b := range cutBatches(rel, 64).batches {
+		if err := p.ObserveBatch(b, -1); err != nil {
+			t.Fatal(err)
+		}
+		direct = direct || p.index.ints.keys == nil
+		hashed = direct && p.index.ints.keys != nil
+	}
+	if !hashed {
+		t.Fatalf("the key table never went from direct to hashed (direct seen: %v)", direct)
+	}
+	aggs := []AggSpec{
+		{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 3, Name: "si"}, {Fn: SumAgg, Col: 4, Name: "sf"},
+		{Fn: MinAgg, Col: 1, Name: "mf"}, {Fn: MaxAgg, Col: 3, Name: "xi"},
+	}
+	ref, err := NewGroupAgg(NewScan(rel), []int{0}, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := collectRows(t, ref)
+	for _, workers := range []int{1, 2} {
+		for _, per := range []int{64, 1024} {
+			op, err := NewBatchGroupAgg(cutBatches(rel, per), []int{0}, aggs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
+		}
+	}
+}
+
+// TestDiffDirectKeyHashJoin: build sides whose dense Int keys repeat
+// (row chains) beside one key past the dense run — near enough that the
+// index stays direct with a gap, or far enough that it is hashed — and a
+// Float key with NaN and ±0; each probed by a column holding matches,
+// gaps, values past either end of the window and negatives. The build
+// goes in whole (one span known up front) and in chunks, so a direct
+// window widens or turns hashed while rows are appended.
+func TestDiffDirectKeyHashJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	build := func(name string, extra int64) *Relation {
+		rel := NewRelation(name, diffSchema)
+		for i := 0; i < 400; i++ {
+			rel.MustAppend(diffRow(rng, int64(i%200), float64(i%100)/2, "b"))
+		}
+		for _, f := range []float64{math.NaN(), math.Copysign(0, -1), 0, nan2} {
+			rel.MustAppend(diffRow(rng, extra, f, "b"))
+		}
+		return rel
+	}
+	builds := []*Relation{build("near-extra", 700), build("far-extra", 1<<40)}
+	probe := NewRelation("probe", diffSchema)
+	ints := []int64{0, 7, 199, 200, 450, 699, 700, 701, 5000, 1 << 40, math.MaxInt64, -1, -200, math.MinInt64}
+	floats := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), 0.5, 3, 49.5, 50, -0.5, math.Inf(1)}
+	for i := 0; i < 300; i++ {
+		ki := ints[rng.Intn(len(ints))]
+		if i%3 == 0 {
+			ki = int64(rng.Intn(260))
+		}
+		probe.MustAppend(diffRow(rng, ki, floats[rng.Intn(len(floats))], "p"))
+	}
+	for _, b := range builds {
+		for _, col := range []int{0, 1} {
+			ref, err := NewHashJoin(NewScan(b), NewScan(probe), col, col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := collectRows(t, ref)
+			if len(want) == 0 {
+				t.Fatalf("%s col %d: the oracle matched nothing", b.Name, col)
+			}
+			for _, workers := range []int{1, 2} {
+				op, err := NewBatchHashJoin(cutBatches(b, 5), cutBatches(probe, 7), col, col, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+				for _, chunk := range []int{1, 64, 150} {
+					pre, err := NewHashBuild(b.Schema, col)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cols := b.Columnar()
+					for lo := 0; lo < b.Len(); lo += chunk {
+						pre.AppendCols(cols, lo, min(lo+chunk, b.Len()))
+					}
+					op, err := NewBatchHashJoinPrebuilt(pre, cutBatches(probe, 7), col, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+				}
+			}
+		}
+	}
+}

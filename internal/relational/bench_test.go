@@ -2,6 +2,7 @@ package relational
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -51,8 +52,33 @@ func drainBench(b *testing.B, op BatchOp) int {
 	}
 }
 
-func BenchmarkBatchGroupAgg50kGroups(b *testing.B) {
-	fact, _ := benchTables()
+// sparseKey spreads a cust id over the int64 range (Knuth's
+// multiplicative constant, offset clear of zero), so a key column's span
+// never fits a direct window and the key tables stay hashed.
+func sparseKey(cust int64) int64 { return cust*2654435761 + 1<<40 }
+
+// benchSparseTables are benchTables with every cust key spread by
+// sparseKey: the same rows, groups and matches on the hashed layout.
+var benchSparseTables = sync.OnceValues(func() (fact, dim *Relation) {
+	spread := func(r *Relation, col int) *Relation {
+		cols := slices.Clone(r.Columnar())
+		keys := make([]int64, r.Len())
+		for i, c := range cols[col].Ints {
+			keys[i] = sparseKey(c)
+		}
+		cols[col] = Vector{T: Int, Ints: keys}
+		return NewColumnRelation(r.Name, r.Schema, cols, r.Len())
+	}
+	fact, dim = benchTables()
+	return spread(fact, 1), spread(dim, 0)
+})
+
+func BenchmarkBatchGroupAgg50kGroups(b *testing.B) { benchGroupAgg(b, benchTables) }
+
+func BenchmarkBatchGroupAggSparseKeys(b *testing.B) { benchGroupAgg(b, benchSparseTables) }
+
+func benchGroupAgg(b *testing.B, tables func() (fact, dim *Relation)) {
+	fact, _ := tables()
 	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 2, Name: "revenue"}}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -67,8 +93,12 @@ func BenchmarkBatchGroupAgg50kGroups(b *testing.B) {
 	}
 }
 
-func BenchmarkBatchHashJoin(b *testing.B) {
-	fact, dim := benchTables()
+func BenchmarkBatchHashJoin(b *testing.B) { benchHashJoin(b, benchTables) }
+
+func BenchmarkBatchHashJoinSparseKeys(b *testing.B) { benchHashJoin(b, benchSparseTables) }
+
+func benchHashJoin(b *testing.B, tables func() (fact, dim *Relation)) {
+	fact, dim := tables()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

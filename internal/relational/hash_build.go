@@ -3,6 +3,8 @@ package relational
 import (
 	"fmt"
 	"slices"
+
+	"repro/internal/kernels"
 )
 
 // joinIndex finds, for a probe key, the build rows carrying it, in build
@@ -19,11 +21,16 @@ type joinIndex struct {
 }
 
 // add enters rows [len(ix.next), key.Len()) of the build key column, in
-// order.
+// order. An Int key's range is known up front, so the index takes its
+// direct layout from the start when the range fits.
 func (ix *joinIndex) add(key *Vector) {
 	ix.keyT = key.T
 	kc := []Vector{*key}
-	if key.T != String {
+	switch from := len(ix.next); {
+	case key.T == Int && key.Len() > from:
+		lo, hi := kernels.MinMaxInt64(key.Ints[from:])
+		ix.index.ints.reserveSpan(key.Len(), lo, hi)
+	case key.T == Float:
 		ix.index.ints.reserve(key.Len())
 	}
 	ix.next = slices.Grow(ix.next, key.Len()-len(ix.next))
@@ -44,6 +51,24 @@ func (ix *joinIndex) add(key *Vector) {
 // serial order — the selection vectors the join output is gathered by.
 func (ix *joinIndex) match(pc *Vector, bsel, psel []int32) ([]int32, []int32) {
 	if pc.T != ix.keyT || len(ix.next) == 0 {
+		return bsel, psel
+	}
+	if pc.T == Int {
+		// Straight to the key table, a direct one read inline.
+		t := &ix.index.ints
+		refs, lo, direct := t.window()
+		w := uint64(len(refs))
+		for r, k := range pc.Ints {
+			m := int32(-1)
+			if !direct {
+				m = t.get(k)
+			} else if s := uint64(k) - uint64(lo); s < w {
+				m = refs[s] - 1
+			}
+			for ; m >= 0; m = ix.next[m] - 1 {
+				bsel, psel = append(bsel, m), append(psel, int32(r))
+			}
+		}
 		return bsel, psel
 	}
 	for r, n := 0, pc.Len(); r < n; r++ {

@@ -5,15 +5,48 @@ import (
 	"math"
 )
 
-// intTable is an open-addressing map from int64 keys to int32 refs — the
-// typed lookup under group-by and join when the key is one Int column (or
-// one Float column, by floatKeyBits). Linear probing over parallel
-// key/ref arrays at load <= 1/2; the zero value is an empty table.
+// intTable maps int64 keys to int32 refs — the typed lookup under
+// group-by and join when the key is one Int column (or one Float column,
+// by floatKeyBits). It addresses its slots one of two ways, picked from
+// the keys it holds:
+//
+//   - direct: while every key lies in the window [lo, lo+len(refs)), key
+//     k lives at refs[k-lo] — no hash, no probe, no keys array. Surrogate
+//     and foreign keys, which fill a dense id range, land here.
+//   - hashed: otherwise, linear probing over parallel key/ref arrays at
+//     load <= 1/2, slots picked by the splitmix64 finalizer.
+//
+// The pick is remade at every re-layout — a hashed resize, a reserve, a
+// key outside a direct window — from the span of the keys held (and of
+// the keys a reserve announces): direct when it fits directLimit, so a
+// direct table never takes more memory than the hashed table it
+// replaces. A window widens geometrically, toward the side the new key
+// fell on, so keys arriving in any order re-lay the table out O(log n)
+// times. Spans are taken in uint64, so no key set wraps into a small
+// window. Refs are whatever the caller stores, in either layout. The
+// zero value is an empty table.
 type intTable struct {
-	keys []int64
-	refs []int32 // ref+1; 0 marks an empty slot
-	n    int
+	refs       []int32 // ref+1; 0 marks an empty slot
+	keys       []int64 // the hashed layout's keys; nil while direct
+	lo         int64   // direct: refs[k-lo] holds key k
+	kmin, kmax int64   // span of the keys held, when n > 0
+	room       int     // most keys held or reserved: what layouts are sized for
+	n          int
 }
+
+// hashSlots is the slot count of the smallest hashed table for n keys.
+func hashSlots(n int) int {
+	size := 64
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
+// directLimit is the widest window a table sized for room keys may take:
+// a direct slot is 4 bytes and a hashed one 12, so the window costs at
+// most what the smallest hashed table for room keys does.
+func directLimit(room int) uint64 { return 3 * uint64(hashSlots(room)) }
 
 // mix64 is the splitmix64 finalizer.
 func mix64(x uint64) uint64 {
@@ -27,7 +60,10 @@ func mix64(x uint64) uint64 {
 
 // get returns the ref stored under k, or -1.
 func (t *intTable) get(k int64) int32 {
-	if t.n == 0 {
+	if t.keys == nil {
+		if s := uint64(k) - uint64(t.lo); s < uint64(len(t.refs)) {
+			return t.refs[s] - 1
+		}
 		return -1
 	}
 	mask := uint64(len(t.refs) - 1)
@@ -42,52 +78,205 @@ func (t *intTable) get(k int64) int32 {
 	}
 }
 
+// window returns the direct layout's slots and base (refs[k-lo] holds
+// key k as ref+1), or ok false when the table is hashed: what a probe
+// loop reads to address a direct table inline, without a call per key.
+func (t *intTable) window() (refs []int32, lo int64, ok bool) {
+	return t.refs, t.lo, t.keys == nil
+}
+
 // getOrPut returns the ref stored under k; when k is absent it stores
 // ref first and reports fresh.
 func (t *intTable) getOrPut(k int64, ref int32) (got int32, fresh bool) {
-	if 2*(t.n+1) > len(t.refs) {
-		// Small tables quadruple: a third of the rehashing of doubling,
-		// while the memory at stake is still small.
-		grow := 2
-		if len(t.refs) < 1<<16 {
-			grow = 4
+	if t.keys == nil {
+		s := uint64(k) - uint64(t.lo)
+		if s >= uint64(len(t.refs)) {
+			t.place(k)
+			return t.getOrPut(k, ref)
 		}
-		t.resize(max(64, grow*len(t.refs)))
-	}
-	mask := uint64(len(t.refs) - 1)
-	for s := mix64(uint64(k)) & mask; ; s = (s + 1) & mask {
-		r := t.refs[s]
-		if r == 0 {
-			t.keys[s], t.refs[s] = k, ref+1
-			t.n++
-			return ref, true
-		}
-		if t.keys[s] == k {
+		if r := t.refs[s]; r != 0 {
 			return r - 1, false
 		}
-	}
-}
-
-// reserve sizes the table for n keys up front, sparing the doublings.
-func (t *intTable) reserve(n int) {
-	size := 64
-	for size < 2*n {
-		size *= 2
-	}
-	if size > len(t.refs) {
-		t.resize(size)
-	}
-}
-
-// resize rehashes into size slots (a power of two).
-func (t *intTable) resize(size int) {
-	keys, refs := t.keys, t.refs
-	t.keys, t.refs, t.n = make([]int64, size), make([]int32, size), 0
-	for s, r := range refs {
-		if r != 0 {
-			t.getOrPut(keys[s], r-1)
+		t.refs[s] = ref + 1
+	} else {
+		if 2*(t.n+1) > len(t.refs) {
+			t.place(k)
+			return t.getOrPut(k, ref)
 		}
+		mask := uint64(len(t.refs) - 1)
+		s := mix64(uint64(k)) & mask
+		for ; t.refs[s] != 0; s = (s + 1) & mask {
+			if t.keys[s] == k {
+				return t.refs[s] - 1, false
+			}
+		}
+		t.keys[s], t.refs[s] = k, ref+1
 	}
+	if t.n == 0 {
+		t.kmin, t.kmax = k, k
+	} else if k < t.kmin {
+		t.kmin = k
+	} else if k > t.kmax {
+		t.kmax = k
+	}
+	t.n++
+	return ref, true
+}
+
+// place re-lays the table out to take key k, which the layout cannot: k
+// misses the direct window, or the hashed table is full.
+func (t *intTable) place(k int64) { t.relayout(t.n+1, k, k, true) }
+
+// reserve sizes the table for n keys up front, sparing re-layouts: a
+// hashed table re-lays itself out for them (direct, when the keys held
+// fit a window that large); a direct window widens on demand, up to the
+// limit n allows.
+func (t *intTable) reserve(n int) {
+	t.room = max(t.room, n)
+	switch {
+	case t.keys == nil:
+	case t.n > 0:
+		t.relayout(n, t.kmin, t.kmax, false)
+	case hashSlots(n) > len(t.refs):
+		t.lay(hashSlots(n), 0, true)
+	}
+}
+
+// reserveSpan sizes the table for n keys known to lie in [lo, hi]: a
+// direct table covering them already stays as it is; otherwise the
+// table re-lays itself out for them and the keys held.
+func (t *intTable) reserveSpan(n int, lo, hi int64) {
+	w := uint64(len(t.refs))
+	if t.keys == nil && uint64(lo)-uint64(t.lo) < w && uint64(hi)-uint64(t.lo) < w {
+		t.room = max(t.room, n)
+		return
+	}
+	t.relayout(n, lo, hi, false)
+}
+
+// relayout lays the table out afresh, sized for room keys, to hold the
+// keys held and keys to come in [lo, hi]: direct when the span of both
+// fits directLimit, hashed otherwise. grow is set when a key waits for a
+// slot (place): a window then takes at least 64 slots, and a hashed
+// table room to grow; a reserve sizes for room exactly.
+func (t *intTable) relayout(room int, lo, hi int64, grow bool) {
+	t.room = max(t.room, room)
+	dir := 0 // where a window's slack goes: around keys on an empty table
+	if t.n > 0 {
+		dir = 1
+		if lo < t.kmin {
+			dir = -1
+		}
+		lo, hi = min(lo, t.kmin), max(hi, t.kmax)
+	}
+	limit, span, w := directLimit(t.room), uint64(hi)-uint64(lo), uint64(len(t.refs))
+	minW := uint64(1)
+	if grow {
+		minW = 64
+	}
+	if span < limit {
+		switch {
+		case t.keys != nil:
+			// A hashed table's keys came in no order: a growing one
+			// centres its window, leaving room on both sides.
+			nw := span + 1
+			if grow {
+				nw = min(limit, max(2*nw, minW))
+			}
+			t.lay(int(nw), windowBase(nw, lo, hi, 0), false)
+			return
+		case t.n == 0 && span < w:
+			// An emptied window (reset) moves to the keys, keeping its room.
+			t.lo = windowBase(w, lo, hi, 0)
+			return
+		case t.n > 0:
+			// The window keeps its edge on the far side from the new keys,
+			// so it grows geometrically whether keys run one way or land
+			// on alternate sides of a range.
+			elo, ehi := t.lo, hi
+			if dir < 0 {
+				elo = lo
+				if uint64(hi)-uint64(t.lo) < w {
+					ehi = t.lo + int64(w-1)
+				}
+			}
+			if s := uint64(ehi) - uint64(elo); s < limit {
+				lo, hi, span = elo, ehi, s
+			}
+		}
+		if nw := min(limit, max(span+1, 2*w, minW)); nw > w {
+			t.lay(int(nw), windowBase(nw, lo, hi, dir), false)
+			return
+		}
+		// The window is at its limit. Shifting it instead could re-lay it
+		// out once per key: hashed.
+	}
+	size := hashSlots(t.room)
+	switch {
+	case t.keys == nil && grow:
+		size = max(size, hashSlots(2*(t.n+1)))
+	case t.keys == nil:
+	case grow:
+		// Small tables quadruple: a third of the rehashing of doubling,
+		// while the memory at stake is still small.
+		size = 2 * len(t.refs)
+		if len(t.refs) < 1<<16 {
+			size = 4 * len(t.refs)
+		}
+	case size <= len(t.refs):
+		return
+	}
+	t.lay(size, 0, true)
+}
+
+// lay re-enters every key held into a fresh layout of size slots: hashed,
+// or a direct window from base.
+func (t *intTable) lay(size int, base int64, hashed bool) {
+	keys, refs, lo := t.keys, t.refs, t.lo
+	t.refs, t.keys, t.lo = make([]int32, size), nil, base
+	if hashed {
+		t.keys = make([]int64, size)
+	}
+	for s, r := range refs {
+		if r == 0 {
+			continue
+		}
+		k := lo + int64(s)
+		if keys != nil {
+			k = keys[s]
+		}
+		if !hashed {
+			t.refs[uint64(k)-uint64(base)] = r
+			continue
+		}
+		mask := uint64(size - 1)
+		s := mix64(uint64(k)) & mask
+		for t.refs[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.keys[s], t.refs[s] = k, r
+	}
+}
+
+// windowBase returns the base of a w-slot window covering [lo, hi]
+// (hi-lo < w), its slack below the keys (dir < 0), above them (dir > 0)
+// or split (dir == 0). Slots count k-base modulo 2^64, so a window may
+// run past either end of the int64 range: each key still has one slot.
+func windowBase(w uint64, lo, hi int64, dir int) int64 {
+	switch {
+	case dir < 0:
+		return hi - int64(w-1)
+	case dir == 0:
+		return lo - int64((w-1-(uint64(hi)-uint64(lo)))/2)
+	}
+	return lo
+}
+
+// reset empties the table, keeping its layout and room.
+func (t *intTable) reset() {
+	clear(t.refs)
+	t.room = max(t.room, t.n)
+	t.n = 0
 }
 
 // floatKeyBits is a Float key's identity under Value.Key() equality: the
@@ -120,9 +309,11 @@ func packKey(kb []byte, kc []Vector, r int) []byte {
 }
 
 // keyIndex maps typed key tuples to int32 refs under Value.Key()
-// equality: one Int or Float column through an intTable, one String
-// column through a string map keyed by the column's own strings, and any
-// wider tuple through the same map keyed by packKey bytes.
+// equality: one Int or Float column through an intTable (addressed by
+// k - lo while the keys' span fits its direct limit, hashed otherwise),
+// one String column through a string map keyed by the column's own
+// strings, and any wider tuple through the same map keyed by packKey
+// bytes.
 type keyIndex struct {
 	ints intTable
 	strs map[string]int32
@@ -170,8 +361,7 @@ func (x *keyIndex) reserve(kc []Vector, n int) {
 
 // reset empties the lookup, keeping its room.
 func (x *keyIndex) reset() {
-	clear(x.ints.refs)
-	x.ints.n = 0
+	x.ints.reset()
 	clear(x.strs)
 }
 

@@ -11,7 +11,10 @@
 // dense ids through a typed keyIndex and keeps their states as
 // struct-of-arrays vectors folded column-at-a-time; the hash join
 // (HashBuild, joinIndex) keeps the build side as vectors and gathers its
-// output through selection vectors; the sort encodes numeric keys to
+// output through selection vectors. Under both, a single Int key is
+// addressed directly — slot k - lo, no hash — while a window over the
+// keys' range takes no more memory than a hashed table for as many keys
+// would, and hashed otherwise (intTable); the sort encodes numeric keys to
 // order-preserving uint64s and radix-sorts a row-id permutation
 // (sortPerm); ORDER BY + LIMIT is a bounded heap per partition
 // (NewBatchTopK). Under a MemoryBudget the same operators go out of core
