@@ -52,38 +52,52 @@ func drainBench(b *testing.B, op BatchOp) int {
 	}
 }
 
-// sparseKey spreads a cust id over the int64 range (Knuth's
-// multiplicative constant, offset clear of zero), so a key column's span
-// never fits a direct window and the key tables stay hashed.
-func sparseKey(cust int64) int64 { return cust*2654435761 + 1<<40 }
-
-// benchSparseTables are benchTables with every cust key spread by
-// sparseKey: the same rows, groups and matches on the hashed layout.
-var benchSparseTables = sync.OnceValues(func() (fact, dim *Relation) {
+// spreadTables returns benchTables with every cust key mapped by key: the
+// same rows, groups and matches under another key layout.
+func spreadTables(key func(cust int64) int64) (fact, dim *Relation) {
 	spread := func(r *Relation, col int) *Relation {
 		cols := slices.Clone(r.Columnar())
 		keys := make([]int64, r.Len())
 		for i, c := range cols[col].Ints {
-			keys[i] = sparseKey(c)
+			keys[i] = key(c)
 		}
 		cols[col] = Vector{T: Int, Ints: keys}
 		return NewColumnRelation(r.Name, r.Schema, cols, r.Len())
 	}
 	fact, dim = benchTables()
 	return spread(fact, 1), spread(dim, 0)
+}
+
+// benchSparseTables spread every cust key over the int64 range (Knuth's
+// multiplicative constant, offset clear of zero), so a key column's span
+// never fits a direct window and the key tables stay hashed.
+var benchSparseTables = sync.OnceValues(func() (fact, dim *Relation) {
+	return spreadTables(func(cust int64) int64 { return cust*2654435761 + 1<<40 })
 })
 
-func BenchmarkBatchGroupAgg50kGroups(b *testing.B) { benchGroupAgg(b, benchTables) }
+// benchWideTables space the cust keys 16 apart: 50k keys then span about
+// twice the widest direct window for 50k keys, so a key table sized for
+// them starts direct, widens, and turns hashed.
+var benchWideTables = sync.OnceValues(func() (fact, dim *Relation) {
+	return spreadTables(func(cust int64) int64 { return cust * 16 })
+})
 
-func BenchmarkBatchGroupAggSparseKeys(b *testing.B) { benchGroupAgg(b, benchSparseTables) }
+func BenchmarkBatchGroupAgg50kGroups(b *testing.B) { benchGroupAgg(b, benchTables, 2) }
 
-func benchGroupAgg(b *testing.B, tables func() (fact, dim *Relation)) {
+func BenchmarkBatchGroupAggSparseKeys(b *testing.B) { benchGroupAgg(b, benchSparseTables, 2) }
+
+// BenchmarkBatchGroupAggWideKeys runs four partitions, so MergeAll indexes
+// the middle partials' groups in a table reserved for all of them: the
+// path where a window widens to its limit before the table hashes.
+func BenchmarkBatchGroupAggWideKeys(b *testing.B) { benchGroupAgg(b, benchWideTables, 4) }
+
+func benchGroupAgg(b *testing.B, tables func() (fact, dim *Relation), workers int) {
 	fact, _ := tables()
 	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 2, Name: "revenue"}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, err := NewBatchGroupAgg(NewBatchScan(fact), []int{1}, aggs, 2)
+		op, err := NewBatchGroupAgg(NewBatchScan(fact), []int{1}, aggs, workers)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -53,24 +53,6 @@ func (ix *joinIndex) match(pc *Vector, bsel, psel []int32) ([]int32, []int32) {
 	if pc.T != ix.keyT || len(ix.next) == 0 {
 		return bsel, psel
 	}
-	if pc.T == Int {
-		// Straight to the key table, a direct one read inline.
-		t := &ix.index.ints
-		refs, lo, direct := t.window()
-		w := uint64(len(refs))
-		for r, k := range pc.Ints {
-			m := int32(-1)
-			if !direct {
-				m = t.get(k)
-			} else if s := uint64(k) - uint64(lo); s < w {
-				m = refs[s] - 1
-			}
-			for ; m >= 0; m = ix.next[m] - 1 {
-				bsel, psel = append(bsel, m), append(psel, int32(r))
-			}
-		}
-		return bsel, psel
-	}
 	for r, n := 0, pc.Len(); r < n; r++ {
 		for m := ix.index.get(pc, r); m >= 0; m = ix.next[m] - 1 {
 			bsel, psel = append(bsel, m), append(psel, int32(r))

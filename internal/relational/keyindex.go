@@ -20,11 +20,11 @@ import (
 // key outside a direct window — from the span of the keys held (and of
 // the keys a reserve announces): direct when it fits directLimit, so a
 // direct table never takes more memory than the hashed table it
-// replaces. A window widens geometrically, toward the side the new key
-// fell on, so keys arriving in any order re-lay the table out O(log n)
-// times. Spans are taken in uint64, so no key set wraps into a small
-// window. Refs are whatever the caller stores, in either layout. The
-// zero value is an empty table.
+// replaces. A window widens geometrically, centred on the keys, so keys
+// arriving in any order re-lay the table out O(log n) times. Spans are
+// taken in uint64, so no key set wraps into a small window. Refs are
+// whatever the caller stores, in either layout. The zero value is an
+// empty table.
 type intTable struct {
 	refs       []int32 // ref+1; 0 marks an empty slot
 	keys       []int64 // the hashed layout's keys; nil while direct
@@ -76,13 +76,6 @@ func (t *intTable) get(k int64) int32 {
 			return r - 1
 		}
 	}
-}
-
-// window returns the direct layout's slots and base (refs[k-lo] holds
-// key k as ref+1), or ok false when the table is hashed: what a probe
-// loop reads to address a direct table inline, without a call per key.
-func (t *intTable) window() (refs []int32, lo int64, ok bool) {
-	return t.refs, t.lo, t.keys == nil
 }
 
 // getOrPut returns the ref stored under k; when k is absent it stores
@@ -155,61 +148,33 @@ func (t *intTable) reserveSpan(n int, lo, hi int64) {
 }
 
 // relayout lays the table out afresh, sized for room keys, to hold the
-// keys held and keys to come in [lo, hi]: direct when the span of both
-// fits directLimit, hashed otherwise. grow is set when a key waits for a
-// slot (place): a window then takes at least 64 slots, and a hashed
-// table room to grow; a reserve sizes for room exactly.
+// keys held and keys to come in [lo, hi]. While the span of both fits
+// directLimit the table is a direct window centred on it: on a reserve,
+// exactly the span; when a key waits for a slot (grow), at least twice
+// the old window, twice the span and 64 slots, so a window widens
+// geometrically and keys in any order re-lay it out O(log n) times. An
+// emptied window (reset) wide enough for the keys moves to them instead,
+// keeping its room. Otherwise the table hashes — as does a window already
+// at its limit that a key missed, rather than shift once per key: a
+// growing one with room to grow, a reserve for room exactly.
 func (t *intTable) relayout(room int, lo, hi int64, grow bool) {
 	t.room = max(t.room, room)
-	dir := 0 // where a window's slack goes: around keys on an empty table
 	if t.n > 0 {
-		dir = 1
-		if lo < t.kmin {
-			dir = -1
-		}
 		lo, hi = min(lo, t.kmin), max(hi, t.kmax)
 	}
 	limit, span, w := directLimit(t.room), uint64(hi)-uint64(lo), uint64(len(t.refs))
-	minW := uint64(1)
+	nw := span + 1
 	if grow {
-		minW = 64
+		nw = min(limit, max(2*w, 2*nw, 64))
 	}
-	if span < limit {
-		switch {
-		case t.keys != nil:
-			// A hashed table's keys came in no order: a growing one
-			// centres its window, leaving room on both sides.
-			nw := span + 1
-			if grow {
-				nw = min(limit, max(2*nw, minW))
-			}
-			t.lay(int(nw), windowBase(nw, lo, hi, 0), false)
-			return
-		case t.n == 0 && span < w:
-			// An emptied window (reset) moves to the keys, keeping its room.
-			t.lo = windowBase(w, lo, hi, 0)
-			return
-		case t.n > 0:
-			// The window keeps its edge on the far side from the new keys,
-			// so it grows geometrically whether keys run one way or land
-			// on alternate sides of a range.
-			elo, ehi := t.lo, hi
-			if dir < 0 {
-				elo = lo
-				if uint64(hi)-uint64(t.lo) < w {
-					ehi = t.lo + int64(w-1)
-				}
-			}
-			if s := uint64(ehi) - uint64(elo); s < limit {
-				lo, hi, span = elo, ehi, s
-			}
-		}
-		if nw := min(limit, max(span+1, 2*w, minW)); nw > w {
-			t.lay(int(nw), windowBase(nw, lo, hi, dir), false)
-			return
-		}
-		// The window is at its limit. Shifting it instead could re-lay it
-		// out once per key: hashed.
+	switch {
+	case t.n == 0 && t.keys == nil && span < w:
+		t.lo = windowBase(w, lo, span)
+		return
+	case span >= limit, grow && t.keys == nil && nw == w:
+	default:
+		t.lay(int(nw), windowBase(nw, lo, span), false)
+		return
 	}
 	size := hashSlots(t.room)
 	switch {
@@ -258,18 +223,12 @@ func (t *intTable) lay(size int, base int64, hashed bool) {
 	}
 }
 
-// windowBase returns the base of a w-slot window covering [lo, hi]
-// (hi-lo < w), its slack below the keys (dir < 0), above them (dir > 0)
-// or split (dir == 0). Slots count k-base modulo 2^64, so a window may
-// run past either end of the int64 range: each key still has one slot.
-func windowBase(w uint64, lo, hi int64, dir int) int64 {
-	switch {
-	case dir < 0:
-		return hi - int64(w-1)
-	case dir == 0:
-		return lo - int64((w-1-(uint64(hi)-uint64(lo)))/2)
-	}
-	return lo
+// windowBase returns the base of a w-slot window centred on the keys
+// [lo, lo+span] (span < w). Slots count k-base modulo 2^64, so a window
+// may run past either end of the int64 range: each key still has one
+// slot.
+func windowBase(w uint64, lo int64, span uint64) int64 {
+	return lo - int64((w-1-span)/2)
 }
 
 // reset empties the table, keeping its layout and room.

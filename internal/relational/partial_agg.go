@@ -283,15 +283,6 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 			p.newGroup(b, kc, 0, seqCol)
 		}
 		clear(gids)
-	case len(kc) == 1 && kc[0].T == Int:
-		// The common key straight to its table: with direct addressing the
-		// keyIndex's per-row dispatch was a measurable share of the fold.
-		for r, k := range kc[0].Ints {
-			g, fresh := p.index.ints.getOrPut(k, int32(len(p.count())))
-			if gids[r] = g; fresh {
-				p.newGroup(b, kc, r, seqCol)
-			}
-		}
 	default:
 		for r := range gids {
 			g, fresh := p.index.getOrPut(kc, r, int32(len(p.count())))
