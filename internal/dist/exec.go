@@ -222,6 +222,13 @@ func (m *SeqMerger) Take(upto int, fn func(shard, row int)) {
 	})
 }
 
+// Columns returns empty columns for schema, with room for n rows, to merge
+// into: a String column the shards all hold coded over one dictionary
+// stays coded (see relational.NewColumns).
+func (m *SeqMerger) Columns(schema relational.Schema, n int) []relational.Vector {
+	return relational.NewColumns(schema, n, m.cols...)
+}
+
 // MergeInto appends the rows ranked [taken, upto) onto dst, column by
 // column; dst may be narrower than the shards (the trailing columns — the
 // seq column, when stripping — are dropped).
@@ -250,8 +257,9 @@ func MergeBySeq(name string, shards []*relational.Relation, seqCol int, strip bo
 		schema = schema[:seqCol]
 	}
 	total := totalRows(shards)
-	cols := relational.NewBatch(schema, total).Cols
-	NewSeqMerger(shards, seqCol).MergeInto(cols, total)
+	m := NewSeqMerger(shards, seqCol)
+	cols := m.Columns(schema, total)
+	m.MergeInto(cols, total)
 	return relational.NewColumnRelation(name, schema, cols, total)
 }
 
@@ -303,7 +311,7 @@ func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*re
 			m.seqs[src] = relational.GatherVector(&srcCols[src][seqCol], sels[src][d]).Ints
 			total += len(sels[src][d])
 		}
-		cols := relational.NewBatch(shards[0].Schema, total).Cols
+		cols := relational.NewColumns(shards[0].Schema, total, srcCols...)
 		m.TakeRuns(total, func(src, lo, hi int) {
 			for c := range cols {
 				cols[c].AppendGather(&srcCols[src][c], sels[src][d][lo:hi])

@@ -169,8 +169,8 @@ func destinations(key *relational.Vector, n, s int) []int32 {
 			out[i] = int32(hashFloat(v) % uint64(s))
 		}
 	default:
-		for i, v := range key.Strs[:n] {
-			out[i] = int32(hashString(v) % uint64(s))
+		for i := range n {
+			out[i] = int32(hashString(key.Str(i)) % uint64(s))
 		}
 	}
 	return out

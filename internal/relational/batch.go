@@ -15,14 +15,31 @@ import (
 // also the morsel granularity of the parallel scan.
 const BatchSize = 1024
 
-// Vector is one typed column of a batch. Exactly one of the payload
-// slices is populated, matching T. Vectors are immutable once a batch has
-// been emitted, so downstream operators may share them without copying.
+// Vector is one typed column of a batch: Ints, Floats or — for a String
+// column — one of two forms. A plain String vector holds its cells in
+// Strs; a coded one holds an int32 code per cell in Codes over a shared,
+// immutable Dict, and Strs is nil. StringVector decides the form when a
+// whole column is born at once (the demo tables, the transpose of a
+// row-built relation): coded exactly when the codes and dictionary take
+// fewer bytes than the plain headers. From there the form follows the
+// data. Gather, Slice and every append keep a coded vector coded while
+// the cells come from vectors over the same Dict — an empty vector takes
+// the Dict of the first coded cells appended to it — and a mix of
+// dictionaries, or of coded and plain cells, comes out plain: the
+// vector's cells are copied out decoded and no Dict is ever appended to.
+// Str and Value decode a cell; nothing outside this package reads Strs.
+// Sizes (vectorBytes, cellBytes, RowSizer) count the decoded strings, so
+// the form never moves a byte count.
+//
+// Vectors are immutable once a batch has been emitted, so downstream
+// operators may share them without copying.
 type Vector struct {
 	T      Type
 	Ints   []int64
 	Floats []float64
 	Strs   []string
+	Dict   *Dict   // a coded String vector's dictionary; nil when plain
+	Codes  []int32 // a coded String vector's cells, indexes into Dict
 }
 
 // NewVector returns an empty vector of type t with the given capacity.
@@ -34,18 +51,21 @@ func NewVector(t Type, capacity int) Vector {
 
 // Len returns the number of values.
 func (v *Vector) Len() int {
-	switch v.T {
-	case Int:
+	switch {
+	case v.T == Int:
 		return len(v.Ints)
-	case Float:
+	case v.T == Float:
 		return len(v.Floats)
+	case v.Dict != nil:
+		return len(v.Codes)
 	default:
 		return len(v.Strs)
 	}
 }
 
 // Append adds one value, coercing Int into a Float vector (the only legal
-// cross-type combination the SQL layer produces).
+// cross-type combination the SQL layer produces). A coded vector turns
+// plain first.
 func (v *Vector) Append(val Value) {
 	switch v.T {
 	case Int:
@@ -57,6 +77,7 @@ func (v *Vector) Append(val Value) {
 			v.Floats = append(v.Floats, val.F)
 		}
 	default:
+		v.plain()
 		v.Strs = append(v.Strs, val.S)
 	}
 }
@@ -69,17 +90,19 @@ func (v *Vector) Value(i int) Value {
 	case Float:
 		return FloatV(v.Floats[i])
 	default:
-		return StringV(v.Strs[i])
+		return StringV(v.Str(i))
 	}
 }
 
 // grow reallocates the payload with room for n more values.
 func (v *Vector) grow(n int) {
-	switch v.T {
-	case Int:
+	switch {
+	case v.T == Int:
 		v.Ints = append(make([]int64, 0, len(v.Ints)+n), v.Ints...)
-	case Float:
+	case v.T == Float:
 		v.Floats = append(make([]float64, 0, len(v.Floats)+n), v.Floats...)
+	case v.Dict != nil:
+		v.Codes = append(make([]int32, 0, len(v.Codes)+n), v.Codes...)
 	default:
 		v.Strs = append(make([]string, 0, len(v.Strs)+n), v.Strs...)
 	}
@@ -87,26 +110,31 @@ func (v *Vector) grow(n int) {
 
 // appendCell appends element i of src, a vector of the same type.
 func (v *Vector) appendCell(src *Vector, i int) {
-	switch v.T {
-	case Int:
+	switch {
+	case v.T == Int:
 		v.Ints = append(v.Ints, src.Ints[i])
-	case Float:
+	case v.T == Float:
 		v.Floats = append(v.Floats, src.Floats[i])
+	case v.codedFrom(src):
+		v.Codes = append(v.Codes, src.Codes[i])
 	default:
-		v.Strs = append(v.Strs, src.Strs[i])
+		v.Strs = append(v.Strs, src.Str(i))
 	}
 }
 
 // setCell overwrites element i with element j of src, a vector of the
 // same type.
 func (v *Vector) setCell(i int, src *Vector, j int) {
-	switch v.T {
-	case Int:
+	switch {
+	case v.T == Int:
 		v.Ints[i] = src.Ints[j]
-	case Float:
+	case v.T == Float:
 		v.Floats[i] = src.Floats[j]
+	case v.Dict != nil && v.Dict == src.Dict:
+		v.Codes[i] = src.Codes[j]
 	default:
-		v.Strs[i] = src.Strs[j]
+		v.plain()
+		v.Strs[i] = src.Str(j)
 	}
 }
 
@@ -126,29 +154,40 @@ func cmpCell(a *Vector, i int, b *Vector, j int) int {
 		}
 		return 0
 	default:
-		return cmp.Compare(a.Strs[i], b.Strs[j])
+		if a.Dict != nil && a.Dict == b.Dict && a.Codes[i] == b.Codes[j] {
+			return 0
+		}
+		return cmp.Compare(a.Str(i), b.Str(j))
 	}
 }
 
-// clone copies the vector's payload.
+// clone copies the vector's payload (a coded one keeps sharing its Dict).
 func (v *Vector) clone() Vector {
 	return Vector{
 		T:      v.T,
 		Ints:   append([]int64(nil), v.Ints...),
 		Floats: append([]float64(nil), v.Floats...),
 		Strs:   append([]string(nil), v.Strs...),
+		Dict:   v.Dict,
+		Codes:  append([]int32(nil), v.Codes...),
 	}
 }
 
 // GatherVector materializes the selected elements of src, delegating Int
-// and Float payloads to the gather kernels.
+// and Float payloads to the gather kernels; a coded vector gathers its
+// codes over the same Dict.
 func GatherVector(src *Vector, sel []int32) Vector {
-	v := Vector{T: src.T}
-	switch src.T {
-	case Int:
+	v := Vector{T: src.T, Dict: src.Dict}
+	switch {
+	case src.T == Int:
 		v.Ints = kernels.Gather(src.Ints, sel)
-	case Float:
+	case src.T == Float:
 		v.Floats = kernels.GatherFloat64(src.Floats, sel)
+	case src.Dict != nil:
+		v.Codes = make([]int32, len(sel))
+		for i, j := range sel {
+			v.Codes[i] = src.Codes[j]
+		}
 	default:
 		v.Strs = make([]string, len(sel))
 		for i, j := range sel {
@@ -159,46 +198,57 @@ func GatherVector(src *Vector, sel []int32) Vector {
 }
 
 // AppendRange appends elements [lo, hi) of src, a vector of the same type.
+// Appending no cells leaves v as it is, form included.
 func (v *Vector) AppendRange(src *Vector, lo, hi int) {
-	switch v.T {
-	case Int:
+	switch {
+	case lo == hi:
+	case v.T == Int:
 		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
-	case Float:
+	case v.T == Float:
 		v.Floats = append(v.Floats, src.Floats[lo:hi]...)
+	case v.codedFrom(src):
+		v.Codes = append(v.Codes, src.Codes[lo:hi]...)
 	default:
-		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
+		v.appendStrs(src, lo, hi)
 	}
 }
 
 // AppendGather appends the selected elements of src, a vector of the same
 // type, in selection order.
 func (v *Vector) AppendGather(src *Vector, sel []int32) {
-	switch v.T {
-	case Int:
+	switch {
+	case len(sel) == 0:
+	case v.T == Int:
 		for _, j := range sel {
 			v.Ints = append(v.Ints, src.Ints[j])
 		}
-	case Float:
+	case v.T == Float:
 		for _, j := range sel {
 			v.Floats = append(v.Floats, src.Floats[j])
 		}
+	case v.codedFrom(src):
+		for _, j := range sel {
+			v.Codes = append(v.Codes, src.Codes[j])
+		}
 	default:
 		for _, j := range sel {
-			v.Strs = append(v.Strs, src.Strs[j])
+			v.Strs = append(v.Strs, src.Str(int(j)))
 		}
 	}
 }
 
-// Slice returns the [from, to) window sharing the backing arrays, clipped
-// to its length: an append to the window reallocates instead of writing
-// over the parent's later cells.
+// Slice returns the [from, to) window sharing the backing arrays (and a
+// coded vector's Dict), clipped to its length: an append to the window
+// reallocates instead of writing over the parent's later cells.
 func (v *Vector) Slice(from, to int) Vector {
-	out := Vector{T: v.T}
-	switch v.T {
-	case Int:
+	out := Vector{T: v.T, Dict: v.Dict}
+	switch {
+	case v.T == Int:
 		out.Ints = v.Ints[from:to:to]
-	case Float:
+	case v.T == Float:
 		out.Floats = v.Floats[from:to:to]
+	case v.Dict != nil:
+		out.Codes = v.Codes[from:to:to]
 	default:
 		out.Strs = v.Strs[from:to:to]
 	}
@@ -265,8 +315,8 @@ func appendRows(dst []Row, cols []Vector, n int) []Row {
 				flat[r*w+c] = FloatV(v)
 			}
 		default:
-			for r, v := range col.Strs[:n] {
-				flat[r*w+c] = StringV(v)
+			for r := range n {
+				flat[r*w+c] = StringV(col.Str(r))
 			}
 		}
 	}
@@ -282,16 +332,15 @@ func concatCols(schema Schema, batches []*Batch) (cols []Vector, n int) {
 	for _, b := range batches {
 		n += b.Len()
 	}
-	cols = make([]Vector, len(schema))
-	for c, sc := range schema {
-		v := NewVector(sc.Type, n)
+	sources := make([][]Vector, len(batches))
+	for i, b := range batches {
+		sources[i] = b.Cols
+	}
+	cols = NewColumns(schema, n, sources...)
+	for c := range cols {
 		for _, b := range batches {
-			// Only the payload of type sc.Type is populated.
-			v.Ints = append(v.Ints, b.Cols[c].Ints...)
-			v.Floats = append(v.Floats, b.Cols[c].Floats...)
-			v.Strs = append(v.Strs, b.Cols[c].Strs...)
+			cols[c].AppendRange(&b.Cols[c], 0, b.Len())
 		}
-		cols[c] = v
 	}
 	return cols, n
 }

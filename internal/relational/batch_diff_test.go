@@ -534,3 +534,179 @@ func TestDiffDirectKeyHashJoin(t *testing.T) {
 		}
 	}
 }
+
+// The coded cases run the operators over dictionary-coded String columns
+// against the row oracle over the same cells. withStrings swaps a
+// relation's String key column (2) for v, holding the same cells coded,
+// plain, or coded over a dictionary another relation shares.
+func withStrings(rel *Relation, v Vector) *Relation {
+	cols := slices.Clone(rel.Columnar())
+	cols[2] = v
+	return NewColumnRelation(rel.Name, rel.Schema, cols, rel.Len())
+}
+
+func strCol(rel *Relation) []string { return cells(&rel.Columnar()[2]) }
+
+// mixedStringBatches interleaves batches of three forms of the same kind
+// of rows — coded over one dictionary, coded over another, plain — so a
+// group-by's key table and MIN/MAX state switch dictionaries, and turn
+// plain, mid-stream; rel holds the same rows in stream order, for the
+// oracle.
+func mixedStringBatches(rng *rand.Rand) (src func() BatchOp, rel *Relation) {
+	forms := []func(...string) Vector{codedOf, codedOf, plainOf}
+	rel = NewRelation("mixed", diffSchema)
+	var batches []*Batch
+	for i := 0; i < 30; i++ {
+		part := NewRelation("part", diffSchema)
+		for r := 0; r < 1+rng.Intn(9); r++ {
+			row := diffRow(rng, int64(rng.Intn(4)), float64(rng.Intn(3)), advStrs[rng.Intn(len(advStrs))])
+			part.MustAppend(row)
+			rel.MustAppend(row)
+		}
+		cols := slices.Clone(part.Columnar())
+		cols[2] = forms[i%3](strCol(part)...)
+		b := BatchOf(diffSchema, cols, part.Len())
+		b.Seq = int64(i)
+		batches = append(batches, b)
+	}
+	return func() BatchOp { return &batchSource{schema: diffSchema, batches: batches} }, rel
+}
+
+// TestDiffCodedGroupAgg: grouping on a coded String key, alone and beside
+// an Int key, with MIN and MAX over the coded column — on one coded
+// column, and on a stream mixing two dictionaries and plain batches.
+func TestDiffCodedGroupAgg(t *testing.T) {
+	aggs := []AggSpec{
+		{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 3, Name: "si"},
+		{Fn: MinAgg, Col: 2, Name: "ms"}, {Fn: MaxAgg, Col: 2, Name: "xs"}, {Fn: MaxAgg, Col: 0, Name: "xi"},
+	}
+	rels := diffRelations()
+	dup := rels["duplicates"]
+	adv := withStrings(rels["adversarial"], codedOf(strCol(rels["adversarial"])...))
+	if dup.Columnar()[2].Dict == nil || adv.Columnar()[2].Dict == nil {
+		t.Fatal("the String columns were not coded")
+	}
+	mixed, mixedRel := mixedStringBatches(rand.New(rand.NewSource(41)))
+	inputs := []struct {
+		rel *Relation
+		src func() BatchOp
+	}{
+		{dup, func() BatchOp { return cutBatches(dup, 7) }},
+		{adv, func() BatchOp { return cutBatches(adv, 16) }},
+		{mixedRel, mixed},
+	}
+	for _, in := range inputs {
+		for _, groupCols := range [][]int{{2}, {2, 0}, {0}} {
+			ref, err := NewGroupAgg(NewScan(in.rel), groupCols, aggs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := collectRows(t, ref)
+			for _, workers := range []int{1, 2} {
+				for _, limit := range diffBudgets {
+					op, err := NewBatchGroupAgg(in.src(), groupCols, aggs, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					op.SetBudget(diffBudget(limit))
+					requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
+				}
+			}
+		}
+	}
+}
+
+// TestDiffCodedHashJoin: a String-keyed join with a coded build and a
+// plain probe, with both sides coded over different dictionaries, and
+// with both coded over one shared dictionary — built whole and appended
+// chunk by chunk.
+func TestDiffCodedHashJoin(t *testing.T) {
+	rels := diffRelations()
+	b, p := rels["adversarial"], rels["duplicates"]
+	bs, ps := strCol(b), strCol(p)
+	shared := codedOf(append(slices.Clone(bs), ps...)...)
+	for _, c := range []struct {
+		name         string
+		build, probe *Relation
+	}{
+		{"coded build, plain probe", withStrings(b, codedOf(bs...)), withStrings(p, plainOf(ps...))},
+		{"plain build, coded probe", withStrings(b, plainOf(bs...)), withStrings(p, codedOf(ps...))},
+		{"two dictionaries", withStrings(b, codedOf(bs...)), withStrings(p, codedOf(ps...))},
+		{"one shared dictionary", withStrings(b, shared.Slice(0, len(bs))), withStrings(p, shared.Slice(len(bs), len(bs)+len(ps)))},
+	} {
+		ref, err := NewHashJoin(NewScan(c.build), NewScan(c.probe), 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := collectRows(t, ref)
+		if len(want) == 0 {
+			t.Fatalf("%s: the oracle matched nothing", c.name)
+		}
+		for _, workers := range []int{1, 2} {
+			for _, limit := range diffBudgets {
+				op, err := NewBatchHashJoin(cutBatches(c.build, 5), cutBatches(c.probe, 7), 2, 2, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				op.SetBudget(diffBudget(limit))
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+			}
+			pre, err := NewHashBuild(c.build.Schema, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < c.build.Len(); lo += 9 {
+				pre.AppendCols(c.build.Columnar(), lo, min(lo+9, c.build.Len()))
+			}
+			op, err := NewBatchHashJoinPrebuilt(pre, cutBatches(c.probe, 7), 2, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+		}
+	}
+}
+
+// TestDiffCodedSort: ORDER BY a coded String column, alone and as a
+// tie-break, as a full sort (in memory and external) and as a top-k.
+func TestDiffCodedSort(t *testing.T) {
+	rels := diffRelations()
+	mixed, mixedRel := mixedStringBatches(rand.New(rand.NewSource(43)))
+	dup := rels["duplicates"]
+	for _, in := range []struct {
+		rel *Relation
+		src func() BatchOp
+	}{
+		{dup, func() BatchOp { return cutBatches(dup, 7) }},
+		{mixedRel, mixed},
+	} {
+		for _, keys := range [][]SortKey{{{Col: 2}}, {{Col: 2, Desc: true}, {Col: 0}}, {{Col: 0}, {Col: 2, Desc: true}}} {
+			for _, k := range []int{-1, 3, 40} {
+				srt, err := NewSort(NewScan(in.rel), keys)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var ref Op = srt
+				if k >= 0 {
+					ref = NewLimit(srt, k)
+				}
+				want := collectRows(t, ref)
+				for _, workers := range []int{1, 2} {
+					for _, limit := range diffBudgets {
+						var op *BatchSort
+						if k >= 0 {
+							op, err = NewBatchTopK(in.src(), keys, k, workers)
+						} else {
+							op, err = NewBatchSort(in.src(), keys, workers)
+						}
+						if err != nil {
+							t.Fatal(err)
+						}
+						op.SetBudget(diffBudget(limit))
+						requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
+					}
+				}
+			}
+		}
+	}
+}

@@ -70,8 +70,10 @@ type BatchHashJoin struct {
 	probe BatchOp
 	stat  *opCount
 
-	// Selection-vector scratch of this probe stream, reused per batch.
+	// Selection-vector scratch of this probe stream, reused per batch, and
+	// its translation of a coded probe key's codes.
 	bsel, psel []int32
+	codes      codeRefs
 
 	// Grace-mode output of this probe stream (see graceProbe).
 	graceOut  []*Batch
@@ -167,7 +169,7 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 // column is one gather. nil when no probe row matches.
 func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 	c := j.core
-	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], j.bsel[:0], j.psel[:0])
+	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], j.bsel[:0], j.psel[:0], &j.codes)
 	if len(j.bsel) == 0 {
 		return nil
 	}

@@ -304,7 +304,7 @@ func sortPerm(cols []Vector, keys []SortKey, lo, hi int) (perm []int32, k0 []uin
 				if desc {
 					a, b = b, a
 				}
-				return cmp.Compare(col.Strs[a], col.Strs[b])
+				return cmp.Compare(col.Str(int(a)), col.Str(int(b)))
 			})
 			continue
 		}

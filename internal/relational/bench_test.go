@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
@@ -125,6 +126,51 @@ func benchHashJoin(b *testing.B, tables func() (fact, dim *Relation)) {
 		}
 	}
 }
+
+// BenchmarkBatchHashJoinStringGroup is the join class's shape: the fact
+// table probes the dimension on cust and the joined rows group by the
+// build side's segment, a 5-value String column the dimension's transpose
+// dictionary-codes — so the build payload gathers int32 codes and the
+// group-by resolves each through a code translation.
+func BenchmarkBatchHashJoinStringGroup(b *testing.B) {
+	fact, dim := benchTables()
+	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 4, Name: "revenue"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		join, err := NewBatchHashJoin(NewBatchScan(dim), NewBatchScan(fact), 0, 1, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		op, err := NewBatchGroupAgg(join, []int{1}, aggs, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if drainBench(b, op) != 5 {
+			b.Fatal("want 5 segments")
+		}
+	}
+}
+
+// benchPlainStringTables is the fact table with its cust key rendered as
+// a String column of 50k distinct names, held plain: the key path of a
+// String column StringVector leaves uncoded (too many distinct values) or
+// that grew by Extend.
+var benchPlainStringTables = sync.OnceValues(func() (fact, dim *Relation) {
+	fact, dim = benchTables()
+	cols := slices.Clone(fact.Columnar())
+	names := make([]string, fact.Len())
+	for i, c := range cols[1].Ints {
+		names[i] = fmt.Sprintf("cust-%05d", c)
+	}
+	cols[1] = Vector{T: String, Strs: names}
+	schema := slices.Clone(fact.Schema)
+	schema[1].Type = String
+	return NewColumnRelation(fact.Name, schema, cols, fact.Len()), dim
+})
+
+// BenchmarkBatchGroupAggPlainStrings groups on 50k distinct plain strings.
+func BenchmarkBatchGroupAggPlainStrings(b *testing.B) { benchGroupAgg(b, benchPlainStringTables, 2) }
 
 func BenchmarkBatchSort2Keys(b *testing.B) {
 	fact, _ := benchTables()

@@ -249,7 +249,7 @@ func floatKeyBits(f float64) int64 {
 }
 
 // packKey appends row r's key tuple to kb in a form that is equal exactly
-// when every cell is Key()-equal: numerics as 8 bytes, strings
+// when every cell is Key()-equal: numerics as 8 bytes, strings (decoded)
 // length-prefixed. Column types are fixed per position, so no type tags
 // are needed.
 func packKey(kb []byte, kc []Vector, r int) []byte {
@@ -260,11 +260,40 @@ func packKey(kb []byte, kc []Vector, r int) []byte {
 		case Float:
 			kb = binary.LittleEndian.AppendUint64(kb, uint64(floatKeyBits(c.Floats[r])))
 		default:
-			kb = binary.LittleEndian.AppendUint32(kb, uint32(len(c.Strs[r])))
-			kb = append(kb, c.Strs[r]...)
+			s := c.Str(r)
+			kb = binary.LittleEndian.AppendUint32(kb, uint32(len(s)))
+			kb = append(kb, s...)
 		}
 	}
 	return kb
+}
+
+// codeRefs translates the codes of one Dict into the refs a keyIndex's
+// string map holds under their entries: refs[code] is ref+1, 0 until the
+// code is first resolved. It caches the map, filled lazily, so refs and
+// first-seen order are the map's; a code absent from the map is looked up
+// again next time, so later puts cannot leave it stale.
+type codeRefs struct {
+	dict *Dict
+	refs []int32
+}
+
+// on points the translation at d, emptying it when it held another Dict's
+// (or was forgotten); its storage is reused.
+func (t *codeRefs) on(d *Dict) {
+	if t.dict != d {
+		t.switchTo(d)
+	}
+}
+
+func (t *codeRefs) switchTo(d *Dict) {
+	t.dict = d
+	if cap(t.refs) >= d.Len() {
+		t.refs = t.refs[:d.Len()]
+		clear(t.refs)
+	} else {
+		t.refs = make([]int32, d.Len())
+	}
 }
 
 // keyIndex maps typed key tuples to int32 refs under Value.Key()
@@ -272,41 +301,61 @@ func packKey(kb []byte, kc []Vector, r int) []byte {
 // k - lo while the keys' span fits its direct limit, hashed otherwise),
 // one String column through a string map keyed by the column's own
 // strings, and any wider tuple through the same map keyed by packKey
-// bytes.
+// bytes. A coded String key resolves through codes, a per-Dict code → ref
+// translation of the map: after a code's first lookup every row carrying
+// it is one array read. The translation follows the Dict of the column
+// fed; switching Dicts starts it afresh.
 type keyIndex struct {
-	ints intTable
-	strs map[string]int32
-	kb   []byte
+	ints  intTable
+	strs  map[string]int32
+	kb    []byte
+	codes codeRefs
 }
 
 // getOrPut returns the ref stored under row r of the key columns kc,
 // storing ref first (and reporting fresh) when the key is absent.
 func (x *keyIndex) getOrPut(kc []Vector, r int, ref int32) (got int32, fresh bool) {
-	var k string
-	if len(kc) == 1 {
-		switch c := &kc[0]; c.T {
-		case Int:
-			return x.ints.getOrPut(c.Ints[r], ref)
-		case Float:
-			return x.ints.getOrPut(floatKeyBits(c.Floats[r]), ref)
-		default:
-			k = c.Strs[r]
-		}
-		if g, ok := x.strs[k]; ok {
-			return g, false
-		}
-	} else {
+	if len(kc) != 1 {
 		x.kb = packKey(x.kb[:0], kc, r)
 		if g, ok := x.strs[string(x.kb)]; ok {
 			return g, false
 		}
-		k = string(x.kb)
+		return x.put(string(x.kb), ref), true
 	}
+	switch c := &kc[0]; {
+	case c.T == Int:
+		return x.ints.getOrPut(c.Ints[r], ref)
+	case c.T == Float:
+		return x.ints.getOrPut(floatKeyBits(c.Floats[r]), ref)
+	case c.Dict != nil:
+		x.codes.on(c.Dict)
+		code := c.Codes[r]
+		if t := x.codes.refs[code]; t != 0 {
+			return t - 1, false
+		}
+		got, fresh = x.getOrPutStr(c.Dict.strs[code], ref)
+		x.codes.refs[code] = got + 1
+		return got, fresh
+	default:
+		return x.getOrPutStr(c.Strs[r], ref)
+	}
+}
+
+// getOrPutStr is getOrPut on the string map.
+func (x *keyIndex) getOrPutStr(k string, ref int32) (int32, bool) {
+	if g, ok := x.strs[k]; ok {
+		return g, false
+	}
+	return x.put(k, ref), true
+}
+
+// put stores ref under the absent string key k.
+func (x *keyIndex) put(k string, ref int32) int32 {
 	if x.strs == nil {
 		x.strs = map[string]int32{}
 	}
 	x.strs[k] = ref
-	return ref, true
+	return ref
 }
 
 // reserve sizes the lookup of key columns kc for n keys up front.
@@ -322,12 +371,13 @@ func (x *keyIndex) reserve(kc []Vector, n int) {
 func (x *keyIndex) reset() {
 	x.ints.reset()
 	clear(x.strs)
+	x.codes.dict = nil
 }
 
 // find returns the ref stored under row r of the key columns kc, or -1.
 func (x *keyIndex) find(kc []Vector, r int) int32 {
 	if len(kc) == 1 {
-		return x.get(&kc[0], r)
+		return x.get(&kc[0], r, &x.codes)
 	}
 	x.kb = packKey(x.kb[:0], kc, r)
 	if g, ok := x.strs[string(x.kb)]; ok {
@@ -337,13 +387,28 @@ func (x *keyIndex) find(kc []Vector, r int) int32 {
 }
 
 // get returns the ref stored under row r of the single key column c, or
-// -1. The column's type must be the type the index was built over.
-func (x *keyIndex) get(c *Vector, r int) int32 {
-	switch c.T {
-	case Int:
+// -1. The column's type must be the type the index was built over. A
+// coded column resolves through tr, a translation the caller owns — the
+// index's own, or, for the concurrent probes of a finished join index,
+// one per probing stream; it stays valid while the index is not reset.
+func (x *keyIndex) get(c *Vector, r int, tr *codeRefs) int32 {
+	switch {
+	case c.T == Int:
 		return x.ints.get(c.Ints[r])
-	case Float:
+	case c.T == Float:
 		return x.ints.get(floatKeyBits(c.Floats[r]))
+	case c.Dict != nil:
+		tr.on(c.Dict)
+		code := c.Codes[r]
+		if t := tr.refs[code]; t != 0 {
+			return t - 1
+		}
+		g, ok := x.strs[c.Dict.strs[code]]
+		if !ok {
+			return -1
+		}
+		tr.refs[code] = g + 1
+		return g
 	default:
 		if g, ok := x.strs[c.Strs[r]]; ok {
 			return g

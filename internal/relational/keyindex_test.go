@@ -2,6 +2,7 @@ package relational
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -304,5 +305,117 @@ func TestDirectKeyLayouts(t *testing.T) {
 	}
 	if pt := &p.index.ints; pt.keys != nil || 4*len(pt.refs) > minHashedBytes(pt.n) {
 		t.Fatalf("partial over 50000 dense keys: direct=%v, %d slots", pt.keys == nil, len(pt.refs))
+	}
+}
+
+// stringKeySources are the key columns FuzzStringKeyIndex draws from: two
+// coded dictionaries of different sizes whose values overlap (one string,
+// two codes), and a plain column over the same values. Every value of
+// each dictionary occurs in its column, so codes run to the dictionary's
+// end.
+func stringKeySources() [3]Vector {
+	vals := []string{"", "a", "b", "ab", "a\x00", "\x00", "zz"}
+	for i := range 33 {
+		vals = append(vals, fmt.Sprint("k", i))
+	}
+	var big, small, plain []string
+	for i := range 2 * len(vals) {
+		big = append(big, vals[(i*7)%len(vals)])
+	}
+	for i := range 12 {
+		small = append(small, vals[(len(vals)-1-i%5)%len(vals)], vals[i%3])
+	}
+	for i := range 3 * len(vals) {
+		plain = append(plain, vals[(i*11+3)%len(vals)])
+	}
+	return [3]Vector{codedOf(big...), codedOf(small...), plainOf(plain...)}
+}
+
+// FuzzStringKeyIndex decodes the input as operations on one keyIndex and
+// a map[string]int32: each op byte picks a key column (either coded
+// dictionary or the plain column) and what to do, and the next byte the
+// row. It puts (getOrPut), finds through the index's own code
+// translation, gets through a translation the caller owns (as a join's
+// probe stream does), or resets — in any interleaving, so the
+// translations switch dictionaries and outlive puts and resets.
+func FuzzStringKeyIndex(f *testing.F) {
+	f.Add([]byte{})
+	srcs := stringKeySources()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var x keyIndex
+		var probe codeRefs
+		ref := map[string]int32{}
+		for len(in) > 0 {
+			op := in[0]
+			row := 0
+			if len(in) > 1 {
+				row = int(in[1])
+			}
+			in = in[min(2, len(in)):]
+			src := &srcs[int(op&3)%len(srcs)]
+			row %= src.Len()
+			kc, k := []Vector{*src}, src.Str(row)
+			want, ok := ref[k]
+			if !ok {
+				want = -1
+			}
+			switch (op >> 2) & 7 {
+			case 0, 1, 2, 3:
+				next := int32(len(ref))
+				got, fresh := x.getOrPut(kc, row, next)
+				if ok && (got != want || fresh) {
+					t.Fatalf("getOrPut(%q) = %d, %v; want %d, false", k, got, fresh, want)
+				}
+				if !ok && (got != next || !fresh) {
+					t.Fatalf("getOrPut(%q) of a new key = %d, %v; want %d, true", k, got, fresh, next)
+				}
+				ref[k] = got
+			case 4, 5:
+				if got := x.find(kc, row); got != want {
+					t.Fatalf("find(%q) = %d, want %d", k, got, want)
+				}
+			case 6:
+				if got := x.get(src, row, &probe); got != want {
+					t.Fatalf("get(%q) through the caller's translation = %d, want %d", k, got, want)
+				}
+			case 7:
+				x.reset()
+				probe = codeRefs{}
+				clear(ref)
+			}
+		}
+		for i := range srcs {
+			for r := range srcs[i].Len() {
+				want, ok := ref[srcs[i].Str(r)]
+				if !ok {
+					want = -1
+				}
+				if got := x.find([]Vector{srcs[i]}, r); got != want {
+					t.Fatalf("source %d row %d (%q): find = %d, want %d", i, r, srcs[i].Str(r), got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestKeyIndexCodedMatchesPlain: one index fed a coded key column gives
+// every row the ref a second index fed the same cells plain gives it, and
+// after the first pass every coded lookup is served by the translation.
+func TestKeyIndexCodedMatchesPlain(t *testing.T) {
+	srcs := stringKeySources()
+	coded := []Vector{srcs[0]}
+	plain := []Vector{plainOf(cells(&srcs[0])...)}
+	var xc, xp keyIndex
+	for pass := range 2 {
+		for r := range coded[0].Len() {
+			gc, fc := xc.getOrPut(coded, r, int32(r))
+			gp, fp := xp.getOrPut(plain, r, int32(r))
+			if gc != gp || fc != fp {
+				t.Fatalf("pass %d row %d: coded %d, %v; plain %d, %v", pass, r, gc, fc, gp, fp)
+			}
+			if pass == 1 && xc.codes.refs[coded[0].Codes[r]] != gc+1 {
+				t.Fatalf("row %d: code %d not translated after the first pass", r, coded[0].Codes[r])
+			}
+		}
 	}
 }

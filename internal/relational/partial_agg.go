@@ -247,7 +247,7 @@ func (p *PartialAgg) window(lo, hi int) *PartialAgg {
 func (p *PartialAgg) reset() {
 	for c := range p.cols {
 		v := &p.cols[c]
-		v.Ints, v.Floats, v.Strs = v.Ints[:0], v.Floats[:0], v.Strs[:0]
+		v.Ints, v.Floats, v.Strs, v.Codes = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Codes[:0]
 	}
 	p.index.reset()
 	p.indexed, p.ord, p.bytes = 0, 0, 0
@@ -376,10 +376,10 @@ func observeExtremes(lo, hi, col *Vector, gids []int32) {
 		}
 	default:
 		for r, g := range gids {
-			if v := col.Strs[r]; v < lo.Strs[g] {
-				lo.Strs[g] = v
-			} else if v > hi.Strs[g] {
-				hi.Strs[g] = v
+			if v := col.Str(r); v < lo.Str(int(g)) {
+				lo.setCell(int(g), col, r)
+			} else if v > hi.Str(int(g)) {
+				hi.setCell(int(g), col, r)
 			}
 		}
 	}
@@ -470,8 +470,12 @@ func MergeAll(parts []*PartialAgg) *PartialAgg {
 	}
 	out := first.emptyLike()
 	out.ord = ord
+	sources := make([][]Vector, len(live))
+	for k, o := range live {
+		sources[k] = o.cols
+	}
 	for c := range out.cols {
-		out.cols[c] = NewVector(out.cols[c].T, n)
+		out.cols[c] = newColumn(out.cols[c].T, n, sources, c)
 		out.cols[c].AppendRange(&first.cols[c], 0, first.Groups())
 		for k, sel := range owned[1:] {
 			out.cols[c].AppendGather(&live[k+1].cols[c], sel)

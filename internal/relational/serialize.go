@@ -28,14 +28,14 @@ func (r Row) EncodedBytes() float64 {
 }
 
 // vectorBytes returns the serialized size of a column's cells: 8 bytes
-// per numeric, length-prefixed strings.
+// per numeric, length-prefixed strings — decoded ones, for a coded column.
 func vectorBytes(v *Vector) float64 {
 	if v.T != String {
 		return 8 * float64(v.Len())
 	}
 	total := 0.0
-	for _, s := range v.Strs {
-		total += float64(4 + len(s))
+	for i := range v.Len() {
+		total += float64(4 + len(v.Str(i)))
 	}
 	return total
 }
@@ -46,7 +46,7 @@ func cellBytes(cols []Vector, r int) float64 {
 	total := 0.0
 	for c := range cols {
 		if cols[c].T == String {
-			total += float64(4 + len(cols[c].Strs[r]))
+			total += float64(4 + len(cols[c].Str(r)))
 		} else {
 			total += 8
 		}
@@ -76,10 +76,10 @@ func (r *Relation) EncodedBytes() float64 { return colsBytes(r.Columnar(), r.Len
 // RowSizer prices rows held as columns without boxing them: Bytes(r) is
 // Row.EncodedBytes of row r, as an integer. The numeric cells, string
 // length prefixes and row framing fold into one constant; only string
-// payloads are read per row.
+// payloads are read per row, decoded from a coded column's dictionary.
 type RowSizer struct {
 	fixed int
-	strs  [][]string
+	strs  []Vector
 }
 
 // NewRowSizer returns the sizer of rows spread across cols.
@@ -88,7 +88,7 @@ func NewRowSizer(cols []Vector) RowSizer {
 	for c := range cols {
 		if cols[c].T == String {
 			z.fixed += 4
-			z.strs = append(z.strs, cols[c].Strs)
+			z.strs = append(z.strs, cols[c])
 		} else {
 			z.fixed += 8
 		}
@@ -99,8 +99,8 @@ func NewRowSizer(cols []Vector) RowSizer {
 // Bytes returns the serialized size of row r.
 func (z RowSizer) Bytes(r int) int {
 	b := z.fixed
-	for _, s := range z.strs {
-		b += len(s[r])
+	for i := range z.strs {
+		b += len(z.strs[i].Str(r))
 	}
 	return b
 }
@@ -108,9 +108,10 @@ func (z RowSizer) Bytes(r int) int {
 // RangeBytes returns the serialized size of rows [lo, hi).
 func (z RowSizer) RangeBytes(lo, hi int) int {
 	b := z.fixed * (hi - lo)
-	for _, s := range z.strs {
-		for _, v := range s[lo:hi] {
-			b += len(v)
+	for i := range z.strs {
+		v := &z.strs[i]
+		for r := lo; r < hi; r++ {
+			b += len(v.Str(r))
 		}
 	}
 	return b

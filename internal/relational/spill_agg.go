@@ -124,8 +124,8 @@ func splitGroups(p *PartialAgg, fanout int) (order []int32, bounds []int) {
 				h[g] = fnvKeyCell(h[g], strconv.AppendFloat(append(buf[:0], 'f'), v, 'b', -1, 64))
 			}
 		default:
-			for g, v := range key.Strs[:n] {
-				h[g] = fnvKeyCell((h[g]^'s')*fnvPrime64, v)
+			for g := range n {
+				h[g] = fnvKeyCell((h[g]^'s')*fnvPrime64, key.Str(g))
 			}
 		}
 	}

@@ -14,12 +14,18 @@
 // output through selection vectors. Under both, a single Int key is
 // addressed directly — slot k - lo, no hash — while a window over the
 // keys' range takes no more memory than a hashed table for as many keys
-// would, and hashed otherwise (intTable); the sort encodes numeric keys to
-// order-preserving uint64s and radix-sorts a row-id permutation
-// (sortPerm); ORDER BY + LIMIT is a bounded heap per partition
-// (NewBatchTopK). Under a MemoryBudget the same operators go out of core
-// (grace join, generation-spilling aggregation, external sort) with the
-// spill priced on a modeled storage tier.
+// would, and hashed otherwise (intTable). A String column with few
+// distinct values is dictionary-coded (StringVector: coded when the
+// codes and dictionary take fewer bytes than the plain string headers):
+// it travels as int32 codes over one shared, immutable Dict through every
+// gather, slice and concatenation, and a single coded key resolves through
+// a per-Dict code → ref translation of the key index; cells decode only
+// at the edges (Str, Value), and byte counts read the decoded strings. The
+// sort encodes numeric keys to order-preserving uint64s and radix-sorts a
+// row-id permutation (sortPerm); ORDER BY + LIMIT is a bounded heap per
+// partition (NewBatchTopK). Under a MemoryBudget the same operators go out
+// of core (grace join, generation-spilling aggregation, external sort)
+// with the spill priced on a modeled storage tier.
 //
 // A Relation is built from rows or from columns, grows only by Extend —
 // a new column-built snapshot that leaves the old one intact — and a
@@ -278,7 +284,8 @@ func (r *Relation) check(row Row) error {
 // keep their rows: only r's first Extend appends into the spare capacity
 // of r's vectors, past anything a reader of r can see; a later Extend of
 // r, and any Extend of a row-built r (which reads, and so freezes, its
-// image), copies.
+// image), copies — and a dictionary-coded String column always copies,
+// out plain: nothing appends into a Dict.
 func (r *Relation) Extend(rows []Row) (*Relation, error) {
 	for _, row := range rows {
 		if err := r.check(row); err != nil {
@@ -292,8 +299,10 @@ func (r *Relation) Extend(rows []Row) (*Relation, error) {
 	for c, v := range cols {
 		if inPlace {
 			v = r.spare[c]
+		} else if v = NewVector(v.T, m); v.T == String {
+			// Never into a dictionary: a coded column copies out plain.
+			v.appendStrs(&cols[c], 0, n)
 		} else {
-			v = NewVector(v.T, m)
 			v.AppendRange(&cols[c], 0, n)
 		}
 		appendColumn(&v, rows, c)
@@ -314,6 +323,7 @@ func appendColumn(v *Vector, rows []Row, c int) {
 			v.Floats = append(v.Floats, row[c].F)
 		}
 	default:
+		v.plain()
 		for _, row := range rows {
 			v.Strs = append(v.Strs, row[c].S)
 		}
@@ -369,8 +379,9 @@ func (r *Relation) RowView() []Row {
 
 // Columnar returns the relation's column vectors: a column-built
 // relation's own, or the columnar image of a row-built one, built on first
-// use — which freezes the row store (see Append). The returned vectors are
-// shared and must be treated as immutable.
+// use — which freezes the row store (see Append), and codes each String
+// column whose dictionary saves bytes (StringVector). The returned vectors
+// are shared and must be treated as immutable.
 func (r *Relation) Columnar() []Vector {
 	if r.colBuilt {
 		return r.cols
@@ -382,6 +393,9 @@ func (r *Relation) Columnar() []Vector {
 		for c, col := range r.Schema {
 			r.cols[c] = NewVector(col.Type, len(r.Rows))
 			appendColumn(&r.cols[c], r.Rows, c)
+			if col.Type == String {
+				r.cols[c] = StringVector(r.cols[c].Strs)
+			}
 		}
 	}
 	return r.cols

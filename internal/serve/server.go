@@ -16,6 +16,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -128,6 +129,30 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
+}
+
+// MaxRequestBytes caps every request body the server decodes. Reading
+// stops there and the request is answered 413, so no body — a table, an
+// ingest batch, a statement — can grow a shared daemon's memory past it;
+// legitimate bodies are orders of magnitude smaller.
+const MaxRequestBytes = 32 << 20
+
+// decodeJSON decodes the request's JSON body into v through a reader
+// capped at MaxRequestBytes. When the body is unusable it answers the
+// request itself and returns false: 413 past the cap, otherwise 400 with
+// bad and the decoder's error.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any, bad string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "serve: request body over %d bytes", MaxRequestBytes)
+	default:
+		writeErr(w, http.StatusBadRequest, "%s: %v", bad, err)
+	}
+	return false
 }
 
 // authenticate resolves the request's tenant from Authorization: Bearer
@@ -269,9 +294,13 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer trelease()
+	const bad = "serve: body must be JSON {\"sql\": ...}"
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.SQL == "" {
-		writeErr(w, http.StatusBadRequest, "serve: body must be JSON {\"sql\": ...}")
+	if !decodeJSON(w, r, &req, bad) {
+		return
+	}
+	if req.SQL == "" {
+		writeErr(w, http.StatusBadRequest, bad)
 		return
 	}
 	gangSlot := s.consumeGangSlot()
@@ -370,8 +399,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req TableRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "serve: bad table body: %v", err)
+	if !decodeJSON(w, r, &req, "serve: bad table body") {
 		return
 	}
 	rel, err := decodeRelation(&req)
@@ -455,9 +483,13 @@ func (s *Server) handleGang(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnauthorized, "serve: unknown or missing API key")
 		return
 	}
+	const bad = "serve: body must be JSON {\"announce\": n} or {\"withdraw\": n}"
 	var req GangRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Announce < 0 || req.Withdraw < 0 {
-		writeErr(w, http.StatusBadRequest, "serve: body must be JSON {\"announce\": n} or {\"withdraw\": n}")
+	if !decodeJSON(w, r, &req, bad) {
+		return
+	}
+	if req.Announce < 0 || req.Withdraw < 0 {
+		writeErr(w, http.StatusBadRequest, bad)
 		return
 	}
 	fab := s.eng.Fabric()
@@ -567,8 +599,7 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req HostRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "serve: body must be JSON {\"action\": ..., \"worker\": n}")
+	if !decodeJSON(w, r, &req, "serve: body must be JSON {\"action\": ..., \"worker\": n}") {
 		return
 	}
 	worker := req.Worker

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/serve/wire"
@@ -237,6 +239,61 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code := do(t, h, "POST", "/v1/sql", "gold-key", QueryRequest{SQL: "SELEKT 1"}, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("bad SQL: got %d, want 422", code)
+	}
+}
+
+// filler is an endless run of one byte.
+type filler byte
+
+func (f filler) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// sizedBody is a request body of exactly n bytes: head, then fill bytes,
+// then tail.
+func sizedBody(head string, fill byte, tail string, n int) io.Reader {
+	return io.MultiReader(strings.NewReader(head), io.LimitReader(filler(fill), int64(n-len(head)-len(tail))), strings.NewReader(tail))
+}
+
+// TestServeRefusesOversizedBodies: a body one byte past MaxRequestBytes
+// on any decoding endpoint is refused 413 — each one a JSON string that
+// never closes, so the decoder reads until the cap stops it — while a
+// body of exactly the cap still parses, and another tenant's query runs
+// afterwards.
+func TestServeRefusesOversizedBodies(t *testing.T) {
+	srv := testServer(t, 200)
+	h := srv.Handler()
+	const over = MaxRequestBytes + 1
+	cases := []struct {
+		path string
+		body io.Reader
+		want int
+	}{
+		// Exercise possible failure modes: every decoding endpoint, one
+		// byte over the cap.
+		{"/v1/sql", sizedBody(`{"sql":"`, 'a', "", over), http.StatusRequestEntityTooLarge},
+		{"/v1/tables", sizedBody(`{"name":"`, 'a', "", over), http.StatusRequestEntityTooLarge},
+		{"/v1/stream", sizedBody(`{"table":"`, 'a', "", over), http.StatusRequestEntityTooLarge},
+		{"/v1/gang", sizedBody(`{"announce":`, '1', "", over), http.StatusRequestEntityTooLarge},
+		{"/v1/hosts", sizedBody(`{"action":"`, 'a', "", over), http.StatusRequestEntityTooLarge},
+		// At the cap exactly, the body is read whole.
+		{"/v1/sql", sizedBody("", ' ', `{"sql":"SELECT COUNT(*) AS n FROM customers"}`, MaxRequestBytes), http.StatusOK},
+	}
+	for _, c := range cases {
+		req := httptest.NewRequest("POST", c.path, c.body)
+		req.Header.Set("Authorization", "Bearer gold-key")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != c.want {
+			t.Fatalf("%s: got %d (%s), want %d", c.path, rec.Code, strings.TrimSpace(rec.Body.String()), c.want)
+		}
+	}
+	var resp QueryResponse
+	if code := do(t, h, "POST", "/v1/sql", "bronze-key", QueryRequest{SQL: testQuery}, &resp); code != http.StatusOK || resp.Result.RowCount == 0 {
+		t.Fatalf("another tenant's query after the refusals: got %d, %d rows", code, resp.Result.RowCount)
 	}
 }
 

@@ -101,8 +101,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req StreamRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "serve: bad stream body: %v", err)
+	if !decodeJSON(w, r, &req, "serve: bad stream body") {
 		return
 	}
 	switch {

@@ -273,8 +273,8 @@ func Rows(rel *relational.Relation) [][]any {
 				flat[r*w+c] = v
 			}
 		default:
-			for r, v := range col.Strs[:n] {
-				flat[r*w+c] = v
+			for r := range n {
+				flat[r*w+c] = col.Str(r)
 			}
 		}
 	}

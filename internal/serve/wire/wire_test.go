@@ -146,9 +146,9 @@ func TestRowsColumnarMatchesRowBuilt(t *testing.T) {
 		cols := relational.NewBatch(schema, len(rows)).Cols
 		for _, row := range rows {
 			rowBuilt.MustAppend(row)
-			cols[0].Ints = append(cols[0].Ints, row[0].I)
-			cols[1].Floats = append(cols[1].Floats, row[1].F)
-			cols[2].Strs = append(cols[2].Strs, row[2].S)
+			for c, v := range row {
+				cols[c].Append(v)
+			}
 		}
 		colBuilt := relational.NewColumnRelation("t", schema, cols, len(rows))
 		want := &Result{Columns: Columns(schema), Rows: Rows(rowBuilt)}

@@ -9,6 +9,9 @@ import (
 // generator's fields straight into typed vectors and returns a
 // column-built relation, the form the batch engine reads. No Row is built
 // and the first query pays no transpose; RowView boxes rows on demand.
+// String columns go through relational.StringVector, which codes the
+// low-cardinality ones (region, product, segment, country) over a
+// dictionary and leaves customers.name plain.
 
 // SalesRelation converts the synthetic star-schema fact table into a
 // column-built relation named "sales".
@@ -32,8 +35,8 @@ func SalesRelation(seed uint64, n, customers int) *relational.Relation {
 	}, []relational.Vector{
 		{T: relational.Int, Ints: oid},
 		{T: relational.Int, Ints: cid},
-		{T: relational.String, Strs: region},
-		{T: relational.String, Strs: product},
+		relational.StringVector(region),
+		relational.StringVector(product),
 		{T: relational.Int, Ints: qty},
 		{T: relational.Float, Floats: price},
 		{T: relational.Float, Floats: discount},
@@ -56,9 +59,9 @@ func CustomersRelation(seed uint64, n int) *relational.Relation {
 		{Name: "country", Type: relational.String},
 	}, []relational.Vector{
 		{T: relational.Int, Ints: cid},
-		{T: relational.String, Strs: name},
-		{T: relational.String, Strs: segment},
-		{T: relational.String, Strs: country},
+		relational.StringVector(name),
+		relational.StringVector(segment),
+		relational.StringVector(country),
 	}, n)
 }
 

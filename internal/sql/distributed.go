@@ -699,8 +699,8 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 			total = bounds[len(bounds)-1]
 		}
 		schema := st.base[0].Schema[:seqCol]
-		cols := relational.NewBatch(schema, total).Cols
 		merger := dist.NewSeqMerger(st.base, seqCol)
+		cols := merger.Columns(schema, total)
 		consume := func(k int) error {
 			merger.MergeInto(cols, bounds[k])
 			return nil

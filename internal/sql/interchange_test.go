@@ -38,9 +38,9 @@ func fanoutTables() []*relational.Relation {
 func cloneVectors(rel *relational.Relation) []relational.Vector {
 	cols := rel.Columnar()
 	out := make([]relational.Vector, len(cols))
-	for i, c := range cols {
-		out[i] = relational.Vector{T: c.T,
-			Ints: append([]int64(nil), c.Ints...), Floats: append([]float64(nil), c.Floats...), Strs: append([]string(nil), c.Strs...)}
+	for i := range cols {
+		out[i] = relational.NewVector(cols[i].T, cols[i].Len())
+		out[i].AppendRange(&cols[i], 0, cols[i].Len())
 	}
 	return out
 }
