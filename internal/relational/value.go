@@ -300,8 +300,7 @@ func (r *Relation) Extend(rows []Row) (*Relation, error) {
 		if inPlace {
 			v = r.spare[c]
 		} else if v = NewVector(v.T, m); v.T == String {
-			// Never into a dictionary: a coded column copies out plain.
-			v.appendStrs(&cols[c], 0, n)
+			v.appendStrs(&cols[c], 0, n) // plain, even from a coded column
 		} else {
 			v.AppendRange(&cols[c], 0, n)
 		}
@@ -323,7 +322,6 @@ func appendColumn(v *Vector, rows []Row, c int) {
 			v.Floats = append(v.Floats, row[c].F)
 		}
 	default:
-		v.plain()
 		for _, row := range rows {
 			v.Strs = append(v.Strs, row[c].S)
 		}
