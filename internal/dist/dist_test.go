@@ -2,6 +2,7 @@ package dist
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
@@ -40,6 +41,59 @@ func TestShardRelationRange(t *testing.T) {
 	if total != 100 {
 		t.Fatalf("lost rows: %d", total)
 	}
+}
+
+// TestRangeShardSeqWindowsOneIota: every RangeShard placement's #seq
+// columns hold what a fresh iota per placement held — shard s has rows
+// [⌈s·n/S⌉, ⌈(s+1)·n/S⌉) — as clipped windows of one shared iota, across
+// tables that grow past it and shrink below it.
+func TestRangeShardSeqWindowsOneIota(t *testing.T) {
+	var shared *int64 // the iota the last placement windowed
+	grownTo := 0
+	for _, n := range []int{0, 1, 7, 1000, 3, 5000, 100, 4097} {
+		rel := testRel(n)
+		for _, shards := range []int{1, 3, 4, 8} {
+			st := ShardRelation(rel, shards, RangeShard, -1)
+			for s, sh := range st.Shards {
+				seq := sh.Columnar()[st.SeqCol()].Ints
+				lo, hi := (s*n+shards-1)/shards, ((s+1)*n+shards-1)/shards
+				want := make([]int64, 0, hi-lo)
+				for i := lo; i < hi; i++ {
+					want = append(want, int64(i))
+				}
+				if !slices.Equal(seq, want) || cap(seq) != len(seq) {
+					t.Fatalf("n=%d shards=%d shard %d: #seq %v (cap %d), want %v", n, shards, s, seq, cap(seq), want)
+				}
+				if s == 0 && len(seq) > 0 {
+					if shared != nil && n <= grownTo && &seq[0] != shared {
+						t.Fatalf("n=%d shards=%d: #seq is a fresh array, not the shared iota", n, shards)
+					}
+					shared, grownTo = &seq[0], max(grownTo, n)
+				}
+			}
+		}
+	}
+	// Placements racing to grow the iota each still read their own rows.
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 10000 << g
+			st := ShardRelation(testRel(n), 3, RangeShard, -1)
+			next := int64(0)
+			for _, sh := range st.Shards {
+				for _, v := range sh.Columnar()[st.SeqCol()].Ints {
+					if v != next {
+						t.Errorf("n=%d: #seq %d, want %d", n, v, next)
+						return
+					}
+					next++
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestShardRelationHash: equal keys co-locate and per-shard seqs ascend.

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"strconv"
+	"sync"
 
 	"repro/internal/relational"
 )
@@ -61,10 +62,7 @@ func ShardRelation(rel *relational.Relation, shards int, strategy Strategy, keyC
 	cols, n := rel.Columnar(), rel.Len()
 	if strategy != HashShard {
 		t.KeyCol = -1
-		seq := relational.Vector{T: relational.Int, Ints: make([]int64, n)}
-		for i := range seq.Ints {
-			seq.Ints[i] = int64(i)
-		}
+		seq := relational.Vector{T: relational.Int, Ints: seqIota(n)}
 		for s := range t.Shards {
 			// Row i lives on shard i·S/n, so shard s starts at ⌈s·n/S⌉.
 			lo, hi := (s*n+shards-1)/shards, ((s+1)*n+shards-1)/shards
@@ -89,6 +87,31 @@ func ShardRelation(rel *relational.Relation, shards int, strategy Strategy, keyC
 		t.Shards[s] = relational.NewColumnRelation(rel.Name, schema, append(sc, seq), len(sel))
 	}
 	return t
+}
+
+// seqCells is the one iota every RangeShard placement windows its #seq
+// column from: a placement after an append re-reads it instead of filling
+// n fresh cells. It only grows, by doubling, into a new array; the cells
+// of an array never change once published, so windows of an older one
+// stay valid.
+var seqCells struct {
+	sync.Mutex
+	ints []int64
+}
+
+// seqIota returns the clipped window [0, n) of the shared iota: cell i
+// holds i. Readers must not write to it.
+func seqIota(n int) []int64 {
+	seqCells.Lock()
+	defer seqCells.Unlock()
+	if len(seqCells.ints) < n {
+		ints := make([]int64, max(n, 2*len(seqCells.ints)))
+		for i := range ints {
+			ints[i] = int64(i)
+		}
+		seqCells.ints = ints
+	}
+	return seqCells.ints[:n:n]
 }
 
 // SeqCol returns the index of the #seq column in the shard schema.

@@ -20,14 +20,18 @@ const BatchSize = 1024
 // Strs; a coded one holds an int32 code per cell in Codes over a shared,
 // immutable Dict, and Strs is nil. StringVector decides the form when a
 // whole column is born at once (the demo tables, the transpose of a
-// row-built relation): coded exactly when the codes and dictionary take
-// fewer bytes than the plain headers. From there the form follows the
-// data. Gather, Slice and every append keep a coded vector coded while
-// the cells come from vectors over the same Dict — an empty vector takes
-// the Dict of the first coded cells appended to it — and a mix of
-// dictionaries, or of coded and plain cells, comes out plain: the
-// vector's cells are copied out decoded and no Dict is ever appended to.
-// Str and Value decode a cell; nothing outside this package reads Strs.
+// row-built relation or of an appended batch, a decoded ingest batch):
+// coded exactly when the codes and dictionary take fewer bytes than the
+// plain headers. From there the form follows the data. Gather, Slice and
+// every append keep a coded vector coded while the cells come from vectors
+// over the same Dict — an empty vector takes the Dict of the first coded
+// cells appended to it — and a mix of dictionaries, or of coded and plain
+// cells, comes out plain: the vector's cells are copied out decoded. A
+// table column is the one exception: as it grows (Relation.ExtendColumns)
+// it encodes new cells into a new Dict that keeps the old one as its
+// prefix, and stays coded while the byte rule holds for the whole column.
+// No Dict's entries ever change. Str and Value decode a cell; nothing
+// outside this package reads Strs.
 // Sizes (vectorBytes, cellBytes, RowSizer) count the decoded strings, so
 // the form never moves a byte count.
 //

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -154,8 +155,7 @@ func BenchmarkBatchHashJoinStringGroup(b *testing.B) {
 
 // benchPlainStringTables is the fact table with its cust key rendered as
 // a String column of 50k distinct names, held plain: the key path of a
-// String column StringVector leaves uncoded (too many distinct values) or
-// that grew by Extend.
+// String column StringVector leaves uncoded (too many distinct values).
 var benchPlainStringTables = sync.OnceValues(func() (fact, dim *Relation) {
 	fact, dim = benchTables()
 	cols := slices.Clone(fact.Columnar())
@@ -269,5 +269,50 @@ func BenchmarkBudgetedTopK(b *testing.B) {
 		if st := op.Stats().Spill; st != nil {
 			b.Fatalf("a top-k of 100 rows spilled: %+v", st)
 		}
+	}
+}
+
+// BenchmarkExtendNewKeys appends 512-row batches, each bringing 64 keys
+// the table has not seen beside repeats of 50 old ones, to a coded String
+// column whose dictionary already holds d entries: one op is one batch
+// (built through StringVector, then ExtendColumns). The dictionary's
+// encoder passes down the chain of first Extends, so ns/op and B/op stay
+// flat as d grows: a batch costs its own cells, never a copy of the
+// dictionary.
+func BenchmarkExtendNewKeys(b *testing.B) {
+	for _, d := range []int{1 << 10, 1 << 14, 1 << 18} {
+		b.Run(fmt.Sprint("d=", d), func(b *testing.B) {
+			fresh := 0
+			batch := func() []Vector {
+				strs := make([]string, 512)
+				for i := range strs {
+					if i%8 == 0 {
+						strs[i] = "new-" + strconv.Itoa(fresh)
+						fresh++
+					} else {
+						strs[i] = "old-" + strconv.Itoa(i%50)
+					}
+				}
+				return []Vector{StringVector(strs)}
+			}
+			r := NewRelation("t", Schema{{Name: "s", Type: String}})
+			for r.Len() == 0 || r.Columnar()[0].Dict.Len() < d {
+				var err error
+				if r, err = r.ExtendColumns(batch(), 512); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				var err error
+				if r, err = r.ExtendColumns(batch(), 512); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if r.Columnar()[0].Dict == nil {
+				b.Fatal("the column went plain")
+			}
+		})
 	}
 }

@@ -58,6 +58,11 @@ func (c *cancelPart) NextBatch() (*Batch, error) {
 	if c.sent >= c.probe.limit {
 		return nil, nil
 	}
+	// Yield per batch: on a box with fewer CPUs than partitions, busy
+	// siblings would otherwise hold the CPUs for whole time slices while
+	// partition zero waits to fail, and drain half the table on timing
+	// alone. Without cancellation they still drain all of it.
+	runtime.Gosched()
 	c.sent++
 	c.probe.emitted.Add(1)
 	b := BatchOf(c.probe.schema(), []Vector{{T: Int, Ints: []int64{int64(c.sent)}}}, 1)

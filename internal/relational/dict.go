@@ -1,12 +1,17 @@
 package relational
 
+import "slices"
+
 // Dict is the dictionary of a coded String vector: distinct strings, each
 // named by its int32 code (its position). A Dict is immutable and shared:
-// its entries are fixed when StringVector builds it and its slice is
-// clipped, so no append can write through it. Every vector gathered,
-// sliced or concatenated from coded vectors over one Dict is coded over
-// that same Dict — which is what lets a keyIndex translate a code once and
-// answer every later row carrying it with an array read.
+// its entries are fixed when it is built and its slice is clipped, so no
+// append can write through it. A growing table column does not append to
+// its Dict; it replaces it (Relation.ExtendColumns) by a Dict whose leading
+// entries are the old one's — the prefix rule — so codes into the old Dict
+// mean the same strings in the new one. Every vector gathered, sliced or
+// concatenated from coded vectors over one Dict is coded over that same
+// Dict — which is what lets a keyIndex translate a code once and answer
+// every later row carrying it with an array read.
 type Dict struct {
 	strs []string
 }
@@ -15,12 +20,14 @@ type Dict struct {
 func (d *Dict) Len() int { return len(d.strs) }
 
 // StringVector returns strs as a String vector, taking ownership of the
-// slice. It is the one place a column gets dictionary-coded: the vector is
+// slice. It is the coding decision for a column born whole: the vector is
 // coded — one int32 per value over a Dict of the distinct values, in
 // first-seen order — exactly when that takes fewer bytes than the plain
 // string headers, 16·d + 4·n < 16·n for d distinct values among n, that is
 // d < 3n/4. Counting stops, and the column stays plain, as soon as d
-// reaches that bound.
+// reaches that bound. StringBuilder makes the same decision cell by cell,
+// and a table column keeps applying the rule as it grows
+// (Relation.ExtendColumns).
 func StringVector(strs []string) Vector {
 	n := len(strs)
 	if n == 0 {
@@ -88,6 +95,133 @@ func (v *Vector) codedFrom(src *Vector) bool {
 	}
 	v.plain()
 	return false
+}
+
+// dictEncoder is the encode side of a growing column's dictionaries: ids
+// maps each entry to its code and strs holds the entries with room to
+// append. Every Dict built from it is a clipped prefix of strs, so an
+// append never writes where a Dict can see. One encoder serves one chain
+// of first Extends (see Relation.ExtendColumns); newDictEncoder starts one
+// over an existing Dict, whose clipped slice the first append copies away
+// from.
+type dictEncoder struct {
+	ids  map[string]int32
+	strs []string
+}
+
+func newDictEncoder(d *Dict) *dictEncoder {
+	e := &dictEncoder{ids: make(map[string]int32, d.Len()), strs: d.strs}
+	for i, s := range d.strs {
+		e.ids[s] = int32(i)
+	}
+	return e
+}
+
+// code returns s's code, adding s as the next entry when it is new.
+func (e *dictEncoder) code(s string) int32 {
+	if c, ok := e.ids[s]; ok {
+		return c
+	}
+	return e.add(s)
+}
+
+// add enters s, which the encoder does not hold, and returns its code.
+func (e *dictEncoder) add(s string) int32 {
+	if e.ids == nil {
+		e.ids = map[string]int32{}
+	}
+	c := int32(len(e.strs))
+	e.ids[s] = c
+	e.strs = append(e.strs, s)
+	return c
+}
+
+// codedIsSmaller is StringVector's byte rule: n cells over d distinct
+// strings are coded when the codes and dictionary take fewer bytes than
+// the plain string headers.
+func codedIsSmaller(d, n int) bool { return 16*d+4*n < 16*n }
+
+// StringBuilder builds a String vector cell by cell and codes it exactly
+// as StringVector would code the same cells: over a Dict of the distinct
+// values in first-seen order when codedIsSmaller, plain otherwise. The
+// zero value is ready to use.
+type StringBuilder struct {
+	enc   dictEncoder
+	codes []int32
+}
+
+// Add appends the cell s.
+func (b *StringBuilder) Add(s string) { b.codes = append(b.codes, b.enc.code(s)) }
+
+// AddBytes appends the cell spelled by s, copying the bytes into a string
+// only the first time they occur.
+func (b *StringBuilder) AddBytes(s []byte) {
+	c, ok := b.enc.ids[string(s)]
+	if !ok {
+		c = b.enc.add(string(s))
+	}
+	b.codes = append(b.codes, c)
+}
+
+// Grow makes room for n more cells.
+func (b *StringBuilder) Grow(n int) { b.codes = slices.Grow(b.codes, n) }
+
+// Vector returns the cells added so far; the builder must not be used
+// afterwards.
+func (b *StringBuilder) Vector() Vector {
+	d, n := len(b.enc.strs), len(b.codes)
+	if !codedIsSmaller(d, n) {
+		strs := make([]string, n)
+		for i, c := range b.codes {
+			strs[i] = b.enc.strs[c]
+		}
+		return Vector{T: String, Strs: strs}
+	}
+	return Vector{T: String, Dict: &Dict{strs: b.enc.strs[:d:d]}, Codes: b.codes}
+}
+
+// extendStrings appends the String cells of src to v, a growing table
+// column, by the rules of Relation.ExtendColumns; enc is the encoder
+// behind v's Dict, or nil when none was built yet. It returns the encoder
+// to hand down with v: nil once v is plain.
+func (v *Vector) extendStrings(enc *dictEncoder, src *Vector) *dictEncoder {
+	n := src.Len()
+	switch {
+	case v.Dict == nil:
+		v.appendStrs(src, 0, n)
+		return nil
+	case src.Dict == v.Dict:
+		v.Codes = append(v.Codes, src.Codes...)
+	default:
+		if enc == nil {
+			enc = newDictEncoder(v.Dict)
+		}
+		if src.Dict != nil && src.Dict.Len() <= n {
+			// Encode each of src's entries once, on its first use.
+			xlat := make([]int32, src.Dict.Len())
+			for i := range xlat {
+				xlat[i] = -1
+			}
+			for _, c := range src.Codes {
+				if xlat[c] < 0 {
+					xlat[c] = enc.code(src.Dict.strs[c])
+				}
+				v.Codes = append(v.Codes, xlat[c])
+			}
+		} else {
+			for i := range n {
+				v.Codes = append(v.Codes, enc.code(src.Str(i)))
+			}
+		}
+		if d := len(enc.strs); d > v.Dict.Len() {
+			v.Dict = &Dict{strs: enc.strs[:d:d]}
+		}
+	}
+	if !codedIsSmaller(v.Dict.Len(), len(v.Codes)) {
+		v.plain()
+		return nil
+	}
+	return enc
 }
 
 // appendStrs appends src's String elements [lo, hi) to the plain vector v.

@@ -27,9 +27,10 @@
 // of core (grace join, generation-spilling aggregation, external sort)
 // with the spill priced on a modeled storage tier.
 //
-// A Relation is built from rows or from columns, grows only by Extend —
-// a new column-built snapshot that leaves the old one intact — and a
-// row-built one freezes once read as columns (see Relation).
+// A Relation is built from rows or from columns, grows only by
+// ExtendColumns (Extend is its row form) — a new column-built snapshot
+// that leaves the old one intact, its coded String columns still coded —
+// and a row-built one freezes once read as columns (see Relation).
 //
 // The row engine (Op, ops.go) is the volcano-style pull interpreter: one
 // Row of boxed Values at a time, serial, simple, over either form: its
@@ -213,13 +214,13 @@ func (r Row) Clone() Row { return append(Row(nil), r...) }
 // read Columnar, and the row engine's Scan boxes one row at a time — and
 // Append is an error.
 //
-// Growth is Extend: a new column-built relation holding the rows followed
-// by the new ones, leaving the receiver as it was. Every relation is a
-// snapshot, and the vectors Columnar hands out are immutable. They are
-// shared — by concurrent scans, by zero-copy shard windows of a
-// registered table, by every shard probing one broadcast build side, by
-// the snapshots an Extend chain leaves behind — so whoever needs
-// different cells builds fresh vectors.
+// Growth is ExtendColumns (or Extend, its row form): a new column-built
+// relation holding the rows followed by the new ones, leaving the receiver
+// as it was. Every relation is a snapshot, and the vectors Columnar hands
+// out are immutable. They are shared — by concurrent scans, by zero-copy
+// shard windows of a registered table, by every shard probing one
+// broadcast build side, by the snapshots an Extend chain leaves behind —
+// so whoever needs different cells builds fresh vectors.
 type Relation struct {
 	Name   string
 	Schema Schema
@@ -229,10 +230,13 @@ type Relation struct {
 	colBuilt bool // column-built: cols authoritative, colRows the row count
 	colRows  int
 	// cols are the vectors readers get, an Extend result's clipped to
-	// colRows; spare holds them with their capacity, which only the first
-	// Extend may claim (grown) and append into, past what readers see.
+	// colRows; spare holds them with their capacity, and enc the encoders
+	// of its coded String columns (nil where none was needed yet), which
+	// only the first Extend may claim (grown) and append into, past what
+	// readers see.
 	cols  []Vector
 	spare []Vector
+	enc   []*dictEncoder
 	grown atomic.Bool
 }
 
@@ -279,35 +283,98 @@ func (r *Relation) check(row Row) error {
 }
 
 // Extend returns a new column-built relation holding r's rows followed by
-// rows, after checking every row's arity and types — an invalid row fails
-// the call with nothing written. r and every relation extended before it
-// keep their rows: only r's first Extend appends into the spare capacity
-// of r's vectors, past anything a reader of r can see; a later Extend of
-// r, and any Extend of a row-built r (which reads, and so freezes, its
-// image), copies — and a dictionary-coded String column always copies,
-// out plain: nothing appends into a Dict.
+// rows: ExtendColumns over their transpose, in which each String column is
+// coded exactly when StringVector would code it. An invalid row fails the
+// call with nothing written.
 func (r *Relation) Extend(rows []Row) (*Relation, error) {
 	for _, row := range rows {
 		if err := r.check(row); err != nil {
 			return nil, err
 		}
 	}
-	cols, n, m := r.Columnar(), r.Len(), r.Len()+len(rows)
-	inPlace := r.spare != nil && r.grown.CompareAndSwap(false, true)
+	return r.ExtendColumns(transpose(r.Schema, rows), len(rows))
+}
+
+// ExtendColumns returns a new column-built relation holding r's rows
+// followed by the n rows of cols — one vector per schema column, of its
+// type, holding n values; any other shape fails the call with nothing
+// written. It is the one way a table grows. r and every relation extended
+// before it keep their rows: only r's first Extend appends into the spare
+// capacity of r's vectors, past anything a reader of r can see; a later
+// Extend of r, and any Extend of a row-built r (which reads, and so
+// freezes, its image), copies.
+//
+// A dictionary-coded String column stays coded as it grows. Cells whose
+// strings its Dict holds append as codes; unseen strings get a new Dict
+// whose leading entries are the old one's (the prefix rule), so the codes
+// every earlier snapshot holds stay valid and no Dict's entries ever
+// change. The encoder behind the Dicts passes down the chain of first
+// Extends with the spare capacity, so a batch costs its own cells, never a
+// copy of the dictionary. The column turns plain, once, when the whole
+// column breaks StringVector's byte rule 16·d + 4·n < 16·n; a plain column
+// stays plain, and an empty r takes each String column's form from cols.
+func (r *Relation) ExtendColumns(cols []Vector, n int) (*Relation, error) {
+	if err := r.checkColumns(cols, n); err != nil {
+		return nil, err
+	}
+	old, k := r.Columnar(), r.Len()
+	m := k + n
+	inPlace := k > 0 && r.spare != nil && r.grown.CompareAndSwap(false, true)
 	out := &Relation{Name: r.Name, Schema: r.Schema, colBuilt: true, colRows: m,
-		cols: make([]Vector, len(cols)), spare: make([]Vector, len(cols))}
-	for c, v := range cols {
+		cols: make([]Vector, len(old)), spare: make([]Vector, len(old)), enc: make([]*dictEncoder, len(old))}
+	for c := range old {
+		var v Vector
+		var enc *dictEncoder
 		if inPlace {
-			v = r.spare[c]
-		} else if v = NewVector(v.T, m); v.T == String {
-			v.appendStrs(&cols[c], 0, n) // plain, even from a coded column
+			v, enc = r.spare[c], r.enc[c]
+		} else {
+			form := &old[c]
+			if k == 0 {
+				form = &cols[c]
+			}
+			v = Vector{T: form.T, Dict: form.Dict}
+			v.grow(m)
+			v.AppendRange(&old[c], 0, k)
+		}
+		if v.T == String {
+			enc = v.extendStrings(enc, &cols[c])
 		} else {
 			v.AppendRange(&cols[c], 0, n)
 		}
-		appendColumn(&v, rows, c)
-		out.spare[c], out.cols[c] = v, v.Slice(0, m)
+		out.spare[c], out.enc[c], out.cols[c] = v, enc, v.Slice(0, m)
 	}
 	return out, nil
+}
+
+// checkColumns validates a column batch against the schema: one vector
+// per column, of its type, each holding n values.
+func (r *Relation) checkColumns(cols []Vector, n int) error {
+	if len(cols) != len(r.Schema) {
+		return fmt.Errorf("relational: %s: %d columns != schema arity %d", r.Name, len(cols), len(r.Schema))
+	}
+	for c, col := range r.Schema {
+		if cols[c].T != col.Type {
+			return fmt.Errorf("relational: %s: column %s expects %v, got %v", r.Name, col.Name, col.Type, cols[c].T)
+		}
+		if got := cols[c].Len(); got != n {
+			return fmt.Errorf("relational: %s: column %s holds %d values, want %d", r.Name, col.Name, got, n)
+		}
+	}
+	return nil
+}
+
+// transpose returns rows, which fit schema, as one vector per column, each
+// String column coded exactly when StringVector would code it.
+func transpose(schema Schema, rows []Row) []Vector {
+	cols := make([]Vector, len(schema))
+	for c, col := range schema {
+		cols[c] = NewVector(col.Type, len(rows))
+		appendColumn(&cols[c], rows, c)
+		if col.Type == String {
+			cols[c] = StringVector(cols[c].Strs)
+		}
+	}
+	return cols
 }
 
 // appendColumn appends column c of rows to v, whose type the cells have.
@@ -387,14 +454,7 @@ func (r *Relation) Columnar() []Vector {
 	r.colMu.Lock()
 	defer r.colMu.Unlock()
 	if r.cols == nil {
-		r.cols = make([]Vector, len(r.Schema))
-		for c, col := range r.Schema {
-			r.cols[c] = NewVector(col.Type, len(r.Rows))
-			appendColumn(&r.cols[c], r.Rows, c)
-			if col.Type == String {
-				r.cols[c] = StringVector(r.cols[c].Strs)
-			}
-		}
+		r.cols = transpose(r.Schema, r.Rows)
 	}
 	return r.cols
 }

@@ -14,6 +14,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -375,8 +376,8 @@ func (s *Server) execute(ctx context.Context, tenant *Tenant, req QueryRequest) 
 type TableRequest struct {
 	Name   string        `json:"name"`
 	Schema []wire.Column `json:"schema"`
-	// Rows carries one []any per row; int cells may arrive as JSON
-	// numbers (float64) and are accepted when integral.
+	// Rows carries one []any per row. An int cell is a JSON number of
+	// integral value (3.0 and 1e3 are accepted), read exactly.
 	Rows [][]any `json:"rows"`
 }
 
@@ -398,21 +399,29 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	var req TableRequest
+	var req tableBody
 	if !decodeJSON(w, r, &req, "serve: bad table body") {
 		return
 	}
 	rel, err := decodeRelation(&req)
 	if err != nil {
-		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+		writeErr(w, rowsStatus(err), "%v", err)
 		return
 	}
 	s.eng.Register(rel)
 	writeJSON(w, http.StatusOK, TableResponse{Name: rel.Name, Rows: rel.Len(), CatalogEpoch: s.eng.CatalogEpoch()})
 }
 
+// tableBody is how the server decodes a TableRequest: its rows stay raw
+// JSON until the schema is known, then decode straight into columns
+// (wire.DecodeRows).
+type tableBody struct {
+	TableRequest
+	Rows json.RawMessage `json:"rows"`
+}
+
 // decodeRelation converts a wire table into a relational.Relation.
-func decodeRelation(req *TableRequest) (*relational.Relation, error) {
+func decodeRelation(req *tableBody) (*relational.Relation, error) {
 	if req.Name == "" || len(req.Schema) == 0 {
 		return nil, fmt.Errorf("serve: table needs a name and a schema")
 	}
@@ -431,35 +440,35 @@ func decodeRelation(req *TableRequest) (*relational.Relation, error) {
 		}
 		schema[i] = relational.Column{Name: c.Name, Type: t}
 	}
-	rows, err := decodeBatch(req.Rows, schema)
+	rel := relational.NewRelation(req.Name, schema)
+	if noRows(req.Rows) {
+		return rel.Extend(nil)
+	}
+	cols, n, err := wire.DecodeRows(req.Rows, schema)
 	if err != nil {
 		return nil, err
 	}
-	return relational.NewRelation(req.Name, schema).Extend(rows)
+	return rel.ExtendColumns(cols, n)
 }
 
-// decodeCell converts one JSON scalar to a typed value.
-func decodeCell(cell any, t relational.Type) (relational.Value, error) {
-	switch t {
-	case relational.Int:
-		f, ok := cell.(float64)
-		if !ok || f != float64(int64(f)) {
-			return relational.Value{}, fmt.Errorf("expected integer, got %v", cell)
-		}
-		return relational.IntV(int64(f)), nil
-	case relational.Float:
-		f, ok := cell.(float64)
-		if !ok {
-			return relational.Value{}, fmt.Errorf("expected number, got %v", cell)
-		}
-		return relational.FloatV(f), nil
-	default:
-		str, ok := cell.(string)
-		if !ok {
-			return relational.Value{}, fmt.Errorf("expected string, got %v", cell)
-		}
-		return relational.StringV(str), nil
+// noRows reports whether raw, a body's rows kept raw, holds no row:
+// absent, null or [].
+func noRows(raw json.RawMessage) bool {
+	raw = bytes.TrimSpace(raw)
+	if len(raw) == 0 || string(raw) == "null" {
+		return true
 	}
+	return raw[0] == '[' && bytes.HasPrefix(bytes.TrimSpace(raw[1:]), []byte("]"))
+}
+
+// rowsStatus is the status for a rows decode error: 400, as for any
+// malformed body, when the rows are not rows at all; 422 when the schema
+// refuses one.
+func rowsStatus(err error) int {
+	if errors.Is(err, wire.ErrNotRows) {
+		return http.StatusBadRequest
+	}
+	return http.StatusUnprocessableEntity
 }
 
 // GangRequest is the /v1/gang body: Announce delays the shared fabric's

@@ -3,10 +3,8 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 
-	"repro/internal/relational"
 	"repro/internal/serve/wire"
 	"repro/internal/stream"
 )
@@ -100,41 +98,50 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !s.admitRate(tenant, w) {
 		return
 	}
-	var req StreamRequest
+	var req streamBody
 	if !decodeJSON(w, r, &req, "serve: bad stream body") {
 		return
 	}
+	hasRows := !noRows(req.Rows)
 	switch {
 	case req.SQL != "":
-		if req.Table != "" || len(req.Rows) > 0 || req.Close {
+		if req.Table != "" || hasRows || req.Close {
 			writeErr(w, http.StatusBadRequest, "serve: a subscription carries only sql and window")
 			return
 		}
-		s.streamSubscribe(w, r, tenant, &req)
-	case req.Table != "" && (len(req.Rows) > 0 || req.Close):
-		s.streamIngest(w, tenant, &req)
+		s.streamSubscribe(w, r, tenant, &req.StreamRequest)
+	case req.Table != "" && (hasRows || req.Close):
+		s.streamIngest(w, tenant, &req, hasRows)
 	default:
 		writeErr(w, http.StatusBadRequest,
 			"serve: stream body must carry table+rows (ingest), table+close, or sql+window (subscribe)")
 	}
 }
 
-// streamIngest appends req.Rows to the table (decoding wire cells
-// against its registered schema) and/or closes its stream.
-func (s *Server) streamIngest(w http.ResponseWriter, tenant *Tenant, req *StreamRequest) {
+// streamBody is how the server decodes a StreamRequest: its rows stay raw
+// JSON until the table's schema is known, then decode straight into
+// columns (wire.DecodeRows).
+type streamBody struct {
+	StreamRequest
+	Rows json.RawMessage `json:"rows"`
+}
+
+// streamIngest appends req's rows, when it has some, to the table
+// (decoding them against its registered schema) and/or closes its stream.
+func (s *Server) streamIngest(w http.ResponseWriter, tenant *Tenant, req *streamBody, hasRows bool) {
 	rel, ok := s.eng.Table(req.Table)
 	if !ok {
 		writeErr(w, http.StatusUnprocessableEntity, "serve: unknown table %q", req.Table)
 		return
 	}
 	resp := IngestResponse{Tenant: tenant.Name, Table: rel.Name}
-	if len(req.Rows) > 0 {
-		rows, err := decodeBatch(req.Rows, rel.Schema)
+	if hasRows {
+		cols, n, err := wire.DecodeRows(req.Rows, rel.Schema)
 		if err != nil {
-			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			writeErr(w, rowsStatus(err), "%v", err)
 			return
 		}
-		ing, err := s.eng.AppendRows(req.Table, rows)
+		ing, err := s.eng.AppendColumns(req.Table, cols, n)
 		if err != nil {
 			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 			return
@@ -151,26 +158,6 @@ func (s *Server) streamIngest(w http.ResponseWriter, tenant *Tenant, req *Stream
 	resp.DataEpoch = s.eng.DataEpoch(req.Table)
 	resp.Closed = s.eng.StreamClosed(req.Table)
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// decodeBatch converts wire rows to typed rows against schema.
-func decodeBatch(in [][]any, schema relational.Schema) ([]relational.Row, error) {
-	rows := make([]relational.Row, len(in))
-	for rn, cells := range in {
-		if len(cells) != len(schema) {
-			return nil, fmt.Errorf("serve: row %d: arity %d != schema arity %d", rn, len(cells), len(schema))
-		}
-		row := make(relational.Row, len(cells))
-		for i, cell := range cells {
-			v, err := decodeCell(cell, schema[i].Type)
-			if err != nil {
-				return nil, fmt.Errorf("serve: row %d, column %s: %w", rn, schema[i].Name, err)
-			}
-			row[i] = v
-		}
-		rows[rn] = row
-	}
-	return rows, nil
 }
 
 // streamSubscribe runs a continuous query, holding the response open

@@ -272,18 +272,36 @@ func (e *Engine) Register(rel *relational.Relation) {
 // the same admission rounds.
 const IngestClass = "ingest"
 
-// AppendRows appends rows to a registered table: the catalog swaps to
-// the relation Extend returns, column-built, so running queries keep
-// scanning their snapshot while new queries (and the sharded-placement
-// freshness check) see the growth. The table's data epoch bumps; the
-// catalog epoch does NOT — the schema is unchanged, so cached plans stay
-// valid. Streaming subscriptions on the table observe the batch in append
-// order. On a distributed engine the appended bytes are billed to the
-// shared fabric as ingest-class flows from the coordinator to each row's
-// destination shard. The returned acknowledgement covers rows durable in
-// the catalog.
+// AppendRows appends rows to a registered table: AppendColumns over the
+// rows' transpose (Relation.Extend).
 func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest, error) {
-	if len(rows) == 0 {
+	return e.appendWith(table, len(rows), func(rel *relational.Relation) (*relational.Relation, error) {
+		return rel.Extend(rows)
+	})
+}
+
+// AppendColumns appends the n rows of cols — one vector per column of the
+// table's schema, of its type, holding n values — to a registered table:
+// the catalog swaps to the relation ExtendColumns returns, column-built,
+// so running queries keep scanning their snapshot while new queries (and
+// the sharded-placement freshness check) see the growth. The table's data
+// epoch bumps; the catalog epoch does NOT — the schema is unchanged, so
+// cached plans stay valid. Streaming subscriptions on the table observe
+// the batch in append order. On a distributed engine the appended bytes
+// are billed to the shared fabric as ingest-class flows from the
+// coordinator to each row's destination shard. The returned
+// acknowledgement covers rows durable in the catalog. The engine copies
+// the cells: the caller keeps cols.
+func (e *Engine) AppendColumns(table string, cols []relational.Vector, n int) (stream.Ingest, error) {
+	return e.appendWith(table, n, func(rel *relational.Relation) (*relational.Relation, error) {
+		return rel.ExtendColumns(cols, n)
+	})
+}
+
+// appendWith swaps table's relation for grow(it), a relation n rows
+// longer, and publishes and bills the new rows (see AppendColumns).
+func (e *Engine) appendWith(table string, n int, grow func(*relational.Relation) (*relational.Relation, error)) (stream.Ingest, error) {
+	if n == 0 {
 		return stream.Ingest{}, nil
 	}
 	name := strings.ToLower(table)
@@ -297,7 +315,7 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 		e.mu.Unlock()
 		return stream.Ingest{}, fmt.Errorf("sql: stream for table %q is closed", table)
 	}
-	nrel, err := old.Extend(rows)
+	nrel, err := grow(old)
 	if err != nil {
 		e.mu.Unlock()
 		return stream.Ingest{}, err
@@ -316,7 +334,7 @@ func (e *Engine) AppendRows(table string, rows []relational.Row) (stream.Ingest,
 	e.hub.Publish(name, tail)
 	e.mu.Unlock()
 
-	return stream.Ingest{Start: int64(start), Rows: len(rows), Bytes: tail.EncodedBytes(),
+	return stream.Ingest{Start: int64(start), Rows: n, Bytes: tail.EncodedBytes(),
 		NetSeconds: e.billIngest(nrel, start)}, nil
 }
 
