@@ -84,7 +84,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// Placed as rethinkd -rows places them, so a verified daemon's
+		// float aggregates fold in the same order.
 		sql.RegisterDemo(eng, *seed, *rows, *customers)
+		if err := sql.PlaceDemo(eng); err != nil {
+			log.Fatal(err)
+		}
 		return eng
 	}
 

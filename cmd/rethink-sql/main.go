@@ -110,7 +110,6 @@ func main() {
 	shards := flag.Int("shards", 4, "worker hosts in distributed mode")
 	topology := flag.String("topo", "leafspine", "distributed fabric: leafspine, single, fattree, torus")
 	distJoin := flag.String("dist-join", "auto", "distributed join movement: auto, broadcast, repartition")
-	hashShard := flag.Bool("hash-shard", false, "hash-partition tables instead of range partitioning")
 	pipelineChunk := flag.Int("pipeline-chunk", 0, "pipelined movement chunk size in rows; phases overlap compute with the next chunk's flows (0 = bulk phases)")
 	concurrency := flag.Int("concurrency", 1, "parallel sessions executing the query list against the shared fabric")
 	timeout := flag.Duration("timeout", 0, "per-query context timeout (0 = none)")
@@ -137,7 +136,6 @@ func main() {
 	cfg.Shards = *shards
 	cfg.Topology = *topology
 	cfg.DistJoin = *distJoin
-	cfg.ShardHash = *hashShard
 	cfg.PipelineChunkRows = *pipelineChunk
 	if *devices != "" {
 		cfg.Devices = strings.Split(*devices, ",")
@@ -167,6 +165,12 @@ func main() {
 		log.Fatal(err)
 	}
 	sql.RegisterDemo(eng, *seed, *rows, *customers)
+	if *distMode {
+		// Co-placed on customer_id, as rethinkd places them.
+		if err := sql.PlaceDemo(eng); err != nil {
+			log.Fatal(err)
+		}
+	}
 
 	if *streamN > 0 {
 		q := ""

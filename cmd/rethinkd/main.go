@@ -65,7 +65,6 @@ func main() {
 	shards := flag.Int("shards", 4, "worker hosts in distributed mode")
 	topology := flag.String("topo", "leafspine", "distributed fabric: leafspine, single, fattree, torus")
 	distJoin := flag.String("dist-join", "auto", "distributed join movement: auto, broadcast, repartition")
-	hashShard := flag.Bool("hash-shard", false, "hash-partition tables instead of range partitioning")
 	pipelineChunk := flag.Int("pipeline-chunk", 0, "pipelined movement chunk size in rows (0 = bulk phases)")
 	sdnPolicy := flag.String("sdn", "", "fabric controller policy: "+strings.Join(sdn.Policies, ", ")+" (empty = fixed data plane)")
 	memBudget := flag.Int64("mem-budget", 0, "engine-default operator-state memory budget in bytes (tenants may tighten)")
@@ -81,7 +80,6 @@ func main() {
 	cfg.Shards = *shards
 	cfg.Topology = *topology
 	cfg.DistJoin = *distJoin
-	cfg.ShardHash = *hashShard
 	cfg.PipelineChunkRows = *pipelineChunk
 	cfg.MemoryBudget = *memBudget
 	cfg.SpillTier = *spillTier
@@ -105,7 +103,12 @@ func main() {
 		log.Fatal(err)
 	}
 	if *rows > 0 {
+		// The demo tables are co-placed on customer_id: their join moves
+		// nothing between shards.
 		sql.RegisterDemo(eng, *seed, *rows, *customers)
+		if err := sql.PlaceDemo(eng); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	tenants := serve.DefaultTenants()

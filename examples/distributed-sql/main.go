@@ -90,9 +90,15 @@ func main() {
 		log.Fatal(err)
 	}
 	want := single.Rows
-	cfg := distConfig("leafspine", 8)
-	cfg.ShardHash = true
-	got, err := engine(cfg).Session().Query(ctx, queries[2].q)
+	// Hash placement on each table's first Int column (sales on order_id,
+	// customers on customer_id).
+	placed := engine(distConfig("leafspine", 8))
+	for table, col := range map[string]string{"sales": "order_id", "customers": "customer_id"} {
+		if err := placed.Place(table, col); err != nil {
+			log.Fatal(err)
+		}
+	}
+	got, err := placed.Session().Query(ctx, queries[2].q)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,8 +20,9 @@
 // DrainSink, or a PartialAggSink's typed group state) and the result of every movement primitive — MergeBySeq, Repartition,
 // Broadcast and their chunked forms — are column-built relations
 // (relational.NewColumnRelation): range shards are zero-copy windows of
-// the registered table's columnar image, seq-ordered merges copy runs of
-// one stream at a time (SeqMerger), a repartition gathers through
+// the registered table's columnar image, hash shards gather a column on
+// its first read and keep it, seq-ordered merges copy runs of one stream
+// at a time (SeqMerger), a repartition gathers through
 // per-(source, destination) selection vectors, and a broadcast build side
 // is one set of vectors every shard probes. The primitives read their
 // inputs through Relation.Columnar, so row-built relations work too

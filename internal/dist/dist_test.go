@@ -29,7 +29,7 @@ func TestShardRelationRange(t *testing.T) {
 		t.Fatalf("seq col = %d", st.SeqCol())
 	}
 	total, next := 0, int64(0)
-	for _, sh := range st.Shards {
+	for _, sh := range st.Relations() {
 		for _, row := range sh.RowView() {
 			if row[2].I != next {
 				t.Fatalf("range sharding must keep global order: got seq %d want %d", row[2].I, next)
@@ -54,7 +54,7 @@ func TestRangeShardSeqWindowsOneIota(t *testing.T) {
 		rel := testRel(n)
 		for _, shards := range []int{1, 3, 4, 8} {
 			st := ShardRelation(rel, shards, RangeShard, -1)
-			for s, sh := range st.Shards {
+			for s, sh := range st.Relations() {
 				seq := sh.Columnar()[st.SeqCol()].Ints
 				lo, hi := (s*n+shards-1)/shards, ((s+1)*n+shards-1)/shards
 				want := make([]int64, 0, hi-lo)
@@ -82,7 +82,7 @@ func TestRangeShardSeqWindowsOneIota(t *testing.T) {
 			n := 10000 << g
 			st := ShardRelation(testRel(n), 3, RangeShard, -1)
 			next := int64(0)
-			for _, sh := range st.Shards {
+			for _, sh := range st.Relations() {
 				for _, v := range sh.Columnar()[st.SeqCol()].Ints {
 					if v != next {
 						t.Errorf("n=%d: #seq %d, want %d", n, v, next)
@@ -102,7 +102,7 @@ func TestShardRelationHash(t *testing.T) {
 	st := ShardRelation(rel, 4, HashShard, 0)
 	keyShard := map[int64]int{}
 	total := 0
-	for si, sh := range st.Shards {
+	for si, sh := range st.Relations() {
 		last := int64(-1)
 		for _, row := range sh.RowView() {
 			if prev, ok := keyShard[row[0].I]; ok && prev != si {
@@ -126,7 +126,7 @@ func TestMergeBySeq(t *testing.T) {
 	rel := testRel(57)
 	for _, strat := range []Strategy{RangeShard, HashShard} {
 		st := ShardRelation(rel, 5, strat, 0)
-		merged := MergeBySeq("m", st.Shards, st.SeqCol(), true)
+		merged := MergeBySeq("m", st.Relations(), st.SeqCol(), true)
 		if merged.Len() != 57 || len(merged.Schema) != 2 {
 			t.Fatalf("%v: merged %d rows, %d cols", strat, merged.Len(), len(merged.Schema))
 		}
@@ -143,7 +143,7 @@ func TestMergeBySeq(t *testing.T) {
 func TestRepartition(t *testing.T) {
 	rel := testRel(80)
 	st := ShardRelation(rel, 4, RangeShard, -1)
-	dests, transfers := Repartition(st.Shards, 0, st.SeqCol())
+	dests, transfers := Repartition(st.Relations(), 0, st.SeqCol())
 	total := 0
 	for d, rel2 := range dests {
 		last := int64(-1)
@@ -173,7 +173,7 @@ func TestRepartition(t *testing.T) {
 func TestBroadcast(t *testing.T) {
 	rel := testRel(40)
 	st := ShardRelation(rel, 4, HashShard, 0)
-	merged, transfers := Broadcast(st.Shards, st.SeqCol(), true)
+	merged, transfers := Broadcast(st.Relations(), st.SeqCol(), true)
 	if merged.Len() != 40 {
 		t.Fatalf("merged %d rows", merged.Len())
 	}
@@ -183,7 +183,7 @@ func TestBroadcast(t *testing.T) {
 		}
 	}
 	nonEmpty := 0
-	for _, sh := range st.Shards {
+	for _, sh := range st.Relations() {
 		if sh.Len() > 0 {
 			nonEmpty++
 		}
@@ -244,8 +244,8 @@ func TestClusterPhases(t *testing.T) {
 func TestRunPartialAggs(t *testing.T) {
 	rel := testRel(63) // keys cycle 0..6: first-seen order 0,1,2,...,6
 	st := ShardRelation(rel, 4, HashShard, 0)
-	frags := make([]relational.BatchOp, len(st.Shards))
-	for i, sh := range st.Shards {
+	frags := make([]relational.BatchOp, len(st.Relations()))
+	for i, sh := range st.Relations() {
 		frags[i] = relational.NewBatchScan(sh)
 	}
 	aggs := []relational.AggSpec{{Fn: relational.CountAgg, Col: -1, Name: "n"}}

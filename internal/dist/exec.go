@@ -146,11 +146,16 @@ func RunPartialAggs(frags []relational.BatchOp, groupCols []int, aggs []relation
 // duplicates — can only occur within one shard, and a tie between
 // streams goes to the lower index, so the visit order is a total
 // deterministic order equal to the single-node row order. Range-sharded
-// streams are disjoint ascending ranges — one run per shard — so a merge
-// is a handful of range copies per column; hash-sharded streams degrade
-// to short runs. Every seq-ordered primitive (MergeBySeq, GatherChunks,
-// Repartition's per-destination merge, the planner's re-sequencing)
-// iterates through it, keeping the tie-break rule in one place.
+// streams are disjoint ascending ranges — one run per shard, its end
+// found by galloping — so a merge is a handful of range copies per
+// column; hash-placed streams interleave row by row, so their runs are
+// about one row long: the merger keeps each stream's head tag cached and
+// MergeInto copies column by column over a block of collected runs, so a
+// one-row run costs a few compares and one append per column. Every
+// seq-ordered primitive (MergeBySeq,
+// GatherChunks, Repartition's per-destination merge, the planner's
+// re-sequencing) iterates through it, keeping the tie-break rule in one
+// place.
 //
 // Merging to bounds[0], bounds[1], … as gather chunks land yields, row
 // for row, the relation MergeBySeq builds in one shot.
@@ -159,57 +164,108 @@ type SeqMerger struct {
 	cols  [][]relational.Vector // per-shard columns; nil for a bare seq merge
 	pos   []int
 	taken int
+	// heads[i] is seqs[i][pos[i]] while stream i has rows left; live
+	// lists the streams that do, in index order.
+	heads []int64
+	live  []int
+	block [256]seqRun // MergeInto's runs, a block at a time
 }
+
+// seqRun is rows [lo, hi) of one shard's stream.
+type seqRun struct{ shard, lo, hi int32 }
 
 // NewSeqMerger returns a merger over the per-shard relations (each must
 // be seqCol-ascending).
 func NewSeqMerger(shards []*relational.Relation, seqCol int) *SeqMerger {
-	m := &SeqMerger{seqs: make([][]int64, len(shards)), cols: make([][]relational.Vector, len(shards)), pos: make([]int, len(shards))}
+	m := &SeqMerger{seqs: make([][]int64, len(shards)), cols: make([][]relational.Vector, len(shards))}
 	for i, sh := range shards {
 		m.cols[i] = sh.Columnar()
 		m.seqs[i] = m.cols[i][seqCol].Ints
 	}
+	m.start()
 	return m
+}
+
+// newSeqOnlyMerger returns a bare merger over seq vectors.
+func newSeqOnlyMerger(seqs [][]int64) *SeqMerger {
+	m := &SeqMerger{seqs: seqs}
+	m.start()
+	return m
+}
+
+func (m *SeqMerger) start() {
+	m.pos = make([]int, len(m.seqs))
+	m.heads = make([]int64, len(m.seqs))
+	for i, s := range m.seqs {
+		if len(s) > 0 {
+			m.heads[i] = s[0]
+			m.live = append(m.live, i)
+		}
+	}
+}
+
+// next returns the run that comes next in global seq order, at most upto
+// − taken rows long, and advances past it; ok is false once every stream
+// is exhausted or upto is reached.
+func (m *SeqMerger) next(upto int) (r seqRun, ok bool) {
+	if m.taken >= upto || len(m.live) == 0 {
+		return r, false
+	}
+	// best is the first live stream holding the smallest head. The run
+	// lasts while it stays so: strictly below every earlier stream's head,
+	// at or below every later one's. One pass finds both: when a later
+	// stream takes the lead, every stream seen so far holds a head at or
+	// above the old best's, which (less one) is then the limit — and is
+	// above the new best's head, so the decrement cannot wrap.
+	bi := 0
+	hb := m.heads[m.live[0]]
+	limit := int64(math.MaxInt64)
+	for j := 1; j < len(m.live); j++ {
+		if h := m.heads[m.live[j]]; h < hb {
+			bi, hb, limit = j, h, hb-1
+		} else {
+			limit = min(limit, h)
+		}
+	}
+	best := m.live[bi]
+	s, lo := m.seqs[best], m.pos[best]
+	end := min(len(s), lo+upto-m.taken)
+	hi := lo + 1
+	if hi < end && s[hi] <= limit {
+		// A run longer than one row (a range shard's can be the whole
+		// shard): gallop to a row past it, then bisect. in is in the run;
+		// out is end or the first row found past it.
+		in, step := hi, 1
+		for in+step < end && s[in+step] <= limit {
+			in += step
+			step *= 2
+		}
+		out := min(in+step, end)
+		for out-in > 1 {
+			if mid := int(uint(in+out) >> 1); s[mid] <= limit {
+				in = mid
+			} else {
+				out = mid
+			}
+		}
+		hi = out
+	}
+	m.pos[best] = hi
+	m.taken += hi - lo
+	if hi < len(s) {
+		m.heads[best] = s[hi]
+	} else {
+		m.live = append(m.live[:bi], m.live[bi+1:]...)
+	}
+	return seqRun{int32(best), int32(lo), int32(hi)}, true
 }
 
 // TakeRuns visits rows ranked [taken, upto) in global seq order as runs,
 // calling fn(shard, lo, hi) for rows [lo, hi) of that shard, and
 // advances the merger.
 func (m *SeqMerger) TakeRuns(upto int, fn func(shard, lo, hi int)) {
-	for m.taken < upto {
-		best := -1
-		for i, s := range m.seqs {
-			if m.pos[i] < len(s) && (best < 0 || s[m.pos[i]] < m.seqs[best][m.pos[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return
-		}
-		// The run lasts while best stays the first stream holding the
-		// smallest head: strictly below every earlier stream's head (which
-		// is above best's own, so the decrement cannot wrap), at or below
-		// every later one's.
-		limit := int64(math.MaxInt64)
-		for i, s := range m.seqs {
-			if i == best || m.pos[i] >= len(s) {
-				continue
-			}
-			h := s[m.pos[i]]
-			if i < best {
-				h--
-			}
-			limit = min(limit, h)
-		}
-		s, lo := m.seqs[best], m.pos[best]
-		end := min(len(s), lo+upto-m.taken)
-		hi := lo + 1
-		for hi < end && s[hi] <= limit {
-			hi++
-		}
-		fn(best, lo, hi)
-		m.pos[best] = hi
-		m.taken += hi - lo
+	for r, ok := m.next(upto); ok; r, ok = m.next(upto) {
+		fn(int(r.shard), int(r.lo), int(r.hi))
 	}
 }
 
@@ -229,15 +285,50 @@ func (m *SeqMerger) Columns(schema relational.Schema, n int) []relational.Vector
 	return relational.NewColumns(schema, n, m.cols...)
 }
 
-// MergeInto appends the rows ranked [taken, upto) onto dst, column by
-// column; dst may be narrower than the shards (the trailing columns — the
-// seq column, when stripping — are dropped).
+// MergeInto appends the rows ranked [taken, upto) onto dst; dst may be
+// narrower than the shards (the trailing columns — the seq column, when
+// stripping — are dropped). It collects the runs a block at a time, then
+// appends the block column by column, one type switch per column.
 func (m *SeqMerger) MergeInto(dst []relational.Vector, upto int) {
-	m.TakeRuns(upto, func(shard, lo, hi int) {
-		for c := range dst {
-			dst[c].AppendRange(&m.cols[shard][c], lo, hi)
+	for {
+		n := 0
+		for ; n < len(m.block); n++ {
+			r, ok := m.next(upto)
+			if !ok {
+				break
+			}
+			m.block[n] = r
 		}
-	})
+		runs := m.block[:n]
+		for c := range dst {
+			d := &dst[c]
+			switch d.T {
+			case relational.Int:
+				for _, r := range runs {
+					if src := m.cols[r.shard][c].Ints; r.hi-r.lo == 1 {
+						d.Ints = append(d.Ints, src[r.lo])
+					} else {
+						d.Ints = append(d.Ints, src[r.lo:r.hi]...)
+					}
+				}
+			case relational.Float:
+				for _, r := range runs {
+					if src := m.cols[r.shard][c].Floats; r.hi-r.lo == 1 {
+						d.Floats = append(d.Floats, src[r.lo])
+					} else {
+						d.Floats = append(d.Floats, src[r.lo:r.hi]...)
+					}
+				}
+			default:
+				for _, r := range runs {
+					d.AppendRange(&m.cols[r.shard][c], int(r.lo), int(r.hi))
+				}
+			}
+		}
+		if n < len(m.block) {
+			return
+		}
+	}
 }
 
 func totalRows(shards []*relational.Relation) int {
@@ -305,12 +396,13 @@ func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*re
 	}
 	dests = make([]*relational.Relation, s)
 	for d := range dests {
-		m := &SeqMerger{seqs: make([][]int64, s), pos: make([]int, s)}
+		seqs := make([][]int64, s)
 		total := 0
 		for src := range shards {
-			m.seqs[src] = relational.GatherVector(&srcCols[src][seqCol], sels[src][d]).Ints
+			seqs[src] = relational.GatherVector(&srcCols[src][seqCol], sels[src][d]).Ints
 			total += len(sels[src][d])
 		}
+		m := newSeqOnlyMerger(seqs)
 		cols := relational.NewColumns(shards[0].Schema, total, srcCols...)
 		m.TakeRuns(total, func(src, lo, hi int) {
 			for c := range cols {

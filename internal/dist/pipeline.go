@@ -331,13 +331,24 @@ func GatherChunks(shards []*relational.Relation, seqCol, chunkRows int) (chunks 
 	sizers := rowSizers(shards)
 	chunks = make([]Chunk, n)
 	bounds = make([]int, n)
-	m := NewSeqMerger(shards, seqCol)
+	var m *SeqMerger
+	if n > 1 {
+		m = NewSeqMerger(shards, seqCol)
+	}
 	for g := 0; g < n; g++ {
 		bounds[g] = min((g+1)*chunkRows, total)
 		srcBytes := make([]int, len(shards))
-		m.TakeRuns(bounds[g], func(shard, lo, hi int) {
-			srcBytes[shard] += sizers[shard].RangeBytes(lo, hi)
-		})
+		if m == nil {
+			// One covering chunk ships every shard whole: no merge needed
+			// to know which rows it carries.
+			for i, sh := range shards {
+				srcBytes[i] = sizers[i].RangeBytes(0, sh.Len())
+			}
+		} else {
+			m.TakeRuns(bounds[g], func(shard, lo, hi int) {
+				srcBytes[shard] += sizers[shard].RangeBytes(lo, hi)
+			})
+		}
 		compute := 0
 		var ts []Transfer
 		for src, b := range srcBytes {

@@ -16,13 +16,13 @@ var chunkSizes = []int{1, 7, 32, 1000}
 func TestRepartitionChunksParity(t *testing.T) {
 	rel := testRel(123)
 	st := ShardRelation(rel, 4, RangeShard, -1)
-	bulkDests, bulkTransfers := Repartition(st.Shards, 0, st.SeqCol())
+	bulkDests, bulkTransfers := Repartition(st.Relations(), 0, st.SeqCol())
 	bulkBytes := map[[2]int]float64{}
 	for _, tr := range bulkTransfers {
 		bulkBytes[[2]int{tr.Src, tr.Dst}] += tr.Bytes
 	}
 	for _, cr := range chunkSizes {
-		dests, chunks, cum := RepartitionChunks(st.Shards, 0, st.SeqCol(), cr)
+		dests, chunks, cum := RepartitionChunks(st.Relations(), 0, st.SeqCol(), cr)
 		for d := range dests {
 			if dests[d].Len() != bulkDests[d].Len() {
 				t.Fatalf("cr=%d dest %d: %d rows want %d", cr, d, dests[d].Len(), bulkDests[d].Len())
@@ -78,13 +78,13 @@ func TestRepartitionChunksParity(t *testing.T) {
 func TestBroadcastChunksParity(t *testing.T) {
 	rel := testRel(60)
 	st := ShardRelation(rel, 4, HashShard, 0)
-	bulkMerged, bulkTransfers := Broadcast(st.Shards, st.SeqCol(), true)
+	bulkMerged, bulkTransfers := Broadcast(st.Relations(), st.SeqCol(), true)
 	bulkPerSrc := map[int]float64{}
 	for _, tr := range bulkTransfers {
 		bulkPerSrc[tr.Src] += tr.Bytes
 	}
 	for _, cr := range chunkSizes {
-		merged, chunks, bounds := BroadcastChunks(st.Shards, st.SeqCol(), true, cr)
+		merged, chunks, bounds := BroadcastChunks(st.Relations(), st.SeqCol(), true, cr)
 		if merged.Len() != bulkMerged.Len() {
 			t.Fatalf("cr=%d merged %d rows want %d", cr, merged.Len(), bulkMerged.Len())
 		}
@@ -119,9 +119,10 @@ func TestBroadcastChunksParity(t *testing.T) {
 func TestGatherChunksSeqMerger(t *testing.T) {
 	rel := testRel(91)
 	st := ShardRelation(rel, 3, HashShard, 0)
-	bulk := MergeBySeq("m", st.Shards, st.SeqCol(), true)
+	shards := st.Relations()
+	bulk := MergeBySeq("m", shards, st.SeqCol(), true)
 	for _, cr := range chunkSizes {
-		chunks, bounds := GatherChunks(st.Shards, st.SeqCol(), cr)
+		chunks, bounds := GatherChunks(shards, st.SeqCol(), cr)
 		perShard := make([]float64, 3)
 		for _, ch := range chunks {
 			for _, tr := range ch.Transfers {
@@ -131,16 +132,16 @@ func TestGatherChunksSeqMerger(t *testing.T) {
 				perShard[tr.Src] += tr.Bytes
 			}
 		}
-		for i, sh := range st.Shards {
+		for i, sh := range shards {
 			if want := sh.EncodedBytes(); perShard[i] != want {
 				t.Fatalf("cr=%d shard %d: %v bytes want %v", cr, i, perShard[i], want)
 			}
 		}
 		out := relational.NewRelation("m", bulk.Schema)
-		m := NewSeqMerger(st.Shards, st.SeqCol())
+		m := NewSeqMerger(shards, st.SeqCol())
 		for _, b := range bounds {
 			m.Take(b, func(shard, row int) {
-				out.Rows = append(out.Rows, st.Shards[shard].RowView()[row][:st.SeqCol()])
+				out.Rows = append(out.Rows, shards[shard].RowView()[row][:st.SeqCol()])
 			})
 		}
 		if len(out.Rows) != bulk.Len() {

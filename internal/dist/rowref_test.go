@@ -610,7 +610,7 @@ func TestShardRelationMatchesRowReference(t *testing.T) {
 			want := refShardRelation(table, shards, strategy, 0)
 			for _, in := range []*relational.Relation{table, columnBuilt([]*relational.Relation{table})[0]} {
 				st := ShardRelation(in, shards, strategy, 0)
-				if err := sameRelations(st.Shards, want); err != nil {
+				if err := sameRelations(st.Relations(), want); err != nil {
 					t.Fatalf("iter %d, %d shards, %v: %v", iter, shards, strategy, err)
 				}
 				// An append of the rows from start on is billed to the

@@ -93,6 +93,35 @@ func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, wei
 	})
 }
 
+// RunLocal runs a phase that moves nothing — a co-placed join, whose
+// shards each build from their own rows — under fault injection. It
+// claims the phase ordinal like every phase, so an event scheduled there
+// lands on it, and records an empty phase. resident[s] is the state shard
+// s built in the phase (its join table's bytes): a kill here loses the
+// state of every shard the dead host held, and the shards' new primaries
+// rebuild it from their replicas of the shard's rows — measured as
+// re-derivation compute, with nothing to re-ship.
+func (g *Guard) RunLocal(name string, resident []float64) error {
+	idx := g.phase
+	g.phase++
+	evs := g.m.claimPhaseEvents(idx)
+	if err := g.applyLinkFaults(evs); err != nil {
+		return err
+	}
+	if _, err := g.qr.RunPhaseMeasured(name, nil, "", 0); err != nil {
+		return err
+	}
+	return g.applyKills(name, evs, func(_ Event, deadNode int) ([]dist.Transfer, float64) {
+		lost := 0.0
+		for s, b := range resident {
+			if g.m.HostFor(s) == deadNode {
+				lost += b
+			}
+		}
+		return nil, lost
+	})
+}
+
 // preResolve snapshots the transfers' endpoint resolution under current
 // (pre-kill) membership, so the Guard can tell which flows touched a
 // host after it is marked dead.

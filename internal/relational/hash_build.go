@@ -97,6 +97,25 @@ func NewHashBuild(schema Schema, keyCol int) (*HashBuild, error) {
 	return h, nil
 }
 
+// NewHashBuildOf returns the build table of a complete build side: rows
+// [0, n) of cols, whose leading columns follow schema (trailing extras — a
+// stream's #seq — are ignored), inserted in order. The table takes the
+// vectors as they stand instead of copying them, so they must not change
+// afterwards; the table's windows are clipped, so an append to it
+// reallocates rather than writing past them.
+func NewHashBuildOf(schema Schema, keyCol int, cols []Vector, n int) (*HashBuild, error) {
+	h, err := NewHashBuild(schema, keyCol)
+	if err != nil {
+		return nil, err
+	}
+	for c := range h.cols {
+		h.cols[c] = cols[c].Slice(0, n)
+	}
+	h.bytes = float64(NewRowSizer(h.cols).RangeBytes(0, n))
+	h.ix.add(&h.cols[h.keyCol])
+	return h, nil
+}
+
 // Append inserts rows in order, copying their cells into the table's
 // vectors.
 func (h *HashBuild) Append(rows []Row) {

@@ -120,12 +120,41 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// bodyPool recycles the buffers responses are encoded into.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody is the largest buffer returned to bodyPool: one huge
+// response must not pin its buffer for the daemon's lifetime.
+const maxPooledBody = 1 << 20
+
+// writeJSON answers code with v encoded as JSON. The body is encoded into
+// a buffer before the header goes out, so a value that cannot be encoded
+// — a non-finite Float, which JSON has no number for — is answered 500
+// with an error body naming the failure, never code with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	buf.Reset()
+	if err := encodeJSON(buf, v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		_ = encodeJSON(buf, errorBody{Error: fmt.Sprintf("serve: response not encodable as JSON: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
+	_, _ = w.Write(buf.Bytes())
+}
+
+// encodeJSON appends v's JSON encoding and a newline to buf, HTML
+// characters unescaped.
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v)
+	return enc.Encode(v)
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -376,6 +405,10 @@ func (s *Server) execute(ctx context.Context, tenant *Tenant, req QueryRequest) 
 type TableRequest struct {
 	Name   string        `json:"name"`
 	Schema []wire.Column `json:"schema"`
+	// ShardKey, when set, hash-places the table on that column (see
+	// sql.Engine.Place); empty leaves it range-placed. A name that is not
+	// a column of Schema is refused with 422.
+	ShardKey string `json:"shard_key,omitempty"`
 	// Rows carries one []any per row. An int cell is a JSON number of
 	// integral value (3.0 and 1e3 are accepted), read exactly.
 	Rows [][]any `json:"rows"`
@@ -408,7 +441,17 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, rowsStatus(err), "%v", err)
 		return
 	}
+	if req.ShardKey != "" && rel.Schema.ColIndex(req.ShardKey) < 0 {
+		writeErr(w, http.StatusUnprocessableEntity, "serve: shard_key %q is not a column of %s", req.ShardKey, rel.Name)
+		return
+	}
 	s.eng.Register(rel)
+	if req.ShardKey != "" {
+		if err := s.eng.Place(rel.Name, req.ShardKey); err != nil {
+			writeErr(w, http.StatusUnprocessableEntity, "%v", err)
+			return
+		}
+	}
 	writeJSON(w, http.StatusOK, TableResponse{Name: rel.Name, Rows: rel.Len(), CatalogEpoch: s.eng.CatalogEpoch()})
 }
 

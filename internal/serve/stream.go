@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 
 	"repro/internal/serve/wire"
@@ -195,10 +197,14 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	// Each window is encoded whole before any of it is written: a window
+	// that cannot be encoded ends the stream with the error on its end
+	// line instead of a torn or missing line.
+	var line bytes.Buffer
+	var encErr error
 	for win := range sub.Out() {
-		line := StreamWindow{
+		line.Reset()
+		if encErr = encodeJSON(&line, StreamWindow{
 			Start:       win.Start,
 			End:         win.End,
 			Events:      win.Events,
@@ -206,8 +212,12 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 			FreshnessMS: win.FreshnessSeconds * 1e3,
 			Columns:     wire.Columns(win.Rows.Schema),
 			Rows:        wire.Rows(win.Rows),
+		}); encErr != nil {
+			encErr = fmt.Errorf("serve: window [%d, %d) not encodable as JSON: %w", win.Start, win.End, encErr)
+			cancel()
+			break
 		}
-		if err := enc.Encode(line); err != nil {
+		if _, err := w.Write(line.Bytes()); err != nil {
 			cancel() // writer gone; unhook the subscription
 			break
 		}
@@ -218,14 +228,20 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 	<-sub.Done()
 	st := sub.Stats()
 	end := StreamEnd{Done: true, Tenant: tenant.Name, Stats: wire.FromStream(&st)}
-	if err := sub.Err(); err != nil {
+	switch err := sub.Err(); {
+	case encErr != nil:
+		end.Error = encErr.Error()
+	case err != nil:
 		end.Error = err.Error()
 	}
 	s.mu.Lock()
 	s.tstats[tenant.Name].Queries++
 	s.tstats[tenant.Name].Rows += uint64(st.Windows)
 	s.mu.Unlock()
-	_ = enc.Encode(end)
+	line.Reset()
+	if encodeJSON(&line, end) == nil {
+		_, _ = w.Write(line.Bytes())
+	}
 	if flusher != nil {
 		flusher.Flush()
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/sql"
@@ -87,13 +88,20 @@ var distGoldens = map[string]map[string]string{
 	},
 }
 
-func checkClassGoldens(t *testing.T, label string, cfg sql.Config, goldens map[string]string) {
+// checkClassGoldens runs the class statements on the demo tables, placed
+// per place (table → hash column; nil keeps them range-placed).
+func checkClassGoldens(t *testing.T, label string, cfg sql.Config, place map[string]string, goldens map[string]string) {
 	t.Helper()
 	eng, err := sql.NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sql.RegisterDemo(eng, 7, 20000, 2000)
+	for table, col := range place {
+		if err := eng.Place(table, col); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sess := eng.Session()
 	for _, c := range classStatements {
 		res, err := sess.Query(context.Background(), c.sql)
@@ -111,7 +119,7 @@ func TestClassFingerprintGoldens(t *testing.T) {
 	for _, workers := range []int{1, 2, 4} {
 		cfg := sql.DefaultConfig()
 		cfg.Workers = workers
-		checkClassGoldens(t, fmt.Sprintf("workers=%d", workers), cfg, classGoldens[workers])
+		checkClassGoldens(t, fmt.Sprintf("workers=%d", workers), cfg, nil, classGoldens[workers])
 	}
 }
 
@@ -122,21 +130,23 @@ func TestDistClassFingerprintGoldens(t *testing.T) {
 			cfg.Workers = workers
 			cfg.Distributed = true
 			cfg.Shards = 4
+			// The hash twins place each demo table on its first Int column.
+			var place map[string]string
+			if strings.HasPrefix(movement, "hash") {
+				place = map[string]string{"sales": "order_id", "customers": "customer_id"}
+			}
 			switch movement {
 			case "chunked":
 				cfg.PipelineChunkRows = 1024
 				cfg.MemoryBudget = 64 << 10
 				cfg.Devices = []string{"cpu", "gpu", "fpga"}
-			case "hash":
-				cfg.ShardHash = true
 			case "repartition":
 				cfg.DistJoin = "repartition"
 			case "hash-repartition-chunked":
-				cfg.ShardHash = true
 				cfg.DistJoin = "repartition"
 				cfg.PipelineChunkRows = 256
 			}
-			checkClassGoldens(t, fmt.Sprintf("dist-%s workers=%d", movement, workers), cfg, distGoldens[movement])
+			checkClassGoldens(t, fmt.Sprintf("dist-%s workers=%d", movement, workers), cfg, place, distGoldens[movement])
 		}
 	}
 }

@@ -67,8 +67,19 @@ func CustomersRelation(seed uint64, n int) *relational.Relation {
 
 // RegisterDemo loads the sales fact table and customers dimension into
 // an engine — the standard playground for the SQL examples, benchmarks
-// and experiments.
+// and experiments. Both are range-placed; PlaceDemo co-places them.
 func RegisterDemo(e *Engine, seed uint64, salesRows, customers int) {
 	e.Register(SalesRelation(seed, salesRows, customers))
 	e.Register(CustomersRelation(seed+1, customers))
+}
+
+// PlaceDemo hash-places the demo tables on their join key, customer_id,
+// so a distributed sales–customers join moves nothing (see Engine.Place).
+func PlaceDemo(e *Engine) error {
+	for _, table := range []string{"sales", "customers"} {
+		if err := e.Place(table, "customer_id"); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -221,6 +221,9 @@ type distExec struct {
 	// resolves shards to live replicas, runs every movement phase and
 	// fragment round, and lands injected faults.
 	guard *lifecycle.Guard
+	// local[ji] marks a join whose legs are co-placed on its keys
+	// (colocated): it takes the local movement and moves nothing.
+	local []bool
 }
 
 // lowerer returns a private copy of shard s's lowerer whose placed
@@ -236,16 +239,21 @@ func (e *distExec) shardHint(rows int) int {
 	return (rows + len(e.lw) - 1) / len(e.lw)
 }
 
-// legStream builds leg i's stream over its table shards: prune picks,
-// then the pushed-down filter.
+// legStream builds leg i's stream over its table shards: the shards of
+// the leg's kept columns (dist.ShardedTable.Pick: windows of a range
+// placement, gathered once and cached by a hash placement), a
+// pass-through projection over them, then the pushed-down filter.
 func (e *distExec) legStream(i int) *distStream {
-	leg := e.lp.legs[i]
-	st := &distStream{dx: e, base: e.tables[i].Shards, schema: leg.rel.Schema, hint: e.shardHint(leg.rel.Len())}
-	prune := leg.prune
-	if prune == nil {
-		prune = identityPicks(len(leg.rel.Schema))
+	leg, t := e.lp.legs[i], e.tables[i]
+	cols := leg.prune
+	if cols == nil {
+		cols = identityPicks(len(leg.rel.Schema))
 	}
-	st.project(leg.schema, pickExprs(prune))
+	st := &distStream{dx: e, base: make([]*relational.Relation, t.ShardCount()), schema: leg.schema, hint: e.shardHint(leg.rel.Len())}
+	for s := range st.base {
+		st.base[s] = t.Pick(s, cols)
+	}
+	st.project(leg.schema, pickExprs(identityPicks(len(cols))))
 	st.filter(leg.pushed)
 	return st
 }
@@ -363,18 +371,20 @@ func (e *distExec) chooseMovement(buildBytes, probeBytes []float64) string {
 // stream, exactly as the single-node probe side drives its output order.
 func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distStream, error) {
 	jp := &e.lp.joins[ji]
-	if err := st.materialize(); err != nil {
-		return nil, err
-	}
-	if st.joined {
-		// The current stream is about to move (or serve as a merged
-		// build side); restore unique seq tags first.
-		if err := st.reseq(); err != nil {
+	if !e.local[ji] {
+		if err := st.materialize(); err != nil {
 			return nil, err
 		}
-	}
-	if err := right.materialize(); err != nil {
-		return nil, err
+		if st.joined {
+			// The current stream is about to move (or serve as a merged
+			// build side); restore unique seq tags first.
+			if err := st.reseq(); err != nil {
+				return nil, err
+			}
+		}
+		if err := right.materialize(); err != nil {
+			return nil, err
+		}
 	}
 	l, r := len(st.schema), len(right.schema)
 	combined := append(append(relational.Schema{}, st.schema...), right.schema...)
@@ -390,14 +400,37 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 		buildCol, probeCol = jp.rightCol, jp.leftCol
 	}
 	buildWidth := len(build.schema)
-	movement := e.chooseMovement(build.bytes(), probe.bytes())
 
-	// Either movement lands the build side in hash tables filled as its
-	// chunks land — tabs[s] is the one shard s probes — so the table is
+	// Every movement lands the build side in hash tables — tabs[s] is the
+	// one shard s probes — filled as its chunks land, so the table is
 	// probe-ready the moment the last chunk drains.
 	tabs := make([]*relational.HashBuild, len(probe.base))
 	out := &distStream{dx: e, schema: combined, hint: e.shardHint(jp.size), joined: true}
-	if movement == "broadcast" {
+	switch {
+	case e.local[ji]:
+		// Co-placed: only the build side materializes, and each shard's
+		// table takes that shard's own build rows — seq-ascending, the
+		// serial insertion order of every key the shard holds — without
+		// a copy (nothing writes to them). The probe side keeps its
+		// pending operators and its shards and joins below them. Nothing
+		// crosses the fabric, but the phase still claims its ordinal: a
+		// fault scheduled there lands on it, and a host that dies there
+		// loses the tables it built, which its shards' new primaries
+		// rebuild.
+		if err := build.materialize(); err != nil {
+			return nil, err
+		}
+		for s, rel := range build.base {
+			var err error
+			if tabs[s], err = relational.NewHashBuildOf(build.schema, buildCol, rel.Columnar(), rel.Len()); err != nil {
+				return nil, err
+			}
+		}
+		if err := e.guard.RunLocal(fmt.Sprintf("local#%d", ji), build.bytes()); err != nil {
+			return nil, err
+		}
+		out.base, out.decor = probe.base, append(out.decor, probe.decor...)
+	case e.chooseMovement(build.bytes(), probe.bytes()) == "broadcast":
 		// Replicate the build side to every worker; the probe side does not
 		// move. The merged build side streams out in seq-rank chunks into
 		// one table every shard probes: appending chunk prefixes of the
@@ -420,7 +453,7 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 		for s := range tabs {
 			tabs[s] = tab
 		}
-	} else {
+	default:
 		// Hash-repartition both sides on the join key: their buckets move
 		// in seq-rank chunks (build transfers ahead of probe transfers
 		// within each chunk), and every destination's table inserts its
@@ -478,6 +511,25 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 	return out, nil
 }
 
+// colocated reports whether join ji takes the local movement: the
+// movement is not forced, both streams are base legs — only the first
+// join's are; a later join's left stream is a join output — and both
+// legs' tables are hash-placed on exactly the join columns, over the same
+// shard count, with identical key types (Int and Float hash differently;
+// a coded and a plain String hash alike). Equal keys then share a shard,
+// so every match of a shard's probe rows is among its own build rows.
+func (e *distExec) colocated(ji int) bool {
+	if ji != 0 || (e.distJoin != "" && e.distJoin != "auto") {
+		return false
+	}
+	jp := &e.lp.joins[ji]
+	lt, rt := e.tables[0], e.tables[ji+1]
+	lk, rk := e.lp.legs[0].column(jp.leftCol), e.lp.legs[ji+1].column(jp.rightCol)
+	return lt.Strategy == dist.HashShard && rt.Strategy == dist.HashShard &&
+		lt.KeyCol == lk && rt.KeyCol == rk && lt.ShardCount() == rt.ShardCount() &&
+		lt.Rel.Schema[lk].Type == rt.Rel.Schema[rk].Type
+}
+
 func identityPicks(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -511,26 +563,46 @@ func (pl *planner) newDistExec(lp *logicalPlan, p *Planned) (*distExec, error) {
 	}
 	eng := pl.eng
 	shards := eng.cluster.Shards()
-	shardHow, movement := "range", pl.cfg.DistJoin
-	if pl.cfg.ShardHash {
-		shardHow = "hash"
-	}
-	if movement == "" {
-		movement = "auto"
-	}
-	p.Steps = append(p.Steps, fmt.Sprintf("engine: distributed (%d shards, %s-sharded, %s fabric; batch fragments, %d workers/host)",
-		shards, shardHow, eng.cluster.Topology, relational.EffectiveWorkers(pl.cfg.Workers)))
-	p.Steps = append(p.Steps, lp.frontSteps(shards, movement)...)
-
 	dx := &distExec{
 		lp: lp, eng: eng, cancel: pl.cancel,
 		workers: pl.cfg.Workers, distJoin: pl.cfg.DistJoin,
 		class: pl.class, weight: pl.weight,
 		chunkRows: pl.cfg.PipelineChunkRows,
 	}
-	for _, leg := range lp.legs {
-		dx.tables = append(dx.tables, eng.shardedTable(leg.rel))
+	// Where each leg lives: the column a hash-placed table hashes on, ""
+	// for a range-placed one.
+	placedOn := make([]string, len(lp.legs))
+	hashed := 0
+	for i, leg := range lp.legs {
+		t := eng.shardedTable(leg.rel)
+		dx.tables = append(dx.tables, t)
+		if t.Strategy == dist.HashShard {
+			placedOn[i] = leg.rel.Schema[t.KeyCol].Name
+			hashed++
+		}
 	}
+	movement := pl.cfg.DistJoin
+	if movement == "" {
+		movement = "auto"
+	}
+	movements := make([]string, len(lp.joins))
+	dx.local = make([]bool, len(lp.joins))
+	for ji := range lp.joins {
+		movements[ji] = movement
+		if dx.local[ji] = dx.colocated(ji); dx.local[ji] {
+			movements[ji] = "local"
+		}
+	}
+	shardHow := "range"
+	switch {
+	case hashed == len(lp.legs):
+		shardHow = "hash"
+	case hashed > 0:
+		shardHow = "mixed"
+	}
+	p.Steps = append(p.Steps, fmt.Sprintf("engine: distributed (%d shards, %s-sharded, %s fabric; batch fragments, %d workers/host)",
+		shards, shardHow, eng.cluster.Topology, relational.EffectiveWorkers(pl.cfg.Workers)))
+	p.Steps = append(p.Steps, lp.frontSteps(shards, placedOn, movements)...)
 	if dx.chunkRows > 0 {
 		p.Steps = append(p.Steps, fmt.Sprintf("pipeline: chunked movement (%d rows/chunk, eager sub-rounds; gather weight x%d)",
 			dx.chunkRows, dist.GatherWeightBoost))

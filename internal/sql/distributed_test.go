@@ -12,7 +12,9 @@ func distDB(seed uint64, rows, customers, shards int, hash bool) *testDB {
 	db := demoDB(seed, rows, customers)
 	db.Opt.Distributed = true
 	db.Opt.Shards = shards
-	db.Opt.ShardHash = hash
+	if hash {
+		db.PlaceFirstInt()
+	}
 	return db
 }
 
@@ -98,7 +100,9 @@ func TestDistributedSkewedKeys(t *testing.T) {
 			db := skewDB()
 			db.Opt.Distributed = true
 			db.Opt.Shards = 8
-			db.Opt.ShardHash = hash
+			if hash {
+				db.PlaceFirstInt()
+			}
 			db.Opt.DistJoin = strat
 			for _, q := range queries {
 				runBoth(t, serial, db, q)

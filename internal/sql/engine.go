@@ -45,9 +45,6 @@ type Config struct {
 	// DistJoin forces the distributed join movement strategy:
 	// "auto" (cost-based, default), "broadcast" or "repartition".
 	DistJoin string
-	// ShardHash hash-partitions tables on their first Int column instead
-	// of the default contiguous range partitioning.
-	ShardHash bool
 	// Controller plugs a programmable control plane into the engine's
 	// shared fabric: between admission rounds it observes every pending
 	// flow (with class/weight tags from the submitting sessions) and the
@@ -175,6 +172,9 @@ type Engine struct {
 	tables map[string]*relational.Relation
 	// sharded caches each table's shard placement by lowercased name.
 	sharded map[string]*dist.ShardedTable
+	// placed holds the column each Place-declared table hashes on, by
+	// lowercased name; a table absent from it is range-placed.
+	placed map[string]int
 	// epoch counts catalog mutations (see CatalogEpoch).
 	epoch uint64
 	// dataEpochs counts per-table data mutations — appends bump them
@@ -213,6 +213,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		tables:     map[string]*relational.Relation{},
 		sharded:    map[string]*dist.ShardedTable{},
+		placed:     map[string]int{},
 		dataEpochs: map[string]uint64{},
 		hub:        stream.NewHub(),
 	}
@@ -252,7 +253,8 @@ func (e *Engine) Session() *Session { return &Session{eng: e} }
 
 // Register adds (or replaces) a table under its lowercased name,
 // invalidating any cached shard placements of the previous version and
-// bumping the catalog epoch (see CatalogEpoch).
+// bumping the catalog epoch (see CatalogEpoch). The table is
+// range-placed until a Place says otherwise.
 func (e *Engine) Register(rel *relational.Relation) {
 	name := strings.ToLower(rel.Name)
 	e.mu.Lock()
@@ -261,9 +263,37 @@ func (e *Engine) Register(rel *relational.Relation) {
 	e.epoch++
 	e.dataEpochs[name]++
 	delete(e.sharded, name)
+	delete(e.placed, name)
 	// Replacing the relation starts a fresh stream: a name whose previous
 	// incarnation was closed accepts appends again.
 	e.hub.Reopen(name)
+}
+
+// Place declares where a registered table lives, the way a DISTRIBUTED BY
+// clause would: its rows hash on column across the shards, so equal keys
+// share a shard, and a join of two tables placed on its join keys moves
+// nothing (the "local" movement). Every table is range-placed until it is
+// placed, and again after a Register of its name. Place is a catalog
+// operation: it bumps the catalog epoch, so cached plans re-plan, and
+// drops the table's cached placement. An unknown table or column is an
+// error. A single-node engine keeps the declaration and has no shards to
+// apply it to.
+func (e *Engine) Place(table, column string) error {
+	name := strings.ToLower(table)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	rel, ok := e.tables[name]
+	if !ok {
+		return fmt.Errorf("sql: unknown table %q", table)
+	}
+	col := rel.Schema.ColIndex(column)
+	if col < 0 {
+		return fmt.Errorf("sql: table %q has no column %q to place on", table, column)
+	}
+	e.placed[name] = col
+	e.epoch++
+	delete(e.sharded, name)
+	return nil
 }
 
 // IngestClass is the QoS class distributed stream appends bill their
@@ -324,6 +354,7 @@ func (e *Engine) appendWith(table string, n int, grow func(*relational.Relation)
 	e.tables[name] = nrel
 	e.dataEpochs[name]++
 	delete(e.sharded, name)
+	strategy, keyCol := e.sharding(name)
 	// Publish under the catalog lock: subscription arrival order must
 	// equal append order (the hub only enqueues — no blocking, no
 	// reentry into the engine). The published window is the catalog's own
@@ -335,12 +366,12 @@ func (e *Engine) appendWith(table string, n int, grow func(*relational.Relation)
 	e.mu.Unlock()
 
 	return stream.Ingest{Start: int64(start), Rows: n, Bytes: tail.EncodedBytes(),
-		NetSeconds: e.billIngest(nrel, start)}, nil
+		NetSeconds: e.billIngest(nrel, start, strategy, keyCol)}, nil
 }
 
 // billIngest charges the movement of rel's rows from start on — one
 // appended batch — to the shared fabric as ingest-class flows
-// (coordinator → destination shard, per the table's sharding strategy).
+// (coordinator → destination shard, per the table's placement).
 // Endpoints resolve through the lifecycle manager, so a drained or dead
 // host's share lands on the shard's live primary; the run takes the
 // resolver only, not a Guard — an append is not a query phase and must
@@ -348,11 +379,10 @@ func (e *Engine) appendWith(table string, n int, grow func(*relational.Relation)
 // phase, leave — so it contends in admission rounds with whatever
 // queries are in flight without ever holding the round barrier open.
 // Returns the modeled fabric seconds (0 on single-node engines).
-func (e *Engine) billIngest(rel *relational.Relation, start int) float64 {
+func (e *Engine) billIngest(rel *relational.Relation, start int, strategy dist.Strategy, keyCol int) float64 {
 	if e.fabric == nil {
 		return 0
 	}
-	strategy, keyCol := e.sharding(rel)
 	qr := e.fabric.NewQueryQoS(nil, IngestClass, 0)
 	qr.SetHostResolver(e.lcm.HostFor)
 	if err := qr.RunPhase("ingest", dist.AppendTransfers(rel, start, e.cluster.Shards(), strategy, keyCol)); err != nil {
@@ -409,8 +439,8 @@ func (e *Engine) shardBytes() []float64 {
 	defer e.mu.RUnlock()
 	out := make([]float64, e.cluster.Shards())
 	for _, t := range e.sharded {
-		for i, sh := range t.Shards {
-			out[i] += sh.EncodedBytes()
+		for i, b := range t.Bytes() {
+			out[i] += b
 		}
 	}
 	return out
@@ -451,18 +481,13 @@ func (e *Engine) JoinHost() (int, error) {
 	return e.lcm.JoinHost()
 }
 
-// sharding is how the engine partitions rel: contiguous row ranges by
-// default, or hash of the first Int column under Config.ShardHash.
-func (e *Engine) sharding(rel *relational.Relation) (dist.Strategy, int) {
-	if !e.cfg.ShardHash {
-		return dist.RangeShard, -1
+// sharding is how the engine partitions the named table: a hash of the
+// column a Place declared, or contiguous row ranges. Callers hold e.mu.
+func (e *Engine) sharding(name string) (dist.Strategy, int) {
+	if col, ok := e.placed[name]; ok {
+		return dist.HashShard, col
 	}
-	for i, c := range rel.Schema {
-		if c.Type == relational.Int {
-			return dist.HashShard, i
-		}
-	}
-	return dist.HashShard, 0
+	return dist.RangeShard, -1
 }
 
 // shardedTable returns the cached shard placement of rel.
@@ -482,7 +507,7 @@ func (e *Engine) shardedTable(rel *relational.Relation) *dist.ShardedTable {
 	if t := e.sharded[key]; fresh(t) {
 		return t
 	}
-	strategy, keyCol := e.sharding(rel)
+	strategy, keyCol := e.sharding(key)
 	t = dist.ShardRelation(rel, e.cluster.Shards(), strategy, keyCol)
 	e.sharded[key] = t
 	return t

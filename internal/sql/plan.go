@@ -83,6 +83,14 @@ type tableLeg struct {
 	pushed *planFilter       // their compiled conjunction; nil if none
 }
 
+// column maps visible column c to its index in the table.
+func (leg *tableLeg) column(c int) int {
+	if leg.prune != nil {
+		return leg.prune[c]
+	}
+	return c
+}
+
 // scope binds the leg's visible columns alone (what its pushed filter
 // compiles against).
 func (leg *tableLeg) scope() *scope {
@@ -310,21 +318,29 @@ func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, err
 }
 
 // frontSteps renders the Explain lines of the scans, joins and residual
-// filter. shards > 0 selects the distributed wording, where movement
-// names the join movement strategy.
-func (lp *logicalPlan) frontSteps(shards int, movement string) []string {
-	below, over := "", ""
+// filter. shards > 0 selects the distributed wording, where placedOn[i]
+// names the column leg i's table is hash-placed on ("" when
+// range-placed) and movements[ji] join ji's movement strategy; a
+// single-node plan passes nil for both.
+func (lp *logicalPlan) frontSteps(shards int, placedOn, movements []string) []string {
+	below := ""
 	if shards > 0 {
-		below, over = " below shuffle", fmt.Sprintf(" over %d shards", shards)
-		movement = ", movement=" + movement
+		below = " below shuffle"
 	}
 	var steps []string
-	for _, leg := range lp.legs {
+	for i, leg := range lp.legs {
 		if leg.prune != nil {
 			steps = append(steps, fmt.Sprintf("prune %s to %d/%d columns", leg.alias, len(leg.prune), len(leg.rel.Schema)))
 		}
 		if leg.pushed != nil {
 			steps = append(steps, fmt.Sprintf("pushdown filter on %s%s: %s", leg.alias, below, leg.pushed.expr.Render()))
+		}
+		over := ""
+		if shards > 0 {
+			over = fmt.Sprintf(" over %d shards", shards)
+			if placedOn[i] != "" {
+				over += ", hash-placed on " + placedOn[i]
+			}
 		}
 		steps = append(steps, fmt.Sprintf("scan %s as %s (%d rows%s)", leg.rel.Name, leg.alias, leg.rel.Len(), over))
 	}
@@ -332,6 +348,10 @@ func (lp *logicalPlan) frontSteps(shards int, movement string) []string {
 		build := "left"
 		if j.swapped {
 			build = j.leg.alias
+		}
+		movement := ""
+		if shards > 0 {
+			movement = ", movement=" + movements[ji]
 		}
 		join := fmt.Sprintf("hash join #%d on %s (build=%s%s)", ji, j.on.Render(), build, movement)
 		switch {
@@ -405,7 +425,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 		return nil, err
 	}
 	lw.placer, lw.budget = p.placer, p.budget
-	p.Steps = append(p.Steps, lp.frontSteps(0, "")...)
+	p.Steps = append(p.Steps, lp.frontSteps(0, nil, nil)...)
 
 	// Scans, with pruning and pushed filters, per leg.
 	legOps := make([]execNode, len(lp.legs))

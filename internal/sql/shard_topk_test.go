@@ -45,7 +45,9 @@ func shardTopKTables(rng *rand.Rand) []*relational.Relation {
 func TestShardTopKMatchesOracle(t *testing.T) {
 	seed := shardTopKRuns.Add(1)
 	tables := shardTopKTables(rand.New(rand.NewSource(seed)))
-	engine := func(mutate func(*Config)) *Engine {
+	// engine registers the tables, hash-placed on their first Int column
+	// when hash is set.
+	engine := func(hash bool, mutate func(*Config)) *Engine {
 		cfg := DefaultConfig()
 		mutate(&cfg)
 		eng, err := NewEngine(cfg)
@@ -54,6 +56,11 @@ func TestShardTopKMatchesOracle(t *testing.T) {
 		}
 		for _, rel := range tables {
 			eng.Register(rel)
+			if hash {
+				if err := eng.Place(rel.Name, firstIntColumn(rel)); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		return eng
 	}
@@ -64,7 +71,7 @@ func TestShardTopKMatchesOracle(t *testing.T) {
 		}
 		return res.Rows
 	}
-	oracle := engine(func(cfg *Config) { cfg.Parallel = false })
+	oracle := engine(false, func(cfg *Config) { cfg.Parallel = false })
 	for _, c := range []struct {
 		name, sql   string
 		gatherPhase int
@@ -80,9 +87,9 @@ func TestShardTopKMatchesOracle(t *testing.T) {
 				for _, chunk := range []int{0, 128, 1024} {
 					label := fmt.Sprintf("%s k=%d hash=%v chunk=%d", c.name, k, hash, chunk)
 					dist := func(cfg *Config) {
-						cfg.Distributed, cfg.Shards, cfg.ShardHash, cfg.PipelineChunkRows = true, 4, hash, chunk
+						cfg.Distributed, cfg.Shards, cfg.PipelineChunkRows = true, 4, chunk
 					}
-					sameRelation(t, fmt.Sprintf("seed %d: %s", seed, label), want, query(engine(dist), label, q))
+					sameRelation(t, fmt.Sprintf("seed %d: %s", seed, label), want, query(engine(hash, dist), label, q))
 					if k == 0 || k > rows {
 						continue
 					}
@@ -90,7 +97,7 @@ func TestShardTopKMatchesOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					killed := engine(func(cfg *Config) {
+					killed := engine(hash, func(cfg *Config) {
 						dist(cfg)
 						cfg.Replication, cfg.Faults = 2, kill
 					})

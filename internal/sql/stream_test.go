@@ -350,9 +350,11 @@ func TestIngestBilledToLivePrimary(t *testing.T) {
 				c.Distributed = true
 				c.Shards = 4
 				c.Replication = 2
-				c.ShardHash = true // events hash on t, its first Int column
 				c.Controller = probe
 			})
+			if err := eng.Place("events", "t"); err != nil {
+				t.Fatal(err)
+			}
 			var batch []relational.Row
 			for tm := int64(0); len(batch) < 8; tm++ {
 				row := sev("a", tm, 1)

@@ -6,6 +6,17 @@ import (
 	"repro/internal/relational"
 )
 
+// firstIntColumn names rel's first Int column, or its column 0 when it has
+// none: where the hash-placed twins of the parity suites place a table.
+func firstIntColumn(rel *relational.Relation) string {
+	for _, c := range rel.Schema {
+		if c.Type == relational.Int {
+			return c.Name
+		}
+	}
+	return rel.Schema[0].Name
+}
+
 // testDB is a catalog beside a mutable Config, for tests that sweep
 // engine and optimizer settings over the same tables and inspect the
 // Planned (operator tags, NetStats) a Session does not hand out. Query
@@ -14,7 +25,9 @@ import (
 type testDB struct {
 	Opt  Config
 	rels []*relational.Relation
-	eng  *Engine
+	// placed maps a table to the column its engines hash-place it on.
+	placed map[string]string
+	eng    *Engine
 }
 
 func newTestDB() *testDB { return &testDB{Opt: DefaultConfig()} }
@@ -32,6 +45,24 @@ func (db *testDB) Register(rel *relational.Relation) {
 	db.eng = nil
 }
 
+// Place hash-places table on column on the engines the catalog builds
+// from now on.
+func (db *testDB) Place(table, column string) {
+	if db.placed == nil {
+		db.placed = map[string]string{}
+	}
+	db.placed[table] = column
+	db.eng = nil
+}
+
+// PlaceFirstInt places every registered table on its first Int column
+// (firstIntColumn).
+func (db *testDB) PlaceFirstInt() {
+	for _, rel := range db.rels {
+		db.Place(rel.Name, firstIntColumn(rel))
+	}
+}
+
 func (db *testDB) engine() (*Engine, error) {
 	if db.eng == nil || !reflect.DeepEqual(db.eng.Config(), db.Opt) {
 		eng, err := NewEngine(db.Opt)
@@ -40,6 +71,11 @@ func (db *testDB) engine() (*Engine, error) {
 		}
 		for _, rel := range db.rels {
 			eng.Register(rel)
+		}
+		for table, column := range db.placed {
+			if err := eng.Place(table, column); err != nil {
+				return nil, err
+			}
 		}
 		db.eng = eng
 	}
