@@ -78,3 +78,62 @@ func TestMergeAllMatchesMergeFrom(t *testing.T) {
 		}
 	}
 }
+
+// TestEmitSeqColsIsSeqOrder: EmitSeqCols renders exactly EmitCols(bySeq)'s
+// rows, each group's first seq tag trailing it — ascending, and the tag of
+// a row that carries the group's key — including over a merge whose group
+// ids are out of seq order (windows dealt to partials out of order). An
+// empty partial emits no row, typed columns and all, even when global.
+func TestEmitSeqColsIsSeqOrder(t *testing.T) {
+	rel := randRel(78, 3*BatchSize+300)
+	rows := rel.RowView()
+	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 2, Name: "s"}, {Fn: MaxAgg, Col: 3, Name: "hi"}}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		groupCols := [][]int{{1}, {3}, {1, 3}}[seed%3]
+		schema := Schema{}
+		for _, c := range groupCols {
+			schema = append(schema, rel.Schema[c])
+		}
+		schema = append(schema, Schema{{Name: "n", Type: Int}, {Name: "s", Type: Float}, {Name: "hi", Type: Int}}...)
+		parts := make([]*PartialAgg, 1+rng.Intn(4))
+		for i := range parts {
+			parts[i] = NewPartialAgg(groupCols, aggs)
+		}
+		for lo := 0; lo < rel.Len(); {
+			hi := min(rel.Len(), lo+1+rng.Intn(500))
+			b, err := NewBatchScan(rel.Slice(lo, hi)).NextBatch()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := parts[rng.Intn(len(parts))].ObserveBatch(b, 0); err != nil {
+				t.Fatal(err)
+			}
+			lo += b.Len()
+		}
+		merged := MergeAll(parts)
+		wc, wn := merged.EmitCols(schema, true)
+		gc, gn := merged.EmitSeqCols(schema)
+		if len(gc) != len(schema)+1 || gc[len(schema)].T != Int {
+			t.Fatalf("seed %d: %d columns, want %d and a trailing Int seq", seed, len(gc), len(schema)+1)
+		}
+		requireSameRows(t, appendRows(nil, wc, wn), appendRows(nil, gc[:len(schema)], gn))
+		seqs := gc[len(schema)].Ints
+		for g := range gn {
+			if g > 0 && seqs[g] <= seqs[g-1] {
+				t.Fatalf("seed %d: group %d tagged %d after %d", seed, g, seqs[g], seqs[g-1])
+			}
+			for k, c := range groupCols {
+				if gc[k].Value(g) != rows[seqs[g]][c] {
+					t.Fatalf("seed %d: group %d key %v, but row %d holds %v", seed, g, gc[k].Value(g), seqs[g], rows[seqs[g]][c])
+				}
+			}
+		}
+	}
+	for _, groupCols := range [][]int{{0}, {}} {
+		cols, n := NewPartialAgg(groupCols, []AggSpec{{Fn: CountAgg, Col: -1}}).EmitSeqCols(Schema{{Name: "n", Type: Int}})
+		if n != 0 || len(cols) != 2 || cols[0].T != Int || cols[1].T != Int || cols[0].Len() != 0 {
+			t.Fatalf("group cols %v: an empty partial emitted %d rows over %v", groupCols, n, cols)
+		}
+	}
+}

@@ -581,8 +581,8 @@ func (p *PartialAgg) SortOrderBySeq() {
 // matching both engines. The vectors may share the partial's storage:
 // treat both as immutable afterwards.
 func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) {
-	cols = make([]Vector, len(schema))
 	if n = p.Groups(); n == 0 {
+		cols = make([]Vector, len(schema))
 		for i, c := range schema {
 			cols[i].T = c.Type
 			if len(p.groupCols) == 0 {
@@ -592,6 +592,39 @@ func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) 
 		}
 		return cols, n
 	}
+	cols = p.finalCols(schema)
+	if bySeq {
+		p.gatherSeqOrder(cols)
+	}
+	return cols, n
+}
+
+// EmitSeqCols renders the final groups as EmitCols(schema, true) does and
+// appends each group's firstSeq as a trailing Int column: a partial whose
+// groups no other partial holds emits them as a seq-ascending stream, which
+// a seq merge of such streams interleaves into the global first-seen order.
+// An empty partial emits no row, even for a global aggregate (whose one
+// group spans every partial, so it never emits this way).
+func (p *PartialAgg) EmitSeqCols(schema Schema) (cols []Vector, n int) {
+	if n = p.Groups(); n == 0 {
+		cols = make([]Vector, len(schema)+1)
+		for i, c := range schema {
+			cols[i].T = c.Type
+		}
+		cols[len(schema)].T = Int
+		return cols, 0
+	}
+	cols = append(p.finalCols(schema), Vector{T: Int, Ints: p.firstSeq()})
+	p.gatherSeqOrder(cols)
+	return cols, n
+}
+
+// finalCols renders the groups of a non-empty partial, in id order, as the
+// key columns then one column per aggregate. The vectors may share the
+// partial's storage.
+func (p *PartialAgg) finalCols(schema Schema) []Vector {
+	n := p.Groups()
+	cols := make([]Vector, len(schema))
 	nk := copy(cols, p.keys())
 	for i, a := range p.aggs {
 		st := p.cols[p.slots[i].at]
@@ -609,14 +642,18 @@ func (p *PartialAgg) EmitCols(schema Schema, bySeq bool) (cols []Vector, n int) 
 		}
 		cols[nk+i] = st
 	}
-	if bySeq {
-		if perm := p.seqOrder(); perm != nil {
-			for i := range cols {
-				cols[i] = GatherVector(&cols[i], perm)
-			}
+	return cols
+}
+
+// gatherSeqOrder reorders columns rendered from p's groups into ascending
+// (firstSeq, firstOrd) order, in place; columns already in it stay as
+// they are.
+func (p *PartialAgg) gatherSeqOrder(cols []Vector) {
+	if perm := p.seqOrder(); perm != nil {
+		for i := range cols {
+			cols[i] = GatherVector(&cols[i], perm)
 		}
 	}
-	return cols, n
 }
 
 // SplitChunks slices the partial into sub-partials of at most maxGroups

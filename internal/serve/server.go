@@ -19,10 +19,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -40,6 +43,12 @@ type Server struct {
 	limiter *rateLimiter
 	mux     *http.ServeMux
 	start   time.Time
+	// panics counts recovered handler panics; atomic, so recoverPanics
+	// never waits on mu, which the panicking handler may have held.
+	panics atomic.Uint64
+	// beforeExecute, when set, runs on every decoded /v1/sql request just
+	// before it executes: the hook tests make a request panic through.
+	beforeExecute func(*Tenant, QueryRequest)
 
 	mu            sync.Mutex
 	draining      bool
@@ -84,12 +93,12 @@ func New(eng *sql.Engine, tenants *Tenants, opt Options) *Server {
 		cap = DefaultCacheCap
 	}
 	s := &Server{
-		eng:     eng,
-		tenants: tenants,
-		cache:   NewPlanCache(cap),
-		limiter: newRateLimiter(nil),
-		mux:     http.NewServeMux(),
-		start:   time.Now(),
+		eng:       eng,
+		tenants:   tenants,
+		cache:     NewPlanCache(cap),
+		limiter:   newRateLimiter(nil),
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
 		drained:   make(chan struct{}),
 		subsStop:  make(chan struct{}),
 		tstats:    map[string]*TenantCounters{},
@@ -109,8 +118,39 @@ func New(eng *sql.Engine, tenants *Tenants, opt Options) *Server {
 	return s
 }
 
-// Handler returns the server's routing handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the server's routing handler, behind recoverPanics.
+func (s *Server) Handler() http.Handler { return s.recoverPanics(s.mux) }
+
+// recoverPanics answers a request whose handler panicked with 500 and the
+// JSON error envelope naming the route, and counts it (/metrics
+// panics_total). Without it net/http recovers the panic itself, logs it
+// and closes the connection: the client gets no status and no body. The
+// server keeps serving — every handler releases what it holds (admission,
+// the tenant's inflight slot) in defers, which run as the panic unwinds.
+// http.ErrAbortHandler is re-raised: it is how a handler asks net/http to
+// drop the connection. A handler that has already written its header (a
+// held-open stream) gets the envelope appended as a best effort.
+func (s *Server) recoverPanics(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			v := recover()
+			if v == nil {
+				return
+			}
+			if v == http.ErrAbortHandler {
+				panic(v)
+			}
+			route := r.Pattern
+			if route == "" {
+				route = r.Method + " " + r.URL.Path
+			}
+			s.panics.Add(1)
+			log.Printf("serve: panic serving %s: %v\n%s", route, v, debug.Stack())
+			writeErr(w, http.StatusInternalServerError, "serve: internal error serving %s: %v", route, v)
+		}()
+		next.ServeHTTP(w, r)
+	})
+}
 
 // Engine returns the fronted engine (tests register fixtures on it).
 func (s *Server) Engine() *sql.Engine { return s.eng }
@@ -332,6 +372,9 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 	if req.SQL == "" {
 		writeErr(w, http.StatusBadRequest, bad)
 		return
+	}
+	if s.beforeExecute != nil {
+		s.beforeExecute(tenant, req)
 	}
 	gangSlot := s.consumeGangSlot()
 	started := time.Now()
@@ -579,6 +622,9 @@ type Metrics struct {
 	Inflight      int     `json:"inflight"`
 	QueriesServed uint64  `json:"queries_served"`
 	CatalogEpoch  uint64  `json:"catalog_epoch"`
+	// PanicsTotal counts requests whose handler panicked and were
+	// answered 500 (see recoverPanics).
+	PanicsTotal uint64 `json:"panics_total"`
 	// Tenants maps tenant name to its serving totals.
 	Tenants map[string]*TenantCounters `json:"tenants"`
 	// PlanCache is the prepared-statement cache counter snapshot.
@@ -600,6 +646,7 @@ func (s *Server) MetricsSnapshot() *Metrics {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		CatalogEpoch:  s.eng.CatalogEpoch(),
 		PlanCache:     s.cache.Stats(),
+		PanicsTotal:   s.panics.Load(),
 		Tenants:       map[string]*TenantCounters{},
 	}
 	s.mu.Lock()

@@ -15,6 +15,7 @@ package wire
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/dist"
 	"repro/internal/exec"
@@ -290,18 +291,18 @@ func Rows(rel *relational.Relation) [][]any {
 // to compare server results against direct library execution. Float
 // cells render with strconv-exact precision via %v on the float64.
 func Fingerprint(r *Result) string {
-	s := ""
+	var b strings.Builder
 	for _, c := range r.Columns {
-		s += c.Name + ":" + c.Type + ";"
+		b.WriteString(c.Name + ":" + c.Type + ";")
 	}
-	s += "\n"
+	b.WriteByte('\n')
 	for _, row := range r.Rows {
 		for _, cell := range row {
-			s += fmt.Sprintf("%v|", cell)
+			fmt.Fprintf(&b, "%v|", cell)
 		}
-		s += "\n"
+		b.WriteByte('\n')
 	}
-	return s
+	return b.String()
 }
 
 // FromResult converts a library result to its wire form.

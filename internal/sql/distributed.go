@@ -7,8 +7,9 @@ package sql
 // moves. Every shard fragment is built by that shard's lowerer, with
 // filters and projections pushed below every shuffle; joins choose
 // broadcast or hash-repartition movement by a cost rule priced against
-// the fabric's path capacity; aggregates split into per-shard partials
-// merged at the coordinator in global first-seen order. Every inter-host
+// the fabric's path capacity; aggregates fold per shard and either finish
+// there, when their groups are co-placed, or ship partials the coordinator
+// merges in global first-seen order. Every inter-host
 // movement — build-side broadcasts, repartition shuffles, the final
 // gather — is charged as flows in the network simulator, so a distributed
 // plan reports rows AND simulated network time, bytes shuffled and
@@ -50,6 +51,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/exec"
@@ -71,7 +73,9 @@ type decorFn func(lw *lowerer, shard int, n execNode) (execNode, error)
 // distStream is the runtime state of the partitioned intermediate: the
 // materialized per-shard relations plus pending decorators applied when
 // the next stage builds its fragments. Every base relation and every
-// decorated stream is #seq-ascending.
+// decorated stream is #seq-ascending. Which of its visible columns have
+// their equal values on one shard is a plan-time property of the stream
+// front returns, distExec.partitioned; the aggregate planner reads it.
 type distStream struct {
 	// dx is the execution context: the per-shard lowerers fragments are
 	// built with, and the lifecycle guard fragment rounds route through
@@ -530,6 +534,32 @@ func (e *distExec) colocated(ji int) bool {
 		lt.Rel.Schema[lk].Type == rt.Rel.Schema[rk].Type
 }
 
+// partitioned returns the visible columns of the stream front returns whose
+// equal values share a shard — where a GROUP BY on one of them finds every
+// row of a group on one shard. A base leg of a hash-placed table has its
+// placement column (when pruning kept it); a local join's output has both
+// key columns, since its probe side keeps its shards and matched keys are
+// equal. Anything else has none: a range leg, a broadcast or repartition
+// output (whose movement is only chosen at run time), and anything after a
+// second join. It is a plan-time property of the stream, because Explain
+// prints the aggregate it decides without running the query.
+func (e *distExec) partitioned() []int {
+	switch {
+	case len(e.lp.joins) == 0:
+		// A range placement's KeyCol is -1: no column matches.
+		leg, t := e.lp.legs[0], e.tables[0]
+		for c := range leg.schema {
+			if leg.column(c) == t.KeyCol {
+				return []int{c}
+			}
+		}
+	case len(e.lp.joins) == 1 && e.local[0]:
+		jp := &e.lp.joins[0]
+		return []int{jp.leftCol, len(e.lp.legs[0].schema) + jp.rightCol}
+	}
+	return nil
+}
+
 func identityPicks(n int) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -623,10 +653,16 @@ func (pl *planner) newDistExec(lp *logicalPlan, p *Planned) (*distExec, error) {
 	return dx, nil
 }
 
-// planDistAggregate splits the aggregate: per-shard partials over the
-// pre-projection (pushed below the gather), a partial-state gather, and
-// the coordinator's first-seen merge feeding the single-node post-plan
-// (HAVING / ORDER BY / projection / LIMIT).
+// planDistAggregate splits the aggregate into per-shard folds over the
+// pre-projection (pushed below the gather). Which way it finishes depends
+// on where the groups live. When a group column's pre-projection passes
+// through a column the front's stream is partitioned on (partitioned), the
+// groups are disjoint across shards and each shard finishes its own
+// (planDistGroupLocal). Otherwise — a global aggregate, a group key that is
+// an expression over the placement column, any group-by over a range or
+// unplaced stream — a partial-state gather feeds the coordinator's
+// first-seen merge and the single-node post-plan (HAVING / ORDER BY /
+// projection / LIMIT).
 func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
 	ap, err := buildAggPlan(stmt, dx.lp.scope, dx.lp.schema)
 	if err != nil {
@@ -635,6 +671,12 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 	aggOutSchema, err := relational.AggOutputSchema(ap.preSchema, ap.groupCols, ap.aggSpecs)
 	if err != nil {
 		return nil, err
+	}
+	part := dx.partitioned()
+	for g := range ap.groupCols {
+		if slices.Contains(part, ap.pre[g].Col) {
+			return pl.planDistGroupLocal(stmt, p, dx, ap, aggOutSchema, stmt.GroupBy[g].Render())
+		}
 	}
 	p.Steps = append(p.Steps, fmt.Sprintf("partial aggregate per shard (%d group cols, %d aggregates)", len(ap.groupCols), len(ap.aggSpecs)))
 	p.Steps = append(p.Steps, "gather partials to coordinator; merge in first-seen order")
@@ -651,19 +693,7 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 	}
 
 	return dx.root(p, dry.Schema, func(st *distStream) (*relational.Relation, error) {
-		st.project(ap.preSchema, ap.pre)
-		// Each shard's aggregation dispatcher and budget (nil entries on
-		// the homogeneous and unbudgeted engines).
-		disps := make([]*exec.Dispatcher, len(dx.lw))
-		budgets := make([]*relational.MemoryBudget, len(dx.lw))
-		for s := range dx.lw {
-			lw := dx.lowerer(s, st.hint)
-			disps[s], budgets[s] = lw.dispatcher(exec.AggWork, 0), lw.budget
-		}
-		// The last fragment round, guarded like every other: a straggling
-		// shard's fold gets a speculative duplicate.
-		partials, err := dx.guard.RunPartialAggs(len(st.base), st.fragment,
-			dist.PartialAggSink(ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets))
+		partials, err := dx.partialAggs(st, ap)
 		if err != nil {
 			return nil, err
 		}
@@ -704,22 +734,91 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 	}), nil
 }
 
-// planDistSimple handles non-aggregate queries: the final projection (and
-// any ORDER BY key columns) computes per shard below the gather; the
-// coordinator merges by seq — exactly the serial row order — then sorts,
-// strips keys and applies LIMIT. A LIMIT also cuts every shard's stream
-// below the gather, so at most shards × LIMIT rows move: to its first
-// rows without ORDER BY, to its best rows by the keys with one.
-func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
-	sc, combined := dx.lp.scope, dx.lp.schema
-	items := selectItems(stmt, sc)
-	itemSchema, itemExprs, err := compileItems(items, sc, combined)
+// planDistGroupLocal finishes an aggregate whose groups are co-placed —
+// every row of a group on one shard — on the shards. Each shard's fold is
+// the partial-aggregate round of the gathering path, so its group states
+// are the ones that path would ship; instead each shard emits its final
+// groups in first-seen order, tagged with their first seq (the rows' global
+// order, unique across shards: join fan-out duplicates of one tag stay on
+// one shard), and runs HAVING and the shared gather tail over them in one
+// more guarded fragment round. Only the rows that can reach the result
+// cross the fabric — at most shards × LIMIT with a LIMIT — and the
+// coordinator's seq merge of the survivors is the single node's group
+// order, which its sort, top-k or limit then reads as the single node's
+// does.
+func (pl *planner) planDistGroupLocal(stmt *SelectStmt, p *Planned, dx *distExec, ap *aggPlan, aggOutSchema relational.Schema, on string) (*Planned, error) {
+	post := ap.postScope(stmt)
+	p.Steps = append(p.Steps, fmt.Sprintf("aggregate per shard (groups co-placed on %s)", on))
+	var having *planFilter
+	if stmt.Having != nil {
+		var err error
+		if having, err = compileFilter(post, stmt.Having, true); err != nil {
+			return nil, err
+		}
+		p.Steps = append(p.Steps, "having per shard: "+stmt.Having.Render())
+	}
+	schema, tail, err := dx.gatherTail(stmt, p, stmt.Items, post, aggOutSchema)
 	if err != nil {
 		return nil, err
 	}
-	keyCols, keyExprs, descs, err := compileOrderKeys(stmt.OrderBy, items, sc, combined)
+	return dx.root(p, schema, func(st *distStream) (*relational.Relation, error) {
+		partials, err := dx.partialAggs(st, ap)
+		if err != nil {
+			return nil, err
+		}
+		groups := &distStream{dx: dx, base: make([]*relational.Relation, len(partials)), schema: aggOutSchema}
+		for s, pa := range partials {
+			cols, n := pa.EmitSeqCols(aggOutSchema)
+			groups.base[s] = relational.NewColumnRelation("groups", withSeq(aggOutSchema), cols, n)
+		}
+		groups.filter(having)
+		return tail(groups)
+	}), nil
+}
+
+// partialAggs runs the aggregate's per-shard fold: st's pre-projection,
+// then a fragment round — guarded like every other, so a straggling
+// shard's fold gets a speculative duplicate — whose shards fold their
+// streams into partials on their own dispatchers and budgets.
+func (dx *distExec) partialAggs(st *distStream, ap *aggPlan) ([]*relational.PartialAgg, error) {
+	st.project(ap.preSchema, ap.pre)
+	// Each shard's aggregation dispatcher and budget (nil entries on the
+	// homogeneous and unbudgeted engines).
+	disps := make([]*exec.Dispatcher, len(dx.lw))
+	budgets := make([]*relational.MemoryBudget, len(dx.lw))
+	for s := range dx.lw {
+		lw := dx.lowerer(s, st.hint)
+		disps[s], budgets[s] = lw.dispatcher(exec.AggWork, 0), lw.budget
+	}
+	return dx.guard.RunPartialAggs(len(st.base), st.fragment,
+		dist.PartialAggSink(ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets))
+}
+
+// planDistSimple handles non-aggregate queries: the front's stream runs
+// the gather tail directly.
+func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*Planned, error) {
+	schema, tail, err := dx.gatherTail(stmt, p, selectItems(stmt, dx.lp.scope), dx.lp.scope, dx.lp.schema)
 	if err != nil {
 		return nil, err
+	}
+	return dx.root(p, schema, tail), nil
+}
+
+// gatherTail plans how a shard stream over in (bound by sc) finishes:
+// the select items (and any ORDER BY key columns) compute per shard below
+// the gather; the coordinator merges by seq — exactly the serial row order
+// — then sorts, strips keys and applies LIMIT. A LIMIT also cuts every
+// shard's stream below the gather, so at most shards × LIMIT rows move: to
+// its first rows without ORDER BY, to its best rows by the keys with one.
+// It writes the Explain lines and returns the result schema and the run.
+func (dx *distExec) gatherTail(stmt *SelectStmt, p *Planned, items []SelectItem, sc *scope, in relational.Schema) (relational.Schema, func(*distStream) (*relational.Relation, error), error) {
+	itemSchema, itemExprs, err := compileItems(items, sc, in)
+	if err != nil {
+		return nil, nil, err
+	}
+	keyCols, keyExprs, descs, err := compileOrderKeys(stmt.OrderBy, items, sc, in)
+	if err != nil {
+		return nil, nil, err
 	}
 	wideSchema := append(append(relational.Schema{}, itemSchema...), keyCols...)
 	wideExprs := append(append([]relational.ProjExpr{}, itemExprs...), keyExprs...)
@@ -740,7 +839,7 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 		p.Steps = append(p.Steps, fmt.Sprintf("limit %d", stmt.Limit))
 	}
 
-	return dx.root(p, itemSchema, func(st *distStream) (*relational.Relation, error) {
+	return itemSchema, func(st *distStream) (*relational.Relation, error) {
 		st.project(wideSchema, wideExprs)
 		if stmt.Limit >= 0 && len(keyCols) == 0 {
 			// Correct below a gather: the merged global prefix of length n
@@ -792,5 +891,5 @@ func (pl *planner) planDistSimple(stmt *SelectStmt, p *Planned, dx *distExec) (*
 			cur = lw.limit(cur, stmt.Limit)
 		}
 		return lw.drain(cur)
-	}), nil
+	}, nil
 }
