@@ -6,11 +6,12 @@
 // under a shrinking operator-state budget, from "everything fits" down to
 // 5% of the working set. At every step the rows are identical — the
 // budget models cost, not semantics — while the spill report shows the
-// engine degrading gracefully: hash joins grace-partition their build
-// tables, aggregates spill generations of group state, sorts switch to
-// external run merging, and every byte crossing the tier boundary is
-// priced by the memtier spill device (access latency + bandwidth +
-// energy). The top-k is the counter-example: ORDER BY + LIMIT keeps only
+// modeled cost degrading gracefully: every operator runs its in-memory
+// algorithm and the budget prices the spill an out-of-core run would
+// cause — grace partitions of a join's build table, generations of an
+// aggregate's group state, a sort's runs — every byte crossing the tier
+// boundary priced by the memtier spill device (access latency +
+// bandwidth + energy). The top-k is the counter-example: ORDER BY + LIMIT keeps only
 // the rows it will return, so it spills nothing at any of these budgets.
 //
 // A second act prices the same overflow against each spill tier — NVM,

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -163,8 +164,9 @@ func TestDiffGroupAgg(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := collectRows(t, ref)
-			// Under a budget the generations hash-split on every key type
-			// and width, and merge back partition by partition.
+			// Under a budget the generations price their groups by key
+			// partition on every key type and width; the rows stay the
+			// unbudgeted ones.
 			for _, limit := range diffBudgets {
 				op, err := NewBatchGroupAgg(src(), groupCols, aggs, workers)
 				if err != nil {
@@ -312,11 +314,12 @@ func TestDiffTopKUnsorted(t *testing.T) {
 	})
 }
 
-// TestSplitGroupsMatchesKeyReference: the typed partition hash of a
-// spilling generation is FNV-1a over the bytes of each key cell's
-// Value.Key() followed by a NUL — what the boxed split hashed — so every
-// group lands in the partition it always did, and partitions keep their
-// groups in first-seen order.
+// TestSplitGroupsMatchesKeyReference: the key partition a spilling
+// generation prices a group under (keyPartition) and the bucket a grace
+// join puts a Float or String key in (graceHash) are FNV-1a over the
+// bytes of each key cell's Value.Key() — the aggregate's followed by a
+// NUL per cell — so every group and every join key lands where the
+// boxed hash put it.
 func TestSplitGroupsMatchesKeyReference(t *testing.T) {
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
 	rel := NewRelation("keys", diffSchema)
@@ -332,19 +335,24 @@ func TestSplitGroupsMatchesKeyReference(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := make([][]int32, graceFanout)
 		for g := 0; g < p.Groups(); g++ {
-			var kb []byte
+			h := fnv.New64a()
 			for _, key := range p.keys() {
-				kb = append(append(kb, key.Value(g).Key()...), 0)
+				h.Write(append([]byte(key.Value(g).Key()), 0))
 			}
-			j := fnv64(string(kb)) % graceFanout
-			want[j] = append(want[j], int32(g))
+			if got, want := keyPartition(p.keys(), g), int(h.Sum64()%graceFanout); got != want {
+				t.Fatalf("group cols %v group %d: partition %d, the Key() hash puts it in %d", groupCols, g, got, want)
+			}
 		}
-		order, bounds := splitGroups(p, graceFanout)
-		for j := range want {
-			if got := order[bounds[j]:bounds[j+1]]; !slices.Equal(got, want[j]) {
-				t.Fatalf("group cols %v partition %d: groups %v, the Key() hash puts %v there", groupCols, j, got, want[j])
+	}
+	strs := rel.Columnar()[2]
+	plain := plainOf(cells(&strs)...)
+	for _, col := range []*Vector{&rel.Columnar()[1], &strs, &plain} {
+		for r := range col.Len() {
+			h := fnv.New64a()
+			h.Write([]byte(col.Value(r).Key()))
+			if got := graceHash(col, r); got != h.Sum64() {
+				t.Fatalf("%v key, row %d (%v): grace hash %x, the Key() hash %x", col.T, r, col.Value(r), got, h.Sum64())
 			}
 		}
 	}

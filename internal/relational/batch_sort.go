@@ -56,10 +56,10 @@ func (s *BatchSort) Schema() Schema { return s.child.Schema() }
 // breaker, so it dispatches once, as a single whole-input morsel.
 func (s *BatchSort) Place(d *exec.Dispatcher) { s.disp = d }
 
-// SetBudget charges the sort's materialized rows to a query memory
-// budget: on overflow the accumulated chunk becomes a sorted run spilled
-// to the tier, and the final pass k-way merges the runs (nil keeps the
-// unbudgeted engine, bit-identically).
+// SetBudget meters the sort's materialized rows against a query memory
+// budget: the rows that overflow it are priced as runs spilled to the
+// tier and read back, while the sort itself runs in memory, once, as
+// without a budget (nil keeps the unbudgeted engine, bit-identically).
 func (s *BatchSort) SetBudget(b *MemoryBudget) {
 	s.budget = b
 	s.meter = newSpillMeter(b)
@@ -98,61 +98,30 @@ func (s *BatchSort) emit(schema Schema, cols []Vector, perm []int32) {
 	s.out = windowBatches(schema, cols, len(perm))
 }
 
-// sortRun is one sorted run of the external sort: a permutation of a
-// contiguous arrival range of the input, beside the order-encoded first
-// key of each of its rows, in run order (nil under a String first key).
-type sortRun struct {
-	perm    []int32
-	k0      []uint64
-	bytes   int64
-	spilled bool
-}
-
-// externalSort is the budgeted path: rows accumulate into a chunk that
-// reserves budget bytes; when a reservation fails the chunk is sorted,
-// priced as a run written to the spill tier, and released. The final
-// chunk stays resident (hybrid — no write for state that fit), and a
-// k-way merge folds the runs back, pricing the spilled ones' read-back.
-// With no overflow this is one chunk sorted once: exactly the in-memory
-// sort, so a generous budget is row-for-row (and dispatch-for-dispatch)
-// identical to the unbudgeted engine. The budget is an accounting arena:
-// runs are ranges of the one columnar copy, never a second one.
+// externalSort is the budgeted sort: the budget meters the runs an
+// external sort would cut, and the rows sort once, in memory. Rows
+// accumulate into a run that reserves budget bytes; when a reservation
+// fails the run is priced as written to the spill tier and its
+// reservation released. The final run stays resident (hybrid — no write
+// for state that fit); once anything spilled, reading every spilled run
+// back is priced too. Then one sortPerm under one dispatch orders the
+// whole input (an empty input dispatches nothing), so every budget
+// answers row for row what the unbudgeted sort answers.
 //
 // A run ends at the first row whose reservation fails. Rows reserve a
 // BatchSize step at a time — one range sum, one Reserve — which succeeds
 // exactly when every row of the step would have reserved alone; the step
 // that fails is walked row by row to find that first row.
 func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
-	var runs []sortRun
-	var chunkBytes, reserved int64
+	var spilled []int64
+	var runBytes, reserved int64
 	lo := 0
-	flushRun := func(hi int, spill bool) error {
-		if hi == lo {
-			return nil
-		}
-		var run sortRun
-		if err := s.disp.Run(hi-lo, func() error {
-			run.perm, run.k0 = sortPerm(cols, s.keys, lo, hi)
-			return nil
-		}); err != nil {
-			return err
-		}
-		if spill {
-			s.meter.notePartition(1)
-			s.meter.chargeWrite(chunkBytes)
-		}
-		s.budget.Release(reserved)
-		run.bytes, run.spilled = chunkBytes, spill
-		runs = append(runs, run)
-		lo, chunkBytes, reserved = hi, 0, 0
-		return nil
-	}
 	sizer := NewRowSizer(cols)
 	for r := 0; r < n; {
 		step := min(r+BatchSize, n)
 		if sb := int64(sizer.RangeBytes(r, step)); s.budget.Reserve(sb) {
 			reserved += sb
-			chunkBytes += sb
+			runBytes += sb
 			r = step
 			continue
 		}
@@ -161,103 +130,33 @@ func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 			if s.budget.Reserve(rb) {
 				reserved += rb
 			} else if r > lo {
-				if err := flushRun(r, true); err != nil {
-					return nil, err
-				}
+				s.meter.notePartition(1)
+				s.meter.chargeWrite(runBytes)
+				s.budget.Release(reserved)
+				spilled = append(spilled, runBytes)
+				lo, runBytes, reserved = r, 0, 0
 				if s.budget.Reserve(rb) {
 					reserved += rb
 				}
 				// A row that alone exceeds the budget proceeds resident
 				// anyway: degradation, not a cliff.
 			}
-			chunkBytes += rb
+			runBytes += rb
 		}
 	}
-	if err := flushRun(n, false); err != nil {
-		return nil, err
+	s.budget.Release(reserved)
+	for _, b := range spilled {
+		s.meter.chargeRead(b)
 	}
-	switch len(runs) {
-	case 0:
+	if n == 0 {
 		return nil, nil
-	case 1:
-		return runs[0].perm, nil
 	}
-	return s.mergeRuns(cols, runs, n), nil
-}
-
-// mergeRuns k-way merges sorted runs through a binary heap of run heads,
-// smallest at the root. A head carries its row's order-encoded first key,
-// so most comparisons are one integer compare; a tie there falls to the
-// remaining keys and then to the run index — runs hold contiguous arrival
-// ranges in order, so the lower run's row arrived first and the merge
-// reproduces the stable sort of the whole input.
-func (s *BatchSort) mergeRuns(cols []Vector, runs []sortRun, n int) []int32 {
-	for _, r := range runs {
-		if r.spilled {
-			s.meter.chargeRead(r.bytes)
-		}
-	}
-	type head struct {
-		k0  uint64
-		run int32
-	}
-	rest := s.keys
-	if runs[0].k0 != nil {
-		rest = s.keys[1:]
-	}
-	pos := make([]int, len(runs))
-	load := func(run int32) head {
-		h := head{run: run}
-		if k0 := runs[run].k0; k0 != nil {
-			h.k0 = k0[pos[run]]
-		}
-		return h
-	}
-	// tieBefore orders two heads whose first keys tie.
-	tieBefore := func(a, b int32) bool {
-		if c := cmpKeys(rest, cols, int(runs[a].perm[pos[a]]), cols, int(runs[b].perm[pos[b]])); c != 0 {
-			return c < 0
-		}
-		return a < b
-	}
-	heap := make([]head, 0, len(runs))
-	// siftDown settles x into the subtree rooted at the hole i.
-	siftDown := func(i int, x head) {
-		for {
-			c := 2*i + 1
-			if c >= len(heap) {
-				break
-			}
-			if r := c + 1; r < len(heap) && (heap[r].k0 < heap[c].k0 || (heap[r].k0 == heap[c].k0 && tieBefore(heap[r].run, heap[c].run))) {
-				c = r
-			}
-			if x.k0 < heap[c].k0 || (x.k0 == heap[c].k0 && tieBefore(x.run, heap[c].run)) {
-				break
-			}
-			heap[i] = heap[c]
-			i = c
-		}
-		heap[i] = x
-	}
-	for i := range runs {
-		heap = append(heap, load(int32(i)))
-	}
-	for i := len(heap)/2 - 1; i >= 0; i-- {
-		siftDown(i, heap[i])
-	}
-	out := make([]int32, n)
-	for o := range out {
-		run := heap[0].run
-		out[o] = runs[run].perm[pos[run]]
-		if pos[run]++; pos[run] < len(runs[run].perm) {
-			siftDown(0, load(run))
-		} else if last := len(heap) - 1; last > 0 {
-			x := heap[last]
-			heap = heap[:last]
-			siftDown(0, x)
-		}
-	}
-	return out
+	var perm []int32
+	err := s.disp.Run(n, func() error {
+		perm, _ = sortPerm(cols, s.keys, 0, n)
+		return nil
+	})
+	return perm, err
 }
 
 // cmpKeys orders row i of a against row j of b by the sort keys (0 on a

@@ -16,8 +16,8 @@ import (
 // partition. Under a memory budget the heaps reserve the rows they keep:
 // a top-k whose k rows fit spills nothing, whatever the input's size. A
 // partition whose reservation fails stops keeping a heap and hands what
-// it holds, plus every row still to come, to the external sort — the
-// same k rows, priced as the sort prices them.
+// it holds, plus every row still to come, to the budgeted sort
+// (externalSort) — the same k rows, priced as the sort prices them.
 func NewBatchTopK(child BatchOp, keys []SortKey, k, workers int) (*BatchSort, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("relational: top-k of %d rows", k)
@@ -174,8 +174,7 @@ type topKPart struct {
 
 // topK materializes the first s.limit rows of the order through
 // per-partition heaps. Like the full sort, it dispatches once, as a
-// single whole-input morsel — unless a partition degraded, when the
-// external sort dispatches run by run.
+// single whole-input morsel.
 func (s *BatchSort) topK() error {
 	if s.limit == 0 {
 		return nil

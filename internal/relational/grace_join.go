@@ -1,5 +1,7 @@
 package relational
 
+import "strconv"
+
 // Grace partitioning parameters. Fanout 8 shrinks partitions fast (a
 // budget overrun of 8x resolves in one pass); the depth cap bounds the
 // recursion on degenerate key distributions (all rows one key) — a leaf
@@ -15,35 +17,50 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
+// fnvKey folds the bytes of cell r's Value.Key() rendering into the
+// FNV-1a hash h. Numeric cells render into a stack buffer and strings are
+// read in place: nothing is boxed.
+func fnvKey(h uint64, col *Vector, r int) uint64 {
+	var buf [32]byte
+	switch col.T {
+	case Int:
+		return fnvBytes(h, strconv.AppendInt(append(buf[:0], 'i'), col.Ints[r], 10))
+	case Float:
+		return fnvBytes(h, strconv.AppendFloat(append(buf[:0], 'f'), col.Floats[r], 'b', -1, 64))
+	default:
+		return fnvBytes((h^'s')*fnvPrime64, col.Str(r))
+	}
+}
+
+// fnvBytes folds b into the FNV-1a hash h.
+func fnvBytes[T string | []byte](h uint64, b T) uint64 {
+	for i := 0; i < len(b); i++ {
+		h = (h ^ uint64(b[i])) * fnvPrime64
 	}
 	return h
 }
 
-// graceHash hashes a join key value. Int keys avoid the Key() allocation;
-// the two paths never need to agree because Int build keys only ever
-// match Int probe values (Key() encodes the type).
-func graceHash(v Value) uint64 {
-	if v.T == Int {
-		h := uint64(v.I)
+// graceHash hashes row r of a join key column. Int keys take a mixer;
+// Float and String keys FNV-1a over their Key() bytes. The two never
+// need to agree: an Int key only ever matches an Int (Key() encodes the
+// type).
+func graceHash(col *Vector, r int) uint64 {
+	if col.T == Int {
+		h := uint64(col.Ints[r])
 		h ^= h >> 33
 		h *= 0xFF51AFD7ED558CCD
 		h ^= h >> 33
 		return h
 	}
-	return fnv64(v.Key())
+	return fnvKey(fnvOffset64, col, r)
 }
 
-// graceBucket assigns a key to one of the fanout buckets at the given
-// recursion depth. The depth salts the hash so a bucket's keys spread
-// across all children when re-partitioned, instead of collapsing into
-// one child again.
-func graceBucket(v Value, depth int) int {
-	h := graceHash(v)
+// graceBucket assigns row r of a key column to one of the fanout buckets
+// at the given recursion depth. The depth salts the hash so a bucket's
+// keys spread across all children when re-partitioned, instead of
+// collapsing into one child again.
+func graceBucket(col *Vector, r, depth int) int {
+	h := graceHash(col, r)
 	h ^= uint64(depth+1) * 0x9E3779B97F4A7C15
 	h ^= h >> 29
 	h *= 0xBF58476D1CE4E5B9
@@ -93,7 +110,7 @@ func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 	var buckets [graceFanout][]int32
 	key := &c.tab.cols[c.tab.keyCol]
 	for _, i := range idxs {
-		b := graceBucket(key.Value(int(i)), depth)
+		b := graceBucket(key, int(i), depth)
 		buckets[b] = append(buckets[b], i)
 	}
 	for bi, bucket := range buckets {
@@ -126,12 +143,13 @@ func (c *joinCore) newGraceLeaf(bytes int64, spilled bool) *graceLeaf {
 	return l
 }
 
-// routeLeaf descends the partition tree for a probe key. A nil result
-// means the key hashed to a bucket with no build rows: no match possible.
-func (c *joinCore) routeLeaf(v Value) *graceLeaf {
+// routeLeaf descends the partition tree for row r of a probe key column.
+// A nil result means the key hashed to a bucket with no build rows: no
+// match possible.
+func (c *joinCore) routeLeaf(col *Vector, r int) *graceLeaf {
 	n := c.grace
 	for {
-		b := graceBucket(v, n.depth)
+		b := graceBucket(col, r, n.depth)
 		if n.kids[b] != nil {
 			n = n.kids[b]
 			continue
@@ -163,7 +181,7 @@ func (j *BatchHashJoin) graceProbe() error {
 		}
 		pc := &b.Cols[c.probeCol]
 		for r, n := 0, b.Len(); r < n; r++ {
-			if l := c.routeLeaf(pc.Value(r)); l != nil {
+			if l := c.routeLeaf(pc, r); l != nil {
 				bufBytes[l.id] += int64(rowBytes(b.Cols, r))
 			}
 		}

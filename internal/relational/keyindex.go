@@ -153,8 +153,8 @@ func (t *intTable) reserveSpan(n int, lo, hi int64) {
 // exactly the span; when a key waits for a slot (grow), at least twice
 // the old window, twice the span and 64 slots, so a window widens
 // geometrically and keys in any order re-lay it out O(log n) times. An
-// emptied window (reset) wide enough for the keys moves to them instead,
-// keeping its room. Otherwise the table hashes — as does a window already
+// empty window wide enough for the keys (an announced span no key has
+// landed in yet) moves to them instead, keeping its room. Otherwise the table hashes — as does a window already
 // at its limit that a key missed, rather than shift once per key: a
 // growing one with room to grow, a reserve for room exactly.
 func (t *intTable) relayout(room int, lo, hi int64, grow bool) {
@@ -231,13 +231,6 @@ func windowBase(w uint64, lo int64, span uint64) int64 {
 	return lo - int64((w-1-span)/2)
 }
 
-// reset empties the table, keeping its layout and room.
-func (t *intTable) reset() {
-	clear(t.refs)
-	t.room = max(t.room, t.n)
-	t.n = 0
-}
-
 // floatKeyBits is a Float key's identity under Value.Key() equality: the
 // IEEE bits (so -0.0 and +0.0 stay distinct keys), with every NaN
 // collapsed onto one pattern (Key() renders them all "NaN").
@@ -278,8 +271,8 @@ type codeRefs struct {
 	refs []int32
 }
 
-// on points the translation at d, emptying it when it held another Dict's
-// (or was forgotten); its storage is reused.
+// on points the translation at d, emptying it when it held another
+// Dict's; its storage is reused.
 func (t *codeRefs) on(d *Dict) {
 	if t.dict != d {
 		t.switchTo(d)
@@ -367,13 +360,6 @@ func (x *keyIndex) reserve(kc []Vector, n int) {
 	}
 }
 
-// reset empties the lookup, keeping its room.
-func (x *keyIndex) reset() {
-	x.ints.reset()
-	clear(x.strs)
-	x.codes.dict = nil
-}
-
 // find returns the ref stored under row r of the key columns kc, or -1.
 func (x *keyIndex) find(kc []Vector, r int) int32 {
 	if len(kc) == 1 {
@@ -390,7 +376,7 @@ func (x *keyIndex) find(kc []Vector, r int) int32 {
 // -1. The column's type must be the type the index was built over. A
 // coded column resolves through tr, a translation the caller owns — the
 // index's own, or, for the concurrent probes of a finished join index,
-// one per probing stream; it stays valid while the index is not reset.
+// one per probing stream; it stays valid as the index grows.
 func (x *keyIndex) get(c *Vector, r int, tr *codeRefs) int32 {
 	switch {
 	case c.T == Int:

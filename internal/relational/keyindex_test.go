@@ -9,9 +9,9 @@ import (
 	"repro/internal/kernels"
 )
 
-// intTableCase drives an intTable through batches of keys, the table
-// emptied (reset) between batches. With reserve, each batch is announced
-// first, the way joinIndex.add announces a build key column.
+// intTableCase drives one intTable through batches of keys, each adding
+// to the keys the earlier ones left. With reserve, each batch is
+// announced first, the way joinIndex.add announces a build key column.
 type intTableCase struct {
 	name    string
 	batches [][]int64
@@ -63,8 +63,8 @@ func floatBits(fs ...float64) []int64 {
 
 // Exercise possible failure modes: spans that wrap or overflow int64,
 // windows pinned against either end of the range, an outlier landing in
-// a direct table, emptied tables taking keys far from their old window,
-// and Float keys whose bits are neighbours or special values.
+// a direct table, later batches taking keys far from the first one's
+// window, and Float keys whose bits are neighbours or special values.
 var intTableFailureCases = []intTableCase{
 	{name: "span wraps: MinInt64 and MaxInt64", batches: [][]int64{{math.MinInt64, math.MaxInt64, math.MinInt64, 0}}},
 	{name: "span overflows int64: MinInt64 and 0", batches: [][]int64{{math.MinInt64, 0, -1, 1, math.MinInt64 + 1}}},
@@ -73,8 +73,8 @@ var intTableFailureCases = []intTableCase{
 	{name: "dense run, far outlier, dense again", batches: [][]int64{cat(run(1, 3000, 1), []int64{1 << 40}, run(3001, 3000, 1), run(1, 6000, 1))}},
 	{name: "dense run, near outlier past the limit", batches: [][]int64{cat(run(0, 100, 1), []int64{100 + 3*1024}, run(100, 200, 1))}},
 	{name: "negative dense keys", batches: [][]int64{cat(run(-1, 5000, -1), run(-5000, 5000, 1), []int64{0, 1})}},
-	{name: "reset, then keys outside the old window", batches: [][]int64{run(0, 2000, 1), run(1_000_000, 500, 1), run(-1_000_000, 500, -3), {math.MaxInt64, math.MinInt64}, run(10, 50, 1)}},
-	{name: "reset of a hashed table, then dense keys", batches: [][]int64{run(0, 500, 1<<33), run(0, 4000, 1), run(5, 10, 1)}},
+	{name: "later batches far outside the first window", batches: [][]int64{run(0, 2000, 1), run(1_000_000, 500, 1), run(-1_000_000, 500, -3), {math.MaxInt64, math.MinInt64}, run(10, 50, 1)}},
+	{name: "hashed table, then dense keys", batches: [][]int64{run(0, 500, 1<<33), run(0, 4000, 1), run(5, 10, 1)}},
 	{name: "float keys: NaN, ±0, neighbouring bits", batches: [][]int64{
 		floatBits(math.NaN(), 0, math.Copysign(0, -1), math.Float64frombits(math.Float64bits(math.NaN())|1), math.NaN(), 1, math.Nextafter(1, 2), math.Nextafter(1, 0), math.Inf(1), math.Inf(-1), 0),
 		cat(run(math.MaxInt64-5, 6, 1), run(floatKeyBits(1), 300, 1), floatBits(math.NaN(), math.Copysign(0, -1))),
@@ -122,10 +122,8 @@ func checkIntTable(t *testing.T, c intTableCase) {
 	peak, layouts := 0, 0
 	shape := func() [2]int { return [2]int{len(tb.refs), len(tb.keys)} }
 	last := shape()
+	ref := map[int64]int32{}
 	for b, keys := range c.batches {
-		if b > 0 {
-			tb.reset()
-		}
 		if c.room > 0 {
 			tb.reserve(c.room)
 			peak = max(peak, c.room)
@@ -135,7 +133,6 @@ func checkIntTable(t *testing.T, c intTableCase) {
 			tb.reserveSpan(len(keys), lo, hi)
 			peak = max(peak, len(keys))
 		}
-		ref := map[int64]int32{}
 		absent := func(k int64) {
 			if _, ok := ref[k]; !ok {
 				if got := tb.get(k); got != -1 {
@@ -191,35 +188,11 @@ func checkIntTable(t *testing.T, c intTableCase) {
 	}
 }
 
-// TestKeyIndexResetAcceptsAnyKey: an emptied index (a spill generation,
-// a window pane) keeps its room and takes keys from any range after.
-func TestKeyIndexResetAcceptsAnyKey(t *testing.T) {
-	var x keyIndex
-	dense := []Vector{{T: Int, Ints: run(0, 1000, 1)}}
-	for r := range 1000 {
-		x.getOrPut(dense, r, int32(r))
-	}
-	if x.ints.keys != nil {
-		t.Fatal("dense keys in order did not stay direct")
-	}
-	x.reset()
-	far := []Vector{{T: Int, Ints: []int64{math.MinInt64, 1 << 62, -5, 999}}}
-	for r := range 4 {
-		if g, fresh := x.getOrPut(far, r, int32(r)); g != int32(r) || !fresh {
-			t.Fatalf("after reset, key %d: got %d, %v", far[0].Ints[r], g, fresh)
-		}
-	}
-	for r := range 1000 {
-		if r != 999 && x.find(dense, r) != -1 {
-			t.Fatalf("after reset, key %d survived", r)
-		}
-	}
-}
-
 // FuzzIntTable decodes the input as a sequence of operations on one
 // table and a map: each op byte picks where the key comes from (a small
 // step from the last key, 8 raw bytes, or the last key again) and what
-// to do with it (put, get, reset, or announce a span from it).
+// to do with it (put, get, start a fresh table, or announce a span from
+// it).
 func FuzzIntTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -262,7 +235,7 @@ func FuzzIntTable(f *testing.F) {
 					t.Fatalf("get(%d) = %d, want %d", k, got, want)
 				}
 			case 6:
-				tb.reset()
+				tb = intTable{}
 				clear(ref)
 			case 7:
 				hi := k + int64(op>>5)*1000
@@ -336,8 +309,8 @@ func stringKeySources() [3]Vector {
 // dictionary or the plain column) and what to do, and the next byte the
 // row. It puts (getOrPut), finds through the index's own code
 // translation, gets through a translation the caller owns (as a join's
-// probe stream does), or resets — in any interleaving, so the
-// translations switch dictionaries and outlive puts and resets.
+// probe stream does), or starts a fresh index — in any interleaving, so
+// the translations switch dictionaries and outlive puts.
 func FuzzStringKeyIndex(f *testing.F) {
 	f.Add([]byte{})
 	srcs := stringKeySources()
@@ -379,7 +352,7 @@ func FuzzStringKeyIndex(f *testing.F) {
 					t.Fatalf("get(%q) through the caller's translation = %d, want %d", k, got, want)
 				}
 			case 7:
-				x.reset()
+				x = keyIndex{}
 				probe = codeRefs{}
 				clear(ref)
 			}

@@ -34,10 +34,9 @@ type PartialAgg struct {
 	index   keyIndex
 	indexed int
 
-	ord   int64   // arrival counter (rows observed)
-	bytes float64 // incrementally tracked state size (see StateBytes)
+	ord int64 // arrival counter (rows observed)
 
-	gids []int32 // per-batch scratch: each row's group id
+	gids []int32 // per-batch scratch: each row's group id (SpillableAgg meters it)
 }
 
 // aggSlot locates one aggregate's state in cols. SUM keeps one vector at
@@ -80,14 +79,6 @@ func (p *PartialAgg) Groups() int {
 // Rows returns the number of input rows observed.
 func (p *PartialAgg) Rows() int64 { return p.ord }
 
-// StartOrdAt shifts the arrival counter so ordinals (and the first-seen
-// tags of groups observed from here on) continue a predecessor's
-// sequence. The out-of-core aggregation uses it when a spilled
-// generation hands over to a fresh one: tags stay globally comparable
-// across generations, which is what lets SortOrderBySeq restore the
-// stream's true first-seen order after a partition-wise merge.
-func (p *PartialAgg) StartOrdAt(n int64) { p.ord = n }
-
 // aggStateBytes is the modeled size of one aggregate's per-group state:
 // count, two sums, and min/max slots.
 const aggStateBytes = 40
@@ -95,16 +86,11 @@ const aggStateBytes = 40
 // groupStateBytes is the modeled in-memory size of one group's aggregate
 // state beyond its key. Sized at group creation (min/max growth for
 // string aggregates is not re-measured — the budget models arena
-// accounting, not malloc). The partial charges the same figure from its
+// accounting, not malloc). SpillableAgg charges the same figure from the
 // typed key columns: rowBytes plus aggStateBytes per aggregate.
 func groupStateBytes(key Row, naggs int) float64 {
 	return key.EncodedBytes() + float64(naggs)*aggStateBytes
 }
-
-// StateBytes returns the modeled resident size of the partial's hash
-// table, maintained incrementally so the out-of-core layer can charge
-// the budget per batch without rescanning the table.
-func (p *PartialAgg) StateBytes() float64 { return p.bytes }
 
 // setTypes lays out and types cols from the input columns.
 func (p *PartialAgg) setTypes(in []Vector) error {
@@ -199,13 +185,12 @@ func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
 	for c := range p.cols {
 		p.cols[c].appendCell(&o.cols[c], i)
 	}
-	p.bytes += rowBytes(o.keys(), i) + float64(len(p.aggs))*aggStateBytes
 }
 
 // AppendDisjoint adds every group of o, in o's order, as p's next groups —
 // a column-range append with nothing hashed. o's groups must be absent
-// from p: the sub-partials of one SplitChunks, the partitions of one
-// hash split. Indexing is left to ensureIndexed.
+// from p: the sub-partials of one SplitChunks. Indexing is left to
+// ensureIndexed.
 func (p *PartialAgg) AppendDisjoint(o *PartialAgg) {
 	p.ord += o.ord
 	n := o.Groups()
@@ -217,40 +202,6 @@ func (p *PartialAgg) AppendDisjoint(o *PartialAgg) {
 	for c := range p.cols {
 		p.cols[c].AppendRange(&o.cols[c], 0, n)
 	}
-	p.bytes += o.bytes
-}
-
-// gatherGroups returns a copy of the selected groups of p (state and tags
-// intact), in selection order, to be cut into windows: it carries neither
-// an arrival count nor a size.
-func (p *PartialAgg) gatherGroups(sel []int32) *PartialAgg {
-	q := p.emptyLike()
-	for c := range p.cols {
-		q.cols[c] = GatherVector(&p.cols[c], sel)
-	}
-	return q
-}
-
-// window returns groups [lo, hi) of p as a partial sharing p's storage
-// (read-only), sized from its groups; it carries no arrival count.
-func (p *PartialAgg) window(lo, hi int) *PartialAgg {
-	q := p.emptyLike()
-	for c := range p.cols {
-		q.cols[c] = p.cols[c].Slice(lo, hi)
-	}
-	q.bytes = colsBytes(q.keys(), hi-lo) + float64((hi-lo)*len(p.aggs))*aggStateBytes
-	return q
-}
-
-// reset empties p, keeping its layout and the room its vectors and
-// lookup have grown to.
-func (p *PartialAgg) reset() {
-	for c := range p.cols {
-		v := &p.cols[c]
-		v.Ints, v.Floats, v.Strs, v.Codes = v.Ints[:0], v.Floats[:0], v.Strs[:0], v.Codes[:0]
-	}
-	p.index.reset()
-	p.indexed, p.ord, p.bytes = 0, 0, 0
 }
 
 // ObserveBatch folds one batch into the partial. seqCol >= 0 names an Int
@@ -352,7 +303,6 @@ func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r, seqCol int) {
 		}
 	}
 	p.indexed++
-	p.bytes += rowBytes(kc, r) + float64(len(p.aggs))*aggStateBytes
 }
 
 // observeExtremes folds a column into the per-group MIN and MAX.
@@ -389,7 +339,7 @@ func observeExtremes(lo, hi, col *Vector, gids []int32) {
 // keep observing while the original is read.
 func (p *PartialAgg) Clone() *PartialAgg {
 	q := p.emptyLike()
-	q.ord, q.bytes = p.ord, p.bytes
+	q.ord = p.ord
 	for c := range p.cols {
 		q.cols[c] = p.cols[c].clone()
 	}
@@ -403,8 +353,20 @@ func (p *PartialAgg) Clone() *PartialAgg {
 // order when partition i's rows precede partition i+1's. o is only read.
 func (p *PartialAgg) MergeFrom(o *PartialAgg) {
 	p.ord += o.ord
-	if o.cols != nil {
-		p.mergeGroups(o, o.Groups(), nil)
+	if o.cols == nil {
+		return
+	}
+	p.layoutLike(o)
+	p.ensureIndexed()
+	okeys := o.keys()
+	for i := range o.Groups() {
+		g, fresh := p.index.getOrPut(okeys, i, int32(len(p.count())))
+		if fresh {
+			p.appendGroup(o, i)
+			p.indexed++
+			continue
+		}
+		p.foldGroup(int(g), o, i)
 	}
 }
 
@@ -481,29 +443,7 @@ func MergeAll(parts []*PartialAgg) *PartialAgg {
 			out.cols[c].AppendGather(&live[k+1].cols[c], sel)
 		}
 	}
-	out.bytes = colsBytes(out.keys(), n) + float64(n*len(out.aggs))*aggStateBytes
 	return out
-}
-
-// mergeGroups folds n groups of o into p as MergeFrom does: groups
-// sel[0..n) in that order, or groups 0..n when sel is nil.
-func (p *PartialAgg) mergeGroups(o *PartialAgg, n int, sel []int32) {
-	p.layoutLike(o)
-	p.ensureIndexed()
-	okeys := o.keys()
-	for x := 0; x < n; x++ {
-		i := x
-		if sel != nil {
-			i = int(sel[x])
-		}
-		g, fresh := p.index.getOrPut(okeys, i, int32(len(p.count())))
-		if fresh {
-			p.appendGroup(o, i)
-			p.indexed++
-			continue
-		}
-		p.foldGroup(int(g), o, i)
-	}
 }
 
 // foldGroup folds group i of o into p's group g: the counts and states
@@ -555,21 +495,6 @@ func (p *PartialAgg) seqOrder() []int32 {
 		}
 	}
 	return perm
-}
-
-// SortOrderBySeq renumbers the groups by their (firstSeq, firstOrd) tags
-// — a no-op on a partial built sequentially, and the order-restoring step
-// after merging spilled generations whose groups arrived interleaved.
-func (p *PartialAgg) SortOrderBySeq() {
-	if p.cols == nil {
-		return
-	}
-	if perm := p.seqOrder(); perm != nil {
-		for c := range p.cols {
-			p.cols[c] = GatherVector(&p.cols[c], perm)
-		}
-		p.index, p.indexed = keyIndex{}, 0
-	}
 }
 
 // EmitCols renders the final aggregate as columns: group keys then one
@@ -675,7 +600,10 @@ func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
 	var subs []*PartialAgg
 	for lo := 0; lo < n; lo += maxGroups {
 		hi := min(lo+maxGroups, n)
-		sub := p.window(lo, hi)
+		sub := p.emptyLike()
+		for c := range p.cols {
+			sub.cols[c] = p.cols[c].Slice(lo, hi)
+		}
 		if lo == 0 {
 			sub.ord = p.ord
 		}

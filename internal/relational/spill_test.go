@@ -1,6 +1,10 @@
 package relational
 
 import (
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 )
 
@@ -14,7 +18,7 @@ import (
 // SpillDevice with nonzero, deterministic coefficients.
 type flatDev struct{}
 
-func (flatDev) Tier() string                  { return "test" }
+func (flatDev) Tier() string                   { return "test" }
 func (flatDev) WriteSeconds(b float64) float64 { return b * 2e-9 }
 func (flatDev) ReadSeconds(b float64) float64  { return b * 1e-9 }
 func (flatDev) AccessJoules(b float64) float64 { return b * 1e-10 }
@@ -165,7 +169,7 @@ func TestSpillBudgetAccounting(t *testing.T) {
 
 	// A nil budget is the unbudgeted no-op everywhere.
 	var nb *MemoryBudget
-	if !nb.Reserve(1 << 40) || nb.Fork() != nil || nb.Used() != 0 || nb.Stats().Active() {
+	if !nb.Reserve(1<<40) || nb.Fork() != nil || nb.Used() != 0 || nb.Stats().Active() {
 		t.Fatal("nil budget must be a universal no-op")
 	}
 }
@@ -211,5 +215,166 @@ func TestExternalSortStepsKeepRowBoundaries(t *testing.T) {
 		if st == nil || st.Partitions != runs || st.SpilledBytes != spilled {
 			t.Fatalf("limit %d: spilled %+v, row-by-row accounting spills %d runs, %d bytes", limit, st, runs, spilled)
 		}
+	}
+}
+
+// byteDev prices a spilled byte at one second each way, so a stats
+// report's WriteSeconds and ReadSeconds are its write and read bytes.
+type byteDev struct{}
+
+func (byteDev) Tier() string                   { return "bytes" }
+func (byteDev) WriteSeconds(b float64) float64 { return b }
+func (byteDev) ReadSeconds(b float64) float64  { return b }
+func (byteDev) AccessJoules(float64) float64   { return 0 }
+
+// meteredAggRel draws skewed group keys, so groups recur across
+// generations, in four key forms: Int, Float (NaN in two payloads, ±0,
+// ±Inf), a coded String and a plain String.
+func meteredAggRel() *Relation {
+	rng := rand.New(rand.NewSource(5))
+	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
+	specials := []float64{math.NaN(), nan2, 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	n := 5*BatchSize + 300
+	cols := []Vector{{T: Int}, {T: Float}, {}, {T: String}, {T: Float}}
+	coded := make([]string, n)
+	for i := range n {
+		d := rng.Intn(rng.Intn(3000) + 1)
+		f := float64(d) * 0.37
+		if d < len(specials) {
+			f = specials[d]
+		}
+		cols[0].Ints = append(cols[0].Ints, int64(d)*7919-1<<40)
+		cols[1].Floats = append(cols[1].Floats, f)
+		coded[i] = "k" + strconv.Itoa(d%500)
+		cols[3].Strs = append(cols[3].Strs, "plain-"+strconv.Itoa(d))
+		cols[4].Floats = append(cols[4].Floats, rng.Float64()*100)
+	}
+	cols[2] = StringVector(coded)
+	schema := Schema{{Name: "ki", Type: Int}, {Name: "kf", Type: Float}, {Name: "ks", Type: String}, {Name: "kp", Type: String}, {Name: "v", Type: Float}}
+	return NewColumnRelation("metered", schema, cols, n)
+}
+
+// aggSpillModel replays the metered aggregate's generations row by row:
+// a group charges the generation its state bytes the first time the
+// generation sees it; a batch after which the generation's charge
+// exceeds the budget spills the generation's groups, one partition per
+// non-empty key partition (FNV-1a over each key cell's Key() and a NUL).
+// Every spilled partition is read back once.
+func aggSpillModel(rel *Relation, groupCols []int, naggs int, limit int64) (parts int, spilled, state int64) {
+	rows := rel.RowView()
+	seen, all := map[string]bool{}, map[string]bool{}
+	var gen int64
+	var part [graceFanout]int64
+	for lo := 0; lo < len(rows); lo += BatchSize {
+		for _, row := range rows[lo:min(lo+BatchSize, len(rows))] {
+			key := make(Row, len(groupCols))
+			var id []byte
+			for i, c := range groupCols {
+				key[i] = row[c]
+				id = append(append(id, row[c].Key()...), 0)
+			}
+			b := int64(groupStateBytes(key, naggs))
+			if !all[string(id)] {
+				all[string(id)] = true
+				state += b
+			}
+			if seen[string(id)] {
+				continue
+			}
+			seen[string(id)] = true
+			h := fnv.New64a()
+			h.Write(id)
+			part[h.Sum64()%graceFanout] += b
+			gen += b
+		}
+		if gen > limit {
+			for _, b := range part {
+				if b > 0 {
+					parts++
+					spilled += b
+				}
+			}
+			seen, gen, part = map[string]bool{}, 0, [graceFanout]int64{}
+		}
+	}
+	return parts, spilled, state
+}
+
+// TestSpillAggMatchesGenerationModel: at one worker the metered aggregate
+// spills the partitions, bytes and read-backs the row-by-row generation
+// model predicts, at budgets from below one group to the whole state, over
+// Int, Float, coded and plain String keys and a two-column key — and
+// answers the unbudgeted rows bit for bit. A streaming pane's Snapshot
+// prices the same reads on every call.
+func TestSpillAggMatchesGenerationModel(t *testing.T) {
+	rel := meteredAggRel()
+	aggs := []AggSpec{{Fn: CountAgg, Col: -1, Name: "n"}, {Fn: SumAgg, Col: 4, Name: "s"}, {Fn: AvgAgg, Col: 4, Name: "a"}}
+	for _, groupCols := range [][]int{{0}, {1}, {2}, {3}, {2, 0}} {
+		ref, err := NewBatchGroupAgg(NewBatchScan(rel), groupCols, aggs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := collectRows(t, RowsOf(ref))
+		_, _, state := aggSpillModel(rel, groupCols, len(aggs), 0)
+		for _, limit := range []int64{16, state / 8, state / 3, state / 2, 3 * state / 4, state} {
+			parts, spilled, _ := aggSpillModel(rel, groupCols, len(aggs), limit)
+			op, err := NewBatchGroupAgg(NewBatchScan(rel), groupCols, aggs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			op.SetBudget(NewMemoryBudget(limit, byteDev{}))
+			requireIdenticalRows(t, want, collectRows(t, RowsOf(op)))
+			st := op.Stats().Spill
+			if parts == 0 {
+				if st != nil {
+					t.Fatalf("cols %v limit %d: spilled %+v, the model spills nothing", groupCols, limit, st)
+				}
+				continue
+			}
+			if st == nil || st.Partitions != parts || st.SpilledBytes != spilled ||
+				st.WriteSeconds != float64(spilled) || st.ReadSeconds != float64(spilled) {
+				t.Fatalf("cols %v limit %d: spilled %+v, the model spills %d partitions, %d bytes, all read back",
+					groupCols, limit, st, parts, spilled)
+			}
+		}
+	}
+
+	// A pane snapshotted once per covering window, still taking events.
+	groupCols := []int{2, 1}
+	budget := NewMemoryBudget(2<<10, byteDev{})
+	pane := NewSpillableAgg(groupCols, aggs, budget, nil)
+	whole := NewPartialAgg(groupCols, aggs)
+	schema, err := groupAggSchema(rel.Schema, groupCols, aggs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emit := func(p *PartialAgg) []Row {
+		cols, n := p.EmitCols(schema, false)
+		return appendRows(nil, cols, n)
+	}
+	batches := cutBatches(rel, BatchSize).batches
+	var read float64
+	for i, b := range batches {
+		if err := pane.ObserveBatch(b, -1); err != nil {
+			t.Fatal(err)
+		}
+		if err := whole.ObserveBatch(b, -1); err != nil {
+			t.Fatal(err)
+		}
+		want := emit(whole)
+		var reads [2]float64
+		for k := range reads {
+			before := budget.Stats().ReadSeconds
+			snap := pane.Snapshot()
+			reads[k] = budget.Stats().ReadSeconds - before
+			requireIdenticalRows(t, want, emit(snap))
+		}
+		if spilled := float64(budget.Stats().SpilledBytes); reads[0] != spilled || reads[1] != spilled {
+			t.Fatalf("batch %d: two snapshots read %v bytes back, %v were spilled", i, reads, spilled)
+		}
+		read = reads[0]
+	}
+	if read == 0 {
+		t.Fatal("the pane never spilled")
 	}
 }

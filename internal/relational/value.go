@@ -23,9 +23,10 @@
 // at the edges (Str, Value), and byte counts read the decoded strings. The
 // sort encodes numeric keys to order-preserving uint64s and radix-sorts a
 // row-id permutation (sortPerm); ORDER BY + LIMIT is a bounded heap per
-// partition (NewBatchTopK). Under a MemoryBudget the same operators go out
-// of core (grace join, generation-spilling aggregation, external sort)
-// with the spill priced on a modeled storage tier.
+// partition (NewBatchTopK). A MemoryBudget is a meter: the same operators
+// run their in-memory algorithms and the budget prices, on a modeled
+// storage tier, the spill an out-of-core run would cause (grace join
+// partitions, aggregate generations, sort runs).
 //
 // A Relation is built from rows or from columns, grows only by
 // ExtendColumns (Extend is its row form) — a new column-built snapshot

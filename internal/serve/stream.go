@@ -51,8 +51,8 @@ type IngestResponse struct {
 	Tenant string `json:"tenant"`
 	Table  string `json:"table"`
 	// Start is the row offset the batch landed at.
-	Start int64 `json:"start"`
-	Rows  int   `json:"rows"`
+	Start int64   `json:"start"`
+	Rows  int     `json:"rows"`
 	Bytes float64 `json:"bytes"`
 	// NetSeconds is the modeled fabric time the ingest flows took
 	// (0 single-node).

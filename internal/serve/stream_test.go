@@ -166,8 +166,8 @@ func TestServeStreamBadRequests(t *testing.T) {
 		{StreamRequest{SQL: "SELECT k FROM events"}, http.StatusBadRequest}, // no window
 		{StreamRequest{Table: "nope", Rows: [][]any{{"a", 1, 2}}}, http.StatusUnprocessableEntity},
 		{StreamRequest{Table: "events", Rows: [][]any{{"a", "not-int", 2}}}, http.StatusUnprocessableEntity},
-		{StreamRequest{Table: "events", Rows: [][]any{{"a", 1}}}, http.StatusUnprocessableEntity}, // arity
-		{StreamRequest{SQL: "SELECT k FROM events", Window: &WindowRequest{TimeCol: "t", Size: 8}}, http.StatusUnprocessableEntity}, // non-aggregate
+		{StreamRequest{Table: "events", Rows: [][]any{{"a", 1}}}, http.StatusUnprocessableEntity},                                                             // arity
+		{StreamRequest{SQL: "SELECT k FROM events", Window: &WindowRequest{TimeCol: "t", Size: 8}}, http.StatusUnprocessableEntity},                           // non-aggregate
 		{StreamRequest{SQL: "SELECT k, COUNT(*) AS n FROM events GROUP BY k", Window: &WindowRequest{TimeCol: "k", Size: 8}}, http.StatusUnprocessableEntity}, // String time col
 	}
 	for i, c := range cases {

@@ -112,17 +112,17 @@ func FromIngest(s stream.IngestStats) *StreamStats {
 
 // NetStats mirrors dist.QueryStats.
 type NetStats struct {
-	Shards         int         `json:"shards"`
-	Topology       string      `json:"topology"`
-	Flows          int         `json:"flows"`
-	BytesShuffled  float64     `json:"bytes_shuffled"`
-	NetSeconds     float64     `json:"net_seconds"`
-	ComputeSeconds float64     `json:"compute_seconds,omitempty"`
-	OverlapSeconds float64     `json:"overlap_seconds,omitempty"`
-	WallSeconds    float64     `json:"wall_seconds"`
-	SpillSeconds   float64     `json:"spill_seconds,omitempty"`
-	MeanLinkUtil   float64     `json:"mean_link_util"`
-	MaxLinkUtil    float64     `json:"max_link_util"`
+	Shards         int     `json:"shards"`
+	Topology       string  `json:"topology"`
+	Flows          int     `json:"flows"`
+	BytesShuffled  float64 `json:"bytes_shuffled"`
+	NetSeconds     float64 `json:"net_seconds"`
+	ComputeSeconds float64 `json:"compute_seconds,omitempty"`
+	OverlapSeconds float64 `json:"overlap_seconds,omitempty"`
+	WallSeconds    float64 `json:"wall_seconds"`
+	SpillSeconds   float64 `json:"spill_seconds,omitempty"`
+	MeanLinkUtil   float64 `json:"mean_link_util"`
+	MaxLinkUtil    float64 `json:"max_link_util"`
 	// Recovery fields are nonzero only when the elastic lifecycle layer
 	// had to repair the query: modeled seconds spent re-shipping and
 	// re-deriving lost data, fragments re-dispatched off a dead host, and

@@ -82,13 +82,15 @@ type Config struct {
 	Placement string
 	// MemoryBudget caps the bytes of operator state (hash-join build
 	// tables, partial-aggregate maps, sort runs) a query may hold
-	// resident at once. When an operator's reservation would exceed it,
-	// the operator goes out-of-core: state partitions to the SpillTier
-	// (grace hash partitioning for joins and aggregates, external run
-	// merging for sorts) and the modeled tier I/O is charged into
-	// OpStats.Spill and Result.Spill. Like Devices, the budget models
-	// cost without changing semantics: results are row-for-row identical
-	// at every budget, and 0 (the default) is the unbudgeted engine,
+	// resident at once. It is a meter: every operator runs its in-memory
+	// algorithm, and when a reservation would exceed the budget the
+	// state that did not fit is priced as written to the SpillTier and
+	// read back (grace hash partitions for joins, key partitions of a
+	// spilled generation for aggregates, runs for sorts), the modeled
+	// tier I/O charged into OpStats.Spill and Result.Spill. Like Devices,
+	// the budget models cost without changing semantics: results are
+	// bit-identical at every budget, float sums included, and 0 (the
+	// default) is the unbudgeted engine,
 	// bit-identical with pre-budget code paths. A distributed query forks
 	// the budget per shard host and charges the coordinator's post-gather
 	// operators to the query budget itself — one spill model, the batch

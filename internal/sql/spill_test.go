@@ -15,10 +15,11 @@ import (
 // distributed paths, while the spill report prices what crossed the
 // tier boundary.
 
-// spillQueries hit each spilling operator with exact Int aggregates:
-// integer sums re-associate exactly, so grace partitioning and
-// generation merges can reorder the arithmetic without a float fuzz
-// tolerance hiding a real row mismatch.
+// spillQueries hit each spilling operator. Their aggregates are Int,
+// so the parity sweep across engines (where worker counts and shard
+// merges re-associate float sums) compares exact rows; a budget alone
+// re-associates nothing — TestSpillFloatAggregatesExact holds budgeted
+// Float sums and averages to the unbudgeted engine's bits.
 var spillQueries = []string{
 	// hash join: the customers build table is what overflows.
 	"SELECT c.segment, COUNT(*) AS n, SUM(s.quantity) AS qty " +
@@ -136,6 +137,50 @@ func TestSpillParity(t *testing.T) {
 				if res.Spill.SpilledBytes <= 0 || res.Spill.WriteSeconds <= 0 || res.Spill.EnergyJ <= 0 {
 					t.Fatalf("%s: degenerate spill pricing: %+v", path.name, res.Spill)
 				}
+			}
+		}
+	}
+}
+
+// TestSpillFloatAggregatesExact: a memory budget meters the aggregate
+// and changes none of its arithmetic, so a Float SUM and AVG under the
+// half, tenth and one-batch budgets equal the unbudgeted engine's cells
+// bit for bit — compared with reflect.DeepEqual, no float tolerance — on
+// the parallel engine at one and two workers and on the distributed one
+// under bulk and chunked movement. The one-batch budget must spill.
+func TestSpillFloatAggregatesExact(t *testing.T) {
+	const q = "SELECT customer_id, SUM(price) AS revenue, AVG(discount) AS disc, COUNT(*) AS n FROM sales GROUP BY customer_id"
+	sales, _ := spillEngine(t, 0, nil).Table("sales")
+	workingSet := int64(sales.EncodedBytes())
+	for _, path := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"workers=1", func(cfg *Config) { cfg.Workers = 1 }},
+		{"workers=2", func(cfg *Config) { cfg.Workers = 2 }},
+		{"dist-bulk", func(cfg *Config) { cfg.Distributed, cfg.Shards = true, 4 }},
+		{"dist-chunked", func(cfg *Config) { cfg.Distributed, cfg.Shards, cfg.PipelineChunkRows = true, 4, 1024 }},
+	} {
+		want := querySpill(t, spillEngine(t, 0, path.mutate), q).Rows.RowView()
+		for _, budget := range []struct {
+			name  string
+			bytes int64
+		}{
+			{"half", workingSet / 2},
+			{"tenth", workingSet / 10},
+			{"one-batch", 32 << 10},
+		} {
+			res := querySpill(t, spillEngine(t, budget.bytes, path.mutate), q)
+			if got := res.Rows.RowView(); !reflect.DeepEqual(want, got) {
+				for i := range min(len(want), len(got)) {
+					if !reflect.DeepEqual(want[i], got[i]) {
+						t.Fatalf("%s/%s: row %d is %v, unbudgeted %v", path.name, budget.name, i, got[i], want[i])
+					}
+				}
+				t.Fatalf("%s/%s: %d rows, unbudgeted %d", path.name, budget.name, len(got), len(want))
+			}
+			if budget.name == "one-batch" && !res.Spill.Active() {
+				t.Fatalf("%s: one-batch budget never spilled: %+v", path.name, res.Spill)
 			}
 		}
 	}

@@ -23,9 +23,9 @@
 //     and projection; events fold into per-pane partial aggregates (pane
 //     width = gcd(size, slide)), and a closing window merges deep-copied
 //     pane snapshots — reusing the PartialAgg/SpillableAgg machinery the
-//     batch and distributed engines already share, so budgeted
-//     subscriptions spill window state to the tiered store exactly like
-//     budgeted queries do.
+//     batch and distributed engines already share, so a budget prices
+//     the spill of window state to the tiered store exactly as it does
+//     a budgeted query's.
 //     Emission is watermark-driven (watermark = max event time seen
 //     minus the allowed lateness); events behind the watermark but
 //     inside a still-open window are accepted and counted late, events

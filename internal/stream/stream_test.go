@@ -406,12 +406,12 @@ func TestSubscriptionCancel(t *testing.T) {
 // TestWindowSpecValidation: the rejection matrix of normalize.
 func TestWindowSpecValidation(t *testing.T) {
 	bad := []WindowSpec{
-		{Size: 10},                                // no time column
-		{TimeCol: "t"},                            // no size
-		{TimeCol: "t", Size: -1},                  // negative size
-		{TimeCol: "t", Size: 4, Slide: 8},         // sampling gap
-		{TimeCol: "t", Size: 4, Slide: -2},        // negative slide
-		{TimeCol: "t", Size: 4, Lateness: -1},     // negative lateness
+		{Size: 10},                            // no time column
+		{TimeCol: "t"},                        // no size
+		{TimeCol: "t", Size: -1},              // negative size
+		{TimeCol: "t", Size: 4, Slide: 8},     // sampling gap
+		{TimeCol: "t", Size: 4, Slide: -2},    // negative slide
+		{TimeCol: "t", Size: 4, Lateness: -1}, // negative lateness
 	}
 	for _, s := range bad {
 		if _, err := s.normalize(); err == nil {
