@@ -359,18 +359,28 @@ func MergeBySeq(name string, shards []*relational.Relation, seqCol int, strip bo
 // bucket in seqCol order (ties between sources in source order, so
 // fan-out duplicates keep their order). It returns the per-destination
 // relations plus the transfers crossing the fabric (rows whose bucket is
-// their current shard move no bytes).
+// their current shard move no bytes): RepartitionChunks' one covering
+// chunk.
 func Repartition(shards []*relational.Relation, keyCol, seqCol int) ([]*relational.Relation, []Transfer) {
-	dests, transfers, _ := repartition(shards, keyCol, seqCol)
-	return dests, transfers
+	dests, chunks, _ := RepartitionChunks(shards, keyCol, seqCol, 0)
+	return dests, coveringTransfers(chunks)
 }
 
-// repartition is Repartition, also returning every source row's
-// destination (place[src][row]) for the chunked form's byte accounting.
-// Each (source, destination) pair gets the ascending selection vector of
-// the source rows bound there; a destination's bucket is the seq merge of
-// its selections, gathered run by run.
-func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*relational.Relation, transfers []Transfer, place [][]int32) {
+// coveringTransfers returns the transfers of a chunker's one covering
+// chunk, or nil when the payload was empty and there is no chunk.
+func coveringTransfers(chunks []Chunk) []Transfer {
+	if len(chunks) == 0 {
+		return nil
+	}
+	return chunks[0].Transfers
+}
+
+// repartition computes every source row's destination (place[src][row])
+// and the seq-ordered destination relations. Each (source, destination)
+// pair gets the ascending selection vector of the source rows bound
+// there; a destination's bucket is the seq merge of its selections,
+// gathered run by run.
+func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*relational.Relation, place [][]int32) {
 	s := len(shards)
 	place = make([][]int32, s)
 	sels := make([][][]int32, s)
@@ -379,19 +389,9 @@ func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*re
 		cols := rel.Columnar()
 		srcCols[src] = cols
 		place[src] = destinations(&cols[keyCol], rel.Len(), s)
-		sizer := relational.NewRowSizer(cols)
 		sels[src] = make([][]int32, s)
-		bytesTo := make([]int, s)
 		for r, d := range place[src] {
 			sels[src][d] = append(sels[src][d], int32(r))
-			if int(d) != src {
-				bytesTo[d] += sizer.Bytes(r)
-			}
-		}
-		for d, b := range bytesTo {
-			if b > 0 {
-				transfers = append(transfers, Transfer{Src: src, Dst: d, Bytes: float64(b)})
-			}
 		}
 	}
 	dests = make([]*relational.Relation, s)
@@ -411,27 +411,15 @@ func repartition(shards []*relational.Relation, keyCol, seqCol int) (dests []*re
 		})
 		dests[d] = relational.NewColumnRelation(shards[0].Name, shards[0].Schema, cols, total)
 	}
-	return dests, transfers, place
+	return dests, place
 }
 
 // Broadcast replicates the union of the shard relations to every worker:
 // it returns the seq-merged relation (the build side every shard will
 // probe against, in exact serial order, seq column stripped when strip —
 // one set of immutable vectors all shards share) plus the all-to-all
-// transfer list.
+// transfer list: BroadcastChunksCols' one covering chunk.
 func Broadcast(shards []*relational.Relation, seqCol int, strip bool) (*relational.Relation, []Transfer) {
-	merged := MergeBySeq(shards[0].Name, shards, seqCol, strip)
-	var transfers []Transfer
-	for src, rel := range shards {
-		b := rel.EncodedBytes()
-		if b <= 0 {
-			continue
-		}
-		for dst := range shards {
-			if dst != src {
-				transfers = append(transfers, Transfer{Src: src, Dst: dst, Bytes: b})
-			}
-		}
-	}
-	return merged, transfers
+	merged, chunks, _ := BroadcastChunksCols(shards, seqCol, strip, 0)
+	return merged, coveringTransfers(chunks)
 }

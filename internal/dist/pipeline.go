@@ -193,12 +193,12 @@ func seqVectors(shards []*relational.Relation, seqCol int) (seqs [][]int64, maxR
 // the seq-sorted bucket dests[d] a consumer may digest after chunk g:
 // the rows below the landed-seq watermark, which is what lets an
 // incremental hash build insert in the bulk build's exact order while
-// later chunks are still in flight. The per-(src,dst) chunk bytes sum
-// to the bulk transfer bytes exactly (byte counts are integers, so
-// summation order cannot perturb them), and a single covering chunk
-// emits the bulk transfer list bit-for-bit.
+// later chunks are still in flight. A chunk size of 0 is one covering
+// chunk, whose transfers are Repartition's; the per-(src,dst) bytes of
+// any chunking sum to them exactly (byte counts are integers, so
+// summation order cannot perturb them).
 func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk, cum [][]int) {
-	dests, _, place := repartition(shards, keyCol, seqCol)
+	dests, place := repartition(shards, keyCol, seqCol)
 	s := len(shards)
 	seqs, maxRows := seqVectors(shards, seqCol)
 	if maxRows == 0 {
@@ -251,17 +251,17 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 	return dests, chunks, cum
 }
 
-// BroadcastChunksCols is Broadcast split into pipelined chunks. merged
-// is identical to the bulk path's seq-merged build side; chunk g carries
+// BroadcastChunksCols is Broadcast split into pipelined chunks; a chunk
+// size of 0 is one covering chunk, whose transfers are Broadcast's.
+// merged is the seq-merged build side at every chunk size; chunk g carries
 // every source's local rows [g·chunkRows, (g+1)·chunkRows) to every
 // other shard — striped across sources like RepartitionChunks, so all
 // uplinks transmit in parallel within each sub-round. bounds[g] is the
 // prefix of merged a consumer may digest after chunk g (the rows below
 // the landed-seq watermark; counted against the unstripped shards, so
 // it works whether or not merged kept the seq column). The per-source
-// bytes across chunks sum to the bulk per-source relation bytes
-// exactly, and byte accounting is done pre-strip (the wire carries the
-// seq column, as in the bulk path).
+// bytes across chunks sum to the per-source relation bytes exactly, and
+// byte accounting is done pre-strip (the wire carries the seq column).
 func BroadcastChunksCols(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
 	merged = MergeBySeq(shards[0].Name, shards, seqCol, strip)
 	total := merged.Len()

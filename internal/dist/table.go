@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"strconv"
 	"sync"
 
 	"repro/internal/relational"
@@ -241,58 +240,13 @@ func AppendTransfers(rel *relational.Relation, start, shards int, strategy Strat
 	return transfers
 }
 
-// FNV-1a over a value's type-tagged key form — the byte sequence of
-// Value.Key(): 'i' + decimal, 'f' + the 'b' float format, 's' + the
-// string — shared by table sharding and shuffle repartitioning so both
-// place equal keys identically. The bytes are formatted into a stack
-// buffer and strings are hashed in place: no allocation per row.
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
-}
-
-func hashInt(v int64) uint64 {
-	var buf [24]byte
-	return fnvBytes(fnvOffset, strconv.AppendInt(append(buf[:0], 'i'), v, 10))
-}
-
-func hashFloat(v float64) uint64 {
-	var buf [32]byte
-	return fnvBytes(fnvOffset, strconv.AppendFloat(append(buf[:0], 'f'), v, 'b', -1, 64))
-}
-
-func hashString(v string) uint64 {
-	h := fnvBytes(fnvOffset, []byte{'s'})
-	for i := 0; i < len(v); i++ {
-		h = (h ^ uint64(v[i])) * fnvPrime
-	}
-	return h
-}
-
 // destinations returns, for each of the first n cells of key, the shard
-// (of s) its hash places it on: one typed loop per vector.
+// (of s) its hash places it on: relational.FNVKey, the engine's one key
+// hash, so sharding and shuffle repartitioning place equal keys alike.
 func destinations(key *relational.Vector, n, s int) []int32 {
 	out := make([]int32, n)
-	switch key.T {
-	case relational.Int:
-		for i, v := range key.Ints[:n] {
-			out[i] = int32(hashInt(v) % uint64(s))
-		}
-	case relational.Float:
-		for i, v := range key.Floats[:n] {
-			out[i] = int32(hashFloat(v) % uint64(s))
-		}
-	default:
-		for i := range n {
-			out[i] = int32(hashString(key.Str(i)) % uint64(s))
-		}
+	for i := range out {
+		out[i] = int32(relational.FNVKey(relational.FNVOffset, key, i) % uint64(s))
 	}
 	return out
 }

@@ -42,17 +42,10 @@ func (m *Manager) NewGuard(qr *dist.QueryRun) *Guard {
 // re-shipped from replicas in a "recover:" phase and the recovery cost
 // is measured into the query's stats.
 func (g *Guard) RunPhase(name string, transfers []dist.Transfer, class string, weightScale float64) error {
-	idx := g.phase
-	g.phase++
-	evs := g.m.claimPhaseEvents(idx)
-	if err := g.applyLinkFaults(evs); err != nil {
+	return g.step(name, func() error {
+		_, err := g.qr.RunPhaseMeasured(name, transfers, class, weightScale)
 		return err
-	}
-	_, err := g.qr.RunPhaseMeasured(name, transfers, class, weightScale)
-	if err != nil {
-		return err
-	}
-	return g.applyKills(name, evs, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
+	}, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
 		return lostTransfers(transfers, g.preResolve(transfers), deadNode, killFrac(ev))
 	})
 }
@@ -63,16 +56,9 @@ func (g *Guard) RunPhase(name string, transfers []dist.Transfer, class string, w
 // it), data from the dead host is lost for chunks at or past the death
 // point (earlier chunks were already delivered and consumed).
 func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
-	idx := g.phase
-	g.phase++
-	evs := g.m.claimPhaseEvents(idx)
-	if err := g.applyLinkFaults(evs); err != nil {
-		return err
-	}
-	if err := g.qr.RunPipelined(name, chunks, class, weightScale, consume); err != nil {
-		return err
-	}
-	return g.applyKills(name, evs, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
+	return g.step(name, func() error {
+		return g.qr.RunPipelined(name, chunks, class, weightScale, consume)
+	}, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
 		k0 := int(killFrac(ev) * float64(len(chunks)))
 		if k0 >= len(chunks) {
 			k0 = len(chunks) - 1
@@ -102,16 +88,10 @@ func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, wei
 // rebuild it from their replicas of the shard's rows — measured as
 // re-derivation compute, with nothing to re-ship.
 func (g *Guard) RunLocal(name string, resident []float64) error {
-	idx := g.phase
-	g.phase++
-	evs := g.m.claimPhaseEvents(idx)
-	if err := g.applyLinkFaults(evs); err != nil {
+	return g.step(name, func() error {
+		_, err := g.qr.RunPhaseMeasured(name, nil, "", 0)
 		return err
-	}
-	if _, err := g.qr.RunPhaseMeasured(name, nil, "", 0); err != nil {
-		return err
-	}
-	return g.applyKills(name, evs, func(_ Event, deadNode int) ([]dist.Transfer, float64) {
+	}, func(_ Event, deadNode int) ([]dist.Transfer, float64) {
 		lost := 0.0
 		for s, b := range resident {
 			if g.m.HostFor(s) == deadNode {
@@ -120,6 +100,23 @@ func (g *Guard) RunLocal(name string, resident []float64) error {
 		}
 		return nil, lost
 	})
+}
+
+// step is the one way a phase runs under fault injection: it claims the
+// next phase ordinal's events, lands their link faults (degrade and
+// partition) so run moves over the degraded fabric, runs the phase, and
+// then lands the ordinal's kills, re-shipping what selectLost says the
+// phase lost.
+func (g *Guard) step(name string, run func() error, selectLost func(Event, int) ([]dist.Transfer, float64)) error {
+	evs := g.m.claimPhaseEvents(g.phase)
+	g.phase++
+	if err := g.applyLinkFaults(evs); err != nil {
+		return err
+	}
+	if err := run(); err != nil {
+		return err
+	}
+	return g.applyKills(name, evs, selectLost)
 }
 
 // preResolve snapshots the transfers' endpoint resolution under current

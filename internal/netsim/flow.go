@@ -214,18 +214,6 @@ func (s *Simulator) LinkLoads() []LinkLoad {
 	return out
 }
 
-// MaxLinkUtilization returns the highest directed-link utilization over
-// [0, Now] — the hot spot the shuffle placement experiments watch.
-func (s *Simulator) MaxLinkUtilization() float64 {
-	max := 0.0
-	for _, l := range s.LinkLoads() {
-		if l.Util > max {
-			max = l.Util
-		}
-	}
-	return max
-}
-
 // MeanLinkUtilization returns the average utilization across directed
 // links over [0, Now], in [0, 1].
 func (s *Simulator) MeanLinkUtilization() float64 {

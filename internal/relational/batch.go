@@ -32,7 +32,7 @@ const BatchSize = 1024
 // prefix, and stays coded while the byte rule holds for the whole column.
 // No Dict's entries ever change. Str and Value decode a cell; nothing
 // outside this package reads Strs.
-// Sizes (vectorBytes, cellBytes, RowSizer) count the decoded strings, so
+// Sizes (vectorBytes, RowSizer) count the decoded strings, so
 // the form never moves a byte count.
 //
 // Vectors are immutable once a batch has been emitted, so downstream
@@ -408,26 +408,26 @@ func EffectiveWorkers(n int) int {
 // ranges: partition i's rows precede partition i+1's) and drains each on
 // its own goroutine, handing every batch to fn with its partition's
 // index; parts reports the partition count first, so the caller can size
-// per-partition state. The partitions share a cancelGroup: the first
+// per-partition state. The partitions share a CancelToken: the first
 // failure — the child's or fn's — trips it and the siblings stop at their
 // next batch boundary instead of draining the full table; that first
 // error is returned.
 func eachBatch(op BatchOp, workers int, parts func(n int), fn func(part int, b *Batch) error) error {
 	ps := partitionOrSelf(op, workers, true)
 	parts(len(ps))
-	cg := &cancelGroup{}
+	stop := NewCancelToken()
 	var wg sync.WaitGroup
 	for i, part := range ps {
 		wg.Add(1)
 		go func(i int, part BatchOp) {
 			defer wg.Done()
-			for !cg.stop() {
+			for !stop.Cancelled() {
 				b, err := part.NextBatch()
 				if err == nil && b != nil {
 					err = fn(i, b)
 				}
 				if err != nil {
-					cg.abort(err)
+					stop.Cancel(err)
 				}
 				if err != nil || b == nil {
 					return
@@ -436,7 +436,7 @@ func eachBatch(op BatchOp, workers int, parts func(n int), fn func(part int, b *
 		}(i, part)
 	}
 	wg.Wait()
-	return cg.Err()
+	return stop.Err()
 }
 
 // drainCols materializes op as whole columns in serial order: static

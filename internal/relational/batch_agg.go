@@ -8,7 +8,7 @@ import "repro/internal/exec"
 // (contiguous-range) partitioning makes the merge order — and therefore
 // the group emission order and float rounding — deterministic for a given
 // worker count, and the emission order equals the serial engine's
-// first-seen order. Partitions share a cancelGroup: one failing partition
+// first-seen order. Partitions share a CancelToken: one failing partition
 // stops its siblings at their next batch boundary.
 type BatchGroupAgg struct {
 	child     BatchOp

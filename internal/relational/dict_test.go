@@ -155,8 +155,8 @@ func TestDictVectorMatchesPlain(t *testing.T) {
 					}
 				}
 			}
-			// Byte counts: vectorBytes, cellBytes and RowSizer, beside an
-			// Int column, must read the decoded strings.
+			// Byte counts: vectorBytes and RowSizer, beside an Int column,
+			// must read the decoded strings.
 			coded, plain := []Vector{{T: Int, Ints: make([]int64, len(want))}, tw[0]}, []Vector{{T: Int, Ints: make([]int64, len(want))}, tw[1]}
 			if a, b := vectorBytes(&tw[0]), vectorBytes(&tw[1]); a != b {
 				t.Fatalf("vectorBytes: coded %v, plain %v", a, b)
@@ -164,10 +164,7 @@ func TestDictVectorMatchesPlain(t *testing.T) {
 			zc, zp := NewRowSizer(coded), NewRowSizer(plain)
 			for lo := 0; lo <= len(want); lo++ {
 				if lo < len(want) {
-					if a, b := cellBytes(coded, lo), cellBytes(plain, lo); a != b || a != float64(8+4+len(want[lo])) {
-						t.Fatalf("cellBytes(%d): coded %v, plain %v", lo, a, b)
-					}
-					if a, b := zc.Bytes(lo), zp.Bytes(lo); a != b || float64(a) != rowBytes(plain, lo) {
+					if a, b := zc.Bytes(lo), zp.Bytes(lo); a != b || a != rowOverheadBytes+8+4+len(want[lo]) {
 						t.Fatalf("RowSizer.Bytes(%d): coded %d, plain %d", lo, a, b)
 					}
 				}

@@ -12,15 +12,16 @@ const (
 	maxGraceDepth = 4
 )
 
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// FNVOffset is the FNV-1a offset basis, the hash FNVKey starts from.
+const FNVOffset uint64 = 14695981039346656037
 
-// fnvKey folds the bytes of cell r's Value.Key() rendering into the
+const fnvPrime64 = 1099511628211
+
+// FNVKey folds the bytes of cell r's Value.Key() rendering into the
 // FNV-1a hash h. Numeric cells render into a stack buffer and strings are
-// read in place: nothing is boxed.
-func fnvKey(h uint64, col *Vector, r int) uint64 {
+// read in place: nothing is boxed. It is the engine's one key hash: shard
+// placement (dist), spill key partitions and non-Int grace buckets.
+func FNVKey(h uint64, col *Vector, r int) uint64 {
 	var buf [32]byte
 	switch col.T {
 	case Int:
@@ -52,7 +53,7 @@ func graceHash(col *Vector, r int) uint64 {
 		h ^= h >> 33
 		return h
 	}
-	return fnvKey(fnvOffset64, col, r)
+	return FNVKey(FNVOffset, col, r)
 }
 
 // graceBucket assigns row r of a key column to one of the fanout buckets
@@ -108,7 +109,7 @@ func (c *joinCore) buildGrace() {
 func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 	n := &graceNode{depth: depth}
 	var buckets [graceFanout][]int32
-	key := &c.tab.cols[c.tab.keyCol]
+	key, sizer := &c.tab.cols[c.tab.keyCol], NewRowSizer(c.tab.cols)
 	for _, i := range idxs {
 		b := graceBucket(key, int(i), depth)
 		buckets[b] = append(buckets[b], i)
@@ -119,7 +120,7 @@ func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 		}
 		var bytes int64
 		for _, i := range bucket {
-			bytes += int64(rowBytes(c.tab.cols, int(i)))
+			bytes += int64(sizer.Bytes(int(i)))
 		}
 		if c.budget.Reserve(bytes) {
 			n.leaves[bi] = c.newGraceLeaf(bytes, false)
@@ -179,10 +180,10 @@ func (j *BatchHashJoin) graceProbe() error {
 		if b == nil {
 			break
 		}
-		pc := &b.Cols[c.probeCol]
+		pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
 		for r, n := 0, b.Len(); r < n; r++ {
 			if l := c.routeLeaf(pc, r); l != nil {
-				bufBytes[l.id] += int64(rowBytes(b.Cols, r))
+				bufBytes[l.id] += int64(sizer.Bytes(r))
 			}
 		}
 		if out := j.joinBatch(b); out != nil {

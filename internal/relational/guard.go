@@ -10,15 +10,15 @@ import (
 // without an explicit cause.
 var ErrCancelled = errors.New("relational: execution cancelled")
 
-// CancelToken is the external-cancellation handle of one query execution.
-// It is the bridge between a caller-side signal (typically a
-// context.Context) and the engine's internal cancelGroup machinery: the
-// Guard/GuardBatch wrappers surface the token's error at the next row or
-// batch boundary, and inside a parallel operator that error trips the
-// partitions' shared cancelGroup, so every sibling worker stops at its
-// own next batch boundary instead of draining its input.
+// CancelToken is the engine's one cancellation primitive: a first-cause-
+// wins flag polled at row or batch boundaries. It is a query execution's
+// external-cancellation handle (Guard/GuardBatch surface a caller-side
+// signal, typically a context.Context, at the next boundary), and siblings
+// sharing one — a parallel operator's partitions, an Exchange's workers,
+// dist.RunShards' shards, the lifecycle guard's speculative pair — stop at
+// their next boundary after the first failure, which is the error reported.
 //
-// A token is single-use (one per execution) and safe for concurrent use.
+// A token is single-use and safe for concurrent use.
 type CancelToken struct {
 	tripped atomic.Bool
 	mu      sync.Mutex
@@ -112,7 +112,7 @@ func (g *guardOp) Stats() OpStats { return g.child.Stats() }
 // batch boundary. The wrapper partitions like its child, so a guarded
 // leaf keeps the check on every Exchange worker's stream — the first
 // partition to observe cancellation returns the token's error, which the
-// worker's cancelGroup then propagates to its siblings. A nil token
+// workers' own token then propagates to their siblings. A nil token
 // returns op unchanged.
 func GuardBatch(op BatchOp, t *CancelToken) BatchOp {
 	if t == nil {

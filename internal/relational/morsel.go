@@ -127,7 +127,7 @@ const exchangeDepth = 4
 // (morsels are claimed in increasing order and batch operators preserve
 // tags), so emitting the smallest head reproduces exactly the serial row
 // order regardless of scheduling, without materializing the result.
-// Workers share a cancelGroup: one failing partition stops its siblings
+// Workers share a CancelToken: one failing partition stops its siblings
 // at their next batch boundary.
 type Exchange struct {
 	child   BatchOp
@@ -136,7 +136,7 @@ type Exchange struct {
 	started bool
 	chans   []chan *Batch
 	heads   []*Batch
-	cg      *cancelGroup
+	stop    *CancelToken
 }
 
 // NewExchange parallelizes child across workers (0 = NumCPU). When child
@@ -159,17 +159,17 @@ func (e *Exchange) Schema() Schema { return e.child.Schema() }
 
 func (e *Exchange) start() {
 	parts := partitionOrSelf(e.child, e.workers, false)
-	e.cg = &cancelGroup{}
+	e.stop = NewCancelToken()
 	e.chans = make([]chan *Batch, len(parts))
 	for i, part := range parts {
 		ch := make(chan *Batch, exchangeDepth)
 		e.chans[i] = ch
 		go func(part BatchOp, ch chan *Batch) {
 			defer close(ch)
-			for !e.cg.stop() {
+			for !e.stop.Cancelled() {
 				b, err := part.NextBatch()
 				if err != nil {
-					e.cg.abort(err)
+					e.stop.Cancel(err)
 					return
 				}
 				if b == nil {
@@ -200,9 +200,9 @@ func (e *Exchange) NextBatch() (*Batch, error) {
 		e.started = true
 		e.start()
 	}
-	if e.cg.stop() {
+	if e.stop.Cancelled() {
 		e.drain()
-		return nil, e.cg.Err()
+		return nil, e.stop.Err()
 	}
 	best := -1
 	for i, h := range e.heads {
@@ -215,7 +215,7 @@ func (e *Exchange) NextBatch() (*Batch, error) {
 	}
 	if best < 0 {
 		// Every worker stream closed; surface a late error if one raced in.
-		return nil, e.cg.Err()
+		return nil, e.stop.Err()
 	}
 	b := e.heads[best]
 	e.heads[best] = <-e.chans[best]

@@ -33,26 +33,6 @@ type OpStats struct {
 	Spill *SpillStats
 }
 
-// accountingSpill models out-of-core cost for the serial volcano
-// operators, which keep their materialize-in-memory row flow (rows and
-// order never change — the budget is an accounting arena, not a real
-// allocator): state that fits simply reserves; state that overflows is
-// modeled as ceil(bytes/limit) partitions written out and read back once.
-func accountingSpill(b *MemoryBudget, m *spillMeter, bytes int64) {
-	if b == nil || bytes <= 0 || b.Reserve(bytes) {
-		return
-	}
-	parts := int((bytes + b.Limit() - 1) / b.Limit())
-	if parts < 2 {
-		parts = 2
-	}
-	for i := 0; i < parts; i++ {
-		m.notePartition(1)
-	}
-	m.chargeWrite(bytes)
-	m.chargeRead(bytes)
-}
-
 // Predicate decides whether a row passes a filter.
 type Predicate func(Row) (bool, error)
 
@@ -192,8 +172,6 @@ type HashJoin struct {
 	table              map[string][]Row
 	built              bool
 	pending            []Row // remaining matches for the current probe row
-	budget             *MemoryBudget
-	meter              *spillMeter
 	stat               OpStats
 }
 
@@ -216,16 +194,8 @@ func NewHashJoin(build, probe Op, buildCol, probeCol int) (*HashJoin, error) {
 // Schema implements Op.
 func (j *HashJoin) Schema() Schema { return j.schema }
 
-// SetBudget charges the build table to a query memory budget (serial
-// engine: accounting-only spill, rows unchanged).
-func (j *HashJoin) SetBudget(b *MemoryBudget) {
-	j.budget = b
-	j.meter = newSpillMeter(b)
-}
-
 func (j *HashJoin) buildTable() error {
 	j.table = map[string][]Row{}
-	bytes := 0.0
 	for {
 		row, ok, err := j.build.Next()
 		if err != nil {
@@ -236,9 +206,7 @@ func (j *HashJoin) buildTable() error {
 		}
 		k := row[j.buildCol].Key()
 		j.table[k] = append(j.table[k], row)
-		bytes += row.EncodedBytes()
 	}
-	accountingSpill(j.budget, j.meter, int64(bytes))
 	j.built = true
 	return nil
 }
@@ -272,11 +240,7 @@ func (j *HashJoin) Next() (Row, bool, error) {
 }
 
 // Stats implements Op.
-func (j *HashJoin) Stats() OpStats {
-	st := j.stat
-	st.Spill = j.meter.opSpill()
-	return st
-}
+func (j *HashJoin) Stats() OpStats { return j.stat }
 
 // AggFn is an aggregate function kind.
 type AggFn int
@@ -325,12 +289,10 @@ type GroupAgg struct {
 	aggs      []AggSpec
 	schema    Schema
 
-	out    []Row
-	pos    int
-	done   bool
-	budget *MemoryBudget
-	meter  *spillMeter
-	stat   OpStats
+	out  []Row
+	pos  int
+	done bool
+	stat OpStats
 }
 
 // NewGroupAgg returns a grouped aggregation. groupCols may be empty for a
@@ -385,13 +347,6 @@ func groupAggSchema(cs Schema, groupCols []int, aggs []AggSpec) (Schema, error) 
 
 // Schema implements Op.
 func (g *GroupAgg) Schema() Schema { return g.schema }
-
-// SetBudget charges the group hash table to a query memory budget
-// (serial engine: accounting-only spill, rows unchanged).
-func (g *GroupAgg) SetBudget(b *MemoryBudget) {
-	g.budget = b
-	g.meter = newSpillMeter(b)
-}
 
 type aggState struct {
 	count int64
@@ -501,7 +456,6 @@ func (g *GroupAgg) materialize() error {
 	}
 	groups := map[string]*group{}
 	var order []string
-	stateBytes := 0.0
 	for {
 		row, ok, err := g.child.Next()
 		if err != nil {
@@ -523,7 +477,6 @@ func (g *GroupAgg) materialize() error {
 			gr = &group{key: key, states: make([]aggState, len(g.aggs))}
 			groups[kb] = gr
 			order = append(order, kb)
-			stateBytes += groupStateBytes(key, len(g.aggs))
 		}
 		for i, a := range g.aggs {
 			var v Value
@@ -540,7 +493,6 @@ func (g *GroupAgg) materialize() error {
 		groups[""] = &group{states: make([]aggState, len(g.aggs))}
 		order = append(order, "")
 	}
-	accountingSpill(g.budget, g.meter, int64(stateBytes))
 	for _, kb := range order {
 		gr := groups[kb]
 		row := gr.key.Clone()
@@ -570,11 +522,7 @@ func (g *GroupAgg) Next() (Row, bool, error) {
 }
 
 // Stats implements Op.
-func (g *GroupAgg) Stats() OpStats {
-	st := g.stat
-	st.Spill = g.meter.opSpill()
-	return st
-}
+func (g *GroupAgg) Stats() OpStats { return g.stat }
 
 // SortKey orders by one column.
 type SortKey struct {
@@ -587,13 +535,11 @@ type Sort struct {
 	child Op
 	keys  []SortKey
 
-	out    []Row
-	pos    int
-	done   bool
-	err    error
-	budget *MemoryBudget
-	meter  *spillMeter
-	stat   OpStats
+	out  []Row
+	pos  int
+	done bool
+	err  error
+	stat OpStats
 }
 
 // NewSort returns a sort over child.
@@ -610,15 +556,7 @@ func NewSort(child Op, keys []SortKey) (*Sort, error) {
 // Schema implements Op.
 func (s *Sort) Schema() Schema { return s.child.Schema() }
 
-// SetBudget charges the materialized rows to a query memory budget
-// (serial engine: accounting-only spill, rows unchanged).
-func (s *Sort) SetBudget(b *MemoryBudget) {
-	s.budget = b
-	s.meter = newSpillMeter(b)
-}
-
 func (s *Sort) materialize() error {
-	bytes := 0.0
 	for {
 		row, ok, err := s.child.Next()
 		if err != nil {
@@ -628,9 +566,7 @@ func (s *Sort) materialize() error {
 			break
 		}
 		s.out = append(s.out, row)
-		bytes += row.EncodedBytes()
 	}
-	accountingSpill(s.budget, s.meter, int64(bytes))
 	var sortErr error
 	sort.SliceStable(s.out, func(i, j int) bool {
 		for _, k := range s.keys {
@@ -673,11 +609,7 @@ func (s *Sort) Next() (Row, bool, error) {
 }
 
 // Stats implements Op.
-func (s *Sort) Stats() OpStats {
-	st := s.stat
-	st.Spill = s.meter.opSpill()
-	return st
-}
+func (s *Sort) Stats() OpStats { return s.stat }
 
 // Limit passes at most n rows.
 type Limit struct {

@@ -80,17 +80,9 @@ func (p *PartialAgg) Groups() int {
 func (p *PartialAgg) Rows() int64 { return p.ord }
 
 // aggStateBytes is the modeled size of one aggregate's per-group state:
-// count, two sums, and min/max slots.
+// count, two sums, and min/max slots. A group's state is its key row's
+// encoded bytes plus aggStateBytes per aggregate.
 const aggStateBytes = 40
-
-// groupStateBytes is the modeled in-memory size of one group's aggregate
-// state beyond its key. Sized at group creation (min/max growth for
-// string aggregates is not re-measured — the budget models arena
-// accounting, not malloc). SpillableAgg charges the same figure from the
-// typed key columns: rowBytes plus aggStateBytes per aggregate.
-func groupStateBytes(key Row, naggs int) float64 {
-	return key.EncodedBytes() + float64(naggs)*aggStateBytes
-}
 
 // setTypes lays out and types cols from the input columns.
 func (p *PartialAgg) setTypes(in []Vector) error {

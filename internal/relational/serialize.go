@@ -40,22 +40,6 @@ func vectorBytes(v *Vector) float64 {
 	return total
 }
 
-// cellBytes returns the serialized size of row r's cells across cols;
-// rowBytes adds the row framing, matching Row.EncodedBytes.
-func cellBytes(cols []Vector, r int) float64 {
-	total := 0.0
-	for c := range cols {
-		if cols[c].T == String {
-			total += float64(4 + len(cols[c].Str(r)))
-		} else {
-			total += 8
-		}
-	}
-	return total
-}
-
-func rowBytes(cols []Vector, r int) float64 { return rowOverheadBytes + cellBytes(cols, r) }
-
 // colsBytes returns the serialized size of n rows held as columns,
 // computed column-wise so numeric columns cost one multiply.
 func colsBytes(cols []Vector, n int) float64 {

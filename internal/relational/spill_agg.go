@@ -20,7 +20,7 @@ type SpillableAgg struct {
 	gen       int32   // the current generation
 	stamp     []int32 // per group: the last generation it charged
 	genGroups []int32 // the groups the current generation charged
-	genBytes  float64 // their state bytes
+	genBytes  int64   // their state bytes
 	reserved  int64   // bytes of the current generation charged to the budget
 	part      []uint8 // per group: its key partition + 1, 0 until priced
 	// spilled[j] holds the bytes partition j was written, one entry per
@@ -49,7 +49,7 @@ func (s *SpillableAgg) ObserveBatch(b *Batch, seqCol int) error {
 	if s.budget == nil || len(s.p.groupCols) == 0 {
 		return nil
 	}
-	keys, per := s.p.keys(), float64(len(s.p.aggs))*aggStateBytes
+	sizer, per := NewRowSizer(s.p.keys()), len(s.p.aggs)*aggStateBytes
 	for _, g := range s.p.gids[:b.Len()] {
 		if int(g) == len(s.stamp) {
 			s.stamp = append(s.stamp, s.gen)
@@ -59,9 +59,9 @@ func (s *SpillableAgg) ObserveBatch(b *Batch, seqCol int) error {
 			continue
 		}
 		s.genGroups = append(s.genGroups, g)
-		s.genBytes += rowBytes(keys, int(g)) + per
+		s.genBytes += int64(sizer.Bytes(int(g)) + per)
 	}
-	delta := int64(s.genBytes) - s.reserved
+	delta := s.genBytes - s.reserved
 	if delta <= 0 {
 		return nil
 	}
@@ -77,24 +77,25 @@ func (s *SpillableAgg) ObserveBatch(b *Batch, seqCol int) error {
 // per non-empty key partition in partition order, releases the
 // generation's reservation and starts a fresh generation.
 func (s *SpillableAgg) spill() {
-	keys, per := s.p.keys(), float64(len(s.p.aggs))*aggStateBytes
+	keys, per := s.p.keys(), len(s.p.aggs)*aggStateBytes
+	sizer := NewRowSizer(keys)
 	if n := s.p.Groups(); len(s.part) < n {
 		s.part = append(s.part, make([]uint8, n-len(s.part))...)
 	}
-	var bytes [graceFanout]float64
+	var bytes [graceFanout]int64
 	for _, g := range s.genGroups {
 		if s.part[g] == 0 {
 			s.part[g] = uint8(keyPartition(keys, int(g))) + 1
 		}
-		bytes[s.part[g]-1] += rowBytes(keys, int(g)) + per
+		bytes[s.part[g]-1] += int64(sizer.Bytes(int(g)) + per)
 	}
 	for j, b := range bytes {
 		if b == 0 {
 			continue
 		}
 		s.meter.notePartition(1)
-		s.meter.chargeWrite(int64(b))
-		s.spilled[j] = append(s.spilled[j], int64(b))
+		s.meter.chargeWrite(b)
+		s.spilled[j] = append(s.spilled[j], b)
 	}
 	s.budget.Release(s.reserved)
 	s.gen++
@@ -105,9 +106,9 @@ func (s *SpillableAgg) spill() {
 // FNV-1a over the bytes of every key cell's Value.Key() rendering, each
 // followed by a NUL, modulo graceFanout.
 func keyPartition(keys []Vector, r int) int {
-	h := uint64(fnvOffset64)
+	h := FNVOffset
 	for c := range keys {
-		h = fnvKey(h, &keys[c], r) * fnvPrime64 // the NUL: x ^ 0 == x
+		h = FNVKey(h, &keys[c], r) * fnvPrime64 // the NUL: x ^ 0 == x
 	}
 	return int(h % graceFanout)
 }

@@ -273,7 +273,7 @@ func aggSpillModel(rel *Relation, groupCols []int, naggs int, limit int64) (part
 				key[i] = row[c]
 				id = append(append(id, row[c].Key()...), 0)
 			}
-			b := int64(groupStateBytes(key, naggs))
+			b := int64(key.EncodedBytes()) + int64(naggs)*aggStateBytes
 			if !all[string(id)] {
 				all[string(id)] = true
 				state += b

@@ -235,7 +235,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 		}
 	}
 	if cfg.Gang {
-		if err := postGang(ctx, client, base, cfg.Tenants[0].APIKey, GangRequest{Announce: cfg.Sessions}); err != nil {
+		if err := postJSON(ctx, client, base+"/v1/gang", cfg.Tenants[0].APIKey, GangRequest{Announce: cfg.Sessions}, nil); err != nil {
 			return nil, fmt.Errorf("serve: gang announce: %w", err)
 		}
 	}
@@ -253,7 +253,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 				if s.err != nil && cfg.Gang && j == 0 {
 					// This session's first-wave slot will never be filled;
 					// release it so the rest of the wave's barrier resolves.
-					_ = postGang(ctx, client, base, tenant.APIKey, GangRequest{Withdraw: 1})
+					_ = postJSON(ctx, client, base+"/v1/gang", tenant.APIKey, GangRequest{Withdraw: 1}, nil)
 				}
 				samples[i*perSession+j] = s
 			}
@@ -366,27 +366,6 @@ func runQuery(ctx context.Context, client *http.Client, base string, tenant *Loa
 	s.modelMS = qr.ModelMS
 	s.cacheHit = qr.CacheHit
 	return s
-}
-
-// postGang announces or withdraws wave slots.
-func postGang(ctx context.Context, client *http.Client, base, apiKey string, g GangRequest) error {
-	body, _ := json.Marshal(g)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/gang", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+apiKey)
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	io.Copy(io.Discard, resp.Body)
-	return nil
 }
 
 // fetchMetrics pulls the server's /metrics snapshot.

@@ -118,15 +118,22 @@ func TestPlanCacheKeyCoversEveryOverride(t *testing.T) {
 	if typ.NumField() < 8 {
 		t.Fatalf("sql.Overrides lost fields: %d", typ.NumField())
 	}
+	// Names the engine validates must be real ones to parse.
+	valid := map[string]string{"dist_join": "broadcast", "placement": "auto", "spill_tier": "nvm"}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
+		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		tuned := base
 		v := reflect.ValueOf(&tuned.Overrides).Elem().Field(i)
 		var lit string
 		switch v.Kind() {
 		case reflect.String:
-			v.SetString("x")
-			lit = `"x"`
+			str, ok := valid[key]
+			if !ok {
+				str = "x"
+			}
+			v.SetString(str)
+			lit = `"` + str + `"`
 		case reflect.Int, reflect.Int64:
 			v.SetInt(7)
 			lit = "7"
@@ -142,7 +149,6 @@ func TestPlanCacheKeyCoversEveryOverride(t *testing.T) {
 		if got := tuned.Session(eng).Overrides; got != tuned.Overrides {
 			t.Errorf("%s: session carries %+v, tenant configured %+v", f.Name, got, tuned.Overrides)
 		}
-		key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
 		ts, err := ParseTenants([]byte(`[{"name":"t","api_key":"k","` + key + `":` + lit + `}]`))
 		if err != nil {
 			t.Fatalf("%s: %v", f.Name, err)

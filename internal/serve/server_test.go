@@ -297,21 +297,39 @@ func TestServeRefusesOversizedBodies(t *testing.T) {
 	}
 }
 
-// TestTenantsValidation covers the registry's error cases.
+// TestTenantsValidation covers the registry's error cases. A session
+// override the engine would refuse — a negative count or budget, a
+// misspelled name — is refused when the set loads, with an error naming
+// the tenant and the tenants.json key (want), not ignored or left to fail
+// every query the tenant sends.
 func TestTenantsValidation(t *testing.T) {
+	bad := func(o sql.Overrides) []Tenant {
+		return []Tenant{{Name: "ok", APIKey: "k1"}, {Name: "bad", APIKey: "k2", Overrides: o}}
+	}
 	cases := []struct {
 		name string
 		list []Tenant
+		want string
 	}{
-		{"empty", nil},
-		{"no key", []Tenant{{Name: "a"}}},
-		{"dup name", []Tenant{{Name: "a", APIKey: "k1"}, {Name: "a", APIKey: "k2"}}},
-		{"dup key", []Tenant{{Name: "a", APIKey: "k"}, {Name: "b", APIKey: "k"}}},
-		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Overrides: sql.Overrides{Weight: -1}}}},
+		{"empty", nil, ""},
+		{"no key", []Tenant{{Name: "a"}}, ""},
+		{"dup name", []Tenant{{Name: "a", APIKey: "k1"}, {Name: "a", APIKey: "k2"}}, ""},
+		{"dup key", []Tenant{{Name: "a", APIKey: "k"}, {Name: "b", APIKey: "k"}}, ""},
+		{"negative weight", []Tenant{{Name: "a", APIKey: "k", Overrides: sql.Overrides{Weight: -1}}}, ""},
+		{"negative memory budget", bad(sql.Overrides{MemoryBudget: -1}), "tenant bad: memory_budget"},
+		{"negative workers", bad(sql.Overrides{Workers: -2}), "tenant bad: workers"},
+		{"negative chunk rows", bad(sql.Overrides{PipelineChunkRows: -512}), "tenant bad: pipeline_chunk_rows"},
+		{"misspelled spill tier", bad(sql.Overrides{SpillTier: "sdd"}), "tenant bad: spill_tier"},
+		{"dram spill tier", bad(sql.Overrides{SpillTier: "dram"}), "tenant bad: spill_tier"},
+		{"misspelled placement", bad(sql.Overrides{Placement: "gpuu"}), "tenant bad: placement"},
+		{"misspelled dist join", bad(sql.Overrides{DistJoin: "shuffle"}), "tenant bad: dist_join"},
 	}
 	for _, c := range cases {
-		if _, err := NewTenants(c.list); err == nil {
+		_, err := NewTenants(c.list)
+		if err == nil {
 			t.Errorf("%s: expected error", c.name)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %q", c.name, err, c.want)
 		}
 	}
 	// Every tenants.json key as deployed files spell it.

@@ -79,7 +79,9 @@ type Tenants struct {
 }
 
 // NewTenants validates the set: names and API keys must be non-empty
-// and unique, weights non-negative.
+// and unique, weights non-negative, and every tenant's session overrides
+// valid (sql.Overrides.Validate), so a bad tenants.json stops the daemon
+// at startup instead of failing that tenant's queries.
 func NewTenants(list []Tenant) (*Tenants, error) {
 	if len(list) == 0 {
 		return nil, fmt.Errorf("serve: no tenants configured")
@@ -101,6 +103,9 @@ func NewTenants(list []Tenant) (*Tenants, error) {
 		}
 		if t.Burst < 0 {
 			return nil, fmt.Errorf("serve: tenant %s: negative burst %g", t.Name, t.Burst)
+		}
+		if err := t.Overrides.Validate(); err != nil {
+			return nil, fmt.Errorf("serve: tenant %s: %w", t.Name, err)
 		}
 		if _, dup := ts.byName[t.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate tenant name %q", t.Name)

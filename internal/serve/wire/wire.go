@@ -57,9 +57,8 @@ type Result struct {
 	Stream *StreamStats `json:"stream,omitempty"`
 }
 
-// StreamStats mirrors stream.Stats plus the ingest-side accounting of
-// stream.IngestStats — one streaming subscription's (or source's)
-// report on the wire.
+// StreamStats mirrors stream.Stats: one streaming subscription's report
+// on the wire.
 type StreamStats struct {
 	// Subscription side: event dispositions, emitted windows, and
 	// freshness quantiles over per-window emission delay.
@@ -73,12 +72,6 @@ type StreamStats struct {
 	FreshnessMax float64 `json:"freshness_max_s"`
 	// Spill is the budgeted subscription's out-of-core report.
 	Spill *SpillStats `json:"spill,omitempty"`
-	// Ingest side (present on ingest acknowledgements).
-	IngestBatches    int64   `json:"ingest_batches,omitempty"`
-	IngestRows       int64   `json:"ingest_rows,omitempty"`
-	IngestBytes      float64 `json:"ingest_bytes,omitempty"`
-	IngestNetSeconds float64 `json:"ingest_net_seconds,omitempty"`
-	IngestSeconds    float64 `json:"ingest_seconds,omitempty"`
 }
 
 // FromStream converts a subscription report (nil in, nil out).
@@ -96,17 +89,6 @@ func FromStream(s *stream.Stats) *StreamStats {
 		FreshnessP95: s.FreshnessP95,
 		FreshnessMax: s.FreshnessMax,
 		Spill:        FromSpill(s.Spill),
-	}
-}
-
-// FromIngest converts a source's ingest accounting.
-func FromIngest(s stream.IngestStats) *StreamStats {
-	return &StreamStats{
-		IngestBatches:    s.Batches,
-		IngestRows:       s.Rows,
-		IngestBytes:      s.Bytes,
-		IngestNetSeconds: s.NetSeconds,
-		IngestSeconds:    s.WallSeconds,
 	}
 }
 

@@ -637,7 +637,7 @@ func (pl *planner) newDistExec(lp *logicalPlan, p *Planned) (*distExec, error) {
 		p.Steps = append(p.Steps, fmt.Sprintf("pipeline: chunked movement (%d rows/chunk, eager sub-rounds; gather weight x%d)",
 			dx.chunkRows, dist.GatherWeightBoost))
 	}
-	if err := pl.resources(p, true, " (independent per-shard placement)", " (independent per-shard budgets)"); err != nil {
+	if err := pl.resources(p, " (independent per-shard placement)", " (independent per-shard budgets)"); err != nil {
 		return nil, err
 	}
 	dx.budget = p.budget

@@ -94,8 +94,10 @@ type Config struct {
 	// bit-identical with pre-budget code paths. A distributed query forks
 	// the budget per shard host and charges the coordinator's post-gather
 	// operators to the query budget itself — one spill model, the batch
-	// operators' own, on every host. Sessions may override it
-	// (Session.MemoryBudget). Negative values are rejected at NewEngine.
+	// operators' own, on every host. The row engine (Parallel=false, the
+	// oracle) meters nothing: its Result.Spill is nil at every budget.
+	// Sessions may override it (Session.MemoryBudget). Negative values are
+	// rejected at NewEngine.
 	MemoryBudget int64
 	// SpillTier names the memtier catalog tier budget overflow spills
 	// to: "nvm", "ssd" (the default when a budget is set) or "disk".

@@ -46,12 +46,11 @@ type lowerer struct {
 	// over the expected morsel count of each operator it lowers.
 	placer   *exec.Placer
 	hintRows int
-	// budget, when set, charges every pipeline breaker's materialized
-	// state (join build tables, aggregate hash maps, sort runs) against
-	// the query memory budget; overflow goes out-of-core against the
-	// budget's spill tier. Applies on both engines — the oracle's row
-	// operators account their state against the same budget the batch
-	// operators grace-partition under.
+	// budget, when set, charges every batch pipeline breaker's
+	// materialized state (join build tables, aggregate hash maps, sort
+	// runs) against the query memory budget and prices overflow on the
+	// budget's spill tier. The row engine, the oracle, meters nothing:
+	// its lowerer never carries a budget.
 	budget *relational.MemoryBudget
 }
 
@@ -191,7 +190,6 @@ func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (exec
 	if err != nil {
 		return execNode{}, err
 	}
-	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
 }
 
@@ -222,7 +220,6 @@ func (lw *lowerer) groupAgg(n execNode, groupCols []int, aggs []relational.AggSp
 	if err != nil {
 		return execNode{}, err
 	}
-	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
 }
 
@@ -248,7 +245,6 @@ func (lw *lowerer) sort(n execNode, keys []relational.SortKey, topK int) (execNo
 	if err != nil {
 		return execNode{}, err
 	}
-	op.SetBudget(lw.budget)
 	return execNode{row: op}, nil
 }
 

@@ -369,14 +369,14 @@ func (lp *logicalPlan) frontSteps(shards int, placedOn, movements []string) []st
 	return steps
 }
 
-// resources builds the execution's device placer (batch executions only:
-// the serial row engine has no morsels to place; nil on the homogeneous
-// engine) and memory budget, with their Explain lines; the notes say how
-// a distributed run forks them. Both are per-execution, like cancellation
-// tokens: the Result.Devices report and FPGA configuration state a placer
-// carries, and a budget's spill aggregate, belong to exactly one run.
-func (pl *planner) resources(p *Planned, placed bool, placerNote, budgetNote string) error {
-	if placed && len(pl.cfg.Devices) > 0 {
+// resources builds a batch execution's device placer (nil on the
+// homogeneous engine) and memory budget (nil when unbudgeted), with their
+// Explain lines; the notes say how a distributed run forks them. Both are
+// per-execution, like cancellation tokens: the Result.Devices report and
+// FPGA configuration state a placer carries, and a budget's spill
+// aggregate, belong to exactly one run.
+func (pl *planner) resources(p *Planned, placerNote, budgetNote string) error {
+	if len(pl.cfg.Devices) > 0 {
 		var err error
 		if p.placer, err = exec.NewPlacer(pl.cfg.Devices, pl.cfg.Placement); err != nil {
 			return err
@@ -418,13 +418,15 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 		p.Steps = append(p.Steps, fmt.Sprintf("engine: morsel-parallel batch (%d workers, %d-row batches)",
 			relational.EffectiveWorkers(lw.workers), relational.BatchSize))
 	}
-	// Out-of-core budgeting applies on both engines: the serial row
-	// operators account their materialized state against the same budget
-	// the batch operators grace-partition under.
-	if err := pl.resources(p, lw.parallel, "", ""); err != nil {
-		return nil, err
+	// Placement and the memory budget are batch-engine resources: the
+	// row engine, the oracle, places and meters nothing, so its Result
+	// carries neither Devices nor Spill.
+	if lw.parallel {
+		if err := pl.resources(p, "", ""); err != nil {
+			return nil, err
+		}
+		lw.placer, lw.budget = p.placer, p.budget
 	}
-	lw.placer, lw.budget = p.placer, p.budget
 	p.Steps = append(p.Steps, lp.frontSteps(0, nil, nil)...)
 
 	// Scans, with pruning and pushed filters, per leg.

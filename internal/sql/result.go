@@ -49,9 +49,10 @@ type Result struct {
 	// total of state partitions evicted below the memory budget line,
 	// bytes moved across the spill tier boundary, and the modeled
 	// write/read time and energy they cost. Nil when the query ran
-	// without a memory budget; non-nil but inactive (zero partitions)
-	// when a budget was set and everything fit. Rows are identical
-	// regardless — the budget models cost, not semantics.
+	// without a memory budget or on the serial row engine, which meters
+	// nothing; non-nil but inactive (zero partitions) when a budget was
+	// set and everything fit. Rows are identical regardless — the budget
+	// models cost, not semantics.
 	Spill *relational.SpillStats
 	// Stream is the streaming report when the serving layer assembled
 	// this result from the streaming subsystem (an ingest acknowledgement

@@ -2,8 +2,10 @@ package sql
 
 import (
 	"context"
+	"fmt"
 	"strings"
 
+	"repro/internal/exec"
 	"repro/internal/relational"
 )
 
@@ -53,6 +55,38 @@ type Overrides struct {
 	// than the engine default is the meaningful direction, and the rows
 	// are identical either way.
 	PipelineChunkRows int `json:"pipeline_chunk_rows,omitempty"`
+}
+
+// Validate checks the overrides with the rules NewEngine applies to the
+// settings they override — a known join strategy, placement policy and
+// spill tier, and no negative count or byte budget — so a bad override
+// fails where it is declared, not at every query it would plan. The
+// error names the field by its JSON key. A placement is checked as on an
+// engine without devices: it must parse.
+func (o Overrides) Validate() error {
+	for _, c := range []struct {
+		field string
+		err   error
+	}{
+		{"dist_join", checkDistJoin(o.DistJoin)},
+		{"workers", nonNegative(int64(o.Workers))},
+		{"placement", exec.ValidateConfig(nil, o.Placement)},
+		{"memory_budget", validateSpill(o.MemoryBudget, "")},
+		{"spill_tier", validateSpill(0, o.SpillTier)},
+		{"pipeline_chunk_rows", nonNegative(int64(o.PipelineChunkRows))},
+	} {
+		if c.err != nil {
+			return fmt.Errorf("%s: %w", c.field, c.err)
+		}
+	}
+	return nil
+}
+
+func nonNegative(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("sql: negative value %d", n)
+	}
+	return nil
 }
 
 // Session is one query stream on an Engine: the unit of concurrency.

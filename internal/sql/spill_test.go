@@ -12,8 +12,9 @@ import (
 // Out-of-core acceptance suite: a memory budget models cost, never
 // semantics. Every query must return row-for-row the unbudgeted
 // engine's answer at every budget, on the serial, morsel-parallel and
-// distributed paths, while the spill report prices what crossed the
-// tier boundary.
+// distributed paths, while the batch engines' spill report prices what
+// crossed the tier boundary (the serial row engine, the oracle, meters
+// nothing).
 
 // spillQueries hit each spilling operator. Their aggregates are Int,
 // so the parity sweep across engines (where worker counts and shard
@@ -72,7 +73,8 @@ func querySpill(t *testing.T, eng *Engine, q string) *Result {
 // TestSpillParity is the headline acceptance criterion: budgets of
 // infinity, half the working set, a tenth of it, and barely one batch
 // all reproduce the unbudgeted rows exactly on every execution path,
-// and the tightest budget actually spills (otherwise the sweep proved
+// the serial oracle reports no spill at any budget, and the tightest
+// budget actually spills on the batch paths (otherwise the sweep proved
 // nothing).
 func TestSpillParity(t *testing.T) {
 	ref := map[string]*Result{}
@@ -113,9 +115,9 @@ func TestSpillParity(t *testing.T) {
 			for _, q := range spillQueries {
 				res := querySpill(t, eng, q)
 				expectRowsEqual(t, path.name+"/"+budget.name, ref[q].Rows, res.Rows)
-				if budget.bytes == 0 {
+				if budget.bytes == 0 || path.name == "serial" {
 					if res.Spill != nil {
-						t.Fatalf("%s/%s: unbudgeted query reported spill %+v", path.name, budget.name, res.Spill)
+						t.Fatalf("%s/%s: unmetered query reported spill %+v", path.name, budget.name, res.Spill)
 					}
 					continue
 				}
@@ -129,7 +131,7 @@ func TestSpillParity(t *testing.T) {
 			// The tightest budget must actually exercise the out-of-core
 			// machinery on every path — check with the group-by, whose
 			// per-customer state dwarfs one batch.
-			if budget.name == "one-batch" {
+			if budget.name == "one-batch" && path.name != "serial" {
 				res := querySpill(t, eng, spillQueries[1])
 				if !res.Spill.Active() {
 					t.Fatalf("%s: one-batch budget never spilled: %+v", path.name, res.Spill)
