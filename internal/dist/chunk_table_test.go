@@ -91,10 +91,7 @@ func TestChunkersCoverAnyChunkSize(t *testing.T) {
 				return ts
 			},
 			func(t *testing.T, shards []*relational.Relation, chunkRows int) []Chunk {
-				_, chunks, cum := RepartitionChunks(shards, 0, seqCol, chunkRows)
-				if len(cum) != len(chunks) {
-					t.Fatalf("%d cum entries for %d chunks", len(cum), len(chunks))
-				}
+				_, chunks := RepartitionChunks(shards, 0, seqCol, chunkRows)
 				return chunks
 			}},
 		{"broadcast",

@@ -170,7 +170,7 @@ type PhaseStat struct {
 	Seconds float64
 	// Chunks is the number of pipelined sub-rounds the phase was split
 	// into (0 for bulk-synchronous phases). ComputeSeconds is the modeled
-	// consumer compute the phase performed on landed chunks, and
+	// consumer compute the phase charged for its landed chunks, and
 	// OverlapSeconds is the part of it hidden under in-flight flows —
 	// both zero for bulk phases, whose compute happens strictly after the
 	// movement.
@@ -202,8 +202,8 @@ type QueryStats struct {
 	// time, not fabric time, so it is reported beside NetSeconds rather
 	// than folded in.
 	SpillSeconds float64
-	// ComputeSeconds is the modeled time pipelined phases spent consuming
-	// landed chunks (probe inserts, partial-agg folds, gather merges),
+	// ComputeSeconds is the modeled time pipelined phases charge for
+	// consuming landed chunks (build inserts, partial-agg folds, merges),
 	// priced at ChunkComputeBytesPerSec. OverlapSeconds is the portion of
 	// that compute hidden under in-flight flows — the measured (not
 	// assumed) win of pipelining. Both are zero on bulk-synchronous runs,

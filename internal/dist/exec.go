@@ -362,7 +362,7 @@ func MergeBySeq(name string, shards []*relational.Relation, seqCol int, strip bo
 // their current shard move no bytes): RepartitionChunks' one covering
 // chunk.
 func Repartition(shards []*relational.Relation, keyCol, seqCol int) ([]*relational.Relation, []Transfer) {
-	dests, chunks, _ := RepartitionChunks(shards, keyCol, seqCol, 0)
+	dests, chunks := RepartitionChunks(shards, keyCol, seqCol, 0)
 	return dests, coveringTransfers(chunks)
 }
 

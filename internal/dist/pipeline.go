@@ -52,7 +52,11 @@ func (c Chunk) ComputeSeconds() float64 {
 // and the last chunk is consumed after its flows drain. consume(k) is
 // called exactly once per chunk, in order, and never concurrently with
 // itself — but it does run concurrently with the admission of chunk
-// k+1, so it must not touch the transfer lists it shares with them.
+// k+1, so it must not touch the transfer lists it shares with them. The
+// engine's phases land nothing chunk by chunk (their receivers take the
+// payload whole once the phase returns), so the modeled overlap never
+// depends on what consume does; it is there for a caller that times a
+// landing step against the model.
 //
 // The phase records measured overlap, not assumed: each chunk's network
 // seconds come from the simulator, its compute seconds from
@@ -184,25 +188,23 @@ func seqVectors(shards []*relational.Relation, seqCol int) (seqs [][]int64, maxR
 	return seqs, maxRows
 }
 
-// RepartitionChunks is Repartition split into pipelined chunks. The
-// destination relations are identical to the bulk path's (same rows,
-// same seq order); the movement is striped across sources — chunk g
-// carries every source's local rows [g·chunkRows, (g+1)·chunkRows), so
-// all source uplinks transmit in parallel within each sub-round,
-// exactly as they do in the one bulk round. cum[g][d] is the prefix of
-// the seq-sorted bucket dests[d] a consumer may digest after chunk g:
-// the rows below the landed-seq watermark, which is what lets an
-// incremental hash build insert in the bulk build's exact order while
-// later chunks are still in flight. A chunk size of 0 is one covering
-// chunk, whose transfers are Repartition's; the per-(src,dst) bytes of
-// any chunking sum to them exactly (byte counts are integers, so
-// summation order cannot perturb them).
-func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk, cum [][]int) {
+// RepartitionChunks is Repartition split into pipelined chunks: the
+// destination relations are identical to the bulk path's (same rows, same
+// seq order), and the chunks decide the charge of moving them. The
+// movement is striped across sources — chunk g carries every source's
+// local rows [g·chunkRows, (g+1)·chunkRows), so all source uplinks
+// transmit in parallel within each sub-round, exactly as they do in the
+// one bulk round — and the receiver takes its bucket whole once the phase
+// is charged. A chunk size of 0 is one covering chunk, whose transfers
+// are Repartition's; the per-(src,dst) bytes of any chunking sum to them
+// exactly (byte counts are integers, so summation order cannot perturb
+// them).
+func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk) {
 	dests, place := repartition(shards, keyCol, seqCol)
 	s := len(shards)
 	seqs, maxRows := seqVectors(shards, seqCol)
 	if maxRows == 0 {
-		return dests, nil, nil
+		return dests, nil
 	}
 	chunkRows, n := chunking(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
@@ -231,24 +233,7 @@ func RepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows 
 		}
 		chunks[g] = Chunk{Transfers: ts, ComputeBytes: float64(compute)}
 	}
-	cum = make([][]int, n)
-	destSeqs, _ := seqVectors(dests, seqCol)
-	pos := make([]int, s)
-	for g := 0; g < n; g++ {
-		if w, ok := chunkWatermark(seqs, g, chunkRows); ok {
-			for d, seq := range destSeqs {
-				for pos[d] < len(seq) && seq[pos[d]] < w {
-					pos[d]++
-				}
-			}
-		} else {
-			for d, seq := range destSeqs {
-				pos[d] = len(seq)
-			}
-		}
-		cum[g] = append([]int(nil), pos...)
-	}
-	return dests, chunks, cum
+	return dests, chunks
 }
 
 // BroadcastChunksCols is Broadcast split into pipelined chunks; a chunk

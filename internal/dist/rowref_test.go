@@ -159,7 +159,7 @@ func refChunkWatermark(shards []*relational.Relation, seqCol, g, chunkRows int) 
 	return w, ok
 }
 
-func refRepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk, cum [][]int) {
+func refRepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRows int) (dests []*relational.Relation, chunks []Chunk) {
 	dests, _ = refRepartition(shards, keyCol, seqCol)
 	s := len(shards)
 	maxRows := 0
@@ -169,7 +169,7 @@ func refRepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRo
 		}
 	}
 	if maxRows == 0 {
-		return dests, nil, nil
+		return dests, nil
 	}
 	n := refChunkCount(maxRows, chunkRows)
 	chunks = make([]Chunk, n)
@@ -197,24 +197,7 @@ func refRepartitionChunks(shards []*relational.Relation, keyCol, seqCol, chunkRo
 		}
 		chunks[g].Transfers = ts
 	}
-	cum = make([][]int, n)
-	pos := make([]int, s)
-	for g := 0; g < n; g++ {
-		if w, ok := refChunkWatermark(shards, seqCol, g, chunkRows); ok {
-			for d := range pos {
-				rows := dests[d].Rows
-				for pos[d] < len(rows) && rows[pos[d]][seqCol].I < w {
-					pos[d]++
-				}
-			}
-		} else {
-			for d := range pos {
-				pos[d] = len(dests[d].Rows)
-			}
-		}
-		cum[g] = append([]int(nil), pos...)
-	}
-	return dests, chunks, cum
+	return dests, chunks
 }
 
 func refBroadcastChunks(shards []*relational.Relation, seqCol int, strip bool, chunkRows int) (merged *relational.Relation, chunks []Chunk, bounds []int) {
@@ -512,7 +495,7 @@ func sameTransfers(a, b []Transfer) error {
 // sharding, empty shards and empty relations, Int/Float/String keys,
 // fan-out-duplicated seq runs, chunk sizes from 1 to beyond the input —
 // for row-built and column-built inputs alike: identical rows in
-// identical order, identical transfers, compute bytes, cum and bounds.
+// identical order, identical transfers, compute bytes and bounds.
 func TestMovementMatchesRowReference(t *testing.T) {
 	seed := genRuns.Add(1)
 	rng := rand.New(rand.NewSource(seed))
@@ -552,13 +535,10 @@ func TestMovementMatchesRowReference(t *testing.T) {
 			for _, cr := range []int{1, 7, 1024, 1 << 20} {
 				ctag := fmt.Sprintf("%s chunk %d", tag, cr)
 
-				wd, wc, wcum := refRepartitionChunks(rows, 0, seqCol, cr)
-				gd, gc, gcum := RepartitionChunks(form.in, 0, seqCol, cr)
+				wd, wc := refRepartitionChunks(rows, 0, seqCol, cr)
+				gd, gc := RepartitionChunks(form.in, 0, seqCol, cr)
 				check(ctag+": RepartitionChunks rows", sameRelations(gd, wd))
 				check(ctag+": RepartitionChunks chunks", sameChunks(gc, wc))
-				if !reflect.DeepEqual(gcum, wcum) {
-					t.Fatalf("seed %d: %s: RepartitionChunks cum %v, reference %v", seed, ctag, gcum, wcum)
-				}
 
 				wm, wbc, wb := refBroadcastChunks(rows, seqCol, strip, cr)
 				gm, gbc, gb := BroadcastChunks(form.in, seqCol, strip, cr)

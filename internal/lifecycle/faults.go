@@ -2,6 +2,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -117,8 +118,10 @@ func (p *FaultPlan) String() string {
 //	partition:W@P         worker W is cut off from phase P
 //	seed:N                a seeded pseudo-random schedule over the cluster's workers
 //
-// workers is the cluster's worker count, used to place seeded events and
-// bounds-check explicit ones. An empty spec returns (nil, nil).
+// An argument must be a finite number above 0, and a kill fraction at most
+// 1; partition takes none. workers is the cluster's worker count, used to
+// place seeded events and bounds-check explicit ones. An empty spec
+// returns (nil, nil).
 func ParsePlan(spec string, workers int) (*FaultPlan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -158,28 +161,33 @@ func ParsePlan(spec string, workers int) (*FaultPlan, error) {
 		if err != nil || phase < 0 {
 			return nil, fmt.Errorf("lifecycle: bad fault phase %q in %q", at[1], part)
 		}
-		arg := 0.0
-		if len(fields) == 3 {
-			arg, err = strconv.ParseFloat(fields[2], 64)
-			if err != nil || arg <= 0 {
-				return nil, fmt.Errorf("lifecycle: bad fault argument %q in %q", fields[2], part)
-			}
-		}
 		ev := Event{Worker: w, Phase: phase}
 		switch kind {
 		case "kill":
-			ev.Kind, ev.Frac = EventKill, arg
+			ev.Kind = EventKill
 		case "slow":
-			ev.Kind, ev.Factor = EventSlow, arg
+			ev.Kind = EventSlow
 		case "degrade":
-			ev.Kind, ev.Factor = EventDegrade, arg
-			if ev.Factor <= 0 {
-				ev.Factor = 10
-			}
+			ev.Kind, ev.Factor = EventDegrade, 10
 		case "partition":
 			ev.Kind = EventPartition
 		default:
 			return nil, fmt.Errorf("lifecycle: unknown fault kind %q in %q (have kill, slow, degrade, partition, seed)", kind, part)
+		}
+		if len(fields) == 3 {
+			arg, err := strconv.ParseFloat(fields[2], 64)
+			switch {
+			case ev.Kind == EventPartition:
+				return nil, fmt.Errorf("lifecycle: bad fault argument %q in %q (partition takes none)", fields[2], part)
+			case err != nil || !(arg > 0) || math.IsInf(arg, 0):
+				return nil, fmt.Errorf("lifecycle: bad fault argument %q in %q (want a finite number above 0)", fields[2], part)
+			case ev.Kind == EventKill && arg > 1:
+				return nil, fmt.Errorf("lifecycle: bad fault argument %q in %q (a kill fraction is at most 1)", fields[2], part)
+			case ev.Kind == EventKill:
+				ev.Frac = arg
+			default:
+				ev.Factor = arg
+			}
 		}
 		plan.Events = append(plan.Events, ev)
 	}
@@ -199,7 +207,11 @@ func Seeded(seed int64, workers int) *FaultPlan {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	kill := rng.Intn(workers)
-	slow := (kill + 1 + rng.Intn(maxInt(workers-1, 1))) % workers
+	// (kill + step) mod workers, without the sum overflowing.
+	slow := kill - workers + 1 + rng.Intn(maxInt(workers-1, 1))
+	if slow < 0 {
+		slow += workers
+	}
 	degrade := rng.Intn(workers)
 	return &FaultPlan{Events: []Event{
 		{Kind: EventKill, Worker: kill, Phase: rng.Intn(2), Frac: 0.25 + 0.5*rng.Float64()},

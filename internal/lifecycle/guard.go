@@ -50,14 +50,16 @@ func (g *Guard) RunPhase(name string, transfers []dist.Transfer, class string, w
 	})
 }
 
-// RunPipelined runs one pipelined movement phase under fault injection.
-// A kill at this ordinal lands at the chunk boundary nearest Frac: data
-// sent to the dead host in any chunk is lost (the receiver died with
-// it), data from the dead host is lost for chunks at or past the death
-// point (earlier chunks were already delivered and consumed).
-func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
+// RunPipelined charges one pipelined movement phase under fault
+// injection: the chunks decide the charge — eager sub-rounds with their
+// modeled consumer compute — and the receiver takes the payload whole
+// once the phase returns. A kill at this ordinal lands at the chunk
+// boundary nearest Frac: data sent to the dead host in any chunk is lost
+// (the receiver died with it), data from the dead host is lost for chunks
+// at or past the death point (earlier chunks were already delivered).
+func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, weightScale float64) error {
 	return g.step(name, func() error {
-		return g.qr.RunPipelined(name, chunks, class, weightScale, consume)
+		return g.qr.RunPipelined(name, chunks, class, weightScale, landNothing)
 	}, func(ev Event, deadNode int) ([]dist.Transfer, float64) {
 		k0 := int(killFrac(ev) * float64(len(chunks)))
 		if k0 >= len(chunks) {
@@ -69,7 +71,7 @@ func (g *Guard) RunPipelined(name string, chunks []dist.Chunk, class string, wei
 			pre := g.preResolve(ch.Transfers)
 			frac := 0.0 // chunks at/past the death point delivered nothing from the dead host
 			if k < k0 {
-				frac = 1 // earlier chunks were already delivered and consumed
+				frac = 1 // earlier chunks were already delivered
 			}
 			l, b := lostTransfers(ch.Transfers, pre, deadNode, frac)
 			lost = append(lost, l...)

@@ -40,6 +40,7 @@ package lifecycle
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/dist"
@@ -275,13 +276,18 @@ func (m *Manager) charge(name, class string, ts []dist.Transfer) (float64, float
 	}
 	qr := m.fab.NewQueryQoS(nil, class, 0)
 	qr.SetHostResolver(func(i int) int { return i })
-	err := qr.RunPipelined(name, []dist.Chunk{{Transfers: ts}}, "", 0, func(int) error { return nil })
+	err := qr.RunPipelined(name, []dist.Chunk{{Transfers: ts}}, "", 0, landNothing)
 	st := qr.Finish()
 	if err != nil {
 		return bytes, st.NetSeconds, fmt.Errorf("lifecycle: %s: %w", name, err)
 	}
 	return bytes, st.NetSeconds, nil
 }
+
+// landNothing is the chunk consumer of every phase the lifecycle charges:
+// a movement is a charge, and its receiver takes the payload whole after
+// the phase.
+func landNothing(int) error { return nil }
 
 // rebalance applies a membership mutation (already performed under mu by
 // mutate, which returns the old placement) and charges the movement the
@@ -437,10 +443,13 @@ func (m *Manager) Kill(w int) (deadNode int, remapped []int, err error) {
 
 // DegradeWorker divides the speed of every access link touching the
 // worker's host by factor (values ≤1 mean PartitionFactor — an effective
-// partition). The mutation happens under the admission lock and prices
-// every later round; it is never undone — injected faults are part of
-// the cluster's history.
+// partition; a non-finite factor is refused). The mutation happens under
+// the admission lock and prices every later round; it is never undone —
+// injected faults are part of the cluster's history.
 func (m *Manager) DegradeWorker(w int, factor float64) error {
+	if math.IsNaN(factor) || math.IsInf(factor, 0) {
+		return fmt.Errorf("lifecycle: degrade worker %d: factor %g is not finite", w, factor)
+	}
 	m.mu.Lock()
 	node, err := m.nodeOfLocked(w)
 	m.mu.Unlock()

@@ -481,8 +481,9 @@ func TestDiffDirectKeyGroupAgg(t *testing.T) {
 // index stays direct with a gap, or far enough that it is hashed — and a
 // Float key with NaN and ±0; each probed by a column holding matches,
 // gaps, values past either end of the window and negatives. The build
-// goes in whole (one span known up front) and in chunks, so a direct
-// window widens or turns hashed while rows are appended.
+// goes in through the join's build stream and whole through
+// NewHashBuildOf (one span known up front), the table a moved build side
+// becomes.
 func TestDiffDirectKeyHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	nan2 := math.Float64frombits(math.Float64bits(math.NaN()) | 1)
@@ -523,21 +524,15 @@ func TestDiffDirectKeyHashJoin(t *testing.T) {
 					t.Fatal(err)
 				}
 				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
-				for _, chunk := range []int{1, 64, 150} {
-					pre, err := NewHashBuild(b.Schema, col)
-					if err != nil {
-						t.Fatal(err)
-					}
-					cols := b.Columnar()
-					for lo := 0; lo < b.Len(); lo += chunk {
-						pre.AppendCols(cols, lo, min(lo+chunk, b.Len()))
-					}
-					op, err := NewBatchHashJoinPrebuilt(pre, cutBatches(probe, 7), col, workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
+				pre, err := NewHashBuildOf(b.Schema, col, b.Columnar(), b.Len())
+				if err != nil {
+					t.Fatal(err)
 				}
+				op, err = NewBatchHashJoinPrebuilt(pre, cutBatches(probe, 7), col, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
 			}
 		}
 	}
@@ -626,8 +621,8 @@ func TestDiffCodedGroupAgg(t *testing.T) {
 
 // TestDiffCodedHashJoin: a String-keyed join with a coded build and a
 // plain probe, with both sides coded over different dictionaries, and
-// with both coded over one shared dictionary — built whole and appended
-// chunk by chunk.
+// with both coded over one shared dictionary — built from the build stream
+// and adopted whole by NewHashBuildOf.
 func TestDiffCodedHashJoin(t *testing.T) {
 	rels := diffRelations()
 	b, p := rels["adversarial"], rels["duplicates"]
@@ -659,12 +654,9 @@ func TestDiffCodedHashJoin(t *testing.T) {
 				op.SetBudget(diffBudget(limit))
 				requireIdenticalRows(t, want, collectRows(t, RowsOf(NewExchange(op, workers))))
 			}
-			pre, err := NewHashBuild(c.build.Schema, 2)
+			pre, err := NewHashBuildOf(c.build.Schema, 2, c.build.Columnar(), c.build.Len())
 			if err != nil {
 				t.Fatal(err)
-			}
-			for lo := 0; lo < c.build.Len(); lo += 9 {
-				pre.AppendCols(c.build.Columnar(), lo, min(lo+9, c.build.Len()))
 			}
 			op, err := NewBatchHashJoinPrebuilt(pre, cutBatches(c.probe, 7), 2, workers)
 			if err != nil {

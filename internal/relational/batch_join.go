@@ -16,8 +16,8 @@ type joinCore struct {
 	schema     Schema
 	buildWidth int
 	workers    int
-	// tab is the build table. A prebuilt one (filled and indexed by the
-	// pipelined distributed path, chunk by chunk) is adopted as is;
+	// tab is the build table. A prebuilt one (the distributed engine's,
+	// built from a moved build side taken whole) is adopted as is;
 	// otherwise runBuild fills it from the build stream.
 	tab      *HashBuild
 	prebuilt bool
@@ -46,8 +46,8 @@ func (c *joinCore) runBuild() {
 	// The whole build table reserves against the query budget; when the
 	// reservation fails the join goes out of core via grace partitioning
 	// instead of assuming the table fits. A prebuilt table reserves the
-	// same bytes, so a budgeted pipelined join spills exactly where the
-	// bulk join would.
+	// same bytes, so a budgeted distributed join spills exactly where a
+	// join building the same table would.
 	if c.budget != nil && !c.budget.Reserve(int64(c.tab.bytes)) {
 		c.buildGrace()
 		return

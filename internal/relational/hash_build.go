@@ -65,14 +65,11 @@ func (ix *joinIndex) match(pc *Vector, bsel, psel []int32, tr *codeRefs) ([]int3
 
 // HashBuild is a hash-join build table: the build side as typed column
 // vectors in serial order plus a joinIndex over the key column. The batch
-// hash join fills one from its build stream; the pipelined distributed
-// path constructs one incrementally — Append inserts each
-// repartition/broadcast chunk's rows as they land, so the probe-ready
-// table exists the moment the last chunk drains instead of being built
-// from scratch afterwards. Appending in landed order reproduces the bulk
-// build's insertion order exactly (per-key row lists match the serial
-// engine's), which is what keeps pipelined join output row-for-row
-// identical to the bulk path.
+// hash join fills one from its build stream; the distributed engine takes
+// a moved build side whole, once its movement phase is charged, and
+// NewHashBuildOf adopts its vectors — the broadcast's seq-merged build
+// side, a shuffle destination's seq-sorted bucket, a co-placed shard's own
+// rows — so per-key row lists follow the serial engine's insertion order.
 //
 // Append is not safe for concurrent use; once appending is done the
 // table is read-only and may be shared by any number of concurrently
@@ -125,17 +122,6 @@ func (h *HashBuild) Append(rows []Row) {
 		}
 		h.bytes += row.EncodedBytes()
 	}
-	h.ix.add(&h.cols[h.keyCol])
-}
-
-// AppendCols inserts rows [lo, hi) held as columns, in order: cols carry
-// the build schema's columns first (trailing extras — a stream's #seq —
-// are ignored).
-func (h *HashBuild) AppendCols(cols []Vector, lo, hi int) {
-	for c := range h.cols {
-		h.cols[c].AppendRange(&cols[c], lo, hi)
-	}
-	h.bytes += float64(NewRowSizer(cols[:len(h.cols)]).RangeBytes(lo, hi))
 	h.ix.add(&h.cols[h.keyCol])
 }
 

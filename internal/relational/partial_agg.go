@@ -128,26 +128,6 @@ func (p *PartialAgg) emptyLike() *PartialAgg {
 	return q
 }
 
-// layoutLike gives a partial that has seen nothing yet o's layout and
-// column types.
-func (p *PartialAgg) layoutLike(o *PartialAgg) {
-	if p.cols == nil {
-		e := o.emptyLike()
-		p.cols, p.slots = e.cols, e.slots
-	}
-}
-
-// Receiver returns an empty partial laid out like p with room for all of
-// p's groups: what the far end of a chunked transfer of p (SplitChunks)
-// appends the chunks to.
-func (p *PartialAgg) Receiver() *PartialAgg {
-	q := p.emptyLike()
-	if p.cols != nil {
-		q.reserve(p.Groups())
-	}
-	return q
-}
-
 // ensureIndexed brings appended-but-unindexed groups into the lookup.
 func (p *PartialAgg) ensureIndexed() {
 	if p.indexed < p.Groups() {
@@ -176,23 +156,6 @@ func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
 	p.reserve(1)
 	for c := range p.cols {
 		p.cols[c].appendCell(&o.cols[c], i)
-	}
-}
-
-// AppendDisjoint adds every group of o, in o's order, as p's next groups —
-// a column-range append with nothing hashed. o's groups must be absent
-// from p: the sub-partials of one SplitChunks. Indexing is left to
-// ensureIndexed.
-func (p *PartialAgg) AppendDisjoint(o *PartialAgg) {
-	p.ord += o.ord
-	n := o.Groups()
-	if n == 0 {
-		return
-	}
-	p.layoutLike(o)
-	p.reserve(n)
-	for c := range p.cols {
-		p.cols[c].AppendRange(&o.cols[c], 0, n)
 	}
 }
 
@@ -348,7 +311,11 @@ func (p *PartialAgg) MergeFrom(o *PartialAgg) {
 	if o.cols == nil {
 		return
 	}
-	p.layoutLike(o)
+	if p.cols == nil {
+		// p has seen nothing yet: take o's layout and column types.
+		e := o.emptyLike()
+		p.cols, p.slots = e.cols, e.slots
+	}
 	p.ensureIndexed()
 	okeys := o.keys()
 	for i := range o.Groups() {
@@ -575,15 +542,14 @@ func (p *PartialAgg) gatherSeqOrder(cols []Vector) {
 
 // SplitChunks slices the partial into sub-partials of at most maxGroups
 // groups each, in this partial's first-seen order: index ranges over the
-// dense group ids, sharing the original's storage (read-only). Merging
-// them back in order via MergeFrom reconstructs this partial exactly —
-// same states, same order, same ord — which is what lets the pipelined
-// distributed gather ship and fold a shard's partial generation by
-// generation while keeping the coordinator's final merge bit-identical
-// to the bulk one. The first sub carries the whole arrival count (ord is
-// a partial-level counter, not a per-group one), so the counts sum
-// correctly. maxGroups <= 0, or a partial that fits one chunk, returns
-// []{p} itself.
+// dense group ids, sharing the original's storage (read-only). The
+// distributed gather sizes its charge with them — one chunk per
+// generation — and the coordinator then merges the shards' partials
+// whole. Merging the subs back in order via MergeFrom reconstructs this
+// partial exactly — same states, same order, same ord: the first sub
+// carries the whole arrival count (ord is a partial-level counter, not a
+// per-group one), so the counts sum correctly. maxGroups <= 0, or a
+// partial that fits one chunk, returns []{p} itself.
 func (p *PartialAgg) SplitChunks(maxGroups int) []*PartialAgg {
 	n := p.Groups()
 	if maxGroups <= 0 || n <= maxGroups {

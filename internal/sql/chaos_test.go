@@ -3,10 +3,12 @@ package sql
 import (
 	"context"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/lifecycle"
 )
@@ -331,5 +333,37 @@ func TestChaosConfigValidation(t *testing.T) {
 	cfg.Faults = &lifecycle.FaultPlan{Events: []lifecycle.Event{{Kind: lifecycle.EventKill, Worker: 0}}}
 	if _, err := NewEngine(cfg); err == nil {
 		t.Fatal("faults without Distributed must be rejected")
+	}
+}
+
+// TestChaosNonFiniteDegradeFails: a degrade event built around the grammar
+// (which refuses it) with a non-finite factor fails the query with an
+// error naming the factor — it neither hangs the admission round (NaN)
+// nor panics it with zero-speed links (+Inf).
+func TestChaosNonFiniteDegradeFails(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := DefaultConfig()
+		cfg.Distributed = true
+		cfg.Shards = 4
+		cfg.Replication = 2
+		cfg.Faults = &lifecycle.FaultPlan{Events: []lifecycle.Event{{Kind: lifecycle.EventDegrade, Factor: f}}}
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		RegisterDemo(eng, 7, 2000, 100)
+		done := make(chan error, 1)
+		go func() {
+			_, err := eng.Session().Query(context.Background(), chaosQuery)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if want := fmt.Sprintf("factor %g is not finite", f); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("degrade by %g: %v, want an error containing %q", f, err, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("degrade by %g: the query hung", f)
+		}
 	}
 }

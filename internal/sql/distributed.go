@@ -33,15 +33,16 @@ package sql
 // cluster with one replica per shard and no fault plan the guard resolves
 // every shard to its static host and has nothing to inject.
 //
-// One movement path: every broadcast, shuffle and gather is built once, as
-// the chunks its dist chunker cut the payload into plus a consume(k) that
-// lands chunk k at the receiver (a shared or per-destination HashBuild,
-// per-shard partial-aggregate accumulators, the coordinator's SeqMerger),
-// and runs through distExec.move. There is one receive path and two
-// charging rules, and move is where the rule is picked:
-// Config.PipelineChunkRows > 0 charges pipelined sub-rounds with measured
+// One movement path: every broadcast, shuffle and gather is cut by its
+// dist chunker into the chunks that decide its charge, and distExec.move
+// charges them — the only place a movement reaches the fabric. There are
+// two charging rules, and move is where the rule is picked:
+// Config.PipelineChunkRows > 0 charges pipelined sub-rounds with modeled
 // consumer compute and overlap; 0 — the bulk engine — cuts one covering
-// chunk and charges it as one barrier round.
+// chunk and charges it as one barrier round. The receiver takes the moved
+// payload whole once the phase is charged: one shared HashBuild for a
+// broadcast, one per destination for a shuffle, one MergeAll of the
+// shards' partial aggregates, one seq merge for the final gather.
 //
 // Determinism: every shard-local stream carries the hidden #seq column
 // (the row's index in the original relation, or the probe-side lineage
@@ -208,9 +209,8 @@ type distExec struct {
 	class    string
 	weight   float64
 	// chunkRows is the movement chunk size (Config.PipelineChunkRows).
-	// Every payload is cut by it — 0 cuts one covering chunk — and landed
-	// by the same receivers; move is the one place that reads it to decide
-	// how the phase is charged.
+	// Every payload is cut by it — 0 cuts one covering chunk — and move is
+	// the one place that reads it to decide how the phase is charged.
 	chunkRows int
 	// lw holds one lowerer per shard. Each carries a fork of the query's
 	// device placer and of its memory budget (nil on the homogeneous and
@@ -325,29 +325,27 @@ func (e *distExec) root(p *Planned, schema relational.Schema, tail func(*distStr
 	return p
 }
 
-// move runs one movement phase — a broadcast, a shuffle or a gather — and
-// is the only way one reaches the fabric: the payload arrives cut into
-// chunks by its dist chunker, consume(k) lands chunk k at the receiver, and
-// class and weightScale are the phase's QoS (see dist.GatherWeightBoost).
-// What differs between the two engines is the charge, and this is where it
-// is decided. Pipelined (chunkRows > 0): every chunk is an eager fabric
-// sub-round and consume(k) overlaps the flows of chunk k+1, its modeled
-// consumer compute measured into the phase. Bulk (0): the chunker cut one
+// move charges one movement phase — a broadcast, a shuffle or a gather —
+// and is the only way one reaches the fabric: the payload arrives cut into
+// chunks by its dist chunker, and class and weightScale are the phase's
+// QoS (see dist.GatherWeightBoost). What differs between the two engines
+// is the charge, and this is where it is decided. Pipelined (chunkRows >
+// 0): every chunk is an eager fabric sub-round, its modeled consumer
+// compute overlapping the flows of the next. Bulk (0): the chunker cut one
 // covering chunk, whose transfer list is the bulk one; it is admitted as
-// one barrier round with no consumer compute charged, then consumed. An
-// empty payload has no chunk and still claims its phase ordinal — a fault
-// scheduled there lands — and its (empty) phase record.
-func (e *distExec) move(name string, chunks []dist.Chunk, class string, weightScale float64, consume func(k int) error) error {
+// one barrier round with no consumer compute charged. An empty payload has
+// no chunk and still claims its phase ordinal — a fault scheduled there
+// lands — and its (empty) phase record. The receiver takes the payload
+// whole after move returns.
+func (e *distExec) move(name string, chunks []dist.Chunk, class string, weightScale float64) error {
 	if e.chunkRows > 0 {
-		return e.guard.RunPipelined(name, chunks, class, weightScale, consume)
+		return e.guard.RunPipelined(name, chunks, class, weightScale)
 	}
-	if len(chunks) == 0 {
-		return e.guard.RunPhase(name, nil, class, weightScale)
+	var transfers []dist.Transfer
+	if len(chunks) > 0 {
+		transfers = chunks[0].Transfers
 	}
-	if err := e.guard.RunPhase(name, chunks[0].Transfers, class, weightScale); err != nil {
-		return err
-	}
-	return consume(0)
+	return e.guard.RunPhase(name, transfers, class, weightScale)
 }
 
 // chooseMovement picks broadcast vs repartition for one join by pricing
@@ -406,8 +404,8 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 	buildWidth := len(build.schema)
 
 	// Every movement lands the build side in hash tables — tabs[s] is the
-	// one shard s probes — filled as its chunks land, so the table is
-	// probe-ready the moment the last chunk drains.
+	// one shard s probes — built from the moved rows once the phase is
+	// charged.
 	tabs := make([]*relational.HashBuild, len(probe.base))
 	out := &distStream{dx: e, schema: combined, hint: e.shardHint(jp.size), joined: true}
 	switch {
@@ -436,21 +434,15 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 		out.base, out.decor = probe.base, append(out.decor, probe.decor...)
 	case e.chooseMovement(build.bytes(), probe.bytes()) == "broadcast":
 		// Replicate the build side to every worker; the probe side does not
-		// move. The merged build side streams out in seq-rank chunks into
-		// one table every shard probes: appending chunk prefixes of the
-		// seq-merged relation is the serial build's insertion order.
-		merged, chunks, bounds := dist.BroadcastChunksCols(build.base, buildWidth, true, e.chunkRows)
-		tab, err := relational.NewHashBuild(merged.Schema, buildCol)
-		if err != nil {
+		// move. The seq-merged build side — the serial build's insertion
+		// order — becomes one table every shard probes, adopting its
+		// vectors.
+		merged, chunks, _ := dist.BroadcastChunksCols(build.base, buildWidth, true, e.chunkRows)
+		if err := e.move(fmt.Sprintf("broadcast#%d", ji), chunks, "", 0); err != nil {
 			return nil, err
 		}
-		prev := 0
-		consume := func(k int) error {
-			tab.AppendCols(merged.Columnar(), prev, bounds[k])
-			prev = bounds[k]
-			return nil
-		}
-		if err := e.move(fmt.Sprintf("broadcast#%d", ji), chunks, "", 0, consume); err != nil {
+		tab, err := relational.NewHashBuildOf(merged.Schema, buildCol, merged.Columnar(), merged.Len())
+		if err != nil {
 			return nil, err
 		}
 		out.base = probe.base
@@ -458,15 +450,15 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 			tabs[s] = tab
 		}
 	default:
-		// Hash-repartition both sides on the join key: their buckets move
-		// in seq-rank chunks (build transfers ahead of probe transfers
-		// within each chunk), and every destination's table inserts its
-		// landed build prefix — seq-sorted, the serial insertion order.
-		// Probe rows charge consumer compute too — they must be received
-		// and staged into their buckets before the probe scan — though only
-		// the build side feeds the tables.
-		buildB, bChunks, bCum := dist.RepartitionChunks(build.base, buildCol, buildWidth, e.chunkRows)
-		probeB, pChunks, _ := dist.RepartitionChunks(probe.base, probeCol, len(probe.schema), e.chunkRows)
+		// Hash-repartition both sides on the join key: their buckets are
+		// charged in seq-rank chunks (build transfers ahead of probe
+		// transfers within each chunk), and every destination's table
+		// adopts its build bucket — seq-sorted, the serial insertion
+		// order. Probe rows charge consumer compute too — they must be
+		// received and staged into their buckets before the probe scan —
+		// though only the build side feeds the tables.
+		buildB, bChunks := dist.RepartitionChunks(build.base, buildCol, buildWidth, e.chunkRows)
+		probeB, pChunks := dist.RepartitionChunks(probe.base, probeCol, len(probe.schema), e.chunkRows)
 		chunks := make([]dist.Chunk, max(len(bChunks), len(pChunks)))
 		for k := range chunks {
 			for _, side := range [][]dist.Chunk{bChunks, pChunks} {
@@ -476,29 +468,16 @@ func (e *distExec) joinStage(st *distStream, right *distStream, ji int) (*distSt
 				}
 			}
 		}
-		for d := range tabs {
+		if err := e.move(fmt.Sprintf("shuffle#%d", ji), chunks, "", 0); err != nil {
+			return nil, err
+		}
+		for d, rel := range buildB {
+			// The bucket still carries its seq column; the build table
+			// takes the visible columns before it.
 			var err error
-			if tabs[d], err = relational.NewHashBuild(build.schema, buildCol); err != nil {
+			if tabs[d], err = relational.NewHashBuildOf(build.schema, buildCol, rel.Columnar(), rel.Len()); err != nil {
 				return nil, err
 			}
-		}
-		prev := make([]int, len(buildB))
-		consume := func(k int) error {
-			if k >= len(bCum) {
-				return nil
-			}
-			for d := range buildB {
-				// The landed bucket still carries its seq column; the build
-				// table takes the visible columns before it.
-				if bCum[k][d] > prev[d] {
-					tabs[d].AppendCols(buildB[d].Columnar(), prev[d], bCum[k][d])
-					prev[d] = bCum[k][d]
-				}
-			}
-			return nil
-		}
-		if err := e.move(fmt.Sprintf("shuffle#%d", ji), chunks, "", 0, consume); err != nil {
-			return nil, err
 		}
 		out.base = probeB
 	}
@@ -697,31 +676,17 @@ func (pl *planner) planDistAggregate(stmt *SelectStmt, p *Planned, dx *distExec)
 		if err != nil {
 			return nil, err
 		}
-		// The gather: each shard's partial splits into generations of at
-		// most chunkRows groups (one, on the bulk engine), shipped as chunks;
-		// per-shard accumulators take generation k while generation k+1 is
-		// in flight — column ranges appended as they stand, one shard's
-		// generations being disjoint — reconstructing each shard's partial
-		// exactly (same group states, same first-seen order), so the final
-		// shard-order fold does not depend on the chunking.
+		// The gather: each shard's partial is charged as generations of at
+		// most chunkRows groups (one, on the bulk engine); the coordinator
+		// then folds the shards' partials whole, in shard order.
 		subs := make([][]*relational.PartialAgg, len(partials))
-		acc := make([]*relational.PartialAgg, len(partials))
 		for i, pa := range partials {
 			subs[i] = pa.SplitChunks(dx.chunkRows)
-			acc[i] = pa.Receiver()
 		}
-		consume := func(k int) error {
-			for i := range subs {
-				if k < len(subs[i]) {
-					acc[i].AppendDisjoint(subs[i][k])
-				}
-			}
-			return nil
-		}
-		if err := dx.move("gather", dist.PartialGatherChunks(subs), dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+		if err := dx.move("gather", dist.PartialGatherChunks(subs), dist.GatherClass, dist.GatherWeightBoost); err != nil {
 			return nil, err
 		}
-		aggCols, n := relational.MergeAll(acc).EmitCols(aggOutSchema, true)
+		aggCols, n := relational.MergeAll(partials).EmitCols(aggOutSchema, true)
 		aggRel := relational.NewColumnRelation("agg", aggOutSchema, aggCols, n)
 		// The coordinator's post-plan (HAVING/sort/project/limit) charges
 		// the query-level budget: coordinator memory is host memory too.
@@ -860,27 +825,14 @@ func (dx *distExec) gatherTail(stmt *SelectStmt, p *Planned, items []SelectItem,
 		if err := st.materialize(); err != nil {
 			return nil, err
 		}
-		// The gather: the coordinator's seq merge advances to each chunk's
-		// global row bound while the next chunk's flows drain — the serial
-		// row order, built incrementally.
+		// The gather: charged in seq-rank chunks, then the coordinator's
+		// seq merge of the shards — the serial row order.
 		seqCol := len(wideSchema)
-		chunks, bounds := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
-		total := 0
-		if len(bounds) > 0 {
-			total = bounds[len(bounds)-1]
-		}
-		schema := st.base[0].Schema[:seqCol]
-		merger := dist.NewSeqMerger(st.base, seqCol)
-		cols := merger.Columns(schema, total)
-		consume := func(k int) error {
-			merger.MergeInto(cols, bounds[k])
-			return nil
-		}
-		if err := dx.move("gather", chunks, dist.GatherClass, dist.GatherWeightBoost, consume); err != nil {
+		chunks, _ := dist.GatherChunks(st.base, seqCol, dx.chunkRows)
+		if err := dx.move("gather", chunks, dist.GatherClass, dist.GatherWeightBoost); err != nil {
 			return nil, err
 		}
-		merged := relational.NewColumnRelation("gathered", schema, cols, total)
-		lw, cur := dx.coordinator(merged)
+		lw, cur := dx.coordinator(dist.MergeBySeq("gathered", st.base, seqCol, true))
 		if len(keyCols) > 0 {
 			// stmt.Limit is the top-k bound; absent (-1) is a full sort.
 			var err error

@@ -106,23 +106,19 @@ type Config struct {
 	// may override it (Session.SpillTier).
 	SpillTier string
 	// PipelineChunkRows is the chunk size of distributed movement, and
-	// picks how a movement phase is charged. There is one receive path:
-	// every broadcast, shuffle and gather is cut into chunks of at most
-	// this many rows by its dist chunker and landed chunk by chunk —
-	// hash-join build tables fill as rows land, partial-aggregate merges
-	// fold generation by generation, the final gather streams into the seq
-	// merge. There are two charging rules. Positive: each chunk is
-	// admitted on the shared fabric as an eager sub-round while the
-	// receiver consumes the previous one, and the modeled consumer compute
-	// and the part of it hidden under in-flight flows are measured, not
-	// assumed, into Result.Net.ComputeSeconds / OverlapSeconds. 0 (the
-	// default, "chunk size infinity") is the bulk charge: the payload is
-	// one covering chunk, admitted as one barrier round, with no consumer
-	// compute charged. Chunking never changes answers — chunk boundaries
-	// derive from the deterministic seq tags, so results are row-for-row
-	// identical at every chunk size — and a positive size at or above the
-	// payload charges the same flows as 0, bit for bit. Negative values
-	// are rejected at NewEngine. Sessions may override it
+	// picks how a movement phase is charged. Every broadcast, shuffle and
+	// gather is cut into chunks of at most this many rows by its dist
+	// chunker, and the chunks decide the charge; the receiver takes the
+	// moved payload whole once the phase is charged. There are two
+	// charging rules. Positive: each chunk is admitted on the shared
+	// fabric as an eager sub-round, and the modeled consumer compute and
+	// the part of it hidden under the next chunk's flows go into
+	// Result.Net.ComputeSeconds / OverlapSeconds. 0 (the default, "chunk
+	// size infinity") is the bulk charge: the payload is one covering
+	// chunk, admitted as one barrier round, with no consumer compute
+	// charged. Chunking never changes answers, and a positive size at or
+	// above the payload charges the same flows as 0, bit for bit.
+	// Negative values are rejected at NewEngine. Sessions may override it
 	// (Session.PipelineChunkRows).
 	PipelineChunkRows int
 	// Replication places each shard's data on this many distinct live

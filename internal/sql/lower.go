@@ -193,8 +193,8 @@ func (lw *lowerer) hashJoin(build, probe execNode, buildCol, probeCol int) (exec
 	return execNode{row: op}, nil
 }
 
-// hashJoinPrebuilt is the distributed join: it probes a hash table the
-// join's movement filled as its chunks landed (distExec.joinStage), and
+// hashJoinPrebuilt is the distributed join: it probes a hash table built
+// from the join's moved build side, taken whole (distExec.joinStage), and
 // reserves the table's bytes against the shard's budget as a join that
 // built it would.
 func (lw *lowerer) hashJoinPrebuilt(pre *relational.HashBuild, probe execNode, probeCol int) (execNode, error) {
