@@ -104,7 +104,9 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	s.Run()
+	if err := s.Run(); err != nil {
+		log.Fatal(err)
+	}
 	fct := s.FCTs()
 	t := metrics.NewTable(fmt.Sprintf("%d flows × %s", fct.N(), metrics.FormatBytes(*bytes)),
 		"metric", "seconds")

@@ -34,7 +34,9 @@ func main() {
 			}
 		}
 	}
-	sim.Run()
+	if err := sim.Run(); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("shuffle: %d flows, mean FCT %.3fs, max %.3fs\n",
 		sim.FCTs().N(), sim.FCTs().Mean(), sim.FCTs().Max())
 

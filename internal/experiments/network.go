@@ -74,7 +74,9 @@ func E3() *Report {
 				}
 			}
 		}
-		s.Run()
+		if err := s.Run(); err != nil {
+			panic(err)
+		}
 		maxFCT := s.FCTs().Max()
 		if gen == topo.Gen10 {
 			base = maxFCT
@@ -154,7 +156,9 @@ func AblationFairness() *Report {
 		if _, err := s.StartFlow(3, 2, 1.25e9); err != nil {
 			panic(err)
 		}
-		s.Run()
+		if err := s.Run(); err != nil {
+			panic(err)
+		}
 		return s.FCTs().Mean()
 	}
 	mm := run(netsim.MaxMin)

@@ -33,26 +33,37 @@ func FilterRangeIncl(col []int64, lo, hi int64) []int32 {
 }
 
 // AppendRangeIncl is FilterRangeIncl appending to sel, so a caller that
-// filters batch after batch can reuse one selection buffer.
+// filters batch after batch can reuse one selection buffer. It is the
+// Int-literal case of the comparison kernels (expr.go) and branch-free
+// like them: lo <= v <= hi is one unsigned compare of v-lo against hi-lo,
+// and lo > hi selects nothing.
 func AppendRangeIncl(sel []int32, col []int64, lo, hi int64) []int32 {
-	for i, v := range col {
-		if v >= lo && v <= hi {
-			sel = append(sel, int32(i))
-		}
+	if lo > hi {
+		return sel
 	}
-	return sel
+	base := len(sel)
+	sel = grow(sel, len(col))
+	out, k, span := sel[base:], 0, uint64(hi-lo)
+	for i, v := range col {
+		out[k] = int32(i)
+		k += b2i(uint64(v-lo) <= span)
+	}
+	return sel[:base+k]
 }
 
 // RefineRangeIncl intersects an existing selection with lo <= col[i] <= hi,
 // the building block for conjunctions of range predicates.
 func RefineRangeIncl(col []int64, sel []int32, lo, hi int64) []int32 {
-	out := sel[:0]
-	for _, i := range sel {
-		if v := col[i]; v >= lo && v <= hi {
-			out = append(out, i)
-		}
+	if lo > hi {
+		return sel[:0]
 	}
-	return out
+	k, span := 0, uint64(hi-lo)
+	for _, i := range sel {
+		v := col[i]
+		sel[k] = i
+		k += b2i(uint64(v-lo) <= span)
+	}
+	return sel[:k]
 }
 
 // Gather materializes col[idx] for each index — the companion primitive to

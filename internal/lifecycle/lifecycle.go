@@ -460,12 +460,25 @@ func (m *Manager) DegradeWorker(w int, factor float64) error {
 		factor = PartitionFactor
 	}
 	m.fab.MutateNet(func(n *topo.Network) {
+		// A factor that underflows a link to zero (or to a subnormal
+		// speed the rate arithmetic loses) would strand its flows: refuse
+		// it before touching any link.
+		for _, lid := range n.Incident(node) {
+			if s := float64(n.Links[lid].Speed) / factor; !(s >= minLinkSpeed) {
+				err = fmt.Errorf("lifecycle: degrade worker %d: factor %g leaves link %d at speed %g", w, factor, lid, s)
+				return
+			}
+		}
 		for _, lid := range n.Incident(node) {
 			n.Links[lid].Speed = topo.GbE(float64(n.Links[lid].Speed) / factor)
 		}
 	})
-	return nil
+	return err
 }
+
+// minLinkSpeed is the least speed a degrade may leave a link at: the
+// smallest positive normal float64.
+const minLinkSpeed = 0x1p-1022
 
 // claimPhaseEvents hands the Guard every unfired movement-phase event
 // (kill, degrade, partition) scheduled for the given phase ordinal,

@@ -547,7 +547,21 @@ func (a *Admission) runRound() {
 		}
 		a.stats.ClassBytes[pf.Class] += pf.Bytes
 	}
-	a.sim.Run()
+	if err := a.sim.Run(); err != nil {
+		// A stall fails the phases whose flows it stranded, not the
+		// fabric: the next round starts from an idle simulator.
+		stuck := map[*Flow]bool{}
+		for _, f := range a.sim.Abandon() {
+			stuck[f] = true
+		}
+		for _, sub := range subs {
+			for _, f := range sub.flows {
+				if stuck[f] && sub.err == nil {
+					sub.err = err
+				}
+			}
+		}
+	}
 	if a.ctl != nil {
 		// Telemetry windows exist for controllers; the nil-controller
 		// fabric skips the per-round bookkeeping nobody could observe.

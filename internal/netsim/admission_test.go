@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -210,5 +211,26 @@ func TestAdmissionBadRequest(t *testing.T) {
 	}
 	if sec, _, err := p.Submit([]FlowReq{{Src: 0, Dst: 1, Bytes: 1e6}}); err != nil || sec <= 0 {
 		t.Fatalf("fabric wedged after bad request: %v %v", sec, err)
+	}
+}
+
+// TestAdmissionStalledPhaseFails: a flow over a zero-speed link gets no
+// positive rate. Its submission fails with an error instead of panicking
+// the shared simulator, and the next round runs on the repaired link.
+func TestAdmissionStalledPhaseFails(t *testing.T) {
+	a := NewAdmission(admissionSim())
+	p := a.Join(nil)
+	defer p.Leave()
+	var speed topo.GbE
+	a.MutateNet(func(n *topo.Network) {
+		lid := n.Incident(0)[0]
+		speed, n.Links[lid].Speed = n.Links[lid].Speed, 0
+	})
+	if _, _, err := p.Submit([]FlowReq{{Src: 0, Dst: 1, Bytes: 1e6}}); err == nil || !strings.Contains(err.Error(), "no positive rates") {
+		t.Fatalf("stalled phase: %v, want a no-positive-rates error", err)
+	}
+	a.MutateNet(func(n *topo.Network) { n.Links[n.Incident(0)[0]].Speed = speed })
+	if sec, _, err := p.Submit([]FlowReq{{Src: 0, Dst: 1, Bytes: 1e6}}); err != nil || sec <= 0 {
+		t.Fatalf("fabric wedged after a stalled phase: %v %v", sec, err)
 	}
 }

@@ -85,6 +85,9 @@ type Simulator struct {
 	completeC *sim.Event
 	linkBusy  []float64 // cumulative byte-seconds per directed link
 	onDone    func(*Flow)
+	// err is the first error of a scheduled flow that could not start;
+	// Run reports and clears it.
+	err error
 }
 
 // NewSimulator returns a simulator over the given network with its own
@@ -152,17 +155,46 @@ func (s *Simulator) StartFlowRouted(src, dst int, bytes float64, path topo.Path,
 	return f, nil
 }
 
-// ScheduleFlow injects a flow after the given delay.
+// ScheduleFlow injects a flow after the given delay. A flow that cannot
+// start there fails the Run that reaches it.
 func (s *Simulator) ScheduleFlow(delay sim.Time, src, dst int, bytes float64) {
 	s.Engine.Schedule(delay, func() {
-		if _, err := s.StartFlow(src, dst, bytes); err != nil {
-			panic(err)
+		if _, err := s.StartFlow(src, dst, bytes); err != nil && s.err == nil {
+			s.err = err
 		}
 	})
 }
 
-// Run drives the engine until all flows complete.
-func (s *Simulator) Run() { s.Engine.Run() }
+// Run drives the engine until every flow completes. It fails when a
+// scheduled flow could not start, or when flows are left that no link
+// gives a positive rate (disconnected capacity): those stay active until
+// Abandon removes them.
+func (s *Simulator) Run() error {
+	s.Engine.Run()
+	if err := s.err; err != nil {
+		s.err = nil
+		return err
+	}
+	if len(s.flows) > 0 {
+		return fmt.Errorf("netsim: %d active flows but no positive rates (disconnected capacity?)", len(s.flows))
+	}
+	return nil
+}
+
+// Abandon removes every active flow unfinished and returns them, so a
+// simulator whose Run stalled can run the next episode.
+func (s *Simulator) Abandon() []*Flow {
+	out := make([]*Flow, 0, len(s.flows))
+	for _, id := range s.sortedFlowIDs() {
+		out = append(out, s.flows[id])
+		delete(s.flows, id)
+	}
+	if s.completeC != nil {
+		s.Engine.Cancel(s.completeC)
+		s.completeC = nil
+	}
+	return out
+}
 
 // ResetClock rewinds the virtual clock to zero if the simulator is idle
 // (no active flows, no pending events), reporting whether it did.
@@ -321,7 +353,7 @@ func (s *Simulator) reallocate() {
 		}
 	}
 	if best < 0 {
-		panic("netsim: active flows but no positive rates (disconnected capacity?)")
+		return // stalled: Run reports the flows left
 	}
 	dt := float64(best)
 	s.completeC = s.Engine.Schedule(best, func() {

@@ -266,3 +266,27 @@ func TestStationQueueStats(t *testing.T) {
 		t.Fatalf("service mean = %v", st.ServiceTimes().Mean())
 	}
 }
+
+// TestRunReportsScheduledAndStalledFlows: a scheduled flow that cannot
+// start, and a flow no link gives a positive rate, fail Run with an error
+// instead of panicking; Abandon clears the stall.
+func TestRunReportsScheduledAndStalledFlows(t *testing.T) {
+	s := NewSimulator(singleLinkNet())
+	s.ScheduleFlow(1, 0, 1, -5)
+	if err := s.Run(); err == nil {
+		t.Fatal("a scheduled flow that cannot start must fail Run")
+	}
+	s.Net.Links[0].Speed = 0
+	if _, err := s.StartFlow(0, 1, 1e6); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Run(); err == nil {
+		t.Fatal("a flow with no positive rate must fail Run")
+	}
+	if stuck := s.Abandon(); len(stuck) != 1 || stuck[0].Done {
+		t.Fatalf("abandoned %d flows, want the one unfinished flow", len(stuck))
+	}
+	if err := s.Run(); err != nil || s.ActiveFlows() != 0 {
+		t.Fatalf("after Abandon: %v, %d active", err, s.ActiveFlows())
+	}
+}

@@ -4,49 +4,35 @@ import (
 	"fmt"
 
 	"repro/internal/exec"
-	"repro/internal/kernels"
 )
 
-// ColRange is a planner-recognized inclusive range predicate lo <= col <=
-// hi over an Int column — the shape BatchFilter lowers onto the
-// vectorizable kernels.FilterRangeIncl / RefineRangeIncl primitives
-// instead of evaluating a compiled expression per row.
-type ColRange struct {
-	Col    int
-	Lo, Hi int64
-	HasLo  bool
-	HasHi  bool
-}
-
-func (cr ColRange) bounds() (lo, hi int64) {
-	lo, hi = int64(-1)<<63, int64(^uint64(0)>>1)
-	if cr.HasLo {
-		lo = cr.Lo
-	}
-	if cr.HasHi {
-		hi = cr.Hi
-	}
-	return lo, hi
-}
-
-// BatchFilter passes rows satisfying every range (kernel fast path) and
-// the residual predicate (generic path). Either may be empty/nil.
+// BatchFilter passes the rows its predicate program selects.
 type BatchFilter struct {
-	child  BatchOp
-	ranges []ColRange
-	pred   Predicate
-	stat   *opCount
-	disp   *exec.Dispatcher
-	// sel is this stream's selection buffer, reused batch after batch:
-	// the gather copies the passing rows out before the next refill.
-	sel []int32
+	child BatchOp
+	pred  VecPred // nil passes every row
+	stat  *opCount
+	disp  *exec.Dispatcher
+	// ctx is this stream's scratch, reused batch after batch: the gather
+	// copies the passing rows out before the next refill.
+	ctx exprCtx
 }
 
-// NewBatchFilter returns a filter over child. ranges are applied first
-// via the scan kernels; pred (may be nil) handles whatever the planner
-// could not lower to a range.
-func NewBatchFilter(child BatchOp, ranges []ColRange, pred Predicate) *BatchFilter {
-	return &BatchFilter{child: child, ranges: ranges, pred: pred, stat: &opCount{}}
+// NewBatchFilter returns a filter over child passing the rows that satisfy
+// every range and pred (nil: no further test). The ranges are Int-range
+// programs ANDed ahead of pred.
+func NewBatchFilter(child BatchOp, ranges []ColRange, pred VecPred) *BatchFilter {
+	ps := make([]VecPred, 0, len(ranges)+1)
+	for _, r := range ranges {
+		ps = append(ps, r)
+	}
+	if pred != nil {
+		ps = append(ps, pred)
+	}
+	f := &BatchFilter{child: child, stat: &opCount{}}
+	if len(ps) > 0 {
+		f.pred = And(ps...)
+	}
+	return f
 }
 
 // Schema implements BatchOp.
@@ -71,17 +57,21 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 		// model cost, not semantics.
 		var out *Batch
 		work := func() (int, error) {
-			sel, all, err := f.selection(b)
-			if err != nil {
-				return 0, err
-			}
-			if all {
+			if f.pred == nil {
 				out = b
-			} else if len(sel) > 0 {
-				out = gatherBatch(b, sel)
+				return b.Len(), nil
 			}
-			if out == nil {
+			sel, fail := f.pred.narrow(&f.ctx, b, nil)
+			defer f.ctx.putSel(sel)
+			switch {
+			case fail.err != nil:
+				return 0, fail.err
+			case len(sel) == 0:
 				return 0, nil
+			case len(sel) == b.Len():
+				out = b // every row passed: a zero-copy pass-through
+			default:
+				out = gatherBatch(b, sel)
 			}
 			return out.Len(), nil
 		}
@@ -94,57 +84,6 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 		f.stat.add(out.Len())
 		return out, nil
 	}
-}
-
-// selection computes the passing row indices; all=true short-circuits the
-// gather when every row passes.
-func (f *BatchFilter) selection(b *Batch) (sel []int32, all bool, err error) {
-	for i, cr := range f.ranges {
-		lo, hi := cr.bounds()
-		col := b.Cols[cr.Col].Ints
-		if i == 0 {
-			sel = kernels.AppendRangeIncl(f.sel[:0], col, lo, hi)
-			f.sel = sel
-		} else {
-			sel = kernels.RefineRangeIncl(col, sel, lo, hi)
-		}
-		if len(sel) == 0 {
-			return nil, false, nil
-		}
-	}
-	if f.pred == nil {
-		// A range that every row passed is a zero-copy pass-through.
-		return sel, len(f.ranges) == 0 || len(sel) == b.Len(), nil
-	}
-	var buf Row
-	if sel == nil {
-		n := b.Len()
-		sel = f.sel[:0]
-		for r := 0; r < n; r++ {
-			buf = b.Row(r, buf)
-			ok, err := f.pred(buf)
-			if err != nil {
-				return nil, false, err
-			}
-			if ok {
-				sel = append(sel, int32(r))
-			}
-		}
-		f.sel = sel
-		return sel, len(sel) == b.Len(), nil
-	}
-	kept := sel[:0]
-	for _, r := range sel {
-		buf = b.Row(int(r), buf)
-		ok, err := f.pred(buf)
-		if err != nil {
-			return nil, false, err
-		}
-		if ok {
-			kept = append(kept, r)
-		}
-	}
-	return kept, false, nil
 }
 
 // Stats implements BatchOp.
@@ -161,7 +100,7 @@ func (f *BatchFilter) Partition(n int, static bool) []BatchOp {
 	parts := p.Partition(n, static)
 	out := make([]BatchOp, len(parts))
 	for i, cp := range parts {
-		out[i] = &BatchFilter{child: cp, ranges: f.ranges, pred: f.pred, stat: f.stat, disp: f.disp}
+		out[i] = &BatchFilter{child: cp, pred: f.pred, stat: f.stat, disp: f.disp}
 	}
 	return out
 }
@@ -186,24 +125,23 @@ func gatherBatch(b *Batch, sel []int32) *Batch {
 	return out
 }
 
-// VecProjector computes one output column for a whole batch straight off
-// its typed vectors — no Row, no Value.
-type VecProjector func(b *Batch) Vector
-
-// ProjExpr is one output column of a batch projection: a pass-through of
-// child column Col (vector shared, no per-row work), or a computed
-// expression — evaluated over the vectors by Vec when the planner could
-// prove the operand types, else per boxed row by Fn.
+// ProjExpr is one output column of a projection: a pass-through of child
+// column Col (vector shared, no per-row work) or a computed expression.
+// Prog is the expression's typed program, which the batch engine runs; Fn
+// is its row closure, which the row engine runs. A batch projection given
+// only Fn boxes each row for it (see Expr).
 type ProjExpr struct {
-	Col int // >= 0: pass child column through
-	Fn  Projector
-	Vec VecProjector
+	Col  int // >= 0: pass child column through
+	Fn   Projector
+	Prog VecExpr
 }
 
 // Pick returns the pass-through projection of column idx.
 func Pick(idx int) ProjExpr { return ProjExpr{Col: idx} }
 
-// Expr returns a computed projection.
+// Expr returns a projection computed by a row closure alone. The batch
+// engine boxes every row for it; the SQL planner compiles a program
+// instead, and only hand-built operator trees use this form.
 func Expr(fn Projector) ProjExpr { return ProjExpr{Col: -1, Fn: fn} }
 
 // BatchProject computes derived columns batch-at-a-time.
@@ -213,12 +151,18 @@ type BatchProject struct {
 	exprs  []ProjExpr
 	stat   *opCount
 	disp   *exec.Dispatcher
+	ctx    exprCtx // this stream's scratch for intermediate columns
 }
 
 // NewBatchProject returns a projection producing schema via exprs.
 func NewBatchProject(child BatchOp, schema Schema, exprs []ProjExpr) (*BatchProject, error) {
 	if len(schema) != len(exprs) {
 		return nil, fmt.Errorf("relational: batch project: %d columns but %d expressions", len(schema), len(exprs))
+	}
+	for i, e := range exprs {
+		if e.Col < 0 && e.Prog != nil && e.Prog.Type() != schema[i].Type {
+			return nil, fmt.Errorf("relational: batch project: column %q is %v but its program computes %v", schema[i].Name, schema[i].Type, e.Prog.Type())
+		}
 	}
 	return &BatchProject{child: child, schema: schema, exprs: exprs, stat: &opCount{}}, nil
 }
@@ -253,36 +197,48 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 	n := b.Len()
 	out := &Batch{Schema: p.schema, Cols: make([]Vector, len(p.exprs)), Seq: b.Seq, n: n}
 	work := func() error {
-		var boxed []int // outputs only a row closure can compute
+		// Every computed column runs, and the failures merge in column
+		// order: the row closures fail on the first failing row and, in
+		// it, the first failing column.
+		var fail rowFail
 		for i, e := range p.exprs {
+			var f rowFail
 			switch {
 			case e.Col >= 0:
 				out.Cols[i] = b.Cols[e.Col]
-			case e.Vec != nil:
-				out.Cols[i] = e.Vec(b)
+			case e.Prog != nil:
+				// An owned result is scratch the projection keeps as its
+				// output; a shared one is an immutable input column.
+				out.Cols[i], f = e.Prog.eval(&p.ctx, b, nil)
 			default:
-				out.Cols[i] = NewVector(p.schema[i].Type, n)
-				boxed = append(boxed, i)
+				out.Cols[i], f = boxColumn(b, e.Fn, p.schema[i].Type)
 			}
+			fail = fail.then(f)
 		}
-		var buf Row
-		for r := 0; r < n && len(boxed) > 0; r++ {
-			buf = b.Row(r, buf)
-			for _, i := range boxed {
-				val, err := p.exprs[i].Fn(buf)
-				if err != nil {
-					return err
-				}
-				out.Cols[i].Append(val)
-			}
-		}
-		return nil
+		return fail.err
 	}
 	if err := p.disp.Run(n, work); err != nil {
 		return nil, err
 	}
 	p.stat.add(n)
 	return out, nil
+}
+
+// boxColumn computes a column of type t over a batch by running fn on
+// each boxed row, up to the first row it fails on: the batch engine's
+// form of a projection given only its row closure (Expr).
+func boxColumn(b *Batch, fn Projector, t Type) (Vector, rowFail) {
+	out := NewVector(t, b.Len())
+	var buf Row
+	for r := 0; r < b.Len(); r++ {
+		buf = b.Row(r, buf)
+		v, err := fn(buf)
+		if err != nil {
+			return out, rowFail{row: r, err: err}
+		}
+		out.Append(v)
+	}
+	return out, rowFail{}
 }
 
 // Stats implements BatchOp.

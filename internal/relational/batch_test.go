@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/kernels"
 )
 
 // randRel builds a deterministic pseudo-random relation with Int, String
@@ -80,15 +82,12 @@ func TestBatchScanExchangeKeepsOrder(t *testing.T) {
 }
 
 func TestBatchFilterRangesAndPredicate(t *testing.T) {
-	pred := func(r Row) (bool, error) { return r[2].F < 60, nil }
+	pred := Cmp(OpLt, ColumnExpr(2, Float), Const(FloatV(60)))
 	rng := []ColRange{{Col: 3, Lo: 10, HasLo: true, Hi: 40, HasHi: true}}
 	for _, n := range batchSizes {
 		rel := randRel(int64(n)+3, n)
 		want := collectRows(t, NewFilter(NewScan(rel), func(r Row) (bool, error) {
-			if r[3].I < 10 || r[3].I > 40 {
-				return false, nil
-			}
-			return pred(r)
+			return r[3].I >= 10 && r[3].I <= 40 && r[2].F < 60, nil
 		}))
 		got := collectRows(t, RowsOf(NewExchange(NewBatchFilter(NewBatchScan(rel), rng, pred), 4)))
 		requireSameRows(t, want, got)
@@ -262,9 +261,11 @@ func TestBatchLimitMatchesRowLimit(t *testing.T) {
 
 func TestBatchFilterPredicateErrorPropagates(t *testing.T) {
 	rel := randRel(12, 2*BatchSize)
-	boom := fmt.Errorf("boom")
-	f := NewBatchFilter(NewBatchScan(rel), nil, func(Row) (bool, error) { return false, boom })
-	if _, err := Collect(RowsOf(NewExchange(f, 4)), "x"); err != boom {
+	// val / (qty - qty) > 0 divides by zero on every row.
+	zero := Arith(kernels.Sub, ColumnExpr(3, Int), ColumnExpr(3, Int))
+	pred := Cmp(OpGt, Arith(kernels.Div, ColumnExpr(2, Float), zero), Const(IntV(0)))
+	f := NewBatchFilter(NewBatchScan(rel), nil, pred)
+	if _, err := Collect(RowsOf(NewExchange(f, 4)), "x"); err != ErrDivisionByZero {
 		t.Fatalf("expected predicate error, got %v", err)
 	}
 }

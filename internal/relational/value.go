@@ -7,7 +7,13 @@
 //
 // The batch engine (BatchOp) is the one queries run on: columnar Batches
 // of typed Vectors flow through morsel-parallel operators, and nothing on
-// its path boxes a cell per input row. Group-by (PartialAgg) gives groups
+// its path boxes a cell per input row. Every filter and computed column is
+// a typed program (expr.go: VecExpr, VecPred) compiled once at plan time:
+// arithmetic runs one kernel per operator over the batch, and comparisons
+// produce or narrow an ascending selection with the branch-free kernels of
+// internal/kernels — a coded String column compares int32 codes after
+// resolving the literal against its Dict. AND narrows, OR unions and NOT
+// complements selections. Group-by (PartialAgg) gives groups
 // dense ids through a typed keyIndex and keeps their states as
 // struct-of-arrays vectors folded column-at-a-time; the hash join
 // (HashBuild, joinIndex) keeps the build side as vectors and gathers its

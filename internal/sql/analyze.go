@@ -3,6 +3,7 @@ package sql
 import (
 	"fmt"
 
+	"repro/internal/kernels"
 	"repro/internal/relational"
 )
 
@@ -108,105 +109,60 @@ func (s *scope) resolve(c *ColRef) (scopeEntry, error) {
 	}
 }
 
-// compiled is an executable expression.
+// compiled is an expression compiled in one pass into its two forms:
+// eval, the row closure the row engine — the oracle — runs, and the typed
+// column program the batch engine runs, vec for a value and pred for a
+// boolean (a boolean read back from a column has both).
 type compiled struct {
 	eval relational.Projector
 	typ  valType
-	// cell, when set, is the same expression read unboxed off a batch's
-	// typed vectors. Only shapes whose operand types are proven at plan
-	// time and that cannot fail at run time have one: numeric columns and
-	// literals under negation, +, - and *.
-	cell cellFn
+	vec  relational.VecExpr
+	pred relational.VecPred
 }
 
-// cellFn evaluates a numeric expression for row r of a batch's columns:
-// i is set for tInt expressions, f for tFloat ones, neither when the
-// expression has no unboxed form.
-type cellFn struct {
-	i func(cols []relational.Vector, r int) int64
-	f func(cols []relational.Vector, r int) float64
+// prog is the value program: a computed boolean reads as Int 0/1.
+func (c compiled) prog() relational.VecExpr {
+	if c.vec != nil {
+		return c.vec
+	}
+	return relational.PredValue(c.pred)
 }
 
-func (c cellFn) ok() bool { return c.i != nil || c.f != nil }
-
-// float reads the cell as float64, converting an Int cell the way
-// Value.AsFloat does.
-func (c cellFn) float() func([]relational.Vector, int) float64 {
-	if c.f != nil {
-		return c.f
+// column compiles a read of column idx, of type t.
+func column(idx int, t valType) compiled {
+	c := compiled{
+		eval: func(r relational.Row) (relational.Value, error) { return r[idx], nil },
+		typ:  t,
+		vec:  relational.ColumnExpr(idx, toRelType(t)),
 	}
-	i := c.i
-	return func(cols []relational.Vector, r int) float64 { return float64(i(cols, r)) }
+	if t == tBool {
+		c.pred = relational.NonZero(c.vec)
+	}
+	return c
 }
 
-// columnCell reads column idx of type t unboxed (no form for strings and
-// booleans).
-func columnCell(idx int, t valType) cellFn {
-	switch t {
-	case tInt:
-		return cellFn{i: func(cols []relational.Vector, r int) int64 { return cols[idx].Ints[r] }}
-	case tFloat:
-		return cellFn{f: func(cols []relational.Vector, r int) float64 { return cols[idx].Floats[r] }}
-	}
-	return cellFn{}
+// literal compiles a constant.
+func literal(v relational.Value, t valType) compiled {
+	return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: t, vec: relational.Const(v)}
 }
 
-// arithCell is the unboxed form of l op r for the operators that cannot
-// fail, with the row closure's typing: Int op Int stays Int, anything
-// else computes in float64.
-func arithCell(op string, l, r cellFn) cellFn {
-	if !l.ok() || !r.ok() {
-		return cellFn{}
+// boolV is a boolean as the row closures return it.
+func boolV(b bool) relational.Value {
+	if b {
+		return relational.IntV(1)
 	}
-	if l.i != nil && r.i != nil {
-		li, ri := l.i, r.i
-		switch op {
-		case "+":
-			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) + ri(c, n) }}
-		case "-":
-			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) - ri(c, n) }}
-		case "*":
-			return cellFn{i: func(c []relational.Vector, n int) int64 { return li(c, n) * ri(c, n) }}
-		}
-		return cellFn{}
-	}
-	lf, rf := l.float(), r.float()
-	switch op {
-	case "+":
-		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) + rf(c, n) }}
-	case "-":
-		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) - rf(c, n) }}
-	case "*":
-		return cellFn{f: func(c []relational.Vector, n int) float64 { return lf(c, n) * rf(c, n) }}
-	}
-	return cellFn{}
+	return relational.IntV(0)
 }
 
-// vecProjector returns the batch form of the expression — one typed loop
-// over the rows — or nil when it has no unboxed form.
-func (c compiled) vecProjector() relational.VecProjector {
-	switch {
-	case c.cell.i != nil:
-		fn := c.cell.i
-		return func(b *relational.Batch) relational.Vector {
-			out := make([]int64, b.Len())
-			for r := range out {
-				out[r] = fn(b.Cols, r)
-			}
-			return relational.Vector{T: relational.Int, Ints: out}
-		}
-	case c.cell.f != nil:
-		fn := c.cell.f
-		return func(b *relational.Batch) relational.Vector {
-			out := make([]float64, b.Len())
-			for r := range out {
-				out[r] = fn(b.Cols, r)
-			}
-			return relational.Vector{T: relational.Float, Floats: out}
-		}
+var (
+	cmpOps = map[string]relational.CmpOp{
+		"=": relational.OpEq, "!=": relational.OpNe, "<": relational.OpLt,
+		"<=": relational.OpLe, ">": relational.OpGt, ">=": relational.OpGe,
 	}
-	return nil
-}
+	arithOps = map[string]relational.ArithOp{
+		"+": kernels.Add, "-": kernels.Sub, "*": kernels.Mul, "/": kernels.Div, "%": kernels.Mod,
+	}
+)
 
 // compile type-checks and compiles an expression against the scope.
 // Aggregates are only legal when bound in the scope (post-aggregation);
@@ -216,37 +172,22 @@ func (s *scope) compile(e Expr) (compiled, error) {
 	// aggregate) reads its precomputed column.
 	if s.exprBind != nil {
 		if b, ok := s.exprBind[e.Render()]; ok {
-			idx := b.index
-			return compiled{
-				eval: func(r relational.Row) (relational.Value, error) { return r[idx], nil },
-				typ:  b.typ,
-				cell: columnCell(idx, b.typ),
-			}, nil
+			return column(b.index, b.typ), nil
 		}
 	}
 	switch x := e.(type) {
 	case *IntLit:
-		v := relational.IntV(x.V)
-		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tInt,
-			cell: cellFn{i: func([]relational.Vector, int) int64 { return v.I }}}, nil
+		return literal(relational.IntV(x.V), tInt), nil
 	case *FloatLit:
-		v := relational.FloatV(x.V)
-		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tFloat,
-			cell: cellFn{f: func([]relational.Vector, int) float64 { return v.F }}}, nil
+		return literal(relational.FloatV(x.V), tFloat), nil
 	case *StringLit:
-		v := relational.StringV(x.V)
-		return compiled{eval: func(relational.Row) (relational.Value, error) { return v, nil }, typ: tString}, nil
+		return literal(relational.StringV(x.V), tString), nil
 	case *ColRef:
 		ent, err := s.resolve(x)
 		if err != nil {
 			return compiled{}, err
 		}
-		idx := ent.index
-		return compiled{
-			eval: func(r relational.Row) (relational.Value, error) { return r[idx], nil },
-			typ:  ent.typ,
-			cell: columnCell(idx, ent.typ),
-		}, nil
+		return column(ent.index, ent.typ), nil
 	case *UnaryExpr:
 		inner, err := s.compile(x.E)
 		if err != nil {
@@ -257,14 +198,7 @@ func (s *scope) compile(e Expr) (compiled, error) {
 			if inner.typ != tInt && inner.typ != tFloat {
 				return compiled{}, fmt.Errorf("sql: cannot negate %s", inner.typ)
 			}
-			t := inner.typ
-			var neg cellFn
-			if ci := inner.cell.i; ci != nil {
-				neg.i = func(c []relational.Vector, n int) int64 { return -ci(c, n) }
-			} else if cf := inner.cell.f; cf != nil {
-				neg.f = func(c []relational.Vector, n int) float64 { return -cf(c, n) }
-			}
-			return compiled{typ: t, cell: neg, eval: func(r relational.Row) (relational.Value, error) {
+			return compiled{typ: inner.typ, vec: relational.Neg(inner.vec), eval: func(r relational.Row) (relational.Value, error) {
 				v, err := inner.eval(r)
 				if err != nil {
 					return relational.Value{}, err
@@ -278,15 +212,12 @@ func (s *scope) compile(e Expr) (compiled, error) {
 			if inner.typ != tBool {
 				return compiled{}, fmt.Errorf("sql: NOT requires a boolean, got %s", inner.typ)
 			}
-			return compiled{typ: tBool, eval: func(r relational.Row) (relational.Value, error) {
+			return compiled{typ: tBool, pred: relational.Not(inner.pred), eval: func(r relational.Row) (relational.Value, error) {
 				v, err := inner.eval(r)
 				if err != nil {
 					return relational.Value{}, err
 				}
-				if v.I == 0 {
-					return relational.IntV(1), nil
-				}
-				return relational.IntV(0), nil
+				return boolV(v.I == 0), nil
 			}}, nil
 		default:
 			return compiled{}, fmt.Errorf("sql: unknown unary operator %q", x.Op)
@@ -316,7 +247,11 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 			return compiled{}, fmt.Errorf("sql: %s requires booleans, got %s and %s", x.Op, l.typ, r.typ)
 		}
 		isAnd := x.Op == "and"
-		return compiled{typ: tBool, eval: func(row relational.Row) (relational.Value, error) {
+		pred := relational.Or(l.pred, r.pred)
+		if isAnd {
+			pred = relational.And(l.pred, r.pred)
+		}
+		return compiled{typ: tBool, pred: pred, eval: func(row relational.Row) (relational.Value, error) {
 			lv, err := l.eval(row)
 			if err != nil {
 				return relational.Value{}, err
@@ -332,17 +267,14 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 			if err != nil {
 				return relational.Value{}, err
 			}
-			if rv.I != 0 {
-				return relational.IntV(1), nil
-			}
-			return relational.IntV(0), nil
+			return boolV(rv.I != 0), nil
 		}}, nil
 	case "=", "!=", "<", "<=", ">", ">=":
 		if (l.typ == tString) != (r.typ == tString) || l.typ == tBool || r.typ == tBool {
 			return compiled{}, fmt.Errorf("sql: cannot compare %s with %s", l.typ, r.typ)
 		}
-		op := x.Op
-		return compiled{typ: tBool, eval: func(row relational.Row) (relational.Value, error) {
+		op := cmpOps[x.Op]
+		return compiled{typ: tBool, pred: relational.Cmp(op, l.vec, r.vec), eval: func(row relational.Row) (relational.Value, error) {
 			lv, err := l.eval(row)
 			if err != nil {
 				return relational.Value{}, err
@@ -355,25 +287,7 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 			if err != nil {
 				return relational.Value{}, err
 			}
-			ok := false
-			switch op {
-			case "=":
-				ok = c == 0
-			case "!=":
-				ok = c != 0
-			case "<":
-				ok = c < 0
-			case "<=":
-				ok = c <= 0
-			case ">":
-				ok = c > 0
-			case ">=":
-				ok = c >= 0
-			}
-			if ok {
-				return relational.IntV(1), nil
-			}
-			return relational.IntV(0), nil
+			return boolV(op.Holds(c)), nil
 		}}, nil
 	case "+", "-", "*", "/", "%":
 		if !numeric(l.typ) || !numeric(r.typ) {
@@ -387,7 +301,7 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 			outT = tInt
 		}
 		op := x.Op
-		return compiled{typ: outT, cell: arithCell(op, l.cell, r.cell), eval: func(row relational.Row) (relational.Value, error) {
+		return compiled{typ: outT, vec: relational.Arith(arithOps[op], l.vec, r.vec), eval: func(row relational.Row) (relational.Value, error) {
 			lv, err := l.eval(row)
 			if err != nil {
 				return relational.Value{}, err
@@ -406,7 +320,7 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 					return relational.IntV(lv.I * rv.I), nil
 				case "%":
 					if rv.I == 0 {
-						return relational.Value{}, fmt.Errorf("sql: modulo by zero")
+						return relational.Value{}, relational.ErrModuloByZero
 					}
 					return relational.IntV(lv.I % rv.I), nil
 				}
@@ -428,7 +342,7 @@ func (s *scope) compileBin(x *BinExpr) (compiled, error) {
 				return relational.FloatV(lf * rf), nil
 			case "/":
 				if rf == 0 {
-					return relational.Value{}, fmt.Errorf("sql: division by zero")
+					return relational.Value{}, relational.ErrDivisionByZero
 				}
 				return relational.FloatV(lf / rf), nil
 			}

@@ -367,3 +367,34 @@ func TestChaosNonFiniteDegradeFails(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosUnderflowingDegradeFails: finite degrade factors that together
+// underflow a worker's access links to zero speed fail the query with an
+// error naming the worker and the factor. Before the refusal, the zero
+// speed stranded the phase's flows and panicked the shared simulator.
+func TestChaosUnderflowingDegradeFails(t *testing.T) {
+	for _, spec := range []string{
+		"degrade:3@0:1e300,degrade:3@1:1e300",
+		"degrade:1@0:1e200,degrade:1@0:1e200",
+	} {
+		eng := chaosEngine(t, 2, spec)
+		done := make(chan error, 1)
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("panic: %v", r)
+				}
+			}()
+			_, err := eng.Session().Query(context.Background(), chaosQuery)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "degrade worker") || !strings.Contains(err.Error(), "factor 1e+") {
+				t.Fatalf("%s: %v, want an error naming the worker and factor", spec, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the query hung", spec)
+		}
+	}
+}

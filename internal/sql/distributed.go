@@ -717,7 +717,7 @@ func (pl *planner) planDistGroupLocal(stmt *SelectStmt, p *Planned, dx *distExec
 	var having *planFilter
 	if stmt.Having != nil {
 		var err error
-		if having, err = compileFilter(post, stmt.Having, true); err != nil {
+		if having, err = compileFilter(post, stmt.Having); err != nil {
 			return nil, err
 		}
 		p.Steps = append(p.Steps, "having per shard: "+stmt.Having.Render())

@@ -22,7 +22,7 @@ package sql
 // are checked against.
 
 import (
-	"math"
+	"fmt"
 
 	"repro/internal/exec"
 	"repro/internal/relational"
@@ -90,41 +90,31 @@ func (lw *lowerer) scan(rel *relational.Relation) execNode {
 	return execNode{row: relational.Guard(relational.NewScan(rel), lw.cancel)}
 }
 
-// planFilter is a boolean expression compiled at plan time for the
-// engine that will run it. On the batch engine, conjuncts of the form
-// <Int column> <cmp> <int literal> peel off into ranges served by the
-// filter kernels and pred holds the rest (nil if nothing is left); on the
-// row engine pred is the whole expression.
+// planFilter is a boolean expression compiled at plan time in both
+// forms: pred, the row closure the row engine (the oracle) tests, and
+// prog, the typed program the batch engine runs.
 type planFilter struct {
-	expr   Expr
-	ranges []relational.ColRange
-	pred   relational.Predicate
+	expr Expr
+	pred relational.Predicate
+	prog relational.VecPred
 }
 
 // compileFilter compiles e over sc (no expression, no filter).
-func compileFilter(sc *scope, e Expr, batch bool) (*planFilter, error) {
+func compileFilter(sc *scope, e Expr) (*planFilter, error) {
 	if e == nil {
 		return nil, nil
 	}
-	f := &planFilter{expr: e}
-	rest := []Expr{e}
-	if batch {
-		rest = nil
-		for _, c := range splitConjuncts(e) {
-			if r, ok := rangeFromConjunct(sc, c); ok {
-				f.ranges = append(f.ranges, r)
-			} else {
-				rest = append(rest, c)
-			}
-		}
+	c, err := sc.compile(e)
+	if err != nil {
+		return nil, err
 	}
-	if len(rest) > 0 {
-		var err error
-		if f.pred, err = compilePredicate(sc, joinConjuncts(rest)); err != nil {
-			return nil, err
-		}
+	if c.typ != tBool {
+		return nil, fmt.Errorf("sql: filter requires a boolean, got %s (%s)", c.typ, e.Render())
 	}
-	return f, nil
+	return &planFilter{expr: e, prog: c.pred, pred: func(r relational.Row) (bool, error) {
+		v, err := c.eval(r)
+		return err == nil && v.I != 0, err
+	}}, nil
 }
 
 // filter applies a compiled filter (nil: nothing to apply). The
@@ -136,15 +126,15 @@ func (lw *lowerer) filter(n execNode, f *planFilter) execNode {
 	case n.bat == nil:
 		return execNode{row: relational.NewFilter(n.row, f.pred)}
 	}
-	bf := relational.NewBatchFilter(n.bat, f.ranges, f.pred)
+	bf := relational.NewBatchFilter(n.bat, nil, f.prog)
 	bf.Place(lw.dispatcher(exec.FilterWork, 0))
 	return execNode{bat: bf}
 }
 
 // project lowers a projection. Every column of pe carries its row
 // closure; Col >= 0 marks a pass-through of that child column, which the
-// batch engine serves by sharing the column vector, and Vec is the typed
-// batch form of a computed expression where one exists.
+// batch engine serves by sharing the column vector, and Prog is the typed
+// program of a computed one.
 func (lw *lowerer) project(n execNode, schema relational.Schema, pe []relational.ProjExpr) (execNode, error) {
 	if n.bat != nil {
 		op, err := relational.NewBatchProject(n.bat, schema, pe)
@@ -282,72 +272,6 @@ func (lw *lowerer) drain(n execNode) (*relational.Relation, error) {
 		return relational.Drain(n.bat, lw.workers, "result")
 	}
 	return relational.Collect(n.row, "result")
-}
-
-// rangeFromConjunct recognizes <Int column> <cmp> <int literal> (either
-// orientation) and converts it to an inclusive ColRange for the batch
-// filter kernels. Anything else — including unresolved columns, which
-// must surface their error through the generic compile path — reports
-// false.
-func rangeFromConjunct(sc *scope, e Expr) (relational.ColRange, bool) {
-	b, ok := e.(*BinExpr)
-	if !ok {
-		return relational.ColRange{}, false
-	}
-	op := b.Op
-	var cr *ColRef
-	var lit *IntLit
-	if c, ok := b.L.(*ColRef); ok {
-		if l, ok2 := b.R.(*IntLit); ok2 {
-			cr, lit = c, l
-		}
-	} else if c, ok := b.R.(*ColRef); ok {
-		if l, ok2 := b.L.(*IntLit); ok2 {
-			cr, lit = c, l
-			// 5 < col  ≡  col > 5, etc.
-			switch op {
-			case "<":
-				op = ">"
-			case "<=":
-				op = ">="
-			case ">":
-				op = "<"
-			case ">=":
-				op = "<="
-			}
-		}
-	}
-	if cr == nil {
-		return relational.ColRange{}, false
-	}
-	ent, err := sc.resolve(cr)
-	if err != nil || ent.typ != tInt {
-		return relational.ColRange{}, false
-	}
-	out := relational.ColRange{Col: ent.index}
-	switch op {
-	case "=":
-		out.Lo, out.Hi, out.HasLo, out.HasHi = lit.V, lit.V, true, true
-	case "<=":
-		out.Hi, out.HasHi = lit.V, true
-	case ">=":
-		out.Lo, out.HasLo = lit.V, true
-	case "<":
-		if lit.V == math.MinInt64 {
-			out.Lo, out.Hi, out.HasLo, out.HasHi = 1, 0, true, true // empty
-		} else {
-			out.Hi, out.HasHi = lit.V-1, true
-		}
-	case ">":
-		if lit.V == math.MaxInt64 {
-			out.Lo, out.Hi, out.HasLo, out.HasHi = 1, 0, true, true // empty
-		} else {
-			out.Lo, out.HasLo = lit.V+1, true
-		}
-	default:
-		return relational.ColRange{}, false
-	}
-	return out, true
 }
 
 // passthroughIdx returns the child column index that expression e reads

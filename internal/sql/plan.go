@@ -283,7 +283,7 @@ func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, err
 		if len(leg.filter) == 0 {
 			continue
 		}
-		if leg.pushed, err = compileFilter(leg.scope(), joinConjuncts(leg.filter), batch); err != nil {
+		if leg.pushed, err = compileFilter(leg.scope(), joinConjuncts(leg.filter)); err != nil {
 			return nil, err
 		}
 	}
@@ -305,7 +305,7 @@ func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, err
 		step.swapped = rightSize < lp.size
 		cur.addTable(leg.alias, leg.schema, len(lp.schema))
 		lp.schema = append(lp.schema, leg.schema...)
-		if step.rest, err = compileFilter(cur, rest, batch); err != nil {
+		if step.rest, err = compileFilter(cur, rest); err != nil {
 			return nil, err
 		}
 		lp.size = advanceJoinSize(lp.size, rightSize, leg.rel.Len())
@@ -313,7 +313,7 @@ func (pl *planner) buildLogical(stmt *SelectStmt, batch bool) (*logicalPlan, err
 		lp.joins = append(lp.joins, step)
 	}
 	lp.scope = cur
-	lp.residual, err = compileFilter(cur, joinConjuncts(residual), batch)
+	lp.residual, err = compileFilter(cur, joinConjuncts(residual))
 	return lp, err
 }
 
@@ -674,7 +674,7 @@ func (pl *planner) finishAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cu
 	lw.hintRows = 0 // post-aggregation cardinality (group count) is unknown
 	var err error
 	if stmt.Having != nil {
-		having, err := compileFilter(post, stmt.Having, cur2.bat != nil)
+		having, err := compileFilter(post, stmt.Having)
 		if err != nil {
 			return nil, err
 		}
@@ -712,10 +712,10 @@ func pickExprs(picks []int) []relational.ProjExpr {
 }
 
 // projExpr lowers compiled expression c of e into a projection column: a
-// pass-through when e reads one child column unchanged, else the row
-// closure beside its typed batch form (if it has one).
+// pass-through when e reads one child column unchanged, else its program
+// beside its row closure.
 func projExpr(sc *scope, e Expr, c compiled, child relational.Schema) relational.ProjExpr {
-	return relational.ProjExpr{Col: passthroughIdx(sc, e, child), Fn: c.eval, Vec: c.vecProjector()}
+	return relational.ProjExpr{Col: passthroughIdx(sc, e, child), Fn: c.eval, Prog: c.prog()}
 }
 
 // compileOrderKeys resolves and compiles ORDER BY items against sc, with
@@ -820,25 +820,6 @@ func itemNames(items []SelectItem) string {
 		names[i] = it.OutputName()
 	}
 	return strings.Join(names, ", ")
-}
-
-// compilePredicate compiles a boolean expression into a relational
-// Predicate.
-func compilePredicate(sc *scope, e Expr) (relational.Predicate, error) {
-	c, err := sc.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	if c.typ != tBool {
-		return nil, fmt.Errorf("sql: filter requires a boolean, got %s (%s)", c.typ, e.Render())
-	}
-	return func(r relational.Row) (bool, error) {
-		v, err := c.eval(r)
-		if err != nil {
-			return false, err
-		}
-		return v.I != 0, nil
-	}, nil
 }
 
 // soleLeg returns the single leg all of e's columns resolve into, or nil.

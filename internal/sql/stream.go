@@ -74,8 +74,8 @@ func (s *Session) Subscribe(ctx context.Context, q string, spec stream.WindowSpe
 
 // compileContinuous lowers the aggregate subset of a SELECT into a
 // stream.Query, reusing the batch planner's compile pieces (scope
-// binding, the batch filter's ranges and residual, aggregate plan,
-// post-aggregation projection) so a window's result is computed by
+// binding, the filter program, aggregate plan, post-aggregation
+// projection) so a window's result is computed by
 // exactly the machinery the batch engine would use for the same query
 // restricted to the window's time range.
 func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*stream.Query, error) {
@@ -118,11 +118,11 @@ func (s *Session) compileContinuous(stmt *SelectStmt, spec stream.WindowSpec) (*
 	sc := &scope{}
 	sc.addTable(leg.alias, leg.rel.Schema, 0)
 	if stmt.Where != nil {
-		f, err := compileFilter(sc, foldConstants(stmt.Where), true)
+		f, err := compileFilter(sc, foldConstants(stmt.Where))
 		if err != nil {
 			return nil, err
 		}
-		cq.Ranges, cq.Residual = f.ranges, f.pred
+		cq.Filter = f.prog
 	}
 	ap, err := buildAggPlan(stmt, sc, leg.rel.Schema)
 	if err != nil {

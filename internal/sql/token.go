@@ -14,6 +14,14 @@
 //
 // with arithmetic (+ - * / %), comparisons, AND/OR/NOT, and the aggregates
 // COUNT(*)/COUNT/SUM/AVG/MIN/MAX.
+//
+// Analysis (analyze.go) compiles every expression once, in one pass, into
+// two forms: a row closure, which the row engine — the oracle — runs, and
+// a typed column program (relational.VecExpr for a value, VecPred for a
+// predicate), which the batch engine runs for every WHERE, ON and HAVING
+// predicate, select item, sort key, group key and aggregate argument. The
+// two agree row for row, Floats bit for bit, and fail with the same error
+// (FuzzExprForms, expr_diff_test.go).
 package sql
 
 import (

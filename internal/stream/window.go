@@ -86,10 +86,8 @@ type Query struct {
 	Table string
 	// TimeCol is the event-time column's index in the source schema.
 	TimeCol int
-	// Ranges and Residual are the compiled WHERE as a BatchFilter takes
-	// it (both empty keep every row).
-	Ranges   []relational.ColRange
-	Residual relational.Predicate
+	// Filter is the compiled WHERE (nil keeps every row).
+	Filter relational.VecPred
 	// Pre/PreSchema are the pre-aggregation projection over the source
 	// schema: group expressions then aggregate arguments.
 	Pre       []relational.ProjExpr

@@ -94,7 +94,7 @@ func newWindower(q *Query, spec WindowSpec) *windower {
 // became emittable (ascending start order).
 func (w *windower) observe(rel *relational.Relation) ([]Window, error) {
 	op, err := relational.NewBatchProject(
-		relational.NewBatchFilter(relational.NewBatchScan(rel), w.q.Ranges, w.q.Residual), w.in, w.inPre)
+		relational.NewBatchFilter(relational.NewBatchScan(rel), nil, w.q.Filter), w.in, w.inPre)
 	if err != nil {
 		return nil, err
 	}
