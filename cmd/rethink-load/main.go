@@ -1,8 +1,9 @@
-// Command rethink-load is the serving load harness: it drives thousands
-// of concurrent sessions across multiple tenants against a rethinkd
-// daemon (or an in-process engine) and reports per-tenant p50/p95/p99
-// latency, throughput, and net/spill/overlap breakdowns — human-readable
-// on stdout and machine-readable with -json (the CI artifact format).
+// Command rethink-load is the serving load harness, a CLI over
+// internal/loadgen: it drives thousands of concurrent sessions across
+// multiple tenants against a rethinkd daemon (or an in-process engine)
+// and reports per-tenant p50/p95/p99 latency, throughput, and
+// net/spill/overlap breakdowns — human-readable on stdout and
+// machine-readable with -json (the CI artifact format).
 //
 // Two latency distributions are reported per tenant: wall (client-
 // observed request time) and model (the simulated fabric wall time plus
@@ -42,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/loadgen"
 	"repro/internal/serve"
 	"repro/internal/sql"
 )
@@ -93,70 +95,57 @@ func main() {
 		return eng
 	}
 
+	var target loadgen.Target
+	switch {
+	case *inproc:
+		target.Handler = serve.New(refEngine(), serve.DefaultTenants(), serve.Options{}).Handler()
+	case *addr != "":
+		target.BaseURL = *addr
+	default:
+		log.Fatal("need -addr or -inproc")
+	}
+
+	var report any
 	if *streamN > 0 {
-		sc := serve.StreamLoadConfig{
+		rep, err := loadgen.RunStreamLoad(context.Background(), loadgen.StreamLoadConfig{
+			Target: target,
 			Events: *streamN,
 			Batch:  *streamBatch,
 			Keys:   *streamKeys,
 			Window: serve.WindowRequest{TimeCol: "t", Size: *streamWindow, Slide: *streamSlide},
-		}
-		if *inproc {
-			sc.Handler = serve.New(refEngine(), serve.DefaultTenants(), serve.Options{}).Handler()
-		} else if *addr != "" {
-			sc.BaseURL = *addr
-		} else {
-			log.Fatal("need -addr or -inproc")
-		}
-		report, err := serve.RunStreamLoad(context.Background(), sc)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Print(report.Summary())
-		if *jsonOut != "" {
-			data, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(data, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("report: %s\n", *jsonOut)
-		}
-		return
-	}
-
-	lc := serve.LoadConfig{
-		Sessions:          *sessions,
-		QueriesPerSession: *queriesPer,
-		Prepare:           *prepare,
-		Gang:              *gang,
-		Tenants:           parseTenants(*shares, *keys),
-	}
-	if *query != "" {
-		lc.Queries = []string{*query}
-	}
-	if *inproc {
-		srv := serve.New(refEngine(), serve.DefaultTenants(), serve.Options{})
-		lc.Handler = srv.Handler()
-	} else if *addr != "" {
-		lc.BaseURL = *addr
+		fmt.Print(rep.Summary())
+		report = rep
 	} else {
-		log.Fatal("need -addr or -inproc")
-	}
-
-	report, err := serve.RunLoad(context.Background(), lc)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(report.Summary())
-	if report.TotalErrors > 0 {
-		log.Fatalf("%d queries failed", report.TotalErrors)
-	}
-	if *verify {
-		if err := serve.VerifyAgainstEngine(report, refEngine()); err != nil {
+		lc := loadgen.LoadConfig{
+			Target:            target,
+			Sessions:          *sessions,
+			QueriesPerSession: *queriesPer,
+			Prepare:           *prepare,
+			Gang:              *gang,
+			Tenants:           parseTenants(*shares, *keys),
+		}
+		if *query != "" {
+			lc.Queries = []string{*query}
+		}
+		rep, err := loadgen.RunLoad(context.Background(), lc)
+		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println("verify: served rows identical to direct library execution")
+		fmt.Print(rep.Summary())
+		if rep.TotalErrors > 0 {
+			log.Fatalf("%d queries failed", rep.TotalErrors)
+		}
+		if *verify {
+			if err := loadgen.VerifyAgainstEngine(rep, refEngine()); err != nil {
+				log.Fatal(err)
+			}
+			fmt.Println("verify: served rows identical to direct library execution")
+		}
+		report = rep
 	}
 	if *jsonOut != "" {
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -172,7 +161,7 @@ func main() {
 
 // parseTenants merges the -shares and -keys flags into the load tenant
 // mix.
-func parseTenants(shares, keys string) []serve.LoadTenant {
+func parseTenants(shares, keys string) []loadgen.LoadTenant {
 	keyOf := map[string]string{}
 	for _, kv := range strings.Split(keys, ",") {
 		name, key, ok := strings.Cut(strings.TrimSpace(kv), "=")
@@ -181,7 +170,7 @@ func parseTenants(shares, keys string) []serve.LoadTenant {
 		}
 		keyOf[name] = key
 	}
-	var out []serve.LoadTenant
+	var out []loadgen.LoadTenant
 	for _, kv := range strings.Split(shares, ",") {
 		name, shareStr, ok := strings.Cut(strings.TrimSpace(kv), "=")
 		if !ok || name == "" {
@@ -195,7 +184,7 @@ func parseTenants(shares, keys string) []serve.LoadTenant {
 		if !ok {
 			log.Fatalf("tenant %s has a share but no -keys entry", name)
 		}
-		out = append(out, serve.LoadTenant{Name: name, APIKey: key, Share: share})
+		out = append(out, loadgen.LoadTenant{Name: name, APIKey: key, Share: share})
 	}
 	if len(out) == 0 {
 		log.Fatal("no tenants in -shares")

@@ -70,8 +70,8 @@
 // API-key tenants whose configured QoS class, fabric weight, worker and
 // memory-budget defaults apply to every query they submit, an HTTP/JSON
 // wire surface whose canonical encoding (internal/serve/wire) is shared
-// with rethink-sql -json and the rethink-load harness (cmd/rethink-load:
-// thousands of concurrent sessions dealt across tenants by share,
+// with rethink-sql -json and the rethink-load harness (cmd/rethink-load
+// over internal/loadgen, which the daemon does not link: thousands of concurrent sessions dealt across tenants by share,
 // per-tenant wall and modeled latency quantiles, row-fingerprint parity
 // against direct library execution), a server-side prepared-statement
 // cache keyed by (tenant, statement, session-config) whose entries

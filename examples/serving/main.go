@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/loadgen"
 	"repro/internal/serve"
 	"repro/internal/sql"
 )
@@ -47,13 +48,13 @@ func main() {
 	srv := serve.New(engine(), serve.DefaultTenants(), serve.Options{})
 	fmt.Printf("serving: in-process rethinkd over %d demo rows, %d shards; gold weight 3 (interactive) vs bronze weight 1\n\n", rows, shards)
 
-	report, err := serve.RunLoad(context.Background(), serve.LoadConfig{
-		Handler:           srv.Handler(),
+	report, err := loadgen.RunLoad(context.Background(), loadgen.LoadConfig{
+		Target:            loadgen.Target{Handler: srv.Handler()},
 		Sessions:          sessions,
 		QueriesPerSession: 2,
 		Prepare:           true,
 		Gang:              true,
-		Tenants: []serve.LoadTenant{
+		Tenants: []loadgen.LoadTenant{
 			{Name: "gold", APIKey: "gold-key", Share: 1},
 			{Name: "bronze", APIKey: "bronze-key", Share: 1},
 		},
@@ -73,7 +74,7 @@ func main() {
 		log.Fatal("expected the weight-3 tenant's model p95 below the weight-1 tenant's")
 	}
 
-	if err := serve.VerifyAgainstEngine(report, engine()); err != nil {
+	if err := loadgen.VerifyAgainstEngine(report, engine()); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("verify: every session's rows identical to direct library execution")

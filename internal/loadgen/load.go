@@ -1,4 +1,15 @@
-package serve
+// Package loadgen is the load client of the rethinkd serving front door:
+// the harness behind cmd/rethink-load. RunLoad drives concurrent
+// multi-tenant query sessions and reports per-tenant wall and modeled
+// latency, throughput and net/spill breakdowns; VerifyAgainstEngine
+// replays the served statements on a reference engine and compares
+// rows; RunStreamLoad pumps events through /v1/stream under a live
+// continuous-query subscription and reports ingest throughput and
+// window freshness. A Target is either a running daemon's base URL or
+// an in-process http.Handler driven without sockets. The package talks
+// to the daemon only over HTTP and uses internal/serve for its wire
+// request and response types, so the daemon links none of it.
+package loadgen
 
 import (
 	"bytes"
@@ -14,9 +25,22 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/wire"
 	"repro/internal/sql"
 )
+
+// Target is the server a run drives.
+type Target struct {
+	// BaseURL targets a running daemon ("http://host:port"). Leave empty
+	// and set Handler to drive an in-process server without sockets.
+	BaseURL string
+	// Handler, when set, is driven directly through an in-memory
+	// round-tripper — the "in-process engine" mode of the harness, which
+	// exercises the full HTTP surface without consuming file
+	// descriptors (thousands of concurrent sessions on one box).
+	Handler http.Handler
+}
 
 // LoadTenant is one tenant the load harness drives: its credentials
 // plus the share of sessions it receives (shares are relative; 0 reads
@@ -29,17 +53,7 @@ type LoadTenant struct {
 
 // LoadConfig drives one load run against a serving front door.
 type LoadConfig struct {
-	// BaseURL targets a running daemon ("http://host:port"). Leave empty
-	// and set Handler to drive an in-process server without sockets.
-	BaseURL string
-	// Handler, when set, is driven directly through an in-memory
-	// round-tripper — the "in-process engine" mode of the harness, which
-	// exercises the full HTTP surface without consuming file
-	// descriptors (thousands of concurrent sessions on one box).
-	Handler http.Handler
-	// Client overrides the HTTP client (BaseURL mode only); the default
-	// pools enough connections for Sessions concurrent requests.
-	Client *http.Client
+	Target
 	// Tenants is the tenant mix; sessions are dealt to tenants by Share.
 	Tenants []LoadTenant
 	// Queries is the statement mix; session i starts at query i%len and
@@ -142,7 +156,7 @@ type Report struct {
 	Fingerprints map[string]string `json:"fingerprints"`
 	// Metrics is the server's /metrics snapshot taken after the run
 	// (plan-cache hit/miss counters, per-class fabric bytes, …).
-	Metrics *Metrics `json:"metrics,omitempty"`
+	Metrics *serve.Metrics `json:"metrics,omitempty"`
 }
 
 // handlerTransport drives an http.Handler in-process: the full wire
@@ -158,34 +172,73 @@ func (t handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return rec.Result(), nil
 }
 
-// client builds the harness's HTTP client for the configured target.
-func (c *LoadConfig) client() (*http.Client, string, error) {
-	if c.Handler != nil {
-		return &http.Client{Transport: handlerTransport{c.Handler}}, "http://in-process", nil
+// client is an HTTP client bound to one target's base URL.
+type client struct {
+	http *http.Client
+	base string
+}
+
+// client builds the harness's client for t, pooling enough connections
+// for conns concurrent requests to a daemon.
+func (t Target) client(conns int) (*client, error) {
+	if t.Handler != nil {
+		return &client{&http.Client{Transport: handlerTransport{t.Handler}}, "http://in-process"}, nil
 	}
-	if c.BaseURL == "" {
-		return nil, "", fmt.Errorf("serve: load config needs a BaseURL or a Handler")
+	if t.BaseURL == "" {
+		return nil, fmt.Errorf("loadgen: target needs a BaseURL or a Handler")
 	}
-	cl := c.Client
-	if cl == nil {
-		tr := &http.Transport{
-			MaxIdleConns:        c.Sessions + 16,
-			MaxIdleConnsPerHost: c.Sessions + 16,
+	tr := &http.Transport{MaxIdleConns: conns + 16, MaxIdleConnsPerHost: conns + 16}
+	return &client{&http.Client{Transport: tr}, strings.TrimRight(t.BaseURL, "/")}, nil
+}
+
+// call sends one request to path under apiKey's bearer token: a JSON
+// POST of body, or a GET when body is nil. A non-2xx status is an error
+// carrying the start of the response. On success the response is
+// decoded into out, discarded when out is nil, or — when out is an
+// *io.ReadCloser — handed back open for the caller to read and close.
+func (c *client) call(ctx context.Context, path, apiKey string, body, out any) error {
+	method, payload := http.MethodGet, io.Reader(nil)
+	if body != nil {
+		data, err := json.Marshal(body)
+		if err != nil {
+			return err
 		}
-		cl = &http.Client{Transport: tr}
+		method, payload = http.MethodPost, bytes.NewReader(data)
 	}
-	return cl, strings.TrimRight(c.BaseURL, "/"), nil
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, payload)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Authorization", "Bearer "+apiKey)
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return err
+	}
+	if resp.StatusCode/100 != 2 {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		resp.Body.Close()
+		return fmt.Errorf("loadgen: %s %s: %s: %s", method, path, resp.Status, strings.TrimSpace(string(msg)))
+	}
+	if rc, ok := out.(*io.ReadCloser); ok {
+		*rc = resp.Body
+		return nil
+	}
+	defer resp.Body.Close()
+	if out == nil {
+		_, err = io.Copy(io.Discard, resp.Body)
+		return err
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // sample is one completed request.
 type sample struct {
-	tenant   string
-	query    string
-	wallMS   float64
-	modelMS  float64
-	cacheHit bool
-	resp     *QueryResponse
-	err      error
+	tenant string
+	query  string
+	wallMS float64
+	resp   serve.QueryResponse
+	err    error
 }
 
 // RunLoad executes the configured load and aggregates the report.
@@ -194,49 +247,43 @@ type sample struct {
 // and the first row-fingerprint divergence is returned as an error.
 func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	if cfg.Sessions <= 0 {
-		return nil, fmt.Errorf("serve: load config needs Sessions > 0")
+		return nil, fmt.Errorf("loadgen: load config needs Sessions > 0")
 	}
 	if len(cfg.Tenants) == 0 {
-		return nil, fmt.Errorf("serve: load config needs at least one tenant")
+		return nil, fmt.Errorf("loadgen: load config needs at least one tenant")
 	}
 	queries := cfg.Queries
 	if len(queries) == 0 {
 		queries = DefaultLoadQueries
 	}
-	perSession := cfg.QueriesPerSession
-	if perSession <= 0 {
-		perSession = 1
-	}
-	client, base, err := cfg.client()
+	perSession := max(cfg.QueriesPerSession, 1)
+	c, err := cfg.client(cfg.Sessions)
 	if err != nil {
 		return nil, err
 	}
 	// Deal sessions to tenants proportionally to Share: session i goes
 	// to the tenant whose cumulative share bucket contains i.
-	owners := make([]*LoadTenant, cfg.Sessions)
+	shares := make([]int, len(cfg.Tenants))
 	totalShare := 0
-	for i := range cfg.Tenants {
-		if cfg.Tenants[i].Share <= 0 {
-			cfg.Tenants[i].Share = 1
-		}
-		totalShare += cfg.Tenants[i].Share
+	for i, t := range cfg.Tenants {
+		shares[i] = max(t.Share, 1)
+		totalShare += shares[i]
 	}
+	owners := make([]*LoadTenant, cfg.Sessions)
 	for i := range owners {
+		owners[i] = &cfg.Tenants[len(cfg.Tenants)-1]
 		cum, point := 0, i*totalShare
-		for ti := range cfg.Tenants {
-			cum += cfg.Tenants[ti].Share * cfg.Sessions
+		for ti, share := range shares {
+			cum += share * cfg.Sessions
 			if point < cum {
 				owners[i] = &cfg.Tenants[ti]
 				break
 			}
 		}
-		if owners[i] == nil {
-			owners[i] = &cfg.Tenants[len(cfg.Tenants)-1]
-		}
 	}
 	if cfg.Gang {
-		if err := postJSON(ctx, client, base+"/v1/gang", cfg.Tenants[0].APIKey, GangRequest{Announce: cfg.Sessions}, nil); err != nil {
-			return nil, fmt.Errorf("serve: gang announce: %w", err)
+		if err := c.call(ctx, "/v1/gang", cfg.Tenants[0].APIKey, serve.GangRequest{Announce: cfg.Sessions}, nil); err != nil {
+			return nil, fmt.Errorf("loadgen: gang announce: %w", err)
 		}
 	}
 	samples := make([]sample, cfg.Sessions*perSession)
@@ -248,14 +295,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 			defer wg.Done()
 			tenant := owners[i]
 			for j := 0; j < perSession; j++ {
-				q := queries[(i+j)%len(queries)]
-				s := runQuery(ctx, client, base, tenant, q, cfg.Prepare)
+				s := &samples[i*perSession+j]
+				s.tenant, s.query = tenant.Name, queries[(i+j)%len(queries)]
+				sent := time.Now()
+				s.err = c.call(ctx, "/v1/sql", tenant.APIKey, serve.QueryRequest{SQL: s.query, Prepare: cfg.Prepare}, &s.resp)
+				s.wallMS = time.Since(sent).Seconds() * 1e3
 				if s.err != nil && cfg.Gang && j == 0 {
 					// This session's first-wave slot will never be filled;
 					// release it so the rest of the wave's barrier resolves.
-					_ = postJSON(ctx, client, base+"/v1/gang", tenant.APIKey, GangRequest{Withdraw: 1}, nil)
+					_ = c.call(ctx, "/v1/gang", tenant.APIKey, serve.GangRequest{Withdraw: 1}, nil)
 				}
-				samples[i*perSession+j] = s
 			}
 		}(i)
 	}
@@ -263,7 +312,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	wall := time.Since(started).Seconds()
 
 	report := &Report{
-		Target:            base,
+		Target:            c.base,
 		Sessions:          cfg.Sessions,
 		QueriesPerSession: perSession,
 		Prepare:           cfg.Prepare,
@@ -292,11 +341,11 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 		}
 		report.TotalQueries++
 		tr.Queries++
-		if s.cacheHit {
+		if s.resp.CacheHit {
 			tr.CacheHits++
 		}
 		wallMS[s.tenant] = append(wallMS[s.tenant], s.wallMS)
-		modelMS[s.tenant] = append(modelMS[s.tenant], s.modelMS)
+		modelMS[s.tenant] = append(modelMS[s.tenant], s.resp.ModelMS)
 		res := s.resp.Result
 		tr.RowsReturned += uint64(res.RowCount)
 		if res.Net != nil {
@@ -310,7 +359,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 		if prev, ok := report.Fingerprints[s.query]; !ok {
 			report.Fingerprints[s.query] = fp
 		} else if prev != fp && fpErr == nil {
-			fpErr = fmt.Errorf("serve: row divergence for %q: sessions observed different results under load", s.query)
+			fpErr = fmt.Errorf("loadgen: row divergence for %q: sessions observed different results under load", s.query)
 		}
 	}
 	for name, tr := range report.Tenants {
@@ -320,8 +369,9 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*Report, error) {
 	if wall > 0 {
 		report.Throughput = float64(report.TotalQueries) / wall
 	}
-	if m, err := fetchMetrics(ctx, client, base); err == nil {
-		report.Metrics = m
+	var m serve.Metrics
+	if c.call(ctx, "/metrics", cfg.Tenants[0].APIKey, nil, &m) == nil {
+		report.Metrics = &m
 	}
 	return report, fpErr
 }
@@ -331,59 +381,6 @@ func rowFingerprint(r *wire.Result) string {
 	h := fnv.New64a()
 	io.WriteString(h, wire.Fingerprint(r))
 	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// runQuery submits one statement and parses the response.
-func runQuery(ctx context.Context, client *http.Client, base string, tenant *LoadTenant, q string, prepare bool) sample {
-	s := sample{tenant: tenant.Name, query: q}
-	body, _ := json.Marshal(QueryRequest{SQL: q, Prepare: prepare})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/sql", bytes.NewReader(body))
-	if err != nil {
-		s.err = err
-		return s
-	}
-	req.Header.Set("Authorization", "Bearer "+tenant.APIKey)
-	req.Header.Set("Content-Type", "application/json")
-	started := time.Now()
-	resp, err := client.Do(req)
-	if err != nil {
-		s.err = err
-		return s
-	}
-	defer resp.Body.Close()
-	s.wallMS = time.Since(started).Seconds() * 1e3
-	if resp.StatusCode != http.StatusOK {
-		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		s.err = fmt.Errorf("serve: %s: %s", resp.Status, strings.TrimSpace(string(data)))
-		return s
-	}
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		s.err = err
-		return s
-	}
-	s.resp = &qr
-	s.modelMS = qr.ModelMS
-	s.cacheHit = qr.CacheHit
-	return s
-}
-
-// fetchMetrics pulls the server's /metrics snapshot.
-func fetchMetrics(ctx context.Context, client *http.Client, base string) (*Metrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var m Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		return nil, err
-	}
-	return &m, nil
 }
 
 // VerifyAgainstEngine replays every distinct statement of a report on a
@@ -396,10 +393,10 @@ func VerifyAgainstEngine(report *Report, eng *sql.Engine) error {
 	for q, fp := range report.Fingerprints {
 		res, err := sess.Query(context.Background(), q)
 		if err != nil {
-			return fmt.Errorf("serve: verify %q: %w", q, err)
+			return fmt.Errorf("loadgen: verify %q: %w", q, err)
 		}
 		if ref := rowFingerprint(wire.FromResult(res)); ref != fp {
-			return fmt.Errorf("serve: verify %q: served rows differ from direct library execution (%s != %s)", q, fp, ref)
+			return fmt.Errorf("loadgen: verify %q: served rows differ from direct library execution (%s != %s)", q, fp, ref)
 		}
 	}
 	return nil

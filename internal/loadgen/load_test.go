@@ -1,9 +1,12 @@
-package serve
+package loadgen
 
 import (
 	"context"
+	"net/http/httptest"
+	"slices"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/internal/sql"
 )
 
@@ -31,9 +34,9 @@ func loadEngine(t *testing.T, rows int) *sql.Engine {
 // through the rethink-load binary; this keeps it race-checked.)
 func TestLoadWeighted3to1(t *testing.T) {
 	const rows = 4000
-	srv := New(loadEngine(t, rows), DefaultTenants(), Options{})
+	srv := serve.New(loadEngine(t, rows), serve.DefaultTenants(), serve.Options{})
 	cfg := LoadConfig{
-		Handler:           srv.Handler(),
+		Target:            Target{Handler: srv.Handler()},
 		Sessions:          60,
 		QueriesPerSession: 2,
 		Prepare:           true,
@@ -115,9 +118,9 @@ func TestLoadWeighted3to1(t *testing.T) {
 
 // TestLoadSessionDealing: shares deal sessions proportionally.
 func TestLoadSessionDealing(t *testing.T) {
-	srv := New(loadEngine(t, 200), DefaultTenants(), Options{})
+	srv := serve.New(loadEngine(t, 200), serve.DefaultTenants(), serve.Options{})
 	report, err := RunLoad(context.Background(), LoadConfig{
-		Handler:  srv.Handler(),
+		Target:   Target{Handler: srv.Handler()},
 		Sessions: 8,
 		Queries:  []string{"SELECT COUNT(*) AS n FROM customers"},
 		Tenants: []LoadTenant{
@@ -150,9 +153,9 @@ func TestLoadConfigValidation(t *testing.T) {
 // TestLoadErrorsCounted: a tenant with a bad key produces per-tenant
 // errors, not a harness crash.
 func TestLoadErrorsCounted(t *testing.T) {
-	srv := New(loadEngine(t, 200), DefaultTenants(), Options{})
+	srv := serve.New(loadEngine(t, 200), serve.DefaultTenants(), serve.Options{})
 	report, err := RunLoad(context.Background(), LoadConfig{
-		Handler:  srv.Handler(),
+		Target:   Target{Handler: srv.Handler()},
 		Sessions: 4,
 		Queries:  []string{"SELECT COUNT(*) AS n FROM customers"},
 		Tenants: []LoadTenant{
@@ -168,5 +171,66 @@ func TestLoadErrorsCounted(t *testing.T) {
 	}
 	if report.Tenants["gold"].Queries != 2 {
 		t.Fatalf("gold queries = %d, want 2", report.Tenants["gold"].Queries)
+	}
+}
+
+// TestLoadLeavesCallerTenants: a zero share reads as 1 without writing
+// back into the caller's tenant list.
+func TestLoadLeavesCallerTenants(t *testing.T) {
+	srv := serve.New(loadEngine(t, 200), serve.DefaultTenants(), serve.Options{})
+	tenants := []LoadTenant{
+		{Name: "gold", APIKey: "gold-key"},
+		{Name: "bronze", APIKey: "bronze-key", Share: 1},
+	}
+	want := slices.Clone(tenants)
+	report, err := RunLoad(context.Background(), LoadConfig{
+		Target:   Target{Handler: srv.Handler()},
+		Sessions: 4,
+		Queries:  []string{"SELECT COUNT(*) AS n FROM customers"},
+		Tenants:  tenants,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(tenants, want) {
+		t.Fatalf("RunLoad rewrote the caller's tenants: %+v, want %+v", tenants, want)
+	}
+	if report.Tenants["gold"].Sessions != 2 || report.Tenants["bronze"].Sessions != 2 {
+		t.Fatalf("share 0 dealt %d/%d sessions, want 2/2",
+			report.Tenants["gold"].Sessions, report.Tenants["bronze"].Sessions)
+	}
+}
+
+// TestLoadOverSocket: a gang-announced run against a daemon on a real
+// loopback listener, its rows verified against direct execution.
+func TestLoadOverSocket(t *testing.T) {
+	const rows = 2000
+	ts := httptest.NewServer(serve.New(loadEngine(t, rows), serve.DefaultTenants(), serve.Options{}).Handler())
+	defer ts.Close()
+	report, err := RunLoad(context.Background(), LoadConfig{
+		Target:            Target{BaseURL: ts.URL + "/"},
+		Sessions:          8,
+		QueriesPerSession: 2,
+		Prepare:           true,
+		Gang:              true,
+		Tenants: []LoadTenant{
+			{Name: "gold", APIKey: "gold-key", Share: 1},
+			{Name: "bronze", APIKey: "bronze-key", Share: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TotalErrors != 0 || report.TotalQueries != 16 || report.Target != ts.URL {
+		t.Fatalf("report: %d ok, %d errors against %s", report.TotalQueries, report.TotalErrors, report.Target)
+	}
+	if report.Metrics == nil || report.Metrics.Fabric.Admission.PeakParties < 8 {
+		t.Fatalf("gang wave did not coexist in one round: %+v", report.Metrics)
+	}
+	if len(report.Fingerprints) != len(DefaultLoadQueries) {
+		t.Fatalf("fingerprints for %d statements, want %d", len(report.Fingerprints), len(DefaultLoadQueries))
+	}
+	if err := VerifyAgainstEngine(report, loadEngine(t, rows)); err != nil {
+		t.Fatal(err)
 	}
 }

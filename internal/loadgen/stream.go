@@ -1,16 +1,23 @@
-package serve
+package loadgen
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"strings"
 	"time"
 
+	"repro/internal/serve"
 	"repro/internal/serve/wire"
+)
+
+// streamTable is the relation a streaming run registers fresh (schema
+// k string, t int, v int), and streamSQL the continuous query it holds
+// open over it.
+const (
+	streamTable = "events"
+	streamSQL   = "SELECT k, SUM(v) AS total, COUNT(*) AS n FROM " + streamTable + " GROUP BY k"
 )
 
 // StreamLoadConfig drives one streaming run against a serving front
@@ -18,16 +25,9 @@ import (
 // subscription open, pump batches through /v1/stream, close, and
 // report ingest throughput plus window freshness.
 type StreamLoadConfig struct {
-	// BaseURL targets a running daemon; leave empty and set Handler to
-	// drive an in-process server (as LoadConfig).
-	BaseURL string
-	Handler http.Handler
-	Client  *http.Client
+	Target
 	// APIKey authenticates the run (default gold-key, the demo tenant).
 	APIKey string
-	// Table names the streamed relation (default "events"; registered
-	// fresh at the start of the run with schema k string, t int, v int).
-	Table string
 	// Events is the total event count (default 100000).
 	Events int
 	// Batch is the events-per-request ingest granularity (default 500).
@@ -36,9 +36,7 @@ type StreamLoadConfig struct {
 	Keys int
 	// Window shapes the subscription (defaults: time_col t, size 1000,
 	// slide 250, lateness 0 — events arrive in time order).
-	Window WindowRequest
-	// SQL is the continuous query (default per-key SUM/COUNT over Table).
-	SQL string
+	Window serve.WindowRequest
 }
 
 // StreamLoadReport is the machine-readable result (the BENCH artifact
@@ -91,9 +89,6 @@ func RunStreamLoad(ctx context.Context, cfg StreamLoadConfig) (*StreamLoadReport
 	if cfg.APIKey == "" {
 		cfg.APIKey = "gold-key"
 	}
-	if cfg.Table == "" {
-		cfg.Table = "events"
-	}
 	if cfg.Events <= 0 {
 		cfg.Events = 100_000
 	}
@@ -110,19 +105,15 @@ func RunStreamLoad(ctx context.Context, cfg StreamLoadConfig) (*StreamLoadReport
 		cfg.Window.Size = 1000
 		cfg.Window.Slide = 250
 	}
-	if cfg.SQL == "" {
-		cfg.SQL = fmt.Sprintf("SELECT k, SUM(v) AS total, COUNT(*) AS n FROM %s GROUP BY k", cfg.Table)
-	}
-	lc := LoadConfig{BaseURL: cfg.BaseURL, Handler: cfg.Handler, Client: cfg.Client, Sessions: 2}
-	client, base, err := lc.client()
+	c, err := cfg.client(2)
 	if err != nil {
 		return nil, err
 	}
 
 	// A fresh relation every run keeps the harness re-runnable against a
 	// long-lived daemon (a closed stream stays closed).
-	if err := postJSON(ctx, client, base+"/v1/tables", cfg.APIKey, TableRequest{
-		Name: cfg.Table,
+	if err := c.call(ctx, "/v1/tables", cfg.APIKey, serve.TableRequest{
+		Name: streamTable,
 		Schema: []wire.Column{
 			{Name: "k", Type: "string"},
 			{Name: "t", Type: "int"},
@@ -136,41 +127,38 @@ func RunStreamLoad(ctx context.Context, cfg StreamLoadConfig) (*StreamLoadReport
 	// and parses it down to the terminal stats line.
 	type subResult struct {
 		windows int
-		end     *StreamEnd
+		end     *serve.StreamEnd
 		err     error
 	}
 	subCtx, subCancel := context.WithCancel(ctx)
 	defer subCancel()
 	subCh := make(chan subResult, 1)
 	go func() {
-		n, end, err := runSubscriber(subCtx, client, base, cfg)
+		n, end, err := c.subscribe(subCtx, cfg.APIKey, cfg.Window)
 		subCh <- subResult{windows: n, end: end, err: err}
 	}()
 
-	rep := &StreamLoadReport{Table: cfg.Table, Events: cfg.Events}
+	rep := &StreamLoadReport{Table: streamTable, Events: cfg.Events}
 	start := time.Now()
 	for off := 0; off < cfg.Events; off += cfg.Batch {
-		n := cfg.Batch
-		if off+n > cfg.Events {
-			n = cfg.Events - off
-		}
+		n := min(cfg.Batch, cfg.Events-off)
 		rows := make([][]any, n)
 		for i := 0; i < n; i++ {
 			g := off + i
 			rows[i] = []any{fmt.Sprintf("k%03d", g%cfg.Keys), g, g % 97}
 		}
-		var ack IngestResponse
-		if err := postJSON(ctx, client, base+"/v1/stream", cfg.APIKey,
-			StreamRequest{Table: cfg.Table, Rows: rows}, &ack); err != nil {
-			return nil, fmt.Errorf("serve: ingest batch at %d: %w", off, err)
+		var ack serve.IngestResponse
+		if err := c.call(ctx, "/v1/stream", cfg.APIKey,
+			serve.StreamRequest{Table: streamTable, Rows: rows}, &ack); err != nil {
+			return nil, fmt.Errorf("loadgen: ingest batch at %d: %w", off, err)
 		}
 		rep.Batches++
 		rep.Bytes += ack.Bytes
 		rep.IngestNetSeconds += ack.NetSeconds
 	}
-	if err := postJSON(ctx, client, base+"/v1/stream", cfg.APIKey,
-		StreamRequest{Table: cfg.Table, Close: true}, nil); err != nil {
-		return nil, fmt.Errorf("serve: close stream: %w", err)
+	if err := c.call(ctx, "/v1/stream", cfg.APIKey,
+		serve.StreamRequest{Table: streamTable, Close: true}, nil); err != nil {
+		return nil, fmt.Errorf("loadgen: close stream: %w", err)
 	}
 	rep.IngestWallMS = time.Since(start).Seconds() * 1e3
 	if rep.IngestWallMS > 0 {
@@ -179,17 +167,17 @@ func RunStreamLoad(ctx context.Context, cfg StreamLoadConfig) (*StreamLoadReport
 
 	sub := <-subCh
 	if sub.err != nil {
-		return nil, fmt.Errorf("serve: subscription: %w", sub.err)
+		return nil, fmt.Errorf("loadgen: subscription: %w", sub.err)
 	}
 	st := sub.end.Stats
 	if st == nil {
-		return nil, fmt.Errorf("serve: subscription ended without stats (%d windows)", sub.windows)
+		return nil, fmt.Errorf("loadgen: subscription ended without stats (%d windows)", sub.windows)
 	}
 	if st.Events != int64(cfg.Events) {
-		return nil, fmt.Errorf("serve: subscription saw %d events, ingested %d", st.Events, cfg.Events)
+		return nil, fmt.Errorf("loadgen: subscription saw %d events, ingested %d", st.Events, cfg.Events)
 	}
 	if int64(sub.windows) != st.Windows {
-		return nil, fmt.Errorf("serve: read %d window lines, stats say %d", sub.windows, st.Windows)
+		return nil, fmt.Errorf("loadgen: read %d window lines, stats say %d", sub.windows, st.Windows)
 	}
 	rep.Windows, rep.Late, rep.Dropped = st.Windows, st.Late, st.Dropped
 	rep.FreshnessP50MS = st.FreshnessP50 * 1e3
@@ -198,28 +186,15 @@ func RunStreamLoad(ctx context.Context, cfg StreamLoadConfig) (*StreamLoadReport
 	return rep, nil
 }
 
-// runSubscriber posts the subscription and consumes its NDJSON lines
-// until the terminal StreamEnd.
-func runSubscriber(ctx context.Context, client *http.Client, base string, cfg StreamLoadConfig) (int, *StreamEnd, error) {
-	body, err := json.Marshal(StreamRequest{SQL: cfg.SQL, Window: &cfg.Window})
-	if err != nil {
+// subscribe posts the subscription and consumes its NDJSON lines until
+// the terminal StreamEnd.
+func (c *client) subscribe(ctx context.Context, apiKey string, window serve.WindowRequest) (int, *serve.StreamEnd, error) {
+	var body io.ReadCloser
+	if err := c.call(ctx, "/v1/stream", apiKey, serve.StreamRequest{SQL: streamSQL, Window: &window}, &body); err != nil {
 		return 0, nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, "POST", base+"/v1/stream", bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Authorization", "Bearer "+cfg.APIKey)
-	resp, err := client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return 0, nil, fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	dec := json.NewDecoder(resp.Body)
+	defer body.Close()
+	dec := json.NewDecoder(body)
 	windows := 0
 	for {
 		var raw json.RawMessage
@@ -229,7 +204,7 @@ func runSubscriber(ctx context.Context, client *http.Client, base string, cfg St
 			}
 			return windows, nil, err
 		}
-		var end StreamEnd
+		var end serve.StreamEnd
 		if json.Unmarshal(raw, &end) == nil && end.Done {
 			if end.Error != "" {
 				return windows, &end, fmt.Errorf("subscription error: %s", end.Error)
@@ -238,33 +213,4 @@ func runSubscriber(ctx context.Context, client *http.Client, base string, cfg St
 		}
 		windows++
 	}
-}
-
-// postJSON posts body and decodes a JSON response into out (when
-// non-nil), turning non-2xx statuses into errors.
-func postJSON(ctx context.Context, client *http.Client, url, apiKey string, body, out any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Authorization", "Bearer "+apiKey)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("serve: %s: %s: %s", url, resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if out == nil {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }

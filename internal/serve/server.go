@@ -10,7 +10,9 @@
 // gracefully — in-flight queries finish, new ones get 503, and any
 // announced-but-unfilled fabric gang slots are withdrawn so the shared
 // admission barrier can never deadlock on a query that will now never
-// arrive.
+// arrive. The package holds only the daemon: its request and response
+// types are the wire contract, and the client that drives them under
+// load is internal/loadgen.
 package serve
 
 import (

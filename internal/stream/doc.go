@@ -15,7 +15,9 @@
 //     Subscriptions. The sql layer owns exactly one Hub per Engine and
 //     publishes under its catalog lock, so arrival order is append order —
 //     the property that makes windowed group emission order reproduce
-//     the batch engine's first-seen order.
+//     the batch engine's first-seen order. Publishing never waits on a
+//     subscriber: one that falls MaxQueuedRows behind ends with
+//     ErrBacklog.
 //
 //   - Subscription evaluates one compiled continuous query (see
 //     sql.Session.Subscribe) over tumbling or sliding event-time

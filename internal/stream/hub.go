@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -15,13 +16,22 @@ import (
 // own vectors — and the sql engine owns one Hub and publishes under its
 // catalog lock, so every subscription sees batches in append order. All
 // methods are safe for concurrent use; Publish and CloseTable never block
-// on consumers (subscriptions queue internally and deliver from their own
-// goroutine).
+// on consumers (subscriptions queue internally, up to MaxQueuedRows, and
+// deliver from their own goroutine).
 type Hub struct {
 	mu     sync.Mutex
 	subs   map[string][]*Subscription
 	closed map[string]bool
 }
+
+// MaxQueuedRows bounds the published rows a subscription holds queued
+// but not yet windowed. Publish runs under the engine's catalog lock and
+// must not block, so a subscription that falls this far behind its
+// table's ingest ends with ErrBacklog rather than grow without limit.
+const MaxQueuedRows = 1 << 20
+
+// ErrBacklog is the Err of a subscription ended by MaxQueuedRows.
+var ErrBacklog = fmt.Errorf("stream: subscriber backlog passed %d queued rows", MaxQueuedRows)
 
 // NewHub returns an empty hub.
 func NewHub() *Hub {
@@ -29,8 +39,10 @@ func NewHub() *Hub {
 }
 
 // msg is one queued delivery: an ingest batch or the end-of-stream mark.
+// rows is the batch's count against MaxQueuedRows (0 for the prime).
 type msg struct {
 	rel   *relational.Relation
+	rows  int
 	at    time.Time
 	close bool
 }
@@ -44,7 +56,7 @@ func (h *Hub) Publish(table string, batch *relational.Relation) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, s := range h.subs[strings.ToLower(table)] {
-		s.enqueue(msg{rel: batch, at: now})
+		s.enqueue(msg{rel: batch, rows: batch.Len(), at: now})
 	}
 }
 
@@ -89,19 +101,22 @@ func (h *Hub) TableClosed(table string) bool {
 // must hold whatever lock serializes appends while calling Subscribe, or
 // primed rows could also arrive as published batches. ctx cancellation
 // aborts delivery: the output channel closes without a final flush and
-// Err reports the cause.
+// Err reports the cause. A backlog past MaxQueuedRows aborts it the same
+// way, with ErrBacklog.
 func (h *Hub) Subscribe(ctx context.Context, q *Query, spec WindowSpec, prime *relational.Relation) (*Subscription, error) {
 	spec, err := spec.normalize()
 	if err != nil {
 		return nil, err
 	}
 	name := strings.ToLower(q.Table)
+	ctx, cancel := context.WithCancelCause(ctx)
 	s := &Subscription{
-		hub:   h,
-		table: name,
-		win:   newWindower(q, spec),
-		out:   make(chan Window, spec.Buffer),
-		done:  make(chan struct{}),
+		hub:    h,
+		table:  name,
+		win:    newWindower(q, spec),
+		out:    make(chan Window, spec.Buffer),
+		done:   make(chan struct{}),
+		cancel: cancel,
 	}
 	s.cond = sync.NewCond(&s.mu)
 	now := time.Now()
@@ -142,15 +157,17 @@ func (h *Hub) remove(sub *Subscription) {
 // Out until it closes (stream closed, context cancelled, or evaluation
 // error — Err distinguishes), then read the final Stats.
 type Subscription struct {
-	hub   *Hub
-	table string
-	win   *windower
-	out   chan Window
-	done  chan struct{}
+	hub    *Hub
+	table  string
+	win    *windower
+	out    chan Window
+	done   chan struct{}
+	cancel context.CancelCauseFunc
 
 	mu        sync.Mutex
 	cond      *sync.Cond
 	queue     []msg
+	queued    int // sum of rows over queue
 	cancelErr error
 	err       error
 	windows   int64
@@ -176,12 +193,24 @@ func (s *Subscription) Err() error {
 	return s.cancelErr
 }
 
-// enqueue appends one delivery without blocking the publisher.
+// enqueue appends one delivery without blocking the publisher. A
+// delivery that takes the queue past MaxQueuedRows ends the
+// subscription instead: the queue is released and the run goroutine
+// stops as on cancellation.
 func (s *Subscription) enqueue(m msg) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.cancelErr != nil {
+		return
+	}
 	s.queue = append(s.queue, m)
+	s.queued += m.rows
+	if s.queued > MaxQueuedRows {
+		s.queue, s.queued = nil, 0
+		s.cancelErr = ErrBacklog
+		s.cancel(ErrBacklog)
+	}
 	s.cond.Broadcast()
-	s.mu.Unlock()
 }
 
 // next blocks for the next delivery; ok is false on cancellation.
@@ -195,6 +224,7 @@ func (s *Subscription) next() (msg, bool) {
 		if len(s.queue) > 0 {
 			m := s.queue[0]
 			s.queue = s.queue[1:]
+			s.queued -= m.rows
 			return m, true
 		}
 		s.cond.Wait()
@@ -206,6 +236,7 @@ func (s *Subscription) next() (msg, bool) {
 func (s *Subscription) run(ctx context.Context, stop func() bool) {
 	defer close(s.done)
 	defer close(s.out)
+	defer s.cancel(nil)
 	defer stop()
 	defer s.hub.remove(s)
 	for {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"runtime/metrics"
 	"testing"
 	"time"
 
@@ -401,6 +402,77 @@ func TestSubscriptionCancel(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d > baseline %d", runtime.NumGoroutine(), baseline)
+}
+
+// liveHeap is the heap's live object bytes after a full collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
+}
+
+// TestSubscribeBacklogBound: a subscriber that never reads while ingest
+// publishes three times MaxQueuedRows. Every Publish returns, the
+// subscription ends with ErrBacklog, the queued batches are released,
+// and a subscription on another table still ends cleanly.
+func TestSubscribeBacklogBound(t *testing.T) {
+	h := NewHub()
+	spec := WindowSpec{TimeCol: "t", Size: 64, Buffer: 1}
+	stuck, err := h.Subscribe(context.Background(), testQuery(t, nil), spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherQ := testQuery(t, nil)
+	otherQ.Table = "other"
+	other, err := h.Subscribe(context.Background(), otherQ, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every batch owns only its event-time column: key and value cells
+	// are shared, so the heap grows by 8 bytes per queued row.
+	const n = 1 << 14
+	keys, vals := make([]string, n), make([]int64, n)
+	for i := range keys {
+		keys[i] = "a"
+	}
+	next := int64(0)
+	publish := func(table string) {
+		ts := make([]int64, n)
+		for i := range ts {
+			ts[i] = next
+			next++
+		}
+		h.Publish(table, relational.NewColumnRelation(table, srcSchema, []relational.Vector{
+			{T: relational.String, Strs: keys}, {T: relational.Int, Ints: ts}, {T: relational.Int, Ints: vals},
+		}, n))
+	}
+	before := liveHeap()
+	for range 3 * MaxQueuedRows / n {
+		publish("events")
+	}
+	select {
+	case <-stuck.Done():
+	case <-time.After(10 * time.Second):
+		t.Fatal("backlogged subscription did not end")
+	}
+	if err := stuck.Err(); err != ErrBacklog {
+		t.Fatalf("Err() = %v, want ErrBacklog", err)
+	}
+	if grown := int64(liveHeap()) - int64(before); grown > 8*MaxQueuedRows/2 {
+		t.Fatalf("heap grew %d bytes after the backlog ended; the queue was not released", grown)
+	}
+
+	publish("other")
+	h.CloseTable("other")
+	wins := 0
+	for range other.Out() {
+		wins++
+	}
+	if err := other.Err(); err != nil || wins != n/64 {
+		t.Fatalf("other table: %d windows, Err %v; want %d windows, nil", wins, err, n/64)
+	}
 }
 
 // TestWindowSpecValidation: the rejection matrix of normalize.
