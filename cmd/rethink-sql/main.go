@@ -376,7 +376,7 @@ func runStreamDemo(eng *sql.Engine, query string, n int, size, slide, lateness i
 	}
 	fmt.Println()
 	if fab := eng.Fabric(); fab != nil {
-		fmt.Printf("  fabric ingest-class bytes: %s\n", metrics.FormatBytes(fab.Stats().ClassBytes[sql.IngestClass]))
+		fmt.Printf("  fabric ingest-class bytes: %s\n", metrics.FormatBytes(fab.Admission().ClassBytes[sql.IngestClass]))
 	}
 	return nil
 }

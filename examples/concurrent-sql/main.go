@@ -138,7 +138,7 @@ func main() {
 	add("B (1-join, narrow)", "contended, weight 1", isoB, wconB)
 	fmt.Print(tbl.Render())
 	fmt.Printf("\nweighted run: A joined %d rounds waiting %.3f ms at the barrier as class %q\n",
-		wconA.Admission.RoundsJoined, wconA.Admission.BarrierWaitSeconds*1e3, wconA.Admission.Class)
+		wconA.Net.Adm.RoundsJoined, wconA.Net.Adm.BarrierWaitSeconds*1e3, wconA.Net.Adm.Class)
 
 	fmt.Println("\n== shared-fabric aggregate (uniform weights) ==")
 	fmt.Println(eng.Fabric().Stats().Summary())

@@ -35,6 +35,7 @@
 package dist
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -164,52 +165,54 @@ type Transfer struct {
 
 // PhaseStat records one data-movement phase of a query.
 type PhaseStat struct {
-	Name    string
-	Flows   int
-	Bytes   float64
-	Seconds float64
+	Name    string  `json:"name"`
+	Flows   int     `json:"flows"`
+	Bytes   float64 `json:"bytes"`
+	Seconds float64 `json:"seconds"`
 	// Chunks is the number of pipelined sub-rounds the phase was split
 	// into (0 for bulk-synchronous phases). ComputeSeconds is the modeled
 	// consumer compute the phase charged for its landed chunks, and
 	// OverlapSeconds is the part of it hidden under in-flight flows —
 	// both zero for bulk phases, whose compute happens strictly after the
 	// movement.
-	Chunks         int
-	ComputeSeconds float64
-	OverlapSeconds float64
+	Chunks         int     `json:"chunks,omitempty"`
+	ComputeSeconds float64 `json:"compute_seconds,omitempty"`
+	OverlapSeconds float64 `json:"overlap_seconds,omitempty"`
 }
 
 // QueryStats is the network-side report of one distributed query, sourced
 // from real netsim flows over the cluster fabric.
 type QueryStats struct {
-	Shards        int
-	Topology      string
-	Phases        []PhaseStat
-	Flows         int
-	BytesShuffled float64
-	NetSeconds    float64
-	MeanLinkUtil  float64
-	MaxLinkUtil   float64
-	Links         []netsim.LinkLoad
+	Shards        int         `json:"shards"`
+	Topology      string      `json:"topology"`
+	Phases        []PhaseStat `json:"phases,omitempty"`
+	Flows         int         `json:"flows"`
+	BytesShuffled float64     `json:"bytes_shuffled"`
+	NetSeconds    float64     `json:"net_seconds"`
+	MeanLinkUtil  float64     `json:"mean_link_util"`
+	MaxLinkUtil   float64     `json:"max_link_util"`
+	// Links is the per-link load breakdown; the wire leaves it out.
+	Links []netsim.LinkLoad `json:"-"`
 	// Adm is the query's admission-layer report: rounds its phases
 	// joined, wall-clock barrier wait (the queueing delay of sharing the
 	// fabric with concurrent queries), and the QoS class/weight its flows
-	// competed under.
-	Adm netsim.PartyStats
+	// competed under. The wire carries it beside the query stats, as the
+	// result's admission block.
+	Adm netsim.PartyStats `json:"-"`
 	// SpillSeconds is the modeled out-of-core I/O time (spill writes
 	// plus read-back) the query's shard-local operators charged against
 	// their memory budgets. Zero on unbudgeted runs. It is storage-tier
 	// time, not fabric time, so it is reported beside NetSeconds rather
 	// than folded in.
-	SpillSeconds float64
+	SpillSeconds float64 `json:"spill_seconds,omitempty"`
 	// ComputeSeconds is the modeled time pipelined phases charge for
 	// consuming landed chunks (build inserts, partial-agg folds, merges),
 	// priced at ChunkComputeBytesPerSec. OverlapSeconds is the portion of
 	// that compute hidden under in-flight flows — the measured (not
 	// assumed) win of pipelining. Both are zero on bulk-synchronous runs,
 	// where consumption starts only after NetSeconds has fully elapsed.
-	ComputeSeconds float64
-	OverlapSeconds float64
+	ComputeSeconds float64 `json:"compute_seconds,omitempty"`
+	OverlapSeconds float64 `json:"overlap_seconds,omitempty"`
 	// RecoverySeconds is the modeled cost of surviving injected faults:
 	// the network time of recovery phases that re-shipped data lost with
 	// a dead host from surviving replicas, plus the modeled re-derivation
@@ -219,9 +222,9 @@ type QueryStats struct {
 	// SpeculativeWins counts straggler fragments whose speculative
 	// duplicate finished first. All three are zero on fault-free runs —
 	// the failure-free engine never records recovery work.
-	RecoverySeconds  float64
-	RetriedFragments int
-	SpeculativeWins  int
+	RecoverySeconds  float64 `json:"recovery_seconds,omitempty"`
+	RetriedFragments int     `json:"retried_fragments,omitempty"`
+	SpeculativeWins  int     `json:"speculative_wins,omitempty"`
 }
 
 // WallSeconds is the modeled movement-plus-consumption critical path:
@@ -231,6 +234,16 @@ type QueryStats struct {
 // approaches max(net, compute).
 func (s *QueryStats) WallSeconds() float64 {
 	return s.NetSeconds + s.ComputeSeconds - s.OverlapSeconds
+}
+
+// MarshalJSON adds wall_seconds to the tagged fields. A decoder reads it
+// back through WallSeconds, from the three terms the document carries.
+func (s *QueryStats) MarshalJSON() ([]byte, error) {
+	type fields QueryStats
+	return json.Marshal(struct {
+		*fields
+		WallSeconds float64 `json:"wall_seconds"`
+	}{(*fields)(s), s.WallSeconds()})
 }
 
 // Summary renders the stats as one human-readable block.

@@ -129,54 +129,30 @@ func (f *Fabric) NewQueryQoS(t *relational.CancelToken, class string, weight flo
 	return q
 }
 
-// Admission snapshots the raw admission-layer aggregate — everything
-// FabricStats summarizes plus the counters it omits (eager sub-rounds,
-// rejected controller overrides). Operational surfaces (a daemon's
-// /metrics endpoint) report it verbatim.
+// Admission snapshots the raw admission-layer aggregate.
 func (f *Fabric) Admission() netsim.AdmissionStats { return f.adm.Stats() }
 
 // FabricStats is the aggregate, cross-query view of the shared fabric:
-// the contention counters plus link utilization over the fabric's total
-// busy time. Per-query views live in QueryStats.
+// link utilization over the fabric's total busy time beside the admission
+// counters it was computed from. A daemon's /metrics endpoint reports it
+// as its fabric block. Per-query views live in QueryStats.
 type FabricStats struct {
-	Topology string
-	// Rounds, PeakFlows and PeakQueries summarize admission: how many
-	// bulk-synchronous rounds ran, the most flows that coexisted in one
-	// round, and the most queries whose flows shared a round. PeakQueries
-	// > 1 is the direct witness that queries contended.
-	Rounds      int
-	PeakFlows   int
-	PeakQueries int
-	// BusySeconds is the virtual time the fabric carried at least one
-	// flow; Bytes is the total traffic admitted.
-	BusySeconds float64
-	Bytes       float64
-	// ClassBytes attributes the admitted bytes to QoS classes ("" is
-	// best-effort traffic) — the per-tenant view of who used the fabric.
-	ClassBytes map[string]float64
-	// PathOverrides counts flows the fabric controller rerouted off
-	// their default ECMP routes.
-	PathOverrides int
-	// MeanLinkUtil / MaxLinkUtil are computed over BusySeconds, so two
-	// queries sharing rounds (overlapping in time) drive utilization
-	// strictly above what either achieves alone.
-	MeanLinkUtil float64
-	MaxLinkUtil  float64
+	Topology string `json:"topology"`
+	// MeanLinkUtil / MaxLinkUtil are computed over Admission.BusySeconds,
+	// so two queries sharing rounds (overlapping in time) drive
+	// utilization strictly above what either achieves alone.
+	MeanLinkUtil float64 `json:"mean_link_util"`
+	MaxLinkUtil  float64 `json:"max_link_util"`
+	// Admission is the snapshot the utilization was computed from. Its
+	// PeakParties > 1 is the direct witness that queries contended, and
+	// its ClassBytes is the per-tenant view of who used the fabric.
+	Admission *netsim.AdmissionStats `json:"admission"`
 }
 
 // Stats snapshots the fabric-wide aggregate.
 func (f *Fabric) Stats() *FabricStats {
 	a := f.adm.Stats()
-	st := &FabricStats{
-		Topology:      f.c.Topology,
-		Rounds:        a.Rounds,
-		PeakFlows:     a.PeakFlows,
-		PeakQueries:   a.PeakParties,
-		BusySeconds:   a.BusySeconds,
-		Bytes:         a.Bytes,
-		ClassBytes:    a.ClassBytes,
-		PathOverrides: a.PathOverrides,
-	}
+	st := &FabricStats{Topology: f.c.Topology, Admission: &a}
 	if a.BusySeconds <= 0 {
 		return st
 	}
@@ -197,14 +173,15 @@ func (f *Fabric) Stats() *FabricStats {
 
 // Summary renders the aggregate as one human-readable block.
 func (s *FabricStats) Summary() string {
+	a := s.Admission
 	var b strings.Builder
 	fmt.Fprintf(&b, "fabric: %s — %d admission rounds, peak %d concurrent queries / %d coexisting flows\n",
-		s.Topology, s.Rounds, s.PeakQueries, s.PeakFlows)
+		s.Topology, a.Rounds, a.PeakParties, a.PeakFlows)
 	fmt.Fprintf(&b, "  %.0f bytes over %.3f ms busy; link utilization mean %.1f%%, max %.1f%%",
-		s.Bytes, s.BusySeconds*1e3, s.MeanLinkUtil*100, s.MaxLinkUtil*100)
-	if len(s.ClassBytes) > 0 {
-		classes := make([]string, 0, len(s.ClassBytes))
-		for c := range s.ClassBytes {
+		a.Bytes, a.BusySeconds*1e3, s.MeanLinkUtil*100, s.MaxLinkUtil*100)
+	if len(a.ClassBytes) > 0 {
+		classes := make([]string, 0, len(a.ClassBytes))
+		for c := range a.ClassBytes {
 			classes = append(classes, c)
 		}
 		sort.Strings(classes)
@@ -214,11 +191,11 @@ func (s *FabricStats) Summary() string {
 			if name == "" {
 				name = "best-effort"
 			}
-			fmt.Fprintf(&b, " %s=%.0f", name, s.ClassBytes[c])
+			fmt.Fprintf(&b, " %s=%.0f", name, a.ClassBytes[c])
 		}
 	}
-	if s.PathOverrides > 0 {
-		fmt.Fprintf(&b, "\n  controller: %d flows rerouted", s.PathOverrides)
+	if a.PathOverrides > 0 {
+		fmt.Fprintf(&b, "\n  controller: %d flows rerouted", a.PathOverrides)
 	}
 	return b.String()
 }

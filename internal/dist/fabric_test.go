@@ -81,8 +81,8 @@ func TestFabricSharedContention(t *testing.T) {
 		}
 	}
 	fs := f.Stats()
-	if fs.PeakQueries != 2 || fs.Rounds != 2 || fs.PeakFlows != 2 {
-		t.Fatalf("fabric aggregate missed the coexistence: %+v", fs)
+	if a := fs.Admission; a.PeakParties != 2 || a.Rounds != 2 || a.PeakFlows != 2 {
+		t.Fatalf("fabric aggregate missed the coexistence: %+v", a)
 	}
 	if fs.MaxLinkUtil <= solos[0].MaxLinkUtil || fs.MaxLinkUtil <= solos[1].MaxLinkUtil {
 		t.Fatalf("aggregate util %.4f must exceed solo %.4f / %.4f",

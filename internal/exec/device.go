@@ -223,20 +223,20 @@ func (d *modelDevice) Run(k Kernel, m MorselStats, fn func() error) (Cost, error
 // time/energy they cost, with the offload overhead components broken
 // out. It is the per-device line of sql.Result.Devices.
 type DeviceStats struct {
-	Device          string
-	Style           string
-	Morsels         int
-	Rows            int64
-	Seconds         float64
-	TransferSeconds float64
-	LaunchSeconds   float64
-	SetupSeconds    float64
-	EnergyJ         float64
+	Device          string  `json:"device"`
+	Style           string  `json:"style"`
+	Morsels         int     `json:"morsels"`
+	Rows            int64   `json:"rows"`
+	Seconds         float64 `json:"seconds"`
+	TransferSeconds float64 `json:"transfer_seconds"`
+	LaunchSeconds   float64 `json:"launch_seconds"`
+	SetupSeconds    float64 `json:"setup_seconds"`
+	EnergyJ         float64 `json:"energy_j"`
 	// QueueWaits counts morsels that found every device slot busy and
 	// queued; QueueSeconds is their estimated wait. Schedule-dependent:
 	// do not assert exact values in tests.
-	QueueWaits   int
-	QueueSeconds float64
+	QueueWaits   int     `json:"queue_waits,omitempty"`
+	QueueSeconds float64 `json:"queue_seconds,omitempty"`
 }
 
 // String renders one summary line.

@@ -533,27 +533,28 @@ func (m *Manager) claimSlowEvents(round int) map[int]float64 {
 type Health struct {
 	// Generation increments on every membership change (join, drain,
 	// restore, death).
-	Generation  int
-	Replication int
+	Generation  int `json:"generation"`
+	Replication int `json:"replication"`
 	// Workers counts worker slots ever admitted (including dead ones);
 	// Live/Drained/Dead partition them. Spares are unassigned topology
-	// hosts JoinHost can still annex.
-	Workers int
-	Live    int
-	Drained int
-	Dead    int
-	Spares  int
+	// hosts JoinHost can still annex. The counts are always on the wire:
+	// a zero is a fact about the cluster, not an omission.
+	Workers int `json:"workers"`
+	Live    int `json:"live"`
+	Drained int `json:"drained"`
+	Dead    int `json:"dead"`
+	Spares  int `json:"spares"`
 	// RebalancedBytes/RebalanceSeconds price planned movement (drain,
 	// restore, join); RepairBytes/RepairSeconds/Repairs price post-death
 	// re-replication. All charged to the shared fabric as real flows.
-	RebalancedBytes  float64
-	RebalanceSeconds float64
-	RepairBytes      float64
-	RepairSeconds    float64
-	Repairs          int
+	RebalancedBytes  float64 `json:"rebalanced_bytes,omitempty"`
+	RebalanceSeconds float64 `json:"rebalance_seconds,omitempty"`
+	RepairBytes      float64 `json:"repair_bytes,omitempty"`
+	RepairSeconds    float64 `json:"repair_seconds,omitempty"`
+	Repairs          int     `json:"repairs,omitempty"`
 	// EventsFired/EventsTotal track the fault plan's schedule.
-	EventsFired int
-	EventsTotal int
+	EventsFired int `json:"events_fired"`
+	EventsTotal int `json:"events_total"`
 }
 
 // Health snapshots the cluster state.

@@ -424,26 +424,8 @@ func (r *Report) Summary() string {
 		pc := r.Metrics.PlanCache
 		fmt.Fprintf(&b, "  plan cache: %d/%d entries, %d hits, %d misses, %d invalidations\n",
 			pc.Entries, pc.Capacity, pc.Hits, pc.Misses, pc.Invalidations)
-		if r.Metrics.Fabric != nil && r.Metrics.Fabric.Admission != nil {
-			a := r.Metrics.Fabric.Admission
-			fmt.Fprintf(&b, "  fabric: %d rounds, peak %d queries / %d flows, %.0f bytes",
-				a.Rounds, a.PeakParties, a.PeakFlows, a.Bytes)
-			if len(a.ClassBytes) > 0 {
-				classes := make([]string, 0, len(a.ClassBytes))
-				for c := range a.ClassBytes {
-					classes = append(classes, c)
-				}
-				sort.Strings(classes)
-				b.WriteString("; per-class:")
-				for _, c := range classes {
-					name := c
-					if name == "" {
-						name = "best-effort"
-					}
-					fmt.Fprintf(&b, " %s=%.0f", name, a.ClassBytes[c])
-				}
-			}
-			b.WriteByte('\n')
+		if f := r.Metrics.Fabric; f != nil && f.Admission != nil {
+			b.WriteString("  " + strings.ReplaceAll(f.Summary(), "\n", "\n  ") + "\n")
 		}
 	}
 	return b.String()

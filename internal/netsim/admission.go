@@ -76,28 +76,28 @@ const utilEWMAAlpha = 0.5
 // round the admission layer has run.
 type AdmissionStats struct {
 	// Rounds is the number of admission rounds executed.
-	Rounds int
+	Rounds int `json:"rounds"`
 	// PeakFlows is the most flows that coexisted in one round.
-	PeakFlows int
+	PeakFlows int `json:"peak_flows"`
 	// PeakParties is the most parties whose flows shared one round.
-	PeakParties int
+	PeakParties int `json:"peak_parties"`
 	// BusySeconds sums round makespans: the virtual time during which the
 	// fabric carried at least one flow.
-	BusySeconds float64
+	BusySeconds float64 `json:"busy_seconds"`
 	// Bytes is the total bytes admitted.
-	Bytes float64
+	Bytes float64 `json:"bytes"`
 	// ClassBytes attributes admitted bytes to QoS classes ("" is
 	// best-effort traffic).
-	ClassBytes map[string]float64
+	ClassBytes map[string]float64 `json:"class_bytes,omitempty"`
 	// PathOverrides counts flows the controller rerouted off their
 	// default ECMP path; RejectedOverrides counts malformed controller
 	// path overrides that were refused (the flow kept its default route).
-	PathOverrides     int
-	RejectedOverrides int
+	PathOverrides     int `json:"path_overrides,omitempty"`
+	RejectedOverrides int `json:"rejected_overrides,omitempty"`
 	// EagerRounds counts rounds that ran before every joined party had a
 	// submission pending — the pipelined sub-rounds of SubmitEager. A
 	// fabric with no pipelined traffic reports zero.
-	EagerRounds int
+	EagerRounds int `json:"eager_rounds,omitempty"`
 }
 
 // FlowReq is one requested flow of a submission. Class and Weight
@@ -133,21 +133,21 @@ type Party struct {
 type PartyStats struct {
 	// RoundsJoined counts admission rounds that carried a submission of
 	// this party.
-	RoundsJoined int
+	RoundsJoined int `json:"rounds_joined"`
 	// BarrierWaitSeconds accumulates wall-clock time the party's phases
 	// spent parked between being offered and their round being admitted
 	// — the queueing delay imposed by waiting for concurrent parties to
 	// reach their own communication phases. The rounds' simulator
 	// execution is excluded, so an uncontended party's wait is ~zero.
-	BarrierWaitSeconds float64
+	BarrierWaitSeconds float64 `json:"barrier_wait_seconds"`
 	// Class and Weight are the party's QoS defaults (weight 0 reads as 1).
-	Class  string
-	Weight float64
+	Class  string  `json:"class,omitempty"`
+	Weight float64 `json:"weight"`
 	// SubRounds counts this party's eager submissions (pipelined chunks)
 	// that were admitted — each is one sub-round the party triggered (or
 	// joined without waiting for the full barrier). Zero for parties that
 	// only ever Submit.
-	SubRounds int
+	SubRounds int `json:"sub_rounds,omitempty"`
 }
 
 // submission is one pending phase: the requests going in, and the

@@ -27,21 +27,21 @@ type SpillDevice interface {
 // how many bytes crossed the tier boundary, and what the crossing cost.
 type SpillStats struct {
 	// Tier is the storage tier spill traffic was priced against.
-	Tier string
+	Tier string `json:"tier"`
 	// Partitions counts state partitions (grace buckets, agg
 	// generations, sort runs) evicted to the tier.
-	Partitions int
+	Partitions int `json:"partitions"`
 	// SpilledBytes is the total bytes written to the tier.
-	SpilledBytes int64
+	SpilledBytes int64 `json:"spilled_bytes"`
 	// WriteSeconds and ReadSeconds are the modeled transfer times of the
 	// spill writes and the later read-back passes.
-	WriteSeconds float64
-	ReadSeconds  float64
+	WriteSeconds float64 `json:"write_seconds"`
+	ReadSeconds  float64 `json:"read_seconds"`
 	// EnergyJ is the modeled access energy of all spill traffic.
-	EnergyJ float64
+	EnergyJ float64 `json:"energy_j"`
 	// MaxDepth is the deepest recursive re-partitioning level reached
 	// (0 = no spill, 1 = one grace pass, …).
-	MaxDepth int
+	MaxDepth int `json:"max_depth"`
 }
 
 // Active reports whether any spill happened.

@@ -72,6 +72,9 @@ func TestNonFiniteWindowEndsStream(t *testing.T) {
 	if len(lines) != 1 {
 		t.Fatalf("the first window is the unencodable one, yet %d lines precede the end", len(lines)-1)
 	}
+	if c := srv.MetricsSnapshot().Tenants["gold"]; c.Errors != 1 || c.Queries != 0 {
+		t.Fatalf("the failed subscription counted as %d queries, %d errors; want 0 and 1", c.Queries, c.Errors)
+	}
 }
 
 // TestTablesPlaceShardKey: /v1/tables's shard_key hash-places the table

@@ -229,11 +229,11 @@ func TestStmtBindIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rg.Admission == nil || rg.Admission.Class != "interactive" || rg.Admission.Weight != 3 {
-		t.Fatalf("gold exec admission = %+v", rg.Admission)
+	if rg.Net == nil || rg.Net.Adm.Class != "interactive" || rg.Net.Adm.Weight != 3 {
+		t.Fatalf("gold exec admission = %+v", rg.Net)
 	}
-	if rb.Admission == nil || rb.Admission.Weight != 1 {
-		t.Fatalf("bronze exec admission = %+v", rb.Admission)
+	if rb.Net == nil || rb.Net.Adm.Weight != 1 {
+		t.Fatalf("bronze exec admission = %+v", rb.Net)
 	}
 	if wire.Fingerprint(wire.FromResult(rg)) != wire.Fingerprint(wire.FromResult(rb)) {
 		t.Fatal("same statement, different rows across sessions")

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"repro/internal/dist"
+	"repro/internal/lifecycle"
 	"repro/internal/relational"
 	"repro/internal/serve/wire"
 	"repro/internal/sql"
@@ -67,6 +68,8 @@ type Server struct {
 
 // TenantCounters is one tenant's serving totals for /metrics.
 type TenantCounters struct {
+	// Queries and Errors count finished statements and subscriptions by
+	// outcome; Rows counts the result rows written to the tenant.
 	Queries   uint64 `json:"queries"`
 	Errors    uint64 `json:"errors"`
 	Rows      uint64 `json:"rows"`
@@ -634,11 +637,11 @@ type Metrics struct {
 	// Fabric is the shared-fabric aggregate (nil on single-node engines):
 	// link utilization plus the raw admission counters, whose ClassBytes
 	// map is the per-tenant-class bandwidth attribution.
-	Fabric *wire.FabricMetrics `json:"fabric,omitempty"`
+	Fabric *dist.FabricStats `json:"fabric,omitempty"`
 	// Cluster is the cluster health snapshot (nil on single-node
 	// engines): membership counts, rebalance/repair totals, and
 	// fault-schedule progress.
-	Cluster *wire.ClusterHealth `json:"cluster,omitempty"`
+	Cluster *lifecycle.Health `json:"cluster,omitempty"`
 }
 
 // MetricsSnapshot builds the /metrics document (exported for in-process
@@ -663,8 +666,8 @@ func (s *Server) MetricsSnapshot() *Metrics {
 	// A distributed engine has a fabric and a membership manager; a
 	// single-node engine has neither.
 	if fab := s.eng.Fabric(); fab != nil {
-		m.Fabric = wire.FromFabric(fab.Stats(), fab.Admission())
-		m.Cluster = wire.FromHealth(s.eng.Lifecycle().Health())
+		h := s.eng.Lifecycle().Health()
+		m.Fabric, m.Cluster = fab.Stats(), &h
 	}
 	return m
 }
@@ -683,9 +686,9 @@ type HostRequest struct {
 // HostResponse reports the affected worker (the new worker's index for
 // join) and the post-action cluster health.
 type HostResponse struct {
-	Action  string              `json:"action"`
-	Worker  int                 `json:"worker"`
-	Cluster *wire.ClusterHealth `json:"cluster"`
+	Action  string            `json:"action"`
+	Worker  int               `json:"worker"`
+	Cluster *lifecycle.Health `json:"cluster"`
 }
 
 func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
@@ -722,7 +725,8 @@ func (s *Server) handleHosts(w http.ResponseWriter, r *http.Request) {
 	}
 	// The action succeeded, so the engine has a cluster (a single-node
 	// engine refuses all three above).
-	writeJSON(w, http.StatusOK, HostResponse{Action: req.Action, Worker: worker, Cluster: wire.FromHealth(s.eng.Lifecycle().Health())})
+	h := s.eng.Lifecycle().Health()
+	writeJSON(w, http.StatusOK, HostResponse{Action: req.Action, Worker: worker, Cluster: &h})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

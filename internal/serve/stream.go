@@ -79,10 +79,10 @@ type StreamWindow struct {
 
 // StreamEnd is the terminal NDJSON line of a subscription.
 type StreamEnd struct {
-	Done   bool              `json:"done"`
-	Tenant string            `json:"tenant"`
-	Error  string            `json:"error,omitempty"`
-	Stats  *wire.StreamStats `json:"stats,omitempty"`
+	Done   bool          `json:"done"`
+	Tenant string        `json:"tenant"`
+	Error  string        `json:"error,omitempty"`
+	Stats  *stream.Stats `json:"stats,omitempty"`
 }
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
@@ -202,6 +202,7 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 	// line instead of a torn or missing line.
 	var line bytes.Buffer
 	var encErr error
+	var rows uint64 // result rows written, summed over windows
 	for win := range sub.Out() {
 		line.Reset()
 		if encErr = encodeJSON(&line, StreamWindow{
@@ -221,13 +222,14 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 			cancel() // writer gone; unhook the subscription
 			break
 		}
+		rows += uint64(win.Rows.Len())
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 	<-sub.Done()
 	st := sub.Stats()
-	end := StreamEnd{Done: true, Tenant: tenant.Name, Stats: wire.FromStream(&st)}
+	end := StreamEnd{Done: true, Tenant: tenant.Name, Stats: &st}
 	switch err := sub.Err(); {
 	case encErr != nil:
 		end.Error = encErr.Error()
@@ -235,8 +237,13 @@ func (s *Server) streamSubscribe(w http.ResponseWriter, r *http.Request, tenant 
 		end.Error = err.Error()
 	}
 	s.mu.Lock()
-	s.tstats[tenant.Name].Queries++
-	s.tstats[tenant.Name].Rows += uint64(st.Windows)
+	ts := s.tstats[tenant.Name]
+	if end.Error != "" {
+		ts.Errors++
+	} else {
+		ts.Queries++
+	}
+	ts.Rows += rows
 	s.mu.Unlock()
 	line.Reset()
 	if encodeJSON(&line, end) == nil {

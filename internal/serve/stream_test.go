@@ -152,6 +152,42 @@ func TestServeStreamIngestSubscribeParity(t *testing.T) {
 	}
 }
 
+// TestSubscriptionCountsRowsSent: a finished subscription adds the rows
+// it wrote to its tenant's row count — every group of every window, not
+// one per window — and counts as one query.
+func TestSubscriptionCountsRowsSent(t *testing.T) {
+	srv := streamServer(t, DefaultTenants())
+	h := srv.Handler()
+	if rec := rawDo(t, h, "/v1/stream", "gold-key", StreamRequest{Table: "events", Rows: serveEvents(300)}); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: got %d: %s", rec.Code, rec.Body.String())
+	}
+	if rec := rawDo(t, h, "/v1/stream", "gold-key", StreamRequest{Table: "events", Close: true}); rec.Code != http.StatusOK {
+		t.Fatalf("close: got %d: %s", rec.Code, rec.Body.String())
+	}
+	before := *srv.MetricsSnapshot().Tenants["gold"]
+	sub := rawDo(t, h, "/v1/stream", "gold-key", StreamRequest{
+		SQL:    "SELECT k, COUNT(*) AS n FROM events GROUP BY k",
+		Window: &WindowRequest{TimeCol: "t", Size: 8, Slide: 4, Lateness: 2},
+	})
+	lines := strings.Split(strings.TrimSpace(sub.Body.String()), "\n")
+	sent := 0
+	for _, line := range lines[:len(lines)-1] {
+		var win StreamWindow
+		if err := json.Unmarshal([]byte(line), &win); err != nil {
+			t.Fatal(err)
+		}
+		sent += len(win.Rows)
+	}
+	if sent <= len(lines)-1 {
+		t.Fatalf("%d rows over %d windows: the fixture must hold several groups per window", sent, len(lines)-1)
+	}
+	after := srv.MetricsSnapshot().Tenants["gold"]
+	if rows, q := after.Rows-before.Rows, after.Queries-before.Queries; rows != uint64(sent) || q != 1 || after.Errors != before.Errors {
+		t.Fatalf("subscription counted %d rows, %d queries, %d errors; it sent %d rows as one query",
+			rows, q, after.Errors-before.Errors, sent)
+	}
+}
+
 // TestServeStreamBadRequests: the mode matrix's error paths.
 func TestServeStreamBadRequests(t *testing.T) {
 	srv := streamServer(t, DefaultTenants())

@@ -48,13 +48,13 @@ func TestFromResultRoundTrip(t *testing.T) {
 	if len(w.Columns) != 2 || w.Columns[0].Type != "string" || w.Columns[1].Type != "float" {
 		t.Fatalf("columns = %+v", w.Columns)
 	}
-	if w.Net == nil || w.Net.Shards != 2 || w.Net.BytesShuffled <= 0 || w.Net.WallSeconds <= 0 {
+	if w.Net == nil || w.Net.Shards != 2 || w.Net.BytesShuffled <= 0 || w.Net.WallSeconds() <= 0 {
 		t.Fatalf("net stats = %+v", w.Net)
 	}
 	if w.Admission == nil || w.Admission.RoundsJoined == 0 {
 		t.Fatalf("admission stats = %+v", w.Admission)
 	}
-	if w.ModelSeconds() != w.Net.WallSeconds+w.Net.SpillSeconds {
+	if w.ModelSeconds() != w.Net.WallSeconds()+w.Net.SpillSeconds {
 		t.Fatal("ModelSeconds != wall + spill")
 	}
 
@@ -69,8 +69,19 @@ func TestFromResultRoundTrip(t *testing.T) {
 	if Fingerprint(&back) != Fingerprint(w) {
 		t.Fatal("fingerprint changed across the JSON round trip")
 	}
-	if back.Net.BytesShuffled != w.Net.BytesShuffled || back.Net.WallSeconds != w.Net.WallSeconds {
+	if back.Net.BytesShuffled != w.Net.BytesShuffled || back.Net.WallSeconds() != w.Net.WallSeconds() {
 		t.Fatal("net stats changed across the JSON round trip")
+	}
+	var doc struct {
+		Net struct {
+			WallSeconds float64 `json:"wall_seconds"`
+		} `json:"net"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil || doc.Net.WallSeconds != w.Net.WallSeconds() {
+		t.Fatalf("wall_seconds on the wire = %v, want %v", doc.Net.WallSeconds, w.Net.WallSeconds())
+	}
+	if back.Admission == nil || *back.Admission != res.Net.Adm {
+		t.Fatalf("admission after the round trip = %+v, want %+v", back.Admission, res.Net.Adm)
 	}
 }
 

@@ -144,8 +144,8 @@ func TestConcurrentSessionsShareFabric(t *testing.T) {
 	isoB, fabB := runIsolated(t, concQueryB, "repartition")
 	expectRowsEqual(t, "isolated A vs single-node", refA.Rows, isoA.Rows)
 	expectRowsEqual(t, "isolated B vs single-node", refB.Rows, isoB.Rows)
-	if fabA.PeakQueries != 1 || fabB.PeakQueries != 1 {
-		t.Fatalf("isolated runs must not contend: peaks %d, %d", fabA.PeakQueries, fabB.PeakQueries)
+	if fabA.Admission.PeakParties != 1 || fabB.Admission.PeakParties != 1 {
+		t.Fatalf("isolated runs must not contend: peaks %d, %d", fabA.Admission.PeakParties, fabB.Admission.PeakParties)
 	}
 
 	// Concurrent run: both sessions on ONE engine, with an admission
@@ -177,12 +177,12 @@ func TestConcurrentSessionsShareFabric(t *testing.T) {
 	// Flows coexisted: at least one admission round carried both queries,
 	// and more flows than either query ever fields alone.
 	fab := eng.Fabric().Stats()
-	if fab.PeakQueries < 2 {
-		t.Fatalf("expected a round with both queries, got peak %d (rounds %d)", fab.PeakQueries, fab.Rounds)
+	if a := fab.Admission; a.PeakParties < 2 {
+		t.Fatalf("expected a round with both queries, got peak %d (rounds %d)", a.PeakParties, a.Rounds)
 	}
-	if fab.PeakFlows <= fabA.PeakFlows || fab.PeakFlows <= fabB.PeakFlows {
+	if peak := fab.Admission.PeakFlows; peak <= fabA.Admission.PeakFlows || peak <= fabB.Admission.PeakFlows {
 		t.Fatalf("expected coexisting flows: contended peak %d vs isolated %d / %d",
-			fab.PeakFlows, fabA.PeakFlows, fabB.PeakFlows)
+			peak, fabA.Admission.PeakFlows, fabB.Admission.PeakFlows)
 	}
 
 	// Aggregate hot-spot utilization exceeds either isolated run: shared
@@ -233,9 +233,9 @@ func TestConcurrentManySessions(t *testing.T) {
 		}
 		expectRowsEqual(t, "flood session", ref.Rows, results[i].Rows)
 	}
-	fab := eng.Fabric().Stats()
-	if fab.PeakQueries < 2 {
-		t.Fatalf("expected contending rounds, peak queries %d", fab.PeakQueries)
+	fab := eng.Fabric().Stats().Admission
+	if fab.PeakParties < 2 {
+		t.Fatalf("expected contending rounds, peak queries %d", fab.PeakParties)
 	}
 }
 

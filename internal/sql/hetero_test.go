@@ -222,7 +222,7 @@ func TestNilDevicesReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			outs = append(outs, outcome{res.Net.NetSeconds, res.Net.BytesShuffled, res.Admission.RoundsJoined})
+			outs = append(outs, outcome{res.Net.NetSeconds, res.Net.BytesShuffled, res.Net.Adm.RoundsJoined})
 			results = append(results, res)
 		}
 		return outs, results

@@ -65,23 +65,23 @@ func TestWeightedSessionDegradesLess(t *testing.T) {
 	}
 
 	// The per-query admission report carries the QoS identity.
-	if resGold.Admission == nil || resGold.Admission.Weight != 3 || resGold.Admission.Class != "interactive" {
-		t.Fatalf("gold admission stats: %+v", resGold.Admission)
+	if resGold.Net.Adm.Weight != 3 || resGold.Net.Adm.Class != "interactive" {
+		t.Fatalf("gold admission stats: %+v", resGold.Net.Adm)
 	}
-	if resGold.Admission.RoundsJoined == 0 || resBE.Admission.RoundsJoined == 0 {
-		t.Fatalf("rounds joined: %d / %d", resGold.Admission.RoundsJoined, resBE.Admission.RoundsJoined)
+	if resGold.Net.Adm.RoundsJoined == 0 || resBE.Net.Adm.RoundsJoined == 0 {
+		t.Fatalf("rounds joined: %d / %d", resGold.Net.Adm.RoundsJoined, resBE.Net.Adm.RoundsJoined)
 	}
 
 	// The fabric aggregate attributes bytes per class.
-	fab := eng.Fabric().Stats()
+	fab := eng.Fabric().Stats().Admission
 	if fab.ClassBytes["interactive"] != resGold.Net.BytesShuffled {
 		t.Fatalf("interactive class bytes %.0f, want %.0f", fab.ClassBytes["interactive"], resGold.Net.BytesShuffled)
 	}
 	if fab.ClassBytes["batch"] != resBE.Net.BytesShuffled {
 		t.Fatalf("batch class bytes %.0f, want %.0f", fab.ClassBytes["batch"], resBE.Net.BytesShuffled)
 	}
-	if fab.PeakQueries < 2 {
-		t.Fatalf("sessions did not contend: peak queries %d", fab.PeakQueries)
+	if fab.PeakParties < 2 {
+		t.Fatalf("sessions did not contend: peak queries %d", fab.PeakParties)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestNilControllerUniformWeightsReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s run %d: %v", label, i, err)
 			}
-			outs = append(outs, outcome{res.Net.NetSeconds, res.Net.BytesShuffled, res.Admission.RoundsJoined})
+			outs = append(outs, outcome{res.Net.NetSeconds, res.Net.BytesShuffled, res.Net.Adm.RoundsJoined})
 		}
 		return outs
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/exec"
-	"repro/internal/netsim"
 	"repro/internal/relational"
 	"repro/internal/stream"
 )
@@ -29,11 +28,6 @@ type Result struct {
 	Ops map[string]relational.OpStats
 	// Net is the query's network-side report: nil for single-node runs.
 	Net *dist.QueryStats
-	// Admission is the query's view of the shared fabric's admission
-	// layer — rounds its phases joined, wall-clock barrier wait
-	// (queueing delay behind concurrent queries), and the QoS class and
-	// weight its flows competed under. Nil for single-node runs.
-	Admission *netsim.PartyStats
 	// Devices is the heterogeneous-execution report: per device, the
 	// morsels and rows the placement policy sent there and the modeled
 	// seconds/energy they cost (offload transfer, launch and

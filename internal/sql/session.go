@@ -231,9 +231,6 @@ func (s *Session) execStmt(ctx context.Context, stmt *SelectStmt) (*Result, erro
 		return nil, err
 	}
 	res := &Result{Rows: rel, Steps: p.Steps, Ops: map[string]relational.OpStats{}, Net: p.NetStats()}
-	if res.Net != nil {
-		res.Admission = &res.Net.Adm
-	}
 	if p.placer != nil {
 		res.Devices = p.placer.Stats()
 		res.Placement = p.placer.Policy()

@@ -262,7 +262,7 @@ func TestIngestBilledToIngestClass(t *testing.T) {
 	if st.NetSeconds <= 0 {
 		t.Fatalf("distributed ingest modeled no fabric time: %+v", st)
 	}
-	fab := eng.Fabric().Stats()
+	fab := eng.Fabric().Stats().Admission
 	got := fab.ClassBytes[IngestClass]
 	if got <= 0 {
 		t.Fatalf("no ingest-class bytes on the fabric: %v", fab.ClassBytes)

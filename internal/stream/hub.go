@@ -312,14 +312,19 @@ type Stats struct {
 	// query's WHERE rejected; Late accepted events that arrived behind
 	// the maximum event time; Dropped events whose every window had
 	// already emitted (they are in the relation but in no window).
-	Events, Filtered, Late, Dropped int64
+	Events   int64 `json:"events"`
+	Filtered int64 `json:"filtered,omitempty"`
+	Late     int64 `json:"late,omitempty"`
+	Dropped  int64 `json:"dropped,omitempty"`
 	// Windows is the emitted-window count.
-	Windows int64
+	Windows int64 `json:"windows"`
 	// Freshness quantiles over per-window emission delay, seconds.
-	FreshnessP50, FreshnessP95, FreshnessMax float64
+	FreshnessP50 float64 `json:"freshness_p50_s"`
+	FreshnessP95 float64 `json:"freshness_p95_s"`
+	FreshnessMax float64 `json:"freshness_max_s"`
 	// Spill is the budgeted subscription's out-of-core report (nil when
 	// unbudgeted).
-	Spill *relational.SpillStats
+	Spill *relational.SpillStats `json:"spill,omitempty"`
 }
 
 // Ingest is the engine's acknowledgement of one appended batch.
