@@ -30,16 +30,17 @@
 // admission view (rounds joined, barrier wait, class, weight) next to
 // its network stats. Compute is heterogeneous the same way the network
 // is programmable: internal/exec is the operator-execution seam
-// (exec.Device over the internal/hw roofline models, pluggable
-// placement policies, per-operator morsel dispatchers with selectivity
-// feedback), wired via sql.Config.Devices / Config.Placement /
-// Session.Placement, so the batch operators place each morsel on
-// whichever modeled device class — SIMD CPU, SIMT GPU, spatial FPGA
-// pipeline — the cost model picks, charge the modeled time/energy and
-// offload overheads into their stats and Result.Devices, and still
-// return rows identical to the homogeneous engine on every path
-// (devices model cost, not semantics; distributed shard hosts place
-// independently). Memory is budgeted the same way compute is placed:
+// (exec.Device, one concrete cost model over the internal/hw roofline
+// models; a placer whose placement is cost-based or forced onto one
+// device; per-operator morsel dispatchers with selectivity feedback),
+// wired via sql.Config.Devices / Config.Placement / Session.Placement,
+// so the batch operators place each morsel on whichever modeled device
+// class — SIMD CPU, SIMT GPU, spatial FPGA pipeline — the cost model
+// picks, charge the modeled time/energy and offload overheads into
+// their stats and Result.Devices, and still return rows identical to
+// the homogeneous engine on every path (devices model cost, not
+// semantics; distributed shard hosts place independently). Memory is
+// budgeted the same way compute is placed:
 // sql.Config.MemoryBudget / Config.SpillTier (and their Session
 // overrides) cap resident operator state per query — hash-join build
 // tables grace-partition, aggregates spill generations of group state,

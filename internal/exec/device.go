@@ -1,5 +1,5 @@
 // Package exec is the heterogeneous operator-execution seam: the device
-// abstraction that lets the relational batch engine place each morsel on
+// model that lets the relational batch engine place each morsel on
 // whichever device class — SIMD CPU, SIMT GPU, spatial FPGA pipeline —
 // a cost model says is cheapest (Section IV.C.3's dynamic placement,
 // HyPer-style morsel granularity).
@@ -44,76 +44,71 @@ type Kernel struct {
 	HostBytes float64
 }
 
-// MorselStats is what a placement decision knows about one morsel.
-type MorselStats struct {
-	// Rows is the morsel's row count.
-	Rows int
-	// Selectivity is the observed keep fraction feedback for filter
-	// kernels; negative means unobserved (cost models use their planner
-	// default).
-	Selectivity float64
-	// Runs estimates how many morsels of this kernel the operator will
-	// dispatch in total (>= 1): one-off device state (FPGA
-	// reconfiguration) amortizes over it.
-	Runs int
-}
-
-// Cost is the modeled cost actually charged for one morsel execution.
+// Cost is the modeled cost of device work: one morsel's charge, or a
+// sum of them in an operator's OpCost and a device's DeviceStats.
 // Seconds includes every overhead component listed below it except the
 // queueing terms: QueueWaits counts dispatches that found every device
 // slot busy, and QueueSeconds estimates the time spent waiting in the
 // device queue. Queueing is kept out of Seconds because it is a
 // schedule-dependent concurrency artifact, not per-morsel device work —
-// folding it in would make modeled device time vary run to run.
+// folding it in would make modeled device time vary run to run; do not
+// assert exact queueing values in tests.
 type Cost struct {
-	Seconds         float64
-	TransferSeconds float64
-	LaunchSeconds   float64
-	SetupSeconds    float64
-	EnergyJ         float64
-	QueueWaits      int
-	QueueSeconds    float64
+	Seconds         float64 `json:"seconds"`
+	TransferSeconds float64 `json:"transfer_seconds"`
+	LaunchSeconds   float64 `json:"launch_seconds"`
+	SetupSeconds    float64 `json:"setup_seconds"`
+	EnergyJ         float64 `json:"energy_j"`
+	QueueWaits      int     `json:"queue_waits,omitempty"`
+	QueueSeconds    float64 `json:"queue_seconds,omitempty"`
 }
 
-// Device is one placement target. All devices are semantically identical
-// — Run executes the engine's reference CPU implementation — and differ
-// only in the modeled cost they estimate and charge, exactly like
-// accel.Backend prices the shared reference interpreter.
-type Device interface {
-	// Name identifies the device ("cpu", "gpu", "fpga").
-	Name() string
-	// Style is the execution idiom the cost model prices.
-	Style() accel.Style
-	// Estimate prices one execution of k over m without running it,
-	// consulting device state (an already-configured pipeline reports
-	// zero SetupSeconds).
-	Estimate(k Kernel, m MorselStats) accel.Estimate
-	// Run executes fn — the reference implementation, shared by every
-	// device — updates device state, and returns the modeled cost
-	// charged, including any reconfiguration this run triggered.
-	Run(k Kernel, m MorselStats, fn func() error) (Cost, error)
+// add charges o into c.
+func (c *Cost) add(o Cost) {
+	c.Seconds += o.Seconds
+	c.TransferSeconds += o.TransferSeconds
+	c.LaunchSeconds += o.LaunchSeconds
+	c.SetupSeconds += o.SetupSeconds
+	c.EnergyJ += o.EnergyJ
+	c.QueueWaits += o.QueueWaits
+	c.QueueSeconds += o.QueueSeconds
+}
+
+// Device is one placement target: an accel.Backend (hw device model +
+// execution style) and the state placement must model. All devices are
+// semantically identical — Run executes the engine's reference CPU
+// implementation — and differ only in the modeled cost they estimate and
+// charge, exactly like accel.Backend prices the shared reference
+// interpreter. A pipeline device remembers which kernel its bitstream
+// implements; every device caps how many morsels it admits at once.
+type Device struct {
+	name  string
+	b     accel.Backend
+	slots chan struct{} // occupancy cap
+
+	mu         sync.Mutex
+	configured string // Pipeline style: kernel the bitstream implements
 }
 
 // DeviceNames lists the devices NewDevice accepts, in catalog order.
 var DeviceNames = []string{"cpu", "gpu", "fpga"}
 
 // NewDevice builds a fresh device model by catalog name. Fresh means
-// fresh state: two calls return independent devices (a pipeline device
-// tracks which kernel its bitstream currently implements).
-func NewDevice(name string) (Device, error) {
-	var d *modelDevice
+// fresh state: two calls return independent devices.
+func NewDevice(name string) (*Device, error) {
 	switch strings.ToLower(name) {
 	case "cpu":
-		d = &modelDevice{name: "cpu", b: accel.NewCPU()}
+		return newDevice("cpu", accel.NewCPU()), nil
 	case "gpu":
-		d = &modelDevice{name: "gpu", b: accel.NewGPU()}
+		return newDevice("gpu", accel.NewGPU()), nil
 	case "fpga":
-		d = &modelDevice{name: "fpga", b: accel.NewFPGA()}
-	default:
-		return nil, fmt.Errorf("exec: unknown device %q (have %s)", name, strings.Join(DeviceNames, ", "))
+		return newDevice("fpga", accel.NewFPGA()), nil
 	}
-	d.slots = make(chan struct{}, occupancy(d.b.Style))
-	return d, nil
+	return nil, fmt.Errorf("exec: unknown device %q (have %s)", name, strings.Join(DeviceNames, ", "))
+}
+
+func newDevice(name string, b accel.Backend) *Device {
+	return &Device{name: name, b: b, slots: make(chan struct{}, occupancy(b.Style))}
 }
 
 // occupancy is how many morsels a device admits concurrently: a spatial
@@ -133,44 +128,33 @@ func occupancy(st accel.Style) int {
 }
 
 // NewDevices builds one fresh device per name, rejecting duplicates.
-func NewDevices(names []string) ([]Device, error) {
-	out := make([]Device, 0, len(names))
+func NewDevices(names []string) ([]*Device, error) {
+	out := make([]*Device, 0, len(names))
 	seen := map[string]bool{}
 	for _, n := range names {
 		d, err := NewDevice(n)
 		if err != nil {
 			return nil, err
 		}
-		if seen[d.Name()] {
-			return nil, fmt.Errorf("exec: duplicate device %q", d.Name())
+		if seen[d.name] {
+			return nil, fmt.Errorf("exec: duplicate device %q", d.name)
 		}
-		seen[d.Name()] = true
+		seen[d.name] = true
 		out = append(out, d)
 	}
 	return out, nil
 }
 
-// modelDevice adapts an accel.Backend (hw device model + execution
-// style) to the Device interface. Pipeline backends carry the one piece
-// of device state the placement loop must model: which kernel the
-// fabric is currently configured for.
-type modelDevice struct {
-	name  string
-	b     accel.Backend
-	slots chan struct{} // occupancy cap; nil = unthrottled
+// Name identifies the device ("cpu", "gpu", "fpga").
+func (d *Device) Name() string { return d.name }
 
-	mu         sync.Mutex
-	configured string // Pipeline style: kernel the bitstream implements
-}
+// Style is the execution idiom the cost model prices.
+func (d *Device) Style() accel.Style { return d.b.Style }
 
-// Name implements Device.
-func (d *modelDevice) Name() string { return d.name }
-
-// Style implements Device.
-func (d *modelDevice) Style() accel.Style { return d.b.Style }
-
-// Estimate implements Device.
-func (d *modelDevice) Estimate(k Kernel, m MorselStats) accel.Estimate {
+// Estimate prices one execution of k without running it, consulting
+// device state (an already-configured pipeline reports zero
+// SetupSeconds).
+func (d *Device) Estimate(k Kernel) accel.Estimate {
 	est := d.b.EstimateKernel(k.Desc, k.Branchy, k.HostBytes)
 	if d.b.Style == accel.Pipeline {
 		d.mu.Lock()
@@ -182,8 +166,10 @@ func (d *modelDevice) Estimate(k Kernel, m MorselStats) accel.Estimate {
 	return est
 }
 
-// Run implements Device.
-func (d *modelDevice) Run(k Kernel, m MorselStats, fn func() error) (Cost, error) {
+// Run executes fn — the reference implementation, shared by every
+// device — updates device state, and returns the modeled cost charged,
+// including any reconfiguration this run triggered.
+func (d *Device) Run(k Kernel, fn func() error) (Cost, error) {
 	est := d.b.EstimateKernel(k.Desc, k.Branchy, k.HostBytes)
 	cost := Cost{
 		Seconds:         est.Seconds,
@@ -191,18 +177,16 @@ func (d *modelDevice) Run(k Kernel, m MorselStats, fn func() error) (Cost, error
 		LaunchSeconds:   est.LaunchSeconds,
 		EnergyJ:         est.EnergyJ,
 	}
-	if d.slots != nil {
-		select {
-		case d.slots <- struct{}{}:
-		default:
-			// Every slot busy: this morsel queues behind roughly one
-			// in-flight morsel of the same shape.
-			cost.QueueWaits = 1
-			cost.QueueSeconds = est.Seconds
-			d.slots <- struct{}{}
-		}
-		defer func() { <-d.slots }()
+	select {
+	case d.slots <- struct{}{}:
+	default:
+		// Every slot busy: this morsel queues behind roughly one
+		// in-flight morsel of the same shape.
+		cost.QueueWaits = 1
+		cost.QueueSeconds = est.Seconds
+		d.slots <- struct{}{}
 	}
+	defer func() { <-d.slots }()
 	if d.b.Style == accel.Pipeline {
 		d.mu.Lock()
 		if d.configured != k.Name {
@@ -219,24 +203,15 @@ func (d *modelDevice) Run(k Kernel, m MorselStats, fn func() error) (Cost, error
 }
 
 // DeviceStats is one device's aggregate over an execution: how many
-// morsels (and rows) the placement policy sent to it and the modeled
+// morsels (and rows) placement sent to it and the modeled
 // time/energy they cost, with the offload overhead components broken
 // out. It is the per-device line of sql.Result.Devices.
 type DeviceStats struct {
-	Device          string  `json:"device"`
-	Style           string  `json:"style"`
-	Morsels         int     `json:"morsels"`
-	Rows            int64   `json:"rows"`
-	Seconds         float64 `json:"seconds"`
-	TransferSeconds float64 `json:"transfer_seconds"`
-	LaunchSeconds   float64 `json:"launch_seconds"`
-	SetupSeconds    float64 `json:"setup_seconds"`
-	EnergyJ         float64 `json:"energy_j"`
-	// QueueWaits counts morsels that found every device slot busy and
-	// queued; QueueSeconds is their estimated wait. Schedule-dependent:
-	// do not assert exact values in tests.
-	QueueWaits   int     `json:"queue_waits,omitempty"`
-	QueueSeconds float64 `json:"queue_seconds,omitempty"`
+	Device  string `json:"device"`
+	Style   string `json:"style"`
+	Morsels int    `json:"morsels"`
+	Rows    int64  `json:"rows"`
+	Cost
 }
 
 // String renders one summary line.
@@ -256,26 +231,20 @@ type aggStats struct {
 	byDev map[string]*DeviceStats
 }
 
-func (a *aggStats) charge(dev Device, rows int, c Cost) {
+func (a *aggStats) charge(dev *Device, rows int, c Cost) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.byDev == nil {
 		a.byDev = map[string]*DeviceStats{}
 	}
-	st := a.byDev[dev.Name()]
+	st := a.byDev[dev.name]
 	if st == nil {
-		st = &DeviceStats{Device: dev.Name(), Style: dev.Style().String()}
-		a.byDev[dev.Name()] = st
+		st = &DeviceStats{Device: dev.name, Style: dev.b.Style.String()}
+		a.byDev[dev.name] = st
 	}
 	st.Morsels++
 	st.Rows += int64(rows)
-	st.Seconds += c.Seconds
-	st.TransferSeconds += c.TransferSeconds
-	st.LaunchSeconds += c.LaunchSeconds
-	st.SetupSeconds += c.SetupSeconds
-	st.EnergyJ += c.EnergyJ
-	st.QueueWaits += c.QueueWaits
-	st.QueueSeconds += c.QueueSeconds
+	st.add(c)
 }
 
 func (a *aggStats) snapshot() []DeviceStats {

@@ -41,37 +41,14 @@ const defaultSelectivity = 0.5
 // running estimate.
 const selEWMAAlpha = 0.25
 
-// Dispatch configures one operator's dispatcher.
-type Dispatch struct {
-	// Kind selects the kernel cost shape.
-	Kind KernelKind
-	// ExpectedRows estimates the total rows the operator will process
-	// (the planner's cardinality hint); one-off device setup amortizes
-	// over the implied morsel count. 0 means unknown (one-shot pricing).
-	ExpectedRows int
-	// Width is the kernel's secondary size: computed columns for
-	// ProjectWork, expected groups for AggWork, key count for SortWork.
-	// 0 picks a kernel-appropriate default.
-	Width int
-}
-
 // OpCost is one operator's accumulated modeled execution cost — the
-// heterogeneous slice of its OpStats. Seconds includes the overhead
-// components; Devices counts morsels per device name.
+// heterogeneous slice of its OpStats: the sum of its morsels' charges
+// and, in Devices, its morsels per device name.
 type OpCost struct {
-	Kernel          string
-	Morsels         int
-	Seconds         float64
-	TransferSeconds float64
-	LaunchSeconds   float64
-	SetupSeconds    float64
-	EnergyJ         float64
-	// QueueWaits/QueueSeconds count device-occupancy queueing (morsels
-	// that found every slot of their chosen device busy). Not folded
-	// into Seconds — see exec.Cost.
-	QueueWaits   int
-	QueueSeconds float64
-	Devices      map[string]int
+	Kernel  string
+	Morsels int
+	Cost
+	Devices map[string]int
 }
 
 // String renders a compact per-operator summary.
@@ -84,25 +61,39 @@ func (c OpCost) String() string {
 // concurrent use; the observed-selectivity feedback loop lives here, so
 // later morsels are priced with what earlier morsels measured.
 type Dispatcher struct {
-	p   *Placer
-	cfg Dispatch
+	p    *Placer
+	kind KernelKind
+	// expected estimates the total rows the operator will process (the
+	// planner's cardinality hint); one-off device setup amortizes over
+	// the implied morsel count. 0 means unknown (one-shot pricing).
+	expected int
+	// width is the kernel's secondary size: computed columns for
+	// ProjectWork, expected groups for AggWork, key count for SortWork.
+	// 0 picks a kernel-appropriate default.
+	width int
 
 	mu   sync.Mutex
 	sel  float64 // EWMA of observed keep fraction; <0 until observed
 	cost OpCost
 }
 
-// Dispatcher returns a dispatcher for one operator.
-func (p *Placer) Dispatcher(cfg Dispatch) *Dispatcher {
-	return &Dispatcher{p: p, cfg: cfg, sel: -1, cost: OpCost{Kernel: cfg.Kind.String(), Devices: map[string]int{}}}
+// Dispatcher returns a dispatcher for one operator's kind kernel, or nil
+// on a nil placer (the homogeneous engine: a nil dispatcher just runs
+// its morsels).
+func (p *Placer) Dispatcher(kind KernelKind, expectedRows, width int) *Dispatcher {
+	if p == nil {
+		return nil
+	}
+	return &Dispatcher{p: p, kind: kind, expected: expectedRows, width: width, sel: -1,
+		cost: OpCost{Kernel: kind.String(), Devices: map[string]int{}}}
 }
 
 // kernel builds the priced kernel for one morsel of `rows` rows, folding
 // in the selectivity feedback.
 func (d *Dispatcher) kernel(rows int, sel float64) Kernel {
-	width := d.cfg.Width
-	k := Kernel{Name: d.cfg.Kind.String()}
-	switch d.cfg.Kind {
+	width := d.width
+	k := Kernel{Name: d.kind.String()}
+	switch d.kind {
 	case FilterWork:
 		if sel < 0 {
 			sel = defaultSelectivity
@@ -134,9 +125,9 @@ func (d *Dispatcher) kernel(rows int, sel float64) Kernel {
 	return k
 }
 
-// place runs one morsel: build the kernel, let the policy pick a device
-// (amortizing setup over the expected morsel count), execute fn on it,
-// and charge the modeled cost into the operator and placer aggregates.
+// place runs one morsel: build the kernel, pick a device (amortizing
+// setup over the expected morsel count), execute fn on it, and charge
+// the modeled cost into the operator and placer aggregates.
 func (d *Dispatcher) place(rows int, fn func() error) error {
 	if rows <= 0 {
 		return fn()
@@ -144,31 +135,25 @@ func (d *Dispatcher) place(rows int, fn func() error) error {
 	d.mu.Lock()
 	sel := d.sel
 	d.mu.Unlock()
-	m := MorselStats{Rows: rows, Selectivity: sel, Runs: 1}
-	if d.cfg.ExpectedRows > rows {
-		m.Runs = (d.cfg.ExpectedRows + rows - 1) / rows
+	runs := 1
+	if d.expected > rows {
+		runs = (d.expected + rows - 1) / rows
 	}
 	k := d.kernel(rows, sel)
-	dev := d.p.pol.Pick(d.p.devs, k, m)
-	cost, err := dev.Run(k, m, fn)
+	dev := d.p.pick(k, runs)
+	cost, err := dev.Run(k, fn)
 	d.p.agg.charge(dev, rows, cost)
 	d.mu.Lock()
 	d.cost.Morsels++
-	d.cost.Seconds += cost.Seconds
-	d.cost.TransferSeconds += cost.TransferSeconds
-	d.cost.LaunchSeconds += cost.LaunchSeconds
-	d.cost.SetupSeconds += cost.SetupSeconds
-	d.cost.EnergyJ += cost.EnergyJ
-	d.cost.QueueWaits += cost.QueueWaits
-	d.cost.QueueSeconds += cost.QueueSeconds
-	d.cost.Devices[dev.Name()]++
+	d.cost.add(cost)
+	d.cost.Devices[dev.name]++
 	d.mu.Unlock()
 	return err
 }
 
-// Run dispatches one morsel of rows through the placement policy. fn is
-// the reference implementation and always executes — devices model cost,
-// not semantics — so Run with any policy returns exactly fn's result. A
+// Run dispatches one morsel of rows through the placer. fn is the
+// reference implementation and always executes — devices model cost, not
+// semantics — so Run under any placement returns exactly fn's result. A
 // nil dispatcher just runs fn (the homogeneous engine).
 func (d *Dispatcher) Run(rows int, fn func() error) error {
 	if d == nil {

@@ -30,21 +30,21 @@ func TestDeviceCatalog(t *testing.T) {
 	}
 }
 
-// TestOffloadOverheadsShapePlacement: the cost-based policy's job on
+// TestOffloadOverheadsShapePlacement: cost-based placement's job on
 // this catalog is mostly to *refuse* offload — with 2016-era PCIe
 // (12 GB/s) against 120 GB/s socket bandwidth, a bandwidth-bound SQL
 // kernel can never pay for the transfer (the roadmap's case for tighter
 // accelerator integration, Recommendations 4/10) — and the estimates
 // must show why: the GPU's cost is transfer-dominated, the pipeline's
 // one-shot cost is reconfiguration-dominated. Without a CPU in the set
-// the policy still ranks the accelerators sensibly.
+// placement still ranks the accelerators sensibly.
 func TestOffloadOverheadsShapePlacement(t *testing.T) {
 	p, err := NewPlacer([]string{"cpu", "gpu", "fpga"}, "auto")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []KernelKind{FilterWork, ProjectWork, AggWork} {
-		d := p.Dispatcher(Dispatch{Kind: kind, ExpectedRows: 1 << 20})
+		d := p.Dispatcher(kind, 1<<20, 0)
 		if err := d.Run(1024, func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func TestOffloadOverheadsShapePlacement(t *testing.T) {
 	}
 	// Even a whole-input 4M-row sort stays: the GPU's PCIe transfer
 	// alone exceeds the CPU's in-socket memory time.
-	big := p.Dispatcher(Dispatch{Kind: SortWork})
+	big := p.Dispatcher(SortWork, 0, 0)
 	if err := big.Run(1<<22, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +67,8 @@ func TestOffloadOverheadsShapePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := p.Dispatcher(Dispatch{Kind: SortWork}).kernel(1<<22, -1)
-	gest := gpu.Estimate(k, MorselStats{Rows: 1 << 22, Runs: 1})
+	k := p.Dispatcher(SortWork, 0, 0).kernel(1<<22, -1)
+	gest := gpu.Estimate(k)
 	if gest.TransferSeconds < gest.Seconds/2 {
 		t.Fatalf("GPU sort cost must be transfer-dominated: %+v", gest)
 	}
@@ -76,7 +76,7 @@ func TestOffloadOverheadsShapePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fest := fpga.Estimate(k, MorselStats{Rows: 1 << 22, Runs: 1})
+	fest := fpga.Estimate(k)
 	if fest.SetupSeconds < fest.Seconds {
 		t.Fatalf("one-shot FPGA cost must be reconfiguration-dominated: %+v", fest)
 	}
@@ -87,7 +87,7 @@ func TestOffloadOverheadsShapePlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := accOnly.Dispatcher(Dispatch{Kind: FilterWork})
+	d := accOnly.Dispatcher(FilterWork, 0, 0)
 	if err := d.Run(1024, func() error { return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -107,23 +107,22 @@ func TestFPGAReconfigurationCharging(t *testing.T) {
 	}
 	filter := Kernel{Name: "filter", Desc: kernelDesc(FilterWork, 4096), HostBytes: 1}
 	sortK := Kernel{Name: "sort", Desc: kernelDesc(SortWork, 4096), HostBytes: 1}
-	m := MorselStats{Rows: 4096, Selectivity: -1, Runs: 1}
 
-	if est := d.Estimate(filter, m); est.SetupSeconds <= 0 {
+	if est := d.Estimate(filter); est.SetupSeconds <= 0 {
 		t.Fatalf("unconfigured pipeline must estimate setup, got %+v", est)
 	}
-	c1, _ := d.Run(filter, m, func() error { return nil })
+	c1, _ := d.Run(filter, func() error { return nil })
 	if c1.SetupSeconds <= 0 {
 		t.Fatalf("first run must pay reconfiguration: %+v", c1)
 	}
-	if est := d.Estimate(filter, m); est.SetupSeconds != 0 {
+	if est := d.Estimate(filter); est.SetupSeconds != 0 {
 		t.Fatalf("configured pipeline must estimate zero setup, got %+v", est)
 	}
-	c2, _ := d.Run(filter, m, func() error { return nil })
+	c2, _ := d.Run(filter, func() error { return nil })
 	if c2.SetupSeconds != 0 {
 		t.Fatalf("repeat run must not pay reconfiguration: %+v", c2)
 	}
-	c3, _ := d.Run(sortK, m, func() error { return nil })
+	c3, _ := d.Run(sortK, func() error { return nil })
 	if c3.SetupSeconds <= 0 {
 		t.Fatalf("kernel switch must pay reconfiguration: %+v", c3)
 	}
@@ -135,10 +134,10 @@ func kernelDesc(kind KernelKind, rows int) hw.Kernel {
 	if err != nil {
 		panic(err)
 	}
-	return p.Dispatcher(Dispatch{Kind: kind}).kernel(rows, -1).Desc
+	return p.Dispatcher(kind, 0, 0).kernel(rows, -1).Desc
 }
 
-// TestForcedPlacement: a forced policy sends every morsel to the named
+// TestForcedPlacement: a forced placement sends every morsel to the named
 // device; validation rejects a forced device outside the set.
 func TestForcedPlacement(t *testing.T) {
 	for _, name := range []string{"cpu", "gpu", "fpga"} {
@@ -146,7 +145,7 @@ func TestForcedPlacement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := p.Dispatcher(Dispatch{Kind: ProjectWork, Width: 2})
+		d := p.Dispatcher(ProjectWork, 0, 2)
 		for i := 0; i < 3; i++ {
 			if err := d.Run(1024, func() error { return nil }); err != nil {
 				t.Fatal(err)
@@ -174,7 +173,7 @@ func TestSelectivityFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Dispatcher(Dispatch{Kind: FilterWork})
+	d := p.Dispatcher(FilterWork, 0, 0)
 	if d.Selectivity() >= 0 {
 		t.Fatalf("selectivity must start unobserved, got %v", d.Selectivity())
 	}
@@ -212,7 +211,7 @@ func TestErrorsPropagate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Dispatcher(Dispatch{Kind: FilterWork})
+	d := p.Dispatcher(FilterWork, 0, 0)
 	if err := d.RunFilter(10, func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
 		t.Fatalf("live dispatcher: %v", err)
 	}
@@ -233,7 +232,7 @@ func TestForkIndependentState(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			f := root.Fork()
-			d := f.Dispatcher(Dispatch{Kind: FilterWork})
+			d := f.Dispatcher(FilterWork, 0, 0)
 			for i := 0; i < 3; i++ {
 				if err := d.Run(1024, func() error { return nil }); err != nil {
 					t.Error(err)
@@ -254,7 +253,7 @@ func TestForkIndependentState(t *testing.T) {
 	perSetup := stats[0].SetupSeconds
 	one, _ := NewDevice("fpga")
 	ref, _ := one.Run(Kernel{Name: "filter", Desc: kernelDesc(FilterWork, 1024), HostBytes: 1},
-		MorselStats{Rows: 1024, Runs: 1}, func() error { return nil })
+		func() error { return nil })
 	if got := perSetup / ref.SetupSeconds; int(got+0.5) != want {
 		t.Fatalf("reconfigurations: %v, want %d (independent per-shard state)", got, want)
 	}
@@ -269,7 +268,7 @@ func TestAutoNeverWorseThanForcedCPU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := p.Dispatcher(Dispatch{Kind: FilterWork, ExpectedRows: 1 << 20})
+		d := p.Dispatcher(FilterWork, 1<<20, 0)
 		for i := 0; i < 1<<20/1024; i++ {
 			if err := d.RunFilter(1024, func() (int, error) { return 512, nil }); err != nil {
 				t.Fatal(err)

@@ -40,18 +40,17 @@ func TestDeviceOccupancyQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := Kernel{Name: "filter", Desc: kernelDesc(FilterWork, 4096), HostBytes: 1}
-	m := MorselStats{Rows: 4096, Selectivity: -1, Runs: 1}
 
 	// Uncontended runs never queue; the second run reuses the loaded
 	// bitstream, giving the pure-compute baseline.
-	warm, err := dev.Run(k, m, func() error { return nil })
+	warm, err := dev.Run(k, func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.QueueWaits != 0 || warm.QueueSeconds != 0 {
 		t.Fatalf("uncontended morsel queued: %+v", warm)
 	}
-	base, err := dev.Run(k, m, func() error { return nil })
+	base, err := dev.Run(k, func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +60,14 @@ func TestDeviceOccupancyQueues(t *testing.T) {
 		release := make(chan struct{})
 		firstDone := make(chan Cost, 1)
 		go func() {
-			c, _ := dev.Run(k, m, func() error { close(entered); <-release; return nil })
+			c, _ := dev.Run(k, func() error { close(entered); <-release; return nil })
 			firstDone <- c
 		}()
 		<-entered // the pipeline slot is now held
 
 		secondDone := make(chan Cost, 1)
 		go func() {
-			c, _ := dev.Run(k, m, func() error { return nil })
+			c, _ := dev.Run(k, func() error { return nil })
 			secondDone <- c
 		}()
 		// Let the second morsel reach the occupancy gate while the slot
@@ -103,7 +102,7 @@ func TestDispatcherAggregatesQueueing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := p.Dispatcher(Dispatch{Kind: FilterWork})
+	d := p.Dispatcher(FilterWork, 0, 0)
 	hold := make(chan struct{})
 	entered := make(chan struct{})
 	go func() {

@@ -3,99 +3,49 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
-// Policy decides which device one morsel runs on. Policies observe the
-// per-device estimates (already amortizing one-off setup over the
-// morsel's expected run count) and must return one of the offered
-// devices.
-type Policy interface {
-	Name() string
-	// Pick chooses a device for kernel k over morsel m. devs is never
-	// empty.
-	Pick(devs []Device, k Kernel, m MorselStats) Device
-}
-
-// Placements lists the placement-policy names PolicyByName accepts.
+// Placements lists the placement names NewPlacer accepts: "auto" is
+// cost-based per-morsel placement; a device name forces every morsel
+// onto that device.
 var Placements = []string{"auto", "cpu", "gpu", "fpga"}
 
-// PolicyByName resolves a placement name: "auto" (or "") is cost-based
-// per-morsel placement; a device name forces every morsel onto that
-// device.
-func PolicyByName(name string) (Policy, error) {
-	switch strings.ToLower(name) {
-	case "", "auto":
-		return costBased{}, nil
-	case "cpu", "gpu", "fpga":
-		return forced(strings.ToLower(name)), nil
-	default:
-		return nil, fmt.Errorf("exec: unknown placement %q (have %s)", name, strings.Join(Placements, ", "))
-	}
-}
-
-// costBased picks the device whose estimate minimizes per-run total
-// time, with setup amortized over the morsel's expected run count —
-// Recommendation 11's dynamic placement at morsel granularity. Ties (and
-// the empty estimate) fall to the earliest device in catalog order, so
-// the CPU wins when offload buys nothing.
-type costBased struct{}
-
-// Name implements Policy.
-func (costBased) Name() string { return "auto" }
-
-// Pick implements Policy.
-func (costBased) Pick(devs []Device, k Kernel, m MorselStats) Device {
-	runs := m.Runs
-	if runs < 1 {
-		runs = 1
-	}
-	best := devs[0]
-	bestS := math.Inf(1)
-	for _, d := range devs {
-		if s := d.Estimate(k, m).TotalSeconds(runs); s < bestS {
-			best, bestS = d, s
-		}
-	}
-	return best
-}
-
-// forced places every morsel on one named device (the ablation
-// comparator: "cpu" replays the homogeneous engine's cost, "gpu"/"fpga"
-// model an engine hard-wired to its accelerator).
-type forced string
-
-// Name implements Policy.
-func (f forced) Name() string { return string(f) }
-
-// Pick implements Policy.
-func (f forced) Pick(devs []Device, k Kernel, m MorselStats) Device {
-	for _, d := range devs {
-		if d.Name() == string(f) {
-			return d
-		}
-	}
-	return devs[0] // validated at Placer construction; defensive only
-}
-
-// Placer owns one execution's device set and placement policy and
-// aggregates the per-device modeled costs its dispatchers charge. A
-// query builds one Placer; distributed executions Fork one per shard so
-// every simulated worker host places independently on its own device
-// state while charging the same query-level aggregate.
+// Placer owns one execution's device set and placement and aggregates
+// the per-device modeled costs its dispatchers charge. A query builds
+// one Placer; distributed executions Fork one per shard so every
+// simulated worker host places independently on its own device state
+// while charging the same query-level aggregate.
 //
 // A Placer is safe for concurrent use (morsel-parallel partitions share
 // its dispatchers).
 type Placer struct {
-	devs []Device
-	pol  Policy
-	agg  *aggStats
+	devs []*Device
+	// forced is the index in devs of the device every morsel is forced
+	// onto (the ablation comparator: "cpu" replays the homogeneous
+	// engine's cost, "gpu"/"fpga" model an engine hard-wired to its
+	// accelerator), or -1 for cost-based placement.
+	forced int
+	agg    *aggStats
+}
+
+// placement normalizes a placement name ("" means "auto").
+func placement(name string) (string, error) {
+	p := strings.ToLower(name)
+	if p == "" {
+		p = "auto"
+	}
+	if !slices.Contains(Placements, p) {
+		return "", fmt.Errorf("exec: unknown placement %q (have %s)", name, strings.Join(Placements, ", "))
+	}
+	return p, nil
 }
 
 // NewPlacer builds a placer over fresh devices. names must be non-empty
 // and placement must resolve; a forced placement must name one of the
 // devices.
-func NewPlacer(names []string, placement string) (*Placer, error) {
+func NewPlacer(names []string, placementName string) (*Placer, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("exec: placer needs at least one device")
 	}
@@ -103,63 +53,69 @@ func NewPlacer(names []string, placement string) (*Placer, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol, err := PolicyByName(placement)
+	pl, err := placement(placementName)
 	if err != nil {
 		return nil, err
 	}
-	if f, ok := pol.(forced); ok {
-		found := false
-		for _, d := range devs {
-			if d.Name() == string(f) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("exec: placement %q is not in the device set %v", placement, names)
+	p := &Placer{devs: devs, forced: -1, agg: &aggStats{}}
+	if pl != "auto" {
+		if p.forced = slices.IndexFunc(devs, func(d *Device) bool { return d.name == pl }); p.forced < 0 {
+			return nil, fmt.Errorf("exec: placement %q is not in the device set %v", placementName, names)
 		}
 	}
-	return &Placer{devs: devs, pol: pol, agg: &aggStats{}}, nil
+	return p, nil
 }
 
 // ValidateConfig checks a (devices, placement) pair without keeping the
 // placer — the construction-time validation hook for configuration
 // layers.
-func ValidateConfig(names []string, placement string) error {
+func ValidateConfig(names []string, placementName string) error {
 	if len(names) == 0 {
 		// No devices = homogeneous engine; the placement is ignored but
 		// still must parse so a typo surfaces here, not silently.
-		if placement == "" {
-			return nil
-		}
-		_, err := PolicyByName(placement)
+		_, err := placement(placementName)
 		return err
 	}
-	_, err := NewPlacer(names, placement)
+	_, err := NewPlacer(names, placementName)
 	return err
 }
 
-// Fork returns a placer with the same device names and policy but fresh
+// Fork returns a placer with the same devices and placement but fresh
 // device state (an FPGA on one shard reconfigures independently of its
 // peers), charging into the same aggregate as the receiver.
 func (p *Placer) Fork() *Placer {
-	devs, err := NewDevices(p.DeviceNames())
-	if err != nil {
-		panic(err) // names were validated at construction
+	devs := make([]*Device, len(p.devs))
+	for i, d := range p.devs {
+		devs[i] = newDevice(d.name, d.b)
 	}
-	return &Placer{devs: devs, pol: p.pol, agg: p.agg}
+	return &Placer{devs: devs, forced: p.forced, agg: p.agg}
 }
 
-// Policy returns the placement policy's name.
-func (p *Placer) Policy() string { return p.pol.Name() }
-
-// DeviceNames returns the device set's names in catalog order.
-func (p *Placer) DeviceNames() []string {
-	out := make([]string, len(p.devs))
-	for i, d := range p.devs {
-		out[i] = d.Name()
+// pick chooses the device for one morsel of kernel k. Cost-based
+// placement picks the device whose estimate minimizes per-run total
+// time, with setup amortized over the runs the operator is expected to
+// dispatch — Recommendation 11's dynamic placement at morsel
+// granularity. Ties fall to the earliest device in catalog order, so the
+// CPU wins when offload buys nothing.
+func (p *Placer) pick(k Kernel, runs int) *Device {
+	if p.forced >= 0 {
+		return p.devs[p.forced]
 	}
-	return out
+	best, bestS := p.devs[0], math.Inf(1)
+	for _, d := range p.devs {
+		if s := d.Estimate(k).TotalSeconds(runs); s < bestS {
+			best, bestS = d, s
+		}
+	}
+	return best
+}
+
+// Placement names how morsels are placed: "auto" or the forced device.
+func (p *Placer) Placement() string {
+	if p.forced < 0 {
+		return "auto"
+	}
+	return p.devs[p.forced].name
 }
 
 // Stats snapshots the per-device aggregate over every dispatcher of this
@@ -168,5 +124,9 @@ func (p *Placer) Stats() []DeviceStats { return p.agg.snapshot() }
 
 // String renders the placer's configuration for plan explanations.
 func (p *Placer) String() string {
-	return fmt.Sprintf("devices [%s], placement %s", strings.Join(p.DeviceNames(), " "), p.Policy())
+	names := make([]string, len(p.devs))
+	for i, d := range p.devs {
+		names[i] = d.name
+	}
+	return fmt.Sprintf("devices [%s], placement %s", strings.Join(names, " "), p.Placement())
 }

@@ -44,10 +44,10 @@ func TestPlacedOperatorsParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if placer != nil {
-			f.Place(placer.Dispatcher(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: rel.Len()}))
-			pr.Place(placer.Dispatcher(exec.Dispatch{Kind: exec.ProjectWork, Width: pr.ExprCount()}))
-			s.Place(placer.Dispatcher(exec.Dispatch{Kind: exec.SortWork}))
-			g.Place(placer.Dispatcher(exec.Dispatch{Kind: exec.AggWork}))
+			f.Place(placer.Dispatcher(exec.FilterWork, rel.Len(), 0))
+			pr.Place(placer.Dispatcher(exec.ProjectWork, 0, pr.ExprCount()))
+			s.Place(placer.Dispatcher(exec.SortWork, 0, 0))
+			g.Place(placer.Dispatcher(exec.AggWork, 0, 0))
 		}
 		return RowsOf(NewExchange(g, workers))
 	}
@@ -78,7 +78,7 @@ func TestPlacedFilterStats(t *testing.T) {
 	rel := randRel(9, 4*BatchSize)
 	placer := testPlacer(t, "gpu")
 	f := NewBatchFilter(NewBatchScan(rel), []ColRange{{Col: 3, Hi: 25, HasHi: true}}, nil)
-	f.Place(placer.Dispatcher(exec.Dispatch{Kind: exec.FilterWork, ExpectedRows: rel.Len()}))
+	f.Place(placer.Dispatcher(exec.FilterWork, rel.Len(), 0))
 	collectRows(t, RowsOf(NewExchange(f, 4)))
 	st := f.Stats()
 	if st.Hetero == nil {

@@ -6,12 +6,13 @@
 //
 // The execution reports travel as the engine's own types, JSON-tagged
 // where they are declared: dist.QueryStats, netsim.PartyStats,
-// exec.DeviceStats, relational.SpillStats and stream.Stats in Result, and
-// dist.FabricStats and lifecycle.Health in the daemon's /metrics and
-// /v1/hosts documents. A stats field is added once, tagged, on its engine
-// type, and shows up on every surface at once. Rows encode as typed JSON
-// scalars — Int columns as JSON numbers (int64-exact), Float as numbers,
-// String as strings — in schema column order.
+// exec.DeviceStats and relational.SpillStats in Result, stream.Stats in
+// the daemon's end-of-stream record, and dist.FabricStats and
+// lifecycle.Health in its /metrics and /v1/hosts documents. A stats
+// field is added once, tagged, on its engine type, and shows up on every
+// surface at once. Rows encode as typed JSON scalars — Int columns as
+// JSON numbers (int64-exact), Float as numbers, String as strings — in
+// schema column order.
 package wire
 
 import (
@@ -23,7 +24,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/relational"
 	"repro/internal/sql"
-	"repro/internal/stream"
 )
 
 // Column is one result-schema column.
@@ -52,9 +52,6 @@ type Result struct {
 	Placement string             `json:"placement,omitempty"`
 	// Spill is the out-of-core report (budgeted runs only).
 	Spill *relational.SpillStats `json:"spill,omitempty"`
-	// Stream is the streaming report (results assembled by the streaming
-	// subsystem only).
-	Stream *stream.Stats `json:"stream,omitempty"`
 }
 
 // Cell converts one relational value to its JSON scalar.
@@ -129,7 +126,6 @@ func FromResult(res *sql.Result) *Result {
 		Devices:   res.Devices,
 		Placement: res.Placement,
 		Spill:     res.Spill,
-		Stream:    res.Stream,
 	}
 	if res.Net != nil {
 		out.Admission = &res.Net.Adm

@@ -753,7 +753,7 @@ func (dx *distExec) partialAggs(st *distStream, ap *aggPlan) ([]*relational.Part
 	budgets := make([]*relational.MemoryBudget, len(dx.lw))
 	for s := range dx.lw {
 		lw := dx.lowerer(s, st.hint)
-		disps[s], budgets[s] = lw.dispatcher(exec.AggWork, 0), lw.budget
+		disps[s], budgets[s] = lw.placer.Dispatcher(exec.AggWork, lw.hintRows, 0), lw.budget
 	}
 	return dx.guard.RunPartialAggs(len(st.base), st.fragment,
 		dist.PartialAggSink(ap.groupCols, ap.aggSpecs, len(ap.preSchema), dx.workers, disps, budgets))

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"context"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -358,10 +359,10 @@ func TestDistributedPostJoinPlacementHint(t *testing.T) {
 		t.Fatalf("post-join stream hint = %d, want ceil(%d / %d shards) = %d", st.hint, lp.size, cfg.Shards, want)
 	}
 	for s := range dx.lw {
-		for _, kind := range []exec.KernelKind{exec.ProjectWork, exec.AggWork} {
-			if d := dx.lowerer(s, st.hint).dispatch(kind, 1); d.ExpectedRows <= 0 {
-				t.Fatalf("shard %d: post-join %v kernel dispatched with ExpectedRows = %d", s, kind, d.ExpectedRows)
-			}
+		// Every kernel a shard lowerer places passes hintRows as its
+		// expected rows.
+		if lw := dx.lowerer(s, st.hint); lw.hintRows <= 0 {
+			t.Fatalf("shard %d: post-join kernels dispatched with expected rows = %d", s, lw.hintRows)
 		}
 	}
 
@@ -384,5 +385,85 @@ func TestDistributedPostJoinPlacementHint(t *testing.T) {
 	}
 	if !reflect.DeepEqual(placed.Rows.RowView(), cpuOnly.Rows.RowView()) {
 		t.Fatalf("rows differ between auto placement and the CPU-only run")
+	}
+}
+
+// TestHeteroGeneratedParity: seeded statements over exprTable — a
+// computed projection under a generated filter, and a grouped COUNT and
+// SUM of a generated Int expression — return the same rows, Floats
+// bit-equal, and fail with the same division or modulo by zero error
+// under every placement over devices cpu,gpu,fpga as on the engine
+// without devices, on one node at Workers 1 and 2 and on 4 shards.
+func TestHeteroGeneratedParity(t *testing.T) {
+	rng := rand.New(rand.NewPCG(39, 1))
+	var stmts []string
+	for range 20 {
+		data := make([]byte, 32)
+		for i := range data {
+			data[i] = byte(rng.Uint32())
+		}
+		g := &exprGen{data: data}
+		stmts = append(stmts,
+			"SELECT id, "+g.gen(tInt, 3)+" AS a, "+g.gen(tFloat, 3)+" AS b FROM t WHERE "+g.gen(tBool, 3),
+			"SELECT s, COUNT(*) AS n, SUM("+g.gen(tInt, 3)+") AS x FROM t GROUP BY s")
+	}
+	rel := exprTable("t", 3000)
+	type outcome struct {
+		rows *Result
+		err  error
+	}
+	run := func(cfg Config, devices []string, placement string) []outcome {
+		cfg.Devices, cfg.Placement = devices, placement
+		eng, err := NewEngine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Register(rel)
+		sess := eng.Session()
+		out := make([]outcome, len(stmts))
+		for i, q := range stmts {
+			out[i].rows, out[i].err = sess.Query(context.Background(), q)
+		}
+		return out
+	}
+	shapes := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"workers1", func(cfg *Config) { cfg.Workers = 1 }},
+		{"workers2", func(cfg *Config) { cfg.Workers = 2 }},
+		{"shards4", func(cfg *Config) { cfg.Distributed, cfg.Shards = true, 4 }},
+	}
+	for _, shape := range shapes {
+		cfg := DefaultConfig()
+		shape.mutate(&cfg)
+		ref := run(cfg, nil, "")
+		for _, placement := range exec.Placements {
+			got := run(cfg, []string{"cpu", "gpu", "fpga"}, placement)
+			for i, q := range stmts {
+				w, g := ref[i], got[i]
+				label := shape.name + "/" + placement + " " + q
+				if w.err != nil || g.err != nil {
+					if w.err == nil || g.err == nil || w.err.Error() != g.err.Error() {
+						t.Fatalf("%s: error %v, without devices %v", label, g.err, w.err)
+					}
+					continue
+				}
+				if len(g.rows.Devices) == 0 {
+					t.Fatalf("%s: no morsels placed", label)
+				}
+				wr, gr := w.rows.Rows.RowView(), g.rows.Rows.RowView()
+				if len(wr) != len(gr) {
+					t.Fatalf("%s: %d rows, without devices %d", label, len(gr), len(wr))
+				}
+				for r := range wr {
+					for c := range wr[r] {
+						if !sameBits(wr[r][c], gr[r][c]) {
+							t.Fatalf("%s: row %d col %d: %v, without devices %v", label, r, c, gr[r][c], wr[r][c])
+						}
+					}
+				}
+			}
+		}
 	}
 }

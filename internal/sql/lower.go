@@ -40,10 +40,10 @@ type lowerer struct {
 	// checks the token, so external cancellation aborts even queries deep
 	// inside a pipeline breaker's drain within one batch boundary.
 	cancel *relational.CancelToken
-	// placer, when set, routes every batch operator's morsels through
-	// the heterogeneous placement policy; hintRows is the planner's
-	// running cardinality estimate, which amortizes one-off device setup
-	// over the expected morsel count of each operator it lowers.
+	// placer, when set, places every batch operator's morsels on its
+	// heterogeneous devices; hintRows is the planner's running
+	// cardinality estimate, which amortizes one-off device setup over
+	// the expected morsel count of each operator it lowers.
 	placer   *exec.Placer
 	hintRows int
 	// budget, when set, charges every batch pipeline breaker's
@@ -66,21 +66,6 @@ func (n execNode) op() OpStatser {
 		return n.bat
 	}
 	return n.row
-}
-
-// dispatch is the placement request for one kernel of the operator being
-// lowered: device setup amortizes over the running estimate.
-func (lw *lowerer) dispatch(kind exec.KernelKind, width int) exec.Dispatch {
-	return exec.Dispatch{Kind: kind, ExpectedRows: lw.hintRows, Width: width}
-}
-
-// dispatcher places one kernel, or returns nil on the homogeneous engine
-// (operators treat a nil dispatcher as "not placed").
-func (lw *lowerer) dispatcher(kind exec.KernelKind, width int) *exec.Dispatcher {
-	if lw.placer == nil {
-		return nil
-	}
-	return lw.placer.Dispatcher(lw.dispatch(kind, width))
 }
 
 func (lw *lowerer) scan(rel *relational.Relation) execNode {
@@ -127,7 +112,7 @@ func (lw *lowerer) filter(n execNode, f *planFilter) execNode {
 		return execNode{row: relational.NewFilter(n.row, f.pred)}
 	}
 	bf := relational.NewBatchFilter(n.bat, nil, f.prog)
-	bf.Place(lw.dispatcher(exec.FilterWork, 0))
+	bf.Place(lw.placer.Dispatcher(exec.FilterWork, lw.hintRows, 0))
 	return execNode{bat: bf}
 }
 
@@ -144,7 +129,7 @@ func (lw *lowerer) project(n execNode, schema relational.Schema, pe []relational
 		// Pure pass-through projections share vectors for free; only
 		// computed expressions are a placeable kernel.
 		if w := op.ExprCount(); w > 0 {
-			op.Place(lw.dispatcher(exec.ProjectWork, w))
+			op.Place(lw.placer.Dispatcher(exec.ProjectWork, lw.hintRows, w))
 		}
 		return execNode{bat: op}, nil
 	}
@@ -202,7 +187,7 @@ func (lw *lowerer) groupAgg(n execNode, groupCols []int, aggs []relational.AggSp
 		if err != nil {
 			return execNode{}, err
 		}
-		op.Place(lw.dispatcher(exec.AggWork, 0))
+		op.Place(lw.placer.Dispatcher(exec.AggWork, lw.hintRows, 0))
 		op.SetBudget(lw.budget)
 		return execNode{bat: op}, nil
 	}
@@ -227,7 +212,7 @@ func (lw *lowerer) sort(n execNode, keys []relational.SortKey, topK int) (execNo
 		if err != nil {
 			return execNode{}, err
 		}
-		op.Place(lw.dispatcher(exec.SortWork, len(keys)))
+		op.Place(lw.placer.Dispatcher(exec.SortWork, lw.hintRows, len(keys)))
 		op.SetBudget(lw.budget)
 		return execNode{bat: op}, nil
 	}
@@ -247,7 +232,7 @@ func (lw *lowerer) shardTopK(n execNode, keys []relational.SortKey, k int) (exec
 	if err != nil {
 		return execNode{}, err
 	}
-	op.Place(lw.dispatcher(exec.SortWork, len(keys)))
+	op.Place(lw.placer.Dispatcher(exec.SortWork, lw.hintRows, len(keys)))
 	op.SetBudget(lw.budget)
 	return execNode{bat: op}, nil
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/exec"
 	"repro/internal/relational"
-	"repro/internal/stream"
 )
 
 // Result is one executed query: the output relation plus everything a
@@ -48,10 +47,6 @@ type Result struct {
 	// set and everything fit. Rows are identical regardless — the budget
 	// models cost, not semantics.
 	Spill *relational.SpillStats
-	// Stream is the streaming report when the serving layer assembled
-	// this result from the streaming subsystem (an ingest acknowledgement
-	// or a completed subscription's summary); nil for ordinary queries.
-	Stream *stream.Stats
 }
 
 // ErrPlanSpent reports an attempt to Run a Planned a second time.

@@ -233,7 +233,7 @@ func (s *Session) execStmt(ctx context.Context, stmt *SelectStmt) (*Result, erro
 	res := &Result{Rows: rel, Steps: p.Steps, Ops: map[string]relational.OpStats{}, Net: p.NetStats()}
 	if p.placer != nil {
 		res.Devices = p.placer.Stats()
-		res.Placement = p.placer.Policy()
+		res.Placement = p.placer.Placement()
 	}
 	if p.budget != nil {
 		st := p.budget.Stats()
