@@ -201,6 +201,32 @@ func GatherVector(src *Vector, sel []int32) Vector {
 	return v
 }
 
+// scatterVector lays the elements of src that from selects out in a
+// vector of n elements: element to[i] is src's element from[i], and every
+// other element is the type's zero value (code 0 of a coded vector).
+func scatterVector(src *Vector, from, to []int32, n int) Vector {
+	v := Vector{T: src.T, Dict: src.Dict}
+	switch {
+	case src.T == Int:
+		v.Ints = scattered(src.Ints, from, to, n)
+	case src.T == Float:
+		v.Floats = scattered(src.Floats, from, to, n)
+	case src.Dict != nil:
+		v.Codes = scattered(src.Codes, from, to, n)
+	default:
+		v.Strs = scattered(src.Strs, from, to, n)
+	}
+	return v
+}
+
+func scattered[T any](src []T, from, to []int32, n int) []T {
+	out := make([]T, n)
+	for i, j := range from {
+		out[to[i]] = src[j]
+	}
+	return out
+}
+
 // AppendRange appends elements [lo, hi) of src, a vector of the same type.
 // Appending no cells leaves v as it is, form included.
 func (v *Vector) AppendRange(src *Vector, lo, hi int) {
@@ -223,22 +249,26 @@ func (v *Vector) AppendGather(src *Vector, sel []int32) {
 	switch {
 	case len(sel) == 0:
 	case v.T == Int:
-		for _, j := range sel {
-			v.Ints = append(v.Ints, src.Ints[j])
-		}
+		v.Ints = appendGathered(v.Ints, src.Ints, sel)
 	case v.T == Float:
-		for _, j := range sel {
-			v.Floats = append(v.Floats, src.Floats[j])
-		}
+		v.Floats = appendGathered(v.Floats, src.Floats, sel)
 	case v.codedFrom(src):
-		for _, j := range sel {
-			v.Codes = append(v.Codes, src.Codes[j])
-		}
+		v.Codes = appendGathered(v.Codes, src.Codes, sel)
 	default:
 		for _, j := range sel {
 			v.Strs = append(v.Strs, src.Str(int(j)))
 		}
 	}
+}
+
+// appendGathered appends src[j] for each j of sel to dst.
+func appendGathered[T any](dst, src []T, sel []int32) []T {
+	k := len(dst)
+	dst = slices.Grow(dst, len(sel))[:k+len(sel)]
+	for i, j := range sel {
+		dst[k+i] = src[j]
+	}
+	return dst
 }
 
 // Slice returns the [from, to) window sharing the backing arrays (and a
@@ -263,12 +293,27 @@ func (v *Vector) Slice(from, to int) Vector {
 // Seq is a global order tag: all rows of batch s precede all rows of
 // batch s+1 in the equivalent serial (row-at-a-time) execution, which is
 // what lets the morsel dispatcher reassemble deterministic output.
+//
+// A batch may be selected: Sel, when non-nil, lists the rows the batch
+// carries as ascending indexes into its column vectors, which then also
+// hold the rows a filter rejected. A filter narrows Sel instead of copying
+// the rows that pass, and the operators above it read through Sel, so a
+// row is copied once, where a pipeline breaker (concatCols under Drain,
+// drainCols and the sort) gathers it. Len counts the selected rows, and
+// so does every count taken from a batch — byte counts, dispatched rows,
+// OpStats and first-seen ordinals — so a selection moves no modeled
+// number. Dense returns the batch gathered, for a consumer that reads the
+// vectors row by row. A Sel is never written once emitted, so batches
+// may share one, and it is allocated to its size, never cut from a pooled
+// scratch buffer: an Exchange holds batches in flight, and a Sel pinning
+// a larger buffer would keep that buffer alive.
 type Batch struct {
 	Schema Schema
 	Cols   []Vector
 	Seq    int64
-	// n is the explicit row count: column vectors must all have n
-	// values, and a zero-column batch (e.g. the pre-aggregation
+	Sel    []int32
+	// n is the explicit physical row count: column vectors must all have
+	// n values, and a zero-column batch (e.g. the pre-aggregation
 	// projection of a bare COUNT(*)) still carries its row count.
 	n int
 }
@@ -288,17 +333,49 @@ func BatchOf(schema Schema, cols []Vector, n int) *Batch {
 	return &Batch{Schema: schema, Cols: cols, n: n}
 }
 
-// Len returns the row count.
-func (b *Batch) Len() int { return b.n }
+// Len returns the row count: the selected rows of a selected batch.
+func (b *Batch) Len() int {
+	if b.Sel != nil {
+		return len(b.Sel)
+	}
+	return b.n
+}
 
-// Row materializes row i into buf (grown as needed) and returns it.
-func (b *Batch) Row(i int, buf Row) Row {
+// Dense returns the batch with its selected rows gathered into vectors of
+// their own: b itself when it carries no selection.
+func (b *Batch) Dense() *Batch {
+	if b.Sel == nil {
+		return b
+	}
+	out := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: len(b.Sel)}
+	for c := range b.Cols {
+		out.Cols[c] = GatherVector(&b.Cols[c], b.Sel)
+	}
+	return out
+}
+
+// window returns rows [lo, hi) of the Len rows, sharing the vectors (and
+// the selection).
+func (b *Batch) window(lo, hi int) *Batch {
+	if b.Sel != nil {
+		return &Batch{Schema: b.Schema, Cols: b.Cols, Seq: b.Seq, Sel: b.Sel[lo:hi:hi], n: b.n}
+	}
+	out := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: hi - lo}
+	for c := range b.Cols {
+		out.Cols[c] = b.Cols[c].Slice(lo, hi)
+	}
+	return out
+}
+
+// row materializes row r of the vectors (selected or not) into buf
+// (grown as needed) and returns it.
+func (b *Batch) row(r int, buf Row) Row {
 	if cap(buf) < len(b.Cols) {
 		buf = make(Row, len(b.Cols))
 	}
 	buf = buf[:len(b.Cols)]
 	for c := range b.Cols {
-		buf[c] = b.Cols[c].Value(i)
+		buf[c] = b.Cols[c].Value(r)
 	}
 	return buf
 }
@@ -330,8 +407,8 @@ func appendRows(dst []Row, cols []Vector, n int) []Row {
 	return dst
 }
 
-// concatCols concatenates the batches' columns, in order, into one
-// vector per schema column.
+// concatCols concatenates the batches' rows, in order, into one vector
+// per schema column: the one copy of a selected batch's rows.
 func concatCols(schema Schema, batches []*Batch) (cols []Vector, n int) {
 	for _, b := range batches {
 		n += b.Len()
@@ -343,7 +420,11 @@ func concatCols(schema Schema, batches []*Batch) (cols []Vector, n int) {
 	cols = NewColumns(schema, n, sources...)
 	for c := range cols {
 		for _, b := range batches {
-			cols[c].AppendRange(&b.Cols[c], 0, b.Len())
+			if b.Sel != nil {
+				cols[c].AppendGather(&b.Cols[c], b.Sel)
+			} else {
+				cols[c].AppendRange(&b.Cols[c], 0, b.n)
+			}
 		}
 	}
 	return cols, n
@@ -512,6 +593,7 @@ func (a *rowsAdapter) Next() (Row, bool, error) {
 		if b == nil {
 			return nil, false, nil
 		}
+		b = b.Dense()
 		a.rows, a.pos = appendRows(a.rows[:0], b.Cols, b.Len()), 0
 	}
 	a.pos++

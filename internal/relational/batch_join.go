@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -165,23 +166,34 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 }
 
 // joinBatch joins one probe batch against the build table: the index
-// yields (build row, probe row) selection vectors and every output
-// column is one gather. nil when no probe row matches.
+// yields (build row, probe row) selection vectors over the probe batch's
+// selected rows. When every one of them matches at most once (the
+// foreign-key join), the output keeps the probe vectors shared, selects
+// the matched rows, and scatters each build column into a vector laid
+// out like the probe batch; otherwise every output column is one gather.
+// nil when no probe row matches.
 func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 	c := j.core
-	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], j.bsel[:0], j.psel[:0], &j.codes)
+	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], b.Sel, j.bsel[:0], j.psel[:0], &j.codes)
 	if len(j.bsel) == 0 {
 		return nil
 	}
+	unique := true
+	for i := 1; unique && i < len(j.psel); i++ {
+		unique = j.psel[i] > j.psel[i-1]
+	}
 	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(j.bsel)}
-	// Every probe row matching exactly once (the foreign-key join)
-	// makes psel the identity: the probe columns pass through shared.
-	identity := len(j.psel) == b.Len()
-	for i := 0; identity && i < len(j.psel); i++ {
-		identity = int(j.psel[i]) == i
+	if unique {
+		out.n = b.n
+		switch {
+		case len(j.psel) == b.Len():
+			out.Sel = b.Sel // every selected row matched: the same rows
+		default:
+			out.Sel = slices.Clone(j.psel)
+		}
 	}
 	for col := range b.Cols {
-		if identity {
+		if unique {
 			out.Cols[c.buildWidth+col] = b.Cols[col]
 		} else {
 			out.Cols[c.buildWidth+col] = GatherVector(&b.Cols[col], j.psel)
@@ -189,11 +201,14 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 	}
 	for col := 0; col < c.buildWidth; col++ {
 		// Matched keys are equal cells of one type, so an Int or String
-		// build key is the probe key; a Float one is gathered, as every
-		// NaN matches every NaN but keeps its own bits.
-		if col == c.tab.keyCol && c.tab.cols[col].T != Float {
+		// build key is the probe key; a Float one is built from the
+		// table, as every NaN matches every NaN but keeps its own bits.
+		switch {
+		case col == c.tab.keyCol && c.tab.cols[col].T != Float:
 			out.Cols[col] = out.Cols[c.buildWidth+c.probeCol]
-		} else {
+		case unique && out.Sel != nil:
+			out.Cols[col] = scatterVector(&c.tab.cols[col], j.bsel, j.psel, b.n)
+		default:
 			out.Cols[col] = GatherVector(&c.tab.cols[col], j.bsel)
 		}
 	}

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/exec"
 )
@@ -12,8 +13,8 @@ type BatchFilter struct {
 	pred  VecPred // nil passes every row
 	stat  *opCount
 	disp  *exec.Dispatcher
-	// ctx is this stream's scratch, reused batch after batch: the gather
-	// copies the passing rows out before the next refill.
+	// ctx is this stream's scratch, reused batch after batch: the passing
+	// rows leave in a Sel of their own before the next refill.
 	ctx exprCtx
 }
 
@@ -51,17 +52,22 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		// The selection + gather is the filter kernel: one dispatched
-		// morsel, whose observed keep fraction feeds the placement cost
-		// model. The reference implementation always executes — devices
-		// model cost, not semantics.
+		// The selection is the filter kernel: one dispatched morsel, whose
+		// observed keep fraction feeds the placement cost model. The
+		// reference implementation always executes — devices model cost,
+		// not semantics. No row is copied: the passing rows narrow the
+		// batch's selection over the same vectors.
 		var out *Batch
 		work := func() (int, error) {
 			if f.pred == nil {
 				out = b
 				return b.Len(), nil
 			}
-			sel, fail := f.pred.narrow(&f.ctx, b, nil)
+			var in []int32
+			if b.Sel != nil {
+				in = f.ctx.copySel(b.Sel)
+			}
+			sel, fail := f.pred.narrow(&f.ctx, b, in)
 			defer f.ctx.putSel(sel)
 			switch {
 			case fail.err != nil:
@@ -69,9 +75,9 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 			case len(sel) == 0:
 				return 0, nil
 			case len(sel) == b.Len():
-				out = b // every row passed: a zero-copy pass-through
+				out = b // every row passed: the batch as it came
 			default:
-				out = gatherBatch(b, sel)
+				out = &Batch{Schema: b.Schema, Cols: b.Cols, Seq: b.Seq, Sel: slices.Clone(sel), n: b.n}
 			}
 			return out.Len(), nil
 		}
@@ -114,15 +120,6 @@ func heteroStats(stat *opCount, disp *exec.Dispatcher) OpStats {
 		st.Hetero = &c
 	}
 	return st
-}
-
-// gatherBatch materializes the selected rows of b.
-func gatherBatch(b *Batch, sel []int32) *Batch {
-	out := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: len(sel)}
-	for c := range b.Cols {
-		out.Cols[c] = GatherVector(&b.Cols[c], sel)
-	}
-	return out
 }
 
 // ProjExpr is one output column of a projection: a pass-through of child
@@ -195,11 +192,12 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	n := b.Len()
-	out := &Batch{Schema: p.schema, Cols: make([]Vector, len(p.exprs)), Seq: b.Seq, n: n}
+	out := &Batch{Schema: p.schema, Cols: make([]Vector, len(p.exprs)), Seq: b.Seq, Sel: b.Sel, n: b.n}
 	work := func() error {
-		// Every computed column runs, and the failures merge in column
-		// order: the row closures fail on the first failing row and, in
-		// it, the first failing column.
+		// Every computed column runs over the batch's vectors, selected
+		// rows or not, and only the selected rows' failures count. The
+		// failures merge in column order: the row closures fail on the
+		// first failing row and, in it, the first failing column.
 		var fail rowFail
 		for i, e := range p.exprs {
 			var f rowFail
@@ -209,7 +207,7 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 			case e.Prog != nil:
 				// An owned result is scratch the projection keeps as its
 				// output; a shared one is an immutable input column.
-				out.Cols[i], f = e.Prog.eval(&p.ctx, b, nil)
+				out.Cols[i], f = e.Prog.eval(&p.ctx, b, b.Sel)
 			default:
 				out.Cols[i], f = boxColumn(b, e.Fn, p.schema[i].Type)
 			}
@@ -226,12 +224,20 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 
 // boxColumn computes a column of type t over a batch by running fn on
 // each boxed row, up to the first row it fails on: the batch engine's
-// form of a projection given only its row closure (Expr).
+// form of a projection given only its row closure (Expr). A selected
+// batch's column keeps its vectors' layout: a rejected row is the zero
+// value, and fn does not run on it.
 func boxColumn(b *Batch, fn Projector, t Type) (Vector, rowFail) {
-	out := NewVector(t, b.Len())
+	out := NewVector(t, b.n)
 	var buf Row
-	for r := 0; r < b.Len(); r++ {
-		buf = b.Row(r, buf)
+	next := 0 // the selected row fn runs on next
+	for r := 0; r < b.n; r++ {
+		if b.Sel != nil && (next == len(b.Sel) || int(b.Sel[next]) != r) {
+			out.Append(Value{T: t})
+			continue
+		}
+		next++
+		buf = b.row(r, buf)
 		v, err := fn(buf)
 		if err != nil {
 			return out, rowFail{row: r, err: err}
@@ -287,11 +293,7 @@ func (l *BatchLimit) NextBatch() (*Batch, error) {
 	if l.n >= 0 {
 		remaining := l.n - l.stat.stats().RowsOut
 		if b.Len() > remaining {
-			trimmed := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), Seq: b.Seq, n: remaining}
-			for c := range b.Cols {
-				trimmed.Cols[c] = b.Cols[c].Slice(0, remaining)
-			}
-			b = trimmed
+			b = b.window(0, remaining)
 		}
 	}
 	l.stat.add(b.Len())

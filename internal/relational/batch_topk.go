@@ -88,7 +88,7 @@ func (h *topKHeap) siftDown(i int) {
 // offer folds one batch into the heap and returns how many of its rows it
 // took: all of them, unless a row the heap must keep could not be
 // reserved — the heap is then full for good, and that row and everything
-// after it are the caller's.
+// after it are the caller's. A selected batch's rows are read in place.
 func (h *topKHeap) offer(b *Batch) int {
 	if h.cand == nil {
 		h.cand = make([]Vector, len(b.Cols))
@@ -101,13 +101,17 @@ func (h *topKHeap) offer(b *Batch) int {
 		sizer = NewRowSizer(b.Cols)
 	}
 	n := b.Len()
-	for r := 0; r < n; r++ {
+	for i := 0; i < n; i++ {
+		r := i // the vectors' row
+		if b.Sel != nil {
+			r = int(b.Sel[i])
+		}
 		if len(h.heap) < h.k {
 			if h.budget != nil {
 				rb := int64(sizer.Bytes(r))
 				if !h.budget.Reserve(rb) {
-					h.seen += int64(r)
-					return r
+					h.seen += int64(i)
+					return i
 				}
 				h.size = append(h.size, rb)
 				h.reserved += rb
@@ -116,7 +120,7 @@ func (h *topKHeap) offer(b *Batch) int {
 			for c := range h.cand {
 				h.cand[c].appendCell(&b.Cols[c], r)
 			}
-			h.ord = append(h.ord, h.seen+int64(r))
+			h.ord = append(h.ord, h.seen+int64(i))
 			h.heap = append(h.heap, slot)
 			for i := len(h.heap) - 1; i > 0 && h.worse(h.heap[i], h.heap[(i-1)/2]); i = (i - 1) / 2 {
 				h.heap[i], h.heap[(i-1)/2] = h.heap[(i-1)/2], h.heap[i]
@@ -134,8 +138,8 @@ func (h *topKHeap) offer(b *Batch) int {
 			// difference moves.
 			rb := int64(sizer.Bytes(r))
 			if d := rb - h.size[root]; d > 0 && !h.budget.Reserve(d) {
-				h.seen += int64(r)
-				return r
+				h.seen += int64(i)
+				return i
 			} else if d != 0 {
 				h.budget.Release(-d)
 				h.reserved += d
@@ -145,7 +149,7 @@ func (h *topKHeap) offer(b *Batch) int {
 		for c := range h.cand {
 			h.cand[c].setCell(int(root), &b.Cols[c], r)
 		}
-		h.ord[root] = h.seen + int64(r)
+		h.ord[root] = h.seen + int64(i)
 		h.siftDown(0)
 	}
 	h.seen += int64(n)
@@ -190,11 +194,7 @@ func (s *BatchSort) topK() error {
 		if p.rest != nil {
 			p.rest = append(p.rest, b)
 		} else if took := p.heap.offer(b); took < b.Len() {
-			tail := &Batch{Schema: b.Schema, Cols: make([]Vector, len(b.Cols)), n: b.Len() - took}
-			for c := range b.Cols {
-				tail.Cols[c] = b.Cols[c].Slice(took, b.Len())
-			}
-			p.rest = append(p.rest, tail)
+			p.rest = append(p.rest, b.window(took, b.Len()))
 		}
 		return nil
 	})

@@ -206,8 +206,9 @@ func (c *exprCtx) release(v Vector) {
 type VecExpr interface {
 	// Type is the column type the program produces.
 	Type() Type
-	// eval computes every row of b. sel names the rows whose failures
-	// count (nil: all of them).
+	// eval computes every row of b's vectors, a selected batch's
+	// rejected rows included. sel names the rows whose failures count
+	// (nil: all of them).
 	eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail)
 	// owned reports whether eval's vector is ctx scratch, which the
 	// caller releases once read or keeps as its output; otherwise it is
@@ -218,7 +219,8 @@ type VecExpr interface {
 // VecPred is a compiled predicate program.
 type VecPred interface {
 	// narrow returns the rows of sel that pass, ascending: in a fresh ctx
-	// buffer when sel is nil (every row of b), else in place in sel.
+	// buffer when sel is nil (every row of b's vectors, b.Sel ignored),
+	// else in place in sel.
 	narrow(c *exprCtx, b *Batch, sel []int32) ([]int32, rowFail)
 }
 
@@ -246,7 +248,7 @@ func Const(v Value) VecExpr { return constExpr{v: v} }
 func (e constExpr) Type() Type  { return e.v.T }
 func (e constExpr) owned() bool { return true }
 func (e constExpr) eval(c *exprCtx, b *Batch, _ []int32) (Vector, rowFail) {
-	n := b.Len()
+	n := b.n
 	out := Vector{T: e.v.T}
 	switch e.v.T {
 	case Int:
@@ -290,7 +292,7 @@ func (e toFloat) Type() Type  { return Float }
 func (e toFloat) owned() bool { return true }
 func (e toFloat) eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail) {
 	v, f := e.x.eval(c, b, sel)
-	out := Vector{T: Float, Floats: c.float64s(b.Len())}
+	out := Vector{T: Float, Floats: c.float64s(b.n)}
 	kernels.Int64ToFloat64(out.Floats, v.Ints)
 	if e.x.owned() {
 		c.release(v)
@@ -318,10 +320,10 @@ func (e negExpr) eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail) {
 	v, f := e.x.eval(c, b, sel)
 	out := Vector{T: v.T}
 	if v.T == Int {
-		out.Ints = c.int64s(b.Len())
+		out.Ints = c.int64s(b.n)
 		kernels.NegInt64(out.Ints, v.Ints)
 	} else {
-		out.Floats = c.float64s(b.Len())
+		out.Floats = c.float64s(b.n)
 		kernels.NegFloat64(out.Floats, v.Floats)
 	}
 	if e.x.owned() {
@@ -392,7 +394,7 @@ func foldArith(op ArithOp, a, b Value) (Value, bool) {
 func (e *arithExpr) Type() Type  { return e.t }
 func (e *arithExpr) owned() bool { return true }
 func (e *arithExpr) eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail) {
-	n := b.Len()
+	n := b.n
 	var lv, rv Vector
 	var fail rowFail
 	if e.lc == nil {
@@ -472,7 +474,7 @@ func (e predValue) eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail) {
 		sel = c.copySel(sel)
 	}
 	pass, f := e.p.narrow(c, b, sel)
-	out := Vector{T: Int, Ints: c.int64s(b.Len())}
+	out := Vector{T: Int, Ints: c.int64s(b.n)}
 	clear(out.Ints)
 	for _, r := range pass {
 		out.Ints[r] = 1
@@ -485,7 +487,7 @@ func (e predValue) eval(c *exprCtx, b *Batch, sel []int32) (Vector, rowFail) {
 // following narrow's buffer rule.
 func selectAll(c *exprCtx, b *Batch, sel []int32) []int32 {
 	if sel == nil {
-		return append(c.sel(b.Len()), c.iota(b.Len())...)
+		return append(c.sel(b.n), c.iota(b.n)...)
 	}
 	return sel
 }
@@ -776,7 +778,7 @@ type orPred struct{ l, r VecPred }
 func Or(l, r VecPred) VecPred { return orPred{l: l, r: r} }
 
 func (p orPred) narrow(c *exprCtx, b *Batch, sel []int32) ([]int32, rowFail) {
-	n := b.Len()
+	n := b.n
 	var left []int32
 	if sel != nil {
 		left = c.copySel(sel)
@@ -819,9 +821,9 @@ func (p notPred) narrow(c *exprCtx, b *Batch, sel []int32) ([]int32, rowFail) {
 	pass, fail := p.p.narrow(c, b, in)
 	var out []int32
 	if sel == nil {
-		out = kernels.DiffSorted(c.sel(b.Len()), c.iota(b.Len()), pass, c.mark(b.Len()))
+		out = kernels.DiffSorted(c.sel(b.n), c.iota(b.n), pass, c.mark(b.n))
 	} else {
-		out = kernels.DiffSorted(sel[:0], sel, pass, c.mark(b.Len()))
+		out = kernels.DiffSorted(sel[:0], sel, pass, c.mark(b.n))
 	}
 	c.putSel(pass)
 	return out, fail

@@ -180,6 +180,7 @@ func (j *BatchHashJoin) graceProbe() error {
 		if b == nil {
 			break
 		}
+		b = b.Dense()
 		pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
 		for r, n := 0, b.Len(); r < n; r++ {
 			if l := c.routeLeaf(pc, r); l != nil {

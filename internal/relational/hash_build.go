@@ -47,15 +47,24 @@ func (ix *joinIndex) add(key *Vector) {
 }
 
 // match appends to bsel/psel the (build row, probe row) pairs joining
-// probe column pc: probe rows in order, each one's matches in build
-// serial order — the selection vectors the join output is gathered by. A
-// coded probe column resolves through tr, the probing stream's own code
-// translation, so concurrent probes share the index read-only.
-func (ix *joinIndex) match(pc *Vector, bsel, psel []int32, tr *codeRefs) ([]int32, []int32) {
+// the rows sel selects of probe column pc (every row when sel is nil):
+// probe rows in order, each one's matches in build serial order — the
+// selection vectors the join output is built by. A coded probe column
+// resolves through tr, the probing stream's own code translation, so
+// concurrent probes share the index read-only.
+func (ix *joinIndex) match(pc *Vector, sel, bsel, psel []int32, tr *codeRefs) ([]int32, []int32) {
 	if pc.T != ix.keyT || len(ix.next) == 0 {
 		return bsel, psel
 	}
-	for r, n := 0, pc.Len(); r < n; r++ {
+	n := pc.Len()
+	if sel != nil {
+		n = len(sel)
+	}
+	for i := 0; i < n; i++ {
+		r := i
+		if sel != nil {
+			r = int(sel[i])
+		}
 		for m := ix.index.get(pc, r, tr); m >= 0; m = ix.next[m] - 1 {
 			bsel, psel = append(bsel, m), append(psel, int32(r))
 		}

@@ -1,10 +1,12 @@
 package relational
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 
 	"repro/internal/exec"
+	"repro/internal/kernels"
 )
 
 // Op is a volcano-style pull iterator. Construction validates; Next
@@ -570,7 +572,7 @@ func (s *Sort) materialize() error {
 	var sortErr error
 	sort.SliceStable(s.out, func(i, j int) bool {
 		for _, k := range s.keys {
-			c, err := Compare(s.out[i][k.Col], s.out[j][k.Col])
+			c, err := orderCompare(s.out[i][k.Col], s.out[j][k.Col])
 			if err != nil {
 				sortErr = err
 				return false
@@ -590,6 +592,19 @@ func (s *Sort) materialize() error {
 	}
 	s.done = true
 	return nil
+}
+
+// orderCompare orders two sort-key cells as the batch engine's sort
+// does: Compare, except that a pair with a Float orders by
+// kernels.OrderKeyFloat64 — −0 ties +0, and a NaN sorts beyond ±Inf by
+// its sign. Compare ties a NaN with every value, which is no order.
+func orderCompare(a, b Value) (int, error) {
+	if (a.T == Float || b.T == Float) && a.T != String && b.T != String {
+		x, _ := a.AsFloat()
+		y, _ := b.AsFloat()
+		return cmp.Compare(kernels.OrderKeyFloat64(x), kernels.OrderKeyFloat64(y)), nil
+	}
+	return Compare(a, b)
 }
 
 // Next implements Op.

@@ -162,13 +162,19 @@ func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
 // ObserveBatch folds one batch into the partial. seqCol >= 0 names an Int
 // column carrying each row's global sequence tag (used for first-seen
 // ordering across partials); seqCol < 0 falls back to the arrival ordinal,
-// which reproduces first-seen order within this partial alone.
+// which reproduces first-seen order within this partial alone. A selected
+// batch folds its selected rows in place, unless a MIN or MAX is among
+// the aggregates: that batch is gathered first (Dense).
 func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 	if p.cols == nil {
 		if err := p.setTypes(b.Cols); err != nil {
 			return err
 		}
 	}
+	if b.Sel != nil && p.hasExtremes() {
+		b = b.Dense()
+	}
+	sel := b.Sel
 	n := b.Len()
 	if cap(p.gids) < n {
 		p.gids = make([]int32, n)
@@ -189,6 +195,13 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 			p.newGroup(b, kc, 0, seqCol)
 		}
 		clear(gids)
+	case sel != nil:
+		for i, r := range sel {
+			g, fresh := p.index.getOrPut(kc, int(r), int32(len(p.count())))
+			if gids[i] = g; fresh {
+				p.newGroup(b, kc, i, seqCol)
+			}
+		}
 	default:
 		for r := range gids {
 			g, fresh := p.index.getOrPut(kc, r, int32(len(p.count())))
@@ -213,6 +226,8 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 		switch {
 		case sl.kind == aggMinMax:
 			observeExtremes(st, &p.cols[sl.at+1], col, gids)
+		case sel != nil:
+			sumSelected(st, col, gids, sel)
 		case st.T == Int:
 			for r, g := range gids {
 				st.Ints[g] += col.Ints[r]
@@ -231,12 +246,45 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 	return nil
 }
 
-// newGroup appends the group first seen at row r of b (already entered
-// in the index): zero count and sums, and the row itself as both
+// sumSelected folds the selected cells of col, row i's at sel[i], into
+// the per-group sums st.
+func sumSelected(st, col *Vector, gids, sel []int32) {
+	switch {
+	case st.T == Int:
+		for i, g := range gids {
+			st.Ints[g] += col.Ints[sel[i]]
+		}
+	case col.T == Int:
+		for i, g := range gids {
+			st.Floats[g] += float64(col.Ints[sel[i]])
+		}
+	default:
+		for i, g := range gids {
+			st.Floats[g] += col.Floats[sel[i]]
+		}
+	}
+}
+
+// hasExtremes reports whether a MIN or MAX is among the aggregates.
+func (p *PartialAgg) hasExtremes() bool {
+	for _, sl := range p.slots {
+		if sl.kind == aggMinMax {
+			return true
+		}
+	}
+	return false
+}
+
+// newGroup appends the group first seen at row i of b's Len rows (already
+// entered in the index): zero count and sums, and the row itself as both
 // extremes.
-func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r, seqCol int) {
+func (p *PartialAgg) newGroup(b *Batch, kc []Vector, i, seqCol int) {
 	p.reserve(1)
-	ord := p.ord + int64(r)
+	ord := p.ord + int64(i)
+	r := i // the vectors' row
+	if i < len(b.Sel) {
+		r = int(b.Sel[i])
+	}
 	seq := ord
 	if seqCol >= 0 {
 		seq = b.Cols[seqCol].Ints[r]

@@ -50,8 +50,12 @@ func colsBytes(cols []Vector, n int) float64 {
 	return total
 }
 
-// EncodedBytes returns the serialized size of the batch.
-func (b *Batch) EncodedBytes() float64 { return colsBytes(b.Cols, b.Len()) }
+// EncodedBytes returns the serialized size of the batch's rows (the
+// selected ones of a selected batch).
+func (b *Batch) EncodedBytes() float64 {
+	d := b.Dense()
+	return colsBytes(d.Cols, d.n)
+}
 
 // EncodedBytes returns the serialized size of the whole relation, from
 // its vectors (so it reads, and freezes, a row-built relation's image).

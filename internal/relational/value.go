@@ -13,7 +13,15 @@
 // produce or narrow an ascending selection with the branch-free kernels of
 // internal/kernels — a coded String column compares int32 codes after
 // resolving the literal against its Dict. AND narrows, OR unions and NOT
-// complements selections. Group-by (PartialAgg) gives groups
+// complements selections. Materialization is late: a Batch may carry a
+// selection (Sel, ascending indexes into its vectors, which then also
+// hold rejected rows), and Len counts the selected rows. A filter narrows
+// Sel and copies nothing; a projection computes over the vectors with Sel
+// as the failure scope; the join probe, the aggregates and the top-k heap
+// read through it. Rows are gathered once, where a pipeline breaker
+// concatenates batches (concatCols), and Dense gathers a batch for a
+// consumer that reads its vectors row by row. Every count taken from a
+// batch counts selected rows. Group-by (PartialAgg) gives groups
 // dense ids through a typed keyIndex and keeps their states as
 // struct-of-arrays vectors folded column-at-a-time; the hash join
 // (HashBuild, joinIndex) keeps the build side as vectors and gathers its

@@ -433,14 +433,19 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 	legOps := make([]execNode, len(lp.legs))
 	for i, leg := range lp.legs {
 		lw.hintRows = leg.rel.Len()
-		n := lw.scan(leg.rel)
-		p.TaggedOps["scan:"+leg.alias] = n.op()
+		rel := leg.rel
 		if leg.prune != nil {
-			var err error
-			if n, err = lw.project(n, leg.schema, pickExprs(leg.prune)); err != nil {
-				return nil, err
+			// A pruned leg scans a relation of its kept vectors, so no
+			// batch windows a column the query never reads.
+			all := rel.Columnar()
+			cols := make([]relational.Vector, len(leg.prune))
+			for k, c := range leg.prune {
+				cols[k] = all[c]
 			}
+			rel = relational.NewColumnRelation(rel.Name, leg.schema, cols, rel.Len())
 		}
+		n := lw.scan(rel)
+		p.TaggedOps["scan:"+leg.alias] = n.op()
 		if leg.pushed != nil {
 			n = lw.filter(n, leg.pushed)
 			p.TaggedOps["pushdown:"+leg.alias] = n.op()

@@ -576,3 +576,70 @@ func mustNorm2(b *testing.B, spec WindowSpec) WindowSpec {
 	}
 	return s
 }
+
+// TestSelectedWindowerMatchesPrefiltered: a query's WHERE hands the
+// windower selected batches, which it gathers once; the windows and the
+// late and dropped counts equal those of the same events filtered
+// beforehand and fed to a windower without a filter, incremental and
+// under a budget.
+func TestSelectedWindowerMatchesPrefiltered(t *testing.T) {
+	events := disorderedEvents(3000, 7, 40)
+	keep := func(r relational.Row) bool { return r[2].I > 30 }
+	var all, kept [][]relational.Row
+	for i := 0; i < len(events); i += 100 {
+		b := events[i:min(i+100, len(events)):min(i+100, len(events))]
+		all = append(all, b)
+		var k []relational.Row
+		for _, r := range b {
+			if keep(r) {
+				k = append(k, r)
+			}
+		}
+		kept = append(kept, k)
+	}
+	spec, err := WindowSpec{TimeCol: "t", Size: 40, Slide: 10, Lateness: 4}.normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev, err := memtier.NewSpillDevice("ssd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []*relational.MemoryBudget{nil, relational.NewMemoryBudget(1<<11, dev)} {
+		run := func(batches [][]relational.Row, filter relational.VecPred) ([]Window, *windower) {
+			q := testQuery(t, budget)
+			q.Filter = filter
+			w := newWindower(q, spec)
+			var wins []Window
+			for _, b := range batches {
+				if len(b) == 0 {
+					continue
+				}
+				out, err := w.observe(batch(t, b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wins = append(wins, out...)
+			}
+			out, err := w.flush()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return append(wins, out...), w
+		}
+		got, wg := run(all, relational.Cmp(relational.OpGt, relational.ColumnExpr(2, relational.Int), relational.Const(relational.IntV(30))))
+		want, ww := run(kept, nil)
+		if len(got) != len(want) || wg.late != ww.late || wg.dropped != ww.dropped || wg.events != ww.events {
+			t.Fatalf("filtered: %d windows, %d late, %d dropped, %d events; prefiltered: %d, %d, %d, %d",
+				len(got), wg.late, wg.dropped, wg.events, len(want), ww.late, ww.dropped, ww.events)
+		}
+		if wg.late == 0 {
+			t.Fatal("no late event: the disorder proved nothing")
+		}
+		for i := range got {
+			if got[i].Start != want[i].Start || !reflect.DeepEqual(got[i].Rows.RowView(), want[i].Rows.RowView()) {
+				t.Fatalf("window %d: got [%d) %v, want [%d) %v", i, got[i].Start, got[i].Rows.RowView(), want[i].Start, want[i].Rows.RowView())
+			}
+		}
+	}
+}

@@ -108,6 +108,7 @@ func (w *windower) observe(rel *relational.Relation) ([]Window, error) {
 		if b == nil {
 			break
 		}
+		b = b.Dense()
 		accepted += b.Len()
 		var hit []*pane
 		for r, t := range b.Cols[w.seqCol].Ints {
