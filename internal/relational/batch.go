@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/kernels"
 )
@@ -31,9 +32,8 @@ const BatchSize = 1024
 // it encodes new cells into a new Dict that keeps the old one as its
 // prefix, and stays coded while the byte rule holds for the whole column.
 // No Dict's entries ever change. Str and Value decode a cell; nothing
-// outside this package reads Strs.
-// Sizes (vectorBytes, RowSizer) count the decoded strings, so
-// the form never moves a byte count.
+// outside this package reads Strs. Sizes (RowSizer) count the decoded
+// strings, so the form never moves a byte count.
 //
 // Vectors are immutable once a batch has been emitted, so downstream
 // operators may share them without copying.
@@ -470,11 +470,40 @@ type Partitioner interface {
 	Partition(n int, static bool) []BatchOp
 }
 
-// opCount is a race-safe row counter shared by an operator's partitions.
-type opCount struct{ n atomic.Int64 }
+// opCount is a race-safe row and build-time counter shared by an
+// operator's partitions.
+type opCount struct{ n, buildNs atomic.Int64 }
 
-func (c *opCount) add(n int)      { c.n.Add(int64(n)) }
-func (c *opCount) stats() OpStats { return OpStats{RowsOut: int(c.n.Load())} }
+func (c *opCount) add(n int)                  { c.n.Add(int64(n)) }
+func (c *opCount) builtSince(start time.Time) { c.buildNs.Add(int64(time.Since(start))) }
+func (c *opCount) stats() OpStats {
+	return OpStats{RowsOut: int(c.n.Load()), BuildNs: c.buildNs.Load()}
+}
+
+// outQueue is how a pipeline breaker hands out its output: the first
+// next runs build, which makes every output batch at once (timed into
+// BuildNs), and each call hands out the next one, counting its rows. A
+// built queue ends in a nil batch, which stays; a failed build leaves
+// the queue unbuilt.
+type outQueue []*Batch
+
+func (q *outQueue) next(stat *opCount, build func() ([]*Batch, error)) (*Batch, error) {
+	if *q == nil {
+		start := time.Now()
+		out, err := build()
+		if err != nil {
+			return nil, err
+		}
+		stat.builtSince(start)
+		*q = append(out, nil)
+	}
+	b := (*q)[0]
+	if b != nil {
+		*q = (*q)[1:]
+		stat.add(b.Len())
+	}
+	return b, nil
+}
 
 // EffectiveWorkers resolves a worker-count setting: n if positive, else
 // runtime.NumCPU().

@@ -20,9 +20,7 @@ type BatchGroupAgg struct {
 	budget    *MemoryBudget
 	meter     *spillMeter
 
-	out  []*Batch
-	pos  int
-	done bool
+	q    outQueue
 	stat *opCount
 }
 
@@ -56,7 +54,8 @@ func (g *BatchGroupAgg) SetBudget(b *MemoryBudget) {
 	g.meter = newSpillMeter(b)
 }
 
-func (g *BatchGroupAgg) materialize() error {
+// build folds every partition into a private partial and merges them.
+func (g *BatchGroupAgg) build() ([]*Batch, error) {
 	// Every partition folds into a private partial.
 	var sas []*SpillableAgg
 	err := eachBatch(g.child, g.workers, func(n int) {
@@ -67,7 +66,7 @@ func (g *BatchGroupAgg) materialize() error {
 		return g.disp.Run(b.Len(), func() error { return sas[i].ObserveBatch(b, -1) })
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// Merge in partition order: partition i's rows precede partition
 	// i+1's, so appending unseen groups in that order reproduces the
@@ -77,30 +76,11 @@ func (g *BatchGroupAgg) materialize() error {
 		parts[i] = sa.Finish()
 	}
 	cols, n := MergeAll(parts).EmitCols(g.schema, false)
-	g.out = windowBatches(g.schema, cols, n)
-	g.done = true
-	return nil
+	return windowBatches(g.schema, cols, n), nil
 }
 
 // NextBatch implements BatchOp.
-func (g *BatchGroupAgg) NextBatch() (*Batch, error) {
-	if !g.done {
-		if err := g.materialize(); err != nil {
-			return nil, err
-		}
-	}
-	if g.pos >= len(g.out) {
-		return nil, nil
-	}
-	b := g.out[g.pos]
-	g.pos++
-	g.stat.add(b.Len())
-	return b, nil
-}
+func (g *BatchGroupAgg) NextBatch() (*Batch, error) { return g.q.next(g.stat, g.build) }
 
 // Stats implements BatchOp.
-func (g *BatchGroupAgg) Stats() OpStats {
-	st := heteroStats(g.stat, g.disp)
-	st.Spill = g.meter.opSpill()
-	return st
-}
+func (g *BatchGroupAgg) Stats() OpStats { return opStats(g.stat, g.disp, g.meter) }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"time"
 )
 
 // joinCore is the shared state of a batch hash join: the build-side table
@@ -12,19 +13,19 @@ import (
 // the serial engine's insertion order) and then probed concurrently by
 // every probe partition.
 type joinCore struct {
+	// build is the build stream runBuild drains into tab; nil for a
+	// prebuilt table (the distributed engine's, built from a moved build
+	// side taken whole), which is adopted as is.
 	build      BatchOp
+	tab        *HashBuild
 	probeCol   int
 	schema     Schema
 	buildWidth int
 	workers    int
-	// tab is the build table. A prebuilt one (the distributed engine's,
-	// built from a moved build side taken whole) is adopted as is;
-	// otherwise runBuild fills it from the build stream.
-	tab      *HashBuild
-	prebuilt bool
 
 	budget *MemoryBudget
 	meter  *spillMeter
+	stat   *opCount // shared by every probe stream
 
 	once sync.Once
 	err  error
@@ -36,25 +37,23 @@ type joinCore struct {
 }
 
 func (c *joinCore) runBuild() {
-	if !c.prebuilt {
+	defer c.stat.builtSince(time.Now())
+	if c.build != nil {
 		cols, n, err := drainCols(c.build, c.workers)
-		if err != nil {
-			c.err = err
+		if err == nil {
+			c.tab, err = NewHashBuildOf(c.tab.schema, c.tab.keyCol, cols, n)
+		}
+		if c.err = err; err != nil {
 			return
 		}
-		c.tab.cols, c.tab.bytes = cols, colsBytes(cols, n)
 	}
 	// The whole build table reserves against the query budget; when the
-	// reservation fails the join goes out of core via grace partitioning
-	// instead of assuming the table fits. A prebuilt table reserves the
-	// same bytes, so a budgeted distributed join spills exactly where a
-	// join building the same table would.
+	// reservation fails the grace partitions it would have spilled are
+	// priced instead. A prebuilt table reserves the same bytes, so a
+	// budgeted distributed join spills exactly where a join building the
+	// same table would.
 	if c.budget != nil && !c.budget.Reserve(int64(c.tab.bytes)) {
 		c.buildGrace()
-		return
-	}
-	if !c.prebuilt {
-		c.tab.ix.add(&c.tab.cols[c.tab.keyCol])
 	}
 }
 
@@ -69,17 +68,14 @@ func (c *joinCore) table() error {
 type BatchHashJoin struct {
 	core  *joinCore
 	probe BatchOp
-	stat  *opCount
 
 	// Selection-vector scratch of this probe stream, reused per batch, and
 	// its translation of a coded probe key's codes.
 	bsel, psel []int32
 	codes      codeRefs
 
-	// Grace-mode output of this probe stream (see graceProbe).
-	graceOut  []*Batch
-	gracePos  int
-	graceDone bool
+	// q hands out this probe stream's output in grace mode (graceProbe).
+	q outQueue
 }
 
 // NewBatchHashJoin joins build.buildCol == probe.probeCol using up to
@@ -99,9 +95,9 @@ func NewBatchHashJoin(build, probe BatchOp, buildCol, probeCol, workers int) (*B
 	core := &joinCore{
 		build: build, probeCol: probeCol, tab: tab,
 		schema: bs.Concat(ps), buildWidth: len(bs),
-		workers: EffectiveWorkers(workers),
+		workers: EffectiveWorkers(workers), stat: &opCount{},
 	}
-	return &BatchHashJoin{core: core, probe: probe, stat: &opCount{}}, nil
+	return &BatchHashJoin{core: core, probe: probe}, nil
 }
 
 // NewBatchHashJoinPrebuilt joins an externally constructed build table
@@ -115,11 +111,11 @@ func NewBatchHashJoinPrebuilt(pre *HashBuild, probe BatchOp, probeCol, workers i
 		return nil, fmt.Errorf("relational: join probe column %d out of range", probeCol)
 	}
 	core := &joinCore{
-		tab: pre, prebuilt: true, probeCol: probeCol,
+		tab: pre, probeCol: probeCol,
 		schema: pre.schema.Concat(ps), buildWidth: len(pre.schema),
-		workers: EffectiveWorkers(workers),
+		workers: EffectiveWorkers(workers), stat: &opCount{},
 	}
-	return &BatchHashJoin{core: core, probe: probe, stat: &opCount{}}, nil
+	return &BatchHashJoin{core: core, probe: probe}, nil
 }
 
 // Schema implements BatchOp.
@@ -139,19 +135,7 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 		return nil, err
 	}
 	if j.core.grace != nil {
-		if !j.graceDone {
-			if err := j.graceProbe(); err != nil {
-				return nil, err
-			}
-			j.graceDone = true
-		}
-		if j.gracePos >= len(j.graceOut) {
-			return nil, nil
-		}
-		b := j.graceOut[j.gracePos]
-		j.gracePos++
-		j.stat.add(b.Len())
-		return b, nil
+		return j.q.next(j.core.stat, j.graceProbe)
 	}
 	for {
 		b, err := j.probe.NextBatch()
@@ -159,7 +143,7 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 			return nil, err
 		}
 		if out := j.joinBatch(b); out != nil {
-			j.stat.add(out.Len())
+			j.core.stat.add(out.Len())
 			return out, nil
 		}
 	}
@@ -216,11 +200,7 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 }
 
 // Stats implements BatchOp.
-func (j *BatchHashJoin) Stats() OpStats {
-	st := j.stat.stats()
-	st.Spill = j.core.meter.opSpill()
-	return st
-}
+func (j *BatchHashJoin) Stats() OpStats { return opStats(j.core.stat, nil, j.core.meter) }
 
 // Partition implements Partitioner: probe partitions share the build
 // table; output batches keep their probe-side Seq tags.
@@ -232,7 +212,7 @@ func (j *BatchHashJoin) Partition(n int, static bool) []BatchOp {
 	parts := p.Partition(n, static)
 	out := make([]BatchOp, len(parts))
 	for i, pp := range parts {
-		out[i] = &BatchHashJoin{core: j.core, probe: pp, stat: j.stat}
+		out[i] = &BatchHashJoin{core: j.core, probe: pp}
 	}
 	return out
 }

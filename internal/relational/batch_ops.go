@@ -93,7 +93,7 @@ func (f *BatchFilter) NextBatch() (*Batch, error) {
 }
 
 // Stats implements BatchOp.
-func (f *BatchFilter) Stats() OpStats { return heteroStats(f.stat, f.disp) }
+func (f *BatchFilter) Stats() OpStats { return opStats(f.stat, f.disp, nil) }
 
 // Partition implements Partitioner: the filter is stateless, so each
 // child partition gets its own clone sharing the counter (and the
@@ -111,14 +111,15 @@ func (f *BatchFilter) Partition(n int, static bool) []BatchOp {
 	return out
 }
 
-// heteroStats merges an operator's row counter with its dispatcher's
-// modeled-cost snapshot.
-func heteroStats(stat *opCount, disp *exec.Dispatcher) OpStats {
+// opStats merges an operator's row counter with its dispatcher's
+// modeled-cost snapshot and its spill meter's report (nil: none).
+func opStats(stat *opCount, disp *exec.Dispatcher, meter *spillMeter) OpStats {
 	st := stat.stats()
 	if disp != nil {
 		c := disp.Cost()
 		st.Hetero = &c
 	}
+	st.Spill = meter.opSpill()
 	return st
 }
 
@@ -248,7 +249,7 @@ func boxColumn(b *Batch, fn Projector, t Type) (Vector, rowFail) {
 }
 
 // Stats implements BatchOp.
-func (p *BatchProject) Stats() OpStats { return heteroStats(p.stat, p.disp) }
+func (p *BatchProject) Stats() OpStats { return opStats(p.stat, p.disp, nil) }
 
 // Partition implements Partitioner.
 func (p *BatchProject) Partition(n int, static bool) []BatchOp {

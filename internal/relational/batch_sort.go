@@ -30,9 +30,7 @@ type BatchSort struct {
 	limit   int
 	arrival bool
 
-	out  []*Batch
-	pos  int
-	done bool
+	q    outQueue
 	stat *opCount
 }
 
@@ -65,68 +63,75 @@ func (s *BatchSort) SetBudget(b *MemoryBudget) {
 	s.meter = newSpillMeter(b)
 }
 
-func (s *BatchSort) materialize() error {
+// build drains the child and sorts it (see topK for a limit); under a
+// budget the sort first prices the runs it would spill.
+func (s *BatchSort) build() ([]*Batch, error) {
 	if s.limit >= 0 {
 		return s.topK()
 	}
-	schema := s.child.Schema()
 	cols, n, err := drainCols(s.child, s.workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var perm []int32
 	if s.budget != nil {
-		perm, err = s.externalSort(cols, n)
-	} else {
-		err = s.disp.Run(n, func() error {
-			perm, _ = sortPerm(cols, s.keys, 0, n)
-			return nil
-		})
+		s.meterRuns(n, NewRowSizer(cols).RangeBytes)
 	}
-	if err != nil {
-		return err
-	}
-	s.emit(schema, cols, perm)
-	return nil
+	return s.sort(cols, n, n)
 }
 
-// emit gathers the rows perm selects, in order, into the output batches.
-func (s *BatchSort) emit(schema Schema, cols []Vector, perm []int32) {
+// sort is the one sort call: it orders rows [0, n) of cols under one
+// dispatch of rows rows (an empty dispatch charges nothing) and gathers
+// the output — every row, or a top-k's first limit rows of the order
+// (kept in arrival order when arrival is set).
+func (s *BatchSort) sort(cols []Vector, n, rows int) ([]*Batch, error) {
+	var perm []int32
+	err := s.disp.Run(rows, func() error {
+		perm, _ = sortPerm(cols, s.keys, n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.limit >= 0 {
+		perm = perm[:min(s.limit, n)]
+		if s.arrival {
+			slices.Sort(perm)
+		}
+	}
 	for c := range cols {
 		cols[c] = GatherVector(&cols[c], perm)
 	}
-	s.out = windowBatches(schema, cols, len(perm))
+	return windowBatches(s.child.Schema(), cols, len(perm)), nil
 }
 
-// externalSort is the budgeted sort: the budget meters the runs an
-// external sort would cut, and the rows sort once, in memory. Rows
-// accumulate into a run that reserves budget bytes; when a reservation
-// fails the run is priced as written to the spill tier and its
-// reservation released. The final run stays resident (hybrid — no write
-// for state that fit); once anything spilled, reading every spilled run
-// back is priced too. Then one sortPerm under one dispatch orders the
-// whole input (an empty input dispatches nothing), so every budget
-// answers row for row what the unbudgeted sort answers.
+// meterRuns is the budget's meter of a sort: it prices the runs an
+// external sort of n rows would cut, bytes(lo, hi) being the size of rows
+// [lo, hi), and moves no row. Rows accumulate into a run that reserves
+// budget bytes; when a reservation fails the run is priced as written to
+// the spill tier and its reservation released. The final run stays
+// resident (hybrid — no write for state that fit); once anything spilled,
+// reading every spilled run back is priced too. The rows themselves sort
+// once, in memory, so every budget answers row for row what the
+// unbudgeted sort answers.
 //
 // A run ends at the first row whose reservation fails. Rows reserve a
 // BatchSize step at a time — one range sum, one Reserve — which succeeds
 // exactly when every row of the step would have reserved alone; the step
 // that fails is walked row by row to find that first row.
-func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
+func (s *BatchSort) meterRuns(n int, bytes func(lo, hi int) int) {
 	var spilled []int64
 	var runBytes, reserved int64
 	lo := 0
-	sizer := NewRowSizer(cols)
 	for r := 0; r < n; {
 		step := min(r+BatchSize, n)
-		if sb := int64(sizer.RangeBytes(r, step)); s.budget.Reserve(sb) {
+		if sb := int64(bytes(r, step)); s.budget.Reserve(sb) {
 			reserved += sb
 			runBytes += sb
 			r = step
 			continue
 		}
 		for ; r < step; r++ {
-			rb := int64(sizer.Bytes(r))
+			rb := int64(bytes(r, r+1))
 			if s.budget.Reserve(rb) {
 				reserved += rb
 			} else if r > lo {
@@ -148,15 +153,6 @@ func (s *BatchSort) externalSort(cols []Vector, n int) ([]int32, error) {
 	for _, b := range spilled {
 		s.meter.chargeRead(b)
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	var perm []int32
-	err := s.disp.Run(n, func() error {
-		perm, _ = sortPerm(cols, s.keys, 0, n)
-		return nil
-	})
-	return perm, err
 }
 
 // cmpKeys orders row i of a against row j of b by the sort keys (0 on a
@@ -181,7 +177,7 @@ func cmpKeys(keys []SortKey, a []Vector, i int, b []Vector, j int) int {
 	return 0
 }
 
-// sortPerm stably sorts rows [lo, hi) of cols by keys and returns the
+// sortPerm stably sorts rows [0, n) of cols by keys and returns the
 // row ids in sorted order: one stable pass per key from the last to the
 // first. Numeric keys are encoded — Int by sign flip, Float by the IEEE
 // total-order flip with -0.0 canonicalised to +0.0, descending by
@@ -189,10 +185,10 @@ func cmpKeys(keys []SortKey, a []Vector, i int, b []Vector, j int) int {
 // comparison-sort the ids on the typed vector. k0 is the encoding of the
 // first key of every row, in sorted order (nil when that key is a String
 // or there are no keys).
-func sortPerm(cols []Vector, keys []SortKey, lo, hi int) (perm []int32, k0 []uint64) {
-	ids := make([]int64, hi-lo)
+func sortPerm(cols []Vector, keys []SortKey, n int) (perm []int32, k0 []uint64) {
+	ids := make([]int64, n)
 	for i := range ids {
-		ids[i] = int64(lo + i)
+		ids[i] = int64(i)
 	}
 	var enc []uint64
 	for ki := len(keys) - 1; ki >= 0; ki-- {
@@ -233,25 +229,7 @@ func sortPerm(cols []Vector, keys []SortKey, lo, hi int) (perm []int32, k0 []uin
 }
 
 // NextBatch implements BatchOp.
-func (s *BatchSort) NextBatch() (*Batch, error) {
-	if !s.done {
-		if err := s.materialize(); err != nil {
-			return nil, err
-		}
-		s.done = true
-	}
-	if s.pos >= len(s.out) {
-		return nil, nil
-	}
-	b := s.out[s.pos]
-	s.pos++
-	s.stat.add(b.Len())
-	return b, nil
-}
+func (s *BatchSort) NextBatch() (*Batch, error) { return s.q.next(s.stat, s.build) }
 
 // Stats implements BatchOp.
-func (s *BatchSort) Stats() OpStats {
-	st := heteroStats(s.stat, s.disp)
-	st.Spill = s.meter.opSpill()
-	return st
-}
+func (s *BatchSort) Stats() OpStats { return opStats(s.stat, s.disp, s.meter) }

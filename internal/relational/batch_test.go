@@ -293,3 +293,52 @@ func TestBatchStatsCountRows(t *testing.T) {
 		t.Fatalf("filter stats = %d, want %d", got, len(out))
 	}
 }
+
+// TestBuildNsOnlyOnBreakers: OpStats.BuildNs is the host time an operator
+// spends building state before its first batch. On non-empty input the
+// sort, the top-k (with and without a failed reservation), the group-by
+// and the join — its table, and under a budget also its grace probe —
+// report some; the streaming scan, filter, projection and limit report
+// none.
+func TestBuildNsOnlyOnBreakers(t *testing.T) {
+	rel, dim := randRel(14, 3*BatchSize), randRel(15, 900)
+	drain := func(op BatchOp) {
+		t.Helper()
+		if _, err := Drain(op, 2, "out"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan := NewBatchScan(rel)
+	f := NewBatchFilter(scan, []ColRange{{Col: 3, Lo: 0, HasLo: true, Hi: 40, HasHi: true}}, nil)
+	p, err := NewBatchProject(f, rel.Schema, []ProjExpr{Pick(0), Pick(1), Pick(2), Pick(3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := NewBatchLimit(p, 2*BatchSize)
+	drain(lim)
+	for name, op := range map[string]BatchOp{"scan": scan, "filter": f, "project": p, "limit": lim} {
+		if st := op.Stats(); st.RowsOut == 0 || st.BuildNs != 0 {
+			t.Errorf("%s: %d rows out, BuildNs %d; want rows and no build time", name, st.RowsOut, st.BuildNs)
+		}
+	}
+
+	keys := []SortKey{{Col: 3, Desc: true}, {Col: 0}}
+	sorted, _ := NewBatchSort(NewBatchScan(rel), keys, 2)
+	topk, _ := NewBatchTopK(NewBatchScan(rel), keys, 50, 2)
+	fallback, _ := NewBatchTopK(NewBatchScan(rel), keys, 50, 2)
+	fallback.SetBudget(tinyBudget(64))
+	agg, _ := NewBatchGroupAgg(NewBatchScan(rel), []int{1}, []AggSpec{{Fn: CountAgg, Name: "n"}}, 2)
+	join, _ := NewBatchHashJoin(NewBatchScan(dim), NewBatchScan(rel), 0, 0, 2)
+	grace, _ := NewBatchHashJoin(NewBatchScan(dim), NewBatchScan(rel), 0, 0, 2)
+	grace.SetBudget(tinyBudget(64))
+	for name, op := range map[string]BatchOp{"sort": sorted, "top-k": topk, "top-k fallback": fallback,
+		"group-by": agg, "join": join, "grace join": grace} {
+		drain(op)
+		if st := op.Stats(); st.RowsOut == 0 || st.BuildNs <= 0 {
+			t.Errorf("%s: %d rows out, BuildNs %d; want rows and build time", name, st.RowsOut, st.BuildNs)
+		}
+	}
+	if grace.core.grace == nil || fallback.Stats().Spill == nil {
+		t.Fatal("a 64-byte budget left the join out of grace mode or the top-k unspilled")
+	}
+}

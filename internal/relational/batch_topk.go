@@ -14,10 +14,10 @@ import (
 // key resolve by arrival order, so the result is row-for-row the first k
 // rows of the full sort, at O(n log k) compares and O(k) memory per
 // partition. Under a memory budget the heaps reserve the rows they keep:
-// a top-k whose k rows fit spills nothing, whatever the input's size. A
-// partition whose reservation fails stops keeping a heap and hands what
-// it holds, plus every row still to come, to the budgeted sort
-// (externalSort) — the same k rows, priced as the sort prices them.
+// a top-k whose k rows fit spills nothing, whatever the input's size. The
+// budget never changes the algorithm: a heap whose reservation fails
+// keeps its heap and records only row sizes, and the budget prices them
+// as the budgeted sort would have spilled them (meterRuns).
 func NewBatchTopK(child BatchOp, keys []SortKey, k, workers int) (*BatchSort, error) {
 	if k < 0 {
 		return nil, fmt.Errorf("relational: top-k of %d rows", k)
@@ -47,7 +47,11 @@ func NewBatchTopKUnsorted(child BatchOp, keys []SortKey, k, workers int) (*Batch
 // topKHeap holds the k best rows one partition has seen: the rows live in
 // typed columns addressed by slot, and heap is a binary heap of slots
 // with the worst kept row at the root — worst by keys, then latest
-// arrival. Under a budget every slot's row is reserved.
+// arrival. Under a budget every slot's row is reserved until the first
+// reservation fails; the heap then keeps going unreserved and records, in
+// fallback, the sizes of the rows the budgeted sort of the input would
+// have held instead: the rows kept at that point, in arrival order, then
+// every row offered since.
 type topKHeap struct {
 	keys []SortKey
 	k    int
@@ -57,8 +61,9 @@ type topKHeap struct {
 	seen int64
 
 	budget   *MemoryBudget
-	size     []int64 // reserved bytes of each slot's row (budgeted only)
+	size     []int // reserved bytes of each slot's row (budgeted only)
 	reserved int64
+	fallback []int // non-nil once a reservation failed
 }
 
 // worse reports whether slot a's row sorts after slot b's.
@@ -85,11 +90,9 @@ func (h *topKHeap) siftDown(i int) {
 	}
 }
 
-// offer folds one batch into the heap and returns how many of its rows it
-// took: all of them, unless a row the heap must keep could not be
-// reserved — the heap is then full for good, and that row and everything
-// after it are the caller's. A selected batch's rows are read in place.
-func (h *topKHeap) offer(b *Batch) int {
+// offer folds one batch into the heap, reading a selected batch's rows
+// in place.
+func (h *topKHeap) offer(b *Batch) {
 	if h.cand == nil {
 		h.cand = make([]Vector, len(b.Cols))
 		for c := range b.Cols {
@@ -106,16 +109,11 @@ func (h *topKHeap) offer(b *Batch) int {
 		if b.Sel != nil {
 			r = int(b.Sel[i])
 		}
+		if h.fallback != nil {
+			h.fallback = append(h.fallback, sizer.Bytes(r))
+		}
 		if len(h.heap) < h.k {
-			if h.budget != nil {
-				rb := int64(sizer.Bytes(r))
-				if !h.budget.Reserve(rb) {
-					h.seen += int64(i)
-					return i
-				}
-				h.size = append(h.size, rb)
-				h.reserved += rb
-			}
+			h.reserve(sizer, r, -1)
 			slot := int32(len(h.heap))
 			for c := range h.cand {
 				h.cand[c].appendCell(&b.Cols[c], r)
@@ -133,19 +131,7 @@ func (h *topKHeap) offer(b *Batch) int {
 		if cmpKeys(h.keys, b.Cols, r, h.cand, int(root)) >= 0 {
 			continue
 		}
-		if h.budget != nil {
-			// The displaced row's bytes pay for the new one; only the
-			// difference moves.
-			rb := int64(sizer.Bytes(r))
-			if d := rb - h.size[root]; d > 0 && !h.budget.Reserve(d) {
-				h.seen += int64(i)
-				return i
-			} else if d != 0 {
-				h.budget.Release(-d)
-				h.reserved += d
-				h.size[root] = rb
-			}
-		}
+		h.reserve(sizer, r, root)
 		for c := range h.cand {
 			h.cand[c].setCell(int(root), &b.Cols[c], r)
 		}
@@ -153,7 +139,53 @@ func (h *topKHeap) offer(b *Batch) int {
 		h.siftDown(0)
 	}
 	h.seen += int64(n)
-	return n
+}
+
+// reserve charges row r's bytes for a new slot (root < 0) or for slot
+// root, whose displaced row's bytes pay for it: only the difference
+// moves. The first charge that fails starts the fallback record with the
+// kept rows and row r; after it the heap reserves nothing.
+func (h *topKHeap) reserve(z RowSizer, r int, root int32) {
+	if h.budget == nil || h.fallback != nil {
+		return
+	}
+	rb := z.Bytes(r)
+	d := int64(rb)
+	if root >= 0 {
+		d -= int64(h.size[root])
+	}
+	if d > 0 && !h.budget.Reserve(d) {
+		h.fallback = append(h.sortSizes(), rb)
+		return
+	}
+	if root < 0 {
+		h.size = append(h.size, rb)
+	} else {
+		h.budget.Release(-d)
+		h.size[root] = rb
+	}
+	h.reserved += d
+}
+
+// byArrival returns the kept slots in arrival order.
+func (h *topKHeap) byArrival() []int32 {
+	slots := slices.Clone(h.heap)
+	slices.SortFunc(slots, func(a, b int32) int { return cmp.Compare(h.ord[a], h.ord[b]) })
+	return slots
+}
+
+// sortSizes returns the sizes of the rows this partition hands the
+// budgeted sort: its fallback record, or, while every reservation held,
+// its kept rows in arrival order (a budgeted heap only).
+func (h *topKHeap) sortSizes() []int {
+	if h.fallback != nil {
+		return h.fallback
+	}
+	sizes := make([]int, 0, len(h.heap))
+	for _, slot := range h.byArrival() {
+		sizes = append(sizes, h.size[slot])
+	}
+	return sizes
 }
 
 // kept returns the kept rows in arrival order as one batch (nil if none).
@@ -161,77 +193,66 @@ func (h *topKHeap) kept(schema Schema) *Batch {
 	if len(h.heap) == 0 {
 		return nil
 	}
-	slices.SortFunc(h.heap, func(a, b int32) int { return cmp.Compare(h.ord[a], h.ord[b]) })
-	out := &Batch{Schema: schema, Cols: make([]Vector, len(h.cand)), n: len(h.heap)}
+	slots := h.byArrival()
+	out := &Batch{Schema: schema, Cols: make([]Vector, len(h.cand)), n: len(slots)}
 	for c := range h.cand {
-		out.Cols[c] = GatherVector(&h.cand[c], h.heap)
+		out.Cols[c] = GatherVector(&h.cand[c], slots)
 	}
 	return out
 }
 
-// topKPart is one partition's state: its heap, and — non-nil once a
-// reservation failed — the rows the heap did not take, in arrival order.
-type topKPart struct {
-	heap topKHeap
-	rest []*Batch
-}
-
-// topK materializes the first s.limit rows of the order through
-// per-partition heaps. Like the full sort, it dispatches once, as a
-// single whole-input morsel.
-func (s *BatchSort) topK() error {
+// topK builds the first s.limit rows of the order through per-partition
+// heaps: the kept lists, concatenated in partition order, go through the
+// one sort call. Like the full sort, it dispatches once, as a single
+// whole-input morsel. When a heap's reservation failed, the budget prices
+// what the budgeted sort of the rows its fallback records would have
+// spilled (meterRuns, every partition's share in partition order), and the
+// dispatch counts those rows, as it did when they were sorted.
+func (s *BatchSort) topK() ([]*Batch, error) {
 	if s.limit == 0 {
-		return nil
+		return nil, nil
 	}
 	schema := s.child.Schema()
-	var parts []*topKPart
+	var heaps []*topKHeap
 	err := eachBatch(s.child, s.workers, func(n int) {
 		for ; n > 0; n-- {
-			parts = append(parts, &topKPart{heap: topKHeap{keys: s.keys, k: s.limit, budget: s.budget}})
+			heaps = append(heaps, &topKHeap{keys: s.keys, k: s.limit, budget: s.budget})
 		}
 	}, func(i int, b *Batch) error {
-		p := parts[i]
-		if p.rest != nil {
-			p.rest = append(p.rest, b)
-		} else if took := p.heap.offer(b); took < b.Len() {
-			p.rest = append(p.rest, b.window(took, b.Len()))
-		}
+		heaps[i].offer(b)
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	var lists []*Batch
 	var seen int64
-	degraded := false
-	for _, p := range parts {
-		seen += p.heap.seen
-		if l := p.heap.kept(schema); l != nil {
+	failed := false
+	for _, h := range heaps {
+		seen += h.seen
+		if l := h.kept(schema); l != nil {
 			lists = append(lists, l)
 		}
-		lists = append(lists, p.rest...)
-		degraded = degraded || p.rest != nil
-		// The kept rows hand over to the final sort, which reserves what
-		// it holds itself.
-		s.budget.Release(p.heap.reserved)
+		failed = failed || h.fallback != nil
+		// The heaps' reservations end here, before a fallback's meter
+		// reserves as the budgeted sort would have.
+		s.budget.Release(h.reserved)
+	}
+	rows := int(seen)
+	if failed {
+		var sizes []int
+		for _, h := range heaps {
+			sizes = append(sizes, h.sortSizes()...)
+		}
+		s.meterRuns(len(sizes), func(lo, hi int) int {
+			total := 0
+			for _, b := range sizes[lo:hi] {
+				total += b
+			}
+			return total
+		})
+		rows = len(sizes)
 	}
 	cols, n := concatCols(schema, lists)
-	var perm []int32
-	if degraded {
-		perm, err = s.externalSort(cols, n)
-	} else {
-		err = s.disp.Run(int(seen), func() error {
-			perm, _ = sortPerm(cols, s.keys, 0, n)
-			return nil
-		})
-	}
-	if err != nil {
-		return err
-	}
-	perm = perm[:min(s.limit, n)]
-	if s.arrival {
-		slices.Sort(perm)
-	}
-	s.emit(schema, cols, perm)
-	return nil
+	return s.sort(cols, n, rows)
 }

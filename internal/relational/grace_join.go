@@ -97,9 +97,6 @@ func (c *joinCore) buildGrace() {
 		idxs[i] = int32(i)
 	}
 	c.grace = c.splitGrace(idxs, 0)
-	if !c.prebuilt {
-		c.tab.ix.add(&c.tab.cols[c.tab.keyCol])
-	}
 }
 
 // splitGrace hash-partitions idxs into fanout buckets. Each bucket tries
@@ -159,36 +156,49 @@ func (c *joinCore) routeLeaf(col *Vector, r int) *graceLeaf {
 	}
 }
 
-// graceProbe drains this stream's whole probe partition, routing each row
-// through the partition tree to size the probe partitions written out
-// beside spilled build leaves, then prices every visited leaf's pass
-// (write + read-back of its probe rows, read-back of its build rows).
-// Every build row of a key sits in one leaf and the host keeps the one
-// joinIndex over all of them, so the leaf-at-a-time passes produce, once
-// reassembled in arrival order, exactly what probing batch by batch
-// produces — which is what runs. The drain happens strictly below any
-// Exchange above this operator (one synchronous pull per stream), so
-// buffering the stream here cannot deadlock the batch pipeline.
-func (j *BatchHashJoin) graceProbe() error {
+// graceProbe drains this stream's whole probe partition, routing each
+// selected row, where it lies, through the partition tree to size the
+// probe partitions written out beside spilled build leaves, then prices
+// every visited leaf's pass (write + read-back of its probe rows,
+// read-back of its build rows). Every build row of a key sits in one leaf
+// and the host keeps the one joinIndex over all of them, so the
+// leaf-at-a-time passes produce, once reassembled in arrival order,
+// exactly what probing batch by batch produces — which is what runs. The
+// drain happens strictly below any Exchange above this operator (one
+// synchronous pull per stream), so buffering the stream here cannot
+// deadlock the batch pipeline.
+//
+// The probe drains before it emits because the price is per stream: each
+// (probe stream, spilled leaf) pair is charged once. A streamed probe
+// let the Exchange spread morsels over more streams — 48–54 write
+// charges per join became 72 — and raised olap_dist_allon's
+// relational.spill_model_ms_per_op from 16.06 to 17.45 in 4 of 4 pairs,
+// while slowing the budgeted join rung by about 10% on 2 vCPUs. Streaming
+// waits for probe partitions charged per operator rather than per stream.
+func (j *BatchHashJoin) graceProbe() ([]*Batch, error) {
 	c := j.core
 	bufBytes := make([]int64, len(c.leaves))
+	var out []*Batch
 	for {
 		b, err := j.probe.NextBatch()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if b == nil {
 			break
 		}
-		b = b.Dense()
 		pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
-		for r, n := 0, b.Len(); r < n; r++ {
+		for i, n := 0, b.Len(); i < n; i++ {
+			r := i // the vectors' row
+			if b.Sel != nil {
+				r = int(b.Sel[i])
+			}
 			if l := c.routeLeaf(pc, r); l != nil {
 				bufBytes[l.id] += int64(sizer.Bytes(r))
 			}
 		}
-		if out := j.joinBatch(b); out != nil {
-			j.graceOut = append(j.graceOut, out)
+		if o := j.joinBatch(b); o != nil {
+			out = append(out, o)
 		}
 	}
 	for li, l := range c.leaves {
@@ -198,5 +208,5 @@ func (j *BatchHashJoin) graceProbe() error {
 			c.meter.chargeRead(l.bytes)
 		}
 	}
-	return nil
+	return out, nil
 }

@@ -33,6 +33,11 @@ type OpStats struct {
 	// the modeled out-of-core activity (partitions evicted, bytes and
 	// seconds across the tier boundary). Nil when nothing spilled.
 	Spill *SpillStats
+	// BuildNs is the host nanoseconds the operator spent building state
+	// before its first output batch, summed over its partitions: a sort's,
+	// top-k's or group-by's input, a join's table and a grace probe's
+	// drain. 0 for streaming operators (scan, filter, project, limit).
+	BuildNs int64
 }
 
 // Predicate decides whether a row passes a filter.

@@ -494,10 +494,10 @@ func (p *PartialAgg) seqOrder() []int32 {
 		return nil
 	}
 	tags := p.cols[len(p.groupCols)+1 : len(p.groupCols)+3]
-	perm, enc := sortPerm(tags, []SortKey{{Col: 0}}, 0, len(seq))
+	perm, enc := sortPerm(tags, []SortKey{{Col: 0}}, len(seq))
 	for g := 1; g < len(enc); g++ {
 		if enc[g-1] == enc[g] {
-			perm, _ = sortPerm(tags, []SortKey{{Col: 0}, {Col: 1}}, 0, len(seq))
+			perm, _ = sortPerm(tags, []SortKey{{Col: 0}, {Col: 1}}, len(seq))
 			break
 		}
 	}
@@ -627,11 +627,12 @@ func (p *PartialAgg) EncodedBytes() float64 {
 	if n == 0 {
 		return 0
 	}
-	total := colsBytes(p.keys(), n) + float64(n*len(p.aggs))*aggStateBytes
+	total := NewRowSizer(p.keys()).RangeBytes(0, n) + n*len(p.aggs)*aggStateBytes
 	for _, sl := range p.slots {
 		if sl.kind == aggMinMax && p.cols[sl.at].T == String {
-			total += vectorBytes(&p.cols[sl.at]) + vectorBytes(&p.cols[sl.at+1]) - 16*float64(n)
+			// Two strings in place of the 16 bytes aggStateBytes counts.
+			total += NewRowSizer(p.cols[sl.at:sl.at+2]).RangeBytes(0, n) - (rowOverheadBytes+16)*n
 		}
 	}
-	return total
+	return float64(total)
 }

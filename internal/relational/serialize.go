@@ -27,44 +27,32 @@ func (r Row) EncodedBytes() float64 {
 	return total
 }
 
-// vectorBytes returns the serialized size of a column's cells: 8 bytes
-// per numeric, length-prefixed strings — decoded ones, for a coded column.
-func vectorBytes(v *Vector) float64 {
-	if v.T != String {
-		return 8 * float64(v.Len())
-	}
-	total := 0.0
-	for i := range v.Len() {
-		total += float64(4 + len(v.Str(i)))
-	}
-	return total
-}
-
-// colsBytes returns the serialized size of n rows held as columns,
-// computed column-wise so numeric columns cost one multiply.
-func colsBytes(cols []Vector, n int) float64 {
-	total := float64(rowOverheadBytes * n)
-	for c := range cols {
-		total += vectorBytes(&cols[c])
-	}
-	return total
-}
-
 // EncodedBytes returns the serialized size of the batch's rows (the
-// selected ones of a selected batch).
+// selected ones of a selected batch, counted where they lie).
 func (b *Batch) EncodedBytes() float64 {
-	d := b.Dense()
-	return colsBytes(d.Cols, d.n)
+	z := NewRowSizer(b.Cols)
+	if b.Sel == nil {
+		return float64(z.RangeBytes(0, b.n))
+	}
+	total := 0
+	for _, r := range b.Sel {
+		total += z.Bytes(int(r))
+	}
+	return float64(total)
 }
 
 // EncodedBytes returns the serialized size of the whole relation, from
 // its vectors (so it reads, and freezes, a row-built relation's image).
-func (r *Relation) EncodedBytes() float64 { return colsBytes(r.Columnar(), r.Len()) }
+func (r *Relation) EncodedBytes() float64 {
+	return float64(NewRowSizer(r.Columnar()).RangeBytes(0, r.Len()))
+}
 
 // RowSizer prices rows held as columns without boxing them: Bytes(r) is
-// Row.EncodedBytes of row r, as an integer. The numeric cells, string
-// length prefixes and row framing fold into one constant; only string
-// payloads are read per row, decoded from a coded column's dictionary.
+// Row.EncodedBytes of row r, as an integer. It is the one sizing rule for
+// columns: batches, relations, partials, build tables, sort runs and the
+// top-k heap all count bytes through it. The numeric cells, string length
+// prefixes and row framing fold into one constant; only string payloads
+// are read per row, decoded from a coded column's dictionary.
 type RowSizer struct {
 	fixed int
 	strs  []Vector

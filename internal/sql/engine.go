@@ -81,13 +81,17 @@ type Config struct {
 	// Sessions may override it per query stream (Session.Placement).
 	Placement string
 	// MemoryBudget caps the bytes of operator state (hash-join build
-	// tables, partial-aggregate maps, sort runs) a query may hold
-	// resident at once. It is a meter: every operator runs its in-memory
-	// algorithm, and when a reservation would exceed the budget the
-	// state that did not fit is priced as written to the SpillTier and
-	// read back (grace hash partitions for joins, key partitions of a
-	// spilled generation for aggregates, runs for sorts), the modeled
-	// tier I/O charged into OpStats.Spill and Result.Spill. Like Devices,
+	// tables, partial-aggregate maps, sort runs, top-k heaps) a query may
+	// hold resident at once. It is a meter: every operator runs its
+	// in-memory algorithm, and when a reservation would exceed the budget
+	// the state that did not fit is priced as written to the SpillTier
+	// and read back (grace hash partitions for joins, key partitions of a
+	// spilled generation for aggregates, runs for sorts and for a top-k
+	// whose heap could not be reserved), the modeled tier I/O charged
+	// into OpStats.Spill and Result.Spill. A budget never changes an
+	// operator's algorithm; only a grace-priced join's probe drains its
+	// stream before emitting, as its probe partitions are priced per
+	// stream. Like Devices,
 	// the budget models cost without changing semantics: results are
 	// bit-identical at every budget, float sums included, and 0 (the
 	// default) is the unbudgeted engine,

@@ -135,7 +135,11 @@ func selDims() []*relational.Relation {
 // BY, a GROUP BY … ORDER BY … LIMIT, or an ORDER BY … LIMIT over NaN
 // Float keys — answer on every batch configuration what the row engine
 // answers: the same rows, Floats bit-equal, and a failure where it fails.
-// Every WHERE hands the operators above it selected batches.
+// Every WHERE hands the operators above it selected batches. Beside the
+// 2% budget, budgets of 48 and 256 bytes (shapes budget48/budget256, so
+// `-run 'SelectedBenchShapedParity/budget'` runs the budgeted ones) hold
+// a row or a few: the top-k's heap reservation fails, and the join's
+// grace pricing recurses to its depth cap.
 func TestSelectedBenchShapedParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(40, 1))
 	var stmts []string
@@ -156,24 +160,33 @@ func TestSelectedBenchShapedParity(t *testing.T) {
 	}
 	rels := append([]*relational.Relation{exprTable("t", 3000)}, selDims()...)
 	want, wantErrs := oracleRun(t, rels, stmts, nil)
-	failed := 0
-	for _, shape := range oracleShapes(int64(0.02 * rels[0].EncodedBytes())) {
-		got, errs := oracleRun(t, rels, stmts, shape.mutate)
-		for i, q := range stmts {
-			label := shape.name + ": " + q
-			switch {
-			case (errs[i] == nil) != (wantErrs[i] == nil):
-				t.Fatalf("%s: error %v, row engine %v", label, errs[i], wantErrs[i])
-			case errs[i] == nil:
-				requireSameCells(t, label, want[i], got[i])
-			case shape.name == "workers1" && errs[i].Error() != wantErrs[i].Error():
-				t.Fatalf("%s: error %v, row engine %v", label, errs[i], wantErrs[i])
-			default:
-				failed++
-			}
-		}
+	shapes := oracleShapes(int64(0.02 * rels[0].EncodedBytes()))
+	for _, budget := range []int64{48, 256} {
+		shapes = append(shapes, oracleShape{fmt.Sprintf("budget%d", budget), func(c *Config) {
+			c.Workers, c.MemoryBudget, c.SpillTier = 2, budget, "ssd"
+		}})
 	}
-	if failed == 0 || failed == len(stmts)*5 {
-		t.Fatalf("%d of %d runs failed: the statements exercise one outcome only", failed, len(stmts)*5)
+	failed, runs := 0, 0
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			got, errs := oracleRun(t, rels, stmts, shape.mutate)
+			for i, q := range stmts {
+				label := shape.name + ": " + q
+				switch {
+				case (errs[i] == nil) != (wantErrs[i] == nil):
+					t.Fatalf("%s: error %v, row engine %v", label, errs[i], wantErrs[i])
+				case errs[i] == nil:
+					requireSameCells(t, label, want[i], got[i])
+				case shape.name == "workers1" && errs[i].Error() != wantErrs[i].Error():
+					t.Fatalf("%s: error %v, row engine %v", label, errs[i], wantErrs[i])
+				default:
+					failed++
+				}
+			}
+			runs += len(stmts)
+		})
+	}
+	if runs > 0 && (failed == 0 || failed == runs) {
+		t.Fatalf("%d of %d runs failed: the statements exercise one outcome only", failed, runs)
 	}
 }
