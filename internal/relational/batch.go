@@ -526,27 +526,49 @@ func eachBatch(op BatchOp, workers int, parts func(n int), fn func(part int, b *
 	ps := partitionOrSelf(op, workers, true)
 	parts(len(ps))
 	stop := NewCancelToken()
+	return parallel(len(ps), stop, func(i int) error {
+		return drain(ps[i], nil, false, stop, func(b *Batch) error { return fn(i, b) })
+	})
+}
+
+// parallel runs fn(0) … fn(n-1) on n goroutines and waits for them. The
+// first error trips stop, which the others poll to give up early, and is
+// returned (so is a cause stop was tripped with before).
+func parallel(n int, stop *CancelToken, fn func(i int) error) error {
 	var wg sync.WaitGroup
-	for i, part := range ps {
+	for i := range n {
 		wg.Add(1)
-		go func(i int, part BatchOp) {
+		go func() {
 			defer wg.Done()
-			for !stop.Cancelled() {
-				b, err := part.NextBatch()
-				if err == nil && b != nil {
-					err = fn(i, b)
-				}
-				if err != nil {
-					stop.Cancel(err)
-				}
-				if err != nil || b == nil {
-					return
-				}
+			if err := fn(i); err != nil {
+				stop.Cancel(err)
 			}
-		}(i, part)
+		}()
 	}
 	wg.Wait()
 	return stop.Err()
+}
+
+// drain hands fn every batch of the stream op, in order, until the
+// stream ends or fails, fn fails, or stop trips. When pulled is set the
+// stream's first batch was taken already: head, nil if the stream was
+// empty.
+func drain(op BatchOp, head *Batch, pulled bool, stop *CancelToken, fn func(b *Batch) error) error {
+	for b := head; !stop.Cancelled(); pulled = false {
+		if !pulled {
+			var err error
+			if b, err = op.NextBatch(); err != nil {
+				return err
+			}
+		}
+		if b == nil {
+			return nil
+		}
+		if err := fn(b); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // drainCols materializes op as whole columns in serial order: static

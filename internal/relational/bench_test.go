@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 // Operator-rung benchmarks: each pipeline breaker alone over 2^18 rows,
@@ -84,7 +86,21 @@ var benchWideTables = sync.OnceValues(func() (fact, dim *Relation) {
 	return spreadTables(func(cust int64) int64 { return cust * 16 })
 })
 
+// BenchmarkBatchGroupAgg50kGroups draws its keys uniformly: ~50k groups,
+// nearly every one in both workers' halves.
 func BenchmarkBatchGroupAgg50kGroups(b *testing.B) { benchGroupAgg(b, benchTables, 2) }
+
+// benchZipfTables is benchTables with the cust keys drawn from Zipf(0.9)
+// over 50k keys — the skew of the demo sales.customer_id — instead of
+// uniformly: ~39k groups, the hot ones in every morsel.
+var benchZipfTables = sync.OnceValues(func() (fact, dim *Relation) {
+	z := sim.NewZipf(sim.NewRNG(1), 0.9, 50000)
+	return spreadTables(func(int64) int64 { return int64(z.Next()) })
+})
+
+// BenchmarkBatchGroupAggZipf is the operator under the benchmark's
+// groupby class: 2^18 rows over Zipf-skewed keys, two workers.
+func BenchmarkBatchGroupAggZipf(b *testing.B) { benchGroupAgg(b, benchZipfTables, 2) }
 
 func BenchmarkBatchGroupAggSparseKeys(b *testing.B) { benchGroupAgg(b, benchSparseTables, 2) }
 

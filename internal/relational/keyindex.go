@@ -135,6 +135,13 @@ func (t *intTable) reserve(n int) {
 	}
 }
 
+// reserveHashed lays an empty table out hashed for n keys: the layout
+// for keys too sparse over their span for any direct window.
+func (t *intTable) reserveHashed(n int) {
+	t.room = max(t.room, n)
+	t.lay(hashSlots(t.room), 0, true)
+}
+
 // reserveSpan sizes the table for n keys known to lie in [lo, hi]: a
 // direct table covering them already stays as it is; otherwise the
 // table re-lays itself out for them and the keys held.

@@ -1,18 +1,24 @@
 package relational
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // PartialAgg is one participant's share of a grouped aggregation: groups
 // get dense ids in first-seen order, everything known about them lives in
 // typed vectors indexed by id (struct-of-arrays), and a typed keyIndex
 // finds a row's id — so a batch folds in column-at-a-time without a Value
-// or Row per input row. Both parallelism layers use it — the
-// morsel-parallel BatchGroupAgg merges per-worker partials in partition
-// order, and the distributed engine ships per-shard partials to the
-// coordinator and merges them in global first-seen (seq) order, so the
-// distributed group emission order is row-for-row identical to the
-// single-node engine's. Group state is value-typed, so MergeFrom copies:
-// a partial may be merged into any number of accumulators.
+// or Row per input row. Both parallelism layers use it. The
+// morsel-parallel BatchGroupAgg either folds each key partition whole
+// into one partial — every group built once, its rows in serial order,
+// tagged with the global ordinal of its first row — or, when there are
+// few groups, merges per-worker partials in partition order. The
+// distributed engine ships per-shard partials to the coordinator and
+// merges them in global first-seen (seq) order, so the distributed group
+// emission order is row-for-row identical to the single-node engine's.
+// Group state is value-typed, so MergeFrom copies: a partial may be
+// merged into any number of accumulators.
 type PartialAgg struct {
 	groupCols []int
 	aggs      []AggSpec
@@ -36,7 +42,8 @@ type PartialAgg struct {
 
 	ord int64 // arrival counter (rows observed)
 
-	gids []int32 // per-batch scratch: each row's group id (SpillableAgg meters it)
+	gids []int32  // per-batch scratch: each row's group id (SpillableAgg meters it)
+	kc   []Vector // per-batch scratch: the batch's key columns, cleared after
 }
 
 // aggSlot locates one aggregate's state in cols. SUM keeps one vector at
@@ -115,6 +122,31 @@ func (p *PartialAgg) setTypes(in []Vector) error {
 	return nil
 }
 
+// presize types an empty partial from the input columns and makes room
+// for n groups (none when n <= 0) in its state vectors and its index.
+// span, when non-nil, bounds the values of one Int key column: the index
+// takes the layout for n keys over it at once — a direct window when it
+// fits, hashed otherwise — instead of widening windows key by key. One
+// Int key without a span, or one Float key, lays out hashed.
+func (p *PartialAgg) presize(in []Vector, n int, span *[2]int64) error {
+	if err := p.setTypes(in); err != nil {
+		return err
+	}
+	n = max(n, 0)
+	switch kc := p.keys(); {
+	case len(kc) == 1 && kc[0].T == Int && span != nil:
+		p.index.ints.reserveSpan(n, span[0], span[1])
+	case len(kc) == 1 && kc[0].T != String:
+		p.index.ints.reserveHashed(n)
+	case n > 0:
+		p.index.reserve(kc, n)
+	}
+	if n > 0 {
+		p.reserve(n)
+	}
+	return nil
+}
+
 // emptyLike returns an empty partial laid out and typed like p.
 func (p *PartialAgg) emptyLike() *PartialAgg {
 	q := NewPartialAgg(p.groupCols, p.aggs)
@@ -163,27 +195,36 @@ func (p *PartialAgg) appendGroup(o *PartialAgg, i int) {
 // column carrying each row's global sequence tag (used for first-seen
 // ordering across partials); seqCol < 0 falls back to the arrival ordinal,
 // which reproduces first-seen order within this partial alone. A selected
-// batch folds its selected rows in place, unless a MIN or MAX is among
-// the aggregates: that batch is gathered first (Dense).
+// batch folds its selected rows in place.
 func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
+	return p.observe(b, b.Sel, seqCol, p.ord)
+}
+
+// observe folds the rows sel picks of b's vectors (every row when sel is
+// nil), in order, and leaves each one's group id in gids. sel is b's own
+// selection or a subset of it — the rows a key partition owns. b's Len
+// rows arrive from ordinal first on, so a row's ordinal is first plus its
+// place among them, and a group's firstOrd is its first row's.
+func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) error {
 	if p.cols == nil {
 		if err := p.setTypes(b.Cols); err != nil {
 			return err
 		}
 	}
-	if b.Sel != nil && p.hasExtremes() {
-		b = b.Dense()
+	n := b.n
+	if sel != nil {
+		n = len(sel)
 	}
-	sel := b.Sel
-	n := b.Len()
 	if cap(p.gids) < n {
 		p.gids = make([]int32, n)
 	}
 	gids := p.gids[:n]
-	kc := make([]Vector, len(p.groupCols))
-	for i, c := range p.groupCols {
-		kc[i] = b.Cols[c]
+	p.gids = gids
+	kc := p.kc[:0]
+	for _, c := range p.groupCols {
+		kc = append(kc, b.Cols[c])
 	}
+	p.kc = kc
 	p.ensureIndexed()
 
 	// Pass 1: every row's dense group id, creating groups in row order —
@@ -192,21 +233,29 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 	case len(kc) == 0:
 		if p.Groups() == 0 {
 			p.index.getOrPut(kc, 0, 0)
-			p.newGroup(b, kc, 0, seqCol)
+			r := 0
+			if len(sel) > 0 {
+				r = int(sel[0])
+			}
+			p.newGroup(b, kc, r, first, seqCol)
 		}
 		clear(gids)
 	case sel != nil:
+		next := int32(p.Groups()) // the id a new group takes
 		for i, r := range sel {
-			g, fresh := p.index.getOrPut(kc, int(r), int32(len(p.count())))
+			g, fresh := p.index.getOrPut(kc, int(r), next)
 			if gids[i] = g; fresh {
-				p.newGroup(b, kc, i, seqCol)
+				p.newGroup(b, kc, int(r), first, seqCol)
+				next++
 			}
 		}
 	default:
+		next := int32(p.Groups())
 		for r := range gids {
-			g, fresh := p.index.getOrPut(kc, r, int32(len(p.count())))
+			g, fresh := p.index.getOrPut(kc, r, next)
 			if gids[r] = g; fresh {
-				p.newGroup(b, kc, r, seqCol)
+				p.newGroup(b, kc, r, first, seqCol)
+				next++
 			}
 		}
 	}
@@ -225,7 +274,7 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 		col, st := &b.Cols[p.aggs[i].Col], &p.cols[sl.at]
 		switch {
 		case sl.kind == aggMinMax:
-			observeExtremes(st, &p.cols[sl.at+1], col, gids)
+			observeExtremes(st, &p.cols[sl.at+1], col, gids, sel)
 		case sel != nil:
 			sumSelected(st, col, gids, sel)
 		case st.T == Int:
@@ -243,6 +292,7 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 		}
 	}
 	p.ord += int64(n)
+	clear(kc) // pins no batch
 	return nil
 }
 
@@ -265,25 +315,17 @@ func sumSelected(st, col *Vector, gids, sel []int32) {
 	}
 }
 
-// hasExtremes reports whether a MIN or MAX is among the aggregates.
-func (p *PartialAgg) hasExtremes() bool {
-	for _, sl := range p.slots {
-		if sl.kind == aggMinMax {
-			return true
-		}
-	}
-	return false
-}
-
-// newGroup appends the group first seen at row i of b's Len rows (already
-// entered in the index): zero count and sums, and the row itself as both
-// extremes.
-func (p *PartialAgg) newGroup(b *Batch, kc []Vector, i, seqCol int) {
+// newGroup appends the group first seen at vector position r of b
+// (already entered in the index), whose Len rows arrive from ordinal
+// first on: zero count and sums, and the row itself as both extremes.
+// A selected batch's rows are its ascending Sel, so r's place among them
+// is a binary search.
+func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r int, first int64, seqCol int) {
 	p.reserve(1)
-	ord := p.ord + int64(i)
-	r := i // the vectors' row
-	if i < len(b.Sel) {
-		r = int(b.Sel[i])
+	ord := first + int64(r)
+	if b.Sel != nil {
+		i, _ := slices.BinarySearch(b.Sel, int32(r))
+		ord = first + int64(i)
 	}
 	seq := ord
 	if seqCol >= 0 {
@@ -308,32 +350,46 @@ func (p *PartialAgg) newGroup(b *Batch, kc []Vector, i, seqCol int) {
 	p.indexed++
 }
 
-// observeExtremes folds a column into the per-group MIN and MAX.
-func observeExtremes(lo, hi, col *Vector, gids []int32) {
+// observeExtremes folds a column into the per-group MIN and MAX: row i
+// of gids reads col at sel[i], or at i when sel is nil.
+func observeExtremes(lo, hi, col *Vector, gids, sel []int32) {
 	switch col.T {
 	case Int:
-		for r, g := range gids {
-			if v := col.Ints[r]; v < lo.Ints[g] {
-				lo.Ints[g] = v
-			} else if v > hi.Ints[g] {
-				hi.Ints[g] = v
-			}
-		}
+		extremes(lo.Ints, hi.Ints, col.Ints, gids, sel)
 	case Float:
-		for r, g := range gids {
-			if v := col.Floats[r]; v < lo.Floats[g] {
-				lo.Floats[g] = v
-			} else if v > hi.Floats[g] {
-				hi.Floats[g] = v
-			}
-		}
+		extremes(lo.Floats, hi.Floats, col.Floats, gids, sel)
 	default:
-		for r, g := range gids {
+		for i, g := range gids {
+			r := i
+			if sel != nil {
+				r = int(sel[i])
+			}
 			if v := col.Str(r); v < lo.Str(int(g)) {
 				lo.setCell(int(g), col, r)
 			} else if v > hi.Str(int(g)) {
 				hi.setCell(int(g), col, r)
 			}
+		}
+	}
+}
+
+// extremes is observeExtremes over one numeric payload.
+func extremes[T int64 | float64](lo, hi, col []T, gids, sel []int32) {
+	if sel == nil {
+		for r, g := range gids {
+			if v := col[r]; v < lo[g] {
+				lo[g] = v
+			} else if v > hi[g] {
+				hi[g] = v
+			}
+		}
+		return
+	}
+	for i, g := range gids {
+		if v := col[sel[i]]; v < lo[g] {
+			lo[g] = v
+		} else if v > hi[g] {
+			hi[g] = v
 		}
 	}
 }

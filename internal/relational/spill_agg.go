@@ -43,14 +43,20 @@ func NewSpillableAgg(groupCols []int, aggs []AggSpec, budget *MemoryBudget, mete
 // groups the current generation sees for the first time; when the
 // generation's growth no longer fits the budget, it spills.
 func (s *SpillableAgg) ObserveBatch(b *Batch, seqCol int) error {
-	if err := s.p.ObserveBatch(b, seqCol); err != nil {
+	return s.observe(b, b.Sel, seqCol, s.p.ord)
+}
+
+// observe is ObserveBatch over the rows sel picks, as PartialAgg.observe
+// takes them.
+func (s *SpillableAgg) observe(b *Batch, sel []int32, seqCol int, first int64) error {
+	if err := s.p.observe(b, sel, seqCol, first); err != nil {
 		return err
 	}
 	if s.budget == nil || len(s.p.groupCols) == 0 {
 		return nil
 	}
 	sizer, per := NewRowSizer(s.p.keys()), len(s.p.aggs)*aggStateBytes
-	for _, g := range s.p.gids[:b.Len()] {
+	for _, g := range s.p.gids {
 		if int(g) == len(s.stamp) {
 			s.stamp = append(s.stamp, s.gen)
 		} else if s.stamp[g] != s.gen {

@@ -25,7 +25,11 @@ var classStatements = []struct{ name, sql string }{
 // recorded on the row-boxing operators before the typed batch path
 // replaced them. Fingerprint renders floats exactly, so these hold only
 // while the static-partition fold order — and with it every float sum —
-// stays bit-identical for a given worker count.
+// stays bit-identical for a given worker count. The groupby class has
+// many groups, so its aggregate folds by key partition, every group's
+// rows in serial order: its fingerprint is the one-worker one at every
+// worker count. The join class (five groups) pre-aggregates per worker,
+// and its float sums round per worker count.
 var classGoldens = map[int]map[string]string{
 	1: {
 		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
@@ -36,13 +40,13 @@ var classGoldens = map[int]map[string]string{
 	2: {
 		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
 		"join":    "13eb0d9164b09e451846088b4d218e0c97d3f5fb4aa6fca77ee24e41d8d03b96",
-		"groupby": "941999e1f28535b3899b3f5721b2850aece0bb762c773aa476d701230d55de3c",
+		"groupby": "69660aabd7a953052b72c593a220f7b700cc9fc09d9833c7655c5a79566f2a29",
 		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
 	},
 	4: {
 		"scan":    "0afed3c5c7a01e5384582f676a47c9614534b92ff8e3a4b06d39411b05b2d476",
 		"join":    "42ed761e8139206fc3efc44053782154868cc340ec44e2ce9df1b7d008d748c3",
-		"groupby": "3d53c393ec4f241ca8ce1e5f5106bc0ef887a9ef6a25f0901b3578a46b625bc5",
+		"groupby": "69660aabd7a953052b72c593a220f7b700cc9fc09d9833c7655c5a79566f2a29",
 		"topk":    "035477d44830627fda12820c69e5711abbbe69ee9f7e19616ea6ecfba2a0d9ec",
 	},
 }

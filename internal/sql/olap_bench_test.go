@@ -17,7 +17,9 @@ var olapClasses = []struct{ name, sql string }{
 // benchmark's olap workloads: its four class statements over 2^18 sales
 // rows × 50k customers through a prepared, warmed Stmt, on the local
 // engine and on 4 range-placed shards of a leaf-spine fabric. ms/op and
-// B/op per class are the numbers:
+// B/op per class are the numbers, and agg_build_ms/op is the host time
+// the class's aggregate spent building its groups (OpStats.BuildNs of the
+// "agg" operator; classes without a GROUP BY report none):
 //
 //	go test -run '^$' -bench OlapClasses -benchtime 40x -cpu 2 ./internal/sql
 func BenchmarkOlapClasses(b *testing.B) {
@@ -46,6 +48,8 @@ func BenchmarkOlapClasses(b *testing.B) {
 					}
 				}
 				b.ReportAllocs()
+				var aggNs int64
+				agg := false
 				for b.Loop() {
 					res, err := stmt.Exec(context.Background())
 					if err != nil {
@@ -54,6 +58,11 @@ func BenchmarkOlapClasses(b *testing.B) {
 					if res.Rows.Len() == 0 {
 						b.Fatal("the statement returned no rows")
 					}
+					st, ok := res.Ops["agg"]
+					aggNs, agg = aggNs+st.BuildNs, ok
+				}
+				if agg {
+					b.ReportMetric(float64(aggNs)/1e6/float64(b.N), "agg_build_ms/op")
 				}
 			})
 		}

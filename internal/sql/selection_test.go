@@ -139,7 +139,12 @@ func selDims() []*relational.Relation {
 // 2% budget, budgets of 48 and 256 bytes (shapes budget48/budget256, so
 // `-run 'SelectedBenchShapedParity/budget'` runs the budgeted ones) hold
 // a row or a few: the top-k's heap reservation fails, and the join's
-// grace pricing recurses to its depth cap.
+// grace pricing recurses to its depth cap. The GROUP BY id statement has
+// a group per row or two (the fan join repeats some), so its aggregate
+// takes the key-partitioned path where the others pre-aggregate; with
+// shapes workers3 and workers4 beside workers1 and workers2, `-run
+// 'SelectedBenchShapedParity/workers'` holds both paths at every worker
+// count to the row engine, Float sums and extremes bit for bit.
 func TestSelectedBenchShapedParity(t *testing.T) {
 	rng := rand.New(rand.NewPCG(40, 1))
 	var stmts []string
@@ -156,7 +161,8 @@ func TestSelectedBenchShapedParity(t *testing.T) {
 			"SELECT fseg, COUNT(*) AS n, SUM(e) AS se FROM t JOIN fan ON t.i = fan.fk WHERE "+where+" GROUP BY fseg ORDER BY fseg",
 			"SELECT s, COUNT(*) AS n, SUM("+g.gen(tInt, 2)+") AS x FROM t WHERE "+where+" GROUP BY s ORDER BY x DESC, s LIMIT 3",
 			"SELECT id, f, "+g.gen(tFloat, 2)+" AS b FROM t WHERE "+where+" ORDER BY b DESC, f, id LIMIT 17",
-			"SELECT id, g, p FROM t WHERE "+where+" ORDER BY g, id LIMIT 9")
+			"SELECT id, g, p FROM t WHERE "+where+" ORDER BY g, id LIMIT 9",
+			"SELECT id, COUNT(*) AS n, SUM("+g.gen(tFloat, 2)+") AS x, MIN(f) AS lo, MAX(p) AS hi FROM t JOIN fan ON t.i = fan.fk WHERE "+where+" GROUP BY id")
 	}
 	rels := append([]*relational.Relation{exprTable("t", 3000)}, selDims()...)
 	want, wantErrs := oracleRun(t, rels, stmts, nil)
@@ -165,6 +171,9 @@ func TestSelectedBenchShapedParity(t *testing.T) {
 		shapes = append(shapes, oracleShape{fmt.Sprintf("budget%d", budget), func(c *Config) {
 			c.Workers, c.MemoryBudget, c.SpillTier = 2, budget, "ssd"
 		}})
+	}
+	for _, workers := range []int{3, 4} {
+		shapes = append(shapes, oracleShape{fmt.Sprintf("workers%d", workers), func(c *Config) { c.Workers = workers }})
 	}
 	failed, runs := 0, 0
 	for _, shape := range shapes {

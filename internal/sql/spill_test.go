@@ -188,6 +188,36 @@ func TestSpillFloatAggregatesExact(t *testing.T) {
 	}
 }
 
+// TestGroupedFloatSumsWorkerIndependent: a GROUP BY with many groups
+// folds each group's rows in serial order whatever the worker count (the
+// aggregate scatters rows to key partitions and folds each partition
+// whole), so a Float SUM and AVG over 10k groups at 1, 2, 3 and 4
+// workers, with no budget and at 2% of the working set, equal the
+// one-worker engine's cells bit for bit — compared with
+// reflect.DeepEqual, no float tolerance.
+func TestGroupedFloatSumsWorkerIndependent(t *testing.T) {
+	const q = "SELECT customer_id, SUM(price) AS revenue, AVG(discount) AS disc, COUNT(*) AS n FROM sales GROUP BY customer_id"
+	sales, _ := spillEngine(t, 0, nil).Table("sales")
+	twoPct := int64(sales.EncodedBytes() * 0.02)
+	want := querySpill(t, spillEngine(t, 0, func(cfg *Config) { cfg.Workers = 1 }), q).Rows.RowView()
+	for _, budget := range []int64{0, twoPct} {
+		for workers := 1; workers <= 4; workers++ {
+			res := querySpill(t, spillEngine(t, budget, func(cfg *Config) { cfg.Workers = workers }), q)
+			if got := res.Rows.RowView(); !reflect.DeepEqual(want, got) {
+				for i := range min(len(want), len(got)) {
+					if !reflect.DeepEqual(want[i], got[i]) {
+						t.Fatalf("workers=%d budget=%d: row %d is %v, one worker %v", workers, budget, i, got[i], want[i])
+					}
+				}
+				t.Fatalf("workers=%d budget=%d: %d rows, one worker %d", workers, budget, len(got), len(want))
+			}
+			if budget > 0 && !res.Spill.Active() {
+				t.Fatalf("workers=%d: a 2%% budget never spilled: %+v", workers, res.Spill)
+			}
+		}
+	}
+}
+
 // TestSpillDistributedStats: the distributed path folds modeled tier
 // I/O into QueryStats.SpillSeconds so storage time reads beside network
 // time, and per-shard budgets fork from one query budget (shards spill
@@ -398,8 +428,9 @@ func TestSpillAccountingPinned(t *testing.T) {
 // reserves the k rows it keeps, not its input. When they fit, the sort
 // spills nothing — on the single-node engine and, with a shard-local
 // top-k below the gather, on the distributed one — and when they do not
-// (a budget smaller than k rows) the operator degrades to the external
-// sort. The rows are the serial oracle's either way.
+// (a budget smaller than k rows) the top-k keeps its heap and only prices
+// the external sort its rows would have taken (BatchSort.meterRuns). The
+// rows are the serial oracle's either way.
 func TestBudgetedTopKReservesOnlyKRows(t *testing.T) {
 	const q = "SELECT order_id, product, quantity FROM sales ORDER BY quantity DESC, order_id LIMIT 25"
 	want := querySpill(t, spillEngine(t, 0, func(cfg *Config) { cfg.Parallel = false }), q)
