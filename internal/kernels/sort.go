@@ -132,6 +132,14 @@ func OrderKeyFloat64(f float64) uint64 {
 	if f == 0 {
 		f = 0
 	}
+	return TotalOrderKeyFloat64(f)
+}
+
+// TotalOrderKeyFloat64 maps f to a uint64 whose unsigned order is IEEE
+// 754's totalOrder: OrderKeyFloat64's order with -0.0 below +0.0, and
+// NaNs of one sign ordered by payload, so no two distinct bit patterns
+// tie.
+func TotalOrderKeyFloat64(f float64) uint64 {
 	b := math.Float64bits(f)
 	if b>>63 != 0 {
 		return ^b

@@ -43,6 +43,7 @@ type BatchGroupAgg struct {
 	disp      *exec.Dispatcher
 	budget    *MemoryBudget
 	meter     *spillMeter
+	gj        *groupJoin // set by GroupJoin
 
 	q    outQueue
 	stat *opCount
@@ -95,6 +96,11 @@ const keyPartsPerWorker = 2
 // build pulls every partition's first batch, picks the path from the
 // first of them in serial order, and aggregates.
 func (g *BatchGroupAgg) build() ([]*Batch, error) {
+	if g.gj != nil {
+		if out, ok, err := g.gj.run(g); ok || err != nil {
+			return out, err
+		}
+	}
 	ps := partitionOrSelf(g.child, g.workers, true)
 	stop := NewCancelToken()
 	heads := make([]*Batch, len(ps))
@@ -151,12 +157,18 @@ func (g *BatchGroupAgg) preAggregated(ps []BatchOp, heads []*Batch, pulled bool,
 	if err != nil {
 		return nil, err
 	}
+	return g.emitMerged(sas), nil
+}
+
+// emitMerged merges the workers' partials in partition order and emits
+// the groups in that merge's first-seen order.
+func (g *BatchGroupAgg) emitMerged(sas []*SpillableAgg) []*Batch {
 	parts := make([]*PartialAgg, len(sas))
 	for i, sa := range sas {
 		parts[i] = sa.Finish()
 	}
 	cols, n := MergeAll(parts).EmitCols(g.schema, false)
-	return windowBatches(g.schema, cols, n), nil
+	return windowBatches(g.schema, cols, n)
 }
 
 // partitioned scatters every worker's rows by key, folds each key

@@ -69,10 +69,8 @@ type BatchHashJoin struct {
 	core  *joinCore
 	probe BatchOp
 
-	// Selection-vector scratch of this probe stream, reused per batch, and
-	// its translation of a coded probe key's codes.
-	bsel, psel []int32
-	codes      codeRefs
+	// buf is this probe stream's match scratch.
+	buf probeBuf
 
 	// q hands out this probe stream's output in grace mode (graceProbe).
 	q outQueue
@@ -158,29 +156,35 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 // nil when no probe row matches.
 func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 	c := j.core
-	j.bsel, j.psel = c.tab.ix.match(&b.Cols[c.probeCol], b.Sel, j.bsel[:0], j.psel[:0], &j.codes)
-	if len(j.bsel) == 0 {
+	c.tab.ix.match(&b.Cols[c.probeCol], b.Sel, &j.buf)
+	bsel, psel := j.buf.bsel, j.buf.psel
+	if len(bsel) == 0 {
 		return nil
 	}
-	unique := true
-	for i := 1; unique && i < len(j.psel); i++ {
-		unique = j.psel[i] > j.psel[i-1]
+	// A unique build key matches each probe row at most once; a repeated
+	// one may still do so within one batch.
+	unique := c.tab.ix.unique()
+	if !unique {
+		unique = true
+		for i := 1; unique && i < len(psel); i++ {
+			unique = psel[i] > psel[i-1]
+		}
 	}
-	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(j.bsel)}
+	out := &Batch{Schema: c.schema, Cols: make([]Vector, len(c.schema)), Seq: b.Seq, n: len(bsel)}
 	if unique {
 		out.n = b.n
 		switch {
-		case len(j.psel) == b.Len():
+		case len(psel) == b.Len():
 			out.Sel = b.Sel // every selected row matched: the same rows
 		default:
-			out.Sel = slices.Clone(j.psel)
+			out.Sel = slices.Clone(psel)
 		}
 	}
 	for col := range b.Cols {
 		if unique {
 			out.Cols[c.buildWidth+col] = b.Cols[col]
 		} else {
-			out.Cols[c.buildWidth+col] = GatherVector(&b.Cols[col], j.psel)
+			out.Cols[c.buildWidth+col] = GatherVector(&b.Cols[col], psel)
 		}
 	}
 	for col := 0; col < c.buildWidth; col++ {
@@ -191,9 +195,9 @@ func (j *BatchHashJoin) joinBatch(b *Batch) *Batch {
 		case col == c.tab.keyCol && c.tab.cols[col].T != Float:
 			out.Cols[col] = out.Cols[c.buildWidth+c.probeCol]
 		case unique && out.Sel != nil:
-			out.Cols[col] = scatterVector(&c.tab.cols[col], j.bsel, j.psel, b.n)
+			out.Cols[col] = scatterVector(&c.tab.cols[col], bsel, psel, b.n)
 		default:
-			out.Cols[col] = GatherVector(&c.tab.cols[col], j.bsel)
+			out.Cols[col] = GatherVector(&c.tab.cols[col], bsel)
 		}
 	}
 	return out

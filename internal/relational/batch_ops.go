@@ -192,6 +192,11 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
+	return p.apply(b)
+}
+
+// apply projects one batch of the child's: one dispatched morsel.
+func (p *BatchProject) apply(b *Batch) (*Batch, error) {
 	n := b.Len()
 	out := &Batch{Schema: p.schema, Cols: make([]Vector, len(p.exprs)), Seq: b.Seq, Sel: b.Sel, n: b.n}
 	work := func() error {
@@ -221,6 +226,16 @@ func (p *BatchProject) NextBatch() (*Batch, error) {
 	}
 	p.stat.add(n)
 	return out, nil
+}
+
+// recycle hands the computed columns of one of p's outputs, read to the
+// end and shared with nothing, back to p's scratch for its next batch.
+func (p *BatchProject) recycle(cols []Vector) {
+	for i, e := range p.exprs {
+		if e.Col < 0 && e.Prog != nil && e.Prog.owned() {
+			p.ctx.release(cols[i])
+		}
+	}
 }
 
 // boxColumn computes a column of type t over a batch by running fn on

@@ -16,60 +16,129 @@ import (
 type joinIndex struct {
 	keyT  Type
 	index keyIndex
+	keys  int // distinct keys held
 	next  []int32
-	tail  []int32 // tail[first row of a chain] is the chain's last row
+	// tail[first row of a chain] is the chain's last row + 1 (0: the
+	// first row itself); nil until a key repeats.
+	tail []int32
 }
 
 // add enters rows [len(ix.next), key.Len()) of the build key column, in
 // order. An Int key's range is known up front, so the index takes its
-// direct layout from the start when the range fits.
+// direct layout from the start when the range fits, and the rows enter
+// it without the keyIndex's per-row dispatch.
 func (ix *joinIndex) add(key *Vector) {
 	ix.keyT = key.T
 	kc := []Vector{*key}
-	switch from := len(ix.next); {
-	case key.T == Int && key.Len() > from:
+	from, n := len(ix.next), key.Len()
+	switch {
+	case key.T == Int && n > from:
 		lo, hi := kernels.MinMaxInt64(key.Ints[from:])
-		ix.index.ints.reserveSpan(key.Len(), lo, hi)
+		ix.index.ints.reserveSpan(n, lo, hi)
 	case key.T == Float:
-		ix.index.ints.reserve(key.Len())
+		ix.index.ints.reserve(n)
 	}
-	ix.next = slices.Grow(ix.next, key.Len()-len(ix.next))
-	ix.tail = slices.Grow(ix.tail, key.Len()-len(ix.tail))
-	for r := len(ix.next); r < key.Len(); r++ {
-		first, fresh := ix.index.getOrPut(kc, r, int32(r))
-		ix.next = append(ix.next, 0)
-		ix.tail = append(ix.tail, int32(r))
-		if !fresh {
-			ix.next[ix.tail[first]] = int32(r) + 1
-			ix.tail[first] = int32(r)
+	ix.next = slices.Grow(ix.next, n-from)[:n]
+	clear(ix.next[from:])
+	for r := from; r < n; r++ {
+		var first int32
+		var fresh bool
+		if key.T == Int {
+			first, fresh = ix.index.ints.getOrPut(key.Ints[r], int32(r))
+		} else {
+			first, fresh = ix.index.getOrPut(kc, r, int32(r))
 		}
+		if fresh {
+			ix.keys++
+			continue
+		}
+		if len(ix.tail) < n {
+			ix.tail = append(ix.tail, make([]int32, n-len(ix.tail))...)
+		}
+		last := first
+		if t := ix.tail[first]; t > 0 {
+			last = t - 1
+		}
+		ix.next[last], ix.tail[first] = int32(r)+1, int32(r)+1
 	}
 }
 
-// match appends to bsel/psel the (build row, probe row) pairs joining
+// unique reports whether every key is held by one row, so a probe row
+// matches at most one: no row chains to another.
+func (ix *joinIndex) unique() bool { return ix.keys == len(ix.next) }
+
+// probeBuf is one probing stream's scratch, reused batch after batch: the
+// (build row, probe row) pairs of its last match, each probe row's first
+// match, the rows of a batch without a selection, and the translation of
+// a coded probe key's codes.
+type probeBuf struct {
+	bsel, psel []int32
+	first      []int32
+	rows       []int32 // 0, 1, 2, …
+	codes      codeRefs
+}
+
+// match sets buf.bsel/psel to the (build row, probe row) pairs joining
 // the rows sel selects of probe column pc (every row when sel is nil):
 // probe rows in order, each one's matches in build serial order — the
-// selection vectors the join output is built by. A coded probe column
-// resolves through tr, the probing stream's own code translation, so
-// concurrent probes share the index read-only.
-func (ix *joinIndex) match(pc *Vector, sel, bsel, psel []int32, tr *codeRefs) ([]int32, []int32) {
+// selection vectors the join output is built by. One typed loop per key
+// type finds each row's first match, and one loop shared by every type
+// lays the pairs out: a compaction when the build key is unique, else a
+// walk of each row's chain. A coded probe column resolves through the
+// stream's own code translation, so concurrent probes share the index
+// read-only.
+func (ix *joinIndex) match(pc *Vector, sel []int32, buf *probeBuf) {
+	buf.bsel, buf.psel = buf.bsel[:0], buf.psel[:0]
 	if pc.T != ix.keyT || len(ix.next) == 0 {
-		return bsel, psel
+		return
 	}
-	n := pc.Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	for i := 0; i < n; i++ {
-		r := i
-		if sel != nil {
-			r = int(sel[i])
+	if sel == nil {
+		if len(buf.rows) < pc.Len() {
+			buf.rows = kernels.AppendIota(buf.rows[:0], pc.Len())
 		}
-		for m := ix.index.get(pc, r, tr); m >= 0; m = ix.next[m] - 1 {
-			bsel, psel = append(bsel, m), append(psel, int32(r))
+		sel = buf.rows[:pc.Len()]
+	}
+	first := slices.Grow(buf.first[:0], len(sel))[:len(sel)]
+	buf.first = first
+	switch t := &ix.index.ints; {
+	case pc.T == Int:
+		t.lookup(pc.Ints, sel, first)
+	case pc.T == Float:
+		for i, r := range sel {
+			first[i] = t.get(floatKeyBits(pc.Floats[r]))
+		}
+	case pc.Dict != nil:
+		buf.codes.on(pc.Dict)
+		refs := buf.codes.refs
+		for i, r := range sel {
+			c := pc.Codes[r]
+			if refs[c] == 0 { // unresolved, or absent: looked up again
+				refs[c] = ix.index.str(pc.Dict.strs[c]) + 1
+			}
+			first[i] = refs[c] - 1
+		}
+	default:
+		for i, r := range sel {
+			first[i] = ix.index.str(pc.Strs[r])
 		}
 	}
-	return bsel, psel
+	bsel, psel := slices.Grow(buf.bsel, len(sel)), slices.Grow(buf.psel, len(sel))
+	if ix.unique() {
+		bsel, psel = bsel[:len(sel)], psel[:len(sel)]
+		k := 0
+		for i, m := range first {
+			bsel[k], psel[k] = m, sel[i]
+			k += int(uint32(^m) >> 31) // 1 when m >= 0
+		}
+		buf.bsel, buf.psel = bsel[:k], psel[:k]
+		return
+	}
+	for i, m := range first {
+		for ; m >= 0; m = ix.next[m] - 1 {
+			bsel, psel = append(bsel, m), append(psel, sel[i])
+		}
+	}
+	buf.bsel, buf.psel = bsel, psel
 }
 
 // HashBuild is a hash-join build table: the build side as typed column

@@ -78,6 +78,25 @@ func (t *intTable) get(k int64) int32 {
 	}
 }
 
+// lookup sets out[i] to the ref stored under keys[sel[i]], or -1: get
+// over a selection, with the direct window's read inline.
+func (t *intTable) lookup(keys []int64, sel, out []int32) {
+	if t.keys != nil {
+		for i, r := range sel {
+			out[i] = t.get(keys[r])
+		}
+		return
+	}
+	refs, lo := t.refs, uint64(t.lo)
+	for i, r := range sel {
+		m := int32(-1)
+		if s := uint64(keys[r]) - lo; s < uint64(len(refs)) {
+			m = refs[s] - 1
+		}
+		out[i] = m
+	}
+}
+
 // getOrPut returns the ref stored under k; when k is absent it stores
 // ref first and reports fresh.
 func (t *intTable) getOrPut(k int64, ref int32) (got int32, fresh bool) {
@@ -396,16 +415,18 @@ func (x *keyIndex) get(c *Vector, r int, tr *codeRefs) int32 {
 		if t := tr.refs[code]; t != 0 {
 			return t - 1
 		}
-		g, ok := x.strs[c.Dict.strs[code]]
-		if !ok {
-			return -1
-		}
+		g := x.str(c.Dict.strs[code])
 		tr.refs[code] = g + 1
 		return g
 	default:
-		if g, ok := x.strs[c.Strs[r]]; ok {
-			return g
-		}
-		return -1
+		return x.str(c.Strs[r])
 	}
+}
+
+// str returns the ref stored under the string key k, or -1.
+func (x *keyIndex) str(k string) int32 {
+	if g, ok := x.strs[k]; ok {
+		return g
+	}
+	return -1
 }

@@ -384,13 +384,24 @@ func (st *aggState) observe(fn AggFn, v Value) error {
 		st.seen = true
 		return nil
 	}
-	if c, err := Compare(v, st.minV); err == nil && c < 0 {
+	if cmpExtremeValue(v, st.minV) < 0 {
 		st.minV = v
 	}
-	if c, err := Compare(v, st.maxV); err == nil && c > 0 {
+	if cmpExtremeValue(v, st.maxV) > 0 {
 		st.maxV = v
 	}
 	return nil
+}
+
+// cmpExtremeValue orders a against b as MIN and MAX fold them: two Floats
+// in IEEE 754 total order, as cmpExtreme orders cells; anything else as
+// Compare does, values it cannot compare tying.
+func cmpExtremeValue(a, b Value) int {
+	if a.T == Float && b.T == Float {
+		return cmp.Compare(kernels.TotalOrderKeyFloat64(a.F), kernels.TotalOrderKeyFloat64(b.F))
+	}
+	c, _ := Compare(a, b)
+	return c
 }
 
 // mergeFrom combines a later partition's state into st (st's rows precede
@@ -406,10 +417,10 @@ func (st *aggState) mergeFrom(other *aggState) {
 		st.minV, st.maxV, st.seen = other.minV, other.maxV, true
 		return
 	}
-	if c, err := Compare(other.minV, st.minV); err == nil && c < 0 {
+	if cmpExtremeValue(other.minV, st.minV) < 0 {
 		st.minV = other.minV
 	}
-	if c, err := Compare(other.maxV, st.maxV); err == nil && c > 0 {
+	if cmpExtremeValue(other.maxV, st.maxV) > 0 {
 		st.maxV = other.maxV
 	}
 }

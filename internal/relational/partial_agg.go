@@ -1,8 +1,11 @@
 package relational
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
+
+	"repro/internal/kernels"
 )
 
 // PartialAgg is one participant's share of a grouped aggregation: groups
@@ -206,20 +209,10 @@ func (p *PartialAgg) ObserveBatch(b *Batch, seqCol int) error {
 // rows arrive from ordinal first on, so a row's ordinal is first plus its
 // place among them, and a group's firstOrd is its first row's.
 func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) error {
-	if p.cols == nil {
-		if err := p.setTypes(b.Cols); err != nil {
-			return err
-		}
+	gids, err := p.prepare(b, sel)
+	if err != nil {
+		return err
 	}
-	n := b.n
-	if sel != nil {
-		n = len(sel)
-	}
-	if cap(p.gids) < n {
-		p.gids = make([]int32, n)
-	}
-	gids := p.gids[:n]
-	p.gids = gids
 	kc := p.kc[:0]
 	for _, c := range p.groupCols {
 		kc = append(kc, b.Cols[c])
@@ -237,7 +230,7 @@ func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) err
 			if len(sel) > 0 {
 				r = int(sel[0])
 			}
-			p.newGroup(b, kc, r, first, seqCol)
+			p.newSeenGroup(b, kc, r, first, seqCol)
 		}
 		clear(gids)
 	case sel != nil:
@@ -245,7 +238,7 @@ func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) err
 		for i, r := range sel {
 			g, fresh := p.index.getOrPut(kc, int(r), next)
 			if gids[i] = g; fresh {
-				p.newGroup(b, kc, int(r), first, seqCol)
+				p.newSeenGroup(b, kc, int(r), first, seqCol)
 				next++
 			}
 		}
@@ -254,16 +247,42 @@ func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) err
 		for r := range gids {
 			g, fresh := p.index.getOrPut(kc, r, next)
 			if gids[r] = g; fresh {
-				p.newGroup(b, kc, r, first, seqCol)
+				p.newSeenGroup(b, kc, r, first, seqCol)
 				next++
 			}
 		}
 	}
+	clear(kc) // pins no batch
+	p.fold(b, sel)
+	return nil
+}
 
-	// Pass 2: one typed loop per aggregate. Within a group rows are
-	// visited in arrival order, so float sums fold exactly as a
-	// row-at-a-time loop would.
-	count := p.count()
+// prepare types the partial from b's columns when it has seen nothing
+// yet and returns gids sized for the rows sel picks of b (every row when
+// sel is nil).
+func (p *PartialAgg) prepare(b *Batch, sel []int32) ([]int32, error) {
+	if p.cols == nil {
+		if err := p.setTypes(b.Cols); err != nil {
+			return nil, err
+		}
+	}
+	n := b.n
+	if sel != nil {
+		n = len(sel)
+	}
+	if cap(p.gids) < n {
+		p.gids = make([]int32, n)
+	}
+	p.gids = p.gids[:n]
+	return p.gids, nil
+}
+
+// fold is observe's pass 2: it folds the rows sel picks of b into the
+// groups gids names, one typed loop per aggregate. Within a group rows
+// are visited in arrival order, so float sums fold exactly as a
+// row-at-a-time loop would.
+func (p *PartialAgg) fold(b *Batch, sel []int32) {
+	gids, count := p.gids, p.count()
 	for _, g := range gids {
 		count[g]++
 	}
@@ -291,9 +310,7 @@ func (p *PartialAgg) observe(b *Batch, sel []int32, seqCol int, first int64) err
 			}
 		}
 	}
-	p.ord += int64(n)
-	clear(kc) // pins no batch
-	return nil
+	p.ord += int64(len(gids))
 }
 
 // sumSelected folds the selected cells of col, row i's at sel[i], into
@@ -315,13 +332,11 @@ func sumSelected(st, col *Vector, gids, sel []int32) {
 	}
 }
 
-// newGroup appends the group first seen at vector position r of b
+// newSeenGroup enters the group first seen at vector position r of b
 // (already entered in the index), whose Len rows arrive from ordinal
-// first on: zero count and sums, and the row itself as both extremes.
-// A selected batch's rows are its ascending Sel, so r's place among them
-// is a binary search.
-func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r int, first int64, seqCol int) {
-	p.reserve(1)
+// first on. A selected batch's rows are its ascending Sel, so r's place
+// among them is a binary search.
+func (p *PartialAgg) newSeenGroup(b *Batch, kc []Vector, r int, first int64, seqCol int) {
 	ord := first + int64(r)
 	if b.Sel != nil {
 		i, _ := slices.BinarySearch(b.Sel, int32(r))
@@ -331,9 +346,19 @@ func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r int, first int64, seqCol 
 	if seqCol >= 0 {
 		seq = b.Cols[seqCol].Ints[r]
 	}
+	p.newGroup(kc, r, b, r, seq, ord)
+	p.indexed++
+}
+
+// newGroup appends a group keyed by row kr of the key columns kc, tagged
+// (seq, ord), whose first row sits at vector position r of b: zero count
+// and sums, and the row itself as both extremes. The caller enters it in
+// the index, or leaves that to ensureIndexed.
+func (p *PartialAgg) newGroup(kc []Vector, kr int, b *Batch, r int, seq, ord int64) {
+	p.reserve(1)
 	nk := len(kc)
 	for c := range kc {
-		p.cols[c].appendCell(&kc[c], r)
+		p.cols[c].appendCell(&kc[c], kr)
 	}
 	p.cols[nk].Ints = append(p.cols[nk].Ints, 0)
 	p.cols[nk+1].Ints = append(p.cols[nk+1].Ints, seq)
@@ -347,17 +372,17 @@ func (p *PartialAgg) newGroup(b *Batch, kc []Vector, r int, first int64, seqCol 
 			p.cols[sl.at+1].appendCell(&b.Cols[p.aggs[i].Col], r)
 		}
 	}
-	p.indexed++
 }
 
 // observeExtremes folds a column into the per-group MIN and MAX: row i
-// of gids reads col at sel[i], or at i when sel is nil.
+// of gids reads col at sel[i], or at i when sel is nil. Floats fold in
+// IEEE 754 total order (see cmpExtreme).
 func observeExtremes(lo, hi, col *Vector, gids, sel []int32) {
 	switch col.T {
 	case Int:
 		extremes(lo.Ints, hi.Ints, col.Ints, gids, sel)
 	case Float:
-		extremes(lo.Floats, hi.Floats, col.Floats, gids, sel)
+		floatExtremes(lo.Floats, hi.Floats, col.Floats, gids, sel)
 	default:
 		for i, g := range gids {
 			r := i
@@ -373,22 +398,31 @@ func observeExtremes(lo, hi, col *Vector, gids, sel []int32) {
 	}
 }
 
-// extremes is observeExtremes over one numeric payload.
-func extremes[T int64 | float64](lo, hi, col []T, gids, sel []int32) {
-	if sel == nil {
-		for r, g := range gids {
-			if v := col[r]; v < lo[g] {
-				lo[g] = v
-			} else if v > hi[g] {
-				hi[g] = v
-			}
-		}
-		return
-	}
+// extremes is observeExtremes over an Int payload.
+func extremes(lo, hi, col []int64, gids, sel []int32) {
 	for i, g := range gids {
-		if v := col[sel[i]]; v < lo[g] {
+		r := int32(i)
+		if sel != nil {
+			r = sel[i]
+		}
+		if v := col[r]; v < lo[g] {
 			lo[g] = v
 		} else if v > hi[g] {
+			hi[g] = v
+		}
+	}
+}
+
+// floatExtremes is observeExtremes over a Float payload, in total order.
+func floatExtremes(lo, hi, col []float64, gids, sel []int32) {
+	for i, g := range gids {
+		r := int32(i)
+		if sel != nil {
+			r = sel[i]
+		}
+		if v, k := col[r], kernels.TotalOrderKeyFloat64(col[r]); k < kernels.TotalOrderKeyFloat64(lo[g]) {
+			lo[g] = v
+		} else if k > kernels.TotalOrderKeyFloat64(hi[g]) {
 			hi[g] = v
 		}
 	}
@@ -521,10 +555,10 @@ func (p *PartialAgg) foldGroup(g int, o *PartialAgg, i int) {
 		case sl.kind == aggSum:
 			st.Floats[g] += os.Floats[i]
 		case sl.kind == aggMinMax:
-			if cmpCell(os, i, st, g) < 0 {
+			if cmpExtreme(os, i, st, g) < 0 {
 				st.setCell(g, os, i)
 			}
-			if hi, ohi := &p.cols[sl.at+1], &o.cols[sl.at+1]; cmpCell(ohi, i, hi, g) > 0 {
+			if hi, ohi := &p.cols[sl.at+1], &o.cols[sl.at+1]; cmpExtreme(ohi, i, hi, g) > 0 {
 				hi.setCell(g, ohi, i)
 			}
 		}
@@ -533,6 +567,18 @@ func (p *PartialAgg) foldGroup(g int, o *PartialAgg, i int) {
 	if oseq[i] < seq[g] || (oseq[i] == seq[g] && oord[i] < ord[g]) {
 		seq[g], ord[g] = oseq[i], oord[i]
 	}
+}
+
+// cmpExtreme orders a[i] against b[j] as MIN and MAX fold them: Floats
+// in IEEE 754 total order — the ORDER BY order, a NaN beyond ±Inf by its
+// sign, except that -0 sorts below +0 — so that every fold of one group's
+// values, in any order and split, picks the same cell; other types as
+// cmpCell does.
+func cmpExtreme(a *Vector, i int, b *Vector, j int) int {
+	if a.T == Float {
+		return cmp.Compare(kernels.TotalOrderKeyFloat64(a.Floats[i]), kernels.TotalOrderKeyFloat64(b.Floats[j]))
+	}
+	return cmpCell(a, i, b, j)
 }
 
 // seqOrder returns the group ids in ascending (firstSeq, firstOrd) order,

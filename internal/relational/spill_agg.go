@@ -52,8 +52,17 @@ func (s *SpillableAgg) observe(b *Batch, sel []int32, seqCol int, first int64) e
 	if err := s.p.observe(b, sel, seqCol, first); err != nil {
 		return err
 	}
+	s.charge()
+	return nil
+}
+
+// charge meters the groups of the rows last folded (the partial's gids):
+// each one the current generation sees for the first time charges its
+// state bytes; when the generation's growth no longer fits the budget, it
+// spills.
+func (s *SpillableAgg) charge() {
 	if s.budget == nil || len(s.p.groupCols) == 0 {
-		return nil
+		return
 	}
 	sizer, per := NewRowSizer(s.p.keys()), len(s.p.aggs)*aggStateBytes
 	for _, g := range s.p.gids {
@@ -69,14 +78,13 @@ func (s *SpillableAgg) observe(b *Batch, sel []int32, seqCol int, first int64) e
 	}
 	delta := s.genBytes - s.reserved
 	if delta <= 0 {
-		return nil
+		return
 	}
 	if s.budget.Reserve(delta) {
 		s.reserved += delta
-		return nil
+		return
 	}
 	s.spill()
-	return nil
 }
 
 // spill prices writing the current generation's groups out, one write

@@ -2,7 +2,10 @@ package sql
 
 import (
 	"context"
+	"strings"
 	"testing"
+
+	"repro/internal/relational"
 )
 
 // olapClasses are the repository benchmark's four statement classes.
@@ -66,5 +69,50 @@ func BenchmarkOlapClasses(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkGroupJoinShapes is the rung under the group-join, on the
+// tables BenchmarkOlapClasses runs on: the join class statement, which
+// runs as a group-join, and two shapes of it that take the join →
+// aggregate tree instead — grouped by a probe column (s.year), which the
+// planner keeps as a tree, and the class statement over a customers
+// table whose key repeats (its first row appended again), which falls
+// back once the build table is built. The fallbacks show what the
+// group-join costs the statements it does not take:
+//
+//	go test -run '^$' -bench GroupJoinShapes -benchtime 40x -cpu 2 -benchmem ./internal/sql
+func BenchmarkGroupJoinShapes(b *testing.B) {
+	eng, err := NewEngine(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	RegisterDemo(eng, 1, 1<<18, 50000)
+	cust := CustomersRelation(2, 50000)
+	dup, err := cust.ExtendColumns(cust.Slice(0, 1).Columnar(), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng.Register(relational.NewColumnRelation("customers_dup", dup.Schema, dup.Columnar(), dup.Len()))
+	for _, c := range []struct{ name, sql string }{
+		{"groupjoin", joinClassSQL},
+		{"probe_key", strings.ReplaceAll(joinClassSQL, "c.segment", "s.year")},
+		{"repeated_key", strings.Replace(joinClassSQL, "JOIN customers c", "JOIN customers_dup c", 1)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			stmt, err := eng.Session().Prepare(c.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := stmt.Exec(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := stmt.Exec(context.Background()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -455,6 +455,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 
 	cur := legOps[0]
 	width := len(lp.legs[0].schema)
+	var site *groupJoinSite
 	for ji, j := range lp.joins {
 		build, probe := cur, legOps[ji+1]
 		buildCol, probeCol := j.leftCol, j.rightCol
@@ -466,12 +467,18 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 		if err != nil {
 			return nil, err
 		}
+		if jn, ok := joined.bat.(*relational.BatchHashJoin); ok && groupJoins && len(lp.joins) == 1 && j.rest == nil && lp.residual == nil {
+			site = &groupJoinSite{join: jn, build: lp.legs[0], probe: j.leg, buildCol: buildCol}
+			if j.swapped {
+				site.build, site.probe, site.buildAt = j.leg, lp.legs[0], width
+			}
+		}
+		p.TaggedOps[fmt.Sprintf("join:%d", ji)] = joined.op()
 		if j.swapped {
 			if joined, err = reorderColumns(lw, joined, len(j.leg.schema), width); err != nil {
 				return nil, err
 			}
 		}
-		p.TaggedOps[fmt.Sprintf("join:%d", ji)] = joined.op()
 		width += len(j.leg.schema)
 		lw.hintRows = j.size
 		cur = lw.filter(joined, j.rest)
@@ -482,7 +489,7 @@ func (pl *planner) planLocal(stmt *SelectStmt, lp *logicalPlan, p *Planned) (*Pl
 	}
 
 	if stmt.HasAggregates() {
-		return pl.planAggregate(stmt, p, lw, cur, lp.scope)
+		return pl.planAggregate(stmt, p, lw, cur, lp.scope, site)
 	}
 	cur, err := pl.orderProjectLimit(stmt, p, lw, selectItems(stmt, lp.scope), cur, lp.scope)
 	if err != nil {
@@ -652,8 +659,9 @@ func (ap *aggPlan) postScope(stmt *SelectStmt) *scope {
 
 // planAggregate handles GROUP BY / aggregate queries: pre-project group
 // keys and aggregate arguments, aggregate, then sort/project/limit over
-// the aggregated scope.
-func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur execNode, sc *scope) (*Planned, error) {
+// the aggregated scope. site, when set, is the lone join below, which the
+// aggregate may run as a group-join over.
+func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur execNode, sc *scope, site *groupJoinSite) (*Planned, error) {
 	ap, err := buildAggPlan(stmt, sc, schemaOf(cur))
 	if err != nil {
 		return nil, err
@@ -666,9 +674,67 @@ func (pl *planner) planAggregate(stmt *SelectStmt, p *Planned, lw *lowerer, cur 
 	if err != nil {
 		return nil, err
 	}
+	if site != nil {
+		if err := site.attach(stmt, sc, ap, pre, agg); err != nil {
+			return nil, err
+		}
+	}
 	p.TaggedOps["agg"] = agg.op()
 	p.Steps = append(p.Steps, fmt.Sprintf("aggregate (%d group cols, %d aggregates)", len(ap.groupCols), len(ap.aggSpecs)))
 	return pl.finishAggregate(stmt, p, lw, agg, ap)
+}
+
+// groupJoins lets a single-node aggregate run as a group-join; tests turn
+// it off to run the join → aggregate tree the group-join must match.
+var groupJoins = true
+
+// groupJoinSite is a single-node plan's lone join, with nothing between
+// it and the aggregate but the projections: its build and probe legs,
+// where the build leg's columns start in the joined scope, and the build
+// key column.
+type groupJoinSite struct {
+	join         *relational.BatchHashJoin
+	build, probe *tableLeg
+	buildAt      int
+	buildCol     int
+}
+
+// attach lets agg run as a group-join over the site's join when every
+// GROUP BY expression is a build column other than the join key and
+// every aggregate argument reads only probe columns; the arguments are
+// compiled again over the probe leg. Any other statement keeps the join →
+// aggregate tree, as does any run whose build key repeats (decided once
+// the table is built).
+func (s *groupJoinSite) attach(stmt *SelectStmt, sc *scope, ap *aggPlan, pre, agg execNode) error {
+	if len(stmt.GroupBy) == 0 {
+		return nil
+	}
+	keys := make([]int, len(stmt.GroupBy))
+	for i, g := range stmt.GroupBy {
+		cr, ok := g.(*ColRef)
+		if !ok {
+			return nil
+		}
+		ent, err := sc.resolve(cr)
+		k := ent.index - s.buildAt
+		if err != nil || k < 0 || k >= len(s.build.schema) || k == s.buildCol {
+			return nil
+		}
+		keys[i] = k
+	}
+	psc := s.probe.scope()
+	var args []relational.ProjExpr
+	for _, a := range ap.aggs {
+		if a.Star {
+			continue
+		}
+		c, err := psc.compile(a.Arg)
+		if err != nil {
+			return nil
+		}
+		args = append(args, projExpr(psc, a.Arg, c, s.probe.schema))
+	}
+	return agg.bat.(*relational.BatchGroupAgg).GroupJoin(s.join, keys, pre.bat.(*relational.BatchProject), args)
 }
 
 // finishAggregate plans everything above the aggregate: HAVING, ORDER BY,
