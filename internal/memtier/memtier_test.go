@@ -203,15 +203,18 @@ func TestSpillDeviceTiers(t *testing.T) {
 		if d.Tier() != name {
 			t.Fatalf("Tier() = %q, want %q", d.Tier(), name)
 		}
-		if d.WriteSeconds(0) != 0 || d.ReadSeconds(0) != 0 || d.AccessJoules(0) != 0 {
-			t.Fatal("zero bytes must cost nothing")
+		if s, j := d.Price(0, 0); s != 0 || j != 0 {
+			t.Fatal("no access must cost nothing")
 		}
-		w := d.WriteSeconds(1 << 20)
-		if w <= 0 || w != d.ReadSeconds(1<<20) {
-			t.Fatalf("transfer pricing broken for %q: %v", name, w)
+		s, j := d.Price(1, 1<<20)
+		if s <= 0 || j <= 0 {
+			t.Fatalf("transfer pricing broken for %q: %v s, %v J", name, s, j)
 		}
-		if d.AccessJoules(1<<20) <= 0 {
-			t.Fatalf("energy pricing broken for %q", name)
+		// Totals price as the sum of their accesses: latency per access,
+		// bandwidth and energy per byte.
+		s3, j3 := d.Price(3, 3<<20)
+		if math.Abs(s3-3*s) > 1e-12*s3 || math.Abs(j3-3*j) > 1e-12*j3 {
+			t.Fatalf("%q: three accesses price %v s, %v J; one %v s, %v J", name, s3, j3, s, j)
 		}
 	}
 	if _, err := NewSpillDevice("dram"); err == nil {
@@ -240,7 +243,7 @@ func TestSpillSlowerTierCostsMore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, j := d.WriteSeconds(1<<20), d.AccessJoules(1<<20)
+		w, j := d.Price(1, 1<<20)
 		if w <= prevT || j <= prevJ {
 			t.Fatalf("%q not strictly pricier than faster tier", name)
 		}

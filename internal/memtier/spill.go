@@ -67,25 +67,12 @@ func newSpillDevice(tier Tier) (*SpillDevice, error) {
 // Tier returns the tier name the device prices against.
 func (d *SpillDevice) Tier() string { return d.tier.Name }
 
-// transferSeconds is one access of n bytes: the tier's access latency
-// plus serialization at its sustained bandwidth.
-func (d *SpillDevice) transferSeconds(bytes float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return d.tier.LatencyNS*1e-9 + bytes/(d.tier.GBs*1e9)
-}
-
-// WriteSeconds prices spilling bytes out to the tier.
-func (d *SpillDevice) WriteSeconds(bytes float64) float64 { return d.transferSeconds(bytes) }
-
-// ReadSeconds prices reading spilled bytes back.
-func (d *SpillDevice) ReadSeconds(bytes float64) float64 { return d.transferSeconds(bytes) }
-
-// AccessJoules prices the energy of moving bytes to or from the tier.
-func (d *SpillDevice) AccessJoules(bytes float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return bytes * d.joulesPerByte
+// Price is the modeled time and energy of accesses transfers that move
+// bytes in all, in either direction: each access pays the tier's
+// latency, and every byte serializes at the tier's sustained bandwidth
+// and costs its medium's access energy. The price is affine in both
+// counts, so the totals of many transfers price them all at once, in no
+// order.
+func (d *SpillDevice) Price(accesses, bytes int64) (seconds, joules float64) {
+	return float64(accesses)*d.tier.LatencyNS*1e-9 + float64(bytes)/(d.tier.GBs*1e9), float64(bytes) * d.joulesPerByte
 }

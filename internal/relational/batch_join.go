@@ -71,9 +71,6 @@ type BatchHashJoin struct {
 
 	// buf is this probe stream's match scratch.
 	buf probeBuf
-
-	// q hands out this probe stream's output in grace mode (graceProbe).
-	q outQueue
 }
 
 // NewBatchHashJoin joins build.buildCol == probe.probeCol using up to
@@ -132,14 +129,12 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 	if err := j.core.table(); err != nil {
 		return nil, err
 	}
-	if j.core.grace != nil {
-		return j.q.next(j.core.stat, j.graceProbe)
-	}
 	for {
 		b, err := j.probe.NextBatch()
 		if err != nil || b == nil {
 			return nil, err
 		}
+		j.core.countProbe(b, &j.buf)
 		if out := j.joinBatch(b); out != nil {
 			j.core.stat.add(out.Len())
 			return out, nil

@@ -119,8 +119,7 @@ func (s *BatchSort) sort(cols []Vector, n, rows int) ([]*Batch, error) {
 // exactly when every row of the step would have reserved alone; the step
 // that fails is walked row by row to find that first row.
 func (s *BatchSort) meterRuns(n int, bytes func(lo, hi int) int) {
-	var spilled []int64
-	var runBytes, reserved int64
+	var runs, spilled, runBytes, reserved int64
 	lo := 0
 	for r := 0; r < n; {
 		step := min(r+BatchSize, n)
@@ -135,10 +134,9 @@ func (s *BatchSort) meterRuns(n int, bytes func(lo, hi int) int) {
 			if s.budget.Reserve(rb) {
 				reserved += rb
 			} else if r > lo {
-				s.meter.notePartition(1)
-				s.meter.chargeWrite(runBytes)
+				s.meter.evict(1, runBytes)
 				s.budget.Release(reserved)
-				spilled = append(spilled, runBytes)
+				runs, spilled = runs+1, spilled+runBytes
 				lo, runBytes, reserved = r, 0, 0
 				if s.budget.Reserve(rb) {
 					reserved += rb
@@ -150,9 +148,7 @@ func (s *BatchSort) meterRuns(n int, bytes func(lo, hi int) int) {
 		}
 	}
 	s.budget.Release(reserved)
-	for _, b := range spilled {
-		s.meter.chargeRead(b)
-	}
+	s.meter.charge(0, 0, runs, spilled) // every run read back
 }
 
 // cmpKeys orders row i of a against row j of b by the sort keys (0 on a

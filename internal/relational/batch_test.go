@@ -297,9 +297,8 @@ func TestBatchStatsCountRows(t *testing.T) {
 // TestBuildNsOnlyOnBreakers: OpStats.BuildNs is the host time an operator
 // spends building state before its first batch. On non-empty input the
 // sort, the top-k (with and without a failed reservation), the group-by
-// and the join — its table, and under a budget also its grace probe —
-// report some; the streaming scan, filter, projection and limit report
-// none.
+// and the join — its table, with or without a budget — report some; the
+// streaming scan, filter, projection and limit report none.
 func TestBuildNsOnlyOnBreakers(t *testing.T) {
 	rel, dim := randRel(14, 3*BatchSize), randRel(15, 900)
 	drain := func(op BatchOp) {

@@ -2,7 +2,6 @@ package relational
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -14,12 +13,9 @@ import (
 type SpillDevice interface {
 	// Tier names the tier being priced ("nvm", "ssd", "disk").
 	Tier() string
-	// WriteSeconds prices spilling bytes out to the tier.
-	WriteSeconds(bytes float64) float64
-	// ReadSeconds prices reading spilled bytes back.
-	ReadSeconds(bytes float64) float64
-	// AccessJoules prices the energy of moving bytes either direction.
-	AccessJoules(bytes float64) float64
+	// Price is the modeled seconds and joules of accesses transfers that
+	// move bytes in all, in either direction.
+	Price(accesses, bytes int64) (seconds, joules float64)
 }
 
 // SpillStats aggregates the modeled out-of-core activity of one operator
@@ -34,7 +30,8 @@ type SpillStats struct {
 	// SpilledBytes is the total bytes written to the tier.
 	SpilledBytes int64 `json:"spilled_bytes"`
 	// WriteSeconds and ReadSeconds are the modeled transfer times of the
-	// spill writes and the later read-back passes.
+	// spill writes and the later read-back passes, each priced once from
+	// its counted accesses and bytes.
 	WriteSeconds float64 `json:"write_seconds"`
 	ReadSeconds  float64 `json:"read_seconds"`
 	// EnergyJ is the modeled access energy of all spill traffic.
@@ -47,22 +44,6 @@ type SpillStats struct {
 // Active reports whether any spill happened.
 func (s SpillStats) Active() bool { return s.Partitions > 0 || s.SpilledBytes > 0 }
 
-// add folds o into s (tier names agree by construction — one device per
-// query).
-func (s *SpillStats) add(o SpillStats) {
-	if o.Tier != "" {
-		s.Tier = o.Tier
-	}
-	s.Partitions += o.Partitions
-	s.SpilledBytes += o.SpilledBytes
-	s.WriteSeconds += o.WriteSeconds
-	s.ReadSeconds += o.ReadSeconds
-	s.EnergyJ += o.EnergyJ
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-}
-
 // String renders the stats on one line, mirroring DeviceStats.
 func (s SpillStats) String() string {
 	return fmt.Sprintf("spill[%s]: %d partitions, %.1f MB, write %.3f ms, read %.3f ms, %.3f mJ, depth %d",
@@ -70,24 +51,44 @@ func (s SpillStats) String() string {
 		s.WriteSeconds*1e3, s.ReadSeconds*1e3, s.EnergyJ*1e3, s.MaxDepth)
 }
 
-// spillAgg is the query-wide accumulator every operator's meter forwards
-// to; shared across Fork()ed budgets so distributed shards and parallel
-// partitions all land in one Result.Spill.
-type spillAgg struct {
-	mu sync.Mutex
-	st SpillStats
+// spillCount counts spill traffic without pricing it: integers, updated
+// atomically, so concurrent charges add up to the same totals in any
+// order. The price is taken once, from the totals, when they are read.
+type spillCount struct {
+	partitions, depth  atomic.Int64
+	writes, writeBytes atomic.Int64
+	reads, readBytes   atomic.Int64
 }
 
-func (a *spillAgg) add(o SpillStats) {
-	a.mu.Lock()
-	a.st.add(o)
-	a.mu.Unlock()
+func (c *spillCount) charge(writes, writeBytes, reads, readBytes int64) {
+	c.writes.Add(writes)
+	c.writeBytes.Add(writeBytes)
+	c.reads.Add(reads)
+	c.readBytes.Add(readBytes)
 }
 
-func (a *spillAgg) snapshot() SpillStats {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.st
+func (c *spillCount) evict(depth, bytes int64) {
+	c.partitions.Add(1)
+	c.charge(1, bytes, 0, 0)
+	for d := c.depth.Load(); d < depth; d = c.depth.Load() {
+		if c.depth.CompareAndSwap(d, depth) {
+			return
+		}
+	}
+}
+
+// priced prices the totals on dev: the writes and the reads each as one
+// price of their accesses and bytes, and the energy of both.
+func (c *spillCount) priced(dev SpillDevice) SpillStats {
+	st := SpillStats{
+		Tier: dev.Tier(), Partitions: int(c.partitions.Load()),
+		SpilledBytes: c.writeBytes.Load(), MaxDepth: int(c.depth.Load()),
+	}
+	var wj, rj float64
+	st.WriteSeconds, wj = dev.Price(c.writes.Load(), st.SpilledBytes)
+	st.ReadSeconds, rj = dev.Price(c.reads.Load(), c.readBytes.Load())
+	st.EnergyJ = wj + rj
+	return st
 }
 
 // MemoryBudget is per-query arena accounting for operator state: build
@@ -101,12 +102,12 @@ type MemoryBudget struct {
 	limit int64
 	dev   SpillDevice
 	used  atomic.Int64
-	agg   *spillAgg
+	agg   *spillCount // the query's spill, shared with every Fork
 }
 
 // NewMemoryBudget builds a budget of limit bytes spilling to dev.
 func NewMemoryBudget(limit int64, dev SpillDevice) *MemoryBudget {
-	return &MemoryBudget{limit: limit, dev: dev, agg: &spillAgg{st: SpillStats{Tier: dev.Tier()}}}
+	return &MemoryBudget{limit: limit, dev: dev, agg: &spillCount{}}
 }
 
 // Limit returns the budget size in bytes (0 for a nil budget).
@@ -161,12 +162,12 @@ func (b *MemoryBudget) Fork() *MemoryBudget {
 	return &MemoryBudget{limit: b.limit, dev: b.dev, agg: b.agg}
 }
 
-// Stats snapshots the query-wide spill totals.
+// Stats prices the query-wide spill totals.
 func (b *MemoryBudget) Stats() SpillStats {
 	if b == nil {
 		return SpillStats{}
 	}
-	return b.agg.snapshot()
+	return b.agg.priced(b.dev)
 }
 
 // String describes the budget for plan steps.
@@ -177,77 +178,51 @@ func (b *MemoryBudget) String() string {
 	return fmt.Sprintf("budget %d bytes, tier %s", b.limit, b.dev.Tier())
 }
 
-// spillMeter is one operator's view of the spill device: it prices and
-// records this operator's traffic (for OpStats.Spill) and forwards every
-// charge to the budget's query-wide aggregate. All methods are nil-safe
-// so unbudgeted operators pay nothing, not even a branch in their stats.
+// spillMeter is one operator's view of the spill device: it counts this
+// operator's traffic (for OpStats.Spill) and forwards every charge to the
+// budget's query-wide count. All methods are nil-safe so unbudgeted
+// operators pay nothing, not even a branch in their stats.
 type spillMeter struct {
-	b  *MemoryBudget
-	mu sync.Mutex
-	st SpillStats
+	b *MemoryBudget
+	n spillCount
 }
 
 func newSpillMeter(b *MemoryBudget) *spillMeter {
 	if b == nil {
 		return nil
 	}
-	return &spillMeter{b: b, st: SpillStats{Tier: b.dev.Tier()}}
+	return &spillMeter{b: b}
 }
 
-// chargeWrite prices writing bytes out to the tier.
-func (m *spillMeter) chargeWrite(bytes int64) {
-	if m == nil || bytes <= 0 {
-		return
-	}
-	fb := float64(bytes)
-	d := SpillStats{
-		SpilledBytes: bytes,
-		WriteSeconds: m.b.dev.WriteSeconds(fb),
-		EnergyJ:      m.b.dev.AccessJoules(fb),
-	}
-	m.record(d)
-}
-
-// chargeRead prices reading spilled bytes back.
-func (m *spillMeter) chargeRead(bytes int64) {
-	if m == nil || bytes <= 0 {
-		return
-	}
-	fb := float64(bytes)
-	d := SpillStats{
-		ReadSeconds: m.b.dev.ReadSeconds(fb),
-		EnergyJ:     m.b.dev.AccessJoules(fb),
-	}
-	m.record(d)
-}
-
-// notePartition records one evicted partition at the given recursion
-// depth (1 = first grace pass).
-func (m *spillMeter) notePartition(depth int) {
+// charge counts writes accesses moving writeBytes out to the tier and
+// reads accesses reading readBytes back.
+func (m *spillMeter) charge(writes, writeBytes, reads, readBytes int64) {
 	if m == nil {
 		return
 	}
-	m.record(SpillStats{Partitions: 1, MaxDepth: depth})
+	m.n.charge(writes, writeBytes, reads, readBytes)
+	m.b.agg.charge(writes, writeBytes, reads, readBytes)
 }
 
-func (m *spillMeter) record(d SpillStats) {
-	m.mu.Lock()
-	m.st.add(d)
-	m.mu.Unlock()
-	m.b.agg.add(d)
+// evict counts one state partition evicted at the given recursion depth
+// (1 = the first pass): one access writing its bytes out.
+func (m *spillMeter) evict(depth int, bytes int64) {
+	if m == nil {
+		return
+	}
+	m.n.evict(int64(depth), bytes)
+	m.b.agg.evict(int64(depth), bytes)
 }
 
-// opSpill returns the operator-local stats for OpStats.Spill, or nil
-// when nothing spilled (so unbudgeted stats stay bit-identical).
+// opSpill prices the operator's totals for OpStats.Spill, or is nil when
+// nothing spilled (so unbudgeted stats stay bit-identical).
 func (m *spillMeter) opSpill() *SpillStats {
 	if m == nil {
 		return nil
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.st.Active() {
+	st := m.n.priced(m.b.dev)
+	if !st.Active() {
 		return nil
 	}
-	st := m.st
 	return &st
 }

@@ -1,7 +1,18 @@
 package relational
 
-import "strconv"
+import (
+	"slices"
+	"strconv"
+	"sync/atomic"
+)
 
+// A join whose build table does not fit its budget is grace-priced: the
+// table is hash-partitioned into leaves that stay resident or are priced
+// as spilled (buildGrace), and each probe batch is routed to the leaves
+// to count the probe partitions written beside the spilled ones
+// (countProbe). The join itself runs as without a budget — one index,
+// probed batch by batch — so only the price changes.
+//
 // Grace partitioning parameters. Fanout 8 shrinks partitions fast (a
 // budget overrun of 8x resolves in one pass); the depth cap bounds the
 // recursion on degenerate key distributions (all rows one key) — a leaf
@@ -73,12 +84,13 @@ func graceBucket(col *Vector, r, depth int) int {
 // fit the budget, first-fit at build time) or spilled to the tier. All
 // build rows of one key land in one leaf with serial order preserved, so
 // the build table's per-key chains are each leaf's own: the host keeps
-// the one joinIndex, and the budget prices every leaf as a pass of its
-// own.
+// the one joinIndex and probes it batch by batch, and the budget prices
+// every spilled leaf as a pass of its own (countProbe).
 type graceLeaf struct {
 	id      int
 	bytes   int64
 	spilled bool
+	probed  atomic.Int64 // bytes of the probe partition written beside it
 }
 
 // graceNode is one level of the recursive partitioning tree: each bucket
@@ -123,10 +135,9 @@ func (c *joinCore) splitGrace(idxs []int32, depth int) *graceNode {
 			n.leaves[bi] = c.newGraceLeaf(bytes, false)
 			continue
 		}
-		c.meter.notePartition(depth + 1)
-		c.meter.chargeWrite(bytes)
+		c.meter.evict(depth+1, bytes)
 		if bytes > c.budget.Limit() && depth+1 < maxGraceDepth {
-			c.meter.chargeRead(bytes)
+			c.meter.charge(0, 0, 1, bytes)
 			n.kids[bi] = c.splitGrace(bucket, depth+1)
 			continue
 		}
@@ -156,57 +167,39 @@ func (c *joinCore) routeLeaf(col *Vector, r int) *graceLeaf {
 	}
 }
 
-// graceProbe drains this stream's whole probe partition, routing each
-// selected row, where it lies, through the partition tree to size the
-// probe partitions written out beside spilled build leaves, then prices
-// every visited leaf's pass (write + read-back of its probe rows,
-// read-back of its build rows). Every build row of a key sits in one leaf
-// and the host keeps the one joinIndex over all of them, so the
-// leaf-at-a-time passes produce, once reassembled in arrival order,
-// exactly what probing batch by batch produces — which is what runs. The
-// drain happens strictly below any Exchange above this operator (one
-// synchronous pull per stream), so buffering the stream here cannot
-// deadlock the batch pipeline.
-//
-// The probe drains before it emits because the price is per stream: each
-// (probe stream, spilled leaf) pair is charged once. A streamed probe
-// let the Exchange spread morsels over more streams — 48–54 write
-// charges per join became 72 — and raised olap_dist_allon's
-// relational.spill_model_ms_per_op from 16.06 to 17.45 in 4 of 4 pairs,
-// while slowing the budgeted join rung by about 10% on 2 vCPUs. Streaming
-// waits for probe partitions charged per operator rather than per stream.
-func (j *BatchHashJoin) graceProbe() ([]*Batch, error) {
-	c := j.core
-	bufBytes := make([]int64, len(c.leaves))
-	var out []*Batch
-	for {
-		b, err := j.probe.NextBatch()
-		if err != nil {
-			return nil, err
+// countProbe routes the selected rows of probe batch b through the
+// partition tree and counts the bytes each spilled leaf's probe partition
+// receives, written out beside the leaf and read back with it. The first
+// bytes a leaf receives also count its pass's accesses: the probe
+// partition's write and read-back, and the read-back of the leaf's own
+// rows. So each spilled leaf is one pass per operator, whichever probe
+// stream reaches it first, and the counts are the same in any order.
+// Nothing is buffered: the probe streams batch by batch, as without a
+// budget. A no-op unless the table went to grace partitions.
+func (c *joinCore) countProbe(b *Batch, buf *probeBuf) {
+	if c.grace == nil {
+		return
+	}
+	bytes := slices.Grow(buf.leaves[:0], len(c.leaves))[:len(c.leaves)]
+	clear(bytes)
+	buf.leaves = bytes
+	pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
+	for i, n := 0, b.Len(); i < n; i++ {
+		r := i // the vectors' row
+		if b.Sel != nil {
+			r = int(b.Sel[i])
 		}
-		if b == nil {
-			break
-		}
-		pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
-		for i, n := 0, b.Len(); i < n; i++ {
-			r := i // the vectors' row
-			if b.Sel != nil {
-				r = int(b.Sel[i])
-			}
-			if l := c.routeLeaf(pc, r); l != nil {
-				bufBytes[l.id] += int64(sizer.Bytes(r))
-			}
-		}
-		if o := j.joinBatch(b); o != nil {
-			out = append(out, o)
+		if l := c.routeLeaf(pc, r); l != nil && l.spilled {
+			bytes[l.id] += int64(sizer.Bytes(r))
 		}
 	}
-	for li, l := range c.leaves {
-		if l.spilled && bufBytes[li] > 0 {
-			c.meter.chargeWrite(bufBytes[li])
-			c.meter.chargeRead(bufBytes[li])
-			c.meter.chargeRead(l.bytes)
+	for id, n := range bytes {
+		switch l := c.leaves[id]; {
+		case n == 0:
+		case l.probed.Add(n) == n: // the leaf's first probe bytes
+			c.meter.charge(1, n, 2, n+l.bytes)
+		default:
+			c.meter.charge(0, n, 0, n)
 		}
 	}
-	return out, nil
 }

@@ -20,9 +20,10 @@ import (
 // morsels.
 //
 // The tree itself runs instead when the build key repeats (a row may
-// match twice), when the build table went to grace partitions, and when
-// the first morsel picks the key-partitioned path; it reuses the table
-// and takes back the probe batches already pulled.
+// match twice) and when the first morsel picks the key-partitioned path;
+// it reuses the table and takes back the probe batches already pulled. A
+// build table that went to grace partitions changes nothing here: the
+// workers count their probe rows into the leaves as the join does.
 type groupJoin struct {
 	join *BatchHashJoin
 	keys []int         // the build columns grouped by, in group column order
@@ -74,7 +75,7 @@ func (gj *groupJoin) run(g *BatchGroupAgg) (out []*Batch, ok bool, err error) {
 	if err := c.table(); err != nil {
 		return nil, true, err
 	}
-	if c.grace != nil || !c.tab.ix.unique() {
+	if !c.tab.ix.unique() {
 		return nil, false, nil
 	}
 	groups, ngroups := c.tab.groupIDs(gj.keys)
@@ -111,6 +112,9 @@ func (gj *groupJoin) run(g *BatchGroupAgg) (out []*Batch, ok bool, err error) {
 		for k := range keys {
 			w.in[k].T = keys[k].T
 		}
+		if err := w.presize(ngroups); err != nil {
+			return err
+		}
 		return drain(ps[i], w.head, pulled, stop, w.fold)
 	})
 	if err != nil {
@@ -119,8 +123,28 @@ func (gj *groupJoin) run(g *BatchGroupAgg) (out []*Batch, ok bool, err error) {
 	return g.emitMerged(sas), true, nil
 }
 
+// presize types the worker's partial from the aggregation's input and
+// makes room for all ngroups build groups at once, its keys coded as the
+// build columns are: the worker's groups are build groups.
+func (w *gjWorker) presize(ngroups int) error {
+	in := slices.Clone(w.in)
+	for _, c := range w.args.schema {
+		in = append(in, Vector{T: c.Type})
+	}
+	p := w.sa.p
+	if err := p.setTypes(in); err != nil {
+		return err
+	}
+	for k := range w.keys {
+		p.cols[k].Dict = w.keys[k].Dict
+	}
+	p.reserve(ngroups)
+	return nil
+}
+
 // pullHead pulls probe batches until one matches a build row: the head
-// the path rule reads, nil when none does.
+// the path rule reads, nil when none does. The batches before it are
+// done with: their rows are counted into the grace leaves here.
 func (w *gjWorker) pullHead(p BatchOp, c *joinCore) error {
 	for {
 		b, err := p.NextBatch()
@@ -131,6 +155,7 @@ func (w *gjWorker) pullHead(p BatchOp, c *joinCore) error {
 			w.head = b
 			return nil
 		}
+		c.countProbe(b, &w.buf)
 	}
 }
 
@@ -148,12 +173,13 @@ func manyBuildGroups(bsel, groups []int32, ngroups int) bool {
 	return n*manyGroupsRows >= len(bsel)
 }
 
-// fold joins probe batch b and folds its matched rows: the arguments are
-// one projected morsel over them, and the fold one aggregation morsel. A
-// group is new to the worker's partial at its first matched row, keyed
-// by that row's build row and tagged with the row's ordinal, as the tree
-// would tag it.
+// fold counts probe batch b into the grace leaves as the join would, then
+// joins it and folds its matched rows: the arguments are one projected
+// morsel over them, and the fold one aggregation morsel. A group is new
+// to the worker's partial at its first matched row, keyed by that row's
+// build row and tagged with the row's ordinal, as the tree would tag it.
 func (w *gjWorker) fold(b *Batch) error {
+	w.c.countProbe(b, &w.buf)
 	w.c.tab.ix.match(&b.Cols[w.c.probeCol], b.Sel, &w.buf)
 	bsel, psel := w.buf.bsel, w.buf.psel
 	if len(bsel) == 0 {

@@ -39,10 +39,11 @@ type groupJoinCase struct {
 
 // lower builds the case as the planner does — the join (dim builds), a
 // projection, the aggregate — and makes it a group-join when gj is set.
-// pulls counts the batches the aggregate pulls through the join.
-func (c groupJoinCase) lower(t *testing.T, gj bool) (agg BatchOp, pulls *atomic.Int64) {
+// pulls counts the batches the aggregate pulls through the join; budget is
+// the query's (nil: none).
+func (c groupJoinCase) lower(t *testing.T, gj bool) (agg BatchOp, pulls *atomic.Int64, budget *MemoryBudget) {
 	t.Helper()
-	budget := diffBudget(c.budget)
+	budget = diffBudget(c.budget)
 	j, err := NewBatchHashJoin(NewBatchScan(c.dim), NewBatchScan(c.fact), 0, c.probeCol, c.workers)
 	if err != nil {
 		t.Fatal(err)
@@ -71,20 +72,24 @@ func (c groupJoinCase) lower(t *testing.T, gj bool) (agg BatchOp, pulls *atomic.
 			t.Fatal(err)
 		}
 	}
-	return g, pulls
+	return g, pulls, budget
 }
 
 // check runs the case with and without the group-join and requires the
-// same rows, Floats by their bits, and the same aggregate spill price
-// (the one it returns); it reports whether the group-join folded the
-// probe rows itself (pulled nothing through the join).
+// same rows, Floats by their bits, the same aggregate spill price (the
+// one it returns) and the same query spill report; it reports whether
+// the group-join folded the probe rows itself (pulled nothing through the
+// join).
 func (c groupJoinCase) check(t *testing.T) (folded bool, spill *SpillStats) {
 	t.Helper()
-	tree, _ := c.lower(t, false)
-	agg, pulls := c.lower(t, true)
+	tree, _, treeBudget := c.lower(t, false)
+	agg, pulls, budget := c.lower(t, true)
 	requireIdenticalRows(t, collectRows(t, RowsOf(tree)), collectRows(t, RowsOf(agg)))
 	if w, g := tree.Stats().Spill, agg.Stats().Spill; !reflect.DeepEqual(w, g) {
 		t.Fatalf("the aggregate spilled %+v, the tree's %+v", g, w)
+	}
+	if w, g := treeBudget.Stats(), budget.Stats(); w != g {
+		t.Fatalf("the query spilled %+v, the tree %+v", g, w)
 	}
 	return pulls.Load() == 0, agg.Stats().Spill
 }
@@ -113,7 +118,6 @@ func TestGroupJoinFallsBack(t *testing.T) {
 		c    groupJoinCase
 	}{
 		{"repeated build key", groupJoinCase{dim: groupJoinDim(40, 10), fact: fact, probeCol: 3, keys: []int{1}, workers: 2}},
-		{"table over budget", groupJoinCase{dim: groupJoinDim(40, -1), fact: fact, probeCol: 3, keys: []int{1}, workers: 2, budget: 64}},
 		{"first morsel has many groups", groupJoinCase{dim: groupJoinDim(2000, -1), fact: fact, probeCol: 0, keys: []int{2}, workers: 2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -149,6 +153,39 @@ func TestGroupJoinFoldsProbeRows(t *testing.T) {
 			}
 			if (c.budget == tight) != (spill != nil) {
 				t.Fatalf("budget %d: the aggregate spilled %+v", c.budget, spill)
+			}
+		})
+	}
+}
+
+// A build table over its budget goes to grace partitions, and the
+// group-join still runs: its workers count their probe rows into the
+// leaves as the join's probe streams would, so the rows and the query's
+// spill report — partitions, bytes, seconds — are the tree's. Under late,
+// whose keys the first morsel never matches, a worker at 4 drops that
+// morsel while it looks for a head, and still counts it.
+func TestGroupJoinGraceBuild(t *testing.T) {
+	fact, dim := randRel(3, 3*BatchSize+11), groupJoinDim(40, -1)
+	late := NewRelation("dim", dim.Schema)
+	for _, row := range dim.RowView() {
+		late.MustAppend(Row{IntV(row[0].I + 1500), row[1], row[2]})
+	}
+	for _, c := range []groupJoinCase{
+		{dim: dim, fact: fact, probeCol: 3, keys: []int{1}, workers: 1, budget: 64},
+		{dim: dim, fact: fact, probeCol: 3, keys: []int{1}, workers: 4, budget: 64},
+		{dim: late, fact: fact, probeCol: 0, keys: []int{1}, workers: 4, budget: 64},
+	} {
+		t.Run(fmt.Sprintf("probe%d/w%d", c.probeCol, c.workers), func(t *testing.T) {
+			if folded, _ := c.check(t); !folded {
+				t.Fatal("the aggregate pulled batches through the join")
+			}
+			agg, _, budget := c.lower(t, true)
+			collectRows(t, RowsOf(agg))
+			if agg.(*BatchGroupAgg).gj.join.core.grace == nil {
+				t.Fatal("the build table fit its budget")
+			}
+			if st := budget.Stats(); st.MaxDepth == 0 || st.ReadSeconds == 0 {
+				t.Fatalf("no grace pass was priced: %+v", st)
 			}
 		})
 	}

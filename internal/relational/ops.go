@@ -35,8 +35,8 @@ type OpStats struct {
 	Spill *SpillStats
 	// BuildNs is the host nanoseconds the operator spent building state
 	// before its first output batch, summed over its partitions: a sort's,
-	// top-k's or group-by's input, a join's table and a grace probe's
-	// drain. 0 for streaming operators (scan, filter, project, limit).
+	// top-k's or group-by's input, and a join's table. 0 for streaming
+	// operators (scan, filter, project, limit).
 	BuildNs int64
 }
 

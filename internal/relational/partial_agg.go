@@ -179,7 +179,7 @@ func (p *PartialAgg) ensureIndexed() {
 func (p *PartialAgg) reserve(n int) {
 	if have := len(p.count()); have+n > cap(p.count()) {
 		for c := range p.cols {
-			p.cols[c].grow(max(have, n, 1024))
+			p.cols[c].grow(max(have, n))
 		}
 	}
 }

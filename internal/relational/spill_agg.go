@@ -8,10 +8,10 @@ package relational
 // budget, its groups are priced as written out in graceFanout key
 // partitions, the generation's reservation is released, and a fresh
 // generation begins. Finish (and every Snapshot) prices reading each
-// spilled (partition, generation) back, partition by partition, oldest
-// generation first. The answer is the unbudgeted one, bit for bit. A nil
-// budget makes the meter a transparent passthrough, and a global
-// aggregate (no group columns) never spills: its state is one group.
+// spilled (partition, generation) back. The answer is the unbudgeted one,
+// bit for bit. A nil budget makes the meter a transparent passthrough, and
+// a global aggregate (no group columns) never spills: its state is one
+// group.
 type SpillableAgg struct {
 	p      *PartialAgg
 	budget *MemoryBudget
@@ -23,9 +23,9 @@ type SpillableAgg struct {
 	genBytes  int64   // their state bytes
 	reserved  int64   // bytes of the current generation charged to the budget
 	part      []uint8 // per group: its key partition + 1, 0 until priced
-	// spilled[j] holds the bytes partition j was written, one entry per
-	// generation that spilled groups to it, oldest first.
-	spilled [graceFanout][]int64
+	// pieces counts the (partition, generation) pieces written out, and
+	// spilled their bytes.
+	pieces, spilled int64
 }
 
 // NewSpillableAgg returns a budgeted aggregation participant. meter may
@@ -103,13 +103,11 @@ func (s *SpillableAgg) spill() {
 		}
 		bytes[s.part[g]-1] += int64(sizer.Bytes(int(g)) + per)
 	}
-	for j, b := range bytes {
-		if b == 0 {
-			continue
+	for _, b := range bytes {
+		if b > 0 {
+			s.meter.evict(1, b)
+			s.pieces, s.spilled = s.pieces+1, s.spilled+b
 		}
-		s.meter.notePartition(1)
-		s.meter.chargeWrite(b)
-		s.spilled[j] = append(s.spilled[j], b)
 	}
 	s.budget.Release(s.reserved)
 	s.gen++
@@ -127,15 +125,8 @@ func keyPartition(keys []Vector, r int) int {
 	return int(h % graceFanout)
 }
 
-// chargeReads prices reading every spilled partition back: partition by
-// partition, each partition's generations oldest first.
-func (s *SpillableAgg) chargeReads() {
-	for _, gens := range s.spilled {
-		for _, b := range gens {
-			s.meter.chargeRead(b)
-		}
-	}
-}
+// chargeReads counts reading every spilled piece back.
+func (s *SpillableAgg) chargeReads() { s.meter.charge(0, 0, s.pieces, s.spilled) }
 
 // Snapshot is a repeatable Finish: the aggregate may observe more batches
 // afterwards. Streaming windows use it — a pane's aggregate is read once

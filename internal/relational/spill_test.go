@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -14,14 +16,14 @@ import (
 // rows, bounded recursion, clean shutdown — because the budget models
 // cost, never semantics.
 
-// flatDev prices spills linearly; the relational tests only need a
-// SpillDevice with nonzero, deterministic coefficients.
+// flatDev prices spills affinely, as the storage tiers do; the relational
+// tests only need a SpillDevice with nonzero, deterministic coefficients.
 type flatDev struct{}
 
-func (flatDev) Tier() string                   { return "test" }
-func (flatDev) WriteSeconds(b float64) float64 { return b * 2e-9 }
-func (flatDev) ReadSeconds(b float64) float64  { return b * 1e-9 }
-func (flatDev) AccessJoules(b float64) float64 { return b * 1e-10 }
+func (flatDev) Tier() string { return "test" }
+func (flatDev) Price(accesses, bytes int64) (float64, float64) {
+	return float64(accesses)*1.7e-5 + float64(bytes)*0.3e-9, float64(bytes) * 1e-10
+}
 
 func tinyBudget(limit int64) *MemoryBudget { return NewMemoryBudget(limit, flatDev{}) }
 
@@ -222,10 +224,8 @@ func TestExternalSortStepsKeepRowBoundaries(t *testing.T) {
 // report's WriteSeconds and ReadSeconds are its write and read bytes.
 type byteDev struct{}
 
-func (byteDev) Tier() string                   { return "bytes" }
-func (byteDev) WriteSeconds(b float64) float64 { return b }
-func (byteDev) ReadSeconds(b float64) float64  { return b }
-func (byteDev) AccessJoules(float64) float64   { return 0 }
+func (byteDev) Tier() string                            { return "bytes" }
+func (byteDev) Price(_, bytes int64) (float64, float64) { return float64(bytes), 0 }
 
 // meteredAggRel draws skewed group keys, so groups recur across
 // generations, in four key forms: Int, Float (NaN in two payloads, ±0,
@@ -376,5 +376,87 @@ func TestSpillAggMatchesGenerationModel(t *testing.T) {
 	}
 	if read == 0 {
 		t.Fatal("the pane never spilled")
+	}
+}
+
+// TestGraceJoinStreamsProbe: a grace-priced join probes batch by batch,
+// as without a budget: its first output batch comes before its probe
+// stream ends, and its rows are the unbudgeted join's.
+func TestGraceJoinStreamsProbe(t *testing.T) {
+	dim, fact := randRel(8, 900), randRel(7, 6*BatchSize)
+	want := collectRows(t, RowsOf(mustJoin(t, NewBatchScan(dim), NewBatchScan(fact), 0, 0, nil)))
+	pulls := &atomic.Int64{}
+	jn := mustJoin(t, NewBatchScan(dim), &pullCounter{BatchOp: NewBatchScan(fact), pulls: pulls}, 0, 0, tinyBudget(256))
+	first, err := jn.NextBatch()
+	if err != nil || first == nil {
+		t.Fatalf("first batch %v, err %v", first, err)
+	}
+	if jn.core.grace == nil {
+		t.Fatal("a 256-byte budget left the join out of grace mode")
+	}
+	if n := pulls.Load(); n != 1 {
+		t.Fatalf("the first output batch took %d probe batches of 6: the probe drained", n)
+	}
+	requireSameRows(t, want, collectRows(t, RowsOf(&headFirst{BatchOp: jn, head: first})))
+	if st := jn.Stats().Spill; st == nil || st.MaxDepth == 0 {
+		t.Fatalf("the grace join priced no pass: %+v", st)
+	}
+}
+
+// TestSpillStatsOrderFree: one multiset of spill charges, fed from many
+// goroutines in shuffled orders, prices to bit-identical stats, per
+// operator and per query: the meters count integers, and the budget
+// prices the totals once, when they are read.
+func TestSpillStatsOrderFree(t *testing.T) {
+	type charge struct {
+		writes, writeBytes, reads, readBytes int64
+		depth                                int // > 0: a partition evicted at that depth
+	}
+	rng := rand.New(rand.NewSource(47))
+	charges := make([]charge, 3000)
+	for i := range charges {
+		n := rng.Int63n(1<<20) + 1
+		switch rng.Intn(3) {
+		case 0: // a partition written out
+			charges[i] = charge{writes: 1, writeBytes: n, depth: rng.Intn(maxGraceDepth) + 1}
+		case 1: // a read-back
+			charges[i] = charge{reads: 1, readBytes: n}
+		default: // a grace leaf's probe bytes, and maybe its pass
+			a := int64(rng.Intn(2))
+			charges[i] = charge{writes: a, writeBytes: n, reads: 2 * a, readBytes: n + a*rng.Int63n(1<<16)}
+		}
+	}
+	const streams = 8
+	var want [3]SpillStats
+	for trial := range 6 {
+		b := NewMemoryBudget(1, flatDev{})
+		// Charge i always lands on meter i%2, the second on a forked budget.
+		meters := [2]*spillMeter{newSpillMeter(b), newSpillMeter(b.Fork())}
+		order := rng.Perm(len(charges))
+		var wg sync.WaitGroup
+		for s := range streams {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := s; k < len(order); k += streams {
+					i := order[k]
+					c, m := charges[i], meters[i%2]
+					if c.depth > 0 {
+						m.evict(c.depth, c.writeBytes)
+					} else {
+						m.charge(c.writes, c.writeBytes, c.reads, c.readBytes)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		got := [3]SpillStats{b.Stats(), *meters[0].opSpill(), *meters[1].opSpill()}
+		if trial == 0 {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Fatalf("trial %d priced %+v, trial 0 %+v", trial, got, want)
+		}
 	}
 }

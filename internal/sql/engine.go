@@ -89,9 +89,9 @@ type Config struct {
 	// spilled generation for aggregates, runs for sorts and for a top-k
 	// whose heap could not be reserved), the modeled tier I/O charged
 	// into OpStats.Spill and Result.Spill. A budget never changes an
-	// operator's algorithm; only a grace-priced join's probe drains its
-	// stream before emitting, as its probe partitions are priced per
-	// stream. Like Devices,
+	// operator's algorithm: the spill is counted in accesses and bytes
+	// and priced once from the totals, so its seconds do not depend on
+	// the order operators charge them in. Like Devices,
 	// the budget models cost without changing semantics: results are
 	// bit-identical at every budget, float sums included, and 0 (the
 	// default) is the unbudgeted engine,

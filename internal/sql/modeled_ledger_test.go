@@ -4,26 +4,25 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/relational"
 	"repro/internal/sdn"
 )
 
 // ledgerConfigs are the distributed configurations of the repository
 // benchmark's olap_dist and olap_dist_allon workloads, copied from
 // olapConfig in benchmark/olap.go (and, for olap_dist_allon, the session
-// budget and spill tier setupOlap gives it), at Workers 1: the benchmark
-// takes one worker per CPU, and at more than one a shard's workers race
-// for its budget and its devices, so the spill and device seconds (and,
-// across machines, the spill partitions) would depend on the schedule.
-func ledgerConfigs() []struct {
+// budget and spill tier setupOlap gives it), at the given worker count.
+func ledgerConfigs(workers int) []struct {
 	name   string
 	cfg    Config
 	budget float64 // share of the sales table's encoded bytes; 0: none
 } {
 	dist := DefaultConfig()
-	dist.Workers = 1
+	dist.Workers = workers
 	dist.Distributed, dist.Shards, dist.Topology = true, 4, "leafspine"
 	allOn := dist
 	allOn.PipelineChunkRows = 1024
@@ -41,18 +40,65 @@ func ledgerConfigs() []struct {
 // TestModeledLedgerPinned pins the modeled clock of the benchmark's four
 // class statements (olapClasses) under olap_dist's and olap_dist_allon's
 // configurations, over the benchmark's tables, against
-// testdata/modeled_ledger.golden (UPDATE_GOLDEN=1 rewrites it). Per
-// statement it pins the network report — bytes, flows, phases, chunks,
-// admission rounds and modeled seconds, phase by phase too — the SDN
-// path overrides, the spill partitions and bytes, and each device's
-// morsels and rows, exactly, in hex floats; spill and device seconds
-// (the "seconds" fields), which the shards add up in the order they
-// finish, match to 1e-12 relative. Every statement runs once to warm (as
-// the benchmark's setup does) before the run that is pinned.
+// testdata/modeled_ledger.golden (UPDATE_GOLDEN=1 rewrites it from
+// Workers 1). Per statement it pins the network report — bytes, flows,
+// phases, chunks, admission rounds and modeled seconds, phase by phase
+// too — the SDN path overrides, the spill partitions, bytes and seconds,
+// and each device's morsels and rows, in hex floats, exactly, at Workers
+// 1, 2 and 4 against the one golden: a shard's workers race for its
+// budget, but spill is counted and priced once from the totals. Device
+// seconds fold a selectivity estimate in the order morsels finish, so
+// they are compared at Workers 1 only, to 1e-12 relative. Every statement
+// runs once to warm (as the benchmark's setup does) before the run that
+// is pinned.
 func TestModeledLedgerPinned(t *testing.T) {
 	sales, customers := SalesRelation(1, 1<<18, 50000), CustomersRelation(2, 50000)
+	const path = "testdata/modeled_ledger.golden"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		got := modeledLedger(t, sales, customers, 1)
+		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	for _, workers := range []int{1, 2, 4} {
+		got := modeledLedger(t, sales, customers, workers)
+		if len(got) != len(want) {
+			t.Fatalf("workers %d: ledger has %d lines, golden %d:\n%s", workers, len(got), len(want), strings.Join(got, "\n"))
+		}
+		for i := range want {
+			same := want[i] == got[i]
+			if strings.Contains(want[i], " device=") {
+				if workers == 1 {
+					same = sameReportLine(want[i], got[i])
+				} else {
+					same = withoutSeconds(want[i]) == withoutSeconds(got[i])
+				}
+			}
+			if !same {
+				t.Errorf("workers %d: line %d differs:\nwant %s\n got %s", workers, i+1, want[i], got[i])
+			}
+		}
+	}
+}
+
+// withoutSeconds drops a report line's seconds= field.
+func withoutSeconds(line string) string {
+	fields := strings.Fields(line)
+	return strings.Join(slices.DeleteFunc(fields, func(f string) bool { return strings.HasPrefix(f, "seconds=") }), " ")
+}
+
+// modeledLedger renders TestModeledLedgerPinned's lines at the given
+// worker count.
+func modeledLedger(t *testing.T, sales, customers *relational.Relation, workers int) []string {
+	t.Helper()
 	var got []string
-	for _, lc := range ledgerConfigs() {
+	for _, lc := range ledgerConfigs(workers) {
 		eng, err := NewEngine(lc.cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -101,25 +147,5 @@ func TestModeledLedgerPinned(t *testing.T) {
 			}
 		}
 	}
-
-	const path = "testdata/modeled_ledger.golden"
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
-	if len(got) != len(want) {
-		t.Fatalf("ledger has %d lines, golden %d:\n%s", len(got), len(want), strings.Join(got, "\n"))
-	}
-	for i := range want {
-		if !sameReportLine(want[i], got[i]) {
-			t.Errorf("line %d differs:\nwant %s\n got %s", i+1, want[i], got[i])
-		}
-	}
+	return got
 }

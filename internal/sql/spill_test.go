@@ -407,12 +407,12 @@ func TestSpillAccountingPinned(t *testing.T) {
 		bytes       int64
 		write, read float64
 	}{
-		{"grace-join", spillQueries[0], 116, 915444, 0.01422514799999999, 0.014225147999999983},
+		{"grace-join", spillQueries[0], 116, 915444, 0.014225148, 0.014225148},
 		// No ORDER BY: the aggregate alone (under spillQueries[1] its
 		// LIMIT 10 is a top-k that used to add seven sort runs).
 		{"group-agg", "SELECT customer_id, COUNT(*) AS n, SUM(quantity) AS qty FROM sales GROUP BY customer_id",
-			160, 1118880, 0.013172960000000004, 0.013172960000000001},
-		{"full-sort", fullSortQuery, 31, 891771, 0.0027772570000000004, 0.0027772570000000004},
+			160, 1118880, 0.013172960000000001, 0.013172960000000001},
+		{"full-sort", fullSortQuery, 31, 891771, 0.002777257, 0.002777257},
 	} {
 		res := querySpill(t, spillEngine(t, budget, oneWorker), c.sql)
 		got := res.Spill
