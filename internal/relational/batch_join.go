@@ -134,7 +134,7 @@ func (j *BatchHashJoin) NextBatch() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		j.core.countProbe(b, &j.buf)
+		j.core.countProbe(b)
 		if out := j.joinBatch(b); out != nil {
 			j.core.stat.add(out.Len())
 			return out, nil

@@ -1,7 +1,6 @@
 package relational
 
 import (
-	"slices"
 	"strconv"
 	"sync/atomic"
 )
@@ -90,7 +89,7 @@ type graceLeaf struct {
 	id      int
 	bytes   int64
 	spilled bool
-	probed  atomic.Int64 // bytes of the probe partition written beside it
+	probed  atomic.Bool // a probe partition was written beside it
 }
 
 // graceNode is one level of the recursive partitioning tree: each bucket
@@ -168,21 +167,19 @@ func (c *joinCore) routeLeaf(col *Vector, r int) *graceLeaf {
 }
 
 // countProbe routes the selected rows of probe batch b through the
-// partition tree and counts the bytes each spilled leaf's probe partition
-// receives, written out beside the leaf and read back with it. The first
-// bytes a leaf receives also count its pass's accesses: the probe
-// partition's write and read-back, and the read-back of the leaf's own
-// rows. So each spilled leaf is one pass per operator, whichever probe
-// stream reaches it first, and the counts are the same in any order.
-// Nothing is buffered: the probe streams batch by batch, as without a
-// budget. A no-op unless the table went to grace partitions.
-func (c *joinCore) countProbe(b *Batch, buf *probeBuf) {
+// partition tree and counts the bytes of those that land in spilled
+// leaves: the probe partitions written out beside the leaves and read
+// back with them. The first row a leaf receives also counts its pass's
+// accesses: the probe partition's write and read-back, and the read-back
+// of the leaf's own rows. So each spilled leaf is one pass per operator,
+// whichever probe stream reaches it first, and the counts are the same in
+// any order. Nothing is buffered: the probe streams batch by batch, as
+// without a budget. A no-op unless the table went to grace partitions.
+func (c *joinCore) countProbe(b *Batch) {
 	if c.grace == nil {
 		return
 	}
-	bytes := slices.Grow(buf.leaves[:0], len(c.leaves))[:len(c.leaves)]
-	clear(bytes)
-	buf.leaves = bytes
+	var bytes, passes, leafBytes int64
 	pc, sizer := &b.Cols[c.probeCol], NewRowSizer(b.Cols)
 	for i, n := 0, b.Len(); i < n; i++ {
 		r := i // the vectors' row
@@ -190,16 +187,11 @@ func (c *joinCore) countProbe(b *Batch, buf *probeBuf) {
 			r = int(b.Sel[i])
 		}
 		if l := c.routeLeaf(pc, r); l != nil && l.spilled {
-			bytes[l.id] += int64(sizer.Bytes(r))
+			bytes += int64(sizer.Bytes(r))
+			if !l.probed.Load() && l.probed.CompareAndSwap(false, true) {
+				passes, leafBytes = passes+1, leafBytes+l.bytes
+			}
 		}
 	}
-	for id, n := range bytes {
-		switch l := c.leaves[id]; {
-		case n == 0:
-		case l.probed.Add(n) == n: // the leaf's first probe bytes
-			c.meter.charge(1, n, 2, n+l.bytes)
-		default:
-			c.meter.charge(0, n, 0, n)
-		}
-	}
+	c.meter.charge(passes, bytes, 2*passes, bytes+leafBytes)
 }

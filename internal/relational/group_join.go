@@ -155,7 +155,7 @@ func (w *gjWorker) pullHead(p BatchOp, c *joinCore) error {
 			w.head = b
 			return nil
 		}
-		c.countProbe(b, &w.buf)
+		c.countProbe(b)
 	}
 }
 
@@ -179,7 +179,7 @@ func manyBuildGroups(bsel, groups []int32, ngroups int) bool {
 // to the worker's partial at its first matched row, keyed by that row's
 // build row and tagged with the row's ordinal, as the tree would tag it.
 func (w *gjWorker) fold(b *Batch) error {
-	w.c.countProbe(b, &w.buf)
+	w.c.countProbe(b)
 	w.c.tab.ix.match(&b.Cols[w.c.probeCol], b.Sel, &w.buf)
 	bsel, psel := w.buf.bsel, w.buf.psel
 	if len(bsel) == 0 {

@@ -69,14 +69,13 @@ func (ix *joinIndex) unique() bool { return ix.keys == len(ix.next) }
 
 // probeBuf is one probing stream's scratch, reused batch after batch: the
 // (build row, probe row) pairs of its last match, each probe row's first
-// match, the rows of a batch without a selection, the translation of a
-// coded probe key's codes, and a batch's probe bytes per grace leaf.
+// match, the rows of a batch without a selection, and the translation of
+// a coded probe key's codes.
 type probeBuf struct {
 	bsel, psel []int32
 	first      []int32
 	rows       []int32 // 0, 1, 2, …
 	codes      codeRefs
-	leaves     []int64
 }
 
 // match sets buf.bsel/psel to the (build row, probe row) pairs joining
