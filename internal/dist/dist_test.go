@@ -309,7 +309,7 @@ func (o *failingOp) NextBatch() (*relational.Batch, error) {
 // with that shard's error, and its siblings — endless streams that only
 // the round's cancel guard can end — stop at their next batch boundary
 // instead of draining their input, through both sinks (the partial-
-// aggregate one reads through an Exchange of its own).
+// aggregate one drains its stream through partitions of its own).
 func TestRunShardsFirstErrorStopsSiblings(t *testing.T) {
 	schema := relational.Schema{{Name: "k", Type: relational.Int}, {Name: SeqColName, Type: relational.Int}}
 	boom := errors.New("shard 2 failed")

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/relational"
@@ -49,32 +48,15 @@ func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers 
 			bg = budgets[s]
 		}
 		sa := relational.NewSpillableAgg(groupCols, aggs, bg, nil)
-		stop := relational.NewCancelToken()
-		ex := relational.NewExchange(relational.GuardBatch(op, stop), workers)
-		for {
-			b, err := ex.NextBatch()
-			if err == nil && b != nil {
-				err = di.Run(b.Len(), func() error { return sa.ObserveBatch(b, seqCol) })
-				if err != nil {
-					// The Exchange must be drained to end of stream even after
-					// an observation error, or its workers stay blocked on their
-					// bounded channels; stop ends the stream at the next batch
-					// boundary.
-					stop.Cancel(err)
-					for b != nil {
-						b, _ = ex.NextBatch()
-					}
-				}
-			}
-			switch {
-			case err != nil:
-				// A failed or cancelled attempt returns what it reserved.
-				sa.Discard()
-				return nil, err
-			case b == nil:
-				return sa.Finish(), nil
-			}
+		err := relational.InOrder(op, workers, func(b *relational.Batch) error {
+			return di.Run(b.Len(), func() error { return sa.ObserveBatch(b, seqCol) })
+		})
+		if err != nil {
+			// A failed or cancelled attempt returns what it reserved.
+			sa.Discard()
+			return nil, err
 		}
+		return sa.Finish(), nil
 	}
 }
 
@@ -82,31 +64,22 @@ func PartialAggSink(groupCols []int, aggs []relational.AggSpec, seqCol, workers 
 // Each shard is its own simulated host: each(s, run) executes on shard
 // s's goroutine, and run(op) feeds op to the sink under the round's
 // cancel token (relational.GuardBatch, which partitions through to every
-// Exchange worker) — the first failing shard cancels it with its error and
-// every sibling's stream ends at its next batch boundary instead of
-// draining its full input. each decides what a shard attempts: the
+// partition the sink drains) — the first failing shard cancels it with its
+// error and every sibling's stream ends at its next batch boundary instead
+// of draining its full input. each decides what a shard attempts: the
 // unguarded entry points below run the shard's one fragment,
 // lifecycle.Guard builds the fragment on the spot and races two attempts on
 // a straggler.
 func RunShards[T Output](n int, sink Sink[T], each func(s int, run func(relational.BatchOp) (T, error)) (T, error)) ([]T, error) {
 	outs := make([]T, n)
 	stop := relational.NewCancelToken()
-	var wg sync.WaitGroup
-	for s := range outs {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			var err error
-			outs[s], err = each(s, func(op relational.BatchOp) (T, error) {
-				return sink(s, relational.GuardBatch(op, stop))
-			})
-			if err != nil {
-				stop.Cancel(err)
-			}
-		}(s)
-	}
-	wg.Wait()
-	if err := stop.Err(); err != nil {
+	err := relational.Parallel(n, stop, func(s int) (err error) {
+		outs[s], err = each(s, func(op relational.BatchOp) (T, error) {
+			return sink(s, relational.GuardBatch(op, stop))
+		})
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
 	return outs, nil

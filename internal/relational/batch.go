@@ -305,8 +305,9 @@ func (v *Vector) Slice(from, to int) Vector {
 // number. Dense returns the batch gathered, for a consumer that reads the
 // vectors row by row. A Sel is never written once emitted, so batches
 // may share one, and it is allocated to its size, never cut from a pooled
-// scratch buffer: an Exchange holds batches in flight, and a Sel pinning
-// a larger buffer would keep that buffer alive.
+// scratch buffer: a parallel drain buffers the later partitions' batches
+// (InOrder), and a Sel pinning a larger buffer would keep that buffer
+// alive.
 type Batch struct {
 	Schema Schema
 	Cols   []Vector
@@ -458,16 +459,14 @@ type BatchOp interface {
 }
 
 // Partitioner is implemented by batch operators that can split into
-// independent streams for the morsel dispatcher. static requests
-// contiguous morsel ranges (stream i's batches all precede stream i+1's,
-// so merging in stream order reproduces serial order — required by the
-// pipeline breakers); non-static streams share a dynamic morsel queue for
-// load balance, relying on Seq tags for reassembly.
+// independent streams for the morsel dispatcher: contiguous morsel
+// ranges, so stream i's batches all precede stream i+1's and handing the
+// streams over in stream order reproduces the serial order.
 type Partitioner interface {
 	BatchOp
 	// Partition splits the operator into at most n streams covering the
 	// same rows. The receiver must not be consumed afterwards.
-	Partition(n int, static bool) []BatchOp
+	Partition(n int) []BatchOp
 }
 
 // opCount is a race-safe row and build-time counter shared by an
@@ -523,18 +522,48 @@ func EffectiveWorkers(n int) int {
 // next batch boundary instead of draining the full table; that first
 // error is returned.
 func eachBatch(op BatchOp, workers int, parts func(n int), fn func(part int, b *Batch) error) error {
-	ps := partitionOrSelf(op, workers, true)
+	ps := partitionOrSelf(op, workers)
 	parts(len(ps))
 	stop := NewCancelToken()
-	return parallel(len(ps), stop, func(i int) error {
+	return Parallel(len(ps), stop, func(i int) error {
 		return drain(ps[i], nil, false, stop, func(b *Batch) error { return fn(i, b) })
 	})
 }
 
-// parallel runs fn(0) … fn(n-1) on n goroutines and waits for them. The
+// InOrder drains op through up to workers static partitions (0 = NumCPU),
+// each on its own goroutine, and hands fn every batch in serial order:
+// partition 0's as they are made, the later partitions' once every
+// partition has ended, in partition order. At one partition it is the
+// serial pull loop: each batch reaches fn before the next is pulled. fn
+// never runs concurrently with itself, and no partition ever waits on it
+// but partition 0. The first failure — a partition's or fn's — stops the
+// other partitions at their next batch boundary and is returned.
+func InOrder(op BatchOp, workers int, fn func(b *Batch) error) error {
+	var later [][]*Batch
+	err := eachBatch(op, EffectiveWorkers(workers), func(n int) { later = make([][]*Batch, n) }, func(i int, b *Batch) error {
+		if i == 0 {
+			return fn(b)
+		}
+		later[i] = append(later[i], b)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	for _, bs := range later {
+		for _, b := range bs {
+			if err := fn(b); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// Parallel runs fn(0) … fn(n-1) on n goroutines and waits for them. The
 // first error trips stop, which the others poll to give up early, and is
 // returned (so is a cause stop was tripped with before).
-func parallel(n int, stop *CancelToken, fn func(i int) error) error {
+func Parallel(n int, stop *CancelToken, fn func(i int) error) error {
 	var wg sync.WaitGroup
 	for i := range n {
 		wg.Add(1)
@@ -571,47 +600,37 @@ func drain(op BatchOp, head *Batch, pulled bool, stop *CancelToken, fn func(b *B
 	return nil
 }
 
-// drainCols materializes op as whole columns in serial order: static
-// partitions drain in parallel, and since each keeps its batches in Seq
-// order, concatenating partition by partition is the serial order.
+// drainCols materializes op as whole columns in serial order (InOrder).
 func drainCols(op BatchOp, workers int) (cols []Vector, n int, err error) {
-	var outs [][]*Batch
-	err = eachBatch(op, workers, func(n int) { outs = make([][]*Batch, n) }, func(i int, b *Batch) error {
-		outs[i] = append(outs[i], b)
+	var batches []*Batch
+	err = InOrder(op, workers, func(b *Batch) error {
+		batches = append(batches, b)
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
 	}
-	cols, n = concatCols(op.Schema(), slices.Concat(outs...))
+	cols, n = concatCols(op.Schema(), batches)
 	return cols, n, nil
 }
 
-// Drain runs op to end of stream through the morsel dispatcher (workers
-// as in NewExchange) and returns its output as a column-built relation:
+// Drain runs op to end of stream through the morsel dispatcher (InOrder,
+// workers 0 = NumCPU) and returns its output as a column-built relation:
 // the batches' vectors concatenated in serial order, nothing boxed. It is
 // how a distributed fragment's output becomes the next fragment's input.
 func Drain(op BatchOp, workers int, name string) (*Relation, error) {
-	ex := NewExchange(op, workers)
-	var batches []*Batch
-	for {
-		b, err := ex.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			cols, n := concatCols(op.Schema(), batches)
-			return NewColumnRelation(name, op.Schema(), cols, n), nil
-		}
-		batches = append(batches, b)
+	cols, n, err := drainCols(op, workers)
+	if err != nil {
+		return nil, err
 	}
+	return NewColumnRelation(name, op.Schema(), cols, n), nil
 }
 
 // partitionOrSelf splits op into up to n streams when it supports it,
 // falling back to the single serial stream.
-func partitionOrSelf(op BatchOp, n int, static bool) []BatchOp {
+func partitionOrSelf(op BatchOp, n int) []BatchOp {
 	if p, ok := op.(Partitioner); ok && n > 1 {
-		if parts := p.Partition(n, static); len(parts) > 0 {
+		if parts := p.Partition(n); len(parts) > 0 {
 			return parts
 		}
 	}

@@ -101,12 +101,12 @@ func (g *BatchGroupAgg) build() ([]*Batch, error) {
 			return out, err
 		}
 	}
-	ps := partitionOrSelf(g.child, g.workers, true)
+	ps := partitionOrSelf(g.child, g.workers)
 	stop := NewCancelToken()
 	heads := make([]*Batch, len(ps))
 	pulled := len(ps) > 1 && len(g.groupCols) > 0
 	if pulled {
-		err := parallel(len(ps), stop, func(i int) (err error) {
+		err := Parallel(len(ps), stop, func(i int) (err error) {
 			heads[i], err = ps[i].NextBatch()
 			return err
 		})
@@ -149,7 +149,7 @@ func (g *BatchGroupAgg) preAggregated(ps []BatchOp, heads []*Batch, pulled bool,
 	for i := range sas {
 		sas[i] = NewSpillableAgg(g.groupCols, g.aggs, g.budget, g.meter)
 	}
-	err := parallel(len(ps), stop, func(i int) error {
+	err := Parallel(len(ps), stop, func(i int) error {
 		return drain(ps[i], heads[i], pulled, stop, func(b *Batch) error {
 			return g.disp.Run(b.Len(), func() error { return sas[i].ObserveBatch(b, -1) })
 		})
@@ -177,7 +177,7 @@ func (g *BatchGroupAgg) emitMerged(sas []*SpillableAgg) []*Batch {
 func (g *BatchGroupAgg) partitioned(ps []BatchOp, heads []*Batch, in []Vector, stop *CancelToken) ([]*Batch, error) {
 	nparts := keyPartsPerWorker * len(ps)
 	scats := make([]keyScatter, len(ps))
-	err := parallel(len(ps), stop, func(w int) error {
+	err := Parallel(len(ps), stop, func(w int) error {
 		sc := &scats[w]
 		sc.rows, sc.sketch = make([]posList, nparts), make([]keySketch, nparts)
 		return drain(ps[w], heads[w], true, stop, func(b *Batch) error {
@@ -200,7 +200,7 @@ func (g *BatchGroupAgg) partitioned(ps []BatchOp, heads []*Batch, in []Vector, s
 	span := keySpan(scats)
 	parts := make([]*PartialAgg, nparts)
 	var next atomic.Int64
-	err = parallel(len(ps), stop, func(int) error {
+	err = Parallel(len(ps), stop, func(int) error {
 		for p := int(next.Add(1) - 1); p < nparts && !stop.Cancelled(); p = int(next.Add(1) - 1) {
 			sa := NewSpillableAgg(g.groupCols, g.aggs, g.budget, g.meter)
 			if err := sa.p.presize(in, sketchGroups(scats, p), span); err != nil {

@@ -14,8 +14,8 @@ import (
 
 // batchSource replays pre-cut batches, so the differential tests control
 // batch boundaries (one row per batch, ragged last batch) that a
-// BatchScan would hide. It partitions into contiguous ranges, which is
-// what both static partitioning and the Exchange's Seq merge need.
+// BatchScan would hide. It partitions into contiguous ranges, as every
+// Partitioner does.
 type batchSource struct {
 	schema  Schema
 	batches []*Batch
@@ -33,7 +33,7 @@ func (s *batchSource) NextBatch() (*Batch, error) {
 	return s.batches[s.pos-1], nil
 }
 
-func (s *batchSource) Partition(n int, _ bool) []BatchOp {
+func (s *batchSource) Partition(n int) []BatchOp {
 	n = max(1, min(n, len(s.batches)))
 	parts := make([]BatchOp, n)
 	for i := range parts {

@@ -203,12 +203,12 @@ func (j *BatchHashJoin) Stats() OpStats { return opStats(j.core.stat, nil, j.cor
 
 // Partition implements Partitioner: probe partitions share the build
 // table; output batches keep their probe-side Seq tags.
-func (j *BatchHashJoin) Partition(n int, static bool) []BatchOp {
+func (j *BatchHashJoin) Partition(n int) []BatchOp {
 	p, ok := j.probe.(Partitioner)
 	if !ok {
 		return nil
 	}
-	parts := p.Partition(n, static)
+	parts := p.Partition(n)
 	out := make([]BatchOp, len(parts))
 	for i, pp := range parts {
 		out[i] = &BatchHashJoin{core: j.core, probe: pp}

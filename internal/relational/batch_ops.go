@@ -98,12 +98,12 @@ func (f *BatchFilter) Stats() OpStats { return opStats(f.stat, f.disp, nil) }
 // Partition implements Partitioner: the filter is stateless, so each
 // child partition gets its own clone sharing the counter (and the
 // device dispatcher, whose feedback loop spans all partitions).
-func (f *BatchFilter) Partition(n int, static bool) []BatchOp {
+func (f *BatchFilter) Partition(n int) []BatchOp {
 	p, ok := f.child.(Partitioner)
 	if !ok {
 		return nil
 	}
-	parts := p.Partition(n, static)
+	parts := p.Partition(n)
 	out := make([]BatchOp, len(parts))
 	for i, cp := range parts {
 		out[i] = &BatchFilter{child: cp, pred: f.pred, stat: f.stat, disp: f.disp}
@@ -267,12 +267,12 @@ func boxColumn(b *Batch, fn Projector, t Type) (Vector, rowFail) {
 func (p *BatchProject) Stats() OpStats { return opStats(p.stat, p.disp, nil) }
 
 // Partition implements Partitioner.
-func (p *BatchProject) Partition(n int, static bool) []BatchOp {
+func (p *BatchProject) Partition(n int) []BatchOp {
 	pr, ok := p.child.(Partitioner)
 	if !ok {
 		return nil
 	}
-	parts := pr.Partition(n, static)
+	parts := pr.Partition(n)
 	out := make([]BatchOp, len(parts))
 	for i, cp := range parts {
 		out[i] = &BatchProject{child: cp, schema: p.schema, exprs: p.exprs, stat: p.stat, disp: p.disp}

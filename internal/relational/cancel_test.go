@@ -31,7 +31,7 @@ func (s *cancelSource) NextBatch() (*Batch, error) {
 func (s *cancelSource) Stats() OpStats { return OpStats{} }
 
 // Partition implements Partitioner.
-func (s *cancelSource) Partition(n int, static bool) []BatchOp {
+func (s *cancelSource) Partition(n int) []BatchOp {
 	s.probe.parts.Store(int64(n))
 	parts := make([]BatchOp, n)
 	for i := range parts {
@@ -92,8 +92,8 @@ func TestDrainParallelCancels(t *testing.T) {
 	checkCancelled(t, probe, err)
 }
 
-// TestExchangeCancels: the streaming Exchange propagates a partition
-// error and unblocks every worker.
+// TestExchangeCancels: a drained NewExchange returns a partition's error
+// and stops its siblings.
 func TestExchangeCancels(t *testing.T) {
 	probe := &cancelProbe{limit: 1 << 17}
 	ex := NewExchange(&cancelSource{probe: probe}, 4)

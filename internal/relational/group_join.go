@@ -79,12 +79,12 @@ func (gj *groupJoin) run(g *BatchGroupAgg) (out []*Batch, ok bool, err error) {
 		return nil, false, nil
 	}
 	groups, ngroups := c.tab.groupIDs(gj.keys)
-	ps := partitionOrSelf(gj.join.probe, g.workers, true)
+	ps := partitionOrSelf(gj.join.probe, g.workers)
 	ws := make([]gjWorker, len(ps))
 	stop := NewCancelToken()
 	pulled := len(ps) > 1
 	if pulled {
-		err := parallel(len(ps), stop, func(i int) error { return ws[i].pullHead(ps[i], c) })
+		err := Parallel(len(ps), stop, func(i int) error { return ws[i].pullHead(ps[i], c) })
 		if err != nil {
 			return nil, true, err
 		}
@@ -102,7 +102,7 @@ func (gj *groupJoin) run(g *BatchGroupAgg) (out []*Batch, ok bool, err error) {
 		keys[k] = c.tab.cols[col]
 	}
 	sas := make([]*SpillableAgg, len(ps))
-	err = parallel(len(ps), stop, func(i int) error {
+	err = Parallel(len(ps), stop, func(i int) error {
 		sas[i] = NewSpillableAgg(g.groupCols, g.aggs, g.budget, g.meter)
 		w := &ws[i]
 		w.c, w.g, w.groups, w.keys, w.sa = c, g, groups, keys, sas[i]
@@ -258,7 +258,7 @@ type pushedBack struct {
 }
 
 // Partition implements Partitioner.
-func (p *pushedBack) Partition(int, bool) []BatchOp {
+func (p *pushedBack) Partition(int) []BatchOp {
 	out := make([]BatchOp, len(p.parts))
 	for i, part := range p.parts {
 		out[i] = &headFirst{BatchOp: part, head: p.heads[i]}

@@ -19,8 +19,8 @@ func (c *pullCounter) NextBatch() (*Batch, error) {
 	return c.BatchOp.NextBatch()
 }
 
-func (c *pullCounter) Partition(n int, static bool) []BatchOp {
-	parts := c.BatchOp.(Partitioner).Partition(n, static)
+func (c *pullCounter) Partition(n int) []BatchOp {
+	parts := c.BatchOp.(Partitioner).Partition(n)
 	for i, p := range parts {
 		parts[i] = &pullCounter{BatchOp: p, pulls: c.pulls}
 	}

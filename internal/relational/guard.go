@@ -14,9 +14,9 @@ var ErrCancelled = errors.New("relational: execution cancelled")
 // wins flag polled at row or batch boundaries. It is a query execution's
 // external-cancellation handle (Guard/GuardBatch surface a caller-side
 // signal, typically a context.Context, at the next boundary), and siblings
-// sharing one — a parallel operator's partitions, an Exchange's workers,
-// dist.RunShards' shards, the lifecycle guard's speculative pair — stop at
-// their next boundary after the first failure, which is the error reported.
+// sharing one — a parallel drain's partitions, dist.RunShards' shards, the
+// lifecycle guard's speculative pair — stop at their next boundary after
+// the first failure, which is the error reported.
 //
 // A token is single-use and safe for concurrent use.
 type CancelToken struct {
@@ -110,9 +110,9 @@ func (g *guardOp) Stats() OpStats { return g.child.Stats() }
 
 // GuardBatch wraps a batch operator so the token is checked at every
 // batch boundary. The wrapper partitions like its child, so a guarded
-// leaf keeps the check on every Exchange worker's stream — the first
-// partition to observe cancellation returns the token's error, which the
-// workers' own token then propagates to their siblings. A nil token
+// leaf keeps the check on every partition's stream — the first partition
+// to observe cancellation returns the token's error, which the drain's
+// own token then propagates to its siblings. A nil token
 // returns op unchanged.
 func GuardBatch(op BatchOp, t *CancelToken) BatchOp {
 	if t == nil {
@@ -141,12 +141,12 @@ func (g *guardBatchOp) NextBatch() (*Batch, error) {
 func (g *guardBatchOp) Stats() OpStats { return g.child.Stats() }
 
 // Partition implements Partitioner.
-func (g *guardBatchOp) Partition(n int, static bool) []BatchOp {
+func (g *guardBatchOp) Partition(n int) []BatchOp {
 	p, ok := g.child.(Partitioner)
 	if !ok {
 		return nil
 	}
-	parts := p.Partition(n, static)
+	parts := p.Partition(n)
 	out := make([]BatchOp, len(parts))
 	for i, cp := range parts {
 		out[i] = &guardBatchOp{child: cp, t: g.t}

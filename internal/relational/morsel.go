@@ -1,7 +1,5 @@
 package relational
 
-import "sync/atomic"
-
 // morselBatch windows one morsel (rows [m*BatchSize, ...)) of the
 // relation's columnar image, tagged with the morsel index. The vectors
 // share the cached arrays — no copying.
@@ -54,43 +52,27 @@ func (s *BatchScan) NextBatch() (*Batch, error) {
 // Stats implements BatchOp.
 func (s *BatchScan) Stats() OpStats { return s.stat.stats() }
 
-// Partition implements Partitioner.
-func (s *BatchScan) Partition(n int, static bool) []BatchOp {
+// Partition implements Partitioner: contiguous morsel ranges, part i's
+// batches preceding part i+1's.
+func (s *BatchScan) Partition(n int) []BatchOp {
 	total := morselCount(s.rel)
-	if n > int(total) {
-		n = int(total)
-	}
-	if n < 1 {
-		n = 1
-	}
-	parts := make([]BatchOp, 0, n)
-	if static {
-		// Contiguous morsel ranges: part i's batches precede part i+1's.
-		for i := 0; i < n; i++ {
-			from := total * int64(i) / int64(n)
-			to := total * int64(i+1) / int64(n)
-			parts = append(parts, &scanPart{rel: s.rel, cols: s.cols, cur: from, end: to, stat: s.stat})
-		}
-		return parts
-	}
-	// Dynamic morsel queue: workers steal the next morsel as they finish,
-	// balancing selective filters; Seq tags let Exchange restore order.
-	queue := &atomic.Int64{}
-	for i := 0; i < n; i++ {
-		parts = append(parts, &scanPart{rel: s.rel, cols: s.cols, queue: queue, end: total, stat: s.stat})
+	n = max(1, min(n, int(total)))
+	parts := make([]BatchOp, n)
+	for i := range parts {
+		from, to := total*int64(i)/int64(n), total*int64(i+1)/int64(n)
+		parts[i] = &scanPart{rel: s.rel, cols: s.cols, cur: from, end: to, stat: s.stat}
 	}
 	return parts
 }
 
-// scanPart is one worker's share of a partitioned scan: either a static
-// [cur, end) morsel range, or a dynamic shared queue.
+// scanPart is one worker's share of a partitioned scan: the morsels
+// [cur, end).
 type scanPart struct {
-	rel   *Relation
-	cols  []Vector
-	cur   int64
-	end   int64
-	queue *atomic.Int64 // non-nil for dynamic dispatch
-	stat  *opCount
+	rel  *Relation
+	cols []Vector
+	cur  int64
+	end  int64
+	stat *opCount
 }
 
 // Schema implements BatchOp.
@@ -98,17 +80,11 @@ func (p *scanPart) Schema() Schema { return p.rel.Schema }
 
 // NextBatch implements BatchOp.
 func (p *scanPart) NextBatch() (*Batch, error) {
-	var m int64
-	if p.queue != nil {
-		m = p.queue.Add(1) - 1
-	} else {
-		m = p.cur
-		p.cur++
-	}
-	if m >= p.end {
+	if p.cur >= p.end {
 		return nil, nil
 	}
-	b := morselBatch(p.rel, p.cols, m)
+	b := morselBatch(p.rel, p.cols, p.cur)
+	p.cur++
 	p.stat.add(b.Len())
 	return b, nil
 }
@@ -116,111 +92,39 @@ func (p *scanPart) NextBatch() (*Batch, error) {
 // Stats implements BatchOp.
 func (p *scanPart) Stats() OpStats { return p.stat.stats() }
 
-// exchangeDepth bounds the batches buffered per worker stream. Workers
-// block once their channel fills, so peak buffered memory is
-// workers × (exchangeDepth+1) batches instead of the full result set.
-const exchangeDepth = 4
-
-// Exchange is the morsel dispatcher's merge point: it partitions its
-// child across workers (dynamic queue) and streams their outputs through
-// a k-way merge on Seq tags — each worker's stream is Seq-ascending
-// (morsels are claimed in increasing order and batch operators preserve
-// tags), so emitting the smallest head reproduces exactly the serial row
-// order regardless of scheduling, without materializing the result.
-// Workers share a CancelToken: one failing partition stops its siblings
-// at their next batch boundary.
-type Exchange struct {
-	child   BatchOp
-	workers int
-
-	started bool
-	chans   []chan *Batch
-	heads   []*Batch
-	stop    *CancelToken
-}
-
-// NewExchange parallelizes child across workers (0 = NumCPU). When child
-// cannot partition, or a single worker is requested, child is returned
-// unwrapped. Once pulled, the returned operator must be drained to end
-// of stream (or error): the merge is streaming, so abandoning it midway
-// strands worker goroutines blocked on their bounded channels. Every
-// in-tree consumer (Collect, the fragment runners, the LIMIT placement
-// below the dispatcher) drains fully.
+// NewExchange parallelizes child across workers (0 = NumCPU) as a
+// pipeline breaker: its first NextBatch drains child through InOrder, and
+// it then hands the batches out in serial order. When child cannot
+// partition, or a single worker is requested, child is returned
+// unwrapped.
 func NewExchange(child BatchOp, workers int) BatchOp {
 	w := EffectiveWorkers(workers)
 	if _, ok := child.(Partitioner); !ok || w <= 1 {
 		return child
 	}
-	return &Exchange{child: child, workers: w}
+	return &exchange{child: child, workers: w, stat: &opCount{}}
+}
+
+type exchange struct {
+	child   BatchOp
+	workers int
+	out     outQueue
+	stat    *opCount
 }
 
 // Schema implements BatchOp.
-func (e *Exchange) Schema() Schema { return e.child.Schema() }
-
-func (e *Exchange) start() {
-	parts := partitionOrSelf(e.child, e.workers, false)
-	e.stop = NewCancelToken()
-	e.chans = make([]chan *Batch, len(parts))
-	for i, part := range parts {
-		ch := make(chan *Batch, exchangeDepth)
-		e.chans[i] = ch
-		go func(part BatchOp, ch chan *Batch) {
-			defer close(ch)
-			for !e.stop.Cancelled() {
-				b, err := part.NextBatch()
-				if err != nil {
-					e.stop.Cancel(err)
-					return
-				}
-				if b == nil {
-					return
-				}
-				ch <- b
-			}
-		}(part, ch)
-	}
-	e.heads = make([]*Batch, len(parts))
-	for i := range e.chans {
-		e.heads[i] = <-e.chans[i] // nil once the worker closes
-	}
-}
-
-// drain unblocks any workers still sending after an abort.
-func (e *Exchange) drain() {
-	for _, ch := range e.chans {
-		for range ch { //nolint:revive // discard until closed
-		}
-	}
-	e.heads = nil
-}
+func (e *exchange) Schema() Schema { return e.child.Schema() }
 
 // NextBatch implements BatchOp.
-func (e *Exchange) NextBatch() (*Batch, error) {
-	if !e.started {
-		e.started = true
-		e.start()
-	}
-	if e.stop.Cancelled() {
-		e.drain()
-		return nil, e.stop.Err()
-	}
-	best := -1
-	for i, h := range e.heads {
-		if h == nil {
-			continue
-		}
-		if best < 0 || h.Seq < e.heads[best].Seq {
-			best = i
-		}
-	}
-	if best < 0 {
-		// Every worker stream closed; surface a late error if one raced in.
-		return nil, e.stop.Err()
-	}
-	b := e.heads[best]
-	e.heads[best] = <-e.chans[best]
-	return b, nil
+func (e *exchange) NextBatch() (*Batch, error) {
+	return e.out.next(e.stat, func() (out []*Batch, err error) {
+		err = InOrder(e.child, e.workers, func(b *Batch) error {
+			out = append(out, b)
+			return nil
+		})
+		return out, err
+	})
 }
 
 // Stats implements BatchOp.
-func (e *Exchange) Stats() OpStats { return e.child.Stats() }
+func (e *exchange) Stats() OpStats { return e.stat.stats() }

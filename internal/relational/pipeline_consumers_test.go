@@ -33,7 +33,7 @@ func TestPrebuiltJoinParity(t *testing.T) {
 }
 
 // TestPrebuiltJoinSharedAcrossProbes: one sealed build table probed by
-// several joins concurrently via Exchange partitions — the pipelined
+// several joins concurrently via NewExchange partitions — the pipelined
 // broadcast case.
 func TestPrebuiltJoinSharedAcrossProbes(t *testing.T) {
 	dim := randRel(8, 400)

@@ -50,7 +50,7 @@ func TestCancelBeforeExecution(t *testing.T) {
 
 // settleGoroutines waits for the goroutine count to drop back to the
 // baseline (small slack for runtime helpers) and fails if it does not —
-// the leak detector for stranded Exchange workers and shard fragments.
+// the leak detector for stranded partition goroutines and shard fragments.
 func settleGoroutines(t *testing.T, name string, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

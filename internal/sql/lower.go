@@ -36,8 +36,8 @@ type lowerer struct {
 	parallel bool
 	workers  int
 	// cancel, when set, guards every leaf scan: each pulled row or batch
-	// — on every Exchange worker, since the guard partitions through —
-	// checks the token, so external cancellation aborts even queries deep
+	// — on every partition a parallel drain runs, since the guard
+	// partitions through — checks the token, so external cancellation aborts even queries deep
 	// inside a pipeline breaker's drain within one batch boundary.
 	cancel *relational.CancelToken
 	// placer, when set, places every batch operator's morsels on its
@@ -239,10 +239,11 @@ func (lw *lowerer) shardTopK(n execNode, keys []relational.SortKey, k int) (exec
 
 func (lw *lowerer) limit(n execNode, k int) execNode {
 	if n.bat != nil {
-		// No Exchange here: a serial drain of the batch stream is already
-		// in Seq (= serial) order, and consuming it directly preserves the
-		// early exit — LIMIT k stops the scan after ~k rows instead of
-		// materializing the whole input through the dispatcher.
+		// The limit consumes its child serially: the batch stream is
+		// already in Seq (= serial) order, and the limit does not partition,
+		// so the drain above it pulls it serially too and keeps the early
+		// exit — LIMIT k stops the scan after ~k rows instead of draining
+		// the whole input through the partitions.
 		return execNode{bat: relational.NewBatchLimit(n.bat, k)}
 	}
 	return execNode{row: relational.NewLimit(n.row, k)}
