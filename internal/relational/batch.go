@@ -560,19 +560,26 @@ func InOrder(op BatchOp, workers int, fn func(b *Batch) error) error {
 	return nil
 }
 
-// Parallel runs fn(0) … fn(n-1) on n goroutines and waits for them. The
+// Parallel runs fn(1) … fn(n-1) on goroutines of their own and fn(0) on
+// the caller's, and waits for them all: at n = 1 it is a plain call. The
 // first error trips stop, which the others poll to give up early, and is
 // returned (so is a cause stop was tripped with before).
 func Parallel(n int, stop *CancelToken, fn func(i int) error) error {
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			stop.Cancel(err)
+		}
+	}
 	var wg sync.WaitGroup
-	for i := range n {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := fn(i); err != nil {
-				stop.Cancel(err)
-			}
+			run(i)
 		}()
+	}
+	if n > 0 {
+		run(0)
 	}
 	wg.Wait()
 	return stop.Err()
